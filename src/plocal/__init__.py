@@ -13,8 +13,8 @@ The five public layers:
   product subsystems;
 * :mod:`plocal.verify` - one checker per verified statement and the suite
   driver;
-* :mod:`plocal.cli` - corpus parsing, caching and the command-line front
-  end (console script ``plocal``).
+* :mod:`plocal.cli` - corpus parsing and the command-line front end
+  (console script ``plocal``).
 """
 
 from .errors import PLocalError

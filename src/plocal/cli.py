@@ -18,9 +18,7 @@ byte-identical. Timing goes to stdout only.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
-import os
 import re
 import sys
 import time
@@ -62,7 +60,10 @@ class CorpusEntry:
             return None
         out = []
         for spec in self.X_strings:
-            gens = [perm_from_cycles(s, self.degree) for s in _split_cycles(spec)]
+            try:
+                gens = [perm_from_cycles(s, self.degree) for s in _split_cycles(spec)]
+            except ValueError as exc:
+                raise CorpusParseError("entry %s: X=%s: %s" % (self.name, spec, exc))
             X = G.generated_subgroup(gens)
             if not X.elems <= S.elems:
                 raise CorpusParseError(
@@ -77,21 +78,16 @@ class CorpusEntry:
 
 @dataclass
 class RunConfig:
-    """Caps, filters and IO knobs for one suite run."""
+    """Input, statement filter, word length and report path for one run."""
 
     corpus_path: Optional[Path] = None
     statements: Optional[Tuple[str, ...]] = None
-    element_cap: int = gp.ELEMENT_CAP
     word_len: int = 3
-    aut_cap: int = 24
-    jobs: int = 1
     report_path: Optional[Path] = None
-    cache_dir: Optional[Path] = None
-    no_cache: bool = False
 
     def __post_init__(self):
-        if self.element_cap <= 0 or self.word_len <= 0 or self.jobs <= 0:
-            raise ValueError("caps must be positive")
+        if self.word_len <= 0:
+            raise ValueError("word_len must be positive")
         if self.statements is not None:
             unknown = set(self.statements) - set(vf.STATEMENTS)
             if unknown:
@@ -160,8 +156,8 @@ def parse_corpus(text: str) -> List[CorpusEntry]:
         ]
         try:
             degree = max(max_point(s) for s in all_strings) + 1
-        except ValueError:
-            raise CorpusParseError("no points in entry %s" % r["name"], r["line"])
+        except ValueError as exc:
+            raise CorpusParseError("entry %s: %s" % (r["name"], exc), r["line"])
         entry = CorpusEntry(
             name=r["name"],
             p=r["p"],
@@ -194,82 +190,6 @@ def default_corpus_text() -> str:
     from importlib.resources import files
 
     return files("plocal").joinpath("data/default_corpus.txt").read_text()
-
-
-# ---------------------------------------------------------------------------
-# on-disk caching of the pure enumerations
-
-
-def _group_key(degree: int, elements) -> str:
-    blob = repr((degree, sorted(p.images for p in elements)))
-    return hashlib.sha256(blob.encode()).hexdigest()
-
-
-def _load_cache(cache_dir: Path):
-    path = cache_dir / "lattice_cache.json"
-    if not path.exists():
-        return
-    data = json.loads(path.read_text())
-    for rec in data.get("subgroups", []):
-        elems = frozenset(Perm(tuple(im)) for im in rec["group"])
-        G = gp.FiniteGroup(elems)
-        order = sorted(elems)
-        subs = tuple(
-            gp.Subgroup(G, frozenset(order[i] for i in idxs)) for idxs in rec["subs"]
-        )
-        gp._SUBGROUP_CACHE[(rec["degree"], elems)] = subs
-    for rec in data.get("auts", []):
-        base_elems = frozenset(Perm(tuple(im)) for im in rec["base"])
-        order = sorted(base_elems)
-        base = gp.Subgroup(gp.FiniteGroup(base_elems), base_elems)
-        maps = frozenset(
-            gp.GroupInjection(
-                tuple((order[i], order[j]) for i, j in enumerate(images)), base_elems
-            )
-            for images in rec["maps"]
-        )
-        gp._AUT_CACHE[(rec["degree"], base_elems)] = gp.AutGroup(base, maps)
-
-
-def _save_cache(cache_dir: Path):
-    cache_dir.mkdir(parents=True, exist_ok=True)
-    subs_out = []
-    for (degree, elems), subs in sorted(
-        gp._SUBGROUP_CACHE.items(), key=lambda kv: (kv[0][0], sorted(p.images for p in kv[0][1]))
-    ):
-        order = sorted(elems)
-        index = {x: i for i, x in enumerate(order)}
-        subs_out.append(
-            {
-                "degree": degree,
-                "group": [list(p.images) for p in order],
-                "subs": [sorted(index[x] for x in H.elems) for H in subs],
-            }
-        )
-    auts_out = []
-    for (degree, elems), A in sorted(
-        gp._AUT_CACHE.items(), key=lambda kv: (kv[0][0], sorted(p.images for p in kv[0][1]))
-    ):
-        order = sorted(elems)
-        index = {x: i for i, x in enumerate(order)}
-        auts_out.append(
-            {
-                "degree": degree,
-                "base": [list(p.images) for p in order],
-                "maps": sorted(
-                    [index[m(x)] for x in order] for m in A.maps
-                ),
-            }
-        )
-    path = cache_dir / "lattice_cache.json"
-    path.write_text(json.dumps({"subgroups": subs_out, "auts": auts_out}))
-
-
-def default_cache_dir() -> Path:
-    root = os.environ.get("XDG_CACHE_HOME") or os.path.join(
-        os.path.expanduser("~"), ".cache"
-    )
-    return Path(root) / "plocal"
 
 
 # ---------------------------------------------------------------------------
@@ -306,31 +226,18 @@ def run(config: RunConfig, corpus_text: Optional[str] = None) -> int:
     try:
         if corpus_text is None:
             if config.corpus_path is not None:
-                corpus_text = Path(config.corpus_path).read_text()
+                corpus_text = Path(config.corpus_path).read_text(encoding="utf-8")
             else:
                 corpus_text = default_corpus_text()
         entries = parse_corpus(corpus_text)
-    except (CorpusParseError, NormalityError, OSError) as exc:
+    except (CorpusParseError, NormalityError, OSError, UnicodeDecodeError) as exc:
         print("corpus error: %s" % exc, file=sys.stderr)
         return 2
-
-    cache_dir = config.cache_dir or default_cache_dir()
-    if not config.no_cache:
-        try:
-            if cache_dir.exists():
-                _load_cache(cache_dir)
-        except (OSError, ValueError, KeyError) as exc:
-            print("cache error: %s" % exc, file=sys.stderr)
-            return 2
 
     t0 = time.time()
     try:
         reports, coverage = vf.run_suite(
-            entries,
-            statements=config.statements,
-            aut_cap=config.aut_cap,
-            word_len=config.word_len,
-            jobs=config.jobs,
+            entries, statements=config.statements, word_len=config.word_len
         )
     except PLocalError as exc:
         print("suite error: %s" % exc, file=sys.stderr)
@@ -343,13 +250,6 @@ def run(config: RunConfig, corpus_text: Optional[str] = None) -> int:
             Path(config.report_path).write_text(doc)
         except OSError as exc:
             print("report error: %s" % exc, file=sys.stderr)
-            return 2
-
-    if not config.no_cache:
-        try:
-            _save_cache(cache_dir)
-        except OSError as exc:
-            print("cache error: %s" % exc, file=sys.stderr)
             return 2
 
     summarize(reports, coverage)
@@ -370,16 +270,12 @@ def build_arg_parser() -> argparse.ArgumentParser:
         metavar="ID",
         help="restrict to a statement id (repeatable): %s" % ", ".join(vf.STATEMENTS),
     )
-    ap.add_argument("--max-elements", type=int, default=gp.ELEMENT_CAP, help="group closure cap")
     ap.add_argument(
         "--full-word-check",
         action="store_true",
         help="check partial-group words up to length 4 instead of 3",
     )
-    ap.add_argument("--jobs", type=int, default=1, help="parallel corpus entries")
     ap.add_argument("--report", type=Path, default=None, help="write the JSON report here")
-    ap.add_argument("--cache-dir", type=Path, default=None, help="lattice cache directory")
-    ap.add_argument("--no-cache", action="store_true", help="disable the on-disk cache")
     return ap
 
 
@@ -389,12 +285,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         config = RunConfig(
             corpus_path=args.corpus,
             statements=tuple(args.statement) if args.statement else None,
-            element_cap=args.max_elements,
             word_len=4 if args.full_word_check else 3,
-            jobs=args.jobs,
             report_path=args.report,
-            cache_dir=args.cache_dir,
-            no_cache=args.no_cache,
         )
     except ValueError as exc:
         print("config error: %s" % exc, file=sys.stderr)

@@ -39,6 +39,7 @@ from .groups import (
     centralizer,
     center,
     conj_injection,
+    group_K_normalizer,
     mulclose,
     normalizer,
     op_residual,
@@ -91,9 +92,6 @@ class FusionSystem:
             )
         return self._cache["subs"]
 
-    def subgroup(self, elems: Iterable[Perm]) -> Subgroup:
-        return Subgroup(self.Sgroup, frozenset(elems))
-
     def all_germs(self) -> FrozenSet[GroupInjection]:
         return self._all
 
@@ -116,11 +114,10 @@ class FusionSystem:
     def aut_S(self, P: Subgroup) -> AutGroup:
         """Aut_S(P) = automorphisms induced by conjugation from N_S(P)."""
         pe = P.elems
-        maps = set()
-        for s in self.Sgroup.elements:
-            if all(x.conj(s) in pe for x in pe):
-                maps.add(conj_injection(pe, s, pe))
-        return AutGroup(Subgroup(self.Sgroup, pe), frozenset(maps))
+        maps = frozenset(
+            conj_injection(pe, s, pe) for s in normalizer(self.Sgroup, P).elems
+        )
+        return AutGroup(Subgroup(self.Sgroup, pe), maps)
 
     def conjugates(self, P: Subgroup) -> Tuple[Subgroup, ...]:
         """The F-conjugacy class of P, canonically ordered."""
@@ -239,23 +236,8 @@ def close_generated(
     return FusionSystem(Sg, p, germs)
 
 
-def fusion_equal(E: FusionSystem, F: FusionSystem) -> bool:
-    return E == F
-
-
 # ---------------------------------------------------------------------------
 # K-normalizers
-
-
-def K_normalizer_in_group(H: Subgroup, X: Subgroup, K: AutGroup) -> Subgroup:
-    """N_H^K(X) = {h in H : X^h = X and c_h|X in K} for H inside one group."""
-    xe = X.elems
-    out = set()
-    for h in H.elems:
-        if all(x.conj(h) in xe for x in xe):
-            if conj_injection(xe, h, xe) in K.maps:
-                out.add(h)
-    return Subgroup(H.parent, frozenset(out))
 
 
 def is_fully_K_normalized(F: FusionSystem, X: Subgroup, K: AutGroup) -> bool:
@@ -264,12 +246,11 @@ def is_fully_K_normalized(F: FusionSystem, X: Subgroup, K: AutGroup) -> bool:
         raise ValueError("K must consist of automorphisms of X")
     if not X.elems <= F.Sgroup.elements:
         raise ValueError("X is not a subgroup of S")
-    S = F.S
-    n0 = K_normalizer_in_group(S, X, K).order
+    n0 = group_K_normalizer(F.Sgroup, X, K).order
     for phi in F.germs_from(X):
         Y = Subgroup(F.Sgroup, phi.image)
         Kphi = K.conjugate_by(phi)
-        if K_normalizer_in_group(S, Y, Kphi).order > n0:
+        if group_K_normalizer(F.Sgroup, Y, Kphi).order > n0:
             return False
     return True
 
@@ -291,7 +272,7 @@ def K_normalizer_subsystem(F: FusionSystem, X: Subgroup, K: AutGroup) -> FusionS
         return F._cache[key]
     if K.base.elems != X.elems:
         raise ValueError("K must consist of automorphisms of X")
-    S0 = K_normalizer_in_group(F.S, X, K)
+    S0 = group_K_normalizer(F.Sgroup, X, K)
     sub_sets = tuple(H.elems for H in all_subgroups(S0.group()))
     xe = X.elems
     germs = set()
@@ -327,7 +308,6 @@ def centralizer_subsystem(F: FusionSystem, X: Subgroup) -> FusionSystem:
 
 
 def _full_normalized_members(F: FusionSystem, cls: Tuple[Subgroup, ...]) -> Tuple[Subgroup, ...]:
-    S = F.S
     best = max(normalizer(F.Sgroup, Q).order for Q in cls)
     return tuple(Q for Q in cls if normalizer(F.Sgroup, Q).order == best)
 
@@ -342,7 +322,6 @@ def saturation_failure(F: FusionSystem) -> Optional[dict]:
     if "sat" in F._cache:
         return F._cache["sat"]
     witness = None
-    S = F.S
     for P in F.subgroups():
         cls = F.conjugates(P)
         if P not in _full_normalized_members(F, cls):

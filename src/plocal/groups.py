@@ -20,8 +20,8 @@ ELEMENT_CAP = 10_000
 SUBGROUP_CAP = 400
 AUT_BASE_CAP = 64
 
-# in-memory caches keyed by (degree, frozen element set); the CLI warms these
-# from disk and writes them back, so they are module-level on purpose
+# in-memory caches keyed by (degree, frozen element set); module-level on
+# purpose, so equal groups built separately share one enumeration
 _SUBGROUP_CACHE: Dict[Tuple[int, FrozenSet[Perm]], Tuple["Subgroup", ...]] = {}
 _AUT_CACHE: Dict[Tuple[int, FrozenSet[Perm]], "AutGroup"] = {}
 
@@ -105,12 +105,6 @@ class FiniteGroup:
 
     def __repr__(self):
         return "FiniteGroup(order=%d, degree=%d)" % (self.order, self.degree)
-
-    def subgroup(self, elems: Iterable[Perm]) -> "Subgroup":
-        elems = frozenset(elems)
-        if not elems <= self.elements:
-            raise ValueError("elements not contained in the group")
-        return Subgroup(self, elems)
 
     def trivial_subgroup(self) -> "Subgroup":
         return Subgroup(self, frozenset([self.identity]))
@@ -657,17 +651,6 @@ def trivial_aut_group(X: Subgroup) -> AutGroup:
     return AutGroup(X, frozenset([identity_injection(X.elems)]))
 
 
-def aut_induced(G: FiniteGroup, X: Subgroup, from_elems: Optional[Iterable[Perm]] = None) -> AutGroup:
-    """Automorphisms of X induced by conjugation from N_G(X) (or a subset)."""
-    pool = G.elements if from_elems is None else frozenset(from_elems)
-    xe = X.elems
-    maps = set()
-    for g in pool:
-        if all(x.conj(g) in xe for x in xe):
-            maps.add(conj_injection(xe, g, xe))
-    return AutGroup(X, frozenset(maps))
-
-
 def op_residual(A: AutGroup, p: int) -> AutGroup:
     """O^p(A): the subgroup generated by all p'-elements of A."""
     G = A.perm_group()
@@ -680,12 +663,8 @@ def group_K_normalizer(G: FiniteGroup, X: Subgroup, K: AutGroup) -> Subgroup:
     if K.base.elems != X.elems:
         raise ValueError("K is not a group of automorphisms of X")
     xe = X.elems
-    out = set()
-    for g in G.elements:
-        if all(x.conj(g) in xe for x in xe):
-            if conj_injection(xe, g, xe) in K.maps:
-                out.add(g)
-    return Subgroup(G, frozenset(out))
+    N = normalizer(G, X).elems
+    return Subgroup(G, frozenset(g for g in N if conj_injection(xe, g, xe) in K.maps))
 
 
 def set_product(G: FiniteGroup, A: Iterable[Perm], B: Iterable[Perm]) -> FrozenSet[Perm]:

@@ -196,14 +196,6 @@ class PartialGroup:
             out = out * g
         return out
 
-    def conj_defined(self, x: Perm, f: Perm) -> bool:
-        return self.in_domain((f.inv(), x, f))
-
-    def conj(self, x: Perm, f: Perm) -> Perm:
-        if not self.conj_defined(x, f):
-            raise ValueError("conjugation not defined")
-        return x.conj(f)
-
     def __eq__(self, other):
         return (
             isinstance(other, PartialGroup)
@@ -285,10 +277,6 @@ class PartialSubgroup:
 
     def __hash__(self):
         return hash((self.elems,))
-
-    def as_partial(self) -> PartialGroup:
-        """The subset as a partial group with the inherited domain."""
-        return PartialGroup(self.parent.ambient, self.elems, self.parent.rule)
 
     def __repr__(self):
         return "PartialSubgroup(|N|=%d)" % len(self.elems)
@@ -400,12 +388,6 @@ def normalizer_partial(L: Locality, X: Subgroup) -> PartialSubgroup:
         if xe <= S_f(L, f).elems and frozenset(x.conj(f) for x in xe) == xe
     )
     return PartialSubgroup(L, out)
-
-
-def normalizer_group_in(L: Locality, P: Subgroup) -> FiniteGroup:
-    """N_L(P) for an object P. For objects this is a genuine group: any word
-    over it admits the constant chain P, so all products are defined."""
-    return FiniteGroup(normalizer_partial(L, P).elems)
 
 
 def K_normalizer_partial(L: Locality, X: Subgroup, K: AutGroup) -> PartialSubgroup:
@@ -625,10 +607,11 @@ def find_normal_for(L: Locality, E: FusionSystem) -> PartialSubgroup:
     return matches[0]
 
 
-def _closure_repair(L: Locality, elems: FrozenSet[Perm], rounds: int = 8) -> Optional[FrozenSet[Perm]]:
-    """Close a candidate under inverses and defined pair products."""
+def _closure_repair(L: Locality, elems: FrozenSet[Perm]) -> Optional[FrozenSet[Perm]]:
+    """Close a candidate under inverses and defined pair products, or None
+    if the closure leaves L. Runs to a fixpoint: cur only grows inside L."""
     cur = set(elems)
-    for _ in range(rounds):
+    while True:
         add = set()
         for x in cur:
             if x.inv() not in cur and x.inv() in L.elems:
@@ -642,7 +625,6 @@ def _closure_repair(L: Locality, elems: FrozenSet[Perm], rounds: int = 8) -> Opt
         if not add <= L.elems:
             return None
         cur |= add
-    return None
 
 
 # ---------------------------------------------------------------------------

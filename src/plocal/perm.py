@@ -106,10 +106,6 @@ class Perm:
             _CONJ_CACHE[key] = res
         return res
 
-    def commutator(self, g: "Perm") -> "Perm":
-        """[self, g] = self^-1 * (self ^ g)."""
-        return self.inv() * self.conj(g)
-
     def is_identity(self) -> bool:
         return all(i == j for i, j in enumerate(self.images))
 
@@ -157,7 +153,7 @@ def perm_from_cycles(text: str, degree: int) -> Perm:
         raise ValueError("bad cycle notation: %r" % text)
     moved = set()
     for chunk in text[1:-1].split(")("):
-        pts = [int(tok) for tok in chunk.replace(",", " ").split()]
+        pts = _points(chunk)
         if len(pts) < 2:
             continue
         for pt in pts:
@@ -173,13 +169,19 @@ def perm_from_cycles(text: str, degree: int) -> Perm:
 
 def max_point(text: str) -> int:
     """Largest point mentioned in a cycle string, -1 if none."""
-    pts = [
-        int(tok)
-        for chunk in text.strip().strip("()").split(")(")
-        for tok in chunk.replace(",", " ").split()
-        if tok
-    ]
+    pts = [pt for chunk in text.strip().strip("()").split(")(") for pt in _points(chunk)]
     return max(pts) if pts else -1
+
+
+def _points(chunk: str) -> list:
+    """The points of one cycle body, naming the first token that is not one."""
+    pts = []
+    for tok in chunk.replace(",", " ").split():
+        try:
+            pts.append(int(tok))
+        except ValueError:
+            raise ValueError("bad point %r" % tok) from None
+    return pts
 
 
 def cycles_str(p: Perm) -> str:

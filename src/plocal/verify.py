@@ -35,6 +35,7 @@ from . import groups as gp
 from . import locality as lo
 from .errors import CorpusParseError, NotFound, NotPartialSubgroup, PLocalError
 from .groups import AutGroup, FiniteGroup, Subgroup
+from .perm import perm_from_cycles
 from .report import VerificationReport, failed_report, passed_report, skipped_report
 
 STATEMENTS = (
@@ -47,6 +48,9 @@ STATEMENTS = (
     "Corollary-3.3a",
     "Corollary-3.3b",
 )
+
+# the default K sweep adds every subgroup of Aut(X) when |Aut(X)| is at most this
+AUT_CAP = 24
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +222,6 @@ def check_main_theorem(
     X: Subgroup,
     K: AutGroup,
     instance: str,
-    word_len: int = 3,
     statements: Tuple[str, str] = ("Theorem-3.2a", "Theorem-3.2b"),
 ) -> List[VerificationReport]:
     """All conclusions of the main theorem for one (X, K) instance.
@@ -341,7 +344,6 @@ def check_corollary(
     N: lo.PartialSubgroup,
     X: Subgroup,
     instance: str,
-    word_len: int = 3,
 ) -> List[VerificationReport]:
     """Corollary: the theorem specialized to K = Aut(X) on fully normalized
     X (normalizer case) and K = {id} on fully centralized X (centralizer
@@ -354,15 +356,7 @@ def check_corollary(
     for tag, K in cases:
         inst = "%s|%s" % (instance, tag)
         reps = check_main_theorem(
-            L,
-            F,
-            E,
-            N,
-            X,
-            K,
-            inst,
-            word_len=word_len,
-            statements=("Corollary-3.3a", "Corollary-3.3b"),
+            L, F, E, N, X, K, inst, statements=("Corollary-3.3a", "Corollary-3.3b")
         )
         if X.order == 1:
             reps = [_with_trivial_case_check(r, L, F, E, N, X, K) for r in reps]
@@ -473,7 +467,7 @@ def _k_label(idx: int, K: AutGroup) -> str:
 
 
 def k_options(
-    X: Subgroup, F: fu.FusionSystem, aut_cap: int, descriptors: Optional[Sequence[str]] = None
+    X: Subgroup, descriptors: Optional[Sequence[str]] = None
 ) -> List[Tuple[str, AutGroup]]:
     """K choices for a subgroup X.
 
@@ -509,7 +503,7 @@ def k_options(
     push("aut", A)
     push("id", gp.trivial_aut_group(X))
     push("inn", gp.inn_group(X))
-    if A.order <= aut_cap:
+    if A.order <= AUT_CAP:
         subs = sorted(
             A.sub_autgroups(),
             key=lambda B: (B.order, tuple(sorted(q.images for q in B.perm_group().elements))),
@@ -521,9 +515,10 @@ def k_options(
 
 def _k_from_gens(X: Subgroup, A: AutGroup, spec: str) -> AutGroup:
     """Explicit K: permutation generators on the sorted element index of X."""
-    from .perm import perm_from_cycles
-
-    perms = [perm_from_cycles(s, X.order) for s in spec.split(";") if s.strip()]
+    try:
+        perms = [perm_from_cycles(s, X.order) for s in spec.split(";") if s.strip()]
+    except ValueError as exc:
+        raise CorpusParseError("K=gens:%s: %s" % (spec, exc))
     if not perms:
         raise CorpusParseError("empty K generator list")
     closure = gp.mulclose(perms, cap=max(A.order, 1))
@@ -541,7 +536,6 @@ def _p_subgroups(G: FiniteGroup, p: int) -> Tuple[Subgroup, ...]:
 def entry_reports(
     pe: PreparedEntry,
     statements: Optional[Sequence[str]] = None,
-    aut_cap: int = 24,
     word_len: int = 3,
 ) -> List[VerificationReport]:
     """Run every selected checker over the instance sweep of one entry."""
@@ -569,7 +563,7 @@ def entry_reports(
                         )
                     )
             if want("Lemma-2.2b"):
-                for tag, K in k_options(X, pe.F, aut_cap, pe.K_descriptors):
+                for tag, K in k_options(X, pe.K_descriptors):
                     reports.append(
                         check_char_p_normalizer_aut(
                             pe.G, pe.p, X, K, "%s|K=%s" % (xi, tag)
@@ -582,7 +576,7 @@ def entry_reports(
         XG = Subgroup(pe.G, X.elems)
         xi = "%s|X=%s" % (name, XG.label())
         if want("Lemma-2.1") or want("Lemma-3.1") or want("Theorem-3.2a") or want("Theorem-3.2b"):
-            for tag, K in k_options(XG, pe.F, aut_cap, pe.K_descriptors):
+            for tag, K in k_options(XG, pe.K_descriptors):
                 inst = "%s|K=%s" % (xi, tag)
                 if want("Lemma-2.1"):
                     reports.append(
@@ -595,13 +589,11 @@ def entry_reports(
                         check_fully_K_normalized_transfer(pe.L, pe.F, pe.N, XG, K, inst)
                     )
                 if want("Theorem-3.2a") or want("Theorem-3.2b"):
-                    for rep in check_main_theorem(
-                        pe.L, pe.F, pe.E, pe.N, XG, K, inst, word_len=word_len
-                    ):
+                    for rep in check_main_theorem(pe.L, pe.F, pe.E, pe.N, XG, K, inst):
                         if want(rep.statement):
                             reports.append(rep)
         if want("Corollary-3.3a") or want("Corollary-3.3b"):
-            for rep in check_corollary(pe.L, pe.F, pe.E, pe.N, XG, xi, word_len=word_len):
+            for rep in check_corollary(pe.L, pe.F, pe.E, pe.N, XG, xi):
                 if want(rep.statement):
                     reports.append(rep)
     return reports
@@ -624,9 +616,7 @@ def coverage_summary(reports: Sequence[VerificationReport]) -> Dict[str, Dict[st
 def run_suite(
     entries,
     statements: Optional[Sequence[str]] = None,
-    aut_cap: int = 24,
     word_len: int = 3,
-    jobs: int = 1,
 ) -> Tuple[List[VerificationReport], Dict[str, Dict[str, int]]]:
     """Run the suite over parsed corpus entries.
 
@@ -635,31 +625,16 @@ def run_suite(
     statement so coverage stays visible.
     """
     results: List[VerificationReport] = []
-
-    def run_one(entry) -> List[VerificationReport]:
-        out: List[VerificationReport] = []
+    for entry in entries:
         pe, axioms = prepare_entry(entry, word_len=word_len)
-        out.append(axioms)
+        results.append(axioms)
         if pe is None:
             for stmt in statements or STATEMENTS:
-                out.append(
+                results.append(
                     skipped_report(stmt, "%s|entry" % entry.name, "entry-rejected")
                 )
-            return out
-        out.extend(
-            entry_reports(pe, statements=statements, aut_cap=aut_cap, word_len=word_len)
-        )
-        return out
-
-    if jobs > 1 and len(entries) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            for chunk in pool.map(run_one, entries):
-                results.extend(chunk)
-    else:
-        for entry in entries:
-            results.extend(run_one(entry))
+            continue
+        results.extend(entry_reports(pe, statements=statements, word_len=word_len))
 
     def sort_key(r: VerificationReport):
         entry_name = r.instance.split("|", 1)[0]

@@ -232,8 +232,7 @@ def test_criterion_8_determinism(tmp_path):
     """Two consecutive runs on the default corpus produce byte-identical
     canonical report bodies."""
     r1, r2 = tmp_path / "one.json", tmp_path / "two.json"
-    cache = tmp_path / "cache"
-    s1 = cli.run(cli.RunConfig(report_path=r1, cache_dir=cache), None)
-    s2 = cli.run(cli.RunConfig(report_path=r2, cache_dir=cache), None)
+    s1 = cli.run(cli.RunConfig(report_path=r1), None)
+    s2 = cli.run(cli.RunConfig(report_path=r2), None)
     ok = s1 == 0 and s2 == 0 and r1.read_bytes() == r2.read_bytes()
     _verdict(8, "determinism", ok, "bytes=%d" % len(r1.read_bytes()))

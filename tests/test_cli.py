@@ -1,5 +1,5 @@
-"""Corpus parsing, config validation, report output, determinism, caching
-and exit codes."""
+"""Corpus parsing, config validation, report output, determinism, the
+files a run writes, and exit codes."""
 
 import json
 
@@ -7,6 +7,7 @@ import pytest
 
 from plocal import cli
 from plocal import groups as gp
+from plocal import locality as lo
 from plocal.errors import CorpusParseError, NormalityError
 
 GOOD = """
@@ -85,12 +86,12 @@ def test_run_config_validation():
     with pytest.raises(ValueError):
         cli.RunConfig(statements=("Lemma-9.9",))
     with pytest.raises(ValueError):
-        cli.RunConfig(element_cap=0)
+        cli.RunConfig(word_len=0)
 
 
 def test_run_small_corpus(tmp_path, capsys):
     report = tmp_path / "r.json"
-    config = cli.RunConfig(report_path=report, cache_dir=tmp_path / "c")
+    config = cli.RunConfig(report_path=report)
     status = cli.run(config, corpus_text=GOOD)
     assert status == 0
     doc = json.loads(report.read_text())
@@ -102,11 +103,7 @@ def test_run_small_corpus(tmp_path, capsys):
 
 def test_statement_filter(tmp_path):
     report = tmp_path / "r.json"
-    config = cli.RunConfig(
-        report_path=report,
-        cache_dir=tmp_path / "c",
-        statements=("Lemma-2.2b",),
-    )
+    config = cli.RunConfig(report_path=report, statements=("Lemma-2.2b",))
     assert cli.run(config, corpus_text=GOOD) == 0
     doc = json.loads(report.read_text())
     checker_stmts = {r["statement"] for r in doc} - {"Axioms"}
@@ -114,19 +111,9 @@ def test_statement_filter(tmp_path):
 
 
 def test_byte_identical_reports_and_cache_neutrality(tmp_path):
-    r1, r2, r3 = (tmp_path / n for n in ("a.json", "b.json", "c.json"))
-    cache = tmp_path / "cache"
-    assert cli.run(cli.RunConfig(report_path=r1, cache_dir=cache), GOOD) == 0
-    assert cli.run(cli.RunConfig(report_path=r2, cache_dir=cache), GOOD) == 0
-    assert cli.run(cli.RunConfig(report_path=r3, no_cache=True), GOOD) == 0
-    assert r1.read_bytes() == r2.read_bytes() == r3.read_bytes()
-
-
-def test_jobs_flag_keeps_output_identical(tmp_path):
-    corpus = GOOD + "\ngroup d8 p=2 gens=(0 1 2 3);(0 2)\nnormal gens=(0 1 2 3);(0 2)\n"
     r1, r2 = tmp_path / "a.json", tmp_path / "b.json"
-    assert cli.run(cli.RunConfig(report_path=r1, no_cache=True, jobs=1), corpus) == 0
-    assert cli.run(cli.RunConfig(report_path=r2, no_cache=True, jobs=2), corpus) == 0
+    assert cli.run(cli.RunConfig(report_path=r1), GOOD) == 0
+    assert cli.run(cli.RunConfig(report_path=r2), GOOD) == 0
     assert r1.read_bytes() == r2.read_bytes()
 
 
@@ -134,7 +121,7 @@ def test_failing_entry_sets_exit_one(tmp_path):
     # A5 at p=2 is rejected (its naive locality is not subcentric), which
     # is an axiom fail and must surface as exit status 1
     corpus = "group a5 p=2 gens=(0 1 2 3 4);(0 1 2)\nnormal gens=(0 1 2 3 4);(0 1 2)\n"
-    config = cli.RunConfig(report_path=tmp_path / "r.json", no_cache=True, word_len=2)
+    config = cli.RunConfig(report_path=tmp_path / "r.json", word_len=2)
     assert cli.run(config, corpus) == 1
     doc = json.loads((tmp_path / "r.json").read_text())
     ax = [r for r in doc if r["statement"] == "Axioms"]
@@ -146,42 +133,87 @@ def test_failing_entry_sets_exit_one(tmp_path):
 def test_main_exit_codes(tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("group broken\n")
-    assert cli.main(["--corpus", str(bad), "--no-cache"]) == 2
+    assert cli.main(["--corpus", str(bad)]) == 2
     missing = tmp_path / "missing.txt"
-    assert cli.main(["--corpus", str(missing), "--no-cache"]) == 2
+    assert cli.main(["--corpus", str(missing)]) == 2
 
 
 def test_unwritable_report_is_config_error(tmp_path):
-    config = cli.RunConfig(
-        report_path=tmp_path / "nope" / "r.json", no_cache=True
-    )
+    config = cli.RunConfig(report_path=tmp_path / "nope" / "r.json")
     assert cli.run(config, GOOD) == 2
 
 
-def test_unreadable_cache_dir_is_config_error(tmp_path):
-    trap = tmp_path / "trap"
-    trap.mkdir()
-    (trap / "lattice_cache.json").write_text("{not json")
-    config = cli.RunConfig(cache_dir=trap)
-    assert cli.run(config, GOOD) == 2
+def _main_on(tmp_path, corpus, *flags):
+    path = tmp_path / "corpus.txt"
+    path.write_bytes(corpus if isinstance(corpus, bytes) else corpus.encode())
+    return cli.main(["--corpus", str(path), *flags])
 
 
-def test_cache_round_trip(tmp_path):
-    cache = tmp_path / "cache"
-    assert cli.run(cli.RunConfig(cache_dir=cache), GOOD) == 0
-    gp._SUBGROUP_CACHE.clear()
-    gp._AUT_CACHE.clear()
-    cli._load_cache(cache)
-    assert gp._SUBGROUP_CACHE and gp._AUT_CACHE
-    loaded_subs = {k: {H.elems for H in v} for k, v in gp._SUBGROUP_CACHE.items()}
-    loaded_auts = {k: v.maps for k, v in gp._AUT_CACHE.items()}
-    # recompute everything from scratch and compare against the disk values
-    gp._SUBGROUP_CACHE.clear()
-    gp._AUT_CACHE.clear()
-    for (deg, elems), subs in loaded_subs.items():
-        fresh = {H.elems for H in gp.all_subgroups(gp.FiniteGroup(elems))}
-        assert subs == fresh
-    for (deg, elems), maps in loaded_auts.items():
-        G = gp.FiniteGroup(elems)
-        fresh = gp.aut_group(gp.Subgroup(G, elems)).maps
-        assert maps == fresh
+def test_repeated_point_in_x_is_corpus_error(tmp_path, capsys):
+    assert _main_on(tmp_path, GOOD + "X=(0 1 2)(0 2 1)\n") == 2
+    assert "point 0 repeated" in capsys.readouterr().err
+
+
+def test_bad_point_in_k_generators_is_corpus_error(tmp_path, capsys):
+    corpus = GOOD + "K=gens:(0 q)\n"
+    assert _main_on(tmp_path, corpus, "--statement", "Lemma-2.2b") == 2
+    assert "bad point 'q'" in capsys.readouterr().err
+
+
+def test_non_utf8_corpus_is_corpus_error(tmp_path, capsys):
+    assert _main_on(tmp_path, GOOD.encode() + b"# \xff\xfe\n") == 2
+    assert "corpus error" in capsys.readouterr().err
+
+
+def test_non_integer_point_is_named(tmp_path, capsys):
+    assert _main_on(tmp_path, "group g p=2 gens=(0 x)\n") == 2
+    err = capsys.readouterr().err
+    assert "bad point 'x'" in err and "no points" not in err
+
+
+def test_cli_writes_only_its_report(tmp_path, monkeypatch):
+    home, xdg, out = (tmp_path / n for n in ("home", "xdg", "out"))
+    for d in (home, xdg, out):
+        d.mkdir()
+    monkeypatch.setenv("HOME", str(home))
+    monkeypatch.setenv("XDG_CACHE_HOME", str(xdg))
+    monkeypatch.chdir(out)
+    corpus = out / "corpus.txt"
+    corpus.write_text(GOOD)
+    report = out / "r.json"
+    assert cli.main(["--corpus", str(corpus), "--report", str(report)]) == 0
+    assert list(home.iterdir()) == [] and list(xdg.iterdir()) == []
+    assert sorted(p.name for p in out.iterdir()) == ["corpus.txt", "r.json"]
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--jobs", "2"], ["--no-cache"], ["--cache-dir", "d"], ["--max-elements", "5"]],
+)
+def test_removed_flags_are_rejected(flags, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as ei:
+        cli.main(flags)
+    assert ei.value.code == 2
+
+
+def test_full_word_check_keeps_outcomes(tmp_path, monkeypatch):
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text(GOOD)
+    real = lo.verify_partial_group
+    lengths = []
+
+    def spy(P, word_len=3):
+        lengths[-1].add(word_len)
+        return real(P, word_len=word_len)
+
+    monkeypatch.setattr(lo, "verify_partial_group", spy)
+    outcomes = []
+    for flags in ([], ["--full-word-check"]):
+        lengths.append(set())
+        report = tmp_path / "r.json"
+        assert cli.main(["--corpus", str(corpus), "--report", str(report), *flags]) == 0
+        doc = json.loads(report.read_text())
+        outcomes.append([(r["statement"], r["instance"], r["outcome"]) for r in doc])
+    assert lengths == [{3}, {4}]
+    assert outcomes[0] == outcomes[1]

@@ -207,6 +207,15 @@ def test_find_normal_full_system(L_s4, F_s4):
     assert N.elems == L_s4.elems
 
 
+def test_closure_repair_generates_subgroups(L_s4, s4):
+    # every word of this group locality is defined, so repairing a
+    # generating set must reach the whole generated subgroup
+    for H in gp.all_subgroups(s4):
+        if H.order > 1:
+            gens = frozenset(gp._generating_sequence(H.elems))
+            assert lo._closure_repair(L_s4, gens) == H.elems
+
+
 def test_find_normal_not_found(L_s4, F_s4, s4):
     # the inner Sylow system is not realized by any partial normal subgroup
     inner = fu.close_generated(F_s4.S, 2)

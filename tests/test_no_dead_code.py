@@ -1,0 +1,39 @@
+"""Every function and method in the package has a user.
+
+A non-dunder function or method whose name occurs nowhere in ``src/plocal``
+or ``tests`` except at its own definition is dead code. A name exported
+from ``plocal/__init__.py`` occurs there, so it counts as used.
+"""
+
+import ast
+import re
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "plocal"
+
+
+def _defined_names():
+    """Name -> number of definitions, over every function in the package."""
+    defs = Counter()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if not (node.name.startswith("__") and node.name.endswith("__")):
+                    defs[node.name] += 1
+    return defs
+
+
+def _word_counts(names):
+    files = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+    text = "\n".join(path.read_text() for path in files)
+    words = Counter(re.findall(r"[A-Za-z_][A-Za-z0-9_]*", text))
+    return {name: words[name] for name in names}
+
+
+def test_every_function_is_referenced():
+    defs = _defined_names()
+    counts = _word_counts(defs)
+    unused = sorted(name for name, n in defs.items() if counts[name] <= n)
+    assert not unused, "defined but never referenced: %s" % ", ".join(unused)

@@ -190,24 +190,24 @@ def test_run_suite_empty():
     assert all(sum(c.values()) == 0 for c in cov.values())
 
 
-def test_k_options_default_and_descriptors(s4, klein, F_s4):
+def test_k_options_default_and_descriptors(s4, klein):
     V = gp.Subgroup(s4, klein.elems)
-    opts = vf.k_options(V, F_s4, aut_cap=24)
+    opts = vf.k_options(V)
     tags = [t for t, _ in opts]
     assert tags[:2] == ["aut", "id"]
     assert len(opts) == 6  # six subgroups of S3, named ones deduped in
-    only = vf.k_options(V, F_s4, aut_cap=24, descriptors=("id",))
+    only = vf.k_options(V, descriptors=("id",))
     assert len(only) == 1 and only[0][0] == "id"
-    explicit = vf.k_options(V, F_s4, aut_cap=24, descriptors=("gens:(1 2 3)",))
+    explicit = vf.k_options(V, descriptors=("gens:(1 2 3)",))
     assert explicit[0][1].order == 3
 
 
-def test_k_options_rejects_non_automorphism(s4, F_s4):
+def test_k_options_rejects_non_automorphism(s4):
     C4 = gp.Subgroup(s4, gp.mulclose(perms(4, "(0 1 2 3)"), cap=24))
     from plocal.errors import CorpusParseError
 
     with pytest.raises(CorpusParseError):
-        vf.k_options(C4, F_s4, aut_cap=24, descriptors=("gens:(0 1)",))
+        vf.k_options(C4, descriptors=("gens:(0 1)",))
 
 
 def test_coverage_counts():
