@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 import time
@@ -119,7 +120,7 @@ def parse_corpus(text: str) -> List[CorpusEntry]:
                 p = int(m.group(2))
             except ValueError:
                 raise CorpusParseError("bad prime %r" % m.group(2), lineno)
-            if p < 2 or any(p % d == 0 for d in range(2, p)):
+            if p < 2 or any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
                 raise CorpusParseError("p=%d is not prime" % p, lineno)
             cur = {
                 "name": name,
@@ -178,7 +179,7 @@ def parse_corpus(text: str) -> List[CorpusEntry]:
             raise NormalityError(
                 "entry %s: declared subgroup is not inside the group" % entry.name
             )
-        if not gp.Subgroup(G, H.elements).is_normal_in(G.full_subgroup()):
+        if not H.full_subgroup().is_normal_in(G.full_subgroup()):
             raise NormalityError(
                 "entry %s: declared subgroup is not normal" % entry.name
             )

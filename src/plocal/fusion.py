@@ -86,11 +86,7 @@ class FusionSystem:
         return self.Sgroup.full_subgroup()
 
     def subgroups(self) -> Tuple[Subgroup, ...]:
-        if "subs" not in self._cache:
-            self._cache["subs"] = tuple(
-                Subgroup(self.Sgroup, H.elems) for H in all_subgroups(self.Sgroup)
-            )
-        return self._cache["subs"]
+        return all_subgroups(self.Sgroup)
 
     def all_germs(self) -> FrozenSet[GroupInjection]:
         return self._all
@@ -109,7 +105,7 @@ class FusionSystem:
     def aut(self, P: Subgroup) -> AutGroup:
         """Aut_F(P)."""
         maps = frozenset(g for g in self.germs_from(P) if g.image == P.elems)
-        return AutGroup(Subgroup(self.Sgroup, P.elems), maps)
+        return AutGroup(P, maps)
 
     def aut_S(self, P: Subgroup) -> AutGroup:
         """Aut_S(P) = automorphisms induced by conjugation from N_S(P)."""
@@ -117,15 +113,13 @@ class FusionSystem:
         maps = frozenset(
             conj_injection(pe, s, pe) for s in normalizer(self.Sgroup, P).elems
         )
-        return AutGroup(Subgroup(self.Sgroup, pe), maps)
+        return AutGroup(P, maps)
 
     def conjugates(self, P: Subgroup) -> Tuple[Subgroup, ...]:
         """The F-conjugacy class of P, canonically ordered."""
         images = {g.image for g in self.germs_from(P)}
         images.add(P.elems)
-        return tuple(
-            Subgroup(self.Sgroup, e) for e in sorted(images, key=sorted_elems)
-        )
+        return tuple(Subgroup(e) for e in sorted(images, key=sorted_elems))
 
     def __eq__(self, other):
         return (
@@ -248,7 +242,7 @@ def is_fully_K_normalized(F: FusionSystem, X: Subgroup, K: AutGroup) -> bool:
         raise ValueError("X is not a subgroup of S")
     n0 = group_K_normalizer(F.Sgroup, X, K).order
     for phi in F.germs_from(X):
-        Y = Subgroup(F.Sgroup, phi.image)
+        Y = Subgroup(phi.image)
         Kphi = K.conjugate_by(phi)
         if group_K_normalizer(F.Sgroup, Y, Kphi).order > n0:
             return False
@@ -363,7 +357,7 @@ def saturation_failure(F: FusionSystem) -> Optional[dict]:
 
 def _extension_control_group(F: FusionSystem, phi: GroupInjection, autS_P: AutGroup) -> Subgroup:
     """N_phi = {g in N_S(Q) : phi^-1 c_g phi in Aut_S(P)} for phi: Q -> P."""
-    Q = Subgroup(F.Sgroup, phi.src)
+    Q = Subgroup(phi.src)
     NQ = normalizer(F.Sgroup, Q)
     out = set()
     inv = phi.inverse()
@@ -371,7 +365,7 @@ def _extension_control_group(F: FusionSystem, phi: GroupInjection, autS_P: AutGr
         cg = conj_injection(phi.src, g, phi.src)
         if inv.then(cg).then(phi) in autS_P.maps:
             out.add(g)
-    return Subgroup(F.Sgroup, frozenset(out))
+    return Subgroup(frozenset(out))
 
 
 def _extends_over(F: FusionSystem, phi: GroupInjection, N: Subgroup) -> bool:
@@ -471,7 +465,7 @@ def subcentric_set(F: FusionSystem) -> Tuple[Subgroup, ...]:
                 rep = _full_normalized_members(F, cls)[0]
                 NF = normalizer_subsystem(F, rep)
                 core = fusion_core(NF)
-                good = is_centric(F, Subgroup(F.Sgroup, core.elems))
+                good = is_centric(F, core)
                 for Q in cls:
                     verdict[Q.elems] = good
             if verdict[P.elems]:
@@ -511,7 +505,7 @@ def hyperfocal_subgroup(F: FusionSystem) -> Subgroup:
                     gens.append(c)
     if not gens:
         return F.Sgroup.trivial_subgroup()
-    return Subgroup(F.Sgroup, mulclose(gens, cap=F.Sgroup.order))
+    return Subgroup(mulclose(gens, cap=F.Sgroup.order))
 
 
 def has_p_power_index(D: FusionSystem, F: FusionSystem) -> bool:
@@ -523,8 +517,7 @@ def has_p_power_index(D: FusionSystem, F: FusionSystem) -> bool:
     if not hyperfocal_subgroup(F).elems <= R:
         return False
     for P in D.subgroups():
-        PF = Subgroup(F.Sgroup, P.elems)
-        if not op_residual(F.aut(PF), F.p).maps <= D.aut(P).maps:
+        if not op_residual(F.aut(P), F.p).maps <= D.aut(P).maps:
             return False
     return True
 
@@ -547,7 +540,7 @@ def is_weakly_normal(E: FusionSystem, F: FusionSystem) -> bool:
     factorization of F-morphisms between subgroups of T."""
     if not subsystem_le(E, F):
         return False
-    T = Subgroup(F.Sgroup, E.Sgroup.elements)
+    T = E.S
     if not is_strongly_closed(F, T):
         return False
     if saturation_failure(E) is not None:
@@ -581,7 +574,7 @@ def is_normal_subsystem(E: FusionSystem, F: FusionSystem) -> bool:
     to T*C_S(T) moving C_S(T) only within Z(T)."""
     if not is_weakly_normal(E, F):
         return False
-    T = Subgroup(F.Sgroup, E.Sgroup.elements)
+    T = E.S
     C = centralizer(F.Sgroup, T)
     P0 = mulclose(list(T.elems | C.elems), cap=F.Sgroup.order)
     Z = center(T.group())

@@ -20,10 +20,11 @@ ELEMENT_CAP = 10_000
 SUBGROUP_CAP = 400
 AUT_BASE_CAP = 64
 
-# in-memory caches keyed by (degree, frozen element set); module-level on
-# purpose, so equal groups built separately share one enumeration
-_SUBGROUP_CACHE: Dict[Tuple[int, FrozenSet[Perm]], Tuple["Subgroup", ...]] = {}
-_AUT_CACHE: Dict[Tuple[int, FrozenSet[Perm]], "AutGroup"] = {}
+# in-memory caches keyed by the frozen element set (a Perm's length is its
+# degree); module-level on purpose, so equal groups built separately share
+# one enumeration
+_SUBGROUP_CACHE: Dict[FrozenSet[Perm], Tuple["Subgroup", ...]] = {}
+_AUT_CACHE: Dict[FrozenSet[Perm], "AutGroup"] = {}
 
 
 def mulclose(gens: Iterable[Perm], cap: int = ELEMENT_CAP) -> FrozenSet[Perm]:
@@ -49,16 +50,13 @@ def mulclose(gens: Iterable[Perm], cap: int = ELEMENT_CAP) -> FrozenSet[Perm]:
 
 
 class FiniteGroup:
-    """A finite permutation group given by its full element set.
-
-    Equality and hashing use the element set only, so two groups with the
-    same elements but different generators are interchangeable (this is what
-    lets the lattice/automorphism caches be shared).
+    """A finite permutation group given by its full element set: a group is
+    its elements, which is all that equality and hashing look at.
     """
 
-    __slots__ = ("degree", "elements", "generators", "identity", "_sorted", "_hash")
+    __slots__ = ("degree", "elements", "identity", "_sorted", "_hash")
 
-    def __init__(self, elements: Iterable[Perm], generators: Sequence[Perm] = ()):
+    def __init__(self, elements: Iterable[Perm]):
         elements = frozenset(elements)
         if not elements:
             raise ValueError("empty element set")
@@ -67,7 +65,6 @@ class FiniteGroup:
             raise DegreeMismatch("mixed degrees in element set")
         object.__setattr__(self, "degree", deg)
         object.__setattr__(self, "elements", elements)
-        object.__setattr__(self, "generators", tuple(generators))
         object.__setattr__(self, "identity", identity(deg))
         object.__setattr__(self, "_sorted", None)
         object.__setattr__(self, "_hash", hash((deg, elements)))
@@ -96,7 +93,6 @@ class FiniteGroup:
     def __eq__(self, other):
         return (
             isinstance(other, FiniteGroup)
-            and self.degree == other.degree
             and self.elements == other.elements
         )
 
@@ -107,27 +103,24 @@ class FiniteGroup:
         return "FiniteGroup(order=%d, degree=%d)" % (self.order, self.degree)
 
     def trivial_subgroup(self) -> "Subgroup":
-        return Subgroup(self, frozenset([self.identity]))
+        return Subgroup(frozenset([self.identity]))
 
     def full_subgroup(self) -> "Subgroup":
-        return Subgroup(self, self.elements)
+        return Subgroup(self.elements)
 
     def generated_subgroup(self, gens: Iterable[Perm]) -> "Subgroup":
         gens = list(gens)
         if not gens:
             return self.trivial_subgroup()
-        return Subgroup(self, mulclose(gens, cap=len(self.elements)))
+        return Subgroup(mulclose(gens, cap=len(self.elements)))
 
 
 @dataclass(frozen=True)
 class Subgroup:
-    """A subgroup, held as an explicit subset of a parent group's elements.
+    """A subgroup, held as its element set: two subgroups are equal exactly
+    when their elements are, whatever group they were found in."""
 
-    Equality and hashing ignore the parent: a subgroup is its element set.
-    """
-
-    parent: FiniteGroup = field(compare=False)
-    elems: FrozenSet[Perm] = field(compare=True)
+    elems: FrozenSet[Perm]
 
     @property
     def order(self) -> int:
@@ -142,22 +135,12 @@ class Subgroup:
     def __len__(self):
         return len(self.elems)
 
-    def __le__(self, other: "Subgroup") -> bool:
-        return self.elems <= other.elems
-
-    def __lt__(self, other: "Subgroup") -> bool:
-        return self.elems < other.elems
-
-    def key(self) -> Tuple[Perm, ...]:
-        """Canonical sort key (sorted element list)."""
-        return sorted_elems(self.elems)
-
     def group(self) -> FiniteGroup:
         """This subgroup viewed as a group in its own right."""
         return FiniteGroup(self.elems)
 
     def conj(self, g: Perm) -> "Subgroup":
-        return Subgroup(self.parent, frozenset(x.conj(g) for x in self.elems))
+        return Subgroup(frozenset(x.conj(g) for x in self.elems))
 
     def is_normal_in(self, other: "Subgroup") -> bool:
         return all(
@@ -181,7 +164,7 @@ def generate_group(gens: Iterable[Perm], cap: int = ELEMENT_CAP) -> FiniteGroup:
     deg = gens[0].degree
     if any(g.degree != deg for g in gens):
         raise DegreeMismatch("generators have mixed degrees")
-    return FiniteGroup(mulclose(gens, cap=cap), generators=gens)
+    return FiniteGroup(mulclose(gens, cap=cap))
 
 
 def _generating_sequence(elems: FrozenSet[Perm]) -> Tuple[Perm, ...]:
@@ -207,10 +190,9 @@ def all_subgroups(G: FiniteGroup, cap: int = SUBGROUP_CAP) -> Tuple[Subgroup, ..
     """
     if G.order > cap:
         raise CapExceeded("group order %d exceeds subgroup cap %d" % (G.order, cap))
-    key = (G.degree, G.elements)
-    hit = _SUBGROUP_CACHE.get(key)
+    hit = _SUBGROUP_CACHE.get(G.elements)
     if hit is not None:
-        return tuple(Subgroup(G, H.elems) for H in hit)
+        return hit
     cyclics = set()
     for g in G.elements:
         cyclics.add(mulclose([g], cap=G.order))
@@ -229,10 +211,10 @@ def all_subgroups(G: FiniteGroup, cap: int = SUBGROUP_CAP) -> Tuple[Subgroup, ..
                     new.append(J)
         frontier = new
     out = tuple(
-        Subgroup(G, els)
+        Subgroup(els)
         for els in sorted(found, key=lambda s: (len(s), sorted_elems(s)))
     )
-    _SUBGROUP_CACHE[key] = out
+    _SUBGROUP_CACHE[G.elements] = out
     return out
 
 
@@ -245,14 +227,14 @@ def normalizer(G: FiniteGroup, X: Subgroup) -> Subgroup:
     """N_G(X) = {g : X^g = X}."""
     xe = X.elems
     return Subgroup(
-        G, frozenset(g for g in G.elements if all(x.conj(g) in xe for x in xe))
+        frozenset(g for g in G.elements if all(x.conj(g) in xe for x in xe))
     )
 
 
 def centralizer(G: FiniteGroup, X: Subgroup) -> Subgroup:
     """C_G(X) = {g : x^g = x for all x in X}."""
     return Subgroup(
-        G, frozenset(g for g in G.elements if all(x.conj(g) == x for x in X.elems))
+        frozenset(g for g in G.elements if all(x.conj(g) == x for x in X.elems))
     )
 
 
@@ -264,9 +246,9 @@ def normal_closure(G: FiniteGroup, H: Subgroup) -> Subgroup:
     """Smallest normal subgroup of G containing H."""
     gens = set(_generating_sequence(H.elems)) if H.order > 1 else set()
     if not gens:
-        return Subgroup(G, H.elems)
+        return H
     conj_gens = {h.conj(g) for h in gens for g in G.elements}
-    return Subgroup(G, mulclose(list(conj_gens), cap=G.order))
+    return Subgroup(mulclose(list(conj_gens), cap=G.order))
 
 
 def p_part(n: int, p: int) -> int:
@@ -302,7 +284,7 @@ def sylow_subgroup(G: FiniteGroup, p: int) -> Subgroup:
             if xp in P.elems:
                 cand = mulclose(list(P.elems) + [x], cap=G.order)
                 if len(cand) == P.order * p:
-                    P = Subgroup(G, cand)
+                    P = Subgroup(cand)
                     grown = True
                     break
         if not grown:  # cannot happen for a genuine group; guard anyway
@@ -318,7 +300,7 @@ def core_Op(G: FiniteGroup, p: int) -> Subgroup:
         core &= {x.conj(g) for x in P.elems}
         if len(core) == 1:
             break
-    return Subgroup(G, frozenset(core))
+    return Subgroup(frozenset(core))
 
 
 def is_characteristic_p(G: FiniteGroup, p: int) -> bool:
@@ -339,10 +321,10 @@ def subnormal_chain(H: Subgroup, G: FiniteGroup) -> Optional[Tuple[Subgroup, ...
     descent = [G.full_subgroup()]
     while descent[-1].elems != H.elems:
         cur = descent[-1]
-        nxt = normal_closure(cur.group(), Subgroup(cur.group(), H.elems))
+        nxt = normal_closure(cur.group(), H)
         if nxt.elems == cur.elems:
             return None
-        descent.append(Subgroup(G, nxt.elems))
+        descent.append(nxt)
     return tuple(reversed(descent))
 
 
@@ -540,7 +522,7 @@ class AutGroup:
 
     def is_subnormal_in(self, other: "AutGroup") -> bool:
         big = other.perm_group()
-        small = Subgroup(big, frozenset(other.to_perm(m) for m in self.maps))
+        small = Subgroup(frozenset(other.to_perm(m) for m in self.maps))
         return is_subnormal(small, big)
 
     def conjugate_by(self, phi: GroupInjection) -> "AutGroup":
@@ -548,7 +530,7 @@ class AutGroup:
         if phi.src != self.base.elems:
             raise ValueError("phi must be defined on the base")
         inv = phi.inverse()
-        newbase = Subgroup(self.base.parent, phi.image)
+        newbase = Subgroup(phi.image)
         moved = frozenset(
             inv.then(m).then(phi.as_germ()).with_target(phi.image) for m in self.maps
         )
@@ -586,16 +568,15 @@ def aut_group(X: Subgroup, cap: int = AUT_BASE_CAP) -> AutGroup:
     bijective homomorphisms. The homomorphism check only needs (generator,
     element) pairs because arbitrary elements are defined through words.
     """
-    key = (next(iter(X.elems)).degree, X.elems)
-    hit = _AUT_CACHE.get(key)
+    hit = _AUT_CACHE.get(X.elems)
     if hit is not None:
-        return AutGroup(Subgroup(X.parent, X.elems), hit.maps)
+        return hit
     if X.order > cap:
         raise CapExceeded("automorphism base %d exceeds cap %d" % (X.order, cap))
     elems = X.elems
     if X.order == 1:
         out = AutGroup(X, frozenset([identity_injection(elems)]))
-        _AUT_CACHE[key] = out
+        _AUT_CACHE[X.elems] = out
         return out
     gens = _generating_sequence(elems)
     words = _element_words(elems, gens)
@@ -636,7 +617,7 @@ def aut_group(X: Subgroup, cap: int = AUT_BASE_CAP) -> AutGroup:
         if ok:
             maps.add(GroupInjection(table.items(), elems))
     out = AutGroup(X, frozenset(maps))
-    _AUT_CACHE[key] = out
+    _AUT_CACHE[X.elems] = out
     return out
 
 
@@ -664,7 +645,7 @@ def group_K_normalizer(G: FiniteGroup, X: Subgroup, K: AutGroup) -> Subgroup:
         raise ValueError("K is not a group of automorphisms of X")
     xe = X.elems
     N = normalizer(G, X).elems
-    return Subgroup(G, frozenset(g for g in N if conj_injection(xe, g, xe) in K.maps))
+    return Subgroup(frozenset(g for g in N if conj_injection(xe, g, xe) in K.maps))
 
 
 def set_product(G: FiniteGroup, A: Iterable[Perm], B: Iterable[Perm]) -> FrozenSet[Perm]:

@@ -232,12 +232,10 @@ class Locality(PartialGroup):
 
     @property
     def S(self) -> Subgroup:
-        return Subgroup(self.ambient, self.S_elems)
+        return Subgroup(self.S_elems)
 
     def delta_subgroups(self) -> Tuple[Subgroup, ...]:
-        return tuple(
-            Subgroup(self.ambient, d) for d in sorted(self.Delta, key=sorted_elems)
-        )
+        return tuple(Subgroup(d) for d in sorted(self.Delta, key=sorted_elems))
 
     def __repr__(self):
         return "Locality(|L|=%d, |Delta|=%d, |S|=%d)" % (
@@ -360,7 +358,7 @@ def S_f(L: Locality, f: Perm) -> Subgroup:
             if L.in_domain((f.inv(), x, f)) and x.conj(f) in L.S_elems
         )
         L._memo[("S_f", f)] = hit
-    return Subgroup(L.ambient, hit)
+    return Subgroup(hit)
 
 
 def S_w(L: Locality, word: Sequence[Perm]) -> Subgroup:
@@ -376,7 +374,7 @@ def S_w(L: Locality, word: Sequence[Perm]) -> Subgroup:
             y = y.conj(g)
         if ok:
             out.append(x)
-    return Subgroup(L.ambient, frozenset(out))
+    return Subgroup(frozenset(out))
 
 
 def normalizer_partial(L: Locality, X: Subgroup) -> PartialSubgroup:
@@ -475,7 +473,7 @@ def _is_max_p_subgroup(P0: PartialGroup, R: FrozenSet[Perm], p: int) -> bool:
     """R is a p-subgroup of the partial group P0, maximal among such."""
     if not R <= P0.elems:
         return False
-    if not is_p_group(Subgroup(P0.ambient, R), p):
+    if not is_p_group(Subgroup(R), p):
         return False
     if not P0.rule.group_words_ok(R):
         return False
@@ -558,7 +556,7 @@ def fusion_of_partial(
 ) -> FusionSystem:
     """F_R(N), R = N cap S (or the given base): the fusion system on R
     generated by the conjugation maps c_f, f in N."""
-    R = base if base is not None else Subgroup(L.ambient, N.elems & L.S_elems)
+    R = base if base is not None else Subgroup(N.elems & L.S_elems)
     if not R.elems <= N.elems:
         raise ValueError("base is not inside the partial subgroup")
     germs = []
@@ -599,7 +597,10 @@ def find_normal_for(L: Locality, E: FusionSystem) -> PartialSubgroup:
             continue
         matches.append(N)
     if not matches:
-        raise NotFound("no partial normal subgroup realizes the subsystem")
+        raise NotFound(
+            "no partial normal subgroup realizes the subsystem among the "
+            "family searched: H cap L for H normal in the ambient group"
+        )
     if len({m.elems for m in matches}) > 1:
         raise NotFound(
             "multiple distinct partial normal subgroups realize the subsystem"
@@ -657,7 +658,7 @@ def product_fusion(L: Locality, N: PartialSubgroup, X: Subgroup) -> FusionSystem
         raise NotPartialSubgroup(
             "N X cap S differs from T X; the product is not well formed"
         )
-    return fusion_of_partial(L, NX, base=Subgroup(L.ambient, TX))
+    return fusion_of_partial(L, NX, base=Subgroup(TX))
 
 
 # ---------------------------------------------------------------------------
@@ -747,7 +748,7 @@ def _delta_chain_exists(L: Locality, word: Word) -> bool:
 
 def verify_locality(L: Locality, word_len: int = 3) -> VerificationReport:
     """Locality axioms: partial group, Delta-closure, objectivity, maximal
-    p-subgroup, S_f an object for every element, product agreement."""
+    p-subgroup, S_f an object for every element."""
     inst = "locality(|L|=%d, |Delta|=%d)" % (len(L.elems), len(L.Delta))
     stats: Dict[str, object] = {}
 
@@ -760,7 +761,7 @@ def verify_locality(L: Locality, word_len: int = 3) -> VerificationReport:
         return fail({"axiom": "partial-group", "inner": pg.witness})
 
     # S is a p-group and its words are all defined
-    Ssub = Subgroup(L.ambient, L.S_elems)
+    Ssub = L.S
     if not is_p_group(Ssub, L.p):
         return fail({"axiom": "S-p-group"})
     if not L.rule.group_words_ok(L.S_elems):
@@ -797,9 +798,6 @@ def verify_locality(L: Locality, word_len: int = 3) -> VerificationReport:
     if not _is_max_p_subgroup(L, L.S_elems, L.p):
         return fail({"axiom": "S-maximal"})
 
-    # the product is the ambient product on the checked fragment (true by
-    # construction for group-backed partial groups; asserted for the record)
-    stats["product_agreement"] = 1
     return VerificationReport("locality-axioms", inst, "pass", stats=stats)
 
 
@@ -826,7 +824,7 @@ def verify_subcentric_locality(
         return fail({"axiom": "same-S"})
     if frozenset(P.elems for P in subcentric_set(F)) != L.Delta:
         return fail({"axiom": "Delta-is-subcentric-set"})
-    FL = fusion_of_partial(L, PartialSubgroup(L, L.elems), base=Subgroup(L.ambient, L.S_elems))
+    FL = fusion_of_partial(L, PartialSubgroup(L, L.elems), base=L.S)
     if FL != F:
         return fail({"axiom": "F_S(L)-is-F"})
     for P in L.delta_subgroups():

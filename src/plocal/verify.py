@@ -72,7 +72,7 @@ def check_char_p_normalizer_subgroup(
     if not (CX.elems <= H.elems and H.elems <= NX.elems):
         return skipped_report(stmt, instance, "H-not-between-centralizer-and-normalizer")
     HX = FiniteGroup(gp.mulclose(list(H.elems | X.elems), cap=G.order))
-    if not gp.is_subnormal(Subgroup(HX, H.elems), HX):
+    if not gp.is_subnormal(H, HX):
         return skipped_report(stmt, instance, "H-not-subnormal-in-HX")
     if gp.is_characteristic_p(H.group(), p):
         return passed_report(stmt, instance, H_order=H.order)
@@ -172,15 +172,14 @@ def check_fully_K_normalized_transfer(
         EX = _product_system(L, N, X)
     except NotPartialSubgroup as exc:
         return failed_report(stmt, instance, {"product": str(exc)})
-    XE = Subgroup(EX.Sgroup, X.elems)
-    if fu.is_fully_K_normalized(EX, XE, K):
+    if fu.is_fully_K_normalized(EX, X, K):
         return passed_report(stmt, instance, EX_base=EX.Sgroup.order)
     return failed_report(
         stmt,
         instance,
         {
             "EX_base_order": EX.Sgroup.order,
-            "conjugates": [P.label() for P in EX.conjugates(XE)],
+            "conjugates": [P.label() for P in EX.conjugates(X)],
         },
     )
 
@@ -206,7 +205,7 @@ def _subnormal_branch(F: fu.FusionSystem, X: Subgroup, K: AutGroup):
     inn = gp.inn_group(X)
     if K.is_subnormal_in(K.product(inn)):
         return 1, K
-    autF = F.aut(Subgroup(F.Sgroup, X.elems))
+    autF = F.aut(X)
     inter = frozenset(K.maps & autF.maps)
     K2 = AutGroup(K.base, inter)
     if K2.is_subnormal_in(K2.product(inn)):
@@ -257,7 +256,7 @@ def check_main_theorem(
         ]
     NFK = fu.K_normalizer_subsystem(F, X, K_eff)
     T = N.elems & L.S_elems
-    T0 = Subgroup(L.ambient, T & bn.S_elems)
+    T0 = Subgroup(T & bn.S_elems)
     M = lo.PartialSubgroup(bn, N.elems & bn.elems)
 
     # (i) M is partial normal in bN
@@ -290,10 +289,9 @@ def check_main_theorem(
             failed_report(stmt_a, instance, w, **stats),
             failed_report(stmt_b, instance, w, **stats),
         ]
-    NEXK = fu.K_normalizer_subsystem(EX, Subgroup(EX.Sgroup, X.elems), K_eff)
+    NEXK = fu.K_normalizer_subsystem(EX, X, K_eff)
     ppi = fu.has_p_power_index(E0, NEXK)
-    T0n = Subgroup(NEXK.Sgroup, T0.elems)
-    cross = gp.op_residual(NEXK.aut(T0n), F.p).maps <= E0.aut(T0n).maps
+    cross = gp.op_residual(NEXK.aut(T0), F.p).maps <= E0.aut(T0).maps
     cond_v = ppi
     stats["v_p_power_index"] = int(ppi)
     stats["v_crosscheck_Op"] = int(cross)
@@ -369,7 +367,7 @@ def _with_trivial_case_check(rep, L, F, E, N, X, K):
     if rep.outcome != "pass":
         return rep
     bn = lo.bN_K(L, F, X, K)
-    T0 = Subgroup(L.ambient, (N.elems & L.S_elems) & bn.S_elems)
+    T0 = Subgroup((N.elems & L.S_elems) & bn.S_elems)
     E0 = lo.fusion_of_partial(bn, lo.PartialSubgroup(bn, N.elems & bn.elems), base=T0)
     if E0 != E:
         return failed_report(
@@ -425,10 +423,10 @@ def prepare_entry(entry, word_len: int = 3):
     if not rep.passed:
         return None, failed_report("Axioms", inst, {"subcentric-locality": rep.witness})
     H = gp.generate_group(entry.normal_generators())
-    if not Subgroup(G, H.elements).is_normal_in(G.full_subgroup()):
+    if not H.full_subgroup().is_normal_in(G.full_subgroup()):
         return None, failed_report("Axioms", inst, {"declared-normal": "not normal in G"})
-    T = Subgroup(G, S.elems & H.elements)
-    E = fu.fusion_of_group(H, Subgroup(H, T.elems), p)
+    T = Subgroup(S.elems & H.elements)
+    E = fu.fusion_of_group(H, T, p)
     if not fu.is_normal_subsystem(E, F):
         return None, failed_report("Axioms", inst, {"subsystem": "F_T(H) not normal in F"})
     try:
@@ -506,7 +504,7 @@ def k_options(
     if A.order <= AUT_CAP:
         subs = sorted(
             A.sub_autgroups(),
-            key=lambda B: (B.order, tuple(sorted(q.images for q in B.perm_group().elements))),
+            key=lambda B: (B.order, tuple(sorted(B.perm_group().elements))),
         )
         for idx, K in enumerate(subs):
             push(_k_label(idx, K), K)
@@ -556,10 +554,9 @@ def entry_reports(
                 for H in gp.all_subgroups(NX.group()):
                     if not CX.elems <= H.elems:
                         continue
-                    HG = Subgroup(pe.G, H.elems)
                     reports.append(
                         check_char_p_normalizer_subgroup(
-                            pe.G, pe.p, X, HG, "%s|H=%s" % (xi, HG.label())
+                            pe.G, pe.p, X, H, "%s|H=%s" % (xi, H.label())
                         )
                     )
             if want("Lemma-2.2b"):
@@ -573,27 +570,26 @@ def entry_reports(
     # locality-level statements over subgroups of S
     X_sweep = pe.X_list if pe.X_list else pe.F.subgroups()
     for X in X_sweep:
-        XG = Subgroup(pe.G, X.elems)
-        xi = "%s|X=%s" % (name, XG.label())
+        xi = "%s|X=%s" % (name, X.label())
         if want("Lemma-2.1") or want("Lemma-3.1") or want("Theorem-3.2a") or want("Theorem-3.2b"):
-            for tag, K in k_options(XG, pe.K_descriptors):
+            for tag, K in k_options(X, pe.K_descriptors):
                 inst = "%s|K=%s" % (xi, tag)
                 if want("Lemma-2.1"):
                     reports.append(
                         check_restricted_subcentric(
-                            pe.L, pe.F, XG, K, inst, word_len=word_len
+                            pe.L, pe.F, X, K, inst, word_len=word_len
                         )
                     )
                 if want("Lemma-3.1"):
                     reports.append(
-                        check_fully_K_normalized_transfer(pe.L, pe.F, pe.N, XG, K, inst)
+                        check_fully_K_normalized_transfer(pe.L, pe.F, pe.N, X, K, inst)
                     )
                 if want("Theorem-3.2a") or want("Theorem-3.2b"):
-                    for rep in check_main_theorem(pe.L, pe.F, pe.E, pe.N, XG, K, inst):
+                    for rep in check_main_theorem(pe.L, pe.F, pe.E, pe.N, X, K, inst):
                         if want(rep.statement):
                             reports.append(rep)
         if want("Corollary-3.3a") or want("Corollary-3.3b"):
-            for rep in check_corollary(pe.L, pe.F, pe.E, pe.N, XG, xi):
+            for rep in check_corollary(pe.L, pe.F, pe.E, pe.N, X, xi):
                 if want(rep.statement):
                     reports.append(rep)
     return reports

@@ -64,7 +64,7 @@ def L_s4(s4, F_s4):
 @pytest.fixture(scope="session")
 def E_s4(s4, a4):
     S = gp.sylow_subgroup(s4, 2)
-    T = gp.Subgroup(a4, S.elems & a4.elements)
+    T = gp.Subgroup(S.elems & a4.elements)
     return fu.fusion_of_group(a4, T, 2)
 
 

@@ -2,6 +2,7 @@
 files a run writes, and exit codes."""
 
 import json
+import time
 
 import pytest
 
@@ -65,6 +66,15 @@ def test_parse_errors_carry_line_numbers():
         cli.parse_corpus("group g p=4 gens=(0 1)\n")  # 4 is not prime
     with pytest.raises(CorpusParseError):
         cli.parse_corpus("group g p=2 gens=(0 1)\nnonsense\n")
+
+
+def test_prime_check_is_fast_for_a_large_prime():
+    t0 = time.perf_counter()
+    (e,) = cli.parse_corpus("group big p=1000000007 gens=(0 1)\n")
+    assert time.perf_counter() - t0 < 1.0
+    assert e.p == 1000000007
+    with pytest.raises(CorpusParseError, match="not prime"):
+        cli.parse_corpus("group g p=121 gens=(0 1)\n")  # 11 * 11
 
 
 def test_parse_rejects_non_normal_subgroup():

@@ -14,7 +14,7 @@ from .conftest import perms
 def sub(F, *specs):
     deg = F.Sgroup.degree
     gens = perms(deg, *specs)
-    return gp.Subgroup(F.Sgroup, gp.mulclose(gens, cap=F.Sgroup.order)) if gens else None
+    return gp.Subgroup(gp.mulclose(gens, cap=F.Sgroup.order)) if gens else None
 
 
 # -- fusion_of_group ----------------------------------------------------------
@@ -26,7 +26,7 @@ def test_inner_fusion_of_p_group(d8):
 
 
 def test_aut_F_values(F_s4, F_s3, klein):
-    assert F_s4.aut(gp.Subgroup(F_s4.Sgroup, klein.elems)).order == 6
+    assert F_s4.aut(gp.Subgroup(klein.elems)).order == 6
     assert F_s3.aut(F_s3.S).order == 2
 
 
@@ -36,7 +36,7 @@ def test_not_sylow_rejected(s4):
 
 
 def test_homs_materialization(F_s4, klein):
-    V = gp.Subgroup(F_s4.Sgroup, klein.elems)
+    V = gp.Subgroup(klein.elems)
     homs = F_s4.homs(V, F_s4.S)
     assert len(homs) == 6
     assert all(h.tgt == F_s4.S.elems for h in homs)
@@ -123,7 +123,7 @@ def test_fully_K_normalized_with_arbitrary_K(F_s4, klein):
     """Full K-normalization transports K along automorphisms as well: the
     normal Klein four group is fully K-normalized exactly for the K that
     are either Aut_F(V4)-stable or contain the automorphisms induced by S."""
-    V = gp.Subgroup(F_s4.Sgroup, klein.elems)
+    V = gp.Subgroup(klein.elems)
     A = gp.aut_group(V)
     autS = F_s4.aut_S(V)  # the order-2 subgroup induced by conjugation from S
     verdicts = {}
@@ -144,12 +144,12 @@ def test_fully_K_normalized_with_arbitrary_K(F_s4, klein):
 
 
 def test_K_normalizer_trivial_X(F_s4, s4):
-    one = gp.Subgroup(F_s4.Sgroup, frozenset([s4.identity]))
+    one = gp.Subgroup(frozenset([s4.identity]))
     assert fu.K_normalizer_subsystem(F_s4, one, gp.trivial_aut_group(one)) == F_s4
 
 
 def test_normalizer_of_normal_subgroup_is_whole_system(F_s4, klein):
-    V = gp.Subgroup(F_s4.Sgroup, klein.elems)
+    V = gp.Subgroup(klein.elems)
     assert fu.normalizer_subsystem(F_s4, V) == F_s4
 
 
@@ -187,7 +187,7 @@ def test_K_normalizer_saturated_when_fully_K_normalized(F_s4, F_sl23):
 
 def test_strongly_closed(F_s4, klein):
     assert fu.is_strongly_closed(F_s4, F_s4.S)
-    assert fu.is_strongly_closed(F_s4, gp.Subgroup(F_s4.Sgroup, klein.elems))
+    assert fu.is_strongly_closed(F_s4, gp.Subgroup(klein.elems))
     assert not fu.is_strongly_closed(F_s4, sub(F_s4, "(0 1)"))
 
 

@@ -187,7 +187,7 @@ def test_K_normalizer_contains_centralizer(s4, sl23):
     for G in (s4, sl23):
         S = gp.sylow_subgroup(G, 2)
         for X in gp.all_subgroups(S.group())[:6]:
-            XG = gp.Subgroup(G, X.elems)
+            XG = gp.Subgroup(X.elems)
             A = gp.aut_group(XG)
             for K in A.sub_autgroups():
                 NK = gp.group_K_normalizer(G, XG, K)
@@ -199,7 +199,7 @@ def test_lemma22_product_identity(s4, sl23):
     for G in (s4, sl23):
         S = gp.sylow_subgroup(G, 2)
         for X in gp.all_subgroups(S.group()):
-            XG = gp.Subgroup(G, X.elems)
+            XG = gp.Subgroup(X.elems)
             A = gp.aut_group(XG)
             if A.order > 24:
                 continue

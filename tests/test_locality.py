@@ -117,7 +117,7 @@ def test_S_w_matches_iterated_S_f(L_s3xs3):
 
 def test_restrict_identity_case(L_s4, s4):
     H = lo.PartialSubgroup(L_s4, L_s4.elems)
-    one = gp.Subgroup(s4, frozenset([s4.identity]))
+    one = gp.Subgroup(frozenset([s4.identity]))
     out = lo.restrict(H, L_s4.Delta, one)
     assert isinstance(out, lo.Locality)
     assert out.elems == L_s4.elems
@@ -125,7 +125,7 @@ def test_restrict_identity_case(L_s4, s4):
 
 
 def test_restrict_idempotent(L_s4, F_s4, s4):
-    Z = gp.Subgroup(s4, gp.center(gp.sylow_subgroup(s4, 2).group()).elems)
+    Z = gp.Subgroup(gp.center(gp.sylow_subgroup(s4, 2).group()).elems)
     CL = lo.K_normalizer_partial(L_s4, Z, gp.trivial_aut_group(Z))
     Gamma = frozenset(
         P.elems for P in fu.subcentric_set(fu.centralizer_subsystem(F_s4, Z))
@@ -142,7 +142,7 @@ def test_restrict_gamma_closure_error(L_s4, s4):
     Z = gp.center(S.group())
     H = lo.PartialSubgroup(L_s4, L_s4.elems)
     with pytest.raises(GammaNotClosed):
-        lo.restrict(H, frozenset([Z.elems]), gp.Subgroup(s4, Z.elems))
+        lo.restrict(H, frozenset([Z.elems]), gp.Subgroup(Z.elems))
 
 
 def test_restrict_q1_error(s3xs3, L_s3xs3):
@@ -150,7 +150,7 @@ def test_restrict_q1_error(s3xs3, L_s3xs3):
     # every object is in Delta; forcing X = 1 with Gamma containing a
     # subgroup whose join with X is not an object must raise (Q1)
     S = gp.sylow_subgroup(s3xs3, 2)
-    one = gp.Subgroup(s3xs3, frozenset([s3xs3.identity]))
+    one = gp.Subgroup(frozenset([s3xs3.identity]))
     H = lo.PartialSubgroup(L_s3xs3, L_s3xs3.elems)
     all_subs = frozenset(K.elems for K in gp.all_subgroups(S.group()))
     with pytest.raises(Q1Violated):
@@ -158,7 +158,7 @@ def test_restrict_q1_error(s3xs3, L_s3xs3):
 
 
 def test_bC_of_center(L_s4, F_s4, s4):
-    Z = gp.Subgroup(s4, gp.center(gp.sylow_subgroup(s4, 2).group()).elems)
+    Z = gp.Subgroup(gp.center(gp.sylow_subgroup(s4, 2).group()).elems)
     bc = lo.bC(L_s4, F_s4, Z)
     CF = fu.centralizer_subsystem(F_s4, Z)
     assert bc.S_elems == CF.Sgroup.elements
@@ -167,7 +167,7 @@ def test_bC_of_center(L_s4, F_s4, s4):
 
 
 def test_bN_requires_fully_K_normalized(L_s4, F_s4, s4):
-    Y = gp.Subgroup(s4, gp.mulclose(perms(4, "(0 2)(1 3)"), cap=24))
+    Y = gp.Subgroup(gp.mulclose(perms(4, "(0 2)(1 3)"), cap=24))
     with pytest.raises(NotFullyKNormalized):
         lo.bN(L_s4, F_s4, Y)  # conjugate center has a larger normalizer
 
@@ -176,7 +176,7 @@ def test_bN_requires_fully_K_normalized(L_s4, F_s4, s4):
 
 
 def test_K_normalizer_named_cases(L_s4, s4, klein):
-    V = gp.Subgroup(s4, klein.elems)
+    V = gp.Subgroup(klein.elems)
     NL = lo.K_normalizer_partial(L_s4, V, gp.aut_group(V))
     assert NL.elems == gp.normalizer(s4, V).elems
     CL = lo.K_normalizer_partial(L_s4, V, gp.trivial_aut_group(V))
@@ -185,7 +185,7 @@ def test_K_normalizer_named_cases(L_s4, s4, klein):
 
 def test_K_normalizer_is_partial_subgroup(L_s3xs3, s3xs3):
     S = gp.sylow_subgroup(s3xs3, 2)
-    X = gp.Subgroup(s3xs3, gp.mulclose(perms(6, "(1 2)"), cap=36))
+    X = gp.Subgroup(gp.mulclose(perms(6, "(1 2)"), cap=36))
     ps = lo.K_normalizer_partial(L_s3xs3, X, gp.aut_group(X))
     assert lo.partial_subgroup_violation(L_s3xs3, ps.elems) is None
 
@@ -223,29 +223,38 @@ def test_find_normal_not_found(L_s4, F_s4, s4):
         lo.find_normal_for(L_s4, inner)
 
 
+def test_find_normal_not_found_names_the_searched_family(L_s4, s4):
+    # F_S(S) over the whole Sylow subgroup: no H cap L with H normal in S4
+    # realizes it, and the message says that only that family was searched
+    S = gp.sylow_subgroup(s4, 2)
+    E = fu.fusion_of_group(S.group(), S, 2)
+    with pytest.raises(NotFound, match="H cap L for H normal in the ambient group"):
+        lo.find_normal_for(L_s4, E)
+
+
 # -- products --------------------------------------------------------------------
 
 
 def test_product_with_trivial(L_s4, N_s4, s4):
-    one = gp.Subgroup(s4, frozenset([s4.identity]))
+    one = gp.Subgroup(frozenset([s4.identity]))
     NX = lo.product_partial(L_s4, N_s4, one)
     assert NX.elems == N_s4.elems
 
 
 def test_product_with_sylow_is_whole_locality(L_s4, N_s4, s4):
     S = gp.sylow_subgroup(s4, 2)
-    NS = lo.product_partial(L_s4, N_s4, gp.Subgroup(s4, S.elems))
+    NS = lo.product_partial(L_s4, N_s4, gp.Subgroup(S.elems))
     assert NS.elems == L_s4.elems
 
 
 def test_product_fusion_absorbed(L_s4, N_s4, E_s4, s4):
-    Z = gp.Subgroup(s4, gp.center(gp.sylow_subgroup(s4, 2).group()).elems)
+    Z = gp.Subgroup(gp.center(gp.sylow_subgroup(s4, 2).group()).elems)
     EX = lo.product_fusion(L_s4, N_s4, Z)  # Z <= T, so E X = E
     assert EX == E_s4
 
 
 def test_product_fusion_with_outside_x(L_s4, N_s4, F_s4, s4):
-    X = gp.Subgroup(s4, gp.mulclose(perms(4, "(0 1)"), cap=24))
+    X = gp.Subgroup(gp.mulclose(perms(4, "(0 1)"), cap=24))
     EX = lo.product_fusion(L_s4, N_s4, X)
     assert EX == F_s4  # A4 <(0 1)> = S4 and T X = S
 
@@ -257,7 +266,7 @@ def test_fusion_of_partial_sylow(L_s4, s4):
     S = gp.sylow_subgroup(s4, 2)
     NS = lo.PartialSubgroup(L_s4, S.elems)
     F = lo.fusion_of_partial(L_s4, NS)
-    assert F == fu.close_generated(gp.Subgroup(s4, S.elems), 2)
+    assert F == fu.close_generated(gp.Subgroup(S.elems), 2)
 
 
 def test_fusion_of_whole_locality_is_F(L_s4, F_s4):

@@ -1,5 +1,8 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from plocal import perm as perm_mod
 from plocal.errors import DegreeMismatch
 from plocal.perm import Perm, cycles_str, identity, max_point, perm_from_cycles
 
@@ -61,3 +64,35 @@ def test_canonical_ordering_is_lexicographic():
     b = Perm((1, 0, 2))
     assert a < b
     assert sorted([b, a]) == [a, b]
+
+
+@st.composite
+def perm_pairs(draw):
+    n = draw(st.integers(min_value=1, max_value=7))
+    p = Perm(draw(st.permutations(range(n))))
+    q = Perm(draw(st.permutations(range(n))))
+    return p, q
+
+
+@settings(max_examples=200, deadline=None)
+@given(perm_pairs())
+def test_perm_is_its_image_tuple(pq):
+    p, q = pq
+    n = p.degree
+    assert n == len(p)
+    # left-to-right composition of the image tuples
+    assert tuple(p * q) == tuple(q[i] for i in p)
+    assert p.conj(q) == q.inv() * p * q
+    assert (p.inv() * p).is_identity() and p.inv() * p == identity(n)
+    # first call computes (cache miss), second returns the memo (cache hit)
+    perm_mod._MUL_CACHE.pop((p, q), None)
+    perm_mod._CONJ_CACHE.pop((p, q), None)
+    for op in (lambda: p * q, lambda: p.conj(q)):
+        first, again = op(), op()
+        assert type(first) is Perm and type(again) is Perm
+        assert first == again
+    # report bytes depend on set order and sorting, both taken from the tuple
+    assert hash(p) == hash(tuple(p))
+    assert [tuple(x) for x in sorted([q, p])] == sorted([tuple(q), tuple(p)])
+    with pytest.raises(AttributeError):
+        p.images = tuple(p)

@@ -62,19 +62,19 @@ def test_lemma22b_subnormal_skip(sl23):
 
 
 def test_lemma21_center_id(L_s4, F_s4, s4):
-    Z = gp.Subgroup(s4, gp.center(S_of(s4).group()).elems)
+    Z = gp.Subgroup(gp.center(S_of(s4).group()).elems)
     rep = vf.check_restricted_subcentric(L_s4, F_s4, Z, gp.trivial_aut_group(Z), "t")
     assert rep.passed
 
 
 def test_lemma21_klein_autF(L_s4, F_s4, klein):
-    V = gp.Subgroup(F_s4.Sgroup, klein.elems)
+    V = gp.Subgroup(klein.elems)
     rep = vf.check_restricted_subcentric(L_s4, F_s4, V, F_s4.aut(V), "t")
     assert rep.passed
 
 
 def test_lemma21_skip_on_not_fully_normalized(L_s4, F_s4, s4):
-    Y = gp.Subgroup(s4, gp.mulclose(perms(4, "(0 2)(1 3)"), cap=24))
+    Y = gp.Subgroup(gp.mulclose(perms(4, "(0 2)(1 3)"), cap=24))
     rep = vf.check_restricted_subcentric(L_s4, F_s4, Y, gp.aut_group(Y), "t")
     assert rep.outcome == "skipped" and rep.reason == "not-fully-K-normalized"
 
@@ -83,7 +83,7 @@ def test_lemma21_skip_on_not_fully_normalized(L_s4, F_s4, s4):
 
 
 def test_lemma31_central_case(L_s4, F_s4, N_s4, s4):
-    Z = gp.Subgroup(s4, gp.center(S_of(s4).group()).elems)
+    Z = gp.Subgroup(gp.center(S_of(s4).group()).elems)
     rep = vf.check_fully_K_normalized_transfer(
         L_s4, F_s4, N_s4, Z, gp.aut_group(Z), "t"
     )
@@ -91,7 +91,7 @@ def test_lemma31_central_case(L_s4, F_s4, N_s4, s4):
 
 
 def test_lemma31_fully_normalized_two_cycle(L_s4, F_s4, N_s4, s4):
-    X = gp.Subgroup(s4, gp.mulclose(perms(4, "(0 1)(2 3)"), cap=24))
+    X = gp.Subgroup(gp.mulclose(perms(4, "(0 1)(2 3)"), cap=24))
     assert fu.is_fully_normalized(F_s4, X)
     rep = vf.check_fully_K_normalized_transfer(
         L_s4, F_s4, N_s4, X, gp.aut_group(X), "t"
@@ -102,7 +102,7 @@ def test_lemma31_fully_normalized_two_cycle(L_s4, F_s4, N_s4, s4):
 def test_lemma31_nontrivial_K(L_s4, F_s4, N_s4, klein):
     """K = the odd-order automorphism subgroup of the Klein four group is
     neither Aut(X) nor trivial."""
-    V = gp.Subgroup(F_s4.Sgroup, klein.elems)
+    V = gp.Subgroup(klein.elems)
     K = gp.op_residual(gp.aut_group(V), 2)
     assert K.order == 3
     rep = vf.check_fully_K_normalized_transfer(L_s4, F_s4, N_s4, V, K, "t")
@@ -113,7 +113,7 @@ def test_lemma31_nontrivial_K(L_s4, F_s4, N_s4, klein):
 
 
 def test_main_theorem_central_id(L_s4, F_s4, E_s4, N_s4, s4):
-    Z = gp.Subgroup(s4, gp.center(S_of(s4).group()).elems)
+    Z = gp.Subgroup(gp.center(S_of(s4).group()).elems)
     reps = vf.check_main_theorem(
         L_s4, F_s4, E_s4, N_s4, Z, gp.trivial_aut_group(Z), "t"
     )
@@ -126,7 +126,7 @@ def test_main_theorem_central_id(L_s4, F_s4, E_s4, N_s4, s4):
 
 
 def test_main_theorem_trivial_X_collapses(L_s4, F_s4, E_s4, N_s4, s4):
-    one = gp.Subgroup(s4, frozenset([s4.identity]))
+    one = gp.Subgroup(frozenset([s4.identity]))
     reps = vf.check_main_theorem(
         L_s4, F_s4, E_s4, N_s4, one, gp.trivial_aut_group(one), "t"
     )
@@ -134,7 +134,7 @@ def test_main_theorem_trivial_X_collapses(L_s4, F_s4, E_s4, N_s4, s4):
 
 
 def test_main_theorem_skip_branches(L_s4, F_s4, E_s4, N_s4, s4, sl23):
-    Y = gp.Subgroup(s4, gp.mulclose(perms(4, "(0 2)(1 3)"), cap=24))
+    Y = gp.Subgroup(gp.mulclose(perms(4, "(0 2)(1 3)"), cap=24))
     reps = vf.check_main_theorem(L_s4, F_s4, E_s4, N_s4, Y, gp.aut_group(Y), "t")
     assert all(r.outcome == "skipped" for r in reps)
     assert all(r.reason == "not-fully-K-normalized" for r in reps)
@@ -150,9 +150,9 @@ def test_main_theorem_second_branch_exists(F_sl23, sl23):
     seen = set()
     for K in A.sub_autgroups():
         b1 = K.is_subnormal_in(K.product(inn))
-        K2 = gp.AutGroup(K.base, frozenset(K.maps & F_sl23.aut(gp.Subgroup(F_sl23.Sgroup, Q8.elems)).maps))
+        K2 = gp.AutGroup(K.base, frozenset(K.maps & F_sl23.aut(gp.Subgroup(Q8.elems)).maps))
         b2 = K2.is_subnormal_in(K2.product(inn))
-        branch, K_eff = vf._subnormal_branch(F_sl23, gp.Subgroup(sl23, Q8.elems), K)
+        branch, K_eff = vf._subnormal_branch(F_sl23, gp.Subgroup(Q8.elems), K)
         if b1:
             assert branch == 1 and K_eff.maps == K.maps
         elif b2:
@@ -167,7 +167,7 @@ def test_main_theorem_second_branch_exists(F_sl23, sl23):
 
 
 def test_corollary_on_sylow(L_s4, F_s4, E_s4, N_s4, s4):
-    S = gp.Subgroup(s4, S_of(s4).elems)
+    S = gp.Subgroup(S_of(s4).elems)
     reps = vf.check_corollary(L_s4, F_s4, E_s4, N_s4, S, "t")
     stmts = sorted({r.statement for r in reps})
     assert stmts == ["Corollary-3.3a", "Corollary-3.3b"]
@@ -175,7 +175,7 @@ def test_corollary_on_sylow(L_s4, F_s4, E_s4, N_s4, s4):
 
 
 def test_corollary_trivial_X_exact(L_s4, F_s4, E_s4, N_s4, s4):
-    one = gp.Subgroup(s4, frozenset([s4.identity]))
+    one = gp.Subgroup(frozenset([s4.identity]))
     reps = vf.check_corollary(L_s4, F_s4, E_s4, N_s4, one, "t")
     assert all(r.passed for r in reps)
     assert all(r.stats.get("trivial_case_exact") == 1 for r in reps)
@@ -191,7 +191,7 @@ def test_run_suite_empty():
 
 
 def test_k_options_default_and_descriptors(s4, klein):
-    V = gp.Subgroup(s4, klein.elems)
+    V = gp.Subgroup(klein.elems)
     opts = vf.k_options(V)
     tags = [t for t, _ in opts]
     assert tags[:2] == ["aut", "id"]
@@ -203,7 +203,7 @@ def test_k_options_default_and_descriptors(s4, klein):
 
 
 def test_k_options_rejects_non_automorphism(s4):
-    C4 = gp.Subgroup(s4, gp.mulclose(perms(4, "(0 1 2 3)"), cap=24))
+    C4 = gp.Subgroup(gp.mulclose(perms(4, "(0 1 2 3)"), cap=24))
     from plocal.errors import CorpusParseError
 
     with pytest.raises(CorpusParseError):
