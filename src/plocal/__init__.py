@@ -3,8 +3,10 @@ executable verification suite over a corpus of small concrete groups.
 
 The five public layers:
 
-* :mod:`plocal.groups` - permutation groups, subgroup lattices, Sylow
-  subgroups, automorphism groups, subnormality, group K-normalizers;
+* :mod:`plocal.groups` - permutation groups, each held as its element set
+  (one type, ``Subgroup``, for groups and subgroups alike), subgroup
+  lattices, Sylow subgroups, automorphism groups, subnormality, group
+  K-normalizers;
 * :mod:`plocal.fusion` - fusion systems as explicit categories, saturation,
   K-normalizer subsystems, centric/subcentric sets, p-power index,
   normal subsystems;
@@ -21,7 +23,6 @@ from .errors import PLocalError
 from .perm import Perm, perm_from_cycles
 from .groups import (
     AutGroup,
-    FiniteGroup,
     GroupInjection,
     Subgroup,
     all_subgroups,

@@ -175,11 +175,11 @@ def parse_corpus(text: str) -> List[CorpusEntry]:
             raise CorpusParseError(
                 "entry %s: %s" % (entry.name, exc), r["line"]
             )
-        if not H.elements <= G.elements:
+        if not H.elems <= G.elems:
             raise NormalityError(
                 "entry %s: declared subgroup is not inside the group" % entry.name
             )
-        if not H.full_subgroup().is_normal_in(G.full_subgroup()):
+        if not H.is_normal_in(G):
             raise NormalityError(
                 "entry %s: declared subgroup is not normal" % entry.name
             )

@@ -31,7 +31,6 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 from .errors import CapExceeded, NotSaturated, NotSylow
 from .groups import (
     AutGroup,
-    FiniteGroup,
     GroupInjection,
     Subgroup,
     all_subgroups,
@@ -54,16 +53,16 @@ GERM_CAP = 100_000
 class FusionSystem:
     """Category over the p-group S, germs grouped by source subgroup."""
 
-    __slots__ = ("Sgroup", "p", "germs_by_src", "_all", "_hash", "_cache")
+    __slots__ = ("S", "p", "germs_by_src", "_all", "_hash", "_cache")
 
-    def __init__(self, Sgroup: FiniteGroup, p: int, germs: Iterable[GroupInjection]):
-        object.__setattr__(self, "Sgroup", Sgroup)
+    def __init__(self, S: Subgroup, p: int, germs: Iterable[GroupInjection]):
+        object.__setattr__(self, "S", S)
         object.__setattr__(self, "p", p)
         by_src: Dict[FrozenSet[Perm], set] = {}
         for g in germs:
             if g.tgt != g.image:
                 g = g.as_germ()
-            if not (g.src <= Sgroup.elements and g.image <= Sgroup.elements):
+            if not (g.src <= S.elems and g.image <= S.elems):
                 raise ValueError("germ does not live inside S")
             by_src.setdefault(g.src, set()).add(g)
         object.__setattr__(
@@ -73,7 +72,7 @@ class FusionSystem:
         )
         allg = frozenset(g for v in by_src.values() for g in v)
         object.__setattr__(self, "_all", allg)
-        object.__setattr__(self, "_hash", hash((Sgroup, p, allg)))
+        object.__setattr__(self, "_hash", hash((S, p, allg)))
         object.__setattr__(self, "_cache", {})
 
     def __setattr__(self, name, value):
@@ -81,12 +80,8 @@ class FusionSystem:
 
     # -- structure access ---------------------------------------------------
 
-    @property
-    def S(self) -> Subgroup:
-        return self.Sgroup.full_subgroup()
-
     def subgroups(self) -> Tuple[Subgroup, ...]:
-        return all_subgroups(self.Sgroup)
+        return all_subgroups(self.S)
 
     def all_germs(self) -> FrozenSet[GroupInjection]:
         return self._all
@@ -111,7 +106,7 @@ class FusionSystem:
         """Aut_S(P) = automorphisms induced by conjugation from N_S(P)."""
         pe = P.elems
         maps = frozenset(
-            conj_injection(pe, s, pe) for s in normalizer(self.Sgroup, P).elems
+            conj_injection(pe, s, pe) for s in normalizer(self.S, P).elems
         )
         return AutGroup(P, maps)
 
@@ -124,7 +119,7 @@ class FusionSystem:
     def __eq__(self, other):
         return (
             isinstance(other, FusionSystem)
-            and self.Sgroup == other.Sgroup
+            and self.S == other.S
             and self.p == other.p
             and self._all == other._all
         )
@@ -134,7 +129,7 @@ class FusionSystem:
 
     def __repr__(self):
         return "FusionSystem(|S|=%d, p=%d, germs=%d)" % (
-            self.Sgroup.order,
+            self.S.order,
             self.p,
             len(self._all),
         )
@@ -142,29 +137,29 @@ class FusionSystem:
 
 def subsystem_le(E: FusionSystem, F: FusionSystem) -> bool:
     """Extensional containment: E's base inside F's and every germ shared."""
-    return E.Sgroup.elements <= F.Sgroup.elements and E.all_germs() <= F.all_germs()
+    return E.S.elems <= F.S.elems and E.all_germs() <= F.all_germs()
 
 
 # ---------------------------------------------------------------------------
 # constructions
 
 
-def fusion_of_group(G: FiniteGroup, S: Subgroup, p: int) -> FusionSystem:
+def fusion_of_group(G: Subgroup, S: Subgroup, p: int) -> FusionSystem:
     """F_S(G): morphisms are the conjugations c_g between subgroups of S."""
-    if not S.elems <= G.elements:
+    if not S.elems <= G.elems:
         raise NotSylow("S is not a subgroup of G")
     if S.order != p_part(G.order, p):
         raise NotSylow(
             "order %d is not the %d-part of %d" % (S.order, p, G.order)
         )
     germs = set()
-    for P in all_subgroups(S.group()):
+    for P in all_subgroups(S):
         pe = P.elems
-        for g in G.elements:
+        for g in G.elems:
             img = frozenset(x.conj(g) for x in pe)
             if img <= S.elems:
                 germs.add(conj_injection(pe, g))
-    return FusionSystem(S.group(), p, germs)
+    return FusionSystem(S, p, germs)
 
 
 def close_generated(
@@ -178,7 +173,6 @@ def close_generated(
     Fixed-point closure of the inner system and the generators under
     restriction, inversion of isomorphisms-onto-image, and composition.
     """
-    Sg = S.group() if isinstance(S, Subgroup) else S
     germs: set = set()
     by_src: Dict[FrozenSet[Perm], set] = {}
     by_img: Dict[FrozenSet[Perm], set] = {}
@@ -195,11 +189,11 @@ def close_generated(
         by_img.setdefault(g.image, set()).add(g)
         queue.append(g)
 
-    for P in all_subgroups(Sg):
-        for s in Sg.elements:
+    for P in all_subgroups(S):
+        for s in S.elems:
             push(conj_injection(P.elems, s))
     for g in generators:
-        if not (g.src <= Sg.elements and g.image <= Sg.elements):
+        if not (g.src <= S.elems and g.image <= S.elems):
             raise ValueError("generator does not live inside S")
         # validate the homomorphism property of user-supplied generators
         for x in g.src:
@@ -213,7 +207,7 @@ def close_generated(
     def subgroup_sets(elems: FrozenSet[Perm]) -> Tuple[FrozenSet[Perm], ...]:
         if elems not in subs_of:
             subs_of[elems] = tuple(
-                H.elems for H in all_subgroups(FiniteGroup(elems))
+                H.elems for H in all_subgroups(Subgroup(elems))
             )
         return subs_of[elems]
 
@@ -227,7 +221,7 @@ def close_generated(
             push(g.then(h))
         for h in tuple(by_img.get(g.src, ())):
             push(h.then(g))
-    return FusionSystem(Sg, p, germs)
+    return FusionSystem(S, p, germs)
 
 
 # ---------------------------------------------------------------------------
@@ -238,13 +232,13 @@ def is_fully_K_normalized(F: FusionSystem, X: Subgroup, K: AutGroup) -> bool:
     """|N_S^K(X)| >= |N_S^{K^phi}(X phi)| for every phi in Hom_F(X, S)."""
     if K.base.elems != X.elems:
         raise ValueError("K must consist of automorphisms of X")
-    if not X.elems <= F.Sgroup.elements:
+    if not X.elems <= F.S.elems:
         raise ValueError("X is not a subgroup of S")
-    n0 = group_K_normalizer(F.Sgroup, X, K).order
+    n0 = group_K_normalizer(F.S, X, K).order
     for phi in F.germs_from(X):
         Y = Subgroup(phi.image)
         Kphi = K.conjugate_by(phi)
-        if group_K_normalizer(F.Sgroup, Y, Kphi).order > n0:
+        if group_K_normalizer(F.S, Y, Kphi).order > n0:
             return False
     return True
 
@@ -266,8 +260,8 @@ def K_normalizer_subsystem(F: FusionSystem, X: Subgroup, K: AutGroup) -> FusionS
         return F._cache[key]
     if K.base.elems != X.elems:
         raise ValueError("K must consist of automorphisms of X")
-    S0 = group_K_normalizer(F.Sgroup, X, K)
-    sub_sets = tuple(H.elems for H in all_subgroups(S0.group()))
+    S0 = group_K_normalizer(F.S, X, K)
+    sub_sets = tuple(H.elems for H in all_subgroups(S0))
     xe = X.elems
     germs = set()
     for psi in F.all_germs():
@@ -282,7 +276,7 @@ def K_normalizer_subsystem(F: FusionSystem, X: Subgroup, K: AutGroup) -> FusionS
                 r = psi.restrict(pe)
                 if r.image <= S0.elems:
                     germs.add(r.as_germ())
-    out = FusionSystem(S0.group(), F.p, germs)
+    out = FusionSystem(S0, F.p, germs)
     F._cache[key] = out
     return out
 
@@ -302,8 +296,8 @@ def centralizer_subsystem(F: FusionSystem, X: Subgroup) -> FusionSystem:
 
 
 def _full_normalized_members(F: FusionSystem, cls: Tuple[Subgroup, ...]) -> Tuple[Subgroup, ...]:
-    best = max(normalizer(F.Sgroup, Q).order for Q in cls)
-    return tuple(Q for Q in cls if normalizer(F.Sgroup, Q).order == best)
+    best = max(normalizer(F.S, Q).order for Q in cls)
+    return tuple(Q for Q in cls if normalizer(F.S, Q).order == best)
 
 
 def saturation_failure(F: FusionSystem) -> Optional[dict]:
@@ -358,7 +352,7 @@ def saturation_failure(F: FusionSystem) -> Optional[dict]:
 def _extension_control_group(F: FusionSystem, phi: GroupInjection, autS_P: AutGroup) -> Subgroup:
     """N_phi = {g in N_S(Q) : phi^-1 c_g phi in Aut_S(P)} for phi: Q -> P."""
     Q = Subgroup(phi.src)
-    NQ = normalizer(F.Sgroup, Q)
+    NQ = normalizer(F.S, Q)
     out = set()
     inv = phi.inverse()
     for g in NQ.elems:
@@ -389,7 +383,7 @@ def is_saturated(F: FusionSystem) -> bool:
 def is_strongly_closed(F: FusionSystem, T: Subgroup) -> bool:
     """No F-morphism moves a subgroup of T outside T."""
     te = T.elems
-    if not te <= F.Sgroup.elements:
+    if not te <= F.S.elems:
         raise ValueError("T is not a subgroup of S")
     for src, germs in F.germs_by_src.items():
         if src <= te:
@@ -404,7 +398,7 @@ def is_normal_in_fusion(F: FusionSystem, P: Subgroup) -> bool:
     maps P onto P."""
     pe = P.elems
     for src, germs in F.germs_by_src.items():
-        joined = mulclose(list(src | pe), cap=F.Sgroup.order)
+        joined = mulclose(list(src | pe), cap=F.S.order)
         for phi in germs:
             ok = False
             for psi in F.germs_by_src.get(joined, ()):
@@ -436,7 +430,7 @@ def fusion_core(F: FusionSystem) -> Subgroup:
 
 def is_centric(F: FusionSystem, P: Subgroup) -> bool:
     for Q in F.conjugates(P):
-        if not centralizer(F.Sgroup, Q).elems <= Q.elems:
+        if not centralizer(F.S, Q).elems <= Q.elems:
             return False
     return True
 
@@ -504,8 +498,8 @@ def hyperfocal_subgroup(F: FusionSystem) -> Subgroup:
                 if not c.is_identity():
                     gens.append(c)
     if not gens:
-        return F.Sgroup.trivial_subgroup()
-    return Subgroup(mulclose(gens, cap=F.Sgroup.order))
+        return F.S.trivial_subgroup()
+    return Subgroup(mulclose(gens, cap=F.S.order))
 
 
 def has_p_power_index(D: FusionSystem, F: FusionSystem) -> bool:
@@ -513,7 +507,7 @@ def has_p_power_index(D: FusionSystem, F: FusionSystem) -> bool:
     Aut_D(P) for every P <= R."""
     if not subsystem_le(D, F):
         return False
-    R = D.Sgroup.elements
+    R = D.S.elems
     if not hyperfocal_subgroup(F).elems <= R:
         return False
     for P in D.subgroups():
@@ -524,15 +518,15 @@ def has_p_power_index(D: FusionSystem, F: FusionSystem) -> bool:
 
 def conjugate_fusion(E: FusionSystem, alpha: GroupInjection) -> FusionSystem:
     """E^alpha: transport every germ of E along the isomorphism alpha."""
-    if not E.Sgroup.elements <= alpha.src:
+    if not E.S.elems <= alpha.src:
         raise ValueError("alpha must be defined on the base of E")
     inv = alpha.inverse()
     germs = []
     for g in E.all_germs():
         src_moved = frozenset(alpha(x) for x in g.src)
         germs.append(inv.restrict(src_moved).then(g).then(alpha.restrict(g.image)))
-    base = frozenset(alpha(x) for x in E.Sgroup.elements)
-    return FusionSystem(FiniteGroup(base), E.p, germs)
+    base = frozenset(alpha(x) for x in E.S.elems)
+    return FusionSystem(Subgroup(base), E.p, germs)
 
 
 def is_weakly_normal(E: FusionSystem, F: FusionSystem) -> bool:
@@ -575,9 +569,9 @@ def is_normal_subsystem(E: FusionSystem, F: FusionSystem) -> bool:
     if not is_weakly_normal(E, F):
         return False
     T = E.S
-    C = centralizer(F.Sgroup, T)
-    P0 = mulclose(list(T.elems | C.elems), cap=F.Sgroup.order)
-    Z = center(T.group())
+    C = centralizer(F.S, T)
+    P0 = mulclose(list(T.elems | C.elems), cap=F.S.order)
+    Z = center(T)
     for alpha in E.aut(T).maps:
         found = False
         for psi in F.germs_by_src.get(P0, ()):

@@ -2,14 +2,17 @@
 
 Everything here is exact and exhaustive: groups are small (corpus scale is
 |G| <= 72) and every operation enumerates elements rather than using
-generator-level algorithms. Values are immutable after construction and the
-expensive enumerations (subgroup lattices, automorphism groups) are memoized
-on the element set.
+generator-level algorithms. There is one group type, :class:`Subgroup`,
+held as its element set: an ambient group and its subgroups are values of
+the same class. Values are immutable after construction and the expensive
+enumerations (subgroup lattices, automorphism groups) are memoized on the
+element set.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import gcd
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
@@ -49,78 +52,38 @@ def mulclose(gens: Iterable[Perm], cap: int = ELEMENT_CAP) -> FrozenSet[Perm]:
     return frozenset(els)
 
 
-class FiniteGroup:
-    """A finite permutation group given by its full element set: a group is
-    its elements, which is all that equality and hashing look at.
-    """
-
-    __slots__ = ("degree", "elements", "identity", "_sorted", "_hash")
-
-    def __init__(self, elements: Iterable[Perm]):
-        elements = frozenset(elements)
-        if not elements:
-            raise ValueError("empty element set")
-        deg = next(iter(elements)).degree
-        if any(e.degree != deg for e in elements):
-            raise DegreeMismatch("mixed degrees in element set")
-        object.__setattr__(self, "degree", deg)
-        object.__setattr__(self, "elements", elements)
-        object.__setattr__(self, "identity", identity(deg))
-        object.__setattr__(self, "_sorted", None)
-        object.__setattr__(self, "_hash", hash((deg, elements)))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FiniteGroup is immutable")
-
-    @property
-    def order(self) -> int:
-        return len(self.elements)
-
-    def sorted_elements(self) -> Tuple[Perm, ...]:
-        if self._sorted is None:
-            object.__setattr__(self, "_sorted", sorted_elems(self.elements))
-        return self._sorted
-
-    def __contains__(self, p: Perm) -> bool:
-        return p in self.elements
-
-    def __iter__(self):
-        return iter(self.sorted_elements())
-
-    def __len__(self):
-        return len(self.elements)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FiniteGroup)
-            and self.elements == other.elements
-        )
-
-    def __hash__(self):
-        return self._hash
-
-    def __repr__(self):
-        return "FiniteGroup(order=%d, degree=%d)" % (self.order, self.degree)
-
-    def trivial_subgroup(self) -> "Subgroup":
-        return Subgroup(frozenset([self.identity]))
-
-    def full_subgroup(self) -> "Subgroup":
-        return Subgroup(self.elements)
-
-    def generated_subgroup(self, gens: Iterable[Perm]) -> "Subgroup":
-        gens = list(gens)
-        if not gens:
-            return self.trivial_subgroup()
-        return Subgroup(mulclose(gens, cap=len(self.elements)))
-
-
 @dataclass(frozen=True)
 class Subgroup:
-    """A subgroup, held as its element set: two subgroups are equal exactly
-    when their elements are, whatever group they were found in."""
+    """A finite permutation group, held as its element set.
+
+    This is the one group type: a whole group and each of its subgroups are
+    values of it, and two are equal exactly when their elements are,
+    whatever group they were found in. The sorted element tuple and the
+    identity are computed on first use and kept.
+    """
 
     elems: FrozenSet[Perm]
+
+    def __post_init__(self):
+        object.__setattr__(self, "elems", frozenset(self.elems))
+        if not self.elems:
+            raise ValueError("empty element set")
+        # a Perm's length is its degree; one set of lengths keeps this cheap,
+        # and every subgroup built anywhere pays for it
+        if len(set(map(len, self.elems))) != 1:
+            raise DegreeMismatch("mixed degrees in element set")
+
+    @property
+    def degree(self) -> int:
+        return len(next(iter(self.elems)))
+
+    @cached_property
+    def identity(self) -> Perm:
+        return identity(self.degree)
+
+    @cached_property
+    def _sorted(self) -> Tuple[Perm, ...]:
+        return sorted_elems(self.elems)
 
     @property
     def order(self) -> int:
@@ -130,22 +93,22 @@ class Subgroup:
         return p in self.elems
 
     def __iter__(self):
-        return iter(sorted_elems(self.elems))
+        return iter(self._sorted)
 
     def __len__(self):
         return len(self.elems)
 
-    def group(self) -> FiniteGroup:
-        """This subgroup viewed as a group in its own right."""
-        return FiniteGroup(self.elems)
+    def trivial_subgroup(self) -> "Subgroup":
+        return Subgroup(frozenset([self.identity]))
 
-    def conj(self, g: Perm) -> "Subgroup":
-        return Subgroup(frozenset(x.conj(g) for x in self.elems))
+    def generated_subgroup(self, gens: Iterable[Perm]) -> "Subgroup":
+        gens = list(gens)
+        if not gens:
+            return self.trivial_subgroup()
+        return Subgroup(mulclose(gens, cap=self.order))
 
     def is_normal_in(self, other: "Subgroup") -> bool:
-        return all(
-            x.conj(g) in self.elems for g in other.elems for x in self.elems
-        )
+        return normalizer(other, self) == other
 
     def label(self) -> str:
         """Deterministic human-readable identifier."""
@@ -156,15 +119,10 @@ class Subgroup:
         return "Subgroup(order=%d)" % self.order
 
 
-def generate_group(gens: Iterable[Perm], cap: int = ELEMENT_CAP) -> FiniteGroup:
-    """Group generated by permutations, all elements enumerated."""
-    gens = list(gens)
-    if not gens:
-        raise ValueError("need at least one generator")
-    deg = gens[0].degree
-    if any(g.degree != deg for g in gens):
-        raise DegreeMismatch("generators have mixed degrees")
-    return FiniteGroup(mulclose(gens, cap=cap))
+def generate_group(gens: Iterable[Perm], cap: int = ELEMENT_CAP) -> Subgroup:
+    """Group generated by permutations, all elements enumerated. Mixed
+    degrees raise DegreeMismatch at the first product."""
+    return Subgroup(mulclose(gens, cap=cap))
 
 
 def _generating_sequence(elems: FrozenSet[Perm]) -> Tuple[Perm, ...]:
@@ -181,7 +139,7 @@ def _generating_sequence(elems: FrozenSet[Perm]) -> Tuple[Perm, ...]:
     return tuple(gens)
 
 
-def all_subgroups(G: FiniteGroup, cap: int = SUBGROUP_CAP) -> Tuple[Subgroup, ...]:
+def all_subgroups(G: Subgroup, cap: int = SUBGROUP_CAP) -> Tuple[Subgroup, ...]:
     """Every subgroup of G, canonically ordered (order, then element list).
 
     Works bottom-up: all cyclic subgroups, then closure of the lattice under
@@ -190,11 +148,11 @@ def all_subgroups(G: FiniteGroup, cap: int = SUBGROUP_CAP) -> Tuple[Subgroup, ..
     """
     if G.order > cap:
         raise CapExceeded("group order %d exceeds subgroup cap %d" % (G.order, cap))
-    hit = _SUBGROUP_CACHE.get(G.elements)
+    hit = _SUBGROUP_CACHE.get(G.elems)
     if hit is not None:
         return hit
     cyclics = set()
-    for g in G.elements:
+    for g in G.elems:
         cyclics.add(mulclose([g], cap=G.order))
     found = set(cyclics)
     found.add(frozenset([G.identity]))
@@ -214,40 +172,39 @@ def all_subgroups(G: FiniteGroup, cap: int = SUBGROUP_CAP) -> Tuple[Subgroup, ..
         Subgroup(els)
         for els in sorted(found, key=lambda s: (len(s), sorted_elems(s)))
     )
-    _SUBGROUP_CACHE[G.elements] = out
+    _SUBGROUP_CACHE[G.elems] = out
     return out
 
 
-def normal_subgroups(G: FiniteGroup) -> Tuple[Subgroup, ...]:
-    full = G.full_subgroup()
-    return tuple(H for H in all_subgroups(G) if H.is_normal_in(full))
+def normal_subgroups(G: Subgroup) -> Tuple[Subgroup, ...]:
+    return tuple(H for H in all_subgroups(G) if H.is_normal_in(G))
 
 
-def normalizer(G: FiniteGroup, X: Subgroup) -> Subgroup:
+def normalizer(G: Subgroup, X: Subgroup) -> Subgroup:
     """N_G(X) = {g : X^g = X}."""
     xe = X.elems
     return Subgroup(
-        frozenset(g for g in G.elements if all(x.conj(g) in xe for x in xe))
+        frozenset(g for g in G.elems if all(x.conj(g) in xe for x in xe))
     )
 
 
-def centralizer(G: FiniteGroup, X: Subgroup) -> Subgroup:
+def centralizer(G: Subgroup, X: Subgroup) -> Subgroup:
     """C_G(X) = {g : x^g = x for all x in X}."""
     return Subgroup(
-        frozenset(g for g in G.elements if all(x.conj(g) == x for x in X.elems))
+        frozenset(g for g in G.elems if all(x.conj(g) == x for x in X.elems))
     )
 
 
-def center(G: FiniteGroup) -> Subgroup:
-    return centralizer(G, G.full_subgroup())
+def center(G: Subgroup) -> Subgroup:
+    return centralizer(G, G)
 
 
-def normal_closure(G: FiniteGroup, H: Subgroup) -> Subgroup:
+def normal_closure(G: Subgroup, H: Subgroup) -> Subgroup:
     """Smallest normal subgroup of G containing H."""
     gens = set(_generating_sequence(H.elems)) if H.order > 1 else set()
     if not gens:
         return H
-    conj_gens = {h.conj(g) for h in gens for g in G.elements}
+    conj_gens = {h.conj(g) for h in gens for g in G.elems}
     return Subgroup(mulclose(list(conj_gens), cap=G.order))
 
 
@@ -263,7 +220,7 @@ def is_p_group(X: Subgroup, p: int) -> bool:
     return X.order == p_part(X.order, p)
 
 
-def sylow_subgroup(G: FiniteGroup, p: int) -> Subgroup:
+def sylow_subgroup(G: Subgroup, p: int) -> Subgroup:
     """One Sylow p-subgroup, grown through normalizers.
 
     While |P| is short of the full p-part, N_G(P)/P has order divisible by p,
@@ -292,43 +249,43 @@ def sylow_subgroup(G: FiniteGroup, p: int) -> Subgroup:
     return P
 
 
-def core_Op(G: FiniteGroup, p: int) -> Subgroup:
+def core_Op(G: Subgroup, p: int) -> Subgroup:
     """O_p(G), computed as the intersection of the Sylow conjugates."""
     P = sylow_subgroup(G, p)
     core = set(P.elems)
-    for g in G.elements:
+    for g in G.elems:
         core &= {x.conj(g) for x in P.elems}
         if len(core) == 1:
             break
     return Subgroup(frozenset(core))
 
 
-def is_characteristic_p(G: FiniteGroup, p: int) -> bool:
+def is_characteristic_p(G: Subgroup, p: int) -> bool:
     """C_G(O_p(G)) <= O_p(G)."""
     Q = core_Op(G, p)
     return centralizer(G, Q).elems <= Q.elems
 
 
-def subnormal_chain(H: Subgroup, G: FiniteGroup) -> Optional[Tuple[Subgroup, ...]]:
+def subnormal_chain(H: Subgroup, G: Subgroup) -> Optional[Tuple[Subgroup, ...]]:
     """Ascending witness chain H = H_0 <| H_1 <| ... <| H_n = G, or None.
 
     Uses the normal-closure descent criterion: iterate G_{i+1} = normal
     closure of H in G_i; H is subnormal in G iff the sequence reaches H.
     Each term is normal in its predecessor, so reversing gives the chain.
     """
-    if not H.elems <= G.elements:
+    if not H.elems <= G.elems:
         raise ValueError("H is not a subgroup of G")
-    descent = [G.full_subgroup()]
+    descent = [G]
     while descent[-1].elems != H.elems:
         cur = descent[-1]
-        nxt = normal_closure(cur.group(), H)
+        nxt = normal_closure(cur, H)
         if nxt.elems == cur.elems:
             return None
         descent.append(nxt)
     return tuple(reversed(descent))
 
 
-def is_subnormal(H: Subgroup, G: FiniteGroup) -> bool:
+def is_subnormal(H: Subgroup, G: Subgroup) -> bool:
     return subnormal_chain(H, G) is not None
 
 
@@ -460,7 +417,7 @@ class AutGroup:
     """A group of automorphisms of a fixed base subgroup X, as explicit maps.
 
     The group structure is mirrored by a faithful permutation action on the
-    sorted element list of X, so the whole FiniteGroup machinery (subgroup
+    sorted element list of X, so the whole group machinery (subgroup
     lattices, subnormality, ...) applies to subgroups of Aut(X) as well.
     """
 
@@ -496,8 +453,8 @@ class AutGroup:
             ((x, order[q(i)]) for i, x in enumerate(order)), self.base.elems
         )
 
-    def perm_group(self) -> FiniteGroup:
-        return FiniteGroup(frozenset(self.to_perm(m) for m in self.maps))
+    def perm_group(self) -> Subgroup:
+        return Subgroup(frozenset(self.to_perm(m) for m in self.maps))
 
     def subgroup_from_perms(self, perms: Iterable[Perm]) -> "AutGroup":
         return AutGroup(self.base, frozenset(self.from_perm(q) for q in perms))
@@ -537,7 +494,7 @@ class AutGroup:
         return AutGroup(newbase, moved)
 
     def label(self) -> str:
-        perms = sorted_elems(self.perm_group().elements)
+        perms = sorted_elems(self.perm_group().elems)
         body = ",".join(str(q) for q in perms if not q.is_identity())
         return "[%s]" % body if body else "[1]"
 
@@ -568,11 +525,11 @@ def aut_group(X: Subgroup, cap: int = AUT_BASE_CAP) -> AutGroup:
     bijective homomorphisms. The homomorphism check only needs (generator,
     element) pairs because arbitrary elements are defined through words.
     """
+    if X.order > cap:
+        raise CapExceeded("automorphism base %d exceeds cap %d" % (X.order, cap))
     hit = _AUT_CACHE.get(X.elems)
     if hit is not None:
         return hit
-    if X.order > cap:
-        raise CapExceeded("automorphism base %d exceeds cap %d" % (X.order, cap))
     elems = X.elems
     if X.order == 1:
         out = AutGroup(X, frozenset([identity_injection(elems)]))
@@ -635,11 +592,11 @@ def trivial_aut_group(X: Subgroup) -> AutGroup:
 def op_residual(A: AutGroup, p: int) -> AutGroup:
     """O^p(A): the subgroup generated by all p'-elements of A."""
     G = A.perm_group()
-    gens = [g for g in G.elements if gcd(g.order(), p) == 1]
+    gens = [g for g in G.elems if gcd(g.order(), p) == 1]
     return A.subgroup_from_perms(mulclose(gens, cap=G.order))
 
 
-def group_K_normalizer(G: FiniteGroup, X: Subgroup, K: AutGroup) -> Subgroup:
+def group_K_normalizer(G: Subgroup, X: Subgroup, K: AutGroup) -> Subgroup:
     """N_G^K(X) = {g in N_G(X) : c_g restricted to X lies in K}."""
     if K.base.elems != X.elems:
         raise ValueError("K is not a group of automorphisms of X")
@@ -648,5 +605,5 @@ def group_K_normalizer(G: FiniteGroup, X: Subgroup, K: AutGroup) -> Subgroup:
     return Subgroup(frozenset(g for g in N if conj_injection(xe, g, xe) in K.maps))
 
 
-def set_product(G: FiniteGroup, A: Iterable[Perm], B: Iterable[Perm]) -> FrozenSet[Perm]:
+def set_product(A: Iterable[Perm], B: Iterable[Perm]) -> FrozenSet[Perm]:
     return frozenset(a * b for a in A for b in B)

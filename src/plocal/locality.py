@@ -42,7 +42,6 @@ from .fusion import (
 )
 from .groups import (
     AutGroup,
-    FiniteGroup,
     Subgroup,
     all_subgroups,
     aut_group,
@@ -149,13 +148,13 @@ class PartialGroup:
 
     __slots__ = ("ambient", "elems", "rule", "_sorted", "_memo")
 
-    def __init__(self, ambient: FiniteGroup, elems: Iterable[Perm], rule):
+    def __init__(self, ambient: Subgroup, elems: Iterable[Perm], rule):
         self.ambient = ambient
         self.elems = frozenset(elems)
         self.rule = rule
         self._sorted = None
         self._memo = {}
-        if not self.elems <= ambient.elements:
+        if not self.elems <= ambient.elems:
             raise ValueError("elements not inside the ambient group")
 
     @property
@@ -218,7 +217,7 @@ class Locality(PartialGroup):
 
     def __init__(
         self,
-        ambient: FiniteGroup,
+        ambient: Subgroup,
         elems: Iterable[Perm],
         Delta: Iterable[FrozenSet[Perm]],
         S_elems: FrozenSet[Perm],
@@ -301,13 +300,13 @@ def partial_subgroup_violation(parent: PartialGroup, elems: FrozenSet[Perm]) -> 
 # construction of group localities
 
 
-def _check_delta_closed(G: FiniteGroup, S: Subgroup, Delta: frozenset):
-    subs = {H.elems for H in all_subgroups(S.group())}
+def _check_delta_closed(G: Subgroup, S: Subgroup, Delta: frozenset):
+    subs = {H.elems for H in all_subgroups(S)}
     for d in Delta:
         if d not in subs:
             raise DeltaNotClosed("object is not a subgroup of S")
     for d in Delta:
-        for g in G.elements:
+        for g in G.elems:
             img = frozenset(x.conj(g) for x in d)
             if img <= S.elems and img not in Delta:
                 raise DeltaNotClosed(
@@ -319,7 +318,7 @@ def _check_delta_closed(G: FiniteGroup, S: Subgroup, Delta: frozenset):
 
 
 def build_group_locality(
-    G: FiniteGroup, S: Subgroup, Delta: Iterable[FrozenSet[Perm]], p: int
+    G: Subgroup, S: Subgroup, Delta: Iterable[FrozenSet[Perm]], p: int
 ) -> Locality:
     """L_Delta(G) = {g in G : S cap S^{g^-1} in Delta} with the chain domain.
 
@@ -332,16 +331,16 @@ def build_group_locality(
     Delta = frozenset(frozenset(d) for d in Delta)
     _check_delta_closed(G, S, Delta)
     elems = set()
-    for g in G.elements:
+    for g in G.elems:
         sg = frozenset(x for x in S.elems if x.conj(g) in S.elems)
         if sg in Delta:
             elems.add(g)
     return Locality(G, frozenset(elems), Delta, S.elems, p)
 
 
-def group_as_partial(G: FiniteGroup) -> PartialGroup:
+def group_as_partial(G: Subgroup) -> PartialGroup:
     """A finite group viewed as a partial group with every word defined."""
-    return PartialGroup(G, G.elements, FullDomain())
+    return PartialGroup(G, G.elems, FullDomain())
 
 
 # ---------------------------------------------------------------------------
@@ -430,7 +429,7 @@ def restrict(
         raise ValueError("restriction needs a locality parent")
     Gamma = frozenset(frozenset(g) for g in Gamma)
     R = frozenset(L.S_elems & H.elems)
-    r_subs = {K.elems for K in all_subgroups(FiniteGroup(R))}
+    r_subs = {K.elems for K in all_subgroups(Subgroup(R))}
     for P in Gamma:
         if P not in r_subs:
             raise GammaNotClosed("object is not a subgroup of R")
@@ -560,7 +559,7 @@ def fusion_of_partial(
     if not R.elems <= N.elems:
         raise ValueError("base is not inside the partial subgroup")
     germs = []
-    r_subs = tuple(H.elems for H in all_subgroups(R.group()))
+    r_subs = tuple(H.elems for H in all_subgroups(R))
     for f in N.elems:
         sf = S_f(L, f).elems
         for pe in r_subs:
@@ -577,7 +576,7 @@ def find_normal_for(L: Locality, E: FusionSystem) -> PartialSubgroup:
     ambient group (with closure repair), which realizes all partial normal
     subgroups of group localities at this scale.
     """
-    T = E.Sgroup.elements
+    T = E.S.elems
     matches = []
     seen = set()
     for Hn in normal_subgroups(L.ambient):
@@ -681,11 +680,14 @@ def verify_partial_group(P: PartialGroup, word_len: int = 3) -> VerificationRepo
     def fail(witness):
         return VerificationReport("partial-group-axioms", inst, "fail", witness=witness, stats=stats)
 
+    inverse = {}
     for x in P.elems:
-        if P.inv(x) not in P.elems:
+        xi = P.inv(x)
+        if xi not in P.elems:
             return fail({"axiom": "inversion-closure", "x": str(x)})
-        if P.inv(P.inv(x)) != x:
+        if P.inv(xi) != x:
             return fail({"axiom": "inversion-involutory", "x": str(x)})
+        inverse[x] = xi
     if not P.in_domain(()):
         return fail({"axiom": "empty-word"})
     if not P.prod(()) == P.unit:
@@ -718,7 +720,7 @@ def verify_partial_group(P: PartialGroup, word_len: int = 3) -> VerificationRepo
                         {"axiom": "splice-product", "w": [str(g) for g in w], "i": i, "j": j}
                     )
         # inversion axiom
-        wbar = tuple(P.inv(g) for g in reversed(w))
+        wbar = tuple(inverse[g] for g in reversed(w))
         if not P.in_domain(wbar + w):
             return fail({"axiom": "inverse-word-domain", "w": [str(g) for g in w]})
         if P.prod(wbar + w) != P.unit:
@@ -768,7 +770,7 @@ def verify_locality(L: Locality, word_len: int = 3) -> VerificationReport:
         return fail({"axiom": "S-words-defined"})
 
     # Delta closure under L-conjugation and overgroups
-    s_subs = {H.elems for H in all_subgroups(Ssub.group())}
+    s_subs = {H.elems for H in all_subgroups(Ssub)}
     for d in L.Delta:
         if d not in s_subs:
             return fail({"axiom": "Delta-in-S", "object_order": len(d)})
@@ -820,7 +822,7 @@ def verify_subcentric_locality(
     stats.update(base.stats)
     if not base.passed:
         return fail({"axiom": "locality", "inner": base.witness})
-    if L.S_elems != F.Sgroup.elements:
+    if L.S_elems != F.S.elems:
         return fail({"axiom": "same-S"})
     if frozenset(P.elems for P in subcentric_set(F)) != L.Delta:
         return fail({"axiom": "Delta-is-subcentric-set"})
@@ -832,12 +834,11 @@ def verify_subcentric_locality(
         bad = partial_subgroup_violation(L, NP.elems)
         if bad is not None:
             return fail({"axiom": "N_L(P)-group", "P": P.label(), "inner": bad})
-        NPg = FiniteGroup(NP.elems)
         for a in NP.elems:  # genuine group: every pair product defined
             for b in NP.elems:
                 if not L.in_domain((a, b)):
                     return fail({"axiom": "N_L(P)-words", "P": P.label()})
-        if not is_characteristic_p(NPg, L.p):
+        if not is_characteristic_p(Subgroup(NP.elems), L.p):
             return fail({"axiom": "N_L(P)-characteristic-p", "P": P.label()})
     stats["objects"] = len(L.Delta)
     return VerificationReport("subcentric-locality", inst, "pass", stats=stats)

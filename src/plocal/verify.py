@@ -34,7 +34,7 @@ from . import fusion as fu
 from . import groups as gp
 from . import locality as lo
 from .errors import CorpusParseError, NotFound, NotPartialSubgroup, PLocalError
-from .groups import AutGroup, FiniteGroup, Subgroup
+from .groups import AutGroup, Subgroup
 from .perm import perm_from_cycles
 from .report import VerificationReport, failed_report, passed_report, skipped_report
 
@@ -58,7 +58,7 @@ AUT_CAP = 24
 
 
 def check_char_p_normalizer_subgroup(
-    G: FiniteGroup, p: int, X: Subgroup, H: Subgroup, instance: str
+    G: Subgroup, p: int, X: Subgroup, H: Subgroup, instance: str
 ) -> VerificationReport:
     """Lemma 2.2(a): G of characteristic p, X a p-subgroup, C_G(X) <= H <=
     N_G(X) and H subnormal in HX imply H of characteristic p."""
@@ -71,20 +71,20 @@ def check_char_p_normalizer_subgroup(
     CX = gp.centralizer(G, X)
     if not (CX.elems <= H.elems and H.elems <= NX.elems):
         return skipped_report(stmt, instance, "H-not-between-centralizer-and-normalizer")
-    HX = FiniteGroup(gp.mulclose(list(H.elems | X.elems), cap=G.order))
+    HX = Subgroup(gp.mulclose(list(H.elems | X.elems), cap=G.order))
     if not gp.is_subnormal(H, HX):
         return skipped_report(stmt, instance, "H-not-subnormal-in-HX")
-    if gp.is_characteristic_p(H.group(), p):
+    if gp.is_characteristic_p(H, p):
         return passed_report(stmt, instance, H_order=H.order)
     return failed_report(
         stmt,
         instance,
-        {"H": H.label(), "O_p(H)": gp.core_Op(H.group(), p).label()},
+        {"H": H.label(), "O_p(H)": gp.core_Op(H, p).label()},
     )
 
 
 def check_char_p_normalizer_aut(
-    G: FiniteGroup, p: int, X: Subgroup, K: AutGroup, instance: str
+    G: Subgroup, p: int, X: Subgroup, K: AutGroup, instance: str
 ) -> VerificationReport:
     """Lemma 2.2(b): N_G^K(X) is of characteristic p when K is subnormal in
     K*Inn(X); also checks the product identity N_G^{K Inn(X)}(X) =
@@ -99,7 +99,7 @@ def check_char_p_normalizer_aut(
         return skipped_report(stmt, instance, "K-not-subnormal-in-K*Inn(X)")
     NK = gp.group_K_normalizer(G, X, K)
     NKI = gp.group_K_normalizer(G, X, KInn)
-    prod = gp.set_product(G, NK.elems, X.elems)
+    prod = gp.set_product(NK.elems, X.elems)
     if NKI.elems != prod:
         return failed_report(
             stmt,
@@ -110,7 +110,7 @@ def check_char_p_normalizer_aut(
                 "N^K * X": sorted(str(x) for x in prod),
             },
         )
-    if gp.is_characteristic_p(NK.group(), p):
+    if gp.is_characteristic_p(NK, p):
         return passed_report(stmt, instance, NK_order=NK.order, identity_checked=1)
     return failed_report(
         stmt,
@@ -173,12 +173,12 @@ def check_fully_K_normalized_transfer(
     except NotPartialSubgroup as exc:
         return failed_report(stmt, instance, {"product": str(exc)})
     if fu.is_fully_K_normalized(EX, X, K):
-        return passed_report(stmt, instance, EX_base=EX.Sgroup.order)
+        return passed_report(stmt, instance, EX_base=EX.S.order)
     return failed_report(
         stmt,
         instance,
         {
-            "EX_base_order": EX.Sgroup.order,
+            "EX_base_order": EX.S.order,
             "conjugates": [P.label() for P in EX.conjugates(X)],
         },
     )
@@ -390,11 +390,11 @@ class PreparedEntry:
 
     name: str
     p: int
-    G: FiniteGroup
+    G: Subgroup
     S: Subgroup
     F: fu.FusionSystem
     L: lo.Locality
-    H: FiniteGroup
+    H: Subgroup
     T: Subgroup
     E: fu.FusionSystem
     N: lo.PartialSubgroup
@@ -423,9 +423,9 @@ def prepare_entry(entry, word_len: int = 3):
     if not rep.passed:
         return None, failed_report("Axioms", inst, {"subcentric-locality": rep.witness})
     H = gp.generate_group(entry.normal_generators())
-    if not H.full_subgroup().is_normal_in(G.full_subgroup()):
+    if not H.is_normal_in(G):
         return None, failed_report("Axioms", inst, {"declared-normal": "not normal in G"})
-    T = Subgroup(S.elems & H.elements)
+    T = Subgroup(S.elems & H.elems)
     E = fu.fusion_of_group(H, T, p)
     if not fu.is_normal_subsystem(E, F):
         return None, failed_report("Axioms", inst, {"subsystem": "F_T(H) not normal in F"})
@@ -504,7 +504,7 @@ def k_options(
     if A.order <= AUT_CAP:
         subs = sorted(
             A.sub_autgroups(),
-            key=lambda B: (B.order, tuple(sorted(B.perm_group().elements))),
+            key=lambda B: (B.order, tuple(sorted(B.perm_group().elems))),
         )
         for idx, K in enumerate(subs):
             push(_k_label(idx, K), K)
@@ -527,7 +527,7 @@ def _k_from_gens(X: Subgroup, A: AutGroup, spec: str) -> AutGroup:
     return K
 
 
-def _p_subgroups(G: FiniteGroup, p: int) -> Tuple[Subgroup, ...]:
+def _p_subgroups(G: Subgroup, p: int) -> Tuple[Subgroup, ...]:
     return tuple(H for H in gp.all_subgroups(G) if gp.is_p_group(H, p))
 
 
@@ -551,7 +551,7 @@ def entry_reports(
             if want("Lemma-2.2a"):
                 NX = gp.normalizer(pe.G, X)
                 CX = gp.centralizer(pe.G, X)
-                for H in gp.all_subgroups(NX.group()):
+                for H in gp.all_subgroups(NX):
                     if not CX.elems <= H.elems:
                         continue
                     reports.append(

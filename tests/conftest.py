@@ -64,7 +64,7 @@ def L_s4(s4, F_s4):
 @pytest.fixture(scope="session")
 def E_s4(s4, a4):
     S = gp.sylow_subgroup(s4, 2)
-    T = gp.Subgroup(S.elems & a4.elements)
+    T = gp.Subgroup(S.elems & a4.elems)
     return fu.fusion_of_group(a4, T, 2)
 
 
@@ -83,5 +83,5 @@ def L_s3xs3(s3xs3):
     """A locality with a genuinely partial product: Delta is the set of
     nontrivial subgroups of the Sylow 2-subgroup of S3 x S3."""
     S = gp.sylow_subgroup(s3xs3, 2)
-    nt = frozenset(H.elems for H in gp.all_subgroups(S.group()) if H.order > 1)
+    nt = frozenset(H.elems for H in gp.all_subgroups(S) if H.order > 1)
     return lo.build_group_locality(s3xs3, S, nt, 2)

@@ -11,14 +11,14 @@ from __future__ import annotations
 
 import itertools
 
-from plocal.groups import FiniteGroup, GroupInjection, Subgroup
+from plocal.groups import GroupInjection, Subgroup
 from plocal.perm import sorted_elems
 
 
-def powerset_subgroups(G: FiniteGroup):
+def powerset_subgroups(G: Subgroup):
     """All subgroups by scanning every subset; only usable for |G| <= 8."""
     assert G.order <= 8
-    elems = list(G.elements)
+    elems = list(G.elems)
     out = set()
     for r in range(1, len(elems) + 1):
         for combo in itertools.combinations(elems, r):
@@ -33,7 +33,7 @@ def powerset_subgroups(G: FiniteGroup):
     return out
 
 
-def generated_subgroups(G: FiniteGroup, max_gens: int = 4):
+def generated_subgroups(G: Subgroup, max_gens: int = 4):
     """All subgroups as closures of generator subsets of bounded size.
 
     Complete for |G| <= 24: every subgroup has order <= 24, and the only
@@ -41,7 +41,7 @@ def generated_subgroups(G: FiniteGroup, max_gens: int = 4):
     """
     from plocal.groups import mulclose
 
-    elems = list(G.elements)
+    elems = list(G.elems)
     out = {frozenset([G.identity])}
     for r in range(1, max_gens + 1):
         for combo in itertools.combinations(elems, r):
@@ -59,13 +59,13 @@ def max_p_power_subgroup_order(subgroup_sets, p: int) -> int:
     return max(len(s) for s in subgroup_sets if is_p_power(len(s), p))
 
 
-def largest_normal_p_subgroup(G: FiniteGroup, subgroup_sets, p: int):
+def largest_normal_p_subgroup(G: Subgroup, subgroup_sets, p: int):
     """O_p(G) as the unique maximal normal p-subgroup of the lattice."""
     candidates = [
         s
         for s in subgroup_sets
         if is_p_power(len(s), p)
-        and all(x.conj(g) in s for x in s for g in G.elements)
+        and all(x.conj(g) in s for x in s for g in G.elems)
     ]
     best = max(candidates, key=len)
     for s in candidates:
@@ -73,7 +73,7 @@ def largest_normal_p_subgroup(G: FiniteGroup, subgroup_sets, p: int):
     return best
 
 
-def subnormal_by_chain_search(H: Subgroup, G: FiniteGroup, subgroup_sets) -> bool:
+def subnormal_by_chain_search(H: Subgroup, G: Subgroup, subgroup_sets) -> bool:
     """H subnormal in G iff some chain H <| M_1 <| ... <| G exists,
     searched over all subgroups."""
     he = H.elems
@@ -84,7 +84,7 @@ def subnormal_by_chain_search(H: Subgroup, G: FiniteGroup, subgroup_sets) -> boo
     seen = set()
 
     def ascend(cur) -> bool:
-        if cur == G.elements:
+        if cur == G.elems:
             return True
         if cur in seen:
             return False

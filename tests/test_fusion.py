@@ -12,17 +12,17 @@ from .conftest import perms
 
 
 def sub(F, *specs):
-    deg = F.Sgroup.degree
+    deg = F.S.degree
     gens = perms(deg, *specs)
-    return gp.Subgroup(gp.mulclose(gens, cap=F.Sgroup.order)) if gens else None
+    return gp.Subgroup(gp.mulclose(gens, cap=F.S.order)) if gens else None
 
 
 # -- fusion_of_group ----------------------------------------------------------
 
 
 def test_inner_fusion_of_p_group(d8):
-    F = fu.fusion_of_group(d8, d8.full_subgroup(), 2)
-    assert F == fu.close_generated(d8.full_subgroup(), 2)
+    F = fu.fusion_of_group(d8, d8, 2)
+    assert F == fu.close_generated(d8, 2)
 
 
 def test_aut_F_values(F_s4, F_s3, klein):
@@ -51,7 +51,7 @@ def test_close_generated_reproduces_group_fusion(F_s4):
 
 def test_close_generated_restriction_property(d8):
     # an order-2 automorphism restricts to every subgroup it normalizes
-    S = d8.full_subgroup()
+    S = d8
     A = gp.aut_group(S)
     alpha = next(
         m for m in sorted(A.maps)
@@ -87,21 +87,21 @@ def test_corpus_systems_saturated(F_s4, F_s3, F_sl23):
 
 def test_unsaturated_witness():
     v4 = gp.generate_group(perms(4, "(0 1)(2 3)", "(0 2)(1 3)"))
-    A = gp.aut_group(v4.full_subgroup())
+    A = gp.aut_group(v4)
     alpha = next(
         m for m in sorted(A.maps)
         if not m.is_identity_map() and m.then(m).is_identity_map()
     )
-    F = fu.close_generated(v4.full_subgroup(), 2, [alpha])
+    F = fu.close_generated(v4, 2, [alpha])
     w = fu.saturation_failure(F)
     assert w is not None and w["axiom"] == "fully-automized"
 
 
 def test_odd_aut_on_klein_four_is_saturated():
     v4 = gp.generate_group(perms(4, "(0 1)(2 3)", "(0 2)(1 3)"))
-    A = gp.aut_group(v4.full_subgroup())
+    A = gp.aut_group(v4)
     rho = next(m for m in sorted(A.maps) if not m.then(m).is_identity_map())
-    F = fu.close_generated(v4.full_subgroup(), 2, [rho])  # = the A4 system
+    F = fu.close_generated(v4, 2, [rho])  # = the A4 system
     assert fu.is_saturated(F)
     assert F.aut(F.S).order == 3
 
@@ -156,11 +156,11 @@ def test_normalizer_of_normal_subgroup_is_whole_system(F_s4, klein):
 def test_centralizer_of_center_is_inner_sylow(F_s4, d8):
     Z = sub(F_s4, "(0 1)(2 3)")
     CF = fu.centralizer_subsystem(F_s4, Z)
-    inner = fu.fusion_of_group(d8, d8.full_subgroup(), 2)
+    inner = fu.fusion_of_group(d8, d8, 2)
     # C_{S4}(Z(S)) is the Sylow itself; same element set, same category
-    assert CF.Sgroup.elements == F_s4.Sgroup.elements
+    assert CF.S.elems == F_s4.S.elems
     assert len(CF.all_germs()) == len(inner.all_germs())
-    assert CF == fu.fusion_of_group(CF.Sgroup, CF.S, 2)
+    assert CF == fu.fusion_of_group(CF.S, CF.S, 2)
 
 
 def test_aut_K_equals_autF_K_normalizer(F_s4):
@@ -206,12 +206,12 @@ def test_subcentric_s4_is_everything(F_s4):
 
 def test_subcentric_requires_saturated():
     v4 = gp.generate_group(perms(4, "(0 1)(2 3)", "(0 2)(1 3)"))
-    A = gp.aut_group(v4.full_subgroup())
+    A = gp.aut_group(v4)
     alpha = next(
         m for m in sorted(A.maps)
         if not m.is_identity_map() and m.then(m).is_identity_map()
     )
-    F = fu.close_generated(v4.full_subgroup(), 2, [alpha])
+    F = fu.close_generated(v4, 2, [alpha])
     with pytest.raises(NotSaturated):
         fu.subcentric_set(F)
 
@@ -226,7 +226,7 @@ def test_fusion_core(F_s4, F_s3, klein):
 
 def test_hyperfocal(F_s4, F_s3, klein, d8):
     assert fu.hyperfocal_subgroup(F_s4).elems == klein.elems
-    inner = fu.fusion_of_group(d8, d8.full_subgroup(), 2)
+    inner = fu.fusion_of_group(d8, d8, 2)
     assert fu.hyperfocal_subgroup(inner).order == 1
     assert fu.hyperfocal_subgroup(F_s3).order == 3  # Aut_F(C3) has order 2
 
@@ -249,7 +249,7 @@ def test_normal_subsystem_cases(F_s4, E_s4):
 
 def test_non_strongly_closed_base_is_not_normal(F_s4):
     T = sub(F_s4, "(0 1)")
-    E = fu.fusion_of_group(T.group(), T.group().full_subgroup(), 2)
+    E = fu.fusion_of_group(T, T, 2)
     assert not fu.is_weakly_normal(E, F_s4)
     assert not fu.is_normal_subsystem(E, F_s4)
 
@@ -262,5 +262,5 @@ def test_inner_sylow_subsystem_not_normal_in_s4_system(F_s4):
 
 def test_sl23_inner_q8_normal(F_sl23, sl23):
     q8 = gp.sylow_subgroup(sl23, 2)
-    E = fu.fusion_of_group(q8.group(), q8.group().full_subgroup(), 2)
+    E = fu.fusion_of_group(q8, q8, 2)
     assert fu.is_normal_subsystem(E, F_sl23)

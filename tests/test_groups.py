@@ -22,6 +22,21 @@ def test_generate_group_orders():
     assert gp.generate_group(perms(3, "(0 1 2)", "(0 1)")).order == 6
 
 
+def test_group_value_checks_its_elements():
+    with pytest.raises(ValueError):
+        gp.Subgroup(frozenset())
+    with pytest.raises(DegreeMismatch):
+        gp.Subgroup(frozenset([identity(2), identity(3)]))
+
+
+def test_generated_group_is_its_element_set():
+    gens = perms(4, "(0 1 2 3)", "(0 2)")
+    G = gp.generate_group(gens)
+    same = gp.Subgroup(gp.mulclose(gens))
+    assert G == same
+    assert hash(G) == hash(same)
+
+
 def test_generate_group_cap_and_mismatch():
     with pytest.raises(CapExceeded):
         gp.generate_group(perms(8, "(0 1 2 3 4 5 6 7)", "(0 1)"), cap=100)
@@ -33,7 +48,7 @@ def test_generate_group_cap_and_mismatch():
 @given(st.lists(st.permutations(range(4)), min_size=1, max_size=2))
 def test_generated_group_is_closed(images):
     G = gp.generate_group([Perm(tuple(im)) for im in images])
-    els = G.elements
+    els = G.elems
     assert G.identity in els
     assert all(a * b in els for a in els for b in els)
     assert all(a.inv() in els for a in els)
@@ -62,7 +77,7 @@ def test_all_subgroups_vs_powerset_oracle(d8):
 
 def test_all_subgroups_cap(s4):
     with pytest.raises(CapExceeded):
-        gp.all_subgroups(gp.FiniteGroup(s4.elements), cap=10)
+        gp.all_subgroups(gp.Subgroup(s4.elems), cap=10)
 
 
 # -- Sylow / O_p / characteristic p ----------------------------------------
@@ -76,11 +91,11 @@ def test_sylow_examples(s4, s3):
 
 
 def test_core_examples(s4, s3, d8):
-    assert gp.core_Op(d8, 2).elems == d8.elements
+    assert gp.core_Op(d8, 2).elems == d8.elems
     v4 = gp.core_Op(s4, 2)
     assert v4.order == 4
     assert all(x.order() in (1, 2) for x in v4)
-    assert v4.is_normal_in(s4.full_subgroup())
+    assert v4.is_normal_in(s4)
     assert gp.core_Op(s3, 2).order == 1
 
 
@@ -97,9 +112,8 @@ def test_characteristic_p(s4, s3):
 
 
 def test_normalizer_centralizer_trivial_cases(s4):
-    full = s4.full_subgroup()
-    assert gp.normalizer(s4, full).elems == s4.elements
-    assert gp.centralizer(s4, s4.trivial_subgroup()).elems == s4.elements
+    assert gp.normalizer(s4, s4).elems == s4.elems
+    assert gp.centralizer(s4, s4.trivial_subgroup()).elems == s4.elems
 
 
 def test_centralizer_of_transposition(s4):
@@ -120,7 +134,7 @@ def test_aut_vs_bijection_oracle(s4, klein, d8, sl23):
     for X in [
         klein,
         s4.generated_subgroup(perms(4, "(0 1 2 3)")),
-        d8.full_subgroup(),
+        d8,
         gp.sylow_subgroup(sl23, 2),
     ]:
         assert gp.aut_group(X).maps == oracles.bijection_automorphisms(X)
@@ -129,7 +143,14 @@ def test_aut_vs_bijection_oracle(s4, klein, d8, sl23):
 def test_aut_cap():
     big = gp.generate_group([Perm(tuple(list(range(1, 65)) + [0]))])
     with pytest.raises(CapExceeded):
-        gp.aut_group(big.full_subgroup(), cap=64)
+        gp.aut_group(big, cap=64)
+
+
+def test_aut_cap_holds_on_a_cache_hit(s4):
+    X = gp.sylow_subgroup(s4, 2)  # D8, order 8
+    assert gp.aut_group(X).order == 8  # fills the cache
+    with pytest.raises(CapExceeded):
+        gp.aut_group(X, cap=7)
 
 
 def test_inn_group(sl23, klein):
@@ -151,8 +172,7 @@ def test_aut_perm_realization_roundtrip(klein):
 
 
 def test_subnormal_examples(s4):
-    full = s4.full_subgroup()
-    chain = gp.subnormal_chain(full, s4)
+    chain = gp.subnormal_chain(s4, s4)
     assert chain is not None and len(chain) == 1  # zero proper steps
     H = s4.generated_subgroup(perms(4, "(0 1)(2 3)"))
     chain = gp.subnormal_chain(H, s4)
@@ -186,7 +206,7 @@ def test_group_K_normalizer_named_cases(s4, klein):
 def test_K_normalizer_contains_centralizer(s4, sl23):
     for G in (s4, sl23):
         S = gp.sylow_subgroup(G, 2)
-        for X in gp.all_subgroups(S.group())[:6]:
+        for X in gp.all_subgroups(S)[:6]:
             XG = gp.Subgroup(X.elems)
             A = gp.aut_group(XG)
             for K in A.sub_autgroups():
@@ -198,7 +218,7 @@ def test_lemma22_product_identity(s4, sl23):
     """N_G^{K Inn(X)}(X) = N_G^K(X) X, for every K <= Aut(X)."""
     for G in (s4, sl23):
         S = gp.sylow_subgroup(G, 2)
-        for X in gp.all_subgroups(S.group()):
+        for X in gp.all_subgroups(S):
             XG = gp.Subgroup(X.elems)
             A = gp.aut_group(XG)
             if A.order > 24:
@@ -207,7 +227,7 @@ def test_lemma22_product_identity(s4, sl23):
             for K in A.sub_autgroups():
                 KInn = K.product(inn)
                 lhs = gp.group_K_normalizer(G, XG, KInn).elems
-                rhs = gp.set_product(G, gp.group_K_normalizer(G, XG, K).elems, XG.elems)
+                rhs = gp.set_product(gp.group_K_normalizer(G, XG, K).elems, XG.elems)
                 assert lhs == rhs
 
 

@@ -20,15 +20,15 @@ from .conftest import perms
 
 
 def test_p_group_with_sylow_object_is_itself(d8):
-    S = d8.full_subgroup()
+    S = d8
     L = lo.build_group_locality(d8, S, frozenset([S.elems]), 2)
-    assert L.elems == d8.elements
+    assert L.elems == d8.elems
     assert lo.verify_locality(L).passed
 
 
 def test_s4_all_subgroups_gives_whole_group(s4, F_s4, L_s4):
     # 1 is subcentric here (constrained system), so every element survives
-    assert L_s4.elems == s4.elements
+    assert L_s4.elems == s4.elems
     assert lo.verify_subcentric_locality(L_s4, F_s4).passed
 
 
@@ -41,7 +41,7 @@ def test_sylow_only_object_set(s4):
 
 def test_delta_closure_rejected(s4):
     S = gp.sylow_subgroup(s4, 2)
-    Z = gp.center(S.group())
+    Z = gp.center(S)
     with pytest.raises(DeltaNotClosed):
         lo.build_group_locality(s4, S, frozenset([Z.elems]), 2)  # misses overgroups
 
@@ -125,7 +125,7 @@ def test_restrict_identity_case(L_s4, s4):
 
 
 def test_restrict_idempotent(L_s4, F_s4, s4):
-    Z = gp.Subgroup(gp.center(gp.sylow_subgroup(s4, 2).group()).elems)
+    Z = gp.Subgroup(gp.center(gp.sylow_subgroup(s4, 2)).elems)
     CL = lo.K_normalizer_partial(L_s4, Z, gp.trivial_aut_group(Z))
     Gamma = frozenset(
         P.elems for P in fu.subcentric_set(fu.centralizer_subsystem(F_s4, Z))
@@ -139,7 +139,7 @@ def test_restrict_idempotent(L_s4, F_s4, s4):
 
 def test_restrict_gamma_closure_error(L_s4, s4):
     S = gp.sylow_subgroup(s4, 2)
-    Z = gp.center(S.group())
+    Z = gp.center(S)
     H = lo.PartialSubgroup(L_s4, L_s4.elems)
     with pytest.raises(GammaNotClosed):
         lo.restrict(H, frozenset([Z.elems]), gp.Subgroup(Z.elems))
@@ -152,16 +152,16 @@ def test_restrict_q1_error(s3xs3, L_s3xs3):
     S = gp.sylow_subgroup(s3xs3, 2)
     one = gp.Subgroup(frozenset([s3xs3.identity]))
     H = lo.PartialSubgroup(L_s3xs3, L_s3xs3.elems)
-    all_subs = frozenset(K.elems for K in gp.all_subgroups(S.group()))
+    all_subs = frozenset(K.elems for K in gp.all_subgroups(S))
     with pytest.raises(Q1Violated):
         lo.restrict(H, all_subs, one)  # the trivial subgroup is not in Delta
 
 
 def test_bC_of_center(L_s4, F_s4, s4):
-    Z = gp.Subgroup(gp.center(gp.sylow_subgroup(s4, 2).group()).elems)
+    Z = gp.Subgroup(gp.center(gp.sylow_subgroup(s4, 2)).elems)
     bc = lo.bC(L_s4, F_s4, Z)
     CF = fu.centralizer_subsystem(F_s4, Z)
-    assert bc.S_elems == CF.Sgroup.elements
+    assert bc.S_elems == CF.S.elems
     assert bc.elems == gp.centralizer(s4, Z).elems  # Gamma contains 1 here
     assert lo.verify_subcentric_locality(bc, CF).passed
 
@@ -194,7 +194,7 @@ def test_K_normalizer_is_partial_subgroup(L_s3xs3, s3xs3):
 
 
 def test_partial_normal_cases(L_s4, N_s4, a4):
-    assert N_s4.elems == a4.elements
+    assert N_s4.elems == a4.elems
     assert lo.is_partial_normal(N_s4, L_s4)
     assert lo.is_partial_normal(lo.PartialSubgroup(L_s4, L_s4.elems), L_s4)
     bad = lo.PartialSubgroup(L_s4, frozenset(perms(4, "()", "(0 1)")))
@@ -227,7 +227,7 @@ def test_find_normal_not_found_names_the_searched_family(L_s4, s4):
     # F_S(S) over the whole Sylow subgroup: no H cap L with H normal in S4
     # realizes it, and the message says that only that family was searched
     S = gp.sylow_subgroup(s4, 2)
-    E = fu.fusion_of_group(S.group(), S, 2)
+    E = fu.fusion_of_group(S, S, 2)
     with pytest.raises(NotFound, match="H cap L for H normal in the ambient group"):
         lo.find_normal_for(L_s4, E)
 
@@ -248,7 +248,7 @@ def test_product_with_sylow_is_whole_locality(L_s4, N_s4, s4):
 
 
 def test_product_fusion_absorbed(L_s4, N_s4, E_s4, s4):
-    Z = gp.Subgroup(gp.center(gp.sylow_subgroup(s4, 2).group()).elems)
+    Z = gp.Subgroup(gp.center(gp.sylow_subgroup(s4, 2)).elems)
     EX = lo.product_fusion(L_s4, N_s4, Z)  # Z <= T, so E X = E
     assert EX == E_s4
 
@@ -284,9 +284,9 @@ def test_fusion_of_partial_alternating(L_s4, N_s4, E_s4):
 def test_verify_locality_flags_missing_overgroup(s4):
     S = gp.sylow_subgroup(s4, 2)
     Delta_bad = frozenset(
-        H.elems for H in gp.all_subgroups(S.group()) if H.order in (2, 8)
+        H.elems for H in gp.all_subgroups(S) if H.order in (2, 8)
     )
-    L = lo.Locality(s4, s4.elements, Delta_bad | {S.elems}, S.elems, 2)
+    L = lo.Locality(s4, s4.elems, Delta_bad | {S.elems}, S.elems, 2)
     rep = lo.verify_locality(L)
     assert rep.failed
     assert rep.witness["axiom"].startswith("Delta")
@@ -294,7 +294,7 @@ def test_verify_locality_flags_missing_overgroup(s4):
 
 def test_subcentric_rejects_wrong_delta(s4, F_s4):
     S = gp.sylow_subgroup(s4, 2)
-    sub4 = frozenset(H.elems for H in gp.all_subgroups(S.group()) if H.order >= 4)
+    sub4 = frozenset(H.elems for H in gp.all_subgroups(S) if H.order >= 4)
     L = lo.build_group_locality(s4, S, sub4, 2)
     assert lo.verify_locality(L).passed
     rep = lo.verify_subcentric_locality(L, F_s4)
@@ -309,7 +309,7 @@ def test_a5_naive_construction_rejected():
     F = fu.fusion_of_group(A5, S, 2)
     Delta = frozenset(P.elems for P in fu.subcentric_set(F))
     L = lo.build_group_locality(A5, S, Delta, 2)
-    assert L.elems == A5.elements
+    assert L.elems == A5.elems
     rep = lo.verify_subcentric_locality(L, F, word_len=2)
     assert rep.failed
     assert rep.witness["axiom"] == "N_L(P)-characteristic-p"

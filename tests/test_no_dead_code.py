@@ -3,6 +3,10 @@
 A non-dunder function or method whose name occurs nowhere in ``src/plocal``
 or ``tests`` except at its own definition is dead code. A name exported
 from ``plocal/__init__.py`` occurs there, so it counts as used.
+
+Every parameter of a module-level function is read in that function's
+body. Methods are exempt: protocol methods such as ``__setattr__`` or
+``FullDomain.word_ok`` take arguments they ignore by design.
 """
 
 import ast
@@ -37,3 +41,30 @@ def test_every_function_is_referenced():
     counts = _word_counts(defs)
     unused = sorted(name for name, n in defs.items() if counts[name] <= n)
     assert not unused, "defined but never referenced: %s" % ", ".join(unused)
+
+
+def _unread_parameters():
+    """``module.function(param)`` for each parameter of a module-level
+    function that the function's body never reads."""
+    out = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for fn in tree.body:
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            a = fn.args
+            params = [x.arg for x in a.posonlyargs + a.args + a.kwonlyargs]
+            params += [x.arg for x in (a.vararg, a.kwarg) if x is not None]
+            read = {
+                node.id
+                for stmt in fn.body
+                for node in ast.walk(stmt)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+            }
+            out += ["%s.%s(%s)" % (path.stem, fn.name, p) for p in params if p not in read]
+    return out
+
+
+def test_every_parameter_is_read():
+    unread = _unread_parameters()
+    assert not unread, "parameters never read: %s" % ", ".join(unread)

@@ -37,7 +37,7 @@ def test_lemma22a_skips(s4):
     assert rep.outcome == "skipped" and rep.reason == "X-not-p-group"
     c6 = gp.generate_group(perms(5, "(0 1 2)(3 4)"))
     X2 = c6.generated_subgroup(perms(5, "(3 4)"))
-    rep = vf.check_char_p_normalizer_subgroup(c6, 2, X2, c6.full_subgroup(), "t")
+    rep = vf.check_char_p_normalizer_subgroup(c6, 2, X2, c6, "t")
     assert rep.outcome == "skipped" and rep.reason == "G-not-characteristic-p"
 
 
@@ -62,7 +62,7 @@ def test_lemma22b_subnormal_skip(sl23):
 
 
 def test_lemma21_center_id(L_s4, F_s4, s4):
-    Z = gp.Subgroup(gp.center(S_of(s4).group()).elems)
+    Z = gp.Subgroup(gp.center(S_of(s4)).elems)
     rep = vf.check_restricted_subcentric(L_s4, F_s4, Z, gp.trivial_aut_group(Z), "t")
     assert rep.passed
 
@@ -83,7 +83,7 @@ def test_lemma21_skip_on_not_fully_normalized(L_s4, F_s4, s4):
 
 
 def test_lemma31_central_case(L_s4, F_s4, N_s4, s4):
-    Z = gp.Subgroup(gp.center(S_of(s4).group()).elems)
+    Z = gp.Subgroup(gp.center(S_of(s4)).elems)
     rep = vf.check_fully_K_normalized_transfer(
         L_s4, F_s4, N_s4, Z, gp.aut_group(Z), "t"
     )
@@ -113,7 +113,7 @@ def test_lemma31_nontrivial_K(L_s4, F_s4, N_s4, klein):
 
 
 def test_main_theorem_central_id(L_s4, F_s4, E_s4, N_s4, s4):
-    Z = gp.Subgroup(gp.center(S_of(s4).group()).elems)
+    Z = gp.Subgroup(gp.center(S_of(s4)).elems)
     reps = vf.check_main_theorem(
         L_s4, F_s4, E_s4, N_s4, Z, gp.trivial_aut_group(Z), "t"
     )
