@@ -15,7 +15,14 @@ conjugates of R_w form a chain.
 Axiom verification quantifies over all words up to a configured length
 (default 3, the shortest length exercising the associativity-splicing
 axiom) plus the splicing/inversion patterns those words generate; pass
-``word_len=4`` for the fuller fragment on small structures.
+``word_len=4`` for the fuller fragment on small structures. The words are
+visited as a depth-first walk, by length and then lexicographically: each
+word takes its survivor set and its product from its prefix, whether each
+shorter word is in the domain is kept, so subwords and spliced words are
+looked up instead of walked again, and the survivor set of wbar w is read
+off that of w. The statement checkers in ``verify`` run the subcentric
+verification once per distinct structure of a corpus entry, keyed on its
+content in the memo of the entry's locality.
 """
 
 from __future__ import annotations
@@ -53,7 +60,7 @@ from .groups import (
     p_part,
     trivial_aut_group,
 )
-from .perm import Perm, sorted_elems
+from .perm import Perm, identity, sorted_elems
 from .report import VerificationReport
 
 Word = Tuple[Perm, ...]
@@ -61,12 +68,31 @@ Word = Tuple[Perm, ...]
 
 # ---------------------------------------------------------------------------
 # word domains
+#
+# A rule decides which words over the elements are in the domain. Besides
+# word_ok for a whole word, it walks a word letter by letter: start() is the
+# state of the empty word, step(state, g) extends a word's state by the
+# letter g, accepts(state) says whether the word is in the domain, and
+# accepts_inverse_word(state) whether wbar w is, wbar being the inverses of
+# w's letters in reverse order.
 
 
 class FullDomain:
     """All words over the element set are multipliable (whole groups)."""
 
     def word_ok(self, word: Word) -> bool:
+        return True
+
+    def start(self):
+        return None
+
+    def step(self, state, g: Perm):
+        return None
+
+    def accepts(self, state) -> bool:
+        return True
+
+    def accepts_inverse_word(self, state) -> bool:
         return True
 
     def group_words_ok(self, P: FrozenSet[Perm]) -> bool:
@@ -80,44 +106,64 @@ class FullDomain:
 
 
 class ChainDomain:
-    """Words admitting an object chain inside the base p-group."""
+    """Words admitting an object chain inside the base p-group.
 
-    __slots__ = ("base", "objects", "_memo", "_always")
+    The state of a word w holds its survivor set R_w as pairs (i, j) of
+    indexes into the sorted base: x_i survives and its conjugate along w
+    is x_i^w = x_j. Extending w by g keeps the pairs whose x_j^g lies in the
+    base, so each word costs one pass over its prefix's survivors.
+    """
+
+    __slots__ = ("base", "objects", "_always", "_order", "_index", "_masks", "_start", "_moves")
 
     def __init__(self, base: FrozenSet[Perm], objects: Iterable[FrozenSet[Perm]]):
         self.base = frozenset(base)
         self.objects = frozenset(frozenset(o) for o in objects)
         if self.base not in self.objects:
             raise ValueError("the base itself must be an object")
-        self._memo: Dict[Word, bool] = {}
         # objects are overgroup-closed, so containing the trivial subgroup
         # means every subgroup of the base is an object and every word passes
-        deg = next(iter(base)).degree if base else 0
-        from .perm import identity as _id
-
-        self._always = base and frozenset([_id(deg)]) in self.objects
-
-    def surviving(self, word: Word) -> FrozenSet[Perm]:
-        """R_w: base elements whose prefix conjugates all stay in the base."""
-        out = []
-        for x in self.base:
-            y = x
-            for g in word:
-                y = y.conj(g)
-                if y not in self.base:
-                    break
-            else:
-                out.append(x)
-        return frozenset(out)
+        self._always = bool(self.base) and frozenset(
+            [identity(next(iter(self.base)).degree)]
+        ) in self.objects
+        self._order = sorted_elems(self.base)
+        self._index = {x: i for i, x in enumerate(self._order)}
+        # an object outside the base is never a survivor set
+        self._masks = frozenset(
+            sum(1 << self._index[x] for x in o) for o in self.objects if o <= self.base
+        )
+        self._start = tuple((i, i) for i in range(len(self._order)))
+        self._moves: Dict[Perm, Tuple[int, ...]] = {}
 
     def word_ok(self, word: Word) -> bool:
         if self._always:
             return True
-        hit = self._memo.get(word)
-        if hit is None:
-            hit = self.surviving(word) in self.objects
-            self._memo[word] = hit
-        return hit
+        state = self._start
+        for g in word:
+            state = self.step(state, g)
+        return self.accepts(state)
+
+    def start(self):
+        return self._start
+
+    def step(self, state, g: Perm):
+        if self._always:
+            return state
+        move = self._moves.get(g)
+        if move is None:
+            # index of x^g for each base element x, -1 where it leaves the base
+            move = tuple(self._index.get(x.conj(g), -1) for x in self._order)
+            self._moves[g] = move
+        return tuple((i, k) for i, j in state if (k := move[j]) >= 0)
+
+    def accepts(self, state) -> bool:
+        return self._always or sum(1 << i for i, _ in state) in self._masks
+
+    def accepts_inverse_word(self, state) -> bool:
+        """R_{wbar w} = {x^w : x in R_w}: the conjugates of x^w along wbar w
+        are the x^{w_1...w_m} for m = k, ..., 0 and then m = 1, ..., k, which
+        all lie in the base iff x survives w."""
+        return self._always or sum(1 << j for _, j in state) in self._masks
 
     def group_words_ok(self, P: FrozenSet[Perm]) -> bool:
         """Every word over the subgroup P is in the domain iff the uniform
@@ -181,7 +227,6 @@ class PartialGroup:
         return x.inv()
 
     def in_domain(self, word: Sequence[Perm]) -> bool:
-        word = tuple(word)
         if not all(g in self.elems for g in word):
             return False
         return self.rule.word_ok(word)
@@ -351,10 +396,11 @@ def S_f(L: Locality, f: Perm) -> Subgroup:
     """S_f = {x in S : (f^-1, x, f) in D and x^f in S}. Memoized per f."""
     hit = L._memo.get(("S_f", f))
     if hit is None:
+        fi = f.inv()
         hit = frozenset(
             x
             for x in L.S_elems
-            if L.in_domain((f.inv(), x, f)) and x.conj(f) in L.S_elems
+            if L.in_domain((fi, x, f)) and x.conj(f) in L.S_elems
         )
         L._memo[("S_f", f)] = hit
     return Subgroup(hit)
@@ -362,12 +408,13 @@ def S_f(L: Locality, f: Perm) -> Subgroup:
 
 def S_w(L: Locality, word: Sequence[Perm]) -> Subgroup:
     """Iterated version of S_f along a word."""
+    letters = [(g.inv(), g) for g in word]
     out = []
     for x in L.S_elems:
         y = x
         ok = True
-        for g in word:
-            if not L.in_domain((g.inv(), y, g)) or y.conj(g) not in L.S_elems:
+        for gi, g in letters:
+            if not L.in_domain((gi, y, g)) or y.conj(g) not in L.S_elems:
                 ok = False
                 break
             y = y.conj(g)
@@ -664,16 +711,42 @@ def product_fusion(L: Locality, N: PartialSubgroup, X: Subgroup) -> FusionSystem
 # axiom verification
 
 
-def _words_upto(elems: Tuple[Perm, ...], n: int):
-    import itertools
+def _walk(P: PartialGroup, word_len: int):
+    """Every word over P's sorted elements of length 1..word_len, by length
+    and then lexicographically, as (word, code, rule state, prefix products).
 
-    for k in range(1, n + 1):
-        for w in itertools.product(elems, repeat=k):
-            yield w
+    A word g_1...g_k has code sum_m i_m n^(k-m), i_m the index of g_m and
+    n = |P|, and its prefix products are Pi(g_1...g_m) for m = 0..k. Its code,
+    state and products extend those of its prefix by one letter.
+    """
+    rule, elems, n = P.rule, P.sorted_elements(), len(P.elems)
+
+    def extend(word, code, state, prods, k):
+        for i, g in enumerate(elems):
+            w = word + (g,)
+            c = code * n + i
+            st = rule.step(state, g)
+            pr = prods + (prods[-1] * g,)
+            if len(w) == k:
+                yield w, c, st, pr
+            else:
+                yield from extend(w, c, st, pr, k)
+
+    for k in range(1, word_len + 1):
+        yield from extend((), 0, rule.start(), (P.unit,), k)
+
+
+def _strs(word: Word) -> list:
+    return [str(g) for g in word]
 
 
 def verify_partial_group(P: PartialGroup, word_len: int = 3) -> VerificationReport:
-    """Exhaustive partial-group axiom check over the word fragment."""
+    """Exhaustive partial-group axiom check over the word fragment.
+
+    The words come from _walk. Whether each word shorter than word_len is
+    in the domain is kept, one byte per word, so the subwords and spliced
+    words of a word are looked up by code instead of walked again.
+    """
     stats = {"words_checked": 0, "domain_words": 0}
     inst = "partial-group(|L|=%d)" % len(P.elems)
 
@@ -692,39 +765,61 @@ def verify_partial_group(P: PartialGroup, word_len: int = 3) -> VerificationRepo
         return fail({"axiom": "empty-word"})
     if not P.prod(()) == P.unit:
         return fail({"axiom": "unit"})
-    elems = P.sorted_elements()
-    for w in _words_upto(elems, word_len):
+    rule, unit, n = P.rule, P.unit, len(P.elems)
+    index = {g: i for i, g in enumerate(P.sorted_elements())}
+    pw = [n**m for m in range(word_len + 1)]
+    # dom[m][c]: the word of length m and code c is in the domain
+    dom = [bytearray([1])] + [bytearray(pw[m]) for m in range(1, word_len)]
+    for w, code, state, prods in _walk(P, word_len):
         stats["words_checked"] += 1
-        if not P.in_domain(w):
+        if not rule.accepts(state):
             continue
         stats["domain_words"] += 1
-        if len(w) == 1 and P.prod(w) != w[0]:
-            return fail({"axiom": "length-one", "w": [str(g) for g in w]})
-        # subword closure
-        for i in range(len(w)):
-            for j in range(i, len(w) + 1):
-                if not P.in_domain(w[i:j]):
-                    return fail(
-                        {"axiom": "subword", "w": [str(g) for g in w], "i": i, "j": j}
-                    )
-        # splicing: u o v o t in D  =>  u o (Pi v) o t in D, same product
-        for i in range(len(w)):
-            for j in range(i + 1, len(w) + 1):
-                spliced = w[:i] + (P.prod(w[i:j]),) + w[j:]
-                if not P.in_domain(spliced):
-                    return fail(
-                        {"axiom": "splice-domain", "w": [str(g) for g in w], "i": i, "j": j}
-                    )
-                if P.prod(spliced) != P.prod(w):
-                    return fail(
-                        {"axiom": "splice-product", "w": [str(g) for g in w], "i": i, "j": j}
-                    )
-        # inversion axiom
-        wbar = tuple(inverse[g] for g in reversed(w))
-        if not P.in_domain(wbar + w):
-            return fail({"axiom": "inverse-word-domain", "w": [str(g) for g in w]})
-        if P.prod(wbar + w) != P.unit:
-            return fail({"axiom": "inverse-word-product", "w": [str(g) for g in w]})
+        k = len(w)
+        if k < word_len:
+            dom[k][code] = 1
+        if k == 1 and prods[1] != w[0]:
+            return fail({"axiom": "length-one", "w": _strs(w)})
+        # subword closure: every shorter domain word passed it, so the
+        # subwords of w are in the domain iff its two longest ones are
+        if not (dom[k - 1][code // n] and dom[k - 1][code % pw[k - 1]]):
+            i, j = next(
+                (i, j)
+                for i in range(k)
+                for j in range(i + 1, k + 1)
+                if j - i < k and not dom[j - i][code // pw[k - j] % pw[j - i]]
+            )
+            return fail({"axiom": "subword", "w": _strs(w), "i": i, "j": j})
+        # splicing: u o v o t in D  =>  u o (Pi v) o t in D, same product;
+        # a one-letter v gives back w itself
+        for i in range(k - 1):
+            for j in range(i + 2, k + 1):
+                if i == 0:
+                    v = prods[j]
+                else:
+                    v = unit
+                    for g in w[i:j]:
+                        v = v * g
+                # the spliced word w[:i] + (v,) + w[j:] is shorter than w
+                vi = index.get(v)
+                m = k - (j - i) + 1
+                if vi is None or not dom[m][
+                    (code // pw[k - i] * n + vi) * pw[k - j] + code % pw[k - j]
+                ]:
+                    return fail({"axiom": "splice-domain", "w": _strs(w), "i": i, "j": j})
+                spliced = prods[i] * v
+                for g in w[j:]:
+                    spliced = spliced * g
+                if spliced != prods[k]:
+                    return fail({"axiom": "splice-product", "w": _strs(w), "i": i, "j": j})
+        # inversion axiom; Pi(wbar w) = Pi(wbar) Pi(w) as the product is the ambient one
+        if not rule.accepts_inverse_word(state):
+            return fail({"axiom": "inverse-word-domain", "w": _strs(w)})
+        wbar = unit
+        for g in reversed(w):
+            wbar = wbar * inverse[g]
+        if wbar * prods[k] != unit:
+            return fail({"axiom": "inverse-word-product", "w": _strs(w)})
     return VerificationReport("partial-group-axioms", inst, "pass", stats=stats)
 
 
@@ -785,10 +880,10 @@ def verify_locality(L: Locality, word_len: int = 3) -> VerificationReport:
 
     # objectivity: domain words are exactly those with an object chain
     checked = 0
-    for w in _words_upto(L.sorted_elements(), word_len):
+    for w, _, state, _ in _walk(L, word_len):
         checked += 1
-        if L.in_domain(w) != _delta_chain_exists(L, w):
-            return fail({"axiom": "objectivity", "w": [str(g) for g in w]})
+        if L.rule.accepts(state) != _delta_chain_exists(L, w):
+            return fail({"axiom": "objectivity", "w": _strs(w)})
     stats["objectivity_words"] = checked
 
     # S_f contains an object (hence is one) for every f

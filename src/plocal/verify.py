@@ -143,12 +143,26 @@ def check_restricted_subcentric(
     except PLocalError as exc:
         return failed_report(stmt, instance, {"construction": str(exc)})
     NFK = fu.K_normalizer_subsystem(F, X, K)
-    rep = lo.verify_subcentric_locality(bn, NFK, word_len=word_len)
+    rep = _verified_subcentric(L, bn, NFK, word_len)
     if rep.passed:
         return passed_report(
             stmt, instance, bn_size=len(bn.elems), objects=len(bn.Delta)
         )
     return failed_report(stmt, instance, {"verification": rep.witness})
+
+
+def _verified_subcentric(
+    L: lo.Locality, M: lo.Locality, F: fu.FusionSystem, word_len: int
+) -> VerificationReport:
+    """verify_subcentric_locality(M, F), once per content of M within L's
+    entry. M is L or a restriction of it, so it has L's ambient group and
+    p, and the maximality of its S reads only subgroups inside M.elems."""
+    key = ("verified", M.elems, M.Delta, M.S_elems, F, word_len)
+    hit = L._memo.get(key)
+    if hit is None:
+        hit = lo.verify_subcentric_locality(M, F, word_len=word_len)
+        L._memo[key] = hit
+    return hit
 
 
 # ---------------------------------------------------------------------------
@@ -419,7 +433,8 @@ def prepare_entry(entry, word_len: int = 3):
         return None, failed_report("Axioms", inst, {"saturation": sat})
     Delta = frozenset(P.elems for P in fu.subcentric_set(F))
     L = lo.build_group_locality(G, S, Delta, p)
-    rep = lo.verify_subcentric_locality(L, F, word_len=word_len)
+    # bN_L^K(X) can be L itself, so its Lemma-2.1 check reuses this one
+    rep = _verified_subcentric(L, L, F, word_len)
     if not rep.passed:
         return None, failed_report("Axioms", inst, {"subcentric-locality": rep.witness})
     H = gp.generate_group(entry.normal_generators())

@@ -6,6 +6,7 @@ checkers are exact (pass/fail), the runtime budgets are wall-clock upper
 bounds, and the coverage floors are the stated instance counts.
 """
 
+import hashlib
 import time
 
 import pytest
@@ -228,11 +229,21 @@ def test_subnormality_agrees_on_order_48_group():
         assert gp.is_subnormal(H, G) == oracles.subnormal_by_chain_search(H, G, pool)
 
 
+# sha256 of the canonical default-corpus report, fixed by the ROADMAP
+DEFAULT_REPORT_SHA256 = "febe93c13e55c8fa746b2c7b05d9041d47a5f2b9e1df5e9b2a07282aa855ab1d"
+
+
 def test_criterion_8_determinism(tmp_path):
     """Two consecutive runs on the default corpus produce byte-identical
-    canonical report bodies."""
+    canonical report bodies, and those are the reference report's bytes."""
     r1, r2 = tmp_path / "one.json", tmp_path / "two.json"
     s1 = cli.run(cli.RunConfig(report_path=r1), None)
     s2 = cli.run(cli.RunConfig(report_path=r2), None)
-    ok = s1 == 0 and s2 == 0 and r1.read_bytes() == r2.read_bytes()
-    _verdict(8, "determinism", ok, "bytes=%d" % len(r1.read_bytes()))
+    digest = hashlib.sha256(r1.read_bytes()).hexdigest()
+    ok = (
+        s1 == 0
+        and s2 == 0
+        and r1.read_bytes() == r2.read_bytes()
+        and digest == DEFAULT_REPORT_SHA256
+    )
+    _verdict(8, "determinism", ok, "bytes=%d sha256=%s" % (len(r1.read_bytes()), digest))

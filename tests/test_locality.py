@@ -313,3 +313,117 @@ def test_a5_naive_construction_rejected():
     rep = lo.verify_subcentric_locality(L, F, word_len=2)
     assert rep.failed
     assert rep.witness["axiom"] == "N_L(P)-characteristic-p"
+
+
+# -- planted faults: one broken axiom each, with its first witness --------------
+
+
+@pytest.mark.parametrize(
+    "object_gens, i, j",
+    [((("(0 1)",),), 0, 1), ((("(0 1)",), ("(0 1)", "(3 4)")), 1, 2)],
+)
+def test_planted_fault_subword(object_gens, i, j):
+    """Objects not closed under overgroups: ((6 8), (3 5)) leaves the object
+    <(0 1)>, its prefix ((6 8),) leaves <(0 1), (3 4)> and its suffix
+    ((3 5),) leaves <(0 1), (6 7)>. The witness is the prefix, or the suffix
+    once the prefix's survivor set is made an object too."""
+    G = gp.generate_group(
+        perms(9, "(0 1)", "(0 2)", "(3 4)", "(3 5)", "(6 7)", "(6 8)")
+    )
+    base = gp.generate_group(perms(9, "(0 1)", "(3 4)", "(6 7)")).elems
+    objects = [base] + [gp.generate_group(perms(9, *gens)).elems for gens in object_gens]
+    elems = gp.generate_group(perms(9, "(0 2)", "(3 5)", "(6 8)")).elems
+    P = lo.PartialGroup(G, elems, lo.ChainDomain(base, objects))
+    rep = lo.verify_partial_group(P)
+    assert rep.failed
+    assert rep.witness == {"axiom": "subword", "w": ["(6 8)", "(3 5)"], "i": i, "j": j}
+
+
+def test_planted_fault_splice_domain(s3):
+    """Every word over two transpositions is accepted, but their product, a
+    3-cycle, is not an element: splicing it in leaves the domain."""
+    elems = [s3.identity] + perms(3, "(0 1)", "(1 2)")
+    P = lo.PartialGroup(s3, elems, lo.FullDomain())
+    rep = lo.verify_partial_group(P)
+    assert rep.failed
+    assert rep.witness == {"axiom": "splice-domain", "w": ["(1 2)", "(0 1)"], "i": 0, "j": 2}
+
+
+def test_planted_fault_inverse_word_domain(s4):
+    """Objects not closed under conjugation: ((0 3 2 1),) leaves the object
+    <(2 3)> of the base Stab(0), and its wbar w = ((0 1 2 3), (0 3 2 1))
+    leaves the conjugate <(1 2)>, which is not one."""
+    base = gp.generate_group(perms(4, "(1 2 3)", "(1 2)")).elems
+    C = gp.generate_group(perms(4, "(2 3)")).elems
+    elems = gp.generate_group(perms(4, "(0 1 2 3)")).elems
+    P = lo.PartialGroup(s4, elems, lo.ChainDomain(base, [base, C]))
+    rep = lo.verify_partial_group(P)
+    assert rep.failed
+    assert rep.witness == {"axiom": "inverse-word-domain", "w": ["(0 3 2 1)"]}
+
+
+def _survivors(base, word):
+    """R_w by definition: base elements whose prefix conjugates along the
+    word all stay in the base."""
+    out = set()
+    for x in base:
+        y = x
+        for g in word:
+            y = y.conj(g)
+            if y not in base:
+                break
+        else:
+            out.add(x)
+    return frozenset(out)
+
+
+def test_walk_matches_whole_word_definitions(s4, L_s3xs3):
+    """Each walked word's code, prefix products and domain answers, for w
+    and for wbar w, equal those computed from the whole word; the second
+    structure's objects are not closed under conjugation, so R_{wbar w}
+    differs from R_w there."""
+    base = gp.generate_group(perms(4, "(1 2 3)", "(1 2)")).elems
+    C = gp.generate_group(perms(4, "(2 3)")).elems
+    elems = gp.generate_group(perms(4, "(0 1 2 3)")).elems
+    unclosed = lo.PartialGroup(s4, elems, lo.ChainDomain(base, [base, C]))
+    for P in (L_s3xs3, unclosed):
+        rule, els = P.rule, P.sorted_elements()
+        seen = 0
+        for w, code, state, prods in lo._walk(P, 3):
+            assert code == sum(els.index(g) * len(els) ** m for m, g in enumerate(reversed(w)))
+            expected = [P.unit]
+            for g in w:
+                expected.append(expected[-1] * g)
+            assert prods == tuple(expected)
+            wbar = tuple(g.inv() for g in reversed(w))
+            assert rule.accepts(state) == (_survivors(rule.base, w) in rule.objects)
+            inverse_ok = _survivors(rule.base, wbar + w) in rule.objects
+            assert rule.accepts_inverse_word(state) == inverse_ok
+            seen += 1
+        assert seen == sum(len(els) ** k for k in (1, 2, 3))
+
+
+def test_planted_fault_objectivity(s3xs3):
+    """A rule accepting every word over S3 x S3 disagrees with the object
+    chains of the nontrivial subgroups of S: (0 1)(3 4) has none."""
+    S = gp.sylow_subgroup(s3xs3, 2)
+    nt = frozenset(H.elems for H in gp.all_subgroups(S) if H.order > 1)
+    L = lo.Locality(s3xs3, s3xs3.elems, nt, S.elems, 2)
+    L.rule = lo.FullDomain()
+    rep = lo.verify_locality(L, word_len=2)
+    assert rep.failed
+    assert rep.witness == {"axiom": "objectivity", "w": ["(0 1)(3 4)"]}
+    assert rep.stats["pg_words_checked"] == rep.stats["pg_domain_words"] == 36 + 36**2
+
+
+@pytest.mark.parametrize(
+    "word_len, group_stats, locality_stats",
+    [(3, (258, 258), (8420, 3684)), (4, (1554, 1554), (168420, 44900))],
+)
+def test_word_fragment_counts(s3, L_s3xs3, word_len, group_stats, locality_stats):
+    """words_checked counts every word of length 1..word_len; domain_words
+    the ones in the domain (all of them for a group)."""
+    for P, expected in ((lo.group_as_partial(s3), group_stats), (L_s3xs3, locality_stats)):
+        rep = lo.verify_partial_group(P, word_len=word_len)
+        assert rep.passed
+        assert (rep.stats["words_checked"], rep.stats["domain_words"]) == expected

@@ -7,6 +7,7 @@ from plocal import fusion as fu
 from plocal import groups as gp
 from plocal import locality as lo
 from plocal import verify as vf
+from plocal.report import VerificationReport
 from .conftest import perms
 
 
@@ -77,6 +78,56 @@ def test_lemma21_skip_on_not_fully_normalized(L_s4, F_s4, s4):
     Y = gp.Subgroup(gp.mulclose(perms(4, "(0 2)(1 3)"), cap=24))
     rep = vf.check_restricted_subcentric(L_s4, F_s4, Y, gp.aut_group(Y), "t")
     assert rep.outcome == "skipped" and rep.reason == "not-fully-K-normalized"
+
+
+@pytest.fixture
+def own_L_s4(s4, F_s4):
+    """L_s4 built afresh, so that no other test has filled its memo."""
+    Delta = frozenset(P.elems for P in fu.subcentric_set(F_s4))
+    return lo.build_group_locality(s4, S_of(s4), Delta, 2)
+
+
+def _count_verifications(monkeypatch, result=None):
+    """Record the word_len of each verify_subcentric_locality call; answer
+    with ``result`` instead of verifying when one is given."""
+    calls = []
+    real = lo.verify_subcentric_locality
+
+    def spy(L, F, word_len=3):
+        calls.append(word_len)
+        return real(L, F, word_len=word_len) if result is None else result
+
+    monkeypatch.setattr(lo, "verify_subcentric_locality", spy)
+    return calls
+
+
+def test_lemma21_verifies_equal_restrictions_once(monkeypatch, own_L_s4, F_s4, s4, klein):
+    """bN_L(1) and bN_L(V4) under the full Aut are both L itself over F."""
+    calls = _count_verifications(monkeypatch)
+    for X in (s4.trivial_subgroup(), klein):
+        rep = vf.check_restricted_subcentric(own_L_s4, F_s4, X, gp.aut_group(X), "t")
+        assert rep.passed
+    assert calls == [3]
+
+
+def test_lemma21_reused_failure_stays_a_failure(monkeypatch, own_L_s4, F_s4, s4, klein):
+    witness = {"axiom": "planted"}
+    planted = VerificationReport("subcentric-locality", "t", "fail", witness=witness)
+    calls = _count_verifications(monkeypatch, planted)
+    for X in (s4.trivial_subgroup(), klein):
+        rep = vf.check_restricted_subcentric(own_L_s4, F_s4, X, gp.aut_group(X), "t")
+        assert rep.failed
+        assert rep.witness == {"verification": witness}
+    assert calls == [3]
+
+
+def test_verification_reuse_is_keyed_on_F_and_word_len(monkeypatch, own_L_s4, F_s4, s4):
+    calls = _count_verifications(monkeypatch)
+    S = S_of(s4)
+    inner = fu.fusion_of_group(S, S, 2)
+    for F, word_len in ((F_s4, 3), (F_s4, 3), (F_s4, 2), (inner, 3), (inner, 2)):
+        vf._verified_subcentric(own_L_s4, own_L_s4, F, word_len)
+    assert calls == [3, 2, 3, 2]
 
 
 # -- Lemma 3.1 -----------------------------------------------------------------
