@@ -7,8 +7,9 @@ Corpus format (line oriented, ``#`` comments, 0-based cycle notation):
     X=<cycles>;...              # optional, repeatable: restrict the X sweep
     K=<aut|inn|id|gens:...>     # optional, repeatable: restrict the K sweep
 
-Every ``group`` line starts an entry; the following ``normal``/``X``/``K``
-lines attach to it. The declared normal subgroup is validated at load time.
+Every ``group`` line starts an entry, under a name no other entry has; the
+following ``normal``/``X``/``K`` lines attach to it, with at most one
+``normal`` line. The declared normal subgroup is validated at load time.
 
 The JSON report is a canonical document: reports sorted by (entry,
 statement, instance), keys sorted, no timestamps, so identical runs are
@@ -116,6 +117,8 @@ def parse_corpus(text: str) -> List[CorpusEntry]:
                     lineno,
                 )
             name = m.group(1)
+            if any(r["name"] == name for r in raw):
+                raise CorpusParseError("repeated group name %r" % name, lineno)
             try:
                 p = int(m.group(2))
             except ValueError:
@@ -139,6 +142,8 @@ def parse_corpus(text: str) -> List[CorpusEntry]:
                 raise CorpusParseError("normal line before any group line", lineno)
             if not stripped.split(None, 1)[1].startswith("gens="):
                 raise CorpusParseError("normal line needs gens=", lineno)
+            if cur["normal"]:
+                raise CorpusParseError("second normal line in one entry", lineno)
             cur["normal"] = _split_cycles(stripped.split("gens=", 1)[1])
         elif stripped.startswith("X="):
             if cur is None:

@@ -1,9 +1,10 @@
 """Fusion systems over finite p-groups as explicit finite categories.
 
 A fusion system is stored extensionally: for every subgroup P of S we keep
-the set of "germs" with source P, where a germ is an injective homomorphism
-whose stated target equals its image. The morphism set Hom_F(P, Q) is then
-the germs from P whose image lies in Q, post-composed with the inclusion.
+the set of "germs" with source P. A germ is a map, an injective
+homomorphism held as its table, and its target is its image. The morphism
+set Hom_F(P, Q) is then the germs from P whose image lies in Q, each
+composed with the inclusion of its image into Q, which is the same table.
 This normal form keeps closure computations small while every predicate in
 sight can still quantify over all morphisms exactly.
 
@@ -51,7 +52,8 @@ GERM_CAP = 100_000
 
 
 class FusionSystem:
-    """Category over the p-group S, germs grouped by source subgroup."""
+    """Category over the p-group S, germs grouped by source subgroup; a
+    germ is a :class:`GroupInjection`, a map whose target is its image."""
 
     __slots__ = ("S", "p", "germs_by_src", "_all", "_hash", "_cache")
 
@@ -60,8 +62,6 @@ class FusionSystem:
         object.__setattr__(self, "p", p)
         by_src: Dict[FrozenSet[Perm], set] = {}
         for g in germs:
-            if g.tgt != g.image:
-                g = g.as_germ()
             if not (g.src <= S.elems and g.image <= S.elems):
                 raise ValueError("germ does not live inside S")
             by_src.setdefault(g.src, set()).add(g)
@@ -90,12 +90,8 @@ class FusionSystem:
         return self.germs_by_src.get(P.elems, frozenset())
 
     def homs(self, P: Subgroup, Q: Subgroup) -> Tuple[GroupInjection, ...]:
-        """Hom_F(P, Q): germs from P landing in Q, with target Q."""
-        return tuple(
-            g.with_target(Q.elems)
-            for g in sorted(self.germs_from(P))
-            if g.image <= Q.elems
-        )
+        """Hom_F(P, Q): the germs from P whose image lies in Q."""
+        return tuple(g for g in sorted(self.germs_from(P)) if g.image <= Q.elems)
 
     def aut(self, P: Subgroup) -> AutGroup:
         """Aut_F(P)."""
@@ -105,9 +101,7 @@ class FusionSystem:
     def aut_S(self, P: Subgroup) -> AutGroup:
         """Aut_S(P) = automorphisms induced by conjugation from N_S(P)."""
         pe = P.elems
-        maps = frozenset(
-            conj_injection(pe, s, pe) for s in normalizer(self.S, P).elems
-        )
+        maps = frozenset(conj_injection(pe, s) for s in normalizer(self.S, P).elems)
         return AutGroup(P, maps)
 
     def conjugates(self, P: Subgroup) -> Tuple[Subgroup, ...]:
@@ -179,7 +173,6 @@ def close_generated(
     queue: List[GroupInjection] = []
 
     def push(g: GroupInjection):
-        g = g.as_germ()
         if g in germs:
             return
         germs.add(g)
@@ -269,13 +262,13 @@ def K_normalizer_subsystem(F: FusionSystem, X: Subgroup, K: AutGroup) -> FusionS
             continue
         if frozenset(psi(x) for x in xe) != xe:
             continue
-        if psi.restrict(xe).with_target(xe) not in K.maps:
+        if psi.restrict(xe) not in K.maps:
             continue
         for pe in sub_sets:
             if pe <= psi.src:
                 r = psi.restrict(pe)
                 if r.image <= S0.elems:
-                    germs.add(r.as_germ())
+                    germs.add(r)
     out = FusionSystem(S0, F.p, germs)
     F._cache[key] = out
     return out
@@ -356,7 +349,7 @@ def _extension_control_group(F: FusionSystem, phi: GroupInjection, autS_P: AutGr
     out = set()
     inv = phi.inverse()
     for g in NQ.elems:
-        cg = conj_injection(phi.src, g, phi.src)
+        cg = conj_injection(phi.src, g)
         if inv.then(cg).then(phi) in autS_P.maps:
             out.add(g)
     return Subgroup(frozenset(out))
@@ -365,9 +358,8 @@ def _extension_control_group(F: FusionSystem, phi: GroupInjection, autS_P: AutGr
 def _extends_over(F: FusionSystem, phi: GroupInjection, N: Subgroup) -> bool:
     if N.elems == phi.src:
         return True
-    target = phi.as_germ()
     for psi in F.germs_by_src.get(N.elems, ()):
-        if psi.restrict(phi.src).as_germ() == target:
+        if psi.restrict(phi.src) == phi:
             return True
     return False
 
@@ -402,7 +394,7 @@ def is_normal_in_fusion(F: FusionSystem, P: Subgroup) -> bool:
         for phi in germs:
             ok = False
             for psi in F.germs_by_src.get(joined, ()):
-                if psi.restrict(src).as_germ() != phi:
+                if psi.restrict(src) != phi:
                     continue
                 if frozenset(psi(x) for x in pe) == pe:
                     ok = True
@@ -558,7 +550,7 @@ def is_weakly_normal(E: FusionSystem, F: FusionSystem) -> bool:
 def _frattini_factors(E: FusionSystem, autFT: AutGroup, phi: GroupInjection) -> bool:
     for psi in E.germs_by_src.get(phi.src, ()):
         for alpha in autFT.maps:
-            if psi.then(alpha.restrict(psi.image)).as_germ() == phi:
+            if psi.then(alpha.restrict(psi.image)) == phi:
                 return True
     return False
 
@@ -575,7 +567,7 @@ def is_normal_subsystem(E: FusionSystem, F: FusionSystem) -> bool:
     for alpha in E.aut(T).maps:
         found = False
         for psi in F.germs_by_src.get(P0, ()):
-            if psi.restrict(T.elems).as_germ() != alpha.as_germ():
+            if psi.restrict(T.elems) != alpha:
                 continue
             if all(c.inv() * psi(c) in Z.elems for c in C.elems):
                 found = True

@@ -294,29 +294,28 @@ def is_subnormal(H: Subgroup, G: Subgroup) -> bool:
 
 
 class GroupInjection:
-    """An injective homomorphism between subgroups, stored extensionally.
+    """An injective homomorphism between subgroups, stored as its table.
 
-    Identity is the (sorted) pair table together with the stated codomain;
-    the source is the key set of the table. Parents are irrelevant: a map
+    The value is the sorted pair table and nothing else: the source is the
+    key set and the target is the image. A germ, a morphism of a fusion
+    system and an automorphism are therefore one kind of value, and a map
     built from conjugation in G compares equal to the same map built inside
-    an automorphism group.
+    an automorphism group. Whether the table is a homomorphism is checked
+    where tables come from outside (:func:`make_injection`).
     """
 
-    __slots__ = ("pairs", "tgt", "_map", "_hash")
+    __slots__ = ("pairs", "_map", "_hash")
 
-    def __init__(self, pairs: Iterable[Tuple[Perm, Perm]], tgt: Iterable[Perm]):
+    def __init__(self, pairs: Iterable[Tuple[Perm, Perm]]):
         pairs = tuple(sorted(pairs))
-        tgt = frozenset(tgt)
-        object.__setattr__(self, "pairs", pairs)
-        object.__setattr__(self, "tgt", tgt)
-        object.__setattr__(self, "_map", dict(pairs))
-        object.__setattr__(self, "_hash", hash((pairs, tgt)))
-        if len(self._map) != len(pairs):
+        table = dict(pairs)
+        if len(table) != len(pairs):
             raise ValueError("duplicate source elements")
-        if len(set(self._map.values())) != len(pairs):
+        if len(set(table.values())) != len(pairs):
             raise ValueError("map is not injective")
-        if not set(self._map.values()) <= tgt:
-            raise ValueError("image not contained in stated target")
+        object.__setattr__(self, "pairs", pairs)
+        object.__setattr__(self, "_map", table)
+        object.__setattr__(self, "_hash", hash(pairs))
 
     def __setattr__(self, name, value):
         raise AttributeError("GroupInjection is immutable")
@@ -333,23 +332,16 @@ class GroupInjection:
         return self._map[x]
 
     def __eq__(self, other):
-        return (
-            isinstance(other, GroupInjection)
-            and self.pairs == other.pairs
-            and self.tgt == other.tgt
-        )
+        return isinstance(other, GroupInjection) and self.pairs == other.pairs
 
     def __hash__(self):
         return self._hash
 
     def __lt__(self, other):
-        return (self.pairs, sorted_elems(self.tgt)) < (
-            other.pairs,
-            sorted_elems(other.tgt),
-        )
+        return self.pairs < other.pairs
 
     def __repr__(self):
-        return "GroupInjection(|src|=%d, |tgt|=%d)" % (len(self.pairs), len(self.tgt))
+        return "GroupInjection(|src|=%d)" % len(self.pairs)
 
     def is_identity_map(self) -> bool:
         return all(a == b for a, b in self.pairs)
@@ -358,54 +350,40 @@ class GroupInjection:
         """Composite: apply self first, then other."""
         if not self.image <= other.src:
             raise ValueError("image of first map not inside source of second")
-        return GroupInjection(
-            ((a, other._map[b]) for a, b in self.pairs), other.tgt
-        )
+        return GroupInjection((a, other._map[b]) for a, b in self.pairs)
 
     def inverse(self) -> "GroupInjection":
-        """Inverse of the corestriction to the image."""
-        return GroupInjection(((b, a) for a, b in self.pairs), self.src)
+        """The inverse map, from the image back onto the source."""
+        return GroupInjection((b, a) for a, b in self.pairs)
 
     def restrict(self, sub: Iterable[Perm]) -> "GroupInjection":
         sub = frozenset(sub)
         if not sub <= self.src:
             raise ValueError("restriction set not inside source")
-        return GroupInjection(((a, self._map[a]) for a in sub), self.tgt)
-
-    def as_germ(self) -> "GroupInjection":
-        """Same map with target shrunk to the exact image."""
-        img = self.image
-        if self.tgt == img:
-            return self
-        return GroupInjection(self.pairs, img)
-
-    def with_target(self, tgt: Iterable[Perm]) -> "GroupInjection":
-        return GroupInjection(self.pairs, frozenset(tgt))
+        return GroupInjection((a, self._map[a]) for a in sub)
 
 
 def make_injection(source: Subgroup, target: Subgroup, mapping) -> GroupInjection:
-    """Validated constructor: checks mapping is an injective homomorphism."""
+    """Validated constructor: mapping is an injective homomorphism into target."""
     m = dict(mapping)
     if set(m) != set(source.elems):
         raise ValueError("mapping does not cover the source")
+    if not set(m.values()) <= target.elems:
+        raise ValueError("image not contained in the target")
     for x in source.elems:
         for y in source.elems:
             if m[x * y] != m[x] * m[y]:
                 raise ValueError("mapping is not a homomorphism")
-    return GroupInjection(m.items(), target.elems)
+    return GroupInjection(m.items())
 
 
-def conj_injection(X: Iterable[Perm], g: Perm, tgt: Optional[Iterable[Perm]] = None) -> GroupInjection:
+def conj_injection(X: Iterable[Perm], g: Perm) -> GroupInjection:
     """c_g restricted to X: x |-> x^g. Homomorphism by construction."""
-    pairs = tuple((x, x.conj(g)) for x in X)
-    if tgt is None:
-        tgt = frozenset(b for _, b in pairs)
-    return GroupInjection(pairs, tgt)
+    return GroupInjection((x, x.conj(g)) for x in X)
 
 
 def identity_injection(X: Iterable[Perm]) -> GroupInjection:
-    X = frozenset(X)
-    return GroupInjection(((x, x) for x in X), X)
+    return GroupInjection((x, x) for x in X)
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +404,7 @@ class AutGroup:
 
     def __post_init__(self):
         for m in self.maps:
-            if m.src != self.base.elems or m.tgt != self.base.elems:
+            if not m.src == m.image == self.base.elems:
                 raise ValueError("map is not an automorphism of the base")
 
     @property
@@ -447,17 +425,14 @@ class AutGroup:
         index = {x: i for i, x in enumerate(order)}
         return Perm(tuple(index[m(x)] for x in order))
 
-    def from_perm(self, q: Perm) -> GroupInjection:
-        order = self.base_order()
-        return GroupInjection(
-            ((x, order[q(i)]) for i, x in enumerate(order)), self.base.elems
-        )
-
     def perm_group(self) -> Subgroup:
         return Subgroup(frozenset(self.to_perm(m) for m in self.maps))
 
     def subgroup_from_perms(self, perms: Iterable[Perm]) -> "AutGroup":
-        return AutGroup(self.base, frozenset(self.from_perm(q) for q in perms))
+        """Inverse of :meth:`to_perm`, over a set of permutations."""
+        order = self.base_order()
+        maps = (GroupInjection((x, order[q(i)]) for i, x in enumerate(order)) for q in perms)
+        return AutGroup(self.base, frozenset(maps))
 
     def sub_autgroups(self) -> Tuple["AutGroup", ...]:
         """All subgroups of this automorphism group."""
@@ -488,9 +463,7 @@ class AutGroup:
             raise ValueError("phi must be defined on the base")
         inv = phi.inverse()
         newbase = Subgroup(phi.image)
-        moved = frozenset(
-            inv.then(m).then(phi.as_germ()).with_target(phi.image) for m in self.maps
-        )
+        moved = frozenset(inv.then(m).then(phi) for m in self.maps)
         return AutGroup(newbase, moved)
 
     def label(self) -> str:
@@ -572,7 +545,7 @@ def aut_group(X: Subgroup, cap: int = AUT_BASE_CAP) -> AutGroup:
             if not ok:
                 break
         if ok:
-            maps.add(GroupInjection(table.items(), elems))
+            maps.add(GroupInjection(table.items()))
     out = AutGroup(X, frozenset(maps))
     _AUT_CACHE[X.elems] = out
     return out
@@ -580,9 +553,7 @@ def aut_group(X: Subgroup, cap: int = AUT_BASE_CAP) -> AutGroup:
 
 def inn_group(X: Subgroup) -> AutGroup:
     """Inn(X) = {c_x restricted to X : x in X}."""
-    return AutGroup(
-        X, frozenset(conj_injection(X.elems, x, X.elems) for x in X.elems)
-    )
+    return AutGroup(X, frozenset(conj_injection(X.elems, x) for x in X.elems))
 
 
 def trivial_aut_group(X: Subgroup) -> AutGroup:
@@ -602,7 +573,7 @@ def group_K_normalizer(G: Subgroup, X: Subgroup, K: AutGroup) -> Subgroup:
         raise ValueError("K is not a group of automorphisms of X")
     xe = X.elems
     N = normalizer(G, X).elems
-    return Subgroup(frozenset(g for g in N if conj_injection(xe, g, xe) in K.maps))
+    return Subgroup(frozenset(g for g in N if conj_injection(xe, g) in K.maps))
 
 
 def set_product(A: Iterable[Perm], B: Iterable[Perm]) -> FrozenSet[Perm]:

@@ -441,7 +441,7 @@ def K_normalizer_partial(L: Locality, X: Subgroup, K: AutGroup) -> PartialSubgro
     xe = X.elems
     out = set()
     for f in normalizer_partial(L, X).elems:
-        if conj_injection(xe, f, xe) in K.maps:
+        if conj_injection(xe, f) in K.maps:
             out.add(f)
     ps = PartialSubgroup(L, frozenset(out))
     bad = partial_subgroup_violation(L, ps.elems)

@@ -108,5 +108,5 @@ def bijection_automorphisms(X: Subgroup):
         table = {ident: ident}
         table.update(zip(others, images))
         if all(table[a * b] == table[a] * table[b] for a in elems for b in elems):
-            out.add(GroupInjection(tuple(table.items()), X.elems))
+            out.add(GroupInjection(tuple(table.items())))
     return out

@@ -181,6 +181,22 @@ def test_non_integer_point_is_named(tmp_path, capsys):
     assert "bad point 'x'" in err and "no points" not in err
 
 
+def test_second_normal_line_is_corpus_error(tmp_path, capsys):
+    with pytest.raises(CorpusParseError) as ei:
+        cli.parse_corpus(GOOD + "normal gens=(0 1)\n")
+    assert ei.value.line == 5
+    assert _main_on(tmp_path, GOOD + "normal gens=(0 1)\n") == 2
+    assert "second normal line" in capsys.readouterr().err
+
+
+def test_repeated_group_name_is_corpus_error(tmp_path, capsys):
+    with pytest.raises(CorpusParseError) as ei:
+        cli.parse_corpus(GOOD + GOOD)
+    assert ei.value.line == 7
+    assert _main_on(tmp_path, GOOD + GOOD) == 2
+    assert "repeated group name 's3_a3'" in capsys.readouterr().err
+
+
 def test_cli_writes_only_its_report(tmp_path, monkeypatch):
     home, xdg, out = (tmp_path / n for n in ("home", "xdg", "out"))
     for d in (home, xdg, out):

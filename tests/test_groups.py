@@ -164,7 +164,7 @@ def test_inn_group(sl23, klein):
 def test_aut_perm_realization_roundtrip(klein):
     A = gp.aut_group(klein)
     for m in A.maps:
-        assert A.from_perm(A.to_perm(m)) == m
+        assert A.subgroup_from_perms([A.to_perm(m)]).maps == {m}
     assert A.perm_group().order == A.order
 
 
@@ -250,3 +250,28 @@ def test_make_injection_validates(s4, klein):
     bad = {s4.identity: s4.identity, x: y, y: y.conj(x), x * y: s4.identity}
     with pytest.raises(ValueError):
         gp.make_injection(klein, klein, bad)
+    a, b = perms(4, "(0 1)", "(2 3)")
+    V = s4.generated_subgroup([a])
+    with pytest.raises(ValueError, match="target"):
+        gp.make_injection(V, V, {s4.identity: s4.identity, a: b})
+
+
+def test_injection_is_its_table(s4):
+    # the same table into S4 and into its image is one value
+    a, b = perms(4, "(0 1)", "(2 3)")
+    V = s4.generated_subgroup([a])
+    image = s4.generated_subgroup([b])
+    m = {s4.identity: s4.identity, a: b}
+    into_s4 = gp.make_injection(V, s4, m)
+    into_image = gp.make_injection(V, image, m)
+    assert into_s4 == into_image and hash(into_s4) == hash(into_image)
+    assert into_s4.src == V.elems and into_s4.image == image.elems
+
+
+def test_injection_checks_its_table(s4):
+    e = s4.identity
+    a, b = perms(4, "(0 1)", "(2 3)")
+    with pytest.raises(ValueError, match="duplicate"):
+        gp.GroupInjection(((e, e), (a, a), (a, b)))
+    with pytest.raises(ValueError, match="injective"):
+        gp.GroupInjection(((e, e), (a, e)))

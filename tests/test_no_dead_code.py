@@ -7,6 +7,9 @@ from ``plocal/__init__.py`` occurs there, so it counts as used.
 Every parameter of a module-level function is read in that function's
 body. Methods are exempt: protocol methods such as ``__setattr__`` or
 ``FullDomain.word_ok`` take arguments they ignore by design.
+
+Every name a module imports is read in that module. ``__init__.py`` is
+exempt, because its imports are the package's re-exports.
 """
 
 import ast
@@ -68,3 +71,31 @@ def _unread_parameters():
 def test_every_parameter_is_read():
     unread = _unread_parameters()
     assert not unread, "parameters never read: %s" % ", ".join(unread)
+
+
+def _unused_imports():
+    """``module: name`` for each imported name the module never reads."""
+    out = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = [
+            (alias.asname or alias.name).split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+        ]
+        read = {
+            node.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        out += ["%s: %s" % (path.stem, name) for name in imported if name not in read]
+    return out
+
+
+def test_every_import_is_read():
+    unused = _unused_imports()
+    assert not unused, "imported but never read: %s" % ", ".join(unused)
