@@ -10,9 +10,9 @@ The five public layers:
 * :mod:`plocal.fusion` - fusion systems as explicit categories, saturation,
   K-normalizer subsystems, centric/subcentric sets, p-power index,
   normal subsystems;
-* :mod:`plocal.locality` - group-backed partial groups and localities,
-  restriction, the restricted K-normalizers, partial normal subgroups,
-  product subsystems;
+* :mod:`plocal.locality` - group-backed partial groups and localities with
+  their one word rule, restriction, the restricted K-normalizers, partial
+  normal subgroups (each held as its element set), product subsystems;
 * :mod:`plocal.verify` - one checker per verified statement and the suite
   driver;
 * :mod:`plocal.cli` - corpus parsing and the command-line front end
@@ -58,7 +58,6 @@ from .fusion import (
 from .locality import (
     Locality,
     PartialGroup,
-    PartialSubgroup,
     S_f,
     S_w,
     bC,

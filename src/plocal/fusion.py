@@ -391,16 +391,13 @@ def is_normal_in_fusion(F: FusionSystem, P: Subgroup) -> bool:
     pe = P.elems
     for src, germs in F.germs_by_src.items():
         joined = mulclose(list(src | pe), cap=F.S.order)
-        for phi in germs:
-            ok = False
-            for psi in F.germs_by_src.get(joined, ()):
-                if psi.restrict(src) != phi:
-                    continue
-                if frozenset(psi(x) for x in pe) == pe:
-                    ok = True
-                    break
-            if not ok:
-                return False
+        extended = {
+            psi.restrict(src)
+            for psi in F.germs_by_src.get(joined, ())
+            if frozenset(psi(x) for x in pe) == pe
+        }
+        if not germs <= extended:
+            return False
     return True
 
 

@@ -2,15 +2,19 @@
 
 Every partial group built here is group-backed: its elements live in a
 fixed ambient permutation group, the product is the ambient product, and
-only the word domain varies. The domain of a locality-style structure is
-never materialized; membership of a word (g_1, ..., g_n) is decided by the
-chain criterion: walk the base p-group R along the prefixes and test
-whether the surviving subgroup R_w = {x in R : all prefix conjugates stay
-in R} is one of the objects. For an object family closed under conjugacy
-and overgroups this is equivalent to the existence of an object chain
-P_0, ..., P_n with P_{i-1}^{g_i} = P_i: any chain start lies inside R_w
-(so R_w is an object by overgroup closure), and conversely the prefix
-conjugates of R_w form a chain.
+only the word domain varies. The domain is never materialized; membership
+of a word (g_1, ..., g_n) is decided by one rule, the chain criterion: walk
+the base p-group R along the prefixes and test whether the surviving
+subgroup R_w = {x in R : all prefix conjugates stay in R} is one of the
+objects. For an object family closed under conjugacy and overgroups this is
+equivalent to the existence of an object chain P_0, ..., P_n with
+P_{i-1}^{g_i} = P_i: any chain start lies inside R_w (so R_w is an object by
+overgroup closure), and conversely the prefix conjugates of R_w form a
+chain. A whole group is the rule whose base and only object is the trivial
+subgroup, which accepts every word.
+
+A partial subgroup of L is its element set, passed together with L; each
+function that takes one raises ValueError when it is not inside L.
 
 Axiom verification quantifies over all words up to a configured length
 (default 3, the shortest length exercising the associativity-splicing
@@ -53,10 +57,12 @@ from .groups import (
     all_subgroups,
     aut_group,
     conj_injection,
+    group_K_normalizer,
     inn_group,
     is_p_group,
     mulclose,
     normal_subgroups,
+    normalizer,
     p_part,
     trivial_aut_group,
 )
@@ -67,42 +73,14 @@ Word = Tuple[Perm, ...]
 
 
 # ---------------------------------------------------------------------------
-# word domains
+# the word domain
 #
-# A rule decides which words over the elements are in the domain. Besides
-# word_ok for a whole word, it walks a word letter by letter: start() is the
-# state of the empty word, step(state, g) extends a word's state by the
-# letter g, accepts(state) says whether the word is in the domain, and
+# ChainDomain decides which words over the elements are in the domain.
+# Besides word_ok for a whole word, it walks a word letter by letter: start()
+# is the state of the empty word, step(state, g) extends a word's state by
+# the letter g, accepts(state) says whether the word is in the domain, and
 # accepts_inverse_word(state) whether wbar w is, wbar being the inverses of
 # w's letters in reverse order.
-
-
-class FullDomain:
-    """All words over the element set are multipliable (whole groups)."""
-
-    def word_ok(self, word: Word) -> bool:
-        return True
-
-    def start(self):
-        return None
-
-    def step(self, state, g: Perm):
-        return None
-
-    def accepts(self, state) -> bool:
-        return True
-
-    def accepts_inverse_word(self, state) -> bool:
-        return True
-
-    def group_words_ok(self, P: FrozenSet[Perm]) -> bool:
-        return True
-
-    def __eq__(self, other):
-        return isinstance(other, FullDomain)
-
-    def __hash__(self):
-        return hash(FullDomain)
 
 
 class ChainDomain:
@@ -289,39 +267,12 @@ class Locality(PartialGroup):
         )
 
 
-class PartialSubgroup:
-    """A subset of a partial group closed under inversion and products of
-    domain words."""
-
-    __slots__ = ("parent", "elems")
-
-    def __init__(self, parent: PartialGroup, elems: Iterable[Perm]):
-        self.parent = parent
-        self.elems = frozenset(elems)
-        if not self.elems <= parent.elems:
-            raise ValueError("subset not inside the partial group")
-
-    def __contains__(self, x: Perm) -> bool:
-        return x in self.elems
-
-    def __iter__(self):
-        return iter(sorted_elems(self.elems))
-
-    def __len__(self):
-        return len(self.elems)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, PartialSubgroup)
-            and self.parent == other.parent
-            and self.elems == other.elems
-        )
-
-    def __hash__(self):
-        return hash((self.elems,))
-
-    def __repr__(self):
-        return "PartialSubgroup(|N|=%d)" % len(self.elems)
+def _inside(L: PartialGroup, elems: Iterable[Perm]) -> FrozenSet[Perm]:
+    """elems as a frozenset, or ValueError if it is not a subset of L."""
+    elems = frozenset(elems)
+    if not elems <= L.elems:
+        raise ValueError("subset not inside the partial group")
+    return elems
 
 
 def partial_subgroup_violation(parent: PartialGroup, elems: FrozenSet[Perm]) -> Optional[dict]:
@@ -331,6 +282,7 @@ def partial_subgroup_violation(parent: PartialGroup, elems: FrozenSet[Perm]) -> 
     longer domain word over the subset into nested pairs, so closure under
     pairs plus inversion is full closure.
     """
+    elems = _inside(parent, elems)
     for x in elems:
         if x.inv() not in elems:
             return {"kind": "inverse", "x": str(x)}
@@ -384,8 +336,10 @@ def build_group_locality(
 
 
 def group_as_partial(G: Subgroup) -> PartialGroup:
-    """A finite group viewed as a partial group with every word defined."""
-    return PartialGroup(G, G.elems, FullDomain())
+    """A finite group viewed as a partial group with every word defined: the
+    chain rule with the trivial subgroup as base and only object."""
+    one = frozenset([G.identity])
+    return PartialGroup(G, G.elems, ChainDomain(one, [one]))
 
 
 # ---------------------------------------------------------------------------
@@ -423,31 +377,24 @@ def S_w(L: Locality, word: Sequence[Perm]) -> Subgroup:
     return Subgroup(frozenset(out))
 
 
-def normalizer_partial(L: Locality, X: Subgroup) -> PartialSubgroup:
-    """N_L(X) = {f : X <= S_f and X^f = X}."""
-    xe = X.elems
-    out = frozenset(
-        f
-        for f in L.elems
-        if xe <= S_f(L, f).elems and frozenset(x.conj(f) for x in xe) == xe
-    )
-    return PartialSubgroup(L, out)
+def normalizer_partial(L: Locality, X: Subgroup) -> FrozenSet[Perm]:
+    """N_L(X) = {f in N_G(X) cap L : X <= S_f}, G the ambient group."""
+    return _defined_on(L, X, normalizer(L.ambient, X))
 
 
-def K_normalizer_partial(L: Locality, X: Subgroup, K: AutGroup) -> PartialSubgroup:
-    """N_L^K(X) = {f in N_L(X) : c_f restricted to X lies in K}."""
-    if K.base.elems != X.elems:
-        raise ValueError("K must consist of automorphisms of X")
-    xe = X.elems
-    out = set()
-    for f in normalizer_partial(L, X).elems:
-        if conj_injection(xe, f) in K.maps:
-            out.add(f)
-    ps = PartialSubgroup(L, frozenset(out))
-    bad = partial_subgroup_violation(L, ps.elems)
+def K_normalizer_partial(L: Locality, X: Subgroup, K: AutGroup) -> FrozenSet[Perm]:
+    """N_L^K(X) = {f in N_G^K(X) cap L : X <= S_f}, verified to be a
+    partial subgroup of L."""
+    out = _defined_on(L, X, group_K_normalizer(L.ambient, X, K))
+    bad = partial_subgroup_violation(L, out)
     if bad is not None:
         raise NotPartialSubgroup("N_L^K(X) failed closure: %r" % (bad,))
-    return ps
+    return out
+
+
+def _defined_on(L: Locality, X: Subgroup, N: Subgroup) -> FrozenSet[Perm]:
+    """The f in N cap L for which X^f is defined in L: X <= S_f."""
+    return frozenset(f for f in N.elems & L.elems if X.elems <= S_f(L, f).elems)
 
 
 # ---------------------------------------------------------------------------
@@ -461,21 +408,20 @@ def _conj_subgroup_if_defined(L: Locality, P: FrozenSet[Perm], f: Perm) -> Optio
 
 
 def restrict(
-    H: PartialSubgroup,
+    L: Locality,
+    H: FrozenSet[Perm],
     Gamma: Iterable[FrozenSet[Perm]],
     X: Subgroup,
-):
-    """H|_Gamma = {f in H : S_f cap R in Gamma}, R = S cap H, as a partial
-    group with the Gamma-chain domain; returns a Locality when R is a
-    maximal p-subgroup of the result.
+) -> Locality:
+    """H|_Gamma = {f in H : S_f cap R in Gamma}, R = S cap H, for a partial
+    subgroup H of L, with the Gamma-chain domain.
 
-    Checks the closure of Gamma and the hypotheses (Q1), (Q2) eagerly.
+    Checks the closure of Gamma and the hypotheses (Q1), (Q2) eagerly, and
+    raises NotSylow unless R is a maximal p-subgroup of the result.
     """
-    L = H.parent
-    if not isinstance(L, Locality):
-        raise ValueError("restriction needs a locality parent")
+    H = _inside(L, H)
     Gamma = frozenset(frozenset(g) for g in Gamma)
-    R = frozenset(L.S_elems & H.elems)
+    R = L.S_elems & H
     r_subs = {K.elems for K in all_subgroups(Subgroup(R))}
     for P in Gamma:
         if P not in r_subs:
@@ -484,7 +430,7 @@ def restrict(
         for Q in r_subs:
             if P <= Q and Q not in Gamma:
                 raise GammaNotClosed("not closed under overgroups in R")
-        for f in H.elems:
+        for f in H:
             img = _conj_subgroup_if_defined(L, P, f)
             if img is not None and img <= R and img not in Gamma:
                 raise GammaNotClosed("not closed under H-conjugation")
@@ -499,7 +445,7 @@ def restrict(
         for P2 in Gamma:
             if len(P1) != len(P2):
                 continue
-            for f in H.elems:
+            for f in H:
                 img = _conj_subgroup_if_defined(L, P1, f)
                 if img != P2:
                     continue
@@ -508,10 +454,10 @@ def restrict(
                     raise Q2Violated(
                         "transporter element does not move <P1,X> onto <P2,X>"
                     )
-    elems = frozenset(f for f in H.elems if frozenset(S_f(L, f).elems & R) in Gamma)
-    out = PartialGroup(L.ambient, elems, ChainDomain(R, Gamma))
-    if _is_max_p_subgroup(out, R, L.p):
-        return Locality(L.ambient, elems, Gamma, R, L.p)
+    elems = frozenset(f for f in H if (S_f(L, f).elems & R) in Gamma)
+    out = Locality(L.ambient, elems, Gamma, R, L.p)
+    if not _is_max_p_subgroup(out, R, L.p):
+        raise NotSylow("S cap H is not a maximal p-subgroup of the restriction")
     return out
 
 
@@ -558,13 +504,7 @@ def bN_K(
             raise KNotSubnormal("K is not subnormal in K*Inn(X)")
     NFK = K_normalizer_subsystem(F, X, K)
     Gamma = frozenset(P.elems for P in subcentric_set(NFK))
-    H = K_normalizer_partial(L, X, K)
-    out = restrict(H, Gamma, X)
-    if not isinstance(out, Locality):
-        raise NotSylow(
-            "N_S^K(X) is not a maximal p-subgroup of the restriction"
-        )
-    return out
+    return restrict(L, K_normalizer_partial(L, X, K), Gamma, X)
 
 
 def bN(L: Locality, F: FusionSystem, X: Subgroup) -> Locality:
@@ -581,33 +521,34 @@ def bC(L: Locality, F: FusionSystem, X: Subgroup) -> Locality:
 # partial normal subgroups
 
 
-def partial_normal_violation(N: PartialSubgroup, L: Locality) -> Optional[dict]:
+def partial_normal_violation(L: Locality, N: FrozenSet[Perm]) -> Optional[dict]:
     """None if N is a partial normal subgroup of L, else a witness."""
-    bad = partial_subgroup_violation(L, N.elems)
+    bad = partial_subgroup_violation(L, N)
     if bad is not None:
         return bad
     for f in L.elems:
-        for n in N.elems:
-            if L.in_domain((f.inv(), n, f)) and n.conj(f) not in N.elems:
+        for n in N:
+            if L.in_domain((f.inv(), n, f)) and n.conj(f) not in N:
                 return {"kind": "conjugation", "f": str(f), "n": str(n)}
     return None
 
 
-def is_partial_normal(N: PartialSubgroup, L: Locality) -> bool:
-    return partial_normal_violation(N, L) is None
+def is_partial_normal(L: Locality, N: FrozenSet[Perm]) -> bool:
+    return partial_normal_violation(L, N) is None
 
 
 def fusion_of_partial(
-    L: Locality, N: PartialSubgroup, base: Optional[Subgroup] = None
+    L: Locality, N: FrozenSet[Perm], base: Optional[Subgroup] = None
 ) -> FusionSystem:
     """F_R(N), R = N cap S (or the given base): the fusion system on R
     generated by the conjugation maps c_f, f in N."""
-    R = base if base is not None else Subgroup(N.elems & L.S_elems)
-    if not R.elems <= N.elems:
+    N = _inside(L, N)
+    R = base if base is not None else Subgroup(N & L.S_elems)
+    if not R.elems <= N:
         raise ValueError("base is not inside the partial subgroup")
     germs = []
     r_subs = tuple(H.elems for H in all_subgroups(R))
-    for f in N.elems:
+    for f in N:
         sf = S_f(L, f).elems
         for pe in r_subs:
             if pe <= sf:
@@ -617,7 +558,7 @@ def fusion_of_partial(
     return close_generated(R, L.p, germs)
 
 
-def find_normal_for(L: Locality, E: FusionSystem) -> PartialSubgroup:
+def find_normal_for(L: Locality, E: FusionSystem) -> FrozenSet[Perm]:
     """The unique partial normal subgroup N of L with N cap S = T and
     F_T(N) = E, searched over the family H cap L for H normal in the
     ambient group (with closure repair), which realizes all partial normal
@@ -636,18 +577,17 @@ def find_normal_for(L: Locality, E: FusionSystem) -> PartialSubgroup:
         seen.add(cand)
         if cand & L.S_elems != T:
             continue
-        N = PartialSubgroup(L, cand)
-        if partial_normal_violation(N, L) is not None:
+        if partial_normal_violation(L, cand) is not None:
             continue
-        if fusion_of_partial(L, N) != E:
+        if fusion_of_partial(L, cand) != E:
             continue
-        matches.append(N)
+        matches.append(cand)
     if not matches:
         raise NotFound(
             "no partial normal subgroup realizes the subsystem among the "
             "family searched: H cap L for H normal in the ambient group"
         )
-    if len({m.elems for m in matches}) > 1:
+    if len(matches) > 1:
         raise NotFound(
             "multiple distinct partial normal subgroups realize the subsystem"
         )
@@ -678,12 +618,13 @@ def _closure_repair(L: Locality, elems: FrozenSet[Perm]) -> Optional[FrozenSet[P
 # products N X
 
 
-def product_partial(L: Locality, N: PartialSubgroup, X: Subgroup) -> PartialSubgroup:
+def product_partial(L: Locality, N: FrozenSet[Perm], X: Subgroup) -> FrozenSet[Perm]:
     """N X = {Pi(n, x) : (n, x) in D}, verified to be a partial subgroup."""
+    N = _inside(L, N)
     if not X.elems <= L.S_elems:
         raise ValueError("X must lie inside S")
     out = set()
-    for n in N.elems:
+    for n in N:
         for x in X.elems:
             if L.in_domain((n, x)):
                 out.add(n * x)
@@ -691,16 +632,15 @@ def product_partial(L: Locality, N: PartialSubgroup, X: Subgroup) -> PartialSubg
     bad = partial_subgroup_violation(L, out)
     if bad is not None:
         raise NotPartialSubgroup("N X failed closure: %r" % (bad,))
-    return PartialSubgroup(L, out)
+    return out
 
 
-def product_fusion(L: Locality, N: PartialSubgroup, X: Subgroup) -> FusionSystem:
+def product_fusion(L: Locality, N: FrozenSet[Perm], X: Subgroup) -> FusionSystem:
     """The product system realized in the locality: F_{TX}(N X)."""
     NX = product_partial(L, N, X)
-    T = N.elems & L.S_elems
+    T = N & L.S_elems
     TX = mulclose(list(T | X.elems), cap=L.ambient.order)
-    base_from_set = NX.elems & L.S_elems
-    if base_from_set != TX:
+    if NX & L.S_elems != TX:
         raise NotPartialSubgroup(
             "N X cap S differs from T X; the product is not well formed"
         )
@@ -921,19 +861,19 @@ def verify_subcentric_locality(
         return fail({"axiom": "same-S"})
     if frozenset(P.elems for P in subcentric_set(F)) != L.Delta:
         return fail({"axiom": "Delta-is-subcentric-set"})
-    FL = fusion_of_partial(L, PartialSubgroup(L, L.elems), base=L.S)
+    FL = fusion_of_partial(L, L.elems, base=L.S)
     if FL != F:
         return fail({"axiom": "F_S(L)-is-F"})
     for P in L.delta_subgroups():
         NP = normalizer_partial(L, P)
-        bad = partial_subgroup_violation(L, NP.elems)
+        bad = partial_subgroup_violation(L, NP)
         if bad is not None:
             return fail({"axiom": "N_L(P)-group", "P": P.label(), "inner": bad})
-        for a in NP.elems:  # genuine group: every pair product defined
-            for b in NP.elems:
+        for a in NP:  # genuine group: every pair product defined
+            for b in NP:
                 if not L.in_domain((a, b)):
                     return fail({"axiom": "N_L(P)-words", "P": P.label()})
-        if not is_characteristic_p(Subgroup(NP.elems), L.p):
+        if not is_characteristic_p(Subgroup(NP), L.p):
             return fail({"axiom": "N_L(P)-characteristic-p", "P": P.label()})
     stats["objects"] = len(L.Delta)
     return VerificationReport("subcentric-locality", inst, "pass", stats=stats)

@@ -28,14 +28,14 @@ Statement ids:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from . import fusion as fu
 from . import groups as gp
 from . import locality as lo
 from .errors import CorpusParseError, NotFound, NotPartialSubgroup, PLocalError
 from .groups import AutGroup, Subgroup
-from .perm import perm_from_cycles
+from .perm import Perm, perm_from_cycles
 from .report import VerificationReport, failed_report, passed_report, skipped_report
 
 STATEMENTS = (
@@ -172,7 +172,7 @@ def _verified_subcentric(
 def check_fully_K_normalized_transfer(
     L: lo.Locality,
     F: fu.FusionSystem,
-    N: lo.PartialSubgroup,
+    N: FrozenSet[Perm],
     X: Subgroup,
     K: AutGroup,
     instance: str,
@@ -198,8 +198,8 @@ def check_fully_K_normalized_transfer(
     )
 
 
-def _product_system(L: lo.Locality, N: lo.PartialSubgroup, X: Subgroup) -> fu.FusionSystem:
-    key = ("EX", N.elems, X.elems)
+def _product_system(L: lo.Locality, N: FrozenSet[Perm], X: Subgroup) -> fu.FusionSystem:
+    key = ("EX", N, X.elems)
     hit = L._memo.get(key)
     if hit is None:
         hit = lo.product_fusion(L, N, X)
@@ -231,7 +231,7 @@ def check_main_theorem(
     L: lo.Locality,
     F: fu.FusionSystem,
     E: fu.FusionSystem,
-    N: lo.PartialSubgroup,
+    N: FrozenSet[Perm],
     X: Subgroup,
     K: AutGroup,
     instance: str,
@@ -269,17 +269,17 @@ def check_main_theorem(
             failed_report(stmt_b, instance, w, **stats),
         ]
     NFK = fu.K_normalizer_subsystem(F, X, K_eff)
-    T = N.elems & L.S_elems
+    T = N & L.S_elems
     T0 = Subgroup(T & bn.S_elems)
-    M = lo.PartialSubgroup(bn, N.elems & bn.elems)
+    M = N & bn.elems
 
     # (i) M is partial normal in bN
-    viol = lo.partial_normal_violation(M, bn)
+    viol = lo.partial_normal_violation(bn, M)
     cond_i = viol is None
     stats["i_partial_normal"] = int(cond_i)
 
     # (ii) M cap S = M cap N_S^K(X) = N_T^K(X)
-    cond_ii = (M.elems & L.S_elems == T0.elems) and (M.elems & bn.S_elems == T0.elems)
+    cond_ii = (M & L.S_elems == T0.elems) and (M & bn.S_elems == T0.elems)
     stats["ii_M_cap_S"] = int(cond_ii)
 
     # E_0 = F_{T_0}(M)
@@ -353,7 +353,7 @@ def check_corollary(
     L: lo.Locality,
     F: fu.FusionSystem,
     E: fu.FusionSystem,
-    N: lo.PartialSubgroup,
+    N: FrozenSet[Perm],
     X: Subgroup,
     instance: str,
 ) -> List[VerificationReport]:
@@ -381,8 +381,8 @@ def _with_trivial_case_check(rep, L, F, E, N, X, K):
     if rep.outcome != "pass":
         return rep
     bn = lo.bN_K(L, F, X, K)
-    T0 = Subgroup((N.elems & L.S_elems) & bn.S_elems)
-    E0 = lo.fusion_of_partial(bn, lo.PartialSubgroup(bn, N.elems & bn.elems), base=T0)
+    T0 = Subgroup((N & L.S_elems) & bn.S_elems)
+    E0 = lo.fusion_of_partial(bn, N & bn.elems, base=T0)
     if E0 != E:
         return failed_report(
             rep.statement,
@@ -405,13 +405,10 @@ class PreparedEntry:
     name: str
     p: int
     G: Subgroup
-    S: Subgroup
     F: fu.FusionSystem
     L: lo.Locality
-    H: Subgroup
-    T: Subgroup
     E: fu.FusionSystem
-    N: lo.PartialSubgroup
+    N: FrozenSet[Perm]
     X_list: Optional[Tuple[Subgroup, ...]] = None
     K_descriptors: Optional[Tuple[str, ...]] = None
 
@@ -453,11 +450,8 @@ def prepare_entry(entry, word_len: int = 3):
         name=name,
         p=p,
         G=G,
-        S=S,
         F=F,
         L=L,
-        H=H,
-        T=T,
         E=E,
         N=N,
         X_list=X_list,
@@ -470,7 +464,7 @@ def prepare_entry(entry, word_len: int = 3):
         objects=len(L.Delta),
         subgroups_of_S=len(F.subgroups()),
         T_order=T.order,
-        N_size=len(N.elems),
+        N_size=len(N),
     )
     return pe, axioms
 

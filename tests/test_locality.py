@@ -11,6 +11,7 @@ from plocal.errors import (
     GammaNotClosed,
     NotFound,
     NotFullyKNormalized,
+    NotSylow,
     Q1Violated,
 )
 from .conftest import perms
@@ -116,9 +117,8 @@ def test_S_w_matches_iterated_S_f(L_s3xs3):
 
 
 def test_restrict_identity_case(L_s4, s4):
-    H = lo.PartialSubgroup(L_s4, L_s4.elems)
     one = gp.Subgroup(frozenset([s4.identity]))
-    out = lo.restrict(H, L_s4.Delta, one)
+    out = lo.restrict(L_s4, L_s4.elems, L_s4.Delta, one)
     assert isinstance(out, lo.Locality)
     assert out.elems == L_s4.elems
     assert out.Delta == L_s4.Delta
@@ -130,9 +130,8 @@ def test_restrict_idempotent(L_s4, F_s4, s4):
     Gamma = frozenset(
         P.elems for P in fu.subcentric_set(fu.centralizer_subsystem(F_s4, Z))
     )
-    once = lo.restrict(CL, Gamma, Z)
-    H2 = lo.PartialSubgroup(once, once.elems)
-    twice = lo.restrict(H2, Gamma, Z)
+    once = lo.restrict(L_s4, CL, Gamma, Z)
+    twice = lo.restrict(once, once.elems, Gamma, Z)
     assert once.elems == twice.elems
     assert once.rule == twice.rule
 
@@ -140,9 +139,8 @@ def test_restrict_idempotent(L_s4, F_s4, s4):
 def test_restrict_gamma_closure_error(L_s4, s4):
     S = gp.sylow_subgroup(s4, 2)
     Z = gp.center(S)
-    H = lo.PartialSubgroup(L_s4, L_s4.elems)
     with pytest.raises(GammaNotClosed):
-        lo.restrict(H, frozenset([Z.elems]), gp.Subgroup(Z.elems))
+        lo.restrict(L_s4, L_s4.elems, frozenset([Z.elems]), gp.Subgroup(Z.elems))
 
 
 def test_restrict_q1_error(s3xs3, L_s3xs3):
@@ -151,10 +149,22 @@ def test_restrict_q1_error(s3xs3, L_s3xs3):
     # subgroup whose join with X is not an object must raise (Q1)
     S = gp.sylow_subgroup(s3xs3, 2)
     one = gp.Subgroup(frozenset([s3xs3.identity]))
-    H = lo.PartialSubgroup(L_s3xs3, L_s3xs3.elems)
     all_subs = frozenset(K.elems for K in gp.all_subgroups(S))
     with pytest.raises(Q1Violated):
-        lo.restrict(H, all_subs, one)  # the trivial subgroup is not in Delta
+        lo.restrict(L_s3xs3, L_s3xs3.elems, all_subs, one)  # the trivial subgroup is not in Delta
+
+
+def test_restrict_non_maximal_raises_not_sylow(L_s4, s4):
+    # H, another Sylow D8, meets S in a four-group R; every word over H is
+    # defined, so H|_Gamma is all of H and R < H is not a maximal p-subgroup
+    S = gp.sylow_subgroup(s4, 2)
+    g = next(g for g in sorted(s4.elems) if frozenset(x.conj(g) for x in S.elems) != S.elems)
+    H = frozenset(x.conj(g) for x in S.elems)
+    R = gp.Subgroup(S.elems & H)
+    assert R.order == 4
+    Gamma = frozenset(K.elems for K in gp.all_subgroups(R))
+    with pytest.raises(NotSylow):
+        lo.restrict(L_s4, H, Gamma, s4.trivial_subgroup())
 
 
 def test_bC_of_center(L_s4, F_s4, s4):
@@ -178,33 +188,50 @@ def test_bN_requires_fully_K_normalized(L_s4, F_s4, s4):
 def test_K_normalizer_named_cases(L_s4, s4, klein):
     V = gp.Subgroup(klein.elems)
     NL = lo.K_normalizer_partial(L_s4, V, gp.aut_group(V))
-    assert NL.elems == gp.normalizer(s4, V).elems
+    assert NL == gp.normalizer(s4, V).elems
     CL = lo.K_normalizer_partial(L_s4, V, gp.trivial_aut_group(V))
-    assert CL.elems == gp.centralizer(s4, V).elems
+    assert CL == gp.centralizer(s4, V).elems
 
 
 def test_K_normalizer_is_partial_subgroup(L_s3xs3, s3xs3):
     S = gp.sylow_subgroup(s3xs3, 2)
     X = gp.Subgroup(gp.mulclose(perms(6, "(1 2)"), cap=36))
     ps = lo.K_normalizer_partial(L_s3xs3, X, gp.aut_group(X))
-    assert lo.partial_subgroup_violation(L_s3xs3, ps.elems) is None
+    assert lo.partial_subgroup_violation(L_s3xs3, ps) is None
+
+
+def test_K_normalizer_matches_definition(L_s3xs3, s3xs3):
+    """N_L^K(X) = {f in L : X <= S_f, X^f = X, c_f|_X in K}, for every
+    X <= S and K in {Aut(X), Inn(X), 1}, on a genuinely partial locality."""
+    S = gp.sylow_subgroup(s3xs3, 2)
+    for X in gp.all_subgroups(S):
+        xe = X.elems
+        for K in (gp.aut_group(X), gp.inn_group(X), gp.trivial_aut_group(X)):
+            expected = frozenset(
+                f
+                for f in L_s3xs3.elems
+                if xe <= lo.S_f(L_s3xs3, f).elems
+                and frozenset(x.conj(f) for x in xe) == xe
+                and gp.conj_injection(xe, f) in K.maps
+            )
+            assert lo.K_normalizer_partial(L_s3xs3, X, K) == expected
 
 
 # -- partial normal subgroups and the finder ------------------------------------
 
 
 def test_partial_normal_cases(L_s4, N_s4, a4):
-    assert N_s4.elems == a4.elems
-    assert lo.is_partial_normal(N_s4, L_s4)
-    assert lo.is_partial_normal(lo.PartialSubgroup(L_s4, L_s4.elems), L_s4)
-    bad = lo.PartialSubgroup(L_s4, frozenset(perms(4, "()", "(0 1)")))
-    viol = lo.partial_normal_violation(bad, L_s4)
+    assert N_s4 == a4.elems
+    assert lo.is_partial_normal(L_s4, N_s4)
+    assert lo.is_partial_normal(L_s4, L_s4.elems)
+    bad = frozenset(perms(4, "()", "(0 1)"))
+    viol = lo.partial_normal_violation(L_s4, bad)
     assert viol is not None and viol["kind"] == "conjugation"
 
 
 def test_find_normal_full_system(L_s4, F_s4):
     N = lo.find_normal_for(L_s4, F_s4)
-    assert N.elems == L_s4.elems
+    assert N == L_s4.elems
 
 
 def test_closure_repair_generates_subgroups(L_s4, s4):
@@ -238,13 +265,13 @@ def test_find_normal_not_found_names_the_searched_family(L_s4, s4):
 def test_product_with_trivial(L_s4, N_s4, s4):
     one = gp.Subgroup(frozenset([s4.identity]))
     NX = lo.product_partial(L_s4, N_s4, one)
-    assert NX.elems == N_s4.elems
+    assert NX == N_s4
 
 
 def test_product_with_sylow_is_whole_locality(L_s4, N_s4, s4):
     S = gp.sylow_subgroup(s4, 2)
     NS = lo.product_partial(L_s4, N_s4, gp.Subgroup(S.elems))
-    assert NS.elems == L_s4.elems
+    assert NS == L_s4.elems
 
 
 def test_product_fusion_absorbed(L_s4, N_s4, E_s4, s4):
@@ -264,18 +291,39 @@ def test_product_fusion_with_outside_x(L_s4, N_s4, F_s4, s4):
 
 def test_fusion_of_partial_sylow(L_s4, s4):
     S = gp.sylow_subgroup(s4, 2)
-    NS = lo.PartialSubgroup(L_s4, S.elems)
-    F = lo.fusion_of_partial(L_s4, NS)
+    F = lo.fusion_of_partial(L_s4, S.elems)
     assert F == fu.close_generated(gp.Subgroup(S.elems), 2)
 
 
 def test_fusion_of_whole_locality_is_F(L_s4, F_s4):
-    got = lo.fusion_of_partial(L_s4, lo.PartialSubgroup(L_s4, L_s4.elems))
+    got = lo.fusion_of_partial(L_s4, L_s4.elems)
     assert got == F_s4
 
 
 def test_fusion_of_partial_alternating(L_s4, N_s4, E_s4):
     assert lo.fusion_of_partial(L_s4, N_s4) == E_s4
+
+
+# -- element sets from the caller ------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda L, out, one: lo.restrict(L, out, L.Delta, one), id="restrict"),
+        pytest.param(lambda L, out, one: lo.partial_subgroup_violation(L, out), id="partial_subgroup_violation"),
+        pytest.param(lambda L, out, one: lo.partial_normal_violation(L, out), id="partial_normal_violation"),
+        pytest.param(lambda L, out, one: lo.is_partial_normal(L, out), id="is_partial_normal"),
+        pytest.param(lambda L, out, one: lo.fusion_of_partial(L, out), id="fusion_of_partial"),
+        pytest.param(lambda L, out, one: lo.product_partial(L, out, one), id="product_partial"),
+        pytest.param(lambda L, out, one: lo.product_fusion(L, out, one), id="product_fusion"),
+    ],
+)
+def test_set_outside_locality_is_rejected(call, L_s3xs3, s3xs3):
+    """A partial subgroup is its element set; one not inside L is refused."""
+    assert not s3xs3.elems <= L_s3xs3.elems
+    with pytest.raises(ValueError, match="not inside the partial group"):
+        call(L_s3xs3, s3xs3.elems, s3xs3.trivial_subgroup())
 
 
 # -- axiom verification on negatives ----------------------------------------------
@@ -343,7 +391,8 @@ def test_planted_fault_splice_domain(s3):
     """Every word over two transpositions is accepted, but their product, a
     3-cycle, is not an element: splicing it in leaves the domain."""
     elems = [s3.identity] + perms(3, "(0 1)", "(1 2)")
-    P = lo.PartialGroup(s3, elems, lo.FullDomain())
+    one = frozenset([s3.identity])
+    P = lo.PartialGroup(s3, elems, lo.ChainDomain(one, [one]))
     rep = lo.verify_partial_group(P)
     assert rep.failed
     assert rep.witness == {"axiom": "splice-domain", "w": ["(1 2)", "(0 1)"], "i": 0, "j": 2}
@@ -409,7 +458,8 @@ def test_planted_fault_objectivity(s3xs3):
     S = gp.sylow_subgroup(s3xs3, 2)
     nt = frozenset(H.elems for H in gp.all_subgroups(S) if H.order > 1)
     L = lo.Locality(s3xs3, s3xs3.elems, nt, S.elems, 2)
-    L.rule = lo.FullDomain()
+    one = frozenset([s3xs3.identity])
+    L.rule = lo.ChainDomain(one, [one])
     rep = lo.verify_locality(L, word_len=2)
     assert rep.failed
     assert rep.witness == {"axiom": "objectivity", "w": ["(0 1)(3 4)"]}

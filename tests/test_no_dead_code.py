@@ -5,11 +5,14 @@ or ``tests`` except at its own definition is dead code. A name exported
 from ``plocal/__init__.py`` occurs there, so it counts as used.
 
 Every parameter of a module-level function is read in that function's
-body. Methods are exempt: protocol methods such as ``__setattr__`` or
-``FullDomain.word_ok`` take arguments they ignore by design.
+body. Methods are exempt: protocol methods such as
+``GroupInjection.__setattr__`` take arguments they ignore by design.
 
 Every name a module imports is read in that module. ``__init__.py`` is
 exempt, because its imports are the package's re-exports.
+
+Every field of a ``@dataclass`` in the package is read as an attribute
+(``obj.field``) somewhere in ``src/plocal`` or ``tests``.
 """
 
 import ast
@@ -99,3 +102,32 @@ def _unused_imports():
 def test_every_import_is_read():
     unused = _unused_imports()
     assert not unused, "imported but never read: %s" % ", ".join(unused)
+
+
+def _is_dataclass(cls):
+    return any("dataclass" in ast.unparse(deco) for deco in cls.decorator_list)
+
+
+def _unread_fields():
+    """``module.Class.field`` for each dataclass field never read as an
+    attribute in the package or the tests."""
+    fields = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for cls in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(cls, ast.ClassDef) and _is_dataclass(cls):
+                fields += [
+                    (path.stem, cls.name, node.target.id)
+                    for node in cls.body
+                    if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)
+                ]
+    read = set()
+    for path in sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "tests").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    return ["%s.%s.%s" % f for f in fields if f[2] not in read]
+
+
+def test_every_dataclass_field_is_read():
+    unread = _unread_fields()
+    assert not unread, "dataclass fields never read: %s" % ", ".join(unread)
