@@ -10,9 +10,10 @@ The five public layers:
 * :mod:`plocal.fusion` - fusion systems as explicit categories, saturation,
   K-normalizer subsystems, centric/subcentric sets, p-power index,
   normal subsystems;
-* :mod:`plocal.locality` - group-backed partial groups and localities with
-  their one word rule, restriction, the restricted K-normalizers, partial
-  normal subgroups (each held as its element set), product subsystems;
+* :mod:`plocal.locality` - localities, the one partial-group type, with
+  their one word rule; a group is a locality and L_Delta(G) its
+  restriction; the restricted K-normalizers, partial normal subgroups
+  (each held as its element set), product subsystems;
 * :mod:`plocal.verify` - one checker per verified statement and the suite
   driver;
 * :mod:`plocal.cli` - corpus parsing and the command-line front end
@@ -57,7 +58,6 @@ from .fusion import (
 )
 from .locality import (
     Locality,
-    PartialGroup,
     S_f,
     S_w,
     bC,
@@ -66,6 +66,7 @@ from .locality import (
     build_group_locality,
     find_normal_for,
     fusion_of_partial,
+    group_locality,
     is_partial_normal,
     K_normalizer_partial,
     product_fusion,

@@ -22,11 +22,6 @@ class NotSaturated(PLocalError):
     """Operation requires a saturated fusion system."""
 
 
-class DeltaNotClosed(PLocalError):
-    """The object set of a locality is not closed under conjugacy or
-    overgroups."""
-
-
 class GammaNotClosed(PLocalError):
     """The object set of a restriction is not closed under conjugacy in the
     partial subgroup or under overgroups."""
@@ -45,11 +40,6 @@ class Q2Violated(PLocalError):
 class NotFullyKNormalized(PLocalError):
     """The subgroup is not fully K-normalized, so the construction is not
     defined."""
-
-
-class KNotSubnormal(PLocalError):
-    """K is not subnormal in K*Inn(X); the subcentric conclusion is not
-    available."""
 
 
 class NotPartialSubgroup(PLocalError):

@@ -1,17 +1,20 @@
-"""Partial groups and localities as explicit finite structures.
+"""Localities as explicit finite structures.
 
-Every partial group built here is group-backed: its elements live in a
-fixed ambient permutation group, the product is the ambient product, and
-only the word domain varies. The domain is never materialized; membership
-of a word (g_1, ..., g_n) is decided by one rule, the chain criterion: walk
-the base p-group R along the prefixes and test whether the surviving
-subgroup R_w = {x in R : all prefix conjugates stay in R} is one of the
-objects. For an object family closed under conjugacy and overgroups this is
-equivalent to the existence of an object chain P_0, ..., P_n with
-P_{i-1}^{g_i} = P_i: any chain start lies inside R_w (so R_w is an object by
-overgroup closure), and conversely the prefix conjugates of R_w form a
-chain. A whole group is the rule whose base and only object is the trivial
-subgroup, which accepts every word.
+Every partial group here is a Locality, and every Locality is
+group-backed: its elements live in a fixed ambient permutation group, the
+product is the ambient product, and only the word domain varies. The
+domain is never materialized; membership of a word (g_1, ..., g_n) is
+decided by one rule, the chain criterion: walk the base p-group R along
+the prefixes and test whether the surviving subgroup R_w = {x in R : all
+prefix conjugates stay in R} is one of the objects. For an object family
+closed under conjugacy and overgroups this is equivalent to the existence
+of an object chain P_0, ..., P_n with P_{i-1}^{g_i} = P_i: any chain start
+lies inside R_w (so R_w is an object by overgroup closure), and conversely
+the prefix conjugates of R_w form a chain.
+
+A whole group G with Sylow p-subgroup S is ``group_locality``: its objects
+are all subgroups of S, so every word is defined. L_Delta(G) is its
+restriction to Delta, built by ``restrict`` like bN_L^K(X).
 
 A partial subgroup of L is its element set, passed together with L; each
 function that takes one raises ValueError when it is not inside L.
@@ -34,9 +37,7 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, Iterable, Optional, Sequence, Tuple
 
 from .errors import (
-    DeltaNotClosed,
     GammaNotClosed,
-    KNotSubnormal,
     NotFound,
     NotFullyKNormalized,
     NotPartialSubgroup,
@@ -58,7 +59,6 @@ from .groups import (
     aut_group,
     conj_injection,
     group_K_normalizer,
-    inn_group,
     is_p_group,
     mulclose,
     normal_subgroups,
@@ -151,53 +151,52 @@ class ChainDomain:
         )
         return surv in self.objects
 
-    def __eq__(self, other):
-        # caches excluded: identity is (base, objects)
-        return (
-            isinstance(other, ChainDomain)
-            and self.base == other.base
-            and self.objects == other.objects
-        )
-
-    def __hash__(self):
-        return hash((self.base, self.objects))
-
 
 # ---------------------------------------------------------------------------
-# partial groups
+# localities
 
 
-class PartialGroup:
-    """A group-backed partial group: elements, ambient product, word rule."""
+class Locality:
+    """(L, Delta, S): a group-backed partial group with object set Delta
+    inside S. Its elements lie in the ambient group, its product is the
+    ambient product and its words are decided by ChainDomain(S, Delta)."""
 
-    __slots__ = ("ambient", "elems", "rule", "_sorted", "_memo")
+    __slots__ = ("ambient", "elems", "Delta", "S_elems", "p", "rule", "_sorted", "_memo")
 
-    def __init__(self, ambient: Subgroup, elems: Iterable[Perm], rule):
+    def __init__(
+        self,
+        ambient: Subgroup,
+        elems: Iterable[Perm],
+        Delta: Iterable[FrozenSet[Perm]],
+        S_elems: FrozenSet[Perm],
+        p: int,
+    ):
         self.ambient = ambient
         self.elems = frozenset(elems)
-        self.rule = rule
-        self._sorted = None
-        self._memo = {}
         if not self.elems <= ambient.elems:
             raise ValueError("elements not inside the ambient group")
+        self.Delta = frozenset(frozenset(d) for d in Delta)
+        self.S_elems = frozenset(S_elems)
+        self.p = p
+        self.rule = ChainDomain(self.S_elems, self.Delta)
+        self._sorted = None
+        self._memo = {}
 
     @property
     def unit(self) -> Perm:
         return self.ambient.identity
+
+    @property
+    def S(self) -> Subgroup:
+        return Subgroup(self.S_elems)
 
     def sorted_elements(self) -> Tuple[Perm, ...]:
         if self._sorted is None:
             self._sorted = sorted_elems(self.elems)
         return self._sorted
 
-    def __contains__(self, x: Perm) -> bool:
-        return x in self.elems
-
-    def __iter__(self):
-        return iter(self.sorted_elements())
-
-    def __len__(self):
-        return len(self.elems)
+    def delta_subgroups(self) -> Tuple[Subgroup, ...]:
+        return tuple(Subgroup(d) for d in sorted(self.Delta, key=sorted_elems))
 
     def inv(self, x: Perm) -> Perm:
         if x not in self.elems:
@@ -219,45 +218,17 @@ class PartialGroup:
         return out
 
     def __eq__(self, other):
+        # the rule is a function of (S_elems, Delta); caches are excluded
         return (
-            isinstance(other, PartialGroup)
+            isinstance(other, Locality)
             and self.ambient == other.ambient
             and self.elems == other.elems
-            and self.rule == other.rule
+            and self.S_elems == other.S_elems
+            and self.Delta == other.Delta
         )
 
     def __hash__(self):
-        return hash((self.ambient, self.elems, self.rule))
-
-    def __repr__(self):
-        return "PartialGroup(|L|=%d)" % len(self.elems)
-
-
-class Locality(PartialGroup):
-    """(L, Delta, S): a partial group with object set Delta inside S."""
-
-    __slots__ = ("Delta", "S_elems", "p")
-
-    def __init__(
-        self,
-        ambient: Subgroup,
-        elems: Iterable[Perm],
-        Delta: Iterable[FrozenSet[Perm]],
-        S_elems: FrozenSet[Perm],
-        p: int,
-    ):
-        Delta = frozenset(frozenset(d) for d in Delta)
-        super().__init__(ambient, elems, ChainDomain(S_elems, Delta))
-        self.Delta = Delta
-        self.S_elems = frozenset(S_elems)
-        self.p = p
-
-    @property
-    def S(self) -> Subgroup:
-        return Subgroup(self.S_elems)
-
-    def delta_subgroups(self) -> Tuple[Subgroup, ...]:
-        return tuple(Subgroup(d) for d in sorted(self.Delta, key=sorted_elems))
+        return hash((self.ambient, self.elems, self.S_elems, self.Delta))
 
     def __repr__(self):
         return "Locality(|L|=%d, |Delta|=%d, |S|=%d)" % (
@@ -267,7 +238,7 @@ class Locality(PartialGroup):
         )
 
 
-def _inside(L: PartialGroup, elems: Iterable[Perm]) -> FrozenSet[Perm]:
+def _inside(L: Locality, elems: Iterable[Perm]) -> FrozenSet[Perm]:
     """elems as a frozenset, or ValueError if it is not a subset of L."""
     elems = frozenset(elems)
     if not elems <= L.elems:
@@ -275,7 +246,7 @@ def _inside(L: PartialGroup, elems: Iterable[Perm]) -> FrozenSet[Perm]:
     return elems
 
 
-def partial_subgroup_violation(parent: PartialGroup, elems: FrozenSet[Perm]) -> Optional[dict]:
+def partial_subgroup_violation(parent: Locality, elems: FrozenSet[Perm]) -> Optional[dict]:
     """None if elems is a partial subgroup of parent, else a witness.
 
     Pair products suffice for group-backed structures: splicing turns any
@@ -297,49 +268,26 @@ def partial_subgroup_violation(parent: PartialGroup, elems: FrozenSet[Perm]) -> 
 # construction of group localities
 
 
-def _check_delta_closed(G: Subgroup, S: Subgroup, Delta: frozenset):
-    subs = {H.elems for H in all_subgroups(S)}
-    for d in Delta:
-        if d not in subs:
-            raise DeltaNotClosed("object is not a subgroup of S")
-    for d in Delta:
-        for g in G.elems:
-            img = frozenset(x.conj(g) for x in d)
-            if img <= S.elems and img not in Delta:
-                raise DeltaNotClosed(
-                    "conjugate of an object lands in S but is not an object"
-                )
-        for H in subs:
-            if d <= H and H not in Delta:
-                raise DeltaNotClosed("object family not closed under overgroups")
+def group_locality(G: Subgroup, S: Subgroup, p: int) -> Locality:
+    """G as a locality over its Sylow p-subgroup S: every subgroup of S is
+    an object, so every word is defined."""
+    if S.order != p_part(G.order, p):
+        raise NotSylow("S is not a Sylow %d-subgroup of G" % p)
+    return Locality(G, G.elems, (H.elems for H in all_subgroups(S)), S.elems, p)
 
 
 def build_group_locality(
     G: Subgroup, S: Subgroup, Delta: Iterable[FrozenSet[Perm]], p: int
 ) -> Locality:
-    """L_Delta(G) = {g in G : S cap S^{g^-1} in Delta} with the chain domain.
+    """L_Delta(G) = {g in G : S cap S^{g^-1} in Delta}: the group locality
+    restricted to Delta, where S_g = S cap S^{g^-1}.
 
-    Delta must be closed under F_S(G)-conjugacy and overgroups in S. The
-    construction always yields a structure; run verify_locality (or the
-    subcentric verifier) to certify the axioms for a particular G.
+    Delta must be closed under F_S(G)-conjugacy and overgroups in S;
+    restrict raises GammaNotClosed otherwise. The construction always
+    yields a structure; run verify_locality (or the subcentric verifier) to
+    certify the axioms for a particular G.
     """
-    if S.order != p_part(G.order, p):
-        raise NotSylow("S is not a Sylow %d-subgroup of G" % p)
-    Delta = frozenset(frozenset(d) for d in Delta)
-    _check_delta_closed(G, S, Delta)
-    elems = set()
-    for g in G.elems:
-        sg = frozenset(x for x in S.elems if x.conj(g) in S.elems)
-        if sg in Delta:
-            elems.add(g)
-    return Locality(G, frozenset(elems), Delta, S.elems, p)
-
-
-def group_as_partial(G: Subgroup) -> PartialGroup:
-    """A finite group viewed as a partial group with every word defined: the
-    chain rule with the trivial subgroup as base and only object."""
-    one = frozenset([G.identity])
-    return PartialGroup(G, G.elems, ChainDomain(one, [one]))
+    return restrict(group_locality(G, S, p), G.elems, Delta, S.trivial_subgroup())
 
 
 # ---------------------------------------------------------------------------
@@ -435,25 +383,17 @@ def restrict(
             if img is not None and img <= R and img not in Gamma:
                 raise GammaNotClosed("not closed under H-conjugation")
     # (Q1): <P, X> must be an object of L for every P in Gamma
-    for P in Gamma:
-        joined = mulclose(list(P | X.elems), cap=L.ambient.order)
+    joined_of = {P: mulclose(list(P | X.elems), cap=L.ambient.order) for P in Gamma}
+    for P, joined in joined_of.items():
         if joined not in L.Delta:
             raise Q1Violated("<P, X> is not an object for P with |P|=%d" % len(P))
-    # (Q2): N_H(P1, P2) <= N_L(<P1,X>, <P2,X>)
-    joined_of = {P: mulclose(list(P | X.elems), cap=L.ambient.order) for P in Gamma}
+    # (Q2): N_H(P1, P2) <= N_L(<P1,X>, <P2,X>); P2 = P1^f is the one object
+    # that f can move P1 onto
     for P1 in Gamma:
-        for P2 in Gamma:
-            if len(P1) != len(P2):
-                continue
-            for f in H:
-                img = _conj_subgroup_if_defined(L, P1, f)
-                if img != P2:
-                    continue
-                jimg = _conj_subgroup_if_defined(L, joined_of[P1], f)
-                if jimg != joined_of[P2]:
-                    raise Q2Violated(
-                        "transporter element does not move <P1,X> onto <P2,X>"
-                    )
+        for f in H:
+            P2 = _conj_subgroup_if_defined(L, P1, f)
+            if P2 in Gamma and _conj_subgroup_if_defined(L, joined_of[P1], f) != joined_of[P2]:
+                raise Q2Violated("transporter element does not move <P1,X> onto <P2,X>")
     elems = frozenset(f for f in H if (S_f(L, f).elems & R) in Gamma)
     out = Locality(L.ambient, elems, Gamma, R, L.p)
     if not _is_max_p_subgroup(out, R, L.p):
@@ -461,7 +401,7 @@ def restrict(
     return out
 
 
-def _is_max_p_subgroup(P0: PartialGroup, R: FrozenSet[Perm], p: int) -> bool:
+def _is_max_p_subgroup(P0: Locality, R: FrozenSet[Perm], p: int) -> bool:
     """R is a p-subgroup of the partial group P0, maximal among such."""
     if not R <= P0.elems:
         return False
@@ -484,24 +424,15 @@ def _is_max_p_subgroup(P0: PartialGroup, R: FrozenSet[Perm], p: int) -> bool:
 # the restricted K-normalizer bN and its named special cases
 
 
-def bN_K(
-    L: Locality,
-    F: FusionSystem,
-    X: Subgroup,
-    K: AutGroup,
-    for_subcentric: bool = False,
-) -> Locality:
+def bN_K(L: Locality, F: FusionSystem, X: Subgroup, K: AutGroup) -> Locality:
     """bN_L^K(X) = N_L^K(X) restricted to the subcentric set of N_F^K(X).
 
-    Requires X fully K-normalized in F. With ``for_subcentric`` the
-    subnormality hypothesis K subnormal in K*Inn(X) is enforced as well
-    (it is what makes the output a subcentric locality).
+    Requires X fully K-normalized in F. The output is a subcentric locality
+    when K is subnormal in K*Inn(X); callers that need one test that
+    hypothesis themselves.
     """
     if not is_fully_K_normalized(F, X, K):
         raise NotFullyKNormalized("X is not fully K-normalized in F")
-    if for_subcentric:
-        if not K.is_subnormal_in(K.product(inn_group(X))):
-            raise KNotSubnormal("K is not subnormal in K*Inn(X)")
     NFK = K_normalizer_subsystem(F, X, K)
     Gamma = frozenset(P.elems for P in subcentric_set(NFK))
     return restrict(L, K_normalizer_partial(L, X, K), Gamma, X)
@@ -651,7 +582,7 @@ def product_fusion(L: Locality, N: FrozenSet[Perm], X: Subgroup) -> FusionSystem
 # axiom verification
 
 
-def _walk(P: PartialGroup, word_len: int):
+def _walk(P: Locality, word_len: int):
     """Every word over P's sorted elements of length 1..word_len, by length
     and then lexicographically, as (word, code, rule state, prefix products).
 
@@ -680,7 +611,7 @@ def _strs(word: Word) -> list:
     return [str(g) for g in word]
 
 
-def verify_partial_group(P: PartialGroup, word_len: int = 3) -> VerificationReport:
+def verify_partial_group(P: Locality, word_len: int = 3) -> VerificationReport:
     """Exhaustive partial-group axiom check over the word fragment.
 
     The words come from _walk. Whether each word shorter than word_len is

@@ -33,7 +33,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 from . import fusion as fu
 from . import groups as gp
 from . import locality as lo
-from .errors import CorpusParseError, NotFound, NotPartialSubgroup, PLocalError
+from .errors import CapExceeded, CorpusParseError, NotFound, NotPartialSubgroup, PLocalError
 from .groups import AutGroup, Subgroup
 from .perm import Perm, perm_from_cycles
 from .report import VerificationReport, failed_report, passed_report, skipped_report
@@ -139,7 +139,7 @@ def check_restricted_subcentric(
     if not K.is_subnormal_in(K.product(gp.inn_group(X))):
         return skipped_report(stmt, instance, "K-not-subnormal-in-K*Inn(X)")
     try:
-        bn = lo.bN_K(L, F, X, K, for_subcentric=True)
+        bn = lo.bN_K(L, F, X, K)
     except PLocalError as exc:
         return failed_report(stmt, instance, {"construction": str(exc)})
     NFK = fu.K_normalizer_subsystem(F, X, K)
@@ -261,7 +261,7 @@ def check_main_theorem(
     stats: Dict[str, object] = {"branch": branch}
 
     try:
-        bn = lo.bN_K(L, F, X, K_eff, for_subcentric=True)
+        bn = lo.bN_K(L, F, X, K_eff)
     except PLocalError as exc:
         w = {"construction": str(exc)}
         return [
@@ -528,7 +528,12 @@ def _k_from_gens(X: Subgroup, A: AutGroup, spec: str) -> AutGroup:
         raise CorpusParseError("K=gens:%s: %s" % (spec, exc))
     if not perms:
         raise CorpusParseError("empty K generator list")
-    closure = gp.mulclose(perms, cap=max(A.order, 1))
+    try:
+        closure = gp.mulclose(perms, cap=max(A.order, 1))
+    except CapExceeded:
+        raise CorpusParseError(
+            "K=gens:%s: generates more than |Aut(X)| = %d permutations" % (spec, A.order)
+        )
     K = A.subgroup_from_perms(closure)
     for m in K.maps:
         if m not in A.maps:

@@ -7,7 +7,6 @@ from plocal import fusion as fu
 from plocal import groups as gp
 from plocal import locality as lo
 from plocal.errors import (
-    DeltaNotClosed,
     GammaNotClosed,
     NotFound,
     NotFullyKNormalized,
@@ -40,15 +39,52 @@ def test_sylow_only_object_set(s4):
     assert lo.verify_locality(L).passed
 
 
-def test_delta_closure_rejected(s4):
+def test_group_locality_elements_match_definition(s4, s3xs3, L_s4, L_s3xs3):
+    """L_Delta(G) = {g in G : S cap S^{g^-1} in Delta}, the definition the
+    restriction of the group locality must reproduce."""
     S = gp.sylow_subgroup(s4, 2)
-    Z = gp.center(S)
-    with pytest.raises(DeltaNotClosed):
-        lo.build_group_locality(s4, S, frozenset([Z.elems]), 2)  # misses overgroups
+    sylow_only = lo.build_group_locality(s4, S, frozenset([S.elems]), 2)
+    for G, L in ((s4, L_s4), (s3xs3, L_s3xs3), (s4, sylow_only)):
+        S_g = {g: frozenset(x for x in L.S_elems if x.conj(g) in L.S_elems) for g in G.elems}
+        assert L.elems == frozenset(g for g in G.elems if S_g[g] in L.Delta)
 
 
-def test_group_as_partial_passes_axioms(s3):
-    P = lo.group_as_partial(s3)
+def _order_at_least_4_and_one_transposition(S):
+    """The subgroups of S of order >= 4 and <t> for one transposition t in
+    S, but not <t'> for its S-conjugate t'."""
+    t = next(x for x in sorted(S.elems) if [len(c) for c in x.cycles()] == [2])
+    conjugates = {t.conj(g) for g in S.elems}
+    assert len(conjugates) == 2  # so <t'> with t' != t is left out
+    return frozenset(H.elems for H in gp.all_subgroups(S) if H.order >= 4) | {
+        frozenset([S.identity, t])
+    }
+
+
+@pytest.mark.parametrize(
+    "make_delta, message",
+    [
+        pytest.param(lambda S: frozenset([gp.center(S).elems]), "overgroups", id="missing-overgroup"),
+        pytest.param(_order_at_least_4_and_one_transposition, "conjugation", id="missing-conjugate"),
+        pytest.param(
+            lambda S: frozenset([S.elems, frozenset(perms(4, "()", "(0 3)"))]),
+            "not a subgroup",
+            id="object-outside-S",
+        ),
+    ],
+)
+def test_delta_closure_rejected(s4, make_delta, message):
+    S = gp.sylow_subgroup(s4, 2)
+    with pytest.raises(GammaNotClosed, match=message):
+        lo.build_group_locality(s4, S, make_delta(S), 2)
+
+
+def test_non_sylow_base_rejected(s4, klein):
+    with pytest.raises(NotSylow):
+        lo.build_group_locality(s4, klein, frozenset([klein.elems]), 2)
+
+
+def test_group_locality_passes_axioms(s3):
+    P = lo.group_locality(s3, gp.sylow_subgroup(s3, 2), 2)
     rep = lo.verify_partial_group(P)
     assert rep.passed
     assert rep.stats["domain_words"] == rep.stats["words_checked"]
@@ -133,7 +169,7 @@ def test_restrict_idempotent(L_s4, F_s4, s4):
     once = lo.restrict(L_s4, CL, Gamma, Z)
     twice = lo.restrict(once, once.elems, Gamma, Z)
     assert once.elems == twice.elems
-    assert once.rule == twice.rule
+    assert once == twice
 
 
 def test_restrict_gamma_closure_error(L_s4, s4):
@@ -381,7 +417,7 @@ def test_planted_fault_subword(object_gens, i, j):
     base = gp.generate_group(perms(9, "(0 1)", "(3 4)", "(6 7)")).elems
     objects = [base] + [gp.generate_group(perms(9, *gens)).elems for gens in object_gens]
     elems = gp.generate_group(perms(9, "(0 2)", "(3 5)", "(6 8)")).elems
-    P = lo.PartialGroup(G, elems, lo.ChainDomain(base, objects))
+    P = lo.Locality(G, elems, objects, base, 2)
     rep = lo.verify_partial_group(P)
     assert rep.failed
     assert rep.witness == {"axiom": "subword", "w": ["(6 8)", "(3 5)"], "i": i, "j": j}
@@ -392,7 +428,7 @@ def test_planted_fault_splice_domain(s3):
     3-cycle, is not an element: splicing it in leaves the domain."""
     elems = [s3.identity] + perms(3, "(0 1)", "(1 2)")
     one = frozenset([s3.identity])
-    P = lo.PartialGroup(s3, elems, lo.ChainDomain(one, [one]))
+    P = lo.Locality(s3, elems, [one], one, 2)
     rep = lo.verify_partial_group(P)
     assert rep.failed
     assert rep.witness == {"axiom": "splice-domain", "w": ["(1 2)", "(0 1)"], "i": 0, "j": 2}
@@ -405,7 +441,7 @@ def test_planted_fault_inverse_word_domain(s4):
     base = gp.generate_group(perms(4, "(1 2 3)", "(1 2)")).elems
     C = gp.generate_group(perms(4, "(2 3)")).elems
     elems = gp.generate_group(perms(4, "(0 1 2 3)")).elems
-    P = lo.PartialGroup(s4, elems, lo.ChainDomain(base, [base, C]))
+    P = lo.Locality(s4, elems, [base, C], base, 2)
     rep = lo.verify_partial_group(P)
     assert rep.failed
     assert rep.witness == {"axiom": "inverse-word-domain", "w": ["(0 3 2 1)"]}
@@ -434,7 +470,7 @@ def test_walk_matches_whole_word_definitions(s4, L_s3xs3):
     base = gp.generate_group(perms(4, "(1 2 3)", "(1 2)")).elems
     C = gp.generate_group(perms(4, "(2 3)")).elems
     elems = gp.generate_group(perms(4, "(0 1 2 3)")).elems
-    unclosed = lo.PartialGroup(s4, elems, lo.ChainDomain(base, [base, C]))
+    unclosed = lo.Locality(s4, elems, [base, C], base, 2)
     for P in (L_s3xs3, unclosed):
         rule, els = P.rule, P.sorted_elements()
         seen = 0
@@ -473,7 +509,8 @@ def test_planted_fault_objectivity(s3xs3):
 def test_word_fragment_counts(s3, L_s3xs3, word_len, group_stats, locality_stats):
     """words_checked counts every word of length 1..word_len; domain_words
     the ones in the domain (all of them for a group)."""
-    for P, expected in ((lo.group_as_partial(s3), group_stats), (L_s3xs3, locality_stats)):
+    group = lo.group_locality(s3, gp.sylow_subgroup(s3, 2), 2)
+    for P, expected in ((group, group_stats), (L_s3xs3, locality_stats)):
         rep = lo.verify_partial_group(P, word_len=word_len)
         assert rep.passed
         assert (rep.stats["words_checked"], rep.stats["domain_words"]) == expected

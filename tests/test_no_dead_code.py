@@ -1,8 +1,9 @@
-"""Every function and method in the package has a user.
+"""Every function, method and class in the package has a user.
 
-A non-dunder function or method whose name occurs nowhere in ``src/plocal``
-or ``tests`` except at its own definition is dead code. A name exported
-from ``plocal/__init__.py`` occurs there, so it counts as used.
+A class or non-dunder function or method whose name occurs nowhere in
+``src/plocal`` or ``tests`` except at its own definition is dead code. A
+name exported from ``plocal/__init__.py`` occurs there, so it counts as
+used.
 
 Every parameter of a module-level function is read in that function's
 body. Methods are exempt: protocol methods such as
@@ -25,11 +26,12 @@ PACKAGE = ROOT / "src" / "plocal"
 
 
 def _defined_names():
-    """Name -> number of definitions, over every function in the package."""
+    """Name -> number of definitions, over every function and class in the
+    package."""
     defs = Counter()
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 if not (node.name.startswith("__") and node.name.endswith("__")):
                     defs[node.name] += 1
     return defs

@@ -259,6 +259,10 @@ def test_k_options_rejects_non_automorphism(s4):
 
     with pytest.raises(CorpusParseError):
         vf.k_options(C4, descriptors=("gens:(0 1)",))
+    # these generate all of Sym(4), more than |Aut(V4)| = 6 permutations
+    V4 = gp.core_Op(s4, 2)
+    with pytest.raises(CorpusParseError, match=r"gens:\(0 1 2 3\);\(0 1\)"):
+        vf.k_options(V4, descriptors=("gens:(0 1 2 3);(0 1)",))
 
 
 def test_coverage_counts():
