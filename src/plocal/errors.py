@@ -61,5 +61,11 @@ class CorpusParseError(PLocalError):
         super().__init__(message)
 
 
+class KDescriptorNotForX(CorpusParseError):
+    """A well-formed ``K=gens:`` descriptor defines no subgroup of Aut(X)
+    for this X: it names a point past |X|, a map that is not an
+    automorphism, or more maps than Aut(X) has."""
+
+
 class NormalityError(PLocalError):
     """A corpus entry declares a normal subgroup that is not normal."""

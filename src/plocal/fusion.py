@@ -8,6 +8,13 @@ composed with the inclusion of its image into Q, which is the same table.
 This normal form keeps closure computations small while every predicate in
 sight can still quantify over all morphisms exactly.
 
+A system caches what it derives (saturation witness, core, centric and
+subcentric sets, K-normalizer subsystems) in its ``_cache``; all of it
+depends only on the system's content (S, p, germs). The K-normalizer
+subsystems of a system, and theirs in turn, are shared by content: they and
+the system they come from hold one table of systems, so equal subsystems
+reached under different (X, K) are one object with one cache.
+
 External definitions used here and pinned in one place:
 
 * saturation: every fully normalized subgroup is fully automized and
@@ -247,7 +254,13 @@ def is_fully_centralized(F: FusionSystem, X: Subgroup) -> bool:
 def K_normalizer_subsystem(F: FusionSystem, X: Subgroup, K: AutGroup) -> FusionSystem:
     """N_F^K(X), the fusion system over N_S^K(X) whose morphisms are exactly
     those extending to an F-morphism that sends X to X acting as a member
-    of K."""
+    of K.
+
+    The result is shared by content in the table of systems that F and
+    every subsystem derived from it hold (``_cache["systems"]``): an (X, K)
+    whose subsystem equals one in the table, F included, gets that object
+    and so its cache.
+    """
     key = ("NFK", X.elems, K.maps)
     if key in F._cache:
         return F._cache[key]
@@ -270,6 +283,9 @@ def K_normalizer_subsystem(F: FusionSystem, X: Subgroup, K: AutGroup) -> FusionS
                 if r.image <= S0.elems:
                     germs.add(r)
     out = FusionSystem(S0, F.p, germs)
+    systems = F._cache.setdefault("systems", {F: F})
+    out = systems.setdefault(out, out)
+    out._cache.setdefault("systems", systems)
     F._cache[key] = out
     return out
 

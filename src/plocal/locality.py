@@ -429,13 +429,20 @@ def bN_K(L: Locality, F: FusionSystem, X: Subgroup, K: AutGroup) -> Locality:
 
     Requires X fully K-normalized in F. The output is a subcentric locality
     when K is subnormal in K*Inn(X); callers that need one test that
-    hypothesis themselves.
+    hypothesis themselves. Kept in L's memo per (F, X, K); a failed
+    hypothesis is not kept, so it raises again on every call.
     """
+    key = ("bN_K", F, X.elems, K.maps)
+    hit = L._memo.get(key)
+    if hit is not None:
+        return hit
     if not is_fully_K_normalized(F, X, K):
         raise NotFullyKNormalized("X is not fully K-normalized in F")
     NFK = K_normalizer_subsystem(F, X, K)
     Gamma = frozenset(P.elems for P in subcentric_set(NFK))
-    return restrict(L, K_normalizer_partial(L, X, K), Gamma, X)
+    hit = restrict(L, K_normalizer_partial(L, X, K), Gamma, X)
+    L._memo[key] = hit
+    return hit
 
 
 def bN(L: Locality, F: FusionSystem, X: Subgroup) -> Locality:

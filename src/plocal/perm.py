@@ -123,28 +123,39 @@ def identity(degree: int) -> Perm:
     return Perm(range(degree))
 
 
-def perm_from_cycles(text: str, degree: int) -> Perm:
-    """Parse cycle notation like ``(0 1 2)(3 4)`` into a permutation of the
-    given degree. Whitespace or commas separate points; ``()`` and the empty
-    string denote the identity.
+def parse_cycles(text: str) -> list:
+    """The cycles of cycle notation like ``(0 1 2)(3 4)``, each a list of
+    points, checked for notation and repeated points but not against a
+    degree. Whitespace or commas separate points; ``()`` and the empty
+    string have no cycles.
     """
-    images = list(range(degree))
     text = text.strip()
     if text in ("", "()"):
-        return Perm(images)
+        return []
     if not text.startswith("(") or not text.endswith(")"):
         raise ValueError("bad cycle notation: %r" % text)
     moved = set()
+    cycles = []
     for chunk in text[1:-1].split(")("):
         pts = _points(chunk)
         if len(pts) < 2:
             continue
         for pt in pts:
-            if pt < 0 or pt >= degree:
-                raise ValueError("point %d out of range for degree %d" % (pt, degree))
             if pt in moved:
                 raise ValueError("point %d repeated in %r" % (pt, text))
             moved.add(pt)
+        cycles.append(pts)
+    return cycles
+
+
+def perm_from_cycles(text: str, degree: int) -> Perm:
+    """Parse cycle notation (see :func:`parse_cycles`) into a permutation
+    of the given degree."""
+    images = list(range(degree))
+    for pts in parse_cycles(text):
+        for pt in pts:
+            if pt >= degree:
+                raise ValueError("point %d out of range for degree %d" % (pt, degree))
         for a, b in zip(pts, pts[1:] + pts[:1]):
             images[a] = b
     return Perm(images)
@@ -157,13 +168,17 @@ def max_point(text: str) -> int:
 
 
 def _points(chunk: str) -> list:
-    """The points of one cycle body, naming the first token that is not one."""
+    """The points of one cycle body, naming the first token that is not one
+    (points are 0-based, so a negative number is not one)."""
     pts = []
     for tok in chunk.replace(",", " ").split():
         try:
-            pts.append(int(tok))
+            pt = int(tok)
         except ValueError:
-            raise ValueError("bad point %r" % tok) from None
+            pt = -1
+        if pt < 0:
+            raise ValueError("bad point %r" % tok)
+        pts.append(pt)
     return pts
 
 

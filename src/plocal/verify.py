@@ -33,9 +33,16 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 from . import fusion as fu
 from . import groups as gp
 from . import locality as lo
-from .errors import CapExceeded, CorpusParseError, NotFound, NotPartialSubgroup, PLocalError
+from .errors import (
+    CapExceeded,
+    CorpusParseError,
+    KDescriptorNotForX,
+    NotFound,
+    NotPartialSubgroup,
+    PLocalError,
+)
 from .groups import AutGroup, Subgroup
-from .perm import Perm, perm_from_cycles
+from .perm import Perm, parse_cycles, perm_from_cycles
 from .report import VerificationReport, failed_report, passed_report, skipped_report
 
 STATEMENTS = (
@@ -51,6 +58,11 @@ STATEMENTS = (
 
 # the default K sweep adds every subgroup of Aut(X) when |Aut(X)| is at most this
 AUT_CAP = 24
+
+# the statements of the locality sweep that take a K, and the skip reason for
+# an X on which a corpus K descriptor defines no subgroup of Aut(X)
+K_STATEMENTS = ("Lemma-2.1", "Lemma-3.1", "Theorem-3.2a", "Theorem-3.2b")
+UNFIT_K = "K-descriptor-not-for-X"
 
 
 # ---------------------------------------------------------------------------
@@ -474,8 +486,10 @@ def _k_label(idx: int, K: AutGroup) -> str:
 
 
 def k_options(
-    X: Subgroup, descriptors: Optional[Sequence[str]] = None
-) -> List[Tuple[str, AutGroup]]:
+    X: Subgroup,
+    descriptors: Optional[Sequence[str]] = None,
+    skip_unfit: bool = False,
+) -> List[Tuple[str, Optional[AutGroup]]]:
     """K choices for a subgroup X.
 
     Default sweep: the named systems (full Aut, trivial, inner) plus every
@@ -483,14 +497,18 @@ def k_options(
     descriptors ("aut" | "id" | "inn" | "gens:<cycles>;..." acting on the
     index of the sorted elements of X) only those are used. Deduplicated,
     deterministic order.
+
+    A ``gens:`` descriptor that defines no subgroup of Aut(X) raises
+    KDescriptorNotForX, or with ``skip_unfit`` is returned with K None.
     """
     A = gp.aut_group(X)
-    out: List[Tuple[str, AutGroup]] = []
+    out: List[Tuple[str, Optional[AutGroup]]] = []
     seen = set()
 
-    def push(tag: str, K: AutGroup):
-        if K.maps not in seen:
-            seen.add(K.maps)
+    def push(tag: str, K: Optional[AutGroup]):
+        mark = tag if K is None else K.maps
+        if mark not in seen:
+            seen.add(mark)
             out.append((tag, K))
 
     if descriptors is not None:
@@ -502,7 +520,12 @@ def k_options(
             elif desc == "inn":
                 push(desc, gp.inn_group(X))
             elif desc.startswith("gens:"):
-                push(desc, _k_from_gens(X, A, desc[5:]))
+                try:
+                    push(desc, _k_from_gens(X, A, desc[5:]))
+                except KDescriptorNotForX:
+                    if not skip_unfit:
+                        raise
+                    push(desc, None)
             else:
                 raise CorpusParseError("unknown K descriptor %r" % desc)
         return out
@@ -521,24 +544,42 @@ def k_options(
 
 
 def _k_from_gens(X: Subgroup, A: AutGroup, spec: str) -> AutGroup:
-    """Explicit K: permutation generators on the sorted element index of X."""
+    """Explicit K: permutation generators on the sorted element index of X.
+
+    A malformed spec raises CorpusParseError whatever X is; a well-formed
+    one that defines no subgroup of Aut(X) raises KDescriptorNotForX.
+    """
+    specs = [s for s in spec.split(";") if s.strip()]
+    if not specs:
+        raise CorpusParseError("empty K generator list")
     try:
-        perms = [perm_from_cycles(s, X.order) for s in spec.split(";") if s.strip()]
+        top = max((pt for s in specs for cyc in parse_cycles(s) for pt in cyc), default=-1)
     except ValueError as exc:
         raise CorpusParseError("K=gens:%s: %s" % (spec, exc))
-    if not perms:
-        raise CorpusParseError("empty K generator list")
+    if top >= X.order:
+        raise KDescriptorNotForX(
+            "K=gens:%s: point %d out of range for degree %d" % (spec, top, X.order)
+        )
+    perms = [perm_from_cycles(s, X.order) for s in specs]
     try:
         closure = gp.mulclose(perms, cap=max(A.order, 1))
     except CapExceeded:
-        raise CorpusParseError(
+        raise KDescriptorNotForX(
             "K=gens:%s: generates more than |Aut(X)| = %d permutations" % (spec, A.order)
         )
     K = A.subgroup_from_perms(closure)
     for m in K.maps:
         if m not in A.maps:
-            raise CorpusParseError("K generator does not induce an automorphism of X")
+            raise KDescriptorNotForX("K generator does not induce an automorphism of X")
     return K
+
+
+def _k_sweep(pe: PreparedEntry, X: Subgroup) -> List[Tuple[str, Optional[AutGroup]]]:
+    """k_options for X over the entry's descriptors. A descriptor that is
+    not for X comes back with K None, to be skipped visibly, unless X is
+    named on the entry's X= lines: then it stays a corpus error."""
+    named = pe.X_list is not None and X in pe.X_list
+    return k_options(X, pe.K_descriptors, skip_unfit=not named)
 
 
 def _p_subgroups(G: Subgroup, p: int) -> Tuple[Subgroup, ...]:
@@ -574,20 +615,25 @@ def entry_reports(
                         )
                     )
             if want("Lemma-2.2b"):
-                for tag, K in k_options(X, pe.K_descriptors):
-                    reports.append(
-                        check_char_p_normalizer_aut(
-                            pe.G, pe.p, X, K, "%s|K=%s" % (xi, tag)
-                        )
-                    )
+                for tag, K in _k_sweep(pe, X):
+                    inst = "%s|K=%s" % (xi, tag)
+                    if K is None:
+                        reports.append(skipped_report("Lemma-2.2b", inst, UNFIT_K))
+                    else:
+                        reports.append(check_char_p_normalizer_aut(pe.G, pe.p, X, K, inst))
 
     # locality-level statements over subgroups of S
     X_sweep = pe.X_list if pe.X_list else pe.F.subgroups()
     for X in X_sweep:
         xi = "%s|X=%s" % (name, X.label())
-        if want("Lemma-2.1") or want("Lemma-3.1") or want("Theorem-3.2a") or want("Theorem-3.2b"):
-            for tag, K in k_options(X, pe.K_descriptors):
+        if any(want(stmt) for stmt in K_STATEMENTS):
+            for tag, K in _k_sweep(pe, X):
                 inst = "%s|K=%s" % (xi, tag)
+                if K is None:
+                    reports.extend(
+                        skipped_report(stmt, inst, UNFIT_K) for stmt in K_STATEMENTS if want(stmt)
+                    )
+                    continue
                 if want("Lemma-2.1"):
                     reports.append(
                         check_restricted_subcentric(

@@ -5,6 +5,10 @@ enumeration scans subsets, Sylow subgroups are maxima over the full
 lattice, subnormality searches over all normal-series chains, and
 automorphism groups filter all identity-fixing bijections. They are the
 second route every lattice-level claim is checked against.
+
+The fusion-layer oracles read F = F_S(G) off G itself, never off a stored
+fusion system: a morphism is a conjugation c_g, and N_F(Q) for a fully
+normalized Q is F_{N_S(Q)}(N_G(Q)).
 """
 
 from __future__ import annotations
@@ -110,3 +114,88 @@ def bijection_automorphisms(X: Subgroup):
         if all(table[a * b] == table[a] * table[b] for a in elems for b in elems):
             out.add(GroupInjection(tuple(table.items())))
     return out
+
+
+def _conj(X, g):
+    return frozenset(x.conj(g) for x in X)
+
+
+def fusion_core_from_group(G: Subgroup, S: Subgroup):
+    """O_p(F_S(G)) from the definition: the largest Q <| S such that every
+    c_g : A -> S (A <= S, g in G) agrees on A with some c_h, h in G, with
+    Q^h = Q and (AQ)^h <= S. Subgroups of S by subset scan, |S| <= 8."""
+    se = S.elems
+    subs = powerset_subgroups(S)
+    # the elements of G grouped by the map c_g they induce on A
+    realizing = {}
+    for A in subs:
+        order = sorted_elems(A)
+        by_map = {}
+        for g in G.elems:
+            by_map.setdefault(tuple(a.conj(g) for a in order), []).append(g)
+        realizing[A] = [hs for img, hs in by_map.items() if set(img) <= se]
+
+    def normal(Q) -> bool:
+        if any(_conj(Q, s) != Q for s in se):
+            return False
+        for A in subs:
+            AQ = frozenset(a * q for a in A for q in Q)
+            for hs in realizing[A]:
+                if not any(_conj(Q, h) == Q and _conj(AQ, h) <= se for h in hs):
+                    return False
+        return True
+
+    normals = [Q for Q in subs if normal(Q)]
+    best = max(normals, key=len)
+    assert all(Q <= best for Q in normals), "normal subgroups have no unique maximum"
+    return best
+
+
+def subcentric_from_group(G: Subgroup, S: Subgroup):
+    """F^s for F = F_S(G): the P <= S whose class has a fully normalized
+    member Q with O_p(F_{N_S(Q)}(N_G(Q))) centric, where R <= S is centric
+    when C_S(R') <= R' for every G-conjugate R' of R inside S."""
+    se = S.elems
+
+    def in_S_class(P):
+        return {_conj(P, g) for g in G.elems if _conj(P, g) <= se}
+
+    def N(H, Q):
+        return frozenset(h for h in H.elems if _conj(Q, h) == Q)
+
+    def centric(R):
+        return all(
+            frozenset(s for s in se if all(r.conj(s) == r for r in Rg)) <= Rg
+            for Rg in in_S_class(R)
+        )
+
+    out = set()
+    for P in powerset_subgroups(S):
+        Q = max(sorted(in_S_class(P), key=sorted_elems), key=lambda Q: len(N(S, Q)))
+        if centric(fusion_core_from_group(Subgroup(N(G, Q)), Subgroup(N(S, Q)))):
+            out.add(P)
+    return out
+
+
+def K_normalizer_from_group(H: Subgroup, X: Subgroup, K) -> Subgroup:
+    """N_H^K(X) = {h in H : X^h = X and c_h on X lies in K}, by scanning H."""
+    order = sorted_elems(X.elems)
+    maps = {tuple(m(x) for x in order) for m in K.maps}
+    return Subgroup(
+        frozenset(
+            h for h in H.elems
+            if _conj(X.elems, h) == X.elems and tuple(x.conj(h) for x in order) in maps
+        )
+    )
+
+
+def conjugation_germs(G: Subgroup, S: Subgroup):
+    """The morphisms of F_S(G) as tables: c_g on P for every P <= S and
+    g in G with P^g <= S."""
+    se = S.elems
+    return {
+        GroupInjection((x, x.conj(g)) for x in P)
+        for P in powerset_subgroups(S)
+        for g in G.elems
+        if _conj(P, g) <= se
+    }

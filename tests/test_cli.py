@@ -170,6 +170,53 @@ def test_bad_point_in_k_generators_is_corpus_error(tmp_path, capsys):
     assert "bad point 'q'" in capsys.readouterr().err
 
 
+D8_K = """
+group d8k p=2 gens=(0 1 2 3);(0 2)
+normal gens=(0 1 2 3);(0 2)
+X=(0 2)(1 3);(0 2)
+K=gens:(1 2)
+"""
+
+
+def _reports_of(tmp_path, corpus, *flags):
+    out = tmp_path / "report.json"
+    code = _main_on(tmp_path, corpus, "--report", str(out), *flags)
+    return code, json.loads(out.read_text())
+
+
+def test_k_descriptor_not_for_x_is_skipped(tmp_path):
+    """(1 2) swaps two elements of a four-group, which is an automorphism;
+    on the p-subgroups of another order, or the cyclic one, it is none."""
+    code, reports = _reports_of(tmp_path, D8_K)
+    assert code == 0
+    unfit = [r for r in reports if r.get("reason") == "K-descriptor-not-for-X"]
+    assert {r["statement"] for r in unfit} == {"Lemma-2.2b"}
+    assert {r["instance"].split("|")[1] for r in unfit} >= {"X={1}", "X={(0 2)}"}
+    ran = [r for r in reports if r["statement"] == "Lemma-2.2b" and r not in unfit]
+    assert len(ran) == 2 and all(r["outcome"] == "pass" for r in ran)
+    named = [r for r in reports if r["statement"] == "Lemma-2.1"]
+    assert [r["outcome"] for r in named] == ["pass"]
+    # without X= lines the locality sweep skips it too, once per statement
+    code, reports = _reports_of(
+        tmp_path, D8_K.replace("X=(0 2)(1 3);(0 2)\n", ""), "--statement", "Lemma-2.1",
+        "--statement", "Theorem-3.2b",
+    )
+    assert code == 0
+    at_one = [r for r in reports if "|X={1}|" in r["instance"]]
+    assert sorted((r["statement"], r["reason"]) for r in at_one) == [
+        ("Lemma-2.1", "K-descriptor-not-for-X"),
+        ("Theorem-3.2b", "K-descriptor-not-for-X"),
+    ]
+
+
+def test_k_descriptor_not_for_named_x_is_corpus_error(tmp_path, capsys):
+    corpus = D8_K.replace("X=(0 2)(1 3);(0 2)", "X=(0 2)").replace("(1 2)", "(0 1)")
+    assert _main_on(tmp_path, corpus) == 2
+    assert "K=gens:(0 1)" in capsys.readouterr().err
+    assert _main_on(tmp_path, corpus, "--statement", "Lemma-2.2b") == 2
+    assert "K=gens:(0 1)" in capsys.readouterr().err
+
+
 def test_non_utf8_corpus_is_corpus_error(tmp_path, capsys):
     assert _main_on(tmp_path, GOOD.encode() + b"# \xff\xfe\n") == 2
     assert "corpus error" in capsys.readouterr().err

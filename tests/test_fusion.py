@@ -3,11 +3,14 @@ distinguished subgroup sets and subsystem normality."""
 
 import pytest
 
+from plocal import cli
 from plocal import fusion as fu
 from plocal import groups as gp
+from plocal import verify as vf
 from plocal.errors import NotSaturated, NotSylow
 from plocal.perm import perm_from_cycles
 
+from . import oracles
 from .conftest import perms
 
 
@@ -170,6 +173,20 @@ def test_aut_K_equals_autF_K_normalizer(F_s4):
         assert full == realized
 
 
+def test_equal_K_normalizers_are_one_object(s4):
+    """Keys (X, K) with the same N_F^K(X) share one system, and so share
+    what it caches. For the non-normal four-group, Aut(X) and Aut_F(X) are
+    different keys with the same subsystem."""
+    F = fu.fusion_of_group(s4, gp.sylow_subgroup(s4, 2), 2)
+    two_keys = 0
+    for X in F.subgroups():
+        A, autF = gp.aut_group(X), F.aut(X)
+        full = fu.K_normalizer_subsystem(F, X, A)
+        assert fu.K_normalizer_subsystem(F, X, autF) is full
+        two_keys += A.maps != autF.maps
+    assert two_keys > 0
+
+
 def test_K_normalizer_saturated_when_fully_K_normalized(F_s4, F_sl23):
     for F in (F_s4, F_sl23):
         for X in F.subgroups():
@@ -179,6 +196,32 @@ def test_K_normalizer_saturated_when_fully_K_normalized(F_s4, F_sl23):
                     continue
                 if fu.is_fully_K_normalized(F, X, K):
                     assert fu.is_saturated(fu.K_normalizer_subsystem(F, X, K))
+
+
+def test_K_normalizers_match_group_oracle_on_s4_a4():
+    """For every fully K-normalized X of the s4_a4 entry and every K of its
+    sweep, the shared N_F^K(X) is F_{N_S^K(X)}(N_G^K(X)) read off G, and its
+    core and subcentric set, cached under whichever key first reached that
+    content, are the oracle's for that group."""
+    (entry,) = [e for e in cli.parse_corpus(cli.default_corpus_text()) if e.name == "s4_a4"]
+    G = gp.generate_group(entry.generators())
+    S = gp.sylow_subgroup(G, 2)
+    F = fu.fusion_of_group(G, S, 2)
+    checked = set()
+    for X in F.subgroups():
+        for _, K in vf.k_options(X):
+            if not fu.is_fully_K_normalized(F, X, K):
+                continue
+            NFK = fu.K_normalizer_subsystem(F, X, K)
+            NG = oracles.K_normalizer_from_group(G, X, K)
+            NS = gp.Subgroup(NG.elems & S.elems)
+            assert NFK.S == NS
+            assert NFK.all_germs() == oracles.conjugation_germs(NG, NS)
+            assert fu.fusion_core(NFK).elems == oracles.fusion_core_from_group(NG, NS)
+            got = {P.elems for P in fu.subcentric_set(NFK)}
+            assert got == oracles.subcentric_from_group(NG, NS)
+            checked.add(id(NFK))
+    assert len(checked) > 1
 
 
 # -- strongly closed / centric / subcentric -----------------------------------
@@ -213,6 +256,26 @@ def test_subcentric_requires_saturated():
     F = fu.close_generated(v4, 2, [alpha])
     with pytest.raises(NotSaturated):
         fu.subcentric_set(F)
+
+
+# the default entries, whose groups have characteristic p, so that every
+# subgroup of S is subcentric; and PSL(2,7) at p = 2, whose system is not
+# constrained, so that F^s is proper
+FUSION_ORACLE_CASES = [
+    (e.name, e.generators(), e.p) for e in cli.parse_corpus(cli.default_corpus_text())
+] + [("l27", perms(7, "(0 1 2 3 4 5 6)", "(0 1)(2 5)"), 2)]
+
+
+@pytest.mark.parametrize("name, gens, p", FUSION_ORACLE_CASES, ids=[c[0] for c in FUSION_ORACLE_CASES])
+def test_core_and_subcentric_match_group_oracle(name, gens, p):
+    G = gp.generate_group(gens)
+    S = gp.sylow_subgroup(G, p)
+    F = fu.fusion_of_group(G, S, p)
+    assert fu.fusion_core(F).elems == oracles.fusion_core_from_group(G, S)
+    got = {P.elems for P in fu.subcentric_set(F)}
+    assert got == oracles.subcentric_from_group(G, S)
+    if name == "l27":
+        assert S.trivial_subgroup().elems not in got
 
 
 def test_fusion_core(F_s4, F_s3, klein):

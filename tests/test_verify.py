@@ -3,10 +3,12 @@ and the suite driver plumbing."""
 
 import pytest
 
+from plocal import cli
 from plocal import fusion as fu
 from plocal import groups as gp
 from plocal import locality as lo
 from plocal import verify as vf
+from plocal.errors import CorpusParseError, KDescriptorNotForX, NotFullyKNormalized
 from plocal.report import VerificationReport
 from .conftest import perms
 
@@ -128,6 +130,59 @@ def test_verification_reuse_is_keyed_on_F_and_word_len(monkeypatch, own_L_s4, F_
     for F, word_len in ((F_s4, 3), (F_s4, 3), (F_s4, 2), (inner, 3), (inner, 2)):
         vf._verified_subcentric(own_L_s4, own_L_s4, F, word_len)
     assert calls == [3, 2, 3, 2]
+
+
+def test_bN_K_restricts_once_per_key(monkeypatch, own_L_s4, F_s4, klein):
+    calls = []
+    real = lo.restrict
+
+    def spy(*args):
+        calls.append(args[3])
+        return real(*args)
+
+    monkeypatch.setattr(lo, "restrict", spy)
+    V = gp.Subgroup(klein.elems)
+    K = gp.trivial_aut_group(V)
+    first = lo.bN_K(own_L_s4, F_s4, V, K)
+    assert lo.bN_K(own_L_s4, F_s4, V, K) is first
+    assert calls == [V]
+
+
+def test_bN_K_failure_raises_on_every_call(monkeypatch, own_L_s4, F_s4):
+    calls = []
+    real = fu.is_fully_K_normalized
+
+    def spy(F, X, K):
+        calls.append(X)
+        return real(F, X, K)
+
+    monkeypatch.setattr(lo, "is_fully_K_normalized", spy)
+    Y = gp.Subgroup(gp.mulclose(perms(4, "(0 2)(1 3)"), cap=24))
+    for _ in range(2):
+        with pytest.raises(NotFullyKNormalized):
+            lo.bN_K(own_L_s4, F_s4, Y, gp.aut_group(Y))
+    assert calls == [Y, Y]
+
+
+def test_fusion_core_once_per_distinct_system(monkeypatch):
+    """Running the s4_a4 entry computes O_p once per fusion-system content:
+    equal subsystems derived from F are one object, so share one cache."""
+    computed = []
+    real = fu.fusion_core
+
+    def spy(F):
+        if "core" not in F._cache:
+            computed.append(F)
+        return real(F)
+
+    monkeypatch.setattr(fu, "fusion_core", spy)
+    (entry,) = [e for e in cli.parse_corpus(cli.default_corpus_text()) if e.name == "s4_a4"]
+    pe, axioms = vf.prepare_entry(entry)
+    assert axioms.passed
+    reports = vf.entry_reports(pe)
+    assert not any(r.failed for r in reports)
+    assert len(computed) > 1
+    assert len(computed) == len(set(computed))
 
 
 # -- Lemma 3.1 -----------------------------------------------------------------
@@ -263,6 +318,24 @@ def test_k_options_rejects_non_automorphism(s4):
     V4 = gp.core_Op(s4, 2)
     with pytest.raises(CorpusParseError, match=r"gens:\(0 1 2 3\);\(0 1\)"):
         vf.k_options(V4, descriptors=("gens:(0 1 2 3);(0 1)",))
+
+
+def test_k_options_skips_descriptors_not_for_X(s4, klein):
+    V = gp.Subgroup(klein.elems)
+    one = s4.trivial_subgroup()
+    C4 = gp.Subgroup(gp.mulclose(perms(4, "(0 1 2 3)"), cap=24))
+    descs = ("id", "gens:(1 2)")
+    assert [K.order for _, K in vf.k_options(V, descs, skip_unfit=True)] == [1, 2]
+    # a point past |X|, a non-automorphism of C4, more maps than Aut(X) has
+    for X, desc in ((one, "gens:(1 2)"), (C4, "gens:(0 1)"), (V, "gens:(1 2 3);(1 2)(0 3)")):
+        assert vf.k_options(X, ("id", desc), skip_unfit=True)[1] == (desc, None)
+        with pytest.raises(KDescriptorNotForX):
+            vf.k_options(X, (desc,))
+    # a malformed descriptor is an error on every X
+    for desc in ("gens:(0 q)", "gens:(1 2 1)", "gens:(0 -1)", "gens:"):
+        with pytest.raises(CorpusParseError) as ei:
+            vf.k_options(one, (desc,), skip_unfit=True)
+        assert not isinstance(ei.value, KDescriptorNotForX)
 
 
 def test_coverage_counts():
