@@ -397,6 +397,9 @@ class AutGroup:
     The group structure is mirrored by a faithful permutation action on the
     sorted element list of X, so the whole group machinery (subgroup
     lattices, subnormality, ...) applies to subgroups of Aut(X) as well.
+    The value keeps that permutation image: set products with their closure
+    check, subnormality and labels are computed on the images, and
+    K*Inn(X) is computed once and kept on K (:attr:`times_inn`).
     """
 
     base: Subgroup = field(compare=True)
@@ -417,21 +420,32 @@ class AutGroup:
     def __iter__(self):
         return iter(sorted(self.maps))
 
+    @cached_property
     def base_order(self) -> Tuple[Perm, ...]:
+        """The sorted elements of the base: point i of the image is the
+        i-th of them."""
         return sorted_elems(self.base.elems)
 
+    @cached_property
+    def base_index(self) -> Dict[Perm, int]:
+        return {x: i for i, x in enumerate(self.base_order)}
+
+    @cached_property
+    def perms(self) -> FrozenSet[Perm]:
+        """The permutation image of the group, one permutation per map."""
+        return frozenset(map(self.to_perm, self.maps))
+
     def to_perm(self, m: GroupInjection) -> Perm:
-        order = self.base_order()
-        index = {x: i for i, x in enumerate(order)}
-        return Perm(tuple(index[m(x)] for x in order))
+        index = self.base_index
+        return Perm(tuple(index[m(x)] for x in self.base_order))
 
     def perm_group(self) -> Subgroup:
-        return Subgroup(frozenset(self.to_perm(m) for m in self.maps))
+        return Subgroup(self.perms)
 
-    def subgroup_from_perms(self, perms: Iterable[Perm]) -> "AutGroup":
+    def subgroup_from_perms(self, perms: Iterable[Sequence[int]]) -> "AutGroup":
         """Inverse of :meth:`to_perm`, over a set of permutations."""
-        order = self.base_order()
-        maps = (GroupInjection((x, order[q(i)]) for i, x in enumerate(order)) for q in perms)
+        order = self.base_order
+        maps = (GroupInjection((x, order[q[i]]) for i, x in enumerate(order)) for q in perms)
         return AutGroup(self.base, frozenset(maps))
 
     def sub_autgroups(self) -> Tuple["AutGroup", ...]:
@@ -441,21 +455,34 @@ class AutGroup:
             for H in all_subgroups(self.perm_group())
         )
 
-    def product(self, other: "AutGroup") -> "AutGroup":
-        """Set product self*other, which must be a subgroup of Aut(base)."""
+    def _check_base(self, other: "AutGroup") -> None:
         if other.base.elems != self.base.elems:
             raise ValueError("mismatched bases")
-        prod = frozenset(a.then(b) for a in self.maps for b in other.maps)
+
+    def product(self, other: "AutGroup") -> "AutGroup":
+        """Set product self*other, which must be a subgroup of Aut(base).
+
+        Worked on the images: to_perm(a.then(b)) == to_perm(a) * to_perm(b),
+        so the set and its closure check are those of the maps. Images are
+        composed as plain tuples, which keeps the check out of Perm's
+        product memo; maps are built only for the result.
+        """
+        self._check_base(other)
+        prod = {tuple(map(b.__getitem__, a)) for a in self.perms for b in other.perms}
         for a in prod:  # closure sanity: product of subgroups along a normal one
             for b in prod:
-                if a.then(b) not in prod:
+                if tuple(map(b.__getitem__, a)) not in prod:
                     raise ValueError("set product is not a subgroup")
-        return AutGroup(self.base, prod)
+        return self.subgroup_from_perms(prod)
+
+    @cached_property
+    def times_inn(self) -> "AutGroup":
+        """K*Inn(X) for K = self and X = base, kept on K."""
+        return self.product(inn_group(self.base))
 
     def is_subnormal_in(self, other: "AutGroup") -> bool:
-        big = other.perm_group()
-        small = Subgroup(frozenset(other.to_perm(m) for m in self.maps))
-        return is_subnormal(small, big)
+        self._check_base(other)
+        return is_subnormal(Subgroup(self.perms), other.perm_group())
 
     def conjugate_by(self, phi: GroupInjection) -> "AutGroup":
         """K^phi = phi^-1 K phi, a subgroup of Aut(X phi)."""
@@ -467,7 +494,7 @@ class AutGroup:
         return AutGroup(newbase, moved)
 
     def label(self) -> str:
-        perms = sorted_elems(self.perm_group().elems)
+        perms = sorted_elems(self.perms)
         body = ",".join(str(q) for q in perms if not q.is_identity())
         return "[%s]" % body if body else "[1]"
 

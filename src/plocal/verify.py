@@ -42,7 +42,7 @@ from .errors import (
     PLocalError,
 )
 from .groups import AutGroup, Subgroup
-from .perm import Perm, parse_cycles, perm_from_cycles
+from .perm import Perm, parse_cycles, perm_from_cycles, sorted_elems
 from .report import VerificationReport, failed_report, passed_report, skipped_report
 
 STATEMENTS = (
@@ -106,7 +106,7 @@ def check_char_p_normalizer_aut(
         return skipped_report(stmt, instance, "G-not-characteristic-p")
     if not gp.is_p_group(X, p):
         return skipped_report(stmt, instance, "X-not-p-group")
-    KInn = K.product(gp.inn_group(X))
+    KInn = K.times_inn
     if not K.is_subnormal_in(KInn):
         return skipped_report(stmt, instance, "K-not-subnormal-in-K*Inn(X)")
     NK = gp.group_K_normalizer(G, X, K)
@@ -148,7 +148,7 @@ def check_restricted_subcentric(
     stmt = "Lemma-2.1"
     if not fu.is_fully_K_normalized(F, X, K):
         return skipped_report(stmt, instance, "not-fully-K-normalized")
-    if not K.is_subnormal_in(K.product(gp.inn_group(X))):
+    if not K.is_subnormal_in(K.times_inn):
         return skipped_report(stmt, instance, "K-not-subnormal-in-K*Inn(X)")
     try:
         bn = lo.bN_K(L, F, X, K)
@@ -228,13 +228,12 @@ def _subnormal_branch(F: fu.FusionSystem, X: Subgroup, K: AutGroup):
     K cap Aut_F(X). Returns (branch, effective K) or (None, None); the
     second branch replaces K by the intersection, which changes none of the
     derived objects (every realized automorphism lies in Aut_F(X))."""
-    inn = gp.inn_group(X)
-    if K.is_subnormal_in(K.product(inn)):
+    if K.is_subnormal_in(K.times_inn):
         return 1, K
     autF = F.aut(X)
     inter = frozenset(K.maps & autF.maps)
     K2 = AutGroup(K.base, inter)
-    if K2.is_subnormal_in(K2.product(inn)):
+    if K2.is_subnormal_in(K2.times_inn):
         return 2, K2
     return None, None
 
@@ -536,7 +535,7 @@ def k_options(
     if A.order <= AUT_CAP:
         subs = sorted(
             A.sub_autgroups(),
-            key=lambda B: (B.order, tuple(sorted(B.perm_group().elems))),
+            key=lambda B: (B.order, sorted_elems(B.perms)),
         )
         for idx, K in enumerate(subs):
             push(_k_label(idx, K), K)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from plocal import groups as gp
+from plocal import perm
 from plocal.errors import CapExceeded, DegreeMismatch
 from plocal.perm import Perm, identity, perm_from_cycles
 
@@ -229,6 +230,63 @@ def test_lemma22_product_identity(s4, sl23):
                 lhs = gp.group_K_normalizer(G, XG, KInn).elems
                 rhs = gp.set_product(gp.group_K_normalizer(G, XG, K).elems, XG.elems)
                 assert lhs == rhs
+
+
+# -- automorphism-group arithmetic --------------------------------------------
+
+
+def _map_product(A, B):
+    """The set product by composing maps, {a.then(b)}, or None when that
+    set is not closed under composition: the definition ``product`` keeps."""
+    prod = frozenset(a.then(b) for a in A.maps for b in B.maps)
+    if all(a.then(b) in prod for a in prod for b in prod):
+        return prod
+    return None
+
+
+def test_product_matches_map_composition(s4, sl23):
+    """For every pair of subgroups of Aut(D8) and of Aut(Q8), the product
+    worked on the permutation image is the set product of the maps, and is
+    refused exactly when that set is not a subgroup."""
+    refused = 0
+    for G in (s4, sl23):
+        subs = gp.aut_group(gp.sylow_subgroup(G, 2)).sub_autgroups()
+        for A in subs:
+            for B in subs:
+                expected = _map_product(A, B)
+                if expected is None:
+                    refused += 1
+                    with pytest.raises(ValueError, match="not a subgroup"):
+                        A.product(B)
+                else:
+                    assert A.product(B).maps == expected
+    assert refused > 0
+
+
+def test_product_of_two_involution_groups_is_refused(klein):
+    A = gp.aut_group(klein)  # S3
+    first, second = [K for K in A.sub_autgroups() if K.order == 2][:2]
+    assert first != second
+    with pytest.raises(ValueError, match="not a subgroup"):
+        first.product(second)
+
+
+def test_mismatched_bases_are_refused(s4):
+    V = s4.generated_subgroup(perms(4, "(0 1)(2 3)", "(0 2)(1 3)"))
+    W = s4.generated_subgroup(perms(4, "(0 1)", "(2 3)"))
+    A, B = gp.aut_group(V), gp.aut_group(W)
+    for method in (A.product, A.is_subnormal_in):
+        with pytest.raises(ValueError, match="mismatched bases"):
+            method(B)
+
+
+def test_product_leaves_the_perm_memos_alone(monkeypatch):
+    E = gp.generate_group(perms(6, "(0 1)", "(2 3)", "(4 5)"))  # C2^3
+    A, inn = gp.aut_group(E), gp.inn_group(E)
+    monkeypatch.setattr(perm, "_MUL_CACHE", {})
+    monkeypatch.setattr(perm, "_CONJ_CACHE", {})
+    assert A.product(inn).order == 168  # GL(3,2)
+    assert len(perm._MUL_CACHE) == 0 and len(perm._CONJ_CACHE) == 0
 
 
 # -- misc helpers -------------------------------------------------------------

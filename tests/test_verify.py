@@ -148,6 +148,25 @@ def test_bN_K_restricts_once_per_key(monkeypatch, own_L_s4, F_s4, klein):
     assert calls == [V]
 
 
+def test_K_times_inn_once_per_K(monkeypatch, own_L_s4, F_s4, s4, klein):
+    """Lemma 2.1, Lemma 2.2(b) and the theorem's hypothesis read K*Inn(X)
+    from K, so the product is formed once for one K."""
+    calls = []
+    real = gp.AutGroup.product
+
+    def spy(self, other):
+        calls.append(self)
+        return real(self, other)
+
+    monkeypatch.setattr(gp.AutGroup, "product", spy)
+    V = gp.Subgroup(klein.elems)
+    K = gp.AutGroup(V, gp.aut_group(V).maps)  # a fresh value, nothing kept on it
+    assert vf.check_restricted_subcentric(own_L_s4, F_s4, V, K, "t").passed
+    assert vf.check_char_p_normalizer_aut(s4, 2, V, K, "t").passed
+    assert vf._subnormal_branch(F_s4, V, K) == (1, K)
+    assert calls == [K]
+
+
 def test_bN_K_failure_raises_on_every_call(monkeypatch, own_L_s4, F_s4):
     calls = []
     real = fu.is_fully_K_normalized
