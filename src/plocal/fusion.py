@@ -9,11 +9,12 @@ This normal form keeps closure computations small while every predicate in
 sight can still quantify over all morphisms exactly.
 
 A system caches what it derives (saturation witness, core, centric and
-subcentric sets, K-normalizer subsystems) in its ``_cache``; all of it
-depends only on the system's content (S, p, germs). The K-normalizer
-subsystems of a system, and theirs in turn, are shared by content: they and
-the system they come from hold one table of systems, so equal subsystems
-reached under different (X, K) are one object with one cache.
+subcentric sets, fully K-normalized verdicts, K-normalizer subsystems) in
+its ``_cache``; all of it depends only on the system's content (S, p,
+germs). The K-normalizer subsystems of a system, and theirs in turn, are
+shared by content: they and the system they come from hold one table of
+systems, so equal subsystems reached under different (X, K) are one object
+with one cache.
 
 External definitions used here and pinned in one place:
 
@@ -229,18 +230,33 @@ def close_generated(
 
 
 def is_fully_K_normalized(F: FusionSystem, X: Subgroup, K: AutGroup) -> bool:
-    """|N_S^K(X)| >= |N_S^{K^phi}(X phi)| for every phi in Hom_F(X, S)."""
+    """|N_S^K(X)| >= |N_S^{K^phi}(X phi)| for every phi in Hom_F(X, S),
+    with K^phi = phi^-1 K phi. Kept in F's cache per (X, K).
+
+    K^phi is never built: c_g lies in K^phi exactly when phi c_g phi^-1,
+    x |-> ((x phi)^g) phi^-1, lies in K, which is tested in K's permutation
+    image as :func:`group_K_normalizer` does.
+    """
     if K.base.elems != X.elems:
         raise ValueError("K must consist of automorphisms of X")
     if not X.elems <= F.S.elems:
         raise ValueError("X is not a subgroup of S")
+    key = ("fully_K", X.elems, K.maps)
+    if key in F._cache:
+        return F._cache[key]
     n0 = group_K_normalizer(F.S, X, K).order
+    order, index, perms = K.base_order, K.base_index, K.perms
+    verdict = True
     for phi in F.germs_from(X):
-        Y = Subgroup(phi.image)
-        Kphi = K.conjugate_by(phi)
-        if group_K_normalizer(F.S, Y, Kphi).order > n0:
-            return False
-    return True
+        back = {y: x for x, y in phi.pairs}
+        moved = [phi(x) for x in order]
+        N = normalizer(F.S, Subgroup(phi.image)).elems
+        n = sum(1 for g in N if tuple(index[back[y.conj(g)]] for y in moved) in perms)
+        if n > n0:
+            verdict = False
+            break
+    F._cache[key] = verdict
+    return verdict
 
 
 def is_fully_normalized(F: FusionSystem, X: Subgroup) -> bool:
@@ -359,16 +375,16 @@ def saturation_failure(F: FusionSystem) -> Optional[dict]:
 
 
 def _extension_control_group(F: FusionSystem, phi: GroupInjection, autS_P: AutGroup) -> Subgroup:
-    """N_phi = {g in N_S(Q) : phi^-1 c_g phi in Aut_S(P)} for phi: Q -> P."""
-    Q = Subgroup(phi.src)
-    NQ = normalizer(F.S, Q)
-    out = set()
-    inv = phi.inverse()
-    for g in NQ.elems:
-        cg = conj_injection(phi.src, g)
-        if inv.then(cg).then(phi) in autS_P.maps:
-            out.add(g)
-    return Subgroup(frozenset(out))
+    """N_phi = {g in N_S(Q) : phi^-1 c_g phi in Aut_S(P)} for phi: Q -> P,
+    with phi^-1 c_g phi, y |-> ((y phi^-1)^g) phi, tested in the
+    permutation image of Aut_S(P)."""
+    index, perms = autS_P.base_index, autS_P.perms
+    back = {y: x for x, y in phi.pairs}
+    pulled = [back[y] for y in autS_P.base_order]
+    NQ = normalizer(F.S, Subgroup(phi.src)).elems
+    return Subgroup(
+        frozenset(g for g in NQ if tuple(index[phi(x.conj(g))] for x in pulled) in perms)
+    )
 
 
 def _extends_over(F: FusionSystem, phi: GroupInjection, N: Subgroup) -> bool:

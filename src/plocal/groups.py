@@ -484,15 +484,6 @@ class AutGroup:
         self._check_base(other)
         return is_subnormal(Subgroup(self.perms), other.perm_group())
 
-    def conjugate_by(self, phi: GroupInjection) -> "AutGroup":
-        """K^phi = phi^-1 K phi, a subgroup of Aut(X phi)."""
-        if phi.src != self.base.elems:
-            raise ValueError("phi must be defined on the base")
-        inv = phi.inverse()
-        newbase = Subgroup(phi.image)
-        moved = frozenset(inv.then(m).then(phi) for m in self.maps)
-        return AutGroup(newbase, moved)
-
     def label(self) -> str:
         perms = sorted_elems(self.perms)
         body = ",".join(str(q) for q in perms if not q.is_identity())
@@ -595,12 +586,18 @@ def op_residual(A: AutGroup, p: int) -> AutGroup:
 
 
 def group_K_normalizer(G: Subgroup, X: Subgroup, K: AutGroup) -> Subgroup:
-    """N_G^K(X) = {g in N_G(X) : c_g restricted to X lies in K}."""
+    """N_G^K(X) = {g in N_G(X) : c_g restricted to X lies in K}.
+
+    c_g is tested in K's permutation image: its index tuple on the sorted
+    base is :meth:`AutGroup.to_perm` of c_g, so no map is built per g.
+    """
     if K.base.elems != X.elems:
         raise ValueError("K is not a group of automorphisms of X")
-    xe = X.elems
+    order, index, perms = K.base_order, K.base_index, K.perms
     N = normalizer(G, X).elems
-    return Subgroup(frozenset(g for g in N if conj_injection(xe, g) in K.maps))
+    return Subgroup(
+        frozenset(g for g in N if tuple(index[x.conj(g)] for x in order) in perms)
+    )
 
 
 def set_product(A: Iterable[Perm], B: Iterable[Perm]) -> FrozenSet[Perm]:

@@ -27,7 +27,7 @@ Statement ids:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from . import fusion as fu
@@ -238,6 +238,24 @@ def _subnormal_branch(F: fu.FusionSystem, X: Subgroup, K: AutGroup):
     return None, None
 
 
+@dataclass
+class TheoremRecord:
+    """The main theorem decided for one (F, E, N, X, K), kept in L's memo.
+
+    ``reason`` is the skip reason of both statements, or None when the
+    hypotheses hold. Then ``witnesses`` holds the fail witness of the
+    fusion-level and of the locality-level statement, None for a pass, and
+    ``stats`` the branch, the six conditions and the counts both reports
+    carry. ``E0_is_E`` says whether E_0 = E, which the corollary requires
+    at X = 1.
+    """
+
+    reason: Optional[str] = None
+    witnesses: Tuple[Optional[dict], Optional[dict]] = (None, None)
+    stats: Dict[str, object] = field(default_factory=dict)
+    E0_is_E: bool = False
+
+
 def check_main_theorem(
     L: lo.Locality,
     F: fu.FusionSystem,
@@ -253,32 +271,58 @@ def check_main_theorem(
     Emits two reports: the fusion-level statement (E_0 normal in N_F^K(X),
     E_0 inside E) and the locality-level one (M partial normal, M cap S =
     N_T^K(X), E_0 saturated of p-power index in N_{EX}^K(X), cross-checked
-    against the O^p criterion at T_0).
+    against the O^p criterion at T_0). The instance is decided once (see
+    :func:`_theorem_record`); each call names its reports and gives each
+    its own copy of the stats.
     """
-    stmt_a, stmt_b = statements
+    rec = _theorem_record(L, F, E, N, X, K)
+    reports = []
+    for stmt, witness in zip(statements, rec.witnesses):
+        if rec.reason is not None:
+            reports.append(skipped_report(stmt, instance, rec.reason))
+        elif witness is None:
+            reports.append(passed_report(stmt, instance, **rec.stats))
+        else:
+            reports.append(failed_report(stmt, instance, witness, **rec.stats))
+    return reports
+
+
+def _theorem_record(
+    L: lo.Locality,
+    F: fu.FusionSystem,
+    E: fu.FusionSystem,
+    N: FrozenSet[Perm],
+    X: Subgroup,
+    K: AutGroup,
+) -> TheoremRecord:
+    key = ("theorem", F, E, N, X.elems, K.maps)
+    hit = L._memo.get(key)
+    if hit is None:
+        hit = _decide_main_theorem(L, F, E, N, X, K)
+        L._memo[key] = hit
+    return hit
+
+
+def _decide_main_theorem(
+    L: lo.Locality,
+    F: fu.FusionSystem,
+    E: fu.FusionSystem,
+    N: FrozenSet[Perm],
+    X: Subgroup,
+    K: AutGroup,
+) -> TheoremRecord:
     if not fu.is_fully_K_normalized(F, X, K):
-        reason = "not-fully-K-normalized"
-        return [
-            skipped_report(stmt_a, instance, reason),
-            skipped_report(stmt_b, instance, reason),
-        ]
+        return TheoremRecord(reason="not-fully-K-normalized")
     branch, K_eff = _subnormal_branch(F, X, K)
     if branch is None:
-        reason = "K-not-subnormal-in-K*Inn(X)-either-branch"
-        return [
-            skipped_report(stmt_a, instance, reason),
-            skipped_report(stmt_b, instance, reason),
-        ]
+        return TheoremRecord(reason="K-not-subnormal-in-K*Inn(X)-either-branch")
     stats: Dict[str, object] = {"branch": branch}
 
     try:
         bn = lo.bN_K(L, F, X, K_eff)
     except PLocalError as exc:
         w = {"construction": str(exc)}
-        return [
-            failed_report(stmt_a, instance, w, **stats),
-            failed_report(stmt_b, instance, w, **stats),
-        ]
+        return TheoremRecord(witnesses=(w, w), stats=stats)
     NFK = fu.K_normalizer_subsystem(F, X, K_eff)
     T = N & L.S_elems
     T0 = Subgroup(T & bn.S_elems)
@@ -310,10 +354,7 @@ def check_main_theorem(
         EX = _product_system(L, N, X)
     except NotPartialSubgroup as exc:
         w = {"product": str(exc)}
-        return [
-            failed_report(stmt_a, instance, w, **stats),
-            failed_report(stmt_b, instance, w, **stats),
-        ]
+        return TheoremRecord(witnesses=(w, w), stats=stats)
     NEXK = fu.K_normalizer_subsystem(EX, X, K_eff)
     ppi = fu.has_p_power_index(E0, NEXK)
     cross = gp.op_residual(NEXK.aut(T0), F.p).maps <= E0.aut(T0).maps
@@ -327,37 +368,20 @@ def check_main_theorem(
     cond_vi = fu.saturation_failure(E0) is None
     stats["vi_E0_saturated"] = int(cond_vi)
 
-    reports = []
-    if cond_iii and cond_iv:
-        reports.append(passed_report(stmt_a, instance, **stats))
-    else:
-        reports.append(
-            failed_report(
-                stmt_a,
-                instance,
-                {"iii": cond_iii, "iv": cond_iv},
-                **stats,
-            )
-        )
-    if cond_i and cond_ii and cond_v and cond_vi and agree:
-        reports.append(passed_report(stmt_b, instance, **stats))
-    else:
-        reports.append(
-            failed_report(
-                stmt_b,
-                instance,
-                {
-                    "i": cond_i,
-                    "ii": cond_ii,
-                    "v": cond_v,
-                    "vi": cond_vi,
-                    "routes_agree": agree,
-                    "partial_normal_witness": viol,
-                },
-                **stats,
-            )
-        )
-    return reports
+    witness_a = None
+    if not (cond_iii and cond_iv):
+        witness_a = {"iii": cond_iii, "iv": cond_iv}
+    witness_b = None
+    if not (cond_i and cond_ii and cond_v and cond_vi and agree):
+        witness_b = {
+            "i": cond_i,
+            "ii": cond_ii,
+            "v": cond_v,
+            "vi": cond_vi,
+            "routes_agree": agree,
+            "partial_normal_witness": viol,
+        }
+    return TheoremRecord(witnesses=(witness_a, witness_b), stats=stats, E0_is_E=E0 == E)
 
 
 def check_corollary(
@@ -370,7 +394,9 @@ def check_corollary(
 ) -> List[VerificationReport]:
     """Corollary: the theorem specialized to K = Aut(X) on fully normalized
     X (normalizer case) and K = {id} on fully centralized X (centralizer
-    case). For X = 1 additionally requires E_0 = E on the nose."""
+    case). For X = 1 additionally requires E_0 = E on the nose. Each case
+    reads the theorem record of its (X, K), which the K sweep has already
+    made when it ran the theorem for that K."""
     out: List[VerificationReport] = []
     cases = [
         ("normalizer", gp.aut_group(X)),
@@ -382,23 +408,23 @@ def check_corollary(
             L, F, E, N, X, K, inst, statements=("Corollary-3.3a", "Corollary-3.3b")
         )
         if X.order == 1:
-            reps = [_with_trivial_case_check(r, L, F, E, N, X, K) for r in reps]
+            rec = _theorem_record(L, F, E, N, X, K)
+            reps = [_with_trivial_case_check(r, rec, E) for r in reps]
         out.extend(reps)
     return out
 
 
-def _with_trivial_case_check(rep, L, F, E, N, X, K):
+def _with_trivial_case_check(
+    rep: VerificationReport, rec: TheoremRecord, E: fu.FusionSystem
+) -> VerificationReport:
     """X = 1 must reproduce E_0 = E exactly (hom-set equality)."""
     if rep.outcome != "pass":
         return rep
-    bn = lo.bN_K(L, F, X, K)
-    T0 = Subgroup((N & L.S_elems) & bn.S_elems)
-    E0 = lo.fusion_of_partial(bn, N & bn.elems, base=T0)
-    if E0 != E:
+    if not rec.E0_is_E:
         return failed_report(
             rep.statement,
             rep.instance,
-            {"part": "X=1-exactness", "E0_germs": len(E0.all_germs()), "E_germs": len(E.all_germs())},
+            {"part": "X=1-exactness", "E0_germs": rec.stats["E0_germs"], "E_germs": len(E.all_germs())},
             **rep.stats,
         )
     rep.stats["trivial_case_exact"] = 1
@@ -597,6 +623,14 @@ def entry_reports(
 
     reports: List[VerificationReport] = []
     name = pe.name
+    # one K sweep per X for both sweeps below, so each K value is one object
+    # and K*Inn(X), kept on it, is formed once
+    sweeps: Dict[FrozenSet[Perm], List[Tuple[str, Optional[AutGroup]]]] = {}
+
+    def k_sweep(X: Subgroup) -> List[Tuple[str, Optional[AutGroup]]]:
+        if X.elems not in sweeps:
+            sweeps[X.elems] = _k_sweep(pe, X)
+        return sweeps[X.elems]
 
     # group-level Lemma 2.2 over all p-subgroups of G
     if want("Lemma-2.2a") or want("Lemma-2.2b"):
@@ -614,7 +648,7 @@ def entry_reports(
                         )
                     )
             if want("Lemma-2.2b"):
-                for tag, K in _k_sweep(pe, X):
+                for tag, K in k_sweep(X):
                     inst = "%s|K=%s" % (xi, tag)
                     if K is None:
                         reports.append(skipped_report("Lemma-2.2b", inst, UNFIT_K))
@@ -626,7 +660,7 @@ def entry_reports(
     for X in X_sweep:
         xi = "%s|X=%s" % (name, X.label())
         if any(want(stmt) for stmt in K_STATEMENTS):
-            for tag, K in _k_sweep(pe, X):
+            for tag, K in k_sweep(X):
                 inst = "%s|K=%s" % (xi, tag)
                 if K is None:
                     reports.extend(

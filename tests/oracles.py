@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 
-from plocal.groups import GroupInjection, Subgroup
+from plocal.groups import AutGroup, GroupInjection, Subgroup
 from plocal.perm import sorted_elems
 
 
@@ -187,6 +187,22 @@ def K_normalizer_from_group(H: Subgroup, X: Subgroup, K) -> Subgroup:
             if _conj(X.elems, h) == X.elems and tuple(x.conj(h) for x in order) in maps
         )
     )
+
+
+def fully_K_normalized_by_conjugation(G: Subgroup, S: Subgroup, X: Subgroup, K) -> bool:
+    """X fully K-normalized in F_S(G), by the definition: |N_S^K(X)| >=
+    |N_S^{K^phi}(X phi)| for every phi = c_g with X^g <= S, where K^phi =
+    phi^-1 K phi is built as maps and each K-normalizer scans S."""
+    n0 = K_normalizer_from_group(S, X, K).order
+    for g in G.elems:
+        if not _conj(X.elems, g) <= S.elems:
+            continue
+        phi = GroupInjection((x, x.conj(g)) for x in X.elems)
+        inv = phi.inverse()
+        Kphi = AutGroup(Subgroup(phi.image), frozenset(inv.then(m).then(phi) for m in K.maps))
+        if K_normalizer_from_group(S, Kphi.base, Kphi).order > n0:
+            return False
+    return True
 
 
 def conjugation_germs(G: Subgroup, S: Subgroup):

@@ -142,6 +142,50 @@ def test_fully_K_normalized_with_arbitrary_K(F_s4, klein):
         assert verdicts[K.maps] == (autS.maps <= K.maps)
 
 
+def _entry_fusion(name):
+    """G, S and F_S(G) of a default-corpus entry, F built afresh."""
+    (entry,) = [e for e in cli.parse_corpus(cli.default_corpus_text()) if e.name == name]
+    G = gp.generate_group(entry.generators())
+    S = gp.sylow_subgroup(G, entry.p)
+    return G, S, fu.fusion_of_group(G, S, entry.p)
+
+
+def test_fully_K_normalized_matches_conjugation_oracle():
+    """Counting N_S^{K^phi}(X phi) in K's permutation image agrees with
+    building K^phi as maps, for every (X, K) of the K sweep of three
+    entries."""
+    verdicts = []
+    for name in ("s4_a4", "sl23_q8", "d8_d8"):
+        G, S, F = _entry_fusion(name)
+        for X in F.subgroups():
+            for _, K in vf.k_options(X):
+                got = fu.is_fully_K_normalized(F, X, K)
+                assert got == oracles.fully_K_normalized_by_conjugation(G, S, X, K)
+                verdicts.append(got)
+    assert len(verdicts) == 98 and set(verdicts) == {True, False}
+
+
+def test_group_K_normalizer_once_per_fully_K_key(monkeypatch):
+    """The verdict is kept in F's cache, and the conjugates phi(X) are
+    counted without a group_K_normalizer call: one call per (X, K)."""
+    calls = []
+    real = fu.group_K_normalizer
+
+    def spy(G, X, K):
+        calls.append((X.elems, K.maps))
+        return real(G, X, K)
+
+    monkeypatch.setattr(fu, "group_K_normalizer", spy)
+    _, _, F = _entry_fusion("s4_a4")
+    keys = set()
+    for X in F.subgroups():
+        for _, K in vf.k_options(X):
+            first = fu.is_fully_K_normalized(F, X, K)
+            assert fu.is_fully_K_normalized(F, X, K) is first
+            keys.add((X.elems, K.maps))
+    assert len(calls) == len(keys) == len(set(calls))
+
+
 # -- K-normalizer subsystems --------------------------------------------------
 
 

@@ -215,6 +215,21 @@ def test_K_normalizer_contains_centralizer(s4, sl23):
                 assert gp.centralizer(G, XG).elems <= NK.elems
 
 
+def test_group_K_normalizer_matches_oracle(s4, sl23):
+    """The permutation-image membership test gives N_G^K(X) as a scan of G
+    against K's maps does, for every X <= S and every K <= Aut(X)."""
+    checked = 0
+    for G in (s4, sl23):
+        for X in gp.all_subgroups(gp.sylow_subgroup(G, 2)):
+            A = gp.aut_group(X)
+            if A.order > 24:
+                continue
+            for K in A.sub_autgroups():
+                assert gp.group_K_normalizer(G, X, K) == oracles.K_normalizer_from_group(G, X, K)
+                checked += 1
+    assert checked == 68
+
+
 def test_lemma22_product_identity(s4, sl23):
     """N_G^{K Inn(X)}(X) = N_G^K(X) X, for every K <= Aut(X)."""
     for G in (s4, sl23):

@@ -288,6 +288,33 @@ def test_main_theorem_second_branch_exists(F_sl23, sl23):
     assert 1 in seen and None in seen
 
 
+def test_main_theorem_decided_once_per_instance(monkeypatch, own_L_s4, F_s4, E_s4, N_s4, s4):
+    """A second call for the same (X, K) under other statement names reads
+    the first call's record: no E_0 is computed again, and the reports carry
+    the caller's names and instance and their own stats."""
+    calls = []
+    real = lo.fusion_of_partial
+
+    def spy(L, N, base=None):
+        calls.append(base)
+        return real(L, N, base=base)
+
+    monkeypatch.setattr(lo, "fusion_of_partial", spy)
+    Z = gp.Subgroup(gp.center(S_of(s4)).elems)
+    K = gp.trivial_aut_group(Z)
+    first = vf.check_main_theorem(own_L_s4, F_s4, E_s4, N_s4, Z, K, "t1")
+    computed = len(calls)
+    names = ("Corollary-3.3a", "Corollary-3.3b")
+    second = vf.check_main_theorem(own_L_s4, F_s4, E_s4, N_s4, Z, K, "t2", statements=names)
+    assert computed > 0 and len(calls) == computed
+    assert [r.statement for r in second] == list(names)
+    assert [r.instance for r in second] == ["t2", "t2"]
+    assert all(r.passed for r in first + second)
+    for a, b in zip(first, second):
+        assert a.stats == b.stats and a.stats is not b.stats
+    assert first[0].stats is not first[1].stats
+
+
 # -- Corollary 3.3 -------------------------------------------------------------
 
 
@@ -304,6 +331,59 @@ def test_corollary_trivial_X_exact(L_s4, F_s4, E_s4, N_s4, s4):
     reps = vf.check_corollary(L_s4, F_s4, E_s4, N_s4, one, "t")
     assert all(r.passed for r in reps)
     assert all(r.stats.get("trivial_case_exact") == 1 for r in reps)
+
+
+def test_trivial_case_key_stays_off_theorem_reports(own_L_s4, F_s4, E_s4, N_s4, s4):
+    """The corollary marks its X = 1 reports exact; the theorem reports of
+    the same record, made before or after, do not get the mark."""
+    one = s4.trivial_subgroup()
+    K = gp.trivial_aut_group(one)
+    before = vf.check_main_theorem(own_L_s4, F_s4, E_s4, N_s4, one, K, "t")
+    cor = vf.check_corollary(own_L_s4, F_s4, E_s4, N_s4, one, "t")
+    after = vf.check_main_theorem(own_L_s4, F_s4, E_s4, N_s4, one, K, "t")
+    assert all(r.stats.get("trivial_case_exact") == 1 for r in cor)
+    assert all(r.passed and "trivial_case_exact" not in r.stats for r in before + after)
+
+
+def test_corollary_trivial_X_exactness_reads_the_record(monkeypatch, own_L_s4, F_s4, N_s4, s4):
+    """With F planted as E, the theorem holds at X = 1 but E_0 = E does
+    not: every corollary report fails on exactness, and E_0 is built once,
+    by the record that both cases read."""
+    built = {"bN_K": 0, "fusion_of_partial": 0}
+    for name in built:
+        real = getattr(lo, name)
+
+        def spy(*args, _real=real, _name=name, **kwargs):
+            built[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(lo, name, spy)
+    one = s4.trivial_subgroup()
+    reps = vf.check_corollary(own_L_s4, F_s4, F_s4, N_s4, one, "t")
+    assert len(reps) == 4
+    for r in reps:
+        assert r.failed and r.witness["part"] == "X=1-exactness"
+        assert r.witness["E_germs"] == len(F_s4.all_germs()) != r.witness["E0_germs"]
+    # one E_0 and one E X (product_fusion builds it through fusion_of_partial)
+    assert built == {"bN_K": 1, "fusion_of_partial": 2}
+
+
+def test_K_times_inn_once_per_value_on_s4_a4(monkeypatch):
+    """The Lemma-2.2(b) sweep and the locality sweep share one K sweep per
+    X, so K*Inn(X) is formed once per (X, K)."""
+    calls = []
+    real = gp.AutGroup.product
+
+    def spy(self, other):
+        calls.append((self.base.elems, self.maps))
+        return real(self, other)
+
+    monkeypatch.setattr(gp.AutGroup, "product", spy)
+    (entry,) = [e for e in cli.parse_corpus(cli.default_corpus_text()) if e.name == "s4_a4"]
+    pe, axioms = vf.prepare_entry(entry)
+    assert axioms.passed
+    assert not any(r.failed for r in vf.entry_reports(pe))
+    assert calls and len(calls) == len(set(calls))
 
 
 # -- suite plumbing ------------------------------------------------------------
