@@ -58,8 +58,9 @@ class Subgroup:
 
     This is the one group type: a whole group and each of its subgroups are
     values of it, and two are equal exactly when their elements are,
-    whatever group they were found in. The sorted element tuple and the
-    identity are computed on first use and kept.
+    whatever group they were found in. The sorted element tuple, the
+    identity and the element tables (index, products, inverses) are
+    computed on first use and kept.
     """
 
     elems: FrozenSet[Perm]
@@ -84,6 +85,28 @@ class Subgroup:
     @cached_property
     def _sorted(self) -> Tuple[Perm, ...]:
         return sorted_elems(self.elems)
+
+    @cached_property
+    def element_index(self) -> Dict[Perm, int]:
+        """Position of each element in the sorted element tuple; the
+        tables below name elements by these indexes."""
+        return {x: i for i, x in enumerate(self._sorted)}
+
+    @cached_property
+    def mul_table(self) -> Tuple[Tuple[int, ...], ...]:
+        """mul_table[i][j] is the index of the product of the i-th and the
+        j-th element. Products are composed as plain tuples, so building
+        the table leaves Perm's product memo alone."""
+        index, elems = self.element_index, self._sorted
+        return tuple(
+            tuple(index[tuple(map(b.__getitem__, a))] for b in elems) for a in elems
+        )
+
+    @cached_property
+    def inv_table(self) -> Tuple[int, ...]:
+        """inv_table[i] is the index of the inverse of the i-th element,
+        read off the product table (the identity sorts first)."""
+        return tuple(row.index(0) for row in self.mul_table)
 
     @property
     def order(self) -> int:

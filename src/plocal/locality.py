@@ -27,9 +27,17 @@ visited as a depth-first walk, by length and then lexicographically: each
 word takes its survivor set and its product from its prefix, whether each
 shorter word is in the domain is kept, so subwords and spliced words are
 looked up instead of walked again, and the survivor set of wbar w is read
-off that of w. The statement checkers in ``verify`` run the subcentric
-verification once per distinct structure of a corpus entry, keyed on its
-content in the memo of the entry's locality.
+off that of w. The walk works on integers: a letter is its index into
+L's sorted elements, a product is an index into the ambient group's
+sorted elements, stepped through that group's product and inverse tables
+(``Subgroup.mul_table``, ``inv_table``), and the rule steps by a move
+table per letter. Elements come back only at the boundary, in witnesses,
+so a witness names the same elements as a walk over ``Perm`` products
+would. The objectivity oracle keeps its own table of object images per
+letter, filled by conjugating each object's elements, so it shares
+nothing with the rule it checks. The statement checkers in ``verify`` run
+the subcentric verification once per distinct structure of a corpus
+entry, keyed on its content in the memo of the entry's locality.
 """
 
 from __future__ import annotations
@@ -77,8 +85,8 @@ Word = Tuple[Perm, ...]
 #
 # ChainDomain decides which words over the elements are in the domain.
 # Besides word_ok for a whole word, it walks a word letter by letter: start()
-# is the state of the empty word, step(state, g) extends a word's state by
-# the letter g, accepts(state) says whether the word is in the domain, and
+# is the state of the empty word, step(state, move(g)) extends a word's state
+# by the letter g, accepts(state) says whether the word is in the domain, and
 # accepts_inverse_word(state) whether wbar w is, wbar being the inverses of
 # w's letters in reverse order.
 
@@ -89,7 +97,9 @@ class ChainDomain:
     The state of a word w holds its survivor set R_w as pairs (i, j) of
     indexes into the sorted base: x_i survives and its conjugate along w
     is x_i^w = x_j. Extending w by g keeps the pairs whose x_j^g lies in the
-    base, so each word costs one pass over its prefix's survivors.
+    base, so each word costs one pass over its prefix's survivors. The step
+    reads g's move, the index of x^g for each base element x, so a walk
+    can hold the moves of its letters by letter index.
     """
 
     __slots__ = ("base", "objects", "_always", "_order", "_index", "_masks", "_start", "_moves")
@@ -118,20 +128,23 @@ class ChainDomain:
             return True
         state = self._start
         for g in word:
-            state = self.step(state, g)
+            state = self.step(state, self.move(g))
         return self.accepts(state)
+
+    def move(self, g: Perm) -> Tuple[int, ...]:
+        """Index of x^g for each base element x, -1 where it leaves the base."""
+        move = self._moves.get(g)
+        if move is None:
+            move = tuple(self._index.get(x.conj(g), -1) for x in self._order)
+            self._moves[g] = move
+        return move
 
     def start(self):
         return self._start
 
-    def step(self, state, g: Perm):
+    def step(self, state, move: Tuple[int, ...]):
         if self._always:
             return state
-        move = self._moves.get(g)
-        if move is None:
-            # index of x^g for each base element x, -1 where it leaves the base
-            move = tuple(self._index.get(x.conj(g), -1) for x in self._order)
-            self._moves[g] = move
         return tuple((i, k) for i, j in state if (k := move[j]) >= 0)
 
     def accepts(self, state) -> bool:
@@ -197,11 +210,6 @@ class Locality:
 
     def delta_subgroups(self) -> Tuple[Subgroup, ...]:
         return tuple(Subgroup(d) for d in sorted(self.Delta, key=sorted_elems))
-
-    def inv(self, x: Perm) -> Perm:
-        if x not in self.elems:
-            raise ValueError("element not in the partial group")
-        return x.inv()
 
     def in_domain(self, word: Sequence[Perm]) -> bool:
         if not all(g in self.elems for g in word):
@@ -593,71 +601,108 @@ def _walk(P: Locality, word_len: int):
     """Every word over P's sorted elements of length 1..word_len, by length
     and then lexicographically, as (word, code, rule state, prefix products).
 
-    A word g_1...g_k has code sum_m i_m n^(k-m), i_m the index of g_m and
-    n = |P|, and its prefix products are Pi(g_1...g_m) for m = 0..k. Its code,
-    state and products extend those of its prefix by one letter.
+    A word g_1...g_k is the tuple of its letters' indexes i_m into
+    P.sorted_elements(), its code is sum_m i_m n^(k-m) with n = |P|, and its
+    prefix products Pi(g_1...g_m), m = 0..k, are indexes into the sorted
+    elements of the ambient group, stepped through its product table. Its
+    code, state and products extend those of its prefix by one letter.
     """
-    rule, elems, n = P.rule, P.sorted_elements(), len(P.elems)
+    rule, n = P.rule, len(P.elems)
+    moves = tuple(map(rule.move, P.sorted_elements()))
+    # times[a][i]: the product of ambient element a and letter i
+    times = _times_letters(P)
+    letters, step = range(n), rule.step
 
-    def extend(word, code, state, prods, k):
-        for i, g in enumerate(elems):
-            w = word + (g,)
-            c = code * n + i
-            st = rule.step(state, g)
-            pr = prods + (prods[-1] * g,)
-            if len(w) == k:
+    def extend(word, code, state, prods, left):
+        row = times[prods[-1]]
+        for i in letters:
+            w, c, st, pr = word + (i,), code * n + i, step(state, moves[i]), prods + (row[i],)
+            if left == 1:
                 yield w, c, st, pr
             else:
-                yield from extend(w, c, st, pr, k)
+                yield from extend(w, c, st, pr, left - 1)
 
+    unit = P.ambient.element_index[P.unit]
     for k in range(1, word_len + 1):
-        yield from extend((), 0, rule.start(), (P.unit,), k)
+        yield from extend((), 0, rule.start(), (unit,), k)
 
 
-def _strs(word: Word) -> list:
-    return [str(g) for g in word]
+def _letter_indexes(P: Locality) -> Tuple[int, ...]:
+    """The ambient index of each of P's sorted elements."""
+    index = P.ambient.element_index
+    return tuple(index[g] for g in P.sorted_elements())
+
+
+def _times_letters(P: Locality) -> Tuple[Tuple[int, ...], ...]:
+    """Row a, column i: the ambient index of (ambient element a) * (letter i)."""
+    letters = _letter_indexes(P)
+    return tuple(tuple(row[b] for b in letters) for row in P.ambient.mul_table)
+
+
+def _strs(P: Locality, word: Sequence[int]) -> list:
+    elems = P.sorted_elements()
+    return [str(elems[i]) for i in word]
 
 
 def verify_partial_group(P: Locality, word_len: int = 3) -> VerificationReport:
     """Exhaustive partial-group axiom check over the word fragment.
 
-    The words come from _walk. Whether each word shorter than word_len is
-    in the domain is kept, one byte per word, so the subwords and spliced
-    words of a word are looked up by code instead of walked again.
+    The words come from _walk, as letter indexes with products in the
+    ambient group's product table; elements appear only in witnesses.
+    Whether each word shorter than word_len is in the domain is kept, one
+    byte per word, so the subwords and spliced words of a word are looked
+    up by code instead of walked again.
     """
-    stats = {"words_checked": 0, "domain_words": 0}
     inst = "partial-group(|L|=%d)" % len(P.elems)
+    checked = domain = 0
 
     def fail(witness):
+        stats = {"words_checked": checked, "domain_words": domain}
         return VerificationReport("partial-group-axioms", inst, "fail", witness=witness, stats=stats)
 
-    inverse = {}
-    for x in P.elems:
-        xi = P.inv(x)
-        if xi not in P.elems:
-            return fail({"axiom": "inversion-closure", "x": str(x)})
-        if P.inv(xi) != x:
-            return fail({"axiom": "inversion-involutory", "x": str(x)})
-        inverse[x] = xi
+    elems, amb = P.sorted_elements(), _letter_indexes(P)
+    inv, mul, times = P.ambient.inv_table, P.ambient.mul_table, _times_letters(P)
+    # letter_of[a]: the letter index of ambient element a, -1 outside P
+    letter_of = [-1] * len(inv)
+    for i, a in enumerate(amb):
+        letter_of[a] = i
+    for i, a in enumerate(amb):
+        if letter_of[inv[a]] < 0:
+            return fail({"axiom": "inversion-closure", "x": str(elems[i])})
+        if inv[inv[a]] != a:
+            return fail({"axiom": "inversion-involutory", "x": str(elems[i])})
+    # inverse[i]: the ambient index of the inverse of letter i
+    inverse = tuple(inv[a] for a in amb)
     if not P.in_domain(()):
         return fail({"axiom": "empty-word"})
     if not P.prod(()) == P.unit:
         return fail({"axiom": "unit"})
-    rule, unit, n = P.rule, P.unit, len(P.elems)
-    index = {g: i for i, g in enumerate(P.sorted_elements())}
+    rule, unit, n = P.rule, P.ambient.element_index[P.unit], len(elems)
     pw = [n**m for m in range(word_len + 1)]
     # dom[m][c]: the word of length m and code c is in the domain
     dom = [bytearray([1])] + [bytearray(pw[m]) for m in range(1, word_len)]
+    # splices[k]: each way to splice the product of w[i:j], j - i >= 2, into a
+    # word w of length k, as (i, j, the domain flags of words as long as the
+    # spliced one, n^(k-i), n^(k-j)); a one-letter w[i:j] gives back w itself
+    splices = [
+        [
+            (i, j, dom[k - (j - i) + 1], pw[k - i], pw[k - j])
+            for i in range(k - 1)
+            for j in range(i + 2, k + 1)
+        ]
+        for k in range(word_len + 1)
+    ]
+    accepts, inverse_ok = rule.accepts, rule.accepts_inverse_word
     for w, code, state, prods in _walk(P, word_len):
-        stats["words_checked"] += 1
-        if not rule.accepts(state):
+        checked += 1
+        if not accepts(state):
             continue
-        stats["domain_words"] += 1
+        domain += 1
         k = len(w)
         if k < word_len:
             dom[k][code] = 1
-        if k == 1 and prods[1] != w[0]:
-            return fail({"axiom": "length-one", "w": _strs(w)})
+        if k == 1 and prods[1] != amb[w[0]]:
+            return fail({"axiom": "length-one", "w": _strs(P, w)})
         # subword closure: every shorter domain word passed it, so the
         # subwords of w are in the domain iff its two longest ones are
         if not (dom[k - 1][code // n] and dom[k - 1][code % pw[k - 1]]):
@@ -667,56 +712,61 @@ def verify_partial_group(P: Locality, word_len: int = 3) -> VerificationReport:
                 for j in range(i + 1, k + 1)
                 if j - i < k and not dom[j - i][code // pw[k - j] % pw[j - i]]
             )
-            return fail({"axiom": "subword", "w": _strs(w), "i": i, "j": j})
-        # splicing: u o v o t in D  =>  u o (Pi v) o t in D, same product;
-        # a one-letter v gives back w itself
-        for i in range(k - 1):
-            for j in range(i + 2, k + 1):
-                if i == 0:
-                    v = prods[j]
-                else:
-                    v = unit
-                    for g in w[i:j]:
-                        v = v * g
-                # the spliced word w[:i] + (v,) + w[j:] is shorter than w
-                vi = index.get(v)
-                m = k - (j - i) + 1
-                if vi is None or not dom[m][
-                    (code // pw[k - i] * n + vi) * pw[k - j] + code % pw[k - j]
-                ]:
-                    return fail({"axiom": "splice-domain", "w": _strs(w), "i": i, "j": j})
-                spliced = prods[i] * v
-                for g in w[j:]:
-                    spliced = spliced * g
-                if spliced != prods[k]:
-                    return fail({"axiom": "splice-product", "w": _strs(w), "i": i, "j": j})
+            return fail({"axiom": "subword", "w": _strs(P, w), "i": i, "j": j})
+        # splicing: u o v o t in D  =>  u o (Pi v) o t in D, same product
+        for i, j, spliced_dom, head, tail in splices[k]:
+            if i == 0:
+                v = prods[j]
+            else:
+                v = unit
+                for g in w[i:j]:
+                    v = times[v][g]
+            vi = letter_of[v]
+            if vi < 0 or not spliced_dom[(code // head * n + vi) * tail + code % tail]:
+                return fail({"axiom": "splice-domain", "w": _strs(P, w), "i": i, "j": j})
+            spliced = mul[prods[i]][v]
+            for g in w[j:]:
+                spliced = times[spliced][g]
+            if spliced != prods[k]:
+                return fail({"axiom": "splice-product", "w": _strs(P, w), "i": i, "j": j})
         # inversion axiom; Pi(wbar w) = Pi(wbar) Pi(w) as the product is the ambient one
-        if not rule.accepts_inverse_word(state):
-            return fail({"axiom": "inverse-word-domain", "w": _strs(w)})
+        if not inverse_ok(state):
+            return fail({"axiom": "inverse-word-domain", "w": _strs(P, w)})
         wbar = unit
         for g in reversed(w):
-            wbar = wbar * inverse[g]
-        if wbar * prods[k] != unit:
-            return fail({"axiom": "inverse-word-product", "w": _strs(w)})
+            wbar = mul[wbar][inverse[g]]
+        if mul[wbar][prods[k]] != unit:
+            return fail({"axiom": "inverse-word-product", "w": _strs(P, w)})
+    stats = {"words_checked": checked, "domain_words": domain}
     return VerificationReport("partial-group-axioms", inst, "pass", stats=stats)
 
 
 def _delta_chain_exists(L: Locality, word: Word) -> bool:
     """Independent objectivity oracle: search for an explicit object chain,
-    smallest candidate starts first."""
-    starts = L._memo.get("delta_sorted")
-    if starts is None:
+    smallest candidate starts first.
+
+    The image of an object under a letter is computed once, by conjugating
+    the object's elements, never from the rule's moves: L's memo keeps the
+    objects in search order, their numbers, and per object a dict from
+    letter to the number of its image, -1 when the image is not an object.
+    """
+    table = L._memo.get("delta_images")
+    if table is None:
         starts = sorted(L.Delta, key=lambda d: (len(d), sorted_elems(d)))
-        L._memo["delta_sorted"] = starts
-    for P0 in starts:
-        cur = P0
-        ok = True
+        number = {d: o for o, d in enumerate(starts)}
+        table = L._memo["delta_images"] = (starts, number, [{} for _ in starts])
+    starts, number, images = table
+    for start in range(len(starts)):
+        cur = start
         for g in word:
-            cur = frozenset(x.conj(g) for x in cur)
-            if cur not in L.Delta:
-                ok = False
+            row = images[cur]
+            nxt = row.get(g)
+            if nxt is None:
+                nxt = row[g] = number.get(frozenset(x.conj(g) for x in starts[cur]), -1)
+            if nxt < 0:
                 break
-        if ok:
+            cur = nxt
+        else:
             return True
     return False
 
@@ -758,10 +808,11 @@ def verify_locality(L: Locality, word_len: int = 3) -> VerificationReport:
 
     # objectivity: domain words are exactly those with an object chain
     checked = 0
+    letter = L.sorted_elements().__getitem__
     for w, _, state, _ in _walk(L, word_len):
         checked += 1
-        if L.rule.accepts(state) != _delta_chain_exists(L, w):
-            return fail({"axiom": "objectivity", "w": _strs(w)})
+        if L.rule.accepts(state) != _delta_chain_exists(L, tuple(map(letter, w))):
+            return fail({"axiom": "objectivity", "w": _strs(L, w)})
     stats["objectivity_words"] = checked
 
     # S_f contains an object (hence is one) for every f

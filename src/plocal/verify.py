@@ -70,12 +70,13 @@ UNFIT_K = "K-descriptor-not-for-X"
 
 
 def check_char_p_normalizer_subgroup(
-    G: Subgroup, p: int, X: Subgroup, H: Subgroup, instance: str
+    G: Subgroup, p: int, G_char_p: bool, X: Subgroup, H: Subgroup, instance: str
 ) -> VerificationReport:
     """Lemma 2.2(a): G of characteristic p, X a p-subgroup, C_G(X) <= H <=
-    N_G(X) and H subnormal in HX imply H of characteristic p."""
+    N_G(X) and H subnormal in HX imply H of characteristic p. G_char_p is
+    whether G has characteristic p, decided once by the caller."""
     stmt = "Lemma-2.2a"
-    if not gp.is_characteristic_p(G, p):
+    if not G_char_p:
         return skipped_report(stmt, instance, "G-not-characteristic-p")
     if not gp.is_p_group(X, p):
         return skipped_report(stmt, instance, "X-not-p-group")
@@ -96,13 +97,13 @@ def check_char_p_normalizer_subgroup(
 
 
 def check_char_p_normalizer_aut(
-    G: Subgroup, p: int, X: Subgroup, K: AutGroup, instance: str
+    G: Subgroup, p: int, G_char_p: bool, X: Subgroup, K: AutGroup, instance: str
 ) -> VerificationReport:
     """Lemma 2.2(b): N_G^K(X) is of characteristic p when K is subnormal in
     K*Inn(X); also checks the product identity N_G^{K Inn(X)}(X) =
-    N_G^K(X) X from its proof."""
+    N_G^K(X) X from its proof. G_char_p is as for Lemma 2.2(a)."""
     stmt = "Lemma-2.2b"
-    if not gp.is_characteristic_p(G, p):
+    if not G_char_p:
         return skipped_report(stmt, instance, "G-not-characteristic-p")
     if not gp.is_p_group(X, p):
         return skipped_report(stmt, instance, "X-not-p-group")
@@ -632,8 +633,10 @@ def entry_reports(
             sweeps[X.elems] = _k_sweep(pe, X)
         return sweeps[X.elems]
 
-    # group-level Lemma 2.2 over all p-subgroups of G
+    # group-level Lemma 2.2 over all p-subgroups of G; every instance shares
+    # the hypothesis on G, so it is decided once
     if want("Lemma-2.2a") or want("Lemma-2.2b"):
+        G_char_p = gp.is_characteristic_p(pe.G, pe.p)
         for X in _p_subgroups(pe.G, pe.p):
             xi = "%s|X=%s" % (name, X.label())
             if want("Lemma-2.2a"):
@@ -644,7 +647,7 @@ def entry_reports(
                         continue
                     reports.append(
                         check_char_p_normalizer_subgroup(
-                            pe.G, pe.p, X, H, "%s|H=%s" % (xi, H.label())
+                            pe.G, pe.p, G_char_p, X, H, "%s|H=%s" % (xi, H.label())
                         )
                     )
             if want("Lemma-2.2b"):
@@ -653,7 +656,9 @@ def entry_reports(
                     if K is None:
                         reports.append(skipped_report("Lemma-2.2b", inst, UNFIT_K))
                     else:
-                        reports.append(check_char_p_normalizer_aut(pe.G, pe.p, X, K, inst))
+                        reports.append(
+                            check_char_p_normalizer_aut(pe.G, pe.p, G_char_p, X, K, inst)
+                        )
 
     # locality-level statements over subgroups of S
     X_sweep = pe.X_list if pe.X_list else pe.F.subgroups()

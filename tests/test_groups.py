@@ -304,6 +304,29 @@ def test_product_leaves_the_perm_memos_alone(monkeypatch):
     assert len(perm._MUL_CACHE) == 0 and len(perm._CONJ_CACHE) == 0
 
 
+# -- element tables -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("group", ["s3xs3", "sl23"])
+def test_element_tables_match_perm_arithmetic(monkeypatch, request, group):
+    """Every entry of the product and inverse tables is the Perm product or
+    inverse, and building the tables (on a fresh value, so nothing is kept
+    yet) leaves Perm's memos empty."""
+    G = gp.Subgroup(request.getfixturevalue(group).elems)
+    monkeypatch.setattr(perm, "_MUL_CACHE", {})
+    monkeypatch.setattr(perm, "_CONJ_CACHE", {})
+    mul, inv = G.mul_table, G.inv_table
+    assert len(perm._MUL_CACHE) == 0 and len(perm._CONJ_CACHE) == 0
+    els = tuple(G)
+    assert all(G.element_index[x] == i for i, x in enumerate(els))
+    assert len(mul) == len(inv) == G.order
+    for i, a in enumerate(els):
+        assert els[inv[i]] == a.inv()
+        assert len(mul[i]) == G.order
+        for j, b in enumerate(els):
+            assert els[mul[i][j]] == a * b
+
+
 # -- misc helpers -------------------------------------------------------------
 
 

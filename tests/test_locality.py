@@ -13,6 +13,7 @@ from plocal.errors import (
     NotSylow,
     Q1Violated,
 )
+from plocal.perm import Perm
 from .conftest import perms
 
 
@@ -472,9 +473,12 @@ def test_walk_matches_whole_word_definitions(s4, L_s3xs3):
     elems = gp.generate_group(perms(4, "(0 1 2 3)")).elems
     unclosed = lo.Locality(s4, elems, [base, C], base, 2)
     for P in (L_s3xs3, unclosed):
-        rule, els = P.rule, P.sorted_elements()
+        rule, els, ambient = P.rule, P.sorted_elements(), tuple(P.ambient)
         seen = 0
-        for w, code, state, prods in lo._walk(P, 3):
+        for iw, code, state, iprods in lo._walk(P, 3):
+            # the walk names letters and products by index; read them back
+            w = tuple(els[i] for i in iw)
+            prods = tuple(ambient[a] for a in iprods)
             assert code == sum(els.index(g) * len(els) ** m for m, g in enumerate(reversed(w)))
             expected = [P.unit]
             for g in w:
@@ -500,6 +504,56 @@ def test_planted_fault_objectivity(s3xs3):
     assert rep.failed
     assert rep.witness == {"axiom": "objectivity", "w": ["(0 1)(3 4)"]}
     assert rep.stats["pg_words_checked"] == rep.stats["pg_domain_words"] == 36 + 36**2
+
+
+def test_planted_fault_product_table(s3xs3):
+    """The axiom check reads products from the ambient product table, so one
+    wrong entry, planted on a copy of S3 x S3, fails it with a product
+    witness."""
+    G = gp.Subgroup(s3xs3.elems)
+    mul = [list(row) for row in s3xs3.mul_table]
+    mul[1][2] = (mul[1][2] + 1) % G.order
+    G.__dict__["mul_table"] = tuple(map(tuple, mul))
+    G.__dict__["inv_table"] = s3xs3.inv_table
+    rep = lo.verify_partial_group(lo.group_locality(G, gp.sylow_subgroup(G, 2), 2))
+    assert rep.failed
+    assert rep.witness["axiom"] in ("splice-product", "inverse-word-product")
+    sound = lo.verify_partial_group(lo.group_locality(s3xs3, gp.sylow_subgroup(s3xs3, 2), 2))
+    assert sound.passed
+
+
+def test_axiom_walk_makes_no_perm_products(monkeypatch, L_s3xs3):
+    """Once the tables exist, the partial-group check is integer work only."""
+    L_s3xs3.ambient.mul_table, L_s3xs3.ambient.inv_table
+    for g in L_s3xs3.sorted_elements():
+        L_s3xs3.rule.move(g)
+    calls = []
+    for name in ("__mul__", "conj"):
+        real = getattr(Perm, name)
+
+        def spy(self, other, real=real, name=name):
+            calls.append(name)
+            return real(self, other)
+
+        monkeypatch.setattr(Perm, name, spy)
+    assert lo.verify_partial_group(L_s3xs3).passed
+    assert calls == []
+
+
+def test_objectivity_oracle_images_are_conjugates(L_s3xs3):
+    """The oracle's (object, letter) image table holds the conjugate of the
+    object by the letter, looked up among the objects, -1 if it is none."""
+    assert lo.verify_locality(L_s3xs3).passed
+    starts, number, images = L_s3xs3._memo["delta_images"]
+    assert sorted(starts, key=len) == starts and set(starts) == L_s3xs3.Delta
+    filled = outside = 0
+    for o, row in enumerate(images):
+        for g, img in row.items():
+            conj = frozenset(x.conj(g) for x in starts[o])
+            assert img == (starts.index(conj) if conj in L_s3xs3.Delta else -1)
+            filled += 1
+            outside += img < 0
+    assert filled > outside > 0
 
 
 @pytest.mark.parametrize(
