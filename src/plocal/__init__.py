@@ -64,7 +64,6 @@ from .locality import (
     bN,
     bN_K,
     build_group_locality,
-    find_normal_for,
     fusion_of_partial,
     group_locality,
     is_partial_normal,

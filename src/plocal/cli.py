@@ -57,7 +57,8 @@ class CorpusEntry:
         return [perm_from_cycles(s, self.degree) for s in self.normal_gen_strings]
 
     def X_subgroups(self, G, S):
-        """Explicitly requested X subgroups (must lie inside S), or None."""
+        """Explicitly requested X subgroups (must lie inside S), or None.
+        Lines naming the same subgroup give it once, at its first line."""
         if not self.X_strings:
             return None
         out = []
@@ -71,7 +72,8 @@ class CorpusEntry:
                 raise CorpusParseError(
                     "entry %s: X=%s is not inside the Sylow subgroup" % (self.name, spec)
                 )
-            out.append(X)
+            if X not in out:
+                out.append(X)
         return tuple(out)
 
     def K_descriptors(self) -> Optional[Tuple[str, ...]]:

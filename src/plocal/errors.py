@@ -46,11 +46,6 @@ class NotPartialSubgroup(PLocalError):
     """A set expected to be a partial subgroup fails closure."""
 
 
-class NotFound(PLocalError):
-    """No (unique) object with the required properties was found in the
-    search family."""
-
-
 class CorpusParseError(PLocalError):
     """Corpus text is malformed. Carries a 1-based line number."""
 

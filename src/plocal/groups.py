@@ -199,10 +199,6 @@ def all_subgroups(G: Subgroup, cap: int = SUBGROUP_CAP) -> Tuple[Subgroup, ...]:
     return out
 
 
-def normal_subgroups(G: Subgroup) -> Tuple[Subgroup, ...]:
-    return tuple(H for H in all_subgroups(G) if H.is_normal_in(G))
-
-
 def normalizer(G: Subgroup, X: Subgroup) -> Subgroup:
     """N_G(X) = {g : X^g = X}."""
     xe = X.elems

@@ -46,7 +46,6 @@ from typing import Dict, FrozenSet, Iterable, Optional, Sequence, Tuple
 
 from .errors import (
     GammaNotClosed,
-    NotFound,
     NotFullyKNormalized,
     NotPartialSubgroup,
     NotSylow,
@@ -69,7 +68,6 @@ from .groups import (
     group_K_normalizer,
     is_p_group,
     mulclose,
-    normal_subgroups,
     normalizer,
     p_part,
     trivial_aut_group,
@@ -502,62 +500,6 @@ def fusion_of_partial(
                 if img <= R.elems:
                     germs.append(conj_injection(pe, f))
     return close_generated(R, L.p, germs)
-
-
-def find_normal_for(L: Locality, E: FusionSystem) -> FrozenSet[Perm]:
-    """The unique partial normal subgroup N of L with N cap S = T and
-    F_T(N) = E, searched over the family H cap L for H normal in the
-    ambient group (with closure repair), which realizes all partial normal
-    subgroups of group localities at this scale.
-    """
-    T = E.S.elems
-    matches = []
-    seen = set()
-    for Hn in normal_subgroups(L.ambient):
-        cand = frozenset(Hn.elems & L.elems)
-        if not cand:
-            continue
-        cand = _closure_repair(L, cand)
-        if cand is None or cand in seen:
-            continue
-        seen.add(cand)
-        if cand & L.S_elems != T:
-            continue
-        if partial_normal_violation(L, cand) is not None:
-            continue
-        if fusion_of_partial(L, cand) != E:
-            continue
-        matches.append(cand)
-    if not matches:
-        raise NotFound(
-            "no partial normal subgroup realizes the subsystem among the "
-            "family searched: H cap L for H normal in the ambient group"
-        )
-    if len(matches) > 1:
-        raise NotFound(
-            "multiple distinct partial normal subgroups realize the subsystem"
-        )
-    return matches[0]
-
-
-def _closure_repair(L: Locality, elems: FrozenSet[Perm]) -> Optional[FrozenSet[Perm]]:
-    """Close a candidate under inverses and defined pair products, or None
-    if the closure leaves L. Runs to a fixpoint: cur only grows inside L."""
-    cur = set(elems)
-    while True:
-        add = set()
-        for x in cur:
-            if x.inv() not in cur and x.inv() in L.elems:
-                add.add(x.inv())
-        for a in cur:
-            for b in cur:
-                if L.in_domain((a, b)) and a * b not in cur:
-                    add.add(a * b)
-        if not add:
-            return frozenset(cur)
-        if not add <= L.elems:
-            return None
-        cur |= add
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,6 @@ from .errors import (
     CapExceeded,
     CorpusParseError,
     KDescriptorNotForX,
-    NotFound,
     NotPartialSubgroup,
     PLocalError,
 )
@@ -479,10 +478,16 @@ def prepare_entry(entry, word_len: int = 3):
     E = fu.fusion_of_group(H, T, p)
     if not fu.is_normal_subsystem(E, F):
         return None, failed_report("Axioms", inst, {"subsystem": "F_T(H) not normal in F"})
-    try:
-        N = lo.find_normal_for(L, E)
-    except NotFound as exc:
-        return None, failed_report("Axioms", inst, {"partial-normal": str(exc)})
+    # H is normal in G, so H cap L is closed under inverses, defined products
+    # and defined conjugates: a partial normal subgroup of L realizing E
+    N = H.elems & L.elems
+    bad = lo.partial_normal_violation(L, N)
+    if bad is not None:
+        return None, failed_report("Axioms", inst, {"partial-normal": bad})
+    if lo.fusion_of_partial(L, N) != E:
+        return None, failed_report(
+            "Axioms", inst, {"partial-normal": "F_T(H cap L) != F_T(H)"}
+        )
     X_list = entry.X_subgroups(G, S)
     pe = PreparedEntry(
         name=name,
@@ -723,10 +728,11 @@ def run_suite(
         pe, axioms = prepare_entry(entry, word_len=word_len)
         results.append(axioms)
         if pe is None:
-            for stmt in statements or STATEMENTS:
-                results.append(
-                    skipped_report(stmt, "%s|entry" % entry.name, "entry-rejected")
-                )
+            for stmt in STATEMENTS:
+                if statements is None or stmt in statements:
+                    results.append(
+                        skipped_report(stmt, "%s|entry" % entry.name, "entry-rejected")
+                    )
             continue
         results.extend(entry_reports(pe, statements=statements, word_len=word_len))
 

@@ -69,8 +69,8 @@ def E_s4(s4, a4):
 
 
 @pytest.fixture(scope="session")
-def N_s4(L_s4, E_s4):
-    return lo.find_normal_for(L_s4, E_s4)
+def N_s4(L_s4, a4):
+    return a4.elems & L_s4.elems
 
 
 @pytest.fixture(scope="session")

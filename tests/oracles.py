@@ -215,3 +215,41 @@ def conjugation_germs(G: Subgroup, S: Subgroup):
         for g in G.elems
         if _conj(P, g) <= se
     }
+
+
+def normal_subgroups_by_classes(G: Subgroup):
+    """Every normal subgroup of G as an element set. A normal subgroup is
+    generated by the conjugacy classes it contains, so adding one class at
+    a time to {1} and closing reaches them all; no subgroup lattice."""
+    from plocal.groups import mulclose
+
+    classes = {frozenset(x.conj(g) for g in G.elems) for x in G.elems}
+    found = {frozenset([G.identity])}
+    todo = list(found)
+    while todo:
+        N = todo.pop()
+        for c in classes:
+            if not c <= N:
+                M = mulclose(N | c, cap=G.order)
+                if M not in found:
+                    found.add(M)
+                    todo.append(M)
+    return found
+
+
+def partial_normal_by_family(L, E):
+    """The partial normal subgroups of L that realize E, searched over the
+    family H cap L for H normal in the ambient group: each candidate is
+    kept if it is partial normal, meets S in E's Sylow and has fusion
+    system E. A list of distinct element sets, smallest first."""
+    from plocal import locality as lo
+
+    out = []
+    normals = normal_subgroups_by_classes(L.ambient)
+    for H in sorted(normals, key=lambda s: (len(s), sorted_elems(s))):
+        cand = H & L.elems
+        if cand in out or cand & L.S_elems != E.S.elems:
+            continue
+        if lo.partial_normal_violation(L, cand) is None and lo.fusion_of_partial(L, cand) == E:
+            out.append(cand)
+    return out

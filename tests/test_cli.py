@@ -3,6 +3,7 @@ files a run writes, and exit codes."""
 
 import json
 import time
+from pathlib import Path
 
 import pytest
 
@@ -207,6 +208,37 @@ def test_k_descriptor_not_for_x_is_skipped(tmp_path):
         ("Lemma-2.1", "K-descriptor-not-for-X"),
         ("Theorem-3.2b", "K-descriptor-not-for-X"),
     ]
+
+
+def _report_keys(reports):
+    return [(r["statement"], r["instance"]) for r in reports]
+
+
+def test_x_lines_naming_one_subgroup_give_it_once(tmp_path):
+    one_line = "group d8 p=2 gens=(0 1 2 3);(0 2)\nX=(0 2)\nK=aut\n"
+    twice = one_line.replace("X=(0 2)\n", "X=(0 2)\nX=(0 2);()\n")
+    (entry,) = cli.parse_corpus(twice)
+    G = gp.generate_group(entry.generators())
+    assert len(entry.X_subgroups(G, gp.sylow_subgroup(G, 2))) == 1
+    out_one, out_twice = tmp_path / "one.json", tmp_path / "twice.json"
+    assert _main_on(tmp_path, one_line, "--report", str(out_one)) == 0
+    assert _main_on(tmp_path, twice, "--report", str(out_twice)) == 0
+    assert out_twice.read_bytes() == out_one.read_bytes()
+    keys = _report_keys(json.loads(out_twice.read_text()))
+    assert len(keys) == len(set(keys))
+
+
+def test_repeated_statement_flag_skips_a_rejected_entry_once(tmp_path):
+    corpus = Path(__file__).resolve().parents[1] / "perfbench" / "corpora" / "order36_axioms.txt"
+    corpus = corpus.read_text()
+    once, twice = tmp_path / "once.json", tmp_path / "twice.json"
+    assert _main_on(tmp_path, corpus, "--report", str(once), "--statement", "Lemma-3.1") == 1
+    flags = ("--statement", "Lemma-3.1", "--statement", "Lemma-3.1")
+    assert _main_on(tmp_path, corpus, "--report", str(twice), *flags) == 1
+    assert twice.read_bytes() == once.read_bytes()
+    keys = _report_keys(json.loads(twice.read_text()))
+    assert keys.count(("Lemma-3.1", "d12_c6|entry")) == 1
+    assert len(keys) == len(set(keys))
 
 
 def test_k_descriptor_not_for_named_x_is_corpus_error(tmp_path, capsys):

@@ -8,12 +8,12 @@ from plocal import groups as gp
 from plocal import locality as lo
 from plocal.errors import (
     GammaNotClosed,
-    NotFound,
     NotFullyKNormalized,
     NotSylow,
     Q1Violated,
 )
 from plocal.perm import Perm
+from . import oracles
 from .conftest import perms
 
 
@@ -254,7 +254,7 @@ def test_K_normalizer_matches_definition(L_s3xs3, s3xs3):
             assert lo.K_normalizer_partial(L_s3xs3, X, K) == expected
 
 
-# -- partial normal subgroups and the finder ------------------------------------
+# -- partial normal subgroups ---------------------------------------------------
 
 
 def test_partial_normal_cases(L_s4, N_s4, a4):
@@ -266,34 +266,16 @@ def test_partial_normal_cases(L_s4, N_s4, a4):
     assert viol is not None and viol["kind"] == "conjugation"
 
 
-def test_find_normal_full_system(L_s4, F_s4):
-    N = lo.find_normal_for(L_s4, F_s4)
-    assert N == L_s4.elems
-
-
-def test_closure_repair_generates_subgroups(L_s4, s4):
-    # every word of this group locality is defined, so repairing a
-    # generating set must reach the whole generated subgroup
-    for H in gp.all_subgroups(s4):
-        if H.order > 1:
-            gens = frozenset(gp._generating_sequence(H.elems))
-            assert lo._closure_repair(L_s4, gens) == H.elems
-
-
-def test_find_normal_not_found(L_s4, F_s4, s4):
-    # the inner Sylow system is not realized by any partial normal subgroup
-    inner = fu.close_generated(F_s4.S, 2)
-    with pytest.raises(NotFound):
-        lo.find_normal_for(L_s4, inner)
-
-
-def test_find_normal_not_found_names_the_searched_family(L_s4, s4):
-    # F_S(S) over the whole Sylow subgroup: no H cap L with H normal in S4
-    # realizes it, and the message says that only that family was searched
-    S = gp.sylow_subgroup(s4, 2)
-    E = fu.fusion_of_group(S, S, 2)
-    with pytest.raises(NotFound, match="H cap L for H normal in the ambient group"):
-        lo.find_normal_for(L_s4, E)
+@pytest.mark.parametrize("name", ["L_s4", "L_s3xs3"])
+def test_ambient_normal_subgroup_meets_L_in_a_partial_normal_subgroup(name, request):
+    # the fact a corpus entry's N = H cap L rests on, on the whole group
+    # locality of S4 and on one of S3 x S3 that is not its ambient group
+    L = request.getfixturevalue(name)
+    normals = oracles.normal_subgroups_by_classes(L.ambient)
+    lattice = {H.elems for H in gp.all_subgroups(L.ambient) if H.is_normal_in(L.ambient)}
+    assert normals == lattice and len(normals) > 2
+    for H in normals:
+        assert lo.partial_normal_violation(L, H & L.elems) is None
 
 
 # -- products --------------------------------------------------------------------

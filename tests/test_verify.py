@@ -1,6 +1,8 @@
 """Checker tests: each statement checker on known instances, skip logic,
 and the suite driver plumbing."""
 
+from pathlib import Path
+
 import pytest
 
 from plocal import cli
@@ -10,7 +12,10 @@ from plocal import locality as lo
 from plocal import verify as vf
 from plocal.errors import CorpusParseError, KDescriptorNotForX, NotFullyKNormalized
 from plocal.report import VerificationReport
+from . import oracles
 from .conftest import perms
+
+PERFBENCH_CORPORA = Path(__file__).resolve().parents[1] / "perfbench" / "corpora"
 
 
 def S_of(G, p=2):
@@ -413,6 +418,69 @@ def test_run_suite_empty():
     reports, cov = vf.run_suite([])
     assert reports == []
     assert all(sum(c.values()) == 0 for c in cov.values())
+
+
+# -- the partial normal subgroup N = H cap L -------------------------------------
+
+
+def test_declared_N_is_the_one_the_family_search_finds():
+    """On every accepted entry of the shipped and benchmark corpora, exactly
+    one H cap L with H normal in G is partial normal and realizes E, and it
+    is the N read off the declared normal subgroup."""
+    entries = cli.parse_corpus(cli.default_corpus_text())
+    for name in ("order36_axioms.txt", "a4xc2_theorem.txt"):
+        entries += cli.parse_corpus((PERFBENCH_CORPORA / name).read_text())
+    accepted = []
+    for entry in entries:
+        pe, axioms = vf.prepare_entry(entry)
+        if pe is not None:
+            accepted.append(entry.name)
+            assert axioms.stats["N_size"] == len(pe.N)
+            assert oracles.partial_normal_by_family(pe.L, pe.E) == [pe.N]
+    assert len(accepted) == 6
+
+
+def _s4_a4_entry():
+    (entry,) = [e for e in cli.parse_corpus(cli.default_corpus_text()) if e.name == "s4_a4"]
+    return entry
+
+
+def _not_partial_normal(monkeypatch):
+    monkeypatch.setattr(
+        lo, "partial_normal_violation", lambda L, N: {"kind": "conjugation", "f": "planted"}
+    )
+    return {"partial-normal": {"kind": "conjugation", "f": "planted"}}
+
+
+def _not_realizing_E(monkeypatch):
+    real = lo.fusion_of_partial
+
+    def inner_system(L, N, base=None):
+        # the Sylow subgroup's own fusion system, not F_T(A4); calls with
+        # a base come from the locality check and stay real
+        if base is not None:
+            return real(L, N, base)
+        return fu.close_generated(gp.Subgroup(N & L.S_elems), L.p)
+
+    monkeypatch.setattr(lo, "fusion_of_partial", inner_system)
+    return {"partial-normal": "F_T(H cap L) != F_T(H)"}
+
+
+@pytest.mark.parametrize("plant", [_not_partial_normal, _not_realizing_E])
+def test_N_failing_its_check_rejects_the_entry(monkeypatch, plant):
+    witness = plant(monkeypatch)
+    pe, axioms = vf.prepare_entry(_s4_a4_entry())
+    assert pe is None
+    assert axioms.statement == "Axioms" and axioms.failed
+    assert axioms.witness == witness
+    reports, _ = vf.run_suite([_s4_a4_entry()])
+    assert [r.to_json_obj() for r in reports if r.statement == "Axioms"] == [axioms.to_json_obj()]
+    skips = [r for r in reports if r.statement != "Axioms"]
+    assert [r.statement for r in skips] == sorted(vf.STATEMENTS)
+    assert all(
+        r.outcome == "skipped" and r.reason == "entry-rejected" and r.instance == "s4_a4|entry"
+        for r in skips
+    )
 
 
 def test_k_options_default_and_descriptors(s4, klein):
