@@ -9,12 +9,14 @@ This normal form keeps closure computations small while every predicate in
 sight can still quantify over all morphisms exactly.
 
 A system caches what it derives (saturation witness, core, centric and
-subcentric sets, fully K-normalized verdicts, K-normalizer subsystems) in
-its ``_cache``; all of it depends only on the system's content (S, p,
-germs). The K-normalizer subsystems of a system, and theirs in turn, are
-shared by content: they and the system they come from hold one table of
-systems, so equal subsystems reached under different (X, K) are one object
-with one cache.
+subcentric sets, fully K-normalized verdicts per (X, K), K-normalizer
+subsystems per (X, K), and the verdicts of normality and p-power index
+of a smaller system E in it, per E) in its ``_cache``; all of it depends
+only on the content (S, p, germs) of the system and of the key, and
+systems compare by content, so a hit is exact. The K-normalizer
+subsystems of a system, and theirs in turn, are shared by content: they
+and the system they come from hold one table of systems, so equal
+subsystems reached under different (X, K) are one object with one cache.
 
 External definitions used here and pinned in one place:
 
@@ -525,16 +527,18 @@ def hyperfocal_subgroup(F: FusionSystem) -> Subgroup:
 
 def has_p_power_index(D: FusionSystem, F: FusionSystem) -> bool:
     """D over R has p-power index in F: hyp(F) <= R and O^p(Aut_F(P)) <=
-    Aut_D(P) for every P <= R."""
-    if not subsystem_le(D, F):
-        return False
-    R = D.S.elems
-    if not hyperfocal_subgroup(F).elems <= R:
-        return False
-    for P in D.subgroups():
-        if not op_residual(F.aut(P), F.p).maps <= D.aut(P).maps:
-            return False
-    return True
+    Aut_D(P) for every P <= R. Kept in F's cache per D."""
+    key = ("p_power_index", D)
+    if key not in F._cache:
+        F._cache[key] = (
+            subsystem_le(D, F)
+            and hyperfocal_subgroup(F).elems <= D.S.elems
+            and all(
+                op_residual(F.aut(P), F.p).maps <= D.aut(P).maps
+                for P in D.subgroups()
+            )
+        )
+    return F._cache[key]
 
 
 def conjugate_fusion(E: FusionSystem, alpha: GroupInjection) -> FusionSystem:
@@ -586,9 +590,14 @@ def _frattini_factors(E: FusionSystem, autFT: AutGroup, phi: GroupInjection) -> 
 
 def is_normal_subsystem(E: FusionSystem, F: FusionSystem) -> bool:
     """Weakly normal + extension property: each alpha in Aut_E(T) extends
-    to T*C_S(T) moving C_S(T) only within Z(T)."""
-    if not is_weakly_normal(E, F):
-        return False
+    to T*C_S(T) moving C_S(T) only within Z(T). Kept in F's cache per E."""
+    key = ("normal", E)
+    if key not in F._cache:
+        F._cache[key] = is_weakly_normal(E, F) and _has_extension_property(E, F)
+    return F._cache[key]
+
+
+def _has_extension_property(E: FusionSystem, F: FusionSystem) -> bool:
     T = E.S
     C = centralizer(F.S, T)
     P0 = mulclose(list(T.elems | C.elems), cap=F.S.order)

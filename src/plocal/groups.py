@@ -59,8 +59,9 @@ class Subgroup:
     This is the one group type: a whole group and each of its subgroups are
     values of it, and two are equal exactly when their elements are,
     whatever group they were found in. The sorted element tuple, the
-    identity and the element tables (index, products, inverses) are
-    computed on first use and kept.
+    identity, the element tables (index, products, inverses) and the
+    normalizers N_G(X) asked for, one per X, are computed on first use
+    and kept.
     """
 
     elems: FrozenSet[Perm]
@@ -107,6 +108,11 @@ class Subgroup:
         """inv_table[i] is the index of the inverse of the i-th element,
         read off the product table (the identity sorts first)."""
         return tuple(row.index(0) for row in self.mul_table)
+
+    @cached_property
+    def _normalizers(self) -> Dict[FrozenSet[Perm], "Subgroup"]:
+        """N_G(X) for G = self, per X.elems, filled by :func:`normalizer`."""
+        return {}
 
     @property
     def order(self) -> int:
@@ -200,11 +206,14 @@ def all_subgroups(G: Subgroup, cap: int = SUBGROUP_CAP) -> Tuple[Subgroup, ...]:
 
 
 def normalizer(G: Subgroup, X: Subgroup) -> Subgroup:
-    """N_G(X) = {g : X^g = X}."""
+    """N_G(X) = {g : X^g = X}, kept on G per X."""
     xe = X.elems
-    return Subgroup(
-        frozenset(g for g in G.elems if all(x.conj(g) in xe for x in xe))
-    )
+    hit = G._normalizers.get(xe)
+    if hit is None:
+        hit = G._normalizers[xe] = Subgroup(
+            frozenset(g for g in G.elems if all(x.conj(g) in xe for x in xe))
+        )
+    return hit
 
 
 def centralizer(G: Subgroup, X: Subgroup) -> Subgroup:

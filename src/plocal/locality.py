@@ -37,7 +37,10 @@ would. The objectivity oracle keeps its own table of object images per
 letter, filled by conjugating each object's elements, so it shares
 nothing with the rule it checks. The statement checkers in ``verify`` run
 the subcentric verification once per distinct structure of a corpus
-entry, keyed on its content in the memo of the entry's locality.
+entry, keyed on its content in the memo of the entry's locality. The
+fusion systems of partial subgroups are kept in one table per entry,
+which the entry's locality shares with all its restrictions, so each
+distinct system is closed once and is one object.
 """
 
 from __future__ import annotations
@@ -172,7 +175,9 @@ class Locality:
     inside S. Its elements lie in the ambient group, its product is the
     ambient product and its words are decided by ChainDomain(S, Delta)."""
 
-    __slots__ = ("ambient", "elems", "Delta", "S_elems", "p", "rule", "_sorted", "_memo")
+    __slots__ = (
+        "ambient", "elems", "Delta", "S_elems", "p", "rule", "_sorted", "_memo", "_systems"
+    )
 
     def __init__(
         self,
@@ -192,6 +197,9 @@ class Locality:
         self.rule = ChainDomain(self.S_elems, self.Delta)
         self._sorted = None
         self._memo = {}
+        # fusion systems of partial subgroups, shared with every restriction
+        # of this locality (see fusion_of_partial)
+        self._systems = {}
 
     @property
     def unit(self) -> Perm:
@@ -371,7 +379,10 @@ def restrict(
     subgroup H of L, with the Gamma-chain domain.
 
     Checks the closure of Gamma and the hypotheses (Q1), (Q2) eagerly, and
-    raises NotSylow unless R is a maximal p-subgroup of the result.
+    raises NotSylow unless R is a maximal p-subgroup of the result. The
+    result shares L's table of fusion systems (see fusion_of_partial), so
+    every restriction reached from one locality, by any chain of restricts,
+    holds the same table.
     """
     H = _inside(L, H)
     Gamma = frozenset(frozenset(g) for g in Gamma)
@@ -404,6 +415,7 @@ def restrict(
     out = Locality(L.ambient, elems, Gamma, R, L.p)
     if not _is_max_p_subgroup(out, R, L.p):
         raise NotSylow("S cap H is not a maximal p-subgroup of the restriction")
+    out._systems = L._systems
     return out
 
 
@@ -485,21 +497,38 @@ def fusion_of_partial(
     L: Locality, N: FrozenSet[Perm], base: Optional[Subgroup] = None
 ) -> FusionSystem:
     """F_R(N), R = N cap S (or the given base): the fusion system on R
-    generated by the conjugation maps c_f, f in N."""
+    generated by the conjugation maps c_f, f in N.
+
+    Kept in L's table of systems, which L shares with every restriction of
+    it and with the locality it was restricted from, under three keys: the
+    content (L, N, R) of the call; the closure's input (R, generating
+    germs), so that calls that differ in (L, N) but generate the same
+    system close it once; and the system itself, so that equal systems are
+    one object with one cache.
+    """
     N = _inside(L, N)
     R = base if base is not None else Subgroup(N & L.S_elems)
     if not R.elems <= N:
         raise ValueError("base is not inside the partial subgroup")
-    germs = []
-    r_subs = tuple(H.elems for H in all_subgroups(R))
-    for f in N:
-        sf = S_f(L, f).elems
-        for pe in r_subs:
-            if pe <= sf:
-                img = frozenset(x.conj(f) for x in pe)
-                if img <= R.elems:
-                    germs.append(conj_injection(pe, f))
-    return close_generated(R, L.p, germs)
+    table, key = L._systems, (L, N, R.elems)
+    hit = table.get(key)
+    if hit is None:
+        germs = set()
+        r_subs = tuple(H.elems for H in all_subgroups(R))
+        for f in N:
+            sf = S_f(L, f).elems
+            for pe in r_subs:
+                if pe <= sf:
+                    img = frozenset(x.conj(f) for x in pe)
+                    if img <= R.elems:
+                        germs.add(conj_injection(pe, f))
+        closure = (R.elems, frozenset(germs))
+        hit = table.get(closure)
+        if hit is None:
+            hit = close_generated(R, L.p, germs)
+            hit = table[closure] = table.setdefault(hit, hit)
+        table[key] = hit
+    return hit
 
 
 # ---------------------------------------------------------------------------

@@ -370,3 +370,19 @@ def test_sl23_inner_q8_normal(F_sl23, sl23):
     q8 = gp.sylow_subgroup(sl23, 2)
     E = fu.fusion_of_group(q8, q8, 2)
     assert fu.is_normal_subsystem(E, F_sl23)
+
+
+def test_verdicts_kept_per_subsystem(s4, E_s4):
+    """On one F, the normality and p-power-index verdicts of two systems
+    over the same base, asked alternately, stay each system's own: the A4
+    system is normal of p-power index in the S4 system, and the system
+    generated by one involution of Aut_F(V4) is neither."""
+    F = fu.fusion_of_group(s4, gp.sylow_subgroup(s4, 2), 2)
+    T = E_s4.S
+    swap = gp.conj_injection(T.elems, perms(4, "(0 1)")[0])
+    bad = fu.close_generated(T, 2, [swap])
+    assert bad.S == T and fu.subsystem_le(bad, F)
+    for _ in range(2):
+        for verdict in (fu.is_normal_subsystem, fu.has_p_power_index):
+            assert verdict(E_s4, F)
+            assert not verdict(bad, F)

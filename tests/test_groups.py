@@ -122,6 +122,21 @@ def test_centralizer_of_transposition(s4):
     assert gp.centralizer(s4, X).order == 4
 
 
+@pytest.mark.parametrize("group", ["s4", "sl23"])
+def test_kept_normalizer_matches_definition(request, group):
+    """N_G(X) kept on G equals {g : X^g = X} for every X <= G, on the call
+    that computes it and on the calls that read it, for an equal X built
+    anew as well."""
+    G = gp.Subgroup(request.getfixturevalue(group).elems)
+    for X in gp.all_subgroups(G):
+        expected = frozenset(
+            g for g in G.elems if frozenset(x.conj(g) for x in X.elems) == X.elems
+        )
+        first = gp.normalizer(G, X)
+        assert first.elems == expected
+        assert gp.normalizer(G, gp.Subgroup(X.elems)) is first
+
+
 # -- automorphism groups ----------------------------------------------------
 
 

@@ -323,6 +323,35 @@ def test_fusion_of_partial_alternating(L_s4, N_s4, E_s4):
     assert lo.fusion_of_partial(L_s4, N_s4) == E_s4
 
 
+def test_fusion_of_partial_shared_by_restrictions(monkeypatch, s4, F_s4, E_s4, N_s4):
+    """Restrictions of one locality share its table of systems: two equal
+    restrictions built apart get one F_S(L) from one closure, and another N
+    gets another system. A locality built outside restrict has a table of
+    its own, so an equal one built apart closes its system again."""
+    S = gp.sylow_subgroup(s4, 2)
+    L = lo.build_group_locality(s4, S, frozenset(P.elems for P in fu.subcentric_set(F_s4)), 2)
+    closed = []
+    real = lo.close_generated
+
+    def spy(R, *args):
+        closed.append(R.elems)
+        return real(R, *args)
+
+    monkeypatch.setattr(lo, "close_generated", spy)
+    one = s4.trivial_subgroup()
+    first, second = (lo.restrict(L, L.elems, L.Delta, one) for _ in range(2))
+    assert first is not second and first == second
+    got = lo.fusion_of_partial(first, first.elems)
+    assert lo.fusion_of_partial(second, second.elems) is got
+    assert got == F_s4 and len(closed) == 1
+    other = lo.fusion_of_partial(second, N_s4)
+    assert other == E_s4 and other != got and len(closed) == 2
+    apart = [lo.group_locality(s4, S, 2) for _ in range(2)]
+    systems = [lo.fusion_of_partial(A, A.elems) for A in apart]
+    assert apart[0] == apart[1] and systems[0] == systems[1] == F_s4
+    assert systems[0] is not systems[1] and len(closed) == 4
+
+
 # -- element sets from the caller ------------------------------------------------
 
 

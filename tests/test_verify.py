@@ -1,6 +1,7 @@
 """Checker tests: each statement checker on known instances, skip logic,
 and the suite driver plumbing."""
 
+import sys
 from pathlib import Path
 
 import pytest
@@ -409,6 +410,81 @@ def test_K_times_inn_once_per_value_on_s4_a4(monkeypatch):
     assert axioms.passed
     assert not any(r.failed for r in vf.entry_reports(pe))
     assert calls and len(calls) == len(set(calls))
+
+
+# -- systems and verdicts kept across instances -----------------------------------
+
+
+@pytest.fixture(scope="module")
+def default_corpus_recorded():
+    """The default corpus run entry by entry, with the inputs of the
+    closures each entry makes and each normality, p-power-index and
+    saturation verdict that a checker in verify reads."""
+    closures, verdicts = [], []
+    real_close = fu.close_generated
+
+    def close(S, p, generators=(), cap=fu.GERM_CAP):
+        generators = frozenset(generators)
+        closures[-1].append((S.elems, generators))
+        return real_close(S, p, generators, cap)
+
+    def recorded(real):
+        def wrapper(*args):
+            out = real(*args)
+            if sys._getframe(1).f_globals["__name__"] == vf.__name__:
+                verdicts.append((real.__name__, args, out))
+            return out
+
+        return wrapper
+
+    reports = []
+    with pytest.MonkeyPatch.context() as mp:
+        for module in (fu, lo):
+            mp.setattr(module, "close_generated", close)
+        for name in ("is_normal_subsystem", "has_p_power_index", "saturation_failure"):
+            mp.setattr(fu, name, recorded(getattr(fu, name)))
+        for entry in cli.parse_corpus(cli.default_corpus_text()):
+            closures.append([])
+            reports += vf.run_suite([entry])[0]
+    return reports, closures, verdicts
+
+
+def test_one_closure_per_input_of_an_entry(default_corpus_recorded):
+    """Within a corpus entry each distinct (S, generator set) is closed
+    once: the entry's locality and all its restrictions share one table of
+    systems. An input that two entries meet is closed once in each."""
+    reports, closures, _ = default_corpus_recorded
+    assert len(reports) == 742 and not any(r.failed for r in reports)
+    assert all(closures)
+    for made in closures:
+        assert len(made) == len(set(made))
+
+
+def _cache_free(E):
+    return fu.FusionSystem(gp.Subgroup(E.S.elems), E.p, E.all_germs())
+
+
+def test_kept_verdicts_match_fresh_ones(default_corpus_recorded):
+    """Each verdict the checkers read on the default corpus, E_0 normal in
+    N_F^K(X), E_0 of p-power index in N_{EX}^K(X) and E_0 saturated for
+    every theorem instance among them, equals the verdict computed on
+    cache-free copies of its systems."""
+    _, _, verdicts = default_corpus_recorded
+    assert {name for name, _, _ in verdicts} == {
+        "is_normal_subsystem",
+        "has_p_power_index",
+        "saturation_failure",
+    }
+    fresh = {}
+    for name, args, out in verdicts:
+        key = (name,) + args
+        if key not in fresh:
+            fresh[key] = getattr(fu, name)(*map(_cache_free, args))
+        if name == "saturation_failure":  # the checkers read only "is None"
+            out, want = out is None, fresh[key] is None
+        else:
+            want = fresh[key]
+        assert out == want, (name, args)
 
 
 # -- suite plumbing ------------------------------------------------------------
