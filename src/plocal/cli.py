@@ -25,6 +25,7 @@ import re
 import sys
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
@@ -51,10 +52,18 @@ class CorpusEntry:
     def generators(self) -> List[Perm]:
         return [perm_from_cycles(s, self.degree) for s in self.gen_strings]
 
-    def normal_generators(self) -> List[Perm]:
+    @cached_property
+    def G(self) -> gp.Subgroup:
+        """The ambient group, built once per entry."""
+        return gp.generate_group(self.generators())
+
+    @cached_property
+    def H(self) -> gp.Subgroup:
+        """The declared normal subgroup (G if none), built once per entry;
+        parse_corpus checks that it is normal in G."""
         if not self.normal_gen_strings:
-            return self.generators()
-        return [perm_from_cycles(s, self.degree) for s in self.normal_gen_strings]
+            return self.G
+        return gp.generate_group(perm_from_cycles(s, self.degree) for s in self.normal_gen_strings)
 
     def X_subgroups(self, G, S):
         """Explicitly requested X subgroups (must lie inside S), or None.
@@ -176,8 +185,7 @@ def parse_corpus(text: str) -> List[CorpusEntry]:
             degree=max(degree, 1),
         )
         try:
-            G = gp.generate_group(entry.generators())
-            H = gp.generate_group(entry.normal_generators())
+            G, H = entry.G, entry.H
         except ValueError as exc:
             raise CorpusParseError(
                 "entry %s: %s" % (entry.name, exc), r["line"]

@@ -46,6 +46,7 @@ from .groups import (
     Subgroup,
     all_subgroups,
     aut_group,
+    aut_induced,
     centralizer,
     center,
     conj_injection,
@@ -110,9 +111,7 @@ class FusionSystem:
 
     def aut_S(self, P: Subgroup) -> AutGroup:
         """Aut_S(P) = automorphisms induced by conjugation from N_S(P)."""
-        pe = P.elems
-        maps = frozenset(conj_injection(pe, s) for s in normalizer(self.S, P).elems)
-        return AutGroup(P, maps)
+        return aut_induced(self.S, P)
 
     def conjugates(self, P: Subgroup) -> Tuple[Subgroup, ...]:
         """The F-conjugacy class of P, canonically ordered."""

@@ -4,9 +4,9 @@ Everything here is exact and exhaustive: groups are small (corpus scale is
 |G| <= 72) and every operation enumerates elements rather than using
 generator-level algorithms. There is one group type, :class:`Subgroup`,
 held as its element set: an ambient group and its subgroups are values of
-the same class. Values are immutable after construction and the expensive
-enumerations (subgroup lattices, automorphism groups) are memoized on the
-element set.
+the same class. Values are immutable after construction. Subgroup
+lattices are memoized on the element set and are asked for only on
+p-groups and on permutation images of automorphism groups.
 """
 
 from __future__ import annotations
@@ -23,11 +23,10 @@ ELEMENT_CAP = 10_000
 SUBGROUP_CAP = 400
 AUT_BASE_CAP = 64
 
-# in-memory caches keyed by the frozen element set (a Perm's length is its
+# in-memory cache keyed by the frozen element set (a Perm's length is its
 # degree); module-level on purpose, so equal groups built separately share
 # one enumeration
 _SUBGROUP_CACHE: Dict[FrozenSet[Perm], Tuple["Subgroup", ...]] = {}
-_AUT_CACHE: Dict[FrozenSet[Perm], "AutGroup"] = {}
 
 
 def mulclose(gens: Iterable[Perm], cap: int = ELEMENT_CAP) -> FrozenSet[Perm]:
@@ -410,10 +409,6 @@ def conj_injection(X: Iterable[Perm], g: Perm) -> GroupInjection:
     return GroupInjection((x, x.conj(g)) for x in X)
 
 
-def identity_injection(X: Iterable[Perm]) -> GroupInjection:
-    return GroupInjection((x, x) for x in X)
-
-
 # ---------------------------------------------------------------------------
 # automorphism groups as explicit map sets
 
@@ -477,7 +472,8 @@ class AutGroup:
         return AutGroup(self.base, frozenset(maps))
 
     def sub_autgroups(self) -> Tuple["AutGroup", ...]:
-        """All subgroups of this automorphism group."""
+        """All subgroups of this automorphism group, in all_subgroups'
+        canonical order of their permutation images."""
         return tuple(
             self.subgroup_from_perms(H.elems)
             for H in all_subgroups(self.perm_group())
@@ -546,14 +542,7 @@ def aut_group(X: Subgroup, cap: int = AUT_BASE_CAP) -> AutGroup:
     """
     if X.order > cap:
         raise CapExceeded("automorphism base %d exceeds cap %d" % (X.order, cap))
-    hit = _AUT_CACHE.get(X.elems)
-    if hit is not None:
-        return hit
     elems = X.elems
-    if X.order == 1:
-        out = AutGroup(X, frozenset([identity_injection(elems)]))
-        _AUT_CACHE[X.elems] = out
-        return out
     gens = _generating_sequence(elems)
     words = _element_words(elems, gens)
     by_order: Dict[int, List[Perm]] = {}
@@ -592,18 +581,22 @@ def aut_group(X: Subgroup, cap: int = AUT_BASE_CAP) -> AutGroup:
                 break
         if ok:
             maps.add(GroupInjection(table.items()))
-    out = AutGroup(X, frozenset(maps))
-    _AUT_CACHE[X.elems] = out
-    return out
+    return AutGroup(X, frozenset(maps))
+
+
+def aut_induced(G: Subgroup, X: Subgroup) -> AutGroup:
+    """Aut_G(X) = {c_g restricted to X : g in N_G(X)}."""
+    return AutGroup(X, frozenset(conj_injection(X.elems, g) for g in normalizer(G, X).elems))
 
 
 def inn_group(X: Subgroup) -> AutGroup:
-    """Inn(X) = {c_x restricted to X : x in X}."""
-    return AutGroup(X, frozenset(conj_injection(X.elems, x) for x in X.elems))
+    """Inn(X) = Aut_X(X)."""
+    return aut_induced(X, X)
 
 
 def trivial_aut_group(X: Subgroup) -> AutGroup:
-    return AutGroup(X, frozenset([identity_injection(X.elems)]))
+    """{id} = Aut_1(X)."""
+    return aut_induced(X.trivial_subgroup(), X)
 
 
 def op_residual(A: AutGroup, p: int) -> AutGroup:

@@ -40,7 +40,7 @@ the subcentric verification once per distinct structure of a corpus
 entry, keyed on its content in the memo of the entry's locality. The
 fusion systems of partial subgroups are kept in one table per entry,
 which the entry's locality shares with all its restrictions, so each
-distinct system is closed once and is one object.
+distinct closure input is closed once.
 """
 
 from __future__ import annotations
@@ -391,12 +391,14 @@ def restrict(
     for P in Gamma:
         if P not in r_subs:
             raise GammaNotClosed("object is not a subgroup of R")
+    # P^f for each object P and f in H, None where it is not defined
+    images = {}
     for P in Gamma:
         for Q in r_subs:
             if P <= Q and Q not in Gamma:
                 raise GammaNotClosed("not closed under overgroups in R")
         for f in H:
-            img = _conj_subgroup_if_defined(L, P, f)
+            img = images[P, f] = _conj_subgroup_if_defined(L, P, f)
             if img is not None and img <= R and img not in Gamma:
                 raise GammaNotClosed("not closed under H-conjugation")
     # (Q1): <P, X> must be an object of L for every P in Gamma
@@ -405,12 +407,13 @@ def restrict(
         if joined not in L.Delta:
             raise Q1Violated("<P, X> is not an object for P with |P|=%d" % len(P))
     # (Q2): N_H(P1, P2) <= N_L(<P1,X>, <P2,X>); P2 = P1^f is the one object
-    # that f can move P1 onto
-    for P1 in Gamma:
-        for f in H:
-            P2 = _conj_subgroup_if_defined(L, P1, f)
-            if P2 in Gamma and _conj_subgroup_if_defined(L, joined_of[P1], f) != joined_of[P2]:
-                raise Q2Violated("transporter element does not move <P1,X> onto <P2,X>")
+    # that f can move P1 onto, and <P1,X> is often P1 itself
+    for (P1, f), P2 in images.items():
+        J = joined_of[P1]
+        if P2 in Gamma and (
+            images[J, f] if J in Gamma else _conj_subgroup_if_defined(L, J, f)
+        ) != joined_of[P2]:
+            raise Q2Violated("transporter element does not move <P1,X> onto <P2,X>")
     elems = frozenset(f for f in H if (S_f(L, f).elems & R) in Gamma)
     out = Locality(L.ambient, elems, Gamma, R, L.p)
     if not _is_max_p_subgroup(out, R, L.p):
@@ -420,20 +423,21 @@ def restrict(
 
 
 def _is_max_p_subgroup(P0: Locality, R: FrozenSet[Perm], p: int) -> bool:
-    """R is a p-subgroup of the partial group P0, maximal among such."""
+    """R is a p-subgroup of the partial group P0, maximal among such.
+
+    A p-subgroup H > R has N_H(R) > R, and a subgroup of H has its words
+    defined when H has, so R is maximal iff no x in N_G(R) cap P0 outside R
+    gives a p-group <R, x> = R<x> inside P0 whose words are all defined."""
     if not R <= P0.elems:
         return False
-    if not is_p_group(Subgroup(R), p):
+    Rg = Subgroup(R)
+    if not is_p_group(Rg, p):
         return False
     if not P0.rule.group_words_ok(R):
         return False
-    for H in all_subgroups(P0.ambient):
-        if (
-            R < H.elems
-            and H.elems <= P0.elems
-            and is_p_group(H, p)
-            and P0.rule.group_words_ok(H.elems)
-        ):
+    for x in normalizer(P0.ambient, Rg).elems & P0.elems - R:
+        H = mulclose(list(R) + [x], cap=P0.ambient.order)
+        if len(H) == p_part(len(H), p) and H <= P0.elems and P0.rule.group_words_ok(H):
             return False
     return True
 
@@ -500,11 +504,10 @@ def fusion_of_partial(
     generated by the conjugation maps c_f, f in N.
 
     Kept in L's table of systems, which L shares with every restriction of
-    it and with the locality it was restricted from, under three keys: the
-    content (L, N, R) of the call; the closure's input (R, generating
+    it and with the locality it was restricted from, under two keys: the
+    content (L, N, R) of the call, and the closure's input (R, generating
     germs), so that calls that differ in (L, N) but generate the same
-    system close it once; and the system itself, so that equal systems are
-    one object with one cache.
+    system close it once and share it.
     """
     N = _inside(L, N)
     R = base if base is not None else Subgroup(N & L.S_elems)
@@ -525,8 +528,7 @@ def fusion_of_partial(
         closure = (R.elems, frozenset(germs))
         hit = table.get(closure)
         if hit is None:
-            hit = close_generated(R, L.p, germs)
-            hit = table[closure] = table.setdefault(hit, hit)
+            hit = table[closure] = close_generated(R, L.p, germs)
         table[key] = hit
     return hit
 

@@ -456,9 +456,7 @@ def prepare_entry(entry, word_len: int = 3):
     Returns (PreparedEntry, axioms_report) on success or (None, report)
     when the entry is rejected; the report then carries the axiom witness.
     """
-    name = entry.name
-    G = gp.generate_group(entry.generators())
-    p = entry.p
+    name, G, p = entry.name, entry.G, entry.p
     S = gp.sylow_subgroup(G, p)
     F = fu.fusion_of_group(G, S, p)
     inst = "%s|G-order=%d|p=%d" % (name, G.order, p)
@@ -471,9 +469,7 @@ def prepare_entry(entry, word_len: int = 3):
     rep = _verified_subcentric(L, L, F, word_len)
     if not rep.passed:
         return None, failed_report("Axioms", inst, {"subcentric-locality": rep.witness})
-    H = gp.generate_group(entry.normal_generators())
-    if not H.is_normal_in(G):
-        return None, failed_report("Axioms", inst, {"declared-normal": "not normal in G"})
+    H = entry.H
     T = Subgroup(S.elems & H.elems)
     E = fu.fusion_of_group(H, T, p)
     if not fu.is_normal_subsystem(E, F):
@@ -565,11 +561,7 @@ def k_options(
     push("id", gp.trivial_aut_group(X))
     push("inn", gp.inn_group(X))
     if A.order <= AUT_CAP:
-        subs = sorted(
-            A.sub_autgroups(),
-            key=lambda B: (B.order, sorted_elems(B.perms)),
-        )
-        for idx, K in enumerate(subs):
+        for idx, K in enumerate(A.sub_autgroups()):
             push(_k_label(idx, K), K)
     return out
 
@@ -613,8 +605,17 @@ def _k_sweep(pe: PreparedEntry, X: Subgroup) -> List[Tuple[str, Optional[AutGrou
     return k_options(X, pe.K_descriptors, skip_unfit=not named)
 
 
-def _p_subgroups(G: Subgroup, p: int) -> Tuple[Subgroup, ...]:
-    return tuple(H for H in gp.all_subgroups(G) if gp.is_p_group(H, p))
+def _p_subgroups(G: Subgroup, S: Subgroup) -> Tuple[Subgroup, ...]:
+    """The p-subgroups of G for S a Sylow p-subgroup: by Sylow's theorem the
+    G-conjugates of the subgroups of S, in all_subgroups' canonical order."""
+    found = {frozenset(x.conj(g) for x in P.elems) for P in gp.all_subgroups(S) for g in G.elems}
+    return tuple(Subgroup(e) for e in sorted(found, key=lambda e: (len(e), sorted_elems(e))))
+
+
+def _normalizer_range(G: Subgroup, X: Subgroup) -> Tuple[Subgroup, ...]:
+    """The H with C_G(X) <= H <= N_G(X): N_G(X)/C_G(X) is Aut_G(X), so they
+    are the N_G^B(X) for B <= Aut_G(X), one per B."""
+    return tuple(gp.group_K_normalizer(G, X, B) for B in gp.aut_induced(G, X).sub_autgroups())
 
 
 def entry_reports(
@@ -642,14 +643,10 @@ def entry_reports(
     # the hypothesis on G, so it is decided once
     if want("Lemma-2.2a") or want("Lemma-2.2b"):
         G_char_p = gp.is_characteristic_p(pe.G, pe.p)
-        for X in _p_subgroups(pe.G, pe.p):
+        for X in _p_subgroups(pe.G, pe.F.S):
             xi = "%s|X=%s" % (name, X.label())
             if want("Lemma-2.2a"):
-                NX = gp.normalizer(pe.G, X)
-                CX = gp.centralizer(pe.G, X)
-                for H in gp.all_subgroups(NX):
-                    if not CX.elems <= H.elems:
-                        continue
+                for H in _normalizer_range(pe.G, X):
                     reports.append(
                         check_char_p_normalizer_subgroup(
                             pe.G, pe.p, G_char_p, X, H, "%s|H=%s" % (xi, H.label())

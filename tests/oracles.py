@@ -4,7 +4,10 @@ These deliberately avoid the algorithms used by the package: subgroup
 enumeration scans subsets, Sylow subgroups are maxima over the full
 lattice, subnormality searches over all normal-series chains, and
 automorphism groups filter all identity-fixing bijections. They are the
-second route every lattice-level claim is checked against.
+second route every lattice-level claim is checked against. The
+p-subgroups of G and the groups between C_G(X) and N_G(X) are filtered
+from whole subgroup lattices, which the package itself never builds for
+an ambient group.
 
 The fusion-layer oracles read F = F_S(G) off G itself, never off a stored
 fusion system: a morphism is a conjugation c_g, and N_F(Q) for a fully
@@ -99,6 +102,23 @@ def subnormal_by_chain_search(H: Subgroup, G: Subgroup, subgroup_sets) -> bool:
         return False
 
     return ascend(he)
+
+
+def p_subgroups_by_lattice(G: Subgroup, p: int):
+    """The p-subgroups of G, filtered from G's whole subgroup lattice."""
+    from plocal.groups import all_subgroups
+
+    return tuple(H for H in all_subgroups(G) if is_p_power(H.order, p))
+
+
+def normalizer_range_by_lattice(G: Subgroup, X: Subgroup):
+    """The H with C_G(X) <= H <= N_G(X), filtered from the subgroup lattice
+    of N_G(X); N_G(X) and C_G(X) by scanning G."""
+    from plocal.groups import all_subgroups
+
+    N = Subgroup(frozenset(g for g in G.elems if _conj(X.elems, g) == X.elems))
+    C = frozenset(g for g in G.elems if all(x.conj(g) == x for x in X.elems))
+    return tuple(H for H in all_subgroups(N) if C <= H.elems)
 
 
 def bijection_automorphisms(X: Subgroup):

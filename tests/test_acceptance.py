@@ -64,7 +64,7 @@ def test_criterion_2_lemma22_exhaustive(suite_run):
     cases. <= 10 minutes."""
     entries, reports, coverage, elapsed = suite_run
     for e in entries:
-        G = gp.generate_group(e.generators())
+        G = e.G
         assert G.order <= 48
         assert gp.is_characteristic_p(G, e.p)
     reps = _by_statement(reports, "Lemma-2.2b")

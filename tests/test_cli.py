@@ -36,20 +36,20 @@ def test_parse_default_corpus_has_four_entries():
     entries = cli.parse_corpus(cli.default_corpus_text())
     assert [e.name for e in entries] == ["s4_a4", "d8_d8", "s3_a3", "sl23_q8"]
     assert [e.p for e in entries] == [2, 2, 3, 2]
-    orders = [gp.generate_group(e.generators()).order for e in entries]
+    orders = [e.G.order for e in entries]
     assert orders == [24, 8, 6, 24]
 
 
 def test_parse_round_trip_fields():
     (e,) = cli.parse_corpus(GOOD)
     assert e.name == "s3_a3" and e.p == 3
-    assert gp.generate_group(e.generators()).order == 6
-    assert gp.generate_group(e.normal_generators()).order == 3
+    assert e.G.order == 6
+    assert e.H.order == 3
 
 
 def test_parse_x_and_k_lines():
     (e,) = cli.parse_corpus(WITH_XK)
-    G = gp.generate_group(e.generators())
+    G = e.G
     S = gp.sylow_subgroup(G, 2)
     xs = e.X_subgroups(G, S)
     assert len(xs) == 1 and xs[0].order == 2
@@ -87,7 +87,7 @@ def test_parse_rejects_non_normal_subgroup():
 def test_x_outside_sylow_rejected():
     text = "group s3 p=3 gens=(0 1 2);(0 1)\nnormal gens=(0 1 2)\nX=(0 1)\n"
     (e,) = cli.parse_corpus(text)
-    G = gp.generate_group(e.generators())
+    G = e.G
     S = gp.sylow_subgroup(G, 3)
     with pytest.raises(CorpusParseError):
         e.X_subgroups(G, S)
@@ -218,7 +218,7 @@ def test_x_lines_naming_one_subgroup_give_it_once(tmp_path):
     one_line = "group d8 p=2 gens=(0 1 2 3);(0 2)\nX=(0 2)\nK=aut\n"
     twice = one_line.replace("X=(0 2)\n", "X=(0 2)\nX=(0 2);()\n")
     (entry,) = cli.parse_corpus(twice)
-    G = gp.generate_group(entry.generators())
+    G = entry.G
     assert len(entry.X_subgroups(G, gp.sylow_subgroup(G, 2))) == 1
     out_one, out_twice = tmp_path / "one.json", tmp_path / "twice.json"
     assert _main_on(tmp_path, one_line, "--report", str(out_one)) == 0

@@ -1,0 +1,93 @@
+"""The extended corpus, and which subgroup lattices a run builds.
+
+The extended corpus holds PSL(2,7) at p = 2 (``l27``), the first entry
+whose locality is a genuine partial group: the trivial subgroup is not an
+object. Its canonical report is pinned by sha256. The run takes seconds,
+so it is marked ``slow``; the default pytest run still includes it.
+
+A run builds the subgroup lattice of a p-group or of the permutation image
+of an automorphism group (``AutGroup.sub_autgroups``), never of an ambient
+group: the p-subgroups of G are the G-conjugates of the subgroups of S, the
+groups between C_G(X) and N_G(X) are K-normalizers, and maximality grows a
+p-subgroup inside its normalizer. A spy on ``groups.all_subgroups`` in
+every module that binds it holds the runs to that.
+"""
+
+import hashlib
+import json
+import sys
+from contextlib import contextmanager
+from importlib.resources import files
+
+import pytest
+
+from plocal import cli
+from plocal import groups as gp
+from plocal import verify as vf
+from . import oracles
+
+L27_SHA256 = "d8c7946c67aeb2d1884b519abe05008206d233053cb93be3a6396f35ced67a42"
+
+
+@contextmanager
+def _lattice_spy():
+    """Record (calling function, group order) for each all_subgroups call."""
+    calls = []
+    real = gp.all_subgroups
+
+    def spy(G, *args, **kwargs):
+        calls.append((sys._getframe(1).f_code.co_name, G.order))
+        return real(G, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name, mod in list(sys.modules.items()):
+            if name.split(".")[0] == "plocal" and getattr(mod, "all_subgroups", None) is real:
+                mp.setattr(mod, "all_subgroups", spy)
+        yield calls
+
+
+def _prime_power(n):
+    return n == 1 or oracles.is_p_power(n, min(d for d in range(2, n + 1) if n % d == 0))
+
+
+def _ambient_lattices(calls):
+    """The calls made on a group that is not a p-group, other than those
+    on the image of an automorphism group."""
+    return [(caller, order) for caller, order in calls if caller != "sub_autgroups" and not _prime_power(order)]
+
+
+def test_default_corpus_builds_no_ambient_lattice():
+    with _lattice_spy() as calls:
+        reports, _ = vf.run_suite(cli.parse_corpus(cli.default_corpus_text()))
+    assert len(reports) == 742
+    assert any(caller == "sub_autgroups" for caller, _ in calls)
+    assert any(caller != "sub_autgroups" for caller, _ in calls)
+    assert _ambient_lattices(calls) == []
+
+
+@pytest.fixture(scope="module")
+def l27_run(tmp_path_factory):
+    """The extended corpus through cli.run, under the lattice spy: the exit
+    status, the report bytes and the spy's record."""
+    text = files("plocal").joinpath("data/extended_corpus.txt").read_text()
+    report = tmp_path_factory.mktemp("extended") / "report.json"
+    with _lattice_spy() as calls:
+        status = cli.run(cli.RunConfig(report_path=report), corpus_text=text)
+    return status, report.read_bytes(), calls
+
+
+@pytest.mark.slow
+def test_l27_report_is_pinned(l27_run):
+    status, body, _ = l27_run
+    assert status == 0
+    outcomes = [r["outcome"] for r in json.loads(body)]
+    assert len(outcomes) == 772
+    assert [outcomes.count(o) for o in ("pass", "skipped", "fail")] == [113, 659, 0]
+    assert hashlib.sha256(body).hexdigest() == L27_SHA256
+
+
+@pytest.mark.slow
+def test_l27_builds_no_ambient_lattice(l27_run):
+    _, _, calls = l27_run
+    assert any(caller == "sub_autgroups" and order > 1 for caller, order in calls)
+    assert _ambient_lattices(calls) == []

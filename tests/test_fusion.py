@@ -145,7 +145,7 @@ def test_fully_K_normalized_with_arbitrary_K(F_s4, klein):
 def _entry_fusion(name):
     """G, S and F_S(G) of a default-corpus entry, F built afresh."""
     (entry,) = [e for e in cli.parse_corpus(cli.default_corpus_text()) if e.name == name]
-    G = gp.generate_group(entry.generators())
+    G = entry.G
     S = gp.sylow_subgroup(G, entry.p)
     return G, S, fu.fusion_of_group(G, S, entry.p)
 
@@ -248,7 +248,7 @@ def test_K_normalizers_match_group_oracle_on_s4_a4():
     core and subcentric set, cached under whichever key first reached that
     content, are the oracle's for that group."""
     (entry,) = [e for e in cli.parse_corpus(cli.default_corpus_text()) if e.name == "s4_a4"]
-    G = gp.generate_group(entry.generators())
+    G = entry.G
     S = gp.sylow_subgroup(G, 2)
     F = fu.fusion_of_group(G, S, 2)
     checked = set()

@@ -1,6 +1,8 @@
 """Partial group and locality tests: construction, axiom verification,
 restriction, K-normalizers, partial normal subgroups and products."""
 
+from collections import Counter
+
 import pytest
 
 from plocal import fusion as fu
@@ -202,6 +204,64 @@ def test_restrict_non_maximal_raises_not_sylow(L_s4, s4):
     Gamma = frozenset(K.elems for K in gp.all_subgroups(R))
     with pytest.raises(NotSylow):
         lo.restrict(L_s4, H, Gamma, s4.trivial_subgroup())
+
+
+@pytest.fixture(scope="module")
+def L_l27():
+    """The subcentric locality of PSL(2,7) at p = 2: 104 of the 168
+    elements, 9 objects, and the trivial subgroup is not one of them."""
+    G = gp.generate_group(perms(7, "(0 1 2 3 4 5 6)", "(0 1)(2 5)"))
+    S = gp.sylow_subgroup(G, 2)
+    F = fu.fusion_of_group(G, S, 2)
+    return lo.build_group_locality(G, S, frozenset(P.elems for P in fu.subcentric_set(F)), 2)
+
+
+@pytest.fixture(scope="module")
+def L_sl23(sl23, F_sl23):
+    """The subcentric locality of SL(2,3), whose Sylow Q8 is normal."""
+    Delta = frozenset(P.elems for P in fu.subcentric_set(F_sl23))
+    return lo.build_group_locality(sl23, F_sl23.S, Delta, 2)
+
+
+@pytest.mark.parametrize("name", ["L_l27", "L_s3xs3", "L_s4", "L_sl23"])
+def test_maximality_by_normalizer_growth_matches_definition(name, request):
+    """R is a maximal p-subgroup of L, decided by growing R inside its
+    normalizer, iff R lies in L with its words defined and no p-subgroup
+    H > R of G lies in L with its words defined. The R and H range over
+    every p-subgroup of G, taken as the G-conjugates of the subgroups of S,
+    not from G's subgroup lattice. In SL(2,3) the normalizer of S holds
+    elements of order 3, which give no p-group."""
+    L = request.getfixturevalue(name)
+    G, p = L.ambient, L.p
+    pool = {frozenset(x.conj(g) for x in P.elems) for P in gp.all_subgroups(L.S) for g in G.elems}
+
+    def in_L(H):
+        return H <= L.elems and L.rule.group_words_ok(H)
+
+    verdicts = {R: lo._is_max_p_subgroup(L, R, p) for R in pool}
+    assert verdicts == {R: in_L(R) and not any(R < H and in_L(H) for H in pool) for R in pool}
+    assert verdicts[L.S_elems]
+    assert not all(verdicts[R] for R in pool if R < L.S_elems)
+
+
+def test_restrict_conjugates_each_object_once(monkeypatch, L_l27):
+    """The closure check and (Q2) share one P^f per object P and element f."""
+    calls = []
+    real = lo._conj_subgroup_if_defined
+
+    def spy(L, P, f):
+        calls.append((P, f))
+        return real(L, P, f)
+
+    monkeypatch.setattr(lo, "_conj_subgroup_if_defined", spy)
+    G = L_l27.ambient
+    lo.build_group_locality(G, L_l27.S, L_l27.Delta, 2)
+    assert Counter(calls) == Counter((P, f) for P in L_l27.Delta for f in G.elems)
+
+
+def test_l27_locality_is_partial(L_l27):
+    assert len(L_l27.elems) == 104 and len(L_l27.Delta) == 9
+    assert frozenset([L_l27.unit]) not in L_l27.Delta
 
 
 def test_bC_of_center(L_s4, F_s4, s4):

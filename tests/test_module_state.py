@@ -1,10 +1,10 @@
-"""No module of the package keeps state outside the four known caches.
+"""No module of the package keeps state outside the three known caches.
 
 A module-level dict, set or list is shared by every caller in the process
-and grows for its life. The package has four on purpose, each keyed by
+and grows for its life. The package has three on purpose, each keyed by
 content: the product and conjugation memos of ``perm`` and the subgroup
-lattice and automorphism group caches of ``groups``. Any other module-level
-container assignment is refused, so a fifth cannot slip in unnoticed.
+lattice cache of ``groups``. Any other module-level container assignment
+is refused, so a fourth cannot slip in unnoticed.
 """
 
 import ast
@@ -13,7 +13,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "plocal"
-KNOWN_CACHES = {"_MUL_CACHE", "_CONJ_CACHE", "_SUBGROUP_CACHE", "_AUT_CACHE"}
+KNOWN_CACHES = {"_MUL_CACHE", "_CONJ_CACHE", "_SUBGROUP_CACHE"}
 CONTAINER_CALLS = {"dict", "set", "list", "defaultdict", "OrderedDict", "Counter", "deque"}
 
 

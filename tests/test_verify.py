@@ -67,6 +67,36 @@ def test_lemma22b_subnormal_skip(sl23):
     assert rep.reason == "K-not-subnormal-in-K*Inn(X)"
 
 
+# groups for the Lemma-2.2 sweep: order, then degree and generators
+SWEEP_GROUPS = {
+    "s4": (24, 4, "(0 1 2 3)", "(0 1)"),
+    "d8": (8, 4, "(0 1 2 3)", "(0 2)"),
+    "s3": (6, 3, "(0 1 2)", "(0 1)"),
+    "sl23": (24, 8, "(2 3 4)(5 7 6)", "(0 2 1 5)(3 4 7 6)"),
+    "s3xs3": (36, 6, "(0 1 2)", "(0 1)", "(3 4 5)", "(3 4)"),
+    "d12": (12, 6, "(0 1 2 3 4 5)", "(0 5)(1 4)(2 3)"),
+    "a4xc2": (24, 6, "(0 1 2)", "(0 1)(2 3)", "(4 5)"),
+}
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("name", sorted(SWEEP_GROUPS))
+def test_lemma22_sweep_matches_lattice_filters(name, p):
+    """The Lemma-2.2 sweep builds no lattice of G: its X are the G-conjugates
+    of the subgroups of S, and its H for Lemma-2.2a the N_G^B(X) for
+    B <= Aut_G(X). Both equal the filters of whole subgroup lattices, the
+    X in the same order and the H once each."""
+    order, *gens = SWEEP_GROUPS[name]
+    G = gp.generate_group(perms(*gens))
+    assert G.order == order
+    Xs = vf._p_subgroups(G, gp.sylow_subgroup(G, p))
+    assert Xs == oracles.p_subgroups_by_lattice(G, p)
+    for X in Xs:
+        Hs = vf._normalizer_range(G, X)
+        assert len(set(Hs)) == len(Hs)
+        assert set(Hs) == set(oracles.normalizer_range_by_lattice(G, X))
+
+
 # -- Lemma 2.1 -----------------------------------------------------------------
 
 
