@@ -585,8 +585,10 @@ def aut_group(X: Subgroup, cap: int = AUT_BASE_CAP) -> AutGroup:
 
 
 def aut_induced(G: Subgroup, X: Subgroup) -> AutGroup:
-    """Aut_G(X) = {c_g restricted to X : g in N_G(X)}."""
-    return AutGroup(X, frozenset(conj_injection(X.elems, g) for g in normalizer(G, X).elems))
+    """Aut_G(X) = {c_g restricted to X : g in N_G(X)}, one map per distinct
+    image of X's sorted elements: each is the image of |C_G(X)| elements."""
+    images = {tuple(x.conj(g) for x in X) for g in normalizer(G, X).elems}
+    return AutGroup(X, frozenset(GroupInjection(zip(X, img)) for img in images))
 
 
 def inn_group(X: Subgroup) -> AutGroup:

@@ -23,19 +23,20 @@ Axiom verification quantifies over all words up to a configured length
 (default 3, the shortest length exercising the associativity-splicing
 axiom) plus the splicing/inversion patterns those words generate; pass
 ``word_len=4`` for the fuller fragment on small structures. The words are
-visited as a depth-first walk, by length and then lexicographically: each
-word takes its survivor set and its product from its prefix, whether each
-shorter word is in the domain is kept, so subwords and spliced words are
-looked up instead of walked again, and the survivor set of wbar w is read
-off that of w. The walk works on integers: a letter is its index into
-L's sorted elements, a product is an index into the ambient group's
-sorted elements, stepped through that group's product and inverse tables
-(``Subgroup.mul_table``, ``inv_table``), and the rule steps by a move
-table per letter. Elements come back only at the boundary, in witnesses,
-so a witness names the same elements as a walk over ``Perm`` products
-would. The objectivity oracle keeps its own table of object images per
-letter, filled by conjugating each object's elements, so it shares
-nothing with the rule it checks. The statement checkers in ``verify`` run
+visited in one depth-first walk per locality, by length and then
+lexicographically: each word takes its product and two states from its
+prefix, whether each shorter word is in the domain is kept, so subwords
+and spliced words are looked up instead of walked again, and wbar w is
+decided by the survivor set of wbar. The walk works on integers: letters
+and products are indexes into L's and the ambient group's sorted
+elements, stepped through the ambient product and inverse tables
+(``Subgroup.mul_table``, ``inv_table``); the rule's state is R_w as a
+bitmask, and the objectivity oracle's the objects ending an object chain
+along w, stepped through its own table, filled by conjugating each
+object's elements, so it shares nothing with the rule it checks. The
+first word where they disagree is the objectivity witness. Elements come
+back only in witnesses, so a witness names the same elements as a walk
+over ``Perm`` products would. The statement checkers in ``verify`` run
 the subcentric verification once per distinct structure of a corpus
 entry, keyed on its content in the memo of the entry's locality. The
 fusion systems of partial subgroups are kept in one table per entry,
@@ -45,6 +46,7 @@ distinct closure input is closed once.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import Dict, FrozenSet, Iterable, Optional, Sequence, Tuple
 
 from .errors import (
@@ -84,26 +86,20 @@ Word = Tuple[Perm, ...]
 # ---------------------------------------------------------------------------
 # the word domain
 #
-# ChainDomain decides which words over the elements are in the domain.
-# Besides word_ok for a whole word, it walks a word letter by letter: start()
-# is the state of the empty word, step(state, move(g)) extends a word's state
-# by the letter g, accepts(state) says whether the word is in the domain, and
-# accepts_inverse_word(state) whether wbar w is, wbar being the inverses of
-# w's letters in reverse order.
+# ChainDomain decides which words over the elements are in the domain. A set
+# of base elements is a mask, an int whose bit i stands for the i-th element
+# of the sorted base; accepts(mask) says whether the set is an object.
 
 
 class ChainDomain:
     """Words admitting an object chain inside the base p-group.
 
-    The state of a word w holds its survivor set R_w as pairs (i, j) of
-    indexes into the sorted base: x_i survives and its conjugate along w
-    is x_i^w = x_j. Extending w by g keeps the pairs whose x_j^g lies in the
-    base, so each word costs one pass over its prefix's survivors. The step
-    reads g's move, the index of x^g for each base element x, so a walk
-    can hold the moves of its letters by letter index.
+    x survives w when each prefix product of w conjugates it into the base,
+    so R_{w g} = R_w & survivors(Pi(w g)), one AND per letter for a walk
+    that carries its prefix products. survivors(u) is kept per u.
     """
 
-    __slots__ = ("base", "objects", "_always", "_order", "_index", "_masks", "_start", "_moves")
+    __slots__ = ("base", "objects", "base_order", "_always", "_full", "_masks", "_survivors")
 
     def __init__(self, base: FrozenSet[Perm], objects: Iterable[FrozenSet[Perm]]):
         self.base = frozenset(base)
@@ -115,55 +111,42 @@ class ChainDomain:
         self._always = bool(self.base) and frozenset(
             [identity(next(iter(self.base)).degree)]
         ) in self.objects
-        self._order = sorted_elems(self.base)
-        self._index = {x: i for i, x in enumerate(self._order)}
+        self.base_order = sorted_elems(self.base)
+        self._full = (1 << len(self.base_order)) - 1  # R of the empty word
+        index = {x: i for i, x in enumerate(self.base_order)}
         # an object outside the base is never a survivor set
         self._masks = frozenset(
-            sum(1 << self._index[x] for x in o) for o in self.objects if o <= self.base
+            sum(1 << index[x] for x in o) for o in self.objects if o <= self.base
         )
-        self._start = tuple((i, i) for i in range(len(self._order)))
-        self._moves: Dict[Perm, Tuple[int, ...]] = {}
+        self._survivors: Dict[Perm, int] = {}
+
+    def survivors(self, u: Perm) -> int:
+        """The mask of the base elements x with x^u in the base."""
+        mask = self._survivors.get(u)
+        if mask is None:
+            mask = self._survivors[u] = sum(
+                1 << i for i, x in enumerate(self.base_order) if x.conj(u) in self.base
+            )
+        return mask
 
     def word_ok(self, word: Word) -> bool:
         if self._always:
             return True
-        state = self._start
-        for g in word:
-            state = self.step(state, self.move(g))
-        return self.accepts(state)
+        mask = self._full
+        for u in accumulate(word, Perm.__mul__):
+            mask &= self.survivors(u)
+        return mask in self._masks
 
-    def move(self, g: Perm) -> Tuple[int, ...]:
-        """Index of x^g for each base element x, -1 where it leaves the base."""
-        move = self._moves.get(g)
-        if move is None:
-            move = tuple(self._index.get(x.conj(g), -1) for x in self._order)
-            self._moves[g] = move
-        return move
-
-    def start(self):
-        return self._start
-
-    def step(self, state, move: Tuple[int, ...]):
-        if self._always:
-            return state
-        return tuple((i, k) for i, j in state if (k := move[j]) >= 0)
-
-    def accepts(self, state) -> bool:
-        return self._always or sum(1 << i for i, _ in state) in self._masks
-
-    def accepts_inverse_word(self, state) -> bool:
-        """R_{wbar w} = {x^w : x in R_w}: the conjugates of x^w along wbar w
-        are the x^{w_1...w_m} for m = k, ..., 0 and then m = 1, ..., k, which
-        all lie in the base iff x survives w."""
-        return self._always or sum(1 << j for _, j in state) in self._masks
+    def accepts(self, mask: int) -> bool:
+        return self._always or mask in self._masks
 
     def group_words_ok(self, P: FrozenSet[Perm]) -> bool:
         """Every word over the subgroup P is in the domain iff the uniform
         survivor {x in base : x^u in base for all u in P} is an object."""
-        surv = frozenset(
-            x for x in self.base if all(x.conj(u) in self.base for u in P)
-        )
-        return surv in self.objects
+        mask = self._full
+        for u in P:
+            mask &= self.survivors(u)
+        return mask in self._masks
 
 
 # ---------------------------------------------------------------------------
@@ -570,34 +553,64 @@ def product_fusion(L: Locality, N: FrozenSet[Perm], X: Subgroup) -> FusionSystem
 # axiom verification
 
 
+def _chain_row(P: Locality, live: int) -> Tuple[int, ...]:
+    """The objectivity oracle's step: from the ends of the object chains
+    along w, a mask over P's objects in sorted order, to the ends along w g
+    for each letter g. P's memo keeps the objects, the rows met so far, and
+    images[i][o], the number of object o conjugated by letter i (-1 if it is
+    none), found by conjugating elements, never from the rule checked.
+    Conjugation is injective, so the images of live objects add as bits.
+    """
+    table = P._memo.get("chain_ends")
+    if table is None:
+        objects = sorted(P.Delta, key=sorted_elems)
+        number = {d: o for o, d in enumerate(objects)}
+        images = tuple(
+            tuple(number.get(frozenset(x.conj(g) for x in d), -1) for d in objects)
+            for g in P.sorted_elements()
+        )
+        table = P._memo["chain_ends"] = (objects, images, {})
+    _, images, rows = table
+    row = rows.get(live)
+    if row is None:
+        ends = [o for o in range(live.bit_length()) if live >> o & 1]
+        row = rows[live] = tuple(sum(1 << img[o] for o in ends if img[o] >= 0) for img in images)
+    return row
+
+
 def _walk(P: Locality, word_len: int):
     """Every word over P's sorted elements of length 1..word_len, by length
-    and then lexicographically, as (word, code, rule state, prefix products).
+    and then lexicographically, as (word, code, survivor mask, live chain
+    ends, prefix products).
 
     A word g_1...g_k is the tuple of its letters' indexes i_m into
     P.sorted_elements(), its code is sum_m i_m n^(k-m) with n = |P|, and its
     prefix products Pi(g_1...g_m), m = 0..k, are indexes into the sorted
     elements of the ambient group, stepped through its product table. Its
-    code, state and products extend those of its prefix by one letter.
+    code, products and two states extend those of its prefix by one letter:
+    the rule's survivor mask R_w and the live chain ends of _chain_row, all
+    objects for the empty word; w has an object chain iff they are not 0.
     """
-    rule, n = P.rule, len(P.elems)
-    moves = tuple(map(rule.move, P.sorted_elements()))
+    n = len(P.elems)
+    # survivors[a]: the rule's survivor mask of ambient element a
+    survivors = tuple(map(P.rule.survivors, P.ambient))
     # times[a][i]: the product of ambient element a and letter i
     times = _times_letters(P)
-    letters, step = range(n), rule.step
+    letters = range(n)
 
-    def extend(word, code, state, prods, left):
-        row = times[prods[-1]]
+    def extend(word, code, mask, live, prods, left):
+        row, ends = times[prods[-1]], _chain_row(P, live)
         for i in letters:
-            w, c, st, pr = word + (i,), code * n + i, step(state, moves[i]), prods + (row[i],)
+            a = row[i]
+            w, c, m, e, pr = word + (i,), code * n + i, mask & survivors[a], ends[i], prods + (a,)
             if left == 1:
-                yield w, c, st, pr
+                yield w, c, m, e, pr
             else:
-                yield from extend(w, c, st, pr, left - 1)
+                yield from extend(w, c, m, e, pr, left - 1)
 
     unit = P.ambient.element_index[P.unit]
     for k in range(1, word_len + 1):
-        yield from extend((), 0, rule.start(), (unit,), k)
+        yield from extend((), 0, survivors[unit], (1 << len(P.Delta)) - 1, (unit,), k)
 
 
 def _letter_indexes(P: Locality) -> Tuple[int, ...]:
@@ -625,6 +638,10 @@ def verify_partial_group(P: Locality, word_len: int = 3) -> VerificationReport:
     Whether each word shorter than word_len is in the domain is kept, one
     byte per word, so the subwords and spliced words of a word are looked
     up by code instead of walked again.
+
+    The first word where the rule and the objectivity oracle, both carried
+    by the walk, disagree is kept for verify_locality in P's memo under
+    ("objectivity", word_len), None when there is none.
     """
     inst = "partial-group(|L|=%d)" % len(P.elems)
     checked = domain = 0
@@ -665,13 +682,16 @@ def verify_partial_group(P: Locality, word_len: int = 3) -> VerificationReport:
         ]
         for k in range(word_len + 1)
     ]
-    accepts, inverse_ok = rule.accepts, rule.accepts_inverse_word
-    for w, code, state, prods in _walk(P, word_len):
+    accepts, survivors = rule.accepts, tuple(map(rule.survivors, P.ambient))
+    objectivity = None
+    for w, code, mask, live, prods in _walk(P, word_len):
         checked += 1
-        if not accepts(state):
+        k, ok = len(w), accepts(mask)
+        if objectivity is None and ok != (live != 0):
+            objectivity = w
+        if not ok:
             continue
         domain += 1
-        k = len(w)
         if k < word_len:
             dom[k][code] = 1
         if k == 1 and prods[1] != amb[w[0]]:
@@ -702,51 +722,25 @@ def verify_partial_group(P: Locality, word_len: int = 3) -> VerificationReport:
                 spliced = times[spliced][g]
             if spliced != prods[k]:
                 return fail({"axiom": "splice-product", "w": _strs(P, w), "i": i, "j": j})
-        # inversion axiom; Pi(wbar w) = Pi(wbar) Pi(w) as the product is the ambient one
-        if not inverse_ok(state):
-            return fail({"axiom": "inverse-word-domain", "w": _strs(P, w)})
-        wbar = unit
+        # inversion axiom. R_{wbar w} = R_wbar, as the prefix products of wbar w
+        # past wbar are Pi(wbar) Pi(w_1...w_j) = Pi(wbar_1...wbar_{k-j}) in
+        # the ambient group; those of wbar are met on the way to Pi(wbar)
+        wbar, inverse_mask = unit, survivors[unit]
         for g in reversed(w):
             wbar = mul[wbar][inverse[g]]
+            inverse_mask &= survivors[wbar]
+        if not accepts(inverse_mask):
+            return fail({"axiom": "inverse-word-domain", "w": _strs(P, w)})
         if mul[wbar][prods[k]] != unit:
             return fail({"axiom": "inverse-word-product", "w": _strs(P, w)})
+    P._memo["objectivity", word_len] = None if objectivity is None else _strs(P, objectivity)
     stats = {"words_checked": checked, "domain_words": domain}
     return VerificationReport("partial-group-axioms", inst, "pass", stats=stats)
 
 
-def _delta_chain_exists(L: Locality, word: Word) -> bool:
-    """Independent objectivity oracle: search for an explicit object chain,
-    smallest candidate starts first.
-
-    The image of an object under a letter is computed once, by conjugating
-    the object's elements, never from the rule's moves: L's memo keeps the
-    objects in search order, their numbers, and per object a dict from
-    letter to the number of its image, -1 when the image is not an object.
-    """
-    table = L._memo.get("delta_images")
-    if table is None:
-        starts = sorted(L.Delta, key=lambda d: (len(d), sorted_elems(d)))
-        number = {d: o for o, d in enumerate(starts)}
-        table = L._memo["delta_images"] = (starts, number, [{} for _ in starts])
-    starts, number, images = table
-    for start in range(len(starts)):
-        cur = start
-        for g in word:
-            row = images[cur]
-            nxt = row.get(g)
-            if nxt is None:
-                nxt = row[g] = number.get(frozenset(x.conj(g) for x in starts[cur]), -1)
-            if nxt < 0:
-                break
-            cur = nxt
-        else:
-            return True
-    return False
-
-
 def verify_locality(L: Locality, word_len: int = 3) -> VerificationReport:
-    """Locality axioms: partial group, Delta-closure, objectivity, maximal
-    p-subgroup, S_f an object for every element."""
+    """Locality axioms: partial group, Delta-closure, L inside D,
+    objectivity, maximal p-subgroup, S_f an object for every element."""
     inst = "locality(|L|=%d, |Delta|=%d)" % (len(L.elems), len(L.Delta))
     stats: Dict[str, object] = {}
 
@@ -765,7 +759,8 @@ def verify_locality(L: Locality, word_len: int = 3) -> VerificationReport:
     if not L.rule.group_words_ok(L.S_elems):
         return fail({"axiom": "S-words-defined"})
 
-    # Delta closure under L-conjugation and overgroups
+    # Delta closure under overgroups, L inside D (S_f is empty for an f
+    # outside D), then Delta closure under L-conjugation
     s_subs = {H.elems for H in all_subgroups(Ssub)}
     for d in L.Delta:
         if d not in s_subs:
@@ -773,20 +768,22 @@ def verify_locality(L: Locality, word_len: int = 3) -> VerificationReport:
         for H in s_subs:
             if d <= H and H not in L.Delta:
                 return fail({"axiom": "Delta-overgroups", "object_order": len(d)})
+    for f in L.sorted_elements():
+        if not L.in_domain((f,)):
+            return fail({"axiom": "length-one-domain", "w": [str(f)]})
+    for d in L.Delta:
         for f in L.elems:
             if d <= S_f(L, f).elems:
                 img = frozenset(x.conj(f) for x in d)
                 if img not in L.Delta:
                     return fail({"axiom": "Delta-conjugation", "f": str(f)})
 
-    # objectivity: domain words are exactly those with an object chain
-    checked = 0
-    letter = L.sorted_elements().__getitem__
-    for w, _, state, _ in _walk(L, word_len):
-        checked += 1
-        if L.rule.accepts(state) != _delta_chain_exists(L, tuple(map(letter, w))):
-            return fail({"axiom": "objectivity", "w": _strs(L, w)})
-    stats["objectivity_words"] = checked
+    # objectivity: domain words are exactly those with an object chain, as
+    # compared along verify_partial_group's walk
+    w = L._memo["objectivity", word_len]
+    if w is not None:
+        return fail({"axiom": "objectivity", "w": w})
+    stats["objectivity_words"] = pg.stats["words_checked"]
 
     # S_f contains an object (hence is one) for every f
     for f in L.elems:

@@ -12,6 +12,10 @@ an ambient group.
 The fusion-layer oracles read F = F_S(G) off G itself, never off a stored
 fusion system: a morphism is a conjugation c_g, and N_F(Q) for a fully
 normalized Q is F_{N_S(Q)}(N_G(Q)).
+
+The objectivity oracle searches for an object chain along one word at a
+time, conjugating object elements, apart from the package's word rule and
+the chain-end table its axiom walk steps through.
 """
 
 from __future__ import annotations
@@ -273,3 +277,18 @@ def partial_normal_by_family(L, E):
         if lo.partial_normal_violation(L, cand) is None and lo.fusion_of_partial(L, cand) == E:
             out.append(cand)
     return out
+
+
+def delta_chain_exists(L, word) -> bool:
+    """Whether the word has an object chain P_0, ..., P_n in L, with
+    P_{i-1}^{g_i} = P_i: each object in turn is conjugated along the word,
+    element by element, and the search stops at the first chain. It reads
+    L's objects only, never its word rule or the axiom walk's tables."""
+    for P in sorted(L.Delta, key=len):
+        for g in word:
+            P = frozenset(x.conj(g) for x in P)
+            if P not in L.Delta:
+                break
+        else:
+            return True
+    return False

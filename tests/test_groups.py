@@ -177,6 +177,27 @@ def test_inn_group(sl23, klein):
     assert gp.inn_group(q8).maps <= A.maps
 
 
+def test_aut_induced_builds_each_map_once(monkeypatch, s4, sl23, s3xs3):
+    """Aut_G(X) equals the set of all c_g restricted to X, g in N_G(X), and
+    builds one map per automorphism, not one per element of N_G(X)."""
+    for G in (s4, sl23, s3xs3):
+        for X in gp.all_subgroups(gp.sylow_subgroup(G, 2)):
+            N = gp.normalizer(G, X)
+            every = frozenset(gp.conj_injection(X.elems, g) for g in N.elems)
+            built = []
+            real = gp.GroupInjection.__init__
+
+            def spy(self, pairs, real=real):
+                built.append(1)
+                real(self, pairs)
+
+            with monkeypatch.context() as m:
+                m.setattr(gp.GroupInjection, "__init__", spy)
+                A = gp.aut_induced(G, X)
+            assert A == gp.AutGroup(X, every)
+            assert len(built) == A.order == N.order // gp.centralizer(G, X).order
+
+
 def test_aut_perm_realization_roundtrip(klein):
     A = gp.aut_group(klein)
     for m in A.maps:

@@ -107,11 +107,15 @@ def test_s3xs3_locality_is_partial(L_s3xs3):
 
 
 def test_s3xs3_undefined_word_has_no_chain(L_s3xs3):
-    els = sorted(L_s3xs3.elems)
+    """The first pair outside the domain has no object chain, by the chain
+    search and by the live chain ends the axiom walk carries for it."""
+    els = L_s3xs3.sorted_elements()
     bad = next(
         (a, b) for a in els for b in els if not L_s3xs3.in_domain((a, b))
     )
-    assert not lo._delta_chain_exists(L_s3xs3, bad)
+    assert not oracles.delta_chain_exists(L_s3xs3, bad)
+    ends = {w: live for w, _, _, live, _ in lo._walk(L_s3xs3, 2)}
+    assert ends[tuple(map(els.index, bad))] == 0
 
 
 def test_prod_raises_outside_domain(L_s3xs3):
@@ -534,19 +538,31 @@ def _survivors(base, word):
     return frozenset(out)
 
 
-def test_walk_matches_whole_word_definitions(s4, L_s3xs3):
-    """Each walked word's code, prefix products and domain answers, for w
-    and for wbar w, equal those computed from the whole word; the second
-    structure's objects are not closed under conjugation, so R_{wbar w}
-    differs from R_w there."""
+@pytest.fixture(scope="module")
+def unclosed(s4):
+    """A structure whose objects are not closed under conjugation, so that
+    R_{wbar w} differs from R_w: the cyclic group of order 4 in S4, over a
+    base S3 with objects the base and one subgroup of order 2."""
     base = gp.generate_group(perms(4, "(1 2 3)", "(1 2)")).elems
     C = gp.generate_group(perms(4, "(2 3)")).elems
     elems = gp.generate_group(perms(4, "(0 1 2 3)")).elems
-    unclosed = lo.Locality(s4, elems, [base, C], base, 2)
+    return lo.Locality(s4, elems, [base, C], base, 2)
+
+
+def test_walk_matches_whole_word_definitions(L_s3xs3, unclosed):
+    """Each walked word's code, prefix products and survivor mask equal
+    those computed from the whole word, and so do the domain answers read
+    off the masks, for w and for wbar w. The axiom check takes R_{wbar w}
+    to be the walk's R_wbar."""
     for P in (L_s3xs3, unclosed):
         rule, els, ambient = P.rule, P.sorted_elements(), tuple(P.ambient)
-        seen = 0
-        for iw, code, state, iprods in lo._walk(P, 3):
+
+        def mask(xs):
+            return sum(1 << rule.base_order.index(x) for x in xs)
+
+        walked = list(lo._walk(P, 3))
+        masks = {iw: survivors for iw, _, survivors, _, _ in walked}
+        for iw, code, survivors, _, iprods in walked:
             # the walk names letters and products by index; read them back
             w = tuple(els[i] for i in iw)
             prods = tuple(ambient[a] for a in iprods)
@@ -555,12 +571,34 @@ def test_walk_matches_whole_word_definitions(s4, L_s3xs3):
             for g in w:
                 expected.append(expected[-1] * g)
             assert prods == tuple(expected)
+            R_w = _survivors(rule.base, w)
+            assert survivors == mask(R_w)
+            assert rule.accepts(survivors) == (R_w in rule.objects)
             wbar = tuple(g.inv() for g in reversed(w))
-            assert rule.accepts(state) == (_survivors(rule.base, w) in rule.objects)
-            inverse_ok = _survivors(rule.base, wbar + w) in rule.objects
-            assert rule.accepts_inverse_word(state) == inverse_ok
-            seen += 1
-        assert seen == sum(len(els) ** k for k in (1, 2, 3))
+            R_wbar_w = _survivors(rule.base, wbar + w)
+            R_wbar = masks[tuple(map(els.index, wbar))]
+            assert R_wbar == mask(R_wbar_w)
+            assert rule.accepts(R_wbar) == (R_wbar_w in rule.objects)
+        assert len(walked) == sum(len(els) ** k for k in (1, 2, 3))
+
+
+@pytest.mark.parametrize(
+    "name, word_len",
+    [("L_s3xs3", 3), ("unclosed", 3), ("L_l27", 2), ("L_s4", 2)],
+)
+def test_live_chain_ends_match_chain_search(name, word_len, request):
+    """A walked word's live chain ends are not empty exactly when the chain
+    search finds an object chain along it. L_s4 has the trivial subgroup
+    as an object, so there every word has a chain."""
+    P = request.getfixturevalue(name)
+    els = P.sorted_elements()
+    verdicts = Counter()
+    for w, _, _, live, _ in lo._walk(P, word_len):
+        has_chain = oracles.delta_chain_exists(P, tuple(els[i] for i in w))
+        assert (live != 0) == has_chain
+        verdicts[has_chain] += 1
+    assert verdicts[True] > 0
+    assert (verdicts[False] > 0) == (frozenset([P.unit]) not in P.Delta)
 
 
 def test_planted_fault_objectivity(s3xs3):
@@ -575,6 +613,45 @@ def test_planted_fault_objectivity(s3xs3):
     assert rep.failed
     assert rep.witness == {"axiom": "objectivity", "w": ["(0 1)(3 4)"]}
     assert rep.stats["pg_words_checked"] == rep.stats["pg_domain_words"] == 36 + 36**2
+
+
+def test_planted_fault_l27_whole_group(L_l27):
+    """PSL(2,7) with the objects of its subcentric locality but a rule
+    accepting every word: (0 2)(3 4) conjugates no object into an object."""
+    G = L_l27.ambient
+    L = lo.Locality(G, G.elems, L_l27.Delta, L_l27.S_elems, 2)
+    one = frozenset([G.identity])
+    L.rule = lo.ChainDomain(one, [one])
+    rep = lo.verify_locality(L, word_len=2)
+    assert rep.witness == {"axiom": "objectivity", "w": ["(0 2)(3 4)"]}
+
+
+def test_planted_fault_l27_dropped_class(L_l27):
+    """A rule over l27's L that drops the class of the five objects of order
+    2 leaves elements of L outside the domain. The partial-group walk skips
+    the words outside the domain and passes, so L inside D is checked on its
+    own."""
+    L = lo.Locality(L_l27.ambient, L_l27.elems, L_l27.Delta, L_l27.S_elems, 2)
+    kept = [d for d in L.Delta if len(d) > 2]
+    assert len(L.Delta) - len(kept) == 5
+    L.rule = lo.ChainDomain(L.S_elems, kept)
+    rep = lo.verify_locality(L, word_len=2)
+    assert rep.witness == {"axiom": "length-one-domain", "w": ["(0 1 2)(3 4 6)"]}
+
+
+def test_planted_fault_l27_missing_conjugate(L_l27):
+    """l27's L with one object of order 2 left out of Delta: the word rule
+    and the oracle both follow the smaller Delta, and the inversion axiom
+    catches it at w = (g), whose R_w = <(1 3)(4 5)> is still an object
+    while R_{wbar w} = R_w^g is the one left out."""
+    dropped = frozenset(perms(7, "()", "(2 4)(5 6)"))
+    assert dropped in L_l27.Delta
+    L = lo.Locality(L_l27.ambient, L_l27.elems, L_l27.Delta - {dropped}, L_l27.S_elems, 2)
+    rep = lo.verify_locality(L)
+    assert rep.witness == {
+        "axiom": "partial-group",
+        "inner": {"axiom": "inverse-word-domain", "w": ["(0 1 2)(3 4 6)"]},
+    }
 
 
 def test_planted_fault_product_table(s3xs3):
@@ -596,8 +673,9 @@ def test_planted_fault_product_table(s3xs3):
 def test_axiom_walk_makes_no_perm_products(monkeypatch, L_s3xs3):
     """Once the tables exist, the partial-group check is integer work only."""
     L_s3xs3.ambient.mul_table, L_s3xs3.ambient.inv_table
-    for g in L_s3xs3.sorted_elements():
-        L_s3xs3.rule.move(g)
+    for g in L_s3xs3.ambient:
+        L_s3xs3.rule.survivors(g)
+    lo._chain_row(L_s3xs3, 0)  # fills the oracle's image table
     calls = []
     for name in ("__mul__", "conj"):
         real = getattr(Perm, name)
@@ -612,19 +690,27 @@ def test_axiom_walk_makes_no_perm_products(monkeypatch, L_s3xs3):
 
 
 def test_objectivity_oracle_images_are_conjugates(L_s3xs3):
-    """The oracle's (object, letter) image table holds the conjugate of the
-    object by the letter, looked up among the objects, -1 if it is none."""
+    """The oracle's (letter, object) image table holds the conjugate of the
+    object by the letter, looked up among the objects, -1 if it is none, and
+    each filled row of its step table holds, for each letter, the images of
+    the row's live objects."""
     assert lo.verify_locality(L_s3xs3).passed
-    starts, number, images = L_s3xs3._memo["delta_images"]
-    assert sorted(starts, key=len) == starts and set(starts) == L_s3xs3.Delta
+    objects, images, rows = L_s3xs3._memo["chain_ends"]
+    assert len(objects) == len(set(objects)) and set(objects) == L_s3xs3.Delta
     filled = outside = 0
-    for o, row in enumerate(images):
-        for g, img in row.items():
-            conj = frozenset(x.conj(g) for x in starts[o])
-            assert img == (starts.index(conj) if conj in L_s3xs3.Delta else -1)
+    for g, row in zip(L_s3xs3.sorted_elements(), images):
+        for o, img in enumerate(row):
+            conj = frozenset(x.conj(g) for x in objects[o])
+            assert img == (objects.index(conj) if conj in L_s3xs3.Delta else -1)
             filled += 1
             outside += img < 0
     assert filled > outside > 0
+    assert len(rows) > 1
+    for live, row in rows.items():
+        live_objects = [d for o, d in enumerate(objects) if live >> o & 1]
+        for g, after in zip(L_s3xs3.sorted_elements(), row):
+            ends = {frozenset(x.conj(g) for x in d) for d in live_objects}
+            assert after == sum(1 << objects.index(e) for e in ends & L_s3xs3.Delta)
 
 
 @pytest.mark.parametrize(
