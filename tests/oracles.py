@@ -292,3 +292,78 @@ def delta_chain_exists(L, word) -> bool:
         else:
             return True
     return False
+
+
+def partial_group_by_words(P, word_len):
+    """The partial-group axioms of P checked one whole word at a time, as
+    (outcome, witness, stats) in the form of ``verify_partial_group``.
+
+    Every product is a product of ``Perm``s and a word is in the domain
+    when R_w, the base elements whose conjugates by all prefix products of
+    w stay in the base, is one of the rule's objects. Nothing is kept from
+    one word for the next and no table is read. The words of length
+    1..word_len go by length and then lexicographically over the sorted
+    elements, and each domain word w gets its checks in one order: length
+    one, subwords w[i:j], the splices of Pi(w[i:j]) for j - i >= 2, and the
+    inverse word wbar w.
+    """
+    rule, els, elems, unit = P.rule, P.sorted_elements(), P.elems, P.unit
+    checked = domain = 0
+
+    def in_domain(word):
+        R = []
+        for x in rule.base:
+            y = x
+            for g in word:
+                y = y.conj(g)
+                if y not in rule.base:
+                    break
+            else:
+                R.append(x)
+        return frozenset(R) in rule.objects
+
+    def product(word):
+        out = unit
+        for g in word:
+            out = out * g
+        return out
+
+    def fail(witness):
+        return "fail", witness, {"words_checked": checked, "domain_words": domain}
+
+    for x in els:
+        if x.inv() not in elems:
+            return fail({"axiom": "inversion-closure", "x": str(x)})
+        if x.inv().inv() != x:
+            return fail({"axiom": "inversion-involutory", "x": str(x)})
+    if not in_domain(()):
+        return fail({"axiom": "empty-word"})
+    if product(()) != unit:
+        return fail({"axiom": "unit"})
+    for k in range(1, word_len + 1):
+        for w in itertools.product(els, repeat=k):
+            checked += 1
+            if not in_domain(w):
+                continue
+            domain += 1
+            named = [str(g) for g in w]
+            if k == 1 and product(w) != w[0]:
+                return fail({"axiom": "length-one", "w": named})
+            for i in range(k):
+                for j in range(i + 1, k + 1):
+                    if j - i < k and not in_domain(w[i:j]):
+                        return fail({"axiom": "subword", "w": named, "i": i, "j": j})
+            for i in range(k - 1):
+                for j in range(i + 2, k + 1):
+                    v = product(w[i:j])
+                    spliced = w[:i] + (v,) + w[j:]
+                    if v not in elems or not in_domain(spliced):
+                        return fail({"axiom": "splice-domain", "w": named, "i": i, "j": j})
+                    if product(spliced) != product(w):
+                        return fail({"axiom": "splice-product", "w": named, "i": i, "j": j})
+            wbar = tuple(g.inv() for g in reversed(w))
+            if not in_domain(wbar + w):
+                return fail({"axiom": "inverse-word-domain", "w": named})
+            if product(wbar + w) != unit:
+                return fail({"axiom": "inverse-word-product", "w": named})
+    return "pass", None, {"words_checked": checked, "domain_words": domain}

@@ -96,6 +96,15 @@ def test_group_locality_passes_axioms(s3):
 # -- a genuinely partial locality ---------------------------------------------
 
 
+def _walked_words(P, word_len):
+    """Every word of length 1..word_len with the state the axiom walk
+    carries for it: the prefixes it yields when one letter longer words
+    are walked, past the empty one."""
+    for k, prefix, _ in lo._walk(P, word_len + 1):
+        if k > 1:
+            yield prefix
+
+
 def test_s3xs3_locality_is_partial(L_s3xs3):
     els = sorted(L_s3xs3.elems)
     assert len(els) == 20
@@ -114,7 +123,7 @@ def test_s3xs3_undefined_word_has_no_chain(L_s3xs3):
         (a, b) for a in els for b in els if not L_s3xs3.in_domain((a, b))
     )
     assert not oracles.delta_chain_exists(L_s3xs3, bad)
-    ends = {w: live for w, _, _, live, _ in lo._walk(L_s3xs3, 2)}
+    ends = {w: live for w, _, _, live, *_ in _walked_words(L_s3xs3, 2)}
     assert ends[tuple(map(els.index, bad))] == 0
 
 
@@ -442,12 +451,7 @@ def test_set_outside_locality_is_rejected(call, L_s3xs3, s3xs3):
 
 
 def test_verify_locality_flags_missing_overgroup(s4):
-    S = gp.sylow_subgroup(s4, 2)
-    Delta_bad = frozenset(
-        H.elems for H in gp.all_subgroups(S) if H.order in (2, 8)
-    )
-    L = lo.Locality(s4, s4.elems, Delta_bad | {S.elems}, S.elems, 2)
-    rep = lo.verify_locality(L)
+    rep = lo.verify_locality(_missing_overgroup(s4))
     assert rep.failed
     assert rep.witness["axiom"].startswith("Delta")
 
@@ -478,6 +482,59 @@ def test_a5_naive_construction_rejected():
 # -- planted faults: one broken axiom each, with its first witness --------------
 
 
+def _subword_fault(object_gens, elems=None):
+    """Over the base <(0 1), (3 4), (6 7)>, the elements <(0 2), (3 5),
+    (6 8)> or the given ones."""
+    G = gp.generate_group(
+        perms(9, "(0 1)", "(0 2)", "(3 4)", "(3 5)", "(6 7)", "(6 8)")
+    )
+    base = gp.generate_group(perms(9, "(0 1)", "(3 4)", "(6 7)")).elems
+    objects = [base] + [gp.generate_group(perms(9, *gens)).elems for gens in object_gens]
+    if elems is None:
+        elems = gp.generate_group(perms(9, "(0 2)", "(3 5)", "(6 8)")).elems
+    return lo.Locality(G, elems, objects, base, 2)
+
+
+def _splice_fault(s3):
+    elems = [s3.identity] + perms(3, "(0 1)", "(1 2)")
+    one = frozenset([s3.identity])
+    return lo.Locality(s3, elems, [one], one, 2)
+
+
+def _objectivity_fault(s3xs3):
+    S = gp.sylow_subgroup(s3xs3, 2)
+    nt = frozenset(H.elems for H in gp.all_subgroups(S) if H.order > 1)
+    L = lo.Locality(s3xs3, s3xs3.elems, nt, S.elems, 2)
+    one = frozenset([s3xs3.identity])
+    L.rule = lo.ChainDomain(one, [one])
+    return L
+
+
+def _l27_whole_group(L_l27):
+    G = L_l27.ambient
+    L = lo.Locality(G, G.elems, L_l27.Delta, L_l27.S_elems, 2)
+    one = frozenset([G.identity])
+    L.rule = lo.ChainDomain(one, [one])
+    return L
+
+
+def _l27_dropped_class(L_l27):
+    L = lo.Locality(L_l27.ambient, L_l27.elems, L_l27.Delta, L_l27.S_elems, 2)
+    L.rule = lo.ChainDomain(L.S_elems, [d for d in L.Delta if len(d) > 2])
+    return L
+
+
+def _l27_missing_conjugate(L_l27):
+    dropped = frozenset(perms(7, "()", "(2 4)(5 6)"))
+    return lo.Locality(L_l27.ambient, L_l27.elems, L_l27.Delta - {dropped}, L_l27.S_elems, 2)
+
+
+def _missing_overgroup(s4):
+    S = gp.sylow_subgroup(s4, 2)
+    Delta_bad = frozenset(H.elems for H in gp.all_subgroups(S) if H.order in (2, 8))
+    return lo.Locality(s4, s4.elems, Delta_bad | {S.elems}, S.elems, 2)
+
+
 @pytest.mark.parametrize(
     "object_gens, i, j",
     [((("(0 1)",),), 0, 1), ((("(0 1)",), ("(0 1)", "(3 4)")), 1, 2)],
@@ -487,38 +544,35 @@ def test_planted_fault_subword(object_gens, i, j):
     <(0 1)>, its prefix ((6 8),) leaves <(0 1), (3 4)> and its suffix
     ((3 5),) leaves <(0 1), (6 7)>. The witness is the prefix, or the suffix
     once the prefix's survivor set is made an object too."""
-    G = gp.generate_group(
-        perms(9, "(0 1)", "(0 2)", "(3 4)", "(3 5)", "(6 7)", "(6 8)")
-    )
-    base = gp.generate_group(perms(9, "(0 1)", "(3 4)", "(6 7)")).elems
-    objects = [base] + [gp.generate_group(perms(9, *gens)).elems for gens in object_gens]
-    elems = gp.generate_group(perms(9, "(0 2)", "(3 5)", "(6 8)")).elems
-    P = lo.Locality(G, elems, objects, base, 2)
-    rep = lo.verify_partial_group(P)
+    rep = lo.verify_partial_group(_subword_fault(object_gens))
     assert rep.failed
     assert rep.witness == {"axiom": "subword", "w": ["(6 8)", "(3 5)"], "i": i, "j": j}
+
+
+def test_planted_fault_subword_prefix_only():
+    """With the elements 1, (6 8) and (3 5)(6 8) only, the word
+    ((6 8), (3 5)(6 8)) and its suffix leave the object <(0 1)>, but its
+    prefix ((6 8),) leaves <(0 1), (3 4)>: the prefix alone is outside the
+    domain."""
+    P = _subword_fault((("(0 1)",),), perms(9, "()", "(6 8)", "(3 5)(6 8)"))
+    rep = lo.verify_partial_group(P)
+    assert rep.witness == {"axiom": "subword", "w": ["(6 8)", "(3 5)(6 8)"], "i": 0, "j": 1}
+    assert rep.stats == {"words_checked": 9, "domain_words": 5}
 
 
 def test_planted_fault_splice_domain(s3):
     """Every word over two transpositions is accepted, but their product, a
     3-cycle, is not an element: splicing it in leaves the domain."""
-    elems = [s3.identity] + perms(3, "(0 1)", "(1 2)")
-    one = frozenset([s3.identity])
-    P = lo.Locality(s3, elems, [one], one, 2)
-    rep = lo.verify_partial_group(P)
+    rep = lo.verify_partial_group(_splice_fault(s3))
     assert rep.failed
     assert rep.witness == {"axiom": "splice-domain", "w": ["(1 2)", "(0 1)"], "i": 0, "j": 2}
 
 
-def test_planted_fault_inverse_word_domain(s4):
+def test_planted_fault_inverse_word_domain(unclosed):
     """Objects not closed under conjugation: ((0 3 2 1),) leaves the object
     <(2 3)> of the base Stab(0), and its wbar w = ((0 1 2 3), (0 3 2 1))
     leaves the conjugate <(1 2)>, which is not one."""
-    base = gp.generate_group(perms(4, "(1 2 3)", "(1 2)")).elems
-    C = gp.generate_group(perms(4, "(2 3)")).elems
-    elems = gp.generate_group(perms(4, "(0 1 2 3)")).elems
-    P = lo.Locality(s4, elems, [base, C], base, 2)
-    rep = lo.verify_partial_group(P)
+    rep = lo.verify_partial_group(unclosed)
     assert rep.failed
     assert rep.witness == {"axiom": "inverse-word-domain", "w": ["(0 3 2 1)"]}
 
@@ -550,19 +604,19 @@ def unclosed(s4):
 
 
 def test_walk_matches_whole_word_definitions(L_s3xs3, unclosed):
-    """Each walked word's code, prefix products and survivor mask equal
-    those computed from the whole word, and so do the domain answers read
-    off the masks, for w and for wbar w. The axiom check takes R_{wbar w}
-    to be the walk's R_wbar."""
+    """Each prefix the walk carries, every word w of length 0..3, has the
+    code, prefix products and survivor mask computed from the whole word,
+    and so do the domain answers read off the mask. So do Pi(wbar) and
+    R_wbar for its inverse word wbar, and the domain answer for wbar w read
+    off R_wbar: the axiom check takes R_{wbar w} to be the walk's R_wbar."""
     for P in (L_s3xs3, unclosed):
         rule, els, ambient = P.rule, P.sorted_elements(), tuple(P.ambient)
 
         def mask(xs):
             return sum(1 << rule.base_order.index(x) for x in xs)
 
-        walked = list(lo._walk(P, 3))
-        masks = {iw: survivors for iw, _, survivors, _, _ in walked}
-        for iw, code, survivors, _, iprods in walked:
+        walked = [prefix for _, prefix, _ in lo._walk(P, 4)]
+        for iw, code, survivors, _, iprods, iwbar, wbar_survivors in walked:
             # the walk names letters and products by index; read them back
             w = tuple(els[i] for i in iw)
             prods = tuple(ambient[a] for a in iprods)
@@ -575,11 +629,15 @@ def test_walk_matches_whole_word_definitions(L_s3xs3, unclosed):
             assert survivors == mask(R_w)
             assert rule.accepts(survivors) == (R_w in rule.objects)
             wbar = tuple(g.inv() for g in reversed(w))
+            product = P.unit
+            for g in wbar:
+                product = product * g
+            assert ambient[iwbar] == product
+            assert wbar_survivors == mask(_survivors(rule.base, wbar))
             R_wbar_w = _survivors(rule.base, wbar + w)
-            R_wbar = masks[tuple(map(els.index, wbar))]
-            assert R_wbar == mask(R_wbar_w)
-            assert rule.accepts(R_wbar) == (R_wbar_w in rule.objects)
-        assert len(walked) == sum(len(els) ** k for k in (1, 2, 3))
+            assert wbar_survivors == mask(R_wbar_w)
+            assert rule.accepts(wbar_survivors) == (R_wbar_w in rule.objects)
+        assert len(walked) == sum(len(els) ** k for k in (0, 1, 2, 3))
 
 
 @pytest.mark.parametrize(
@@ -593,7 +651,7 @@ def test_live_chain_ends_match_chain_search(name, word_len, request):
     P = request.getfixturevalue(name)
     els = P.sorted_elements()
     verdicts = Counter()
-    for w, _, _, live, _ in lo._walk(P, word_len):
+    for w, _, _, live, *_ in _walked_words(P, word_len):
         has_chain = oracles.delta_chain_exists(P, tuple(els[i] for i in w))
         assert (live != 0) == has_chain
         verdicts[has_chain] += 1
@@ -604,12 +662,7 @@ def test_live_chain_ends_match_chain_search(name, word_len, request):
 def test_planted_fault_objectivity(s3xs3):
     """A rule accepting every word over S3 x S3 disagrees with the object
     chains of the nontrivial subgroups of S: (0 1)(3 4) has none."""
-    S = gp.sylow_subgroup(s3xs3, 2)
-    nt = frozenset(H.elems for H in gp.all_subgroups(S) if H.order > 1)
-    L = lo.Locality(s3xs3, s3xs3.elems, nt, S.elems, 2)
-    one = frozenset([s3xs3.identity])
-    L.rule = lo.ChainDomain(one, [one])
-    rep = lo.verify_locality(L, word_len=2)
+    rep = lo.verify_locality(_objectivity_fault(s3xs3), word_len=2)
     assert rep.failed
     assert rep.witness == {"axiom": "objectivity", "w": ["(0 1)(3 4)"]}
     assert rep.stats["pg_words_checked"] == rep.stats["pg_domain_words"] == 36 + 36**2
@@ -618,11 +671,7 @@ def test_planted_fault_objectivity(s3xs3):
 def test_planted_fault_l27_whole_group(L_l27):
     """PSL(2,7) with the objects of its subcentric locality but a rule
     accepting every word: (0 2)(3 4) conjugates no object into an object."""
-    G = L_l27.ambient
-    L = lo.Locality(G, G.elems, L_l27.Delta, L_l27.S_elems, 2)
-    one = frozenset([G.identity])
-    L.rule = lo.ChainDomain(one, [one])
-    rep = lo.verify_locality(L, word_len=2)
+    rep = lo.verify_locality(_l27_whole_group(L_l27), word_len=2)
     assert rep.witness == {"axiom": "objectivity", "w": ["(0 2)(3 4)"]}
 
 
@@ -631,10 +680,8 @@ def test_planted_fault_l27_dropped_class(L_l27):
     2 leaves elements of L outside the domain. The partial-group walk skips
     the words outside the domain and passes, so L inside D is checked on its
     own."""
-    L = lo.Locality(L_l27.ambient, L_l27.elems, L_l27.Delta, L_l27.S_elems, 2)
-    kept = [d for d in L.Delta if len(d) > 2]
-    assert len(L.Delta) - len(kept) == 5
-    L.rule = lo.ChainDomain(L.S_elems, kept)
+    L = _l27_dropped_class(L_l27)
+    assert len(L.Delta) - len(L.rule.objects) == 5
     rep = lo.verify_locality(L, word_len=2)
     assert rep.witness == {"axiom": "length-one-domain", "w": ["(0 1 2)(3 4 6)"]}
 
@@ -644,10 +691,8 @@ def test_planted_fault_l27_missing_conjugate(L_l27):
     and the oracle both follow the smaller Delta, and the inversion axiom
     catches it at w = (g), whose R_w = <(1 3)(4 5)> is still an object
     while R_{wbar w} = R_w^g is the one left out."""
-    dropped = frozenset(perms(7, "()", "(2 4)(5 6)"))
-    assert dropped in L_l27.Delta
-    L = lo.Locality(L_l27.ambient, L_l27.elems, L_l27.Delta - {dropped}, L_l27.S_elems, 2)
-    rep = lo.verify_locality(L)
+    assert frozenset(perms(7, "()", "(2 4)(5 6)")) in L_l27.Delta
+    rep = lo.verify_locality(_l27_missing_conjugate(L_l27))
     assert rep.witness == {
         "axiom": "partial-group",
         "inner": {"axiom": "inverse-word-domain", "w": ["(0 1 2)(3 4 6)"]},
@@ -664,10 +709,42 @@ def test_planted_fault_product_table(s3xs3):
     G.__dict__["mul_table"] = tuple(map(tuple, mul))
     G.__dict__["inv_table"] = s3xs3.inv_table
     rep = lo.verify_partial_group(lo.group_locality(G, gp.sylow_subgroup(G, 2), 2))
-    assert rep.failed
-    assert rep.witness["axiom"] in ("splice-product", "inverse-word-product")
+    assert rep.witness == {"axiom": "inverse-word-product", "w": ["(4 5)", "(3 4)"]}
+    assert rep.stats == {"words_checked": 75, "domain_words": 75}
     sound = lo.verify_partial_group(lo.group_locality(s3xs3, gp.sylow_subgroup(s3xs3, 2), 2))
     assert sound.passed
+
+
+@pytest.mark.parametrize(
+    "z, axiom, stats",
+    [("()", "splice-product", (843, 587)), ("(0 1)(3 4)", "splice-domain", (843, 582))],
+)
+def test_planted_fault_splice_at_word_end(s3xs3, L_s3xs3, z, axiom, stats):
+    """Two entries of S3 x S3's product table changed under L_s3xs3's
+    elements: (4 5)(3 4 5) = z and (3 5 4)(4 5) = z^-1, both (3 4) in the
+    group. Each two-letter word through them still passes, but the splice
+    (i, j) = (1, 3) of w = ((4 5), (4 5), (3 4)) gives ((4 5), (3 4 5)),
+    with product z != Pi(w) = (3 4): a wrong product for z = 1, a word
+    outside the domain for z = (0 1)(3 4), which is not in L.
+
+    These are splices with j = k, the word's length. A splice (i, j) with
+    j < k of a domain word w repeats, past w[:j], the splice (i, j) of
+    w[:j], which passed when w[:j] was checked: the product before w[j:] is
+    the same, and the spliced word's prefix products are some of w's, so
+    its survivor set contains R_w. So it never fails first, whatever the
+    product table, while the objects are closed under overgroups."""
+    index = s3xs3.element_index
+    a, b, z = perms(6, "(4 5)", "(3 4 5)", z)
+    mul = [list(row) for row in s3xs3.mul_table]
+    mul[index[a]][index[b]] = index[z]
+    mul[index[b.inv()]][index[a.inv()]] = index[z.inv()]
+    G = gp.Subgroup(s3xs3.elems)
+    G.__dict__["mul_table"] = tuple(map(tuple, mul))
+    G.__dict__["inv_table"] = s3xs3.inv_table
+    P = lo.Locality(G, L_s3xs3.elems, L_s3xs3.Delta, L_s3xs3.S_elems, 2)
+    rep = lo.verify_partial_group(P)
+    assert rep.witness == {"axiom": axiom, "w": ["(4 5)", "(4 5)", "(3 4)"], "i": 1, "j": 3}
+    assert (rep.stats["words_checked"], rep.stats["domain_words"]) == stats
 
 
 def test_axiom_walk_makes_no_perm_products(monkeypatch, L_s3xs3):
@@ -676,6 +753,7 @@ def test_axiom_walk_makes_no_perm_products(monkeypatch, L_s3xs3):
     for g in L_s3xs3.ambient:
         L_s3xs3.rule.survivors(g)
     lo._chain_row(L_s3xs3, 0)  # fills the oracle's image table
+    lo._wbar_row(L_s3xs3, 0)  # and the inverse word's
     calls = []
     for name in ("__mul__", "conj"):
         real = getattr(Perm, name)
@@ -725,3 +803,65 @@ def test_word_fragment_counts(s3, L_s3xs3, word_len, group_stats, locality_stats
         rep = lo.verify_partial_group(P, word_len=word_len)
         assert rep.passed
         assert (rep.stats["words_checked"], rep.stats["domain_words"]) == expected
+
+
+STRUCTURES = {
+    "L_s3xs3": lambda request: request.getfixturevalue("L_s3xs3"),
+    "L_l27": lambda request: request.getfixturevalue("L_l27"),
+    "unclosed": lambda request: request.getfixturevalue("unclosed"),
+    "group-s3": lambda request: lo.group_locality(
+        request.getfixturevalue("s3"), gp.sylow_subgroup(request.getfixturevalue("s3"), 2), 2
+    ),
+    "subword-prefix": lambda request: _subword_fault((("(0 1)",),)),
+    "subword-suffix": lambda request: _subword_fault((("(0 1)",), ("(0 1)", "(3 4)"))),
+    "subword-prefix-only": lambda request: _subword_fault(
+        (("(0 1)",),), perms(9, "()", "(6 8)", "(3 5)(6 8)")
+    ),
+    "splice": lambda request: _splice_fault(request.getfixturevalue("s3")),
+    "objectivity": lambda request: _objectivity_fault(request.getfixturevalue("s3xs3")),
+    "missing-overgroup": lambda request: _missing_overgroup(request.getfixturevalue("s4")),
+    "l27-whole-group": lambda request: _l27_whole_group(request.getfixturevalue("L_l27")),
+    "l27-dropped-class": lambda request: _l27_dropped_class(request.getfixturevalue("L_l27")),
+    "l27-missing-conjugate": lambda request: _l27_missing_conjugate(
+        request.getfixturevalue("L_l27")
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "name, word_len",
+    [(name, 2) for name in STRUCTURES]
+    # at word_len 3 the walks of l27's 104 and 168 elements and of S3 x S3's
+    # 36 take seconds each in the whole-word check
+    + [
+        (name, 3)
+        for name in STRUCTURES
+        if name not in ("L_l27", "l27-whole-group", "l27-dropped-class", "objectivity")
+    ],
+)
+def test_axiom_walk_matches_whole_word_oracle(name, word_len, request):
+    """verify_partial_group gives the verdict, witness and stats of the
+    whole-word check, which multiplies Perms and reads R_w off each word,
+    on localities and on every planted-fault structure above. A fault
+    planted in the product table is not among them: the whole-word check
+    never reads the table."""
+    P = STRUCTURES[name](request)
+    rep = lo.verify_partial_group(P, word_len=word_len)
+    assert (rep.outcome, rep.witness, rep.stats) == oracles.partial_group_by_words(P, word_len)
+
+
+@pytest.mark.parametrize("name", ["L_l27", "L_s3xs3", "unclosed"])
+def test_domain_pairs_match_in_domain(name, request):
+    """The pair check on the integer tables yields exactly the pairs that
+    in_domain accepts, in the order of its arguments, each with the index
+    of its product; elements outside L give no pair."""
+    P = request.getfixturevalue(name)
+    els, ambient = P.sorted_elements(), tuple(P.ambient)
+    expected = [
+        (a, b, P.ambient.element_index[a * b])
+        for a in els
+        for b in ambient
+        if P.in_domain((a, b))
+    ]
+    assert 0 < len(expected) < len(els) * len(ambient)
+    assert list(lo._domain_pairs(P, els, ambient)) == expected
