@@ -59,7 +59,6 @@ from .fusion import (
 from .locality import (
     Locality,
     S_f,
-    S_w,
     bC,
     bN,
     bN_K,

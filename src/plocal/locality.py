@@ -4,13 +4,14 @@ Every partial group here is a Locality, and every Locality is
 group-backed: its elements live in a fixed ambient permutation group, the
 product is the ambient product, and only the word domain varies. The
 domain is never materialized; membership of a word (g_1, ..., g_n) is
-decided by one rule, the chain criterion: walk the base p-group R along
-the prefixes and test whether the surviving subgroup R_w = {x in R : all
-prefix conjugates stay in R} is one of the objects. For an object family
-closed under conjugacy and overgroups this is equivalent to the existence
-of an object chain P_0, ..., P_n with P_{i-1}^{g_i} = P_i: any chain start
-lies inside R_w (so R_w is an object by overgroup closure), and conversely
-the prefix conjugates of R_w form a chain.
+decided by one rule, the chain criterion: the subgroup R_w = {x in R : all
+prefix conjugates stay in R} of the base p-group R is one of the objects.
+R_w is the AND over the prefix products of one table, read by ambient
+element index: the mask of the x in R each element conjugates into R. For
+an object family closed under conjugacy and overgroups this holds iff w
+has an object chain P_0, ..., P_n with P_{i-1}^{g_i} = P_i: any chain
+start lies inside R_w (so R_w is an object by overgroup closure), and
+conversely the prefix conjugates of R_w form a chain.
 
 A whole group G with Sylow p-subgroup S is ``group_locality``: its objects
 are all subgroups of S, so every word is defined. L_Delta(G) is its
@@ -41,9 +42,9 @@ ending an object chain along w, stepped through its own table, filled by
 conjugating each object's elements, so it shares nothing with the rule it
 checks. The first word where they disagree is the objectivity witness.
 Elements come back only in witnesses, so a witness names the same
-elements as a walk over ``Perm`` products would. Pairs (a, b) of
-elements, as the partial subgroup, N_L(P) and N X checks meet them, are
-decided on the same integer tables.
+elements as a walk over ``Perm`` products would. The other domain
+questions, ``in_domain`` (so ``S_f`` and the partial normal check) and the
+pairs of the partial subgroup, N_L(P) and N X checks, read the same tables.
 
 The statement checkers in ``verify`` run the subcentric verification once
 per distinct structure of a corpus entry, keyed on its content in the memo
@@ -54,7 +55,7 @@ restrictions, so each distinct closure input is closed once.
 
 from __future__ import annotations
 
-from itertools import accumulate
+from functools import cached_property
 from typing import Dict, FrozenSet, Iterable, Optional, Sequence, Tuple
 
 from .errors import (
@@ -85,76 +86,70 @@ from .groups import (
     p_part,
     trivial_aut_group,
 )
-from .perm import Perm, identity, sorted_elems
+from .perm import Perm, sorted_elems
 from .report import VerificationReport
-
-Word = Tuple[Perm, ...]
 
 
 # ---------------------------------------------------------------------------
 # the word domain
 #
-# ChainDomain decides which words over the elements are in the domain. A set
-# of base elements is a mask, an int whose bit i stands for the i-th element
-# of the sorted base; accepts(mask) says whether the set is an object.
+# ChainDomain decides which words over the ambient group's elements are in
+# the domain. A set of base elements is a mask, an int whose bit i stands for
+# the i-th element of the sorted base; survivors holds one mask per ambient
+# element, by index, and masks the objects' masks.
 
 
 class ChainDomain:
     """Words admitting an object chain inside the base p-group.
 
     x survives w when each prefix product of w conjugates it into the base,
-    so R_{w g} = R_w & survivors(Pi(w g)), one AND per letter for a walk
-    that carries its prefix products. survivors(u) is kept per u.
+    so R_{w g} = R_w & survivors[Pi(w g)], one AND per letter for a walk
+    that carries its prefix products as ambient indexes. survivors is built
+    on first use from the ambient product and inverse tables, so the rule
+    makes no Perm products.
     """
 
-    __slots__ = ("base", "objects", "base_order", "_always", "_full", "_masks", "_survivors")
-
-    def __init__(self, base: FrozenSet[Perm], objects: Iterable[FrozenSet[Perm]]):
+    def __init__(self, ambient: Subgroup, base: FrozenSet[Perm], objects: Iterable[FrozenSet[Perm]]):
+        self.ambient = ambient
         self.base = frozenset(base)
         self.objects = frozenset(frozenset(o) for o in objects)
         if self.base not in self.objects:
             raise ValueError("the base itself must be an object")
-        # objects are overgroup-closed, so containing the trivial subgroup
-        # means every subgroup of the base is an object and every word passes
-        self._always = bool(self.base) and frozenset(
-            [identity(next(iter(self.base)).degree)]
-        ) in self.objects
         self.base_order = sorted_elems(self.base)
-        self._full = (1 << len(self.base_order)) - 1  # R of the empty word
         index = {x: i for i, x in enumerate(self.base_order)}
         # an object outside the base is never a survivor set
-        self._masks = frozenset(
+        self.masks = frozenset(
             sum(1 << index[x] for x in o) for o in self.objects if o <= self.base
         )
-        self._survivors: Dict[Perm, int] = {}
 
-    def survivors(self, u: Perm) -> int:
-        """The mask of the base elements x with x^u in the base."""
-        mask = self._survivors.get(u)
-        if mask is None:
-            mask = self._survivors[u] = sum(
-                1 << i for i, x in enumerate(self.base_order) if x.conj(u) in self.base
-            )
-        return mask
+    @cached_property
+    def survivors(self) -> Tuple[int, ...]:
+        """survivors[a]: the mask of the base elements x with x^a in the
+        base, for the a-th sorted element a of the ambient group."""
+        mul, inv = self.ambient.mul_table, self.ambient.inv_table
+        base = [self.ambient.element_index[x] for x in self.base_order]
+        inside = set(base)
+        return tuple(
+            sum(1 << i for i, x in enumerate(base) if mul[mul[inv[a]][x]][a] in inside)
+            for a in range(len(mul))
+        )
 
-    def word_ok(self, word: Word) -> bool:
-        if self._always:
-            return True
-        mask = self._full
-        for u in accumulate(word, Perm.__mul__):
-            mask &= self.survivors(u)
-        return mask in self._masks
-
-    def accepts(self, mask: int) -> bool:
-        return self._always or mask in self._masks
+    def word_ok(self, word: Sequence[Perm]) -> bool:
+        index, mul, survivors = self.ambient.element_index, self.ambient.mul_table, self.survivors
+        u, mask = 0, survivors[0]  # the identity sorts first; R of the empty word
+        for g in word:
+            u = mul[u][index[g]]
+            mask &= survivors[u]
+        return mask in self.masks
 
     def group_words_ok(self, P: FrozenSet[Perm]) -> bool:
         """Every word over the subgroup P is in the domain iff the uniform
         survivor {x in base : x^u in base for all u in P} is an object."""
-        mask = self._full
+        index, survivors = self.ambient.element_index, self.survivors
+        mask = survivors[0]  # the whole base
         for u in P:
-            mask &= self.survivors(u)
-        return mask in self._masks
+            mask &= survivors[index[u]]
+        return mask in self.masks
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +159,8 @@ class ChainDomain:
 class Locality:
     """(L, Delta, S): a group-backed partial group with object set Delta
     inside S. Its elements lie in the ambient group, its product is the
-    ambient product and its words are decided by ChainDomain(S, Delta)."""
+    ambient product and its words are decided by ChainDomain(ambient, S,
+    Delta)."""
 
     __slots__ = (
         "ambient", "elems", "Delta", "S_elems", "p", "rule", "_sorted", "_memo", "_systems"
@@ -180,12 +176,12 @@ class Locality:
     ):
         self.ambient = ambient
         self.elems = frozenset(elems)
-        if not self.elems <= ambient.elems:
+        self.S_elems = frozenset(S_elems)
+        if not self.elems | self.S_elems <= ambient.elems:
             raise ValueError("elements not inside the ambient group")
         self.Delta = frozenset(frozenset(d) for d in Delta)
-        self.S_elems = frozenset(S_elems)
         self.p = p
-        self.rule = ChainDomain(self.S_elems, self.Delta)
+        self.rule = ChainDomain(ambient, self.S_elems, self.Delta)
         self._sorted = None
         self._memo = {}
         # fusion systems of partial subgroups, shared with every restriction
@@ -297,7 +293,7 @@ def build_group_locality(
 
 
 # ---------------------------------------------------------------------------
-# S_f, S_w and normalizers inside a locality
+# S_f and normalizers inside a locality
 
 
 def S_f(L: Locality, f: Perm) -> Subgroup:
@@ -312,23 +308,6 @@ def S_f(L: Locality, f: Perm) -> Subgroup:
         )
         L._memo[("S_f", f)] = hit
     return Subgroup(hit)
-
-
-def S_w(L: Locality, word: Sequence[Perm]) -> Subgroup:
-    """Iterated version of S_f along a word."""
-    letters = [(g.inv(), g) for g in word]
-    out = []
-    for x in L.S_elems:
-        y = x
-        ok = True
-        for gi, g in letters:
-            if not L.in_domain((gi, y, g)) or y.conj(g) not in L.S_elems:
-                ok = False
-                break
-            y = y.conj(g)
-        if ok:
-            out.append(x)
-    return Subgroup(frozenset(out))
 
 
 def normalizer_partial(L: Locality, X: Subgroup) -> FrozenSet[Perm]:
@@ -479,8 +458,9 @@ def partial_normal_violation(L: Locality, N: FrozenSet[Perm]) -> Optional[dict]:
     if bad is not None:
         return bad
     for f in L.elems:
+        fi = f.inv()
         for n in N:
-            if L.in_domain((f.inv(), n, f)) and n.conj(f) not in N:
+            if L.in_domain((fi, n, f)) and n.conj(f) not in N:
                 return {"kind": "conjugation", "f": str(f), "n": str(n)}
     return None
 
@@ -612,16 +592,6 @@ def _wbar_row(P: Locality, mask: int) -> Tuple[int, ...]:
     return _step_row(P, ("wbar_survivors", rule), lambda: rule.base_order, Perm.conj, mask)
 
 
-def _survivor_masks(P: Locality) -> Tuple[int, ...]:
-    """survivors[a]: the rule's survivor mask of ambient element a, kept in
-    P's memo for its rule."""
-    key = ("survivors", P.rule)
-    hit = P._memo.get(key)
-    if hit is None:
-        hit = P._memo[key] = tuple(map(P.rule.survivors, P.ambient))
-    return hit
-
-
 def _letter_tables(P: Locality):
     """(letters, times, lefts), kept in P's memo: letters[i] is the ambient
     index of P's i-th sorted element, times[a][i] that of (ambient element
@@ -643,7 +613,7 @@ def _domain_pairs(L: Locality, A: Iterable[Perm], B: Iterable[Perm]):
     1, a and ab, so R_(a,b) = survivors[a] & survivors[ab], R of the empty
     word being the whole base."""
     index, mul = L.ambient.element_index, L.ambient.mul_table
-    survivors, accepts = _survivor_masks(L), L.rule.accepts
+    survivors, masks = L.rule.survivors, L.rule.masks
     right = [(b, index[b]) for b in B if b in L.elems]
     for a in A:
         if a not in L.elems:
@@ -651,7 +621,7 @@ def _domain_pairs(L: Locality, A: Iterable[Perm], B: Iterable[Perm]):
         row = mul[index[a]]
         mask = survivors[index[a]]
         for b, j in right:
-            if accepts(mask & survivors[row[j]]):
+            if (mask & survivors[row[j]]) in masks:
                 yield a, b, row[j]
 
 
@@ -675,7 +645,7 @@ def _walk(P: Locality, word_len: int):
     the i-th entry of each other row.
     """
     n = len(P.elems)
-    survivors = _survivor_masks(P)
+    survivors = P.rule.survivors
     _, times, lefts = _letter_tables(P)
     letters = range(n)
 
@@ -721,7 +691,11 @@ def verify_partial_group(P: Locality, word_len: int = 3) -> VerificationReport:
 
     The first word where the rule and the objectivity oracle, both carried
     by the walk, disagree is kept for verify_locality in P's memo under
-    ("objectivity", word_len), None when there is none.
+    ("objectivity", word_len), None when there is none. Words outside the
+    domain are skipped, so P inside the domain is left to verify_locality:
+    checked here, a one-letter word would fail first and hide the subword,
+    inverse-word and Delta-closure witnesses of structures whose objects are
+    not closed.
     """
     inst = "partial-group(|L|=%d)" % len(P.elems)
     checked = domain = 0
@@ -761,7 +735,7 @@ def verify_partial_group(P: Locality, word_len: int = 3) -> VerificationReport:
         [(i, j, dom[k - (j - i) + 1]) for i in range(k - 1) for j in range(i + 2, k + 1)]
         for k in range(word_len + 1)
     ]
-    accepts, survivors = P.rule.accepts, _survivor_masks(P)
+    masks, survivors = P.rule.masks, P.rule.survivors
     letters = range(n)
     objectivity = None
     for k, (w, code, mask, live, prods, _, _), (row, ends, wbars, wbar_masks) in _walk(P, word_len):
@@ -797,7 +771,7 @@ def verify_partial_group(P: Locality, word_len: int = 3) -> VerificationReport:
         for g in letters:
             a = row[g]
             checked += 1
-            ok = accepts(mask & survivors[a])
+            ok = (mask & survivors[a]) in masks
             if objectivity is None and ok != (ends[g] != 0):
                 objectivity = w + (g,)
             if not ok:
@@ -831,7 +805,7 @@ def verify_partial_group(P: Locality, word_len: int = 3) -> VerificationReport:
                     return word_fail("splice-product", w + (g,), i=i, j=j)
             # inversion axiom. R_{wbar w} = R_wbar, as the prefix products of
             # wbar w past wbar are Pi(wbar) Pi(w_1...w_j) = Pi(wbar_1...wbar_{k-j})
-            if not accepts(wbar_masks[g]):
+            if wbar_masks[g] not in masks:
                 return word_fail("inverse-word-domain", w + (g,))
             if mul[wbars[g]][a] != unit:
                 return word_fail("inverse-word-product", w + (g,))

@@ -136,7 +136,7 @@ def test_prod_raises_outside_domain(L_s3xs3):
         L_s3xs3.prod(bad)
 
 
-# -- S_f and S_w ---------------------------------------------------------------
+# -- S_f -----------------------------------------------------------------------
 
 
 def test_S_f_trivial_cases(L_s4):
@@ -150,19 +150,6 @@ def test_S_f_is_intersection_for_group_localities(L_s4, L_s3xs3):
         for f in sorted(L.elems):
             walk = frozenset(x for x in L.S_elems if x.conj(f) in L.S_elems)
             assert lo.S_f(L, f).elems == walk
-
-
-def test_S_w_matches_iterated_S_f(L_s3xs3):
-    els = sorted(L_s3xs3.elems)[:8]
-    for a in els:
-        for b in els:
-            got = lo.S_w(L_s3xs3, (a, b)).elems
-            expected = frozenset(
-                x
-                for x in lo.S_f(L_s3xs3, a).elems
-                if x.conj(a) in lo.S_f(L_s3xs3, b).elems
-            )
-            assert got == expected
 
 
 # -- restriction ---------------------------------------------------------------
@@ -506,7 +493,7 @@ def _objectivity_fault(s3xs3):
     nt = frozenset(H.elems for H in gp.all_subgroups(S) if H.order > 1)
     L = lo.Locality(s3xs3, s3xs3.elems, nt, S.elems, 2)
     one = frozenset([s3xs3.identity])
-    L.rule = lo.ChainDomain(one, [one])
+    L.rule = lo.ChainDomain(L.ambient, one, [one])
     return L
 
 
@@ -514,13 +501,13 @@ def _l27_whole_group(L_l27):
     G = L_l27.ambient
     L = lo.Locality(G, G.elems, L_l27.Delta, L_l27.S_elems, 2)
     one = frozenset([G.identity])
-    L.rule = lo.ChainDomain(one, [one])
+    L.rule = lo.ChainDomain(L.ambient, one, [one])
     return L
 
 
 def _l27_dropped_class(L_l27):
     L = lo.Locality(L_l27.ambient, L_l27.elems, L_l27.Delta, L_l27.S_elems, 2)
-    L.rule = lo.ChainDomain(L.S_elems, [d for d in L.Delta if len(d) > 2])
+    L.rule = lo.ChainDomain(L.ambient, L.S_elems, [d for d in L.Delta if len(d) > 2])
     return L
 
 
@@ -533,6 +520,12 @@ def _missing_overgroup(s4):
     S = gp.sylow_subgroup(s4, 2)
     Delta_bad = frozenset(H.elems for H in gp.all_subgroups(S) if H.order in (2, 8))
     return lo.Locality(s4, s4.elems, Delta_bad | {S.elems}, S.elems, 2)
+
+
+def _trivial_object_only(s3xs3):
+    """S3 x S3 with the objects S and 1 only, not closed under overgroups."""
+    S = gp.sylow_subgroup(s3xs3, 2).elems
+    return lo.Locality(s3xs3, s3xs3.elems, [S, frozenset([s3xs3.identity])], S, 2)
 
 
 @pytest.mark.parametrize(
@@ -558,6 +551,16 @@ def test_planted_fault_subword_prefix_only():
     rep = lo.verify_partial_group(P)
     assert rep.witness == {"axiom": "subword", "w": ["(6 8)", "(3 5)(6 8)"], "i": 0, "j": 1}
     assert rep.stats == {"words_checked": 9, "domain_words": 5}
+
+
+def test_planted_fault_trivial_object_only(s3xs3):
+    """Objects S = <(1 2), (4 5)> and 1 of S3 x S3, not closed under
+    overgroups. A word is in the domain iff R_w is an object, 1 being one
+    or not: ((3 4), (0 1)) has R_w = 1, but its prefix ((3 4),) has R_w =
+    <(1 2)>, which is not an object."""
+    rep = lo.verify_partial_group(_trivial_object_only(s3xs3))
+    assert rep.witness == {"axiom": "subword", "w": ["(3 4)", "(0 1)"], "i": 0, "j": 1}
+    assert rep.stats == {"words_checked": 121, "domain_words": 61}
 
 
 def test_planted_fault_splice_domain(s3):
@@ -592,6 +595,11 @@ def _survivors(base, word):
     return frozenset(out)
 
 
+def _mask(rule, xs):
+    """The rule's bitmask of the base elements xs."""
+    return sum(1 << rule.base_order.index(x) for x in xs)
+
+
 @pytest.fixture(scope="module")
 def unclosed(s4):
     """A structure whose objects are not closed under conjugation, so that
@@ -611,10 +619,6 @@ def test_walk_matches_whole_word_definitions(L_s3xs3, unclosed):
     off R_wbar: the axiom check takes R_{wbar w} to be the walk's R_wbar."""
     for P in (L_s3xs3, unclosed):
         rule, els, ambient = P.rule, P.sorted_elements(), tuple(P.ambient)
-
-        def mask(xs):
-            return sum(1 << rule.base_order.index(x) for x in xs)
-
         walked = [prefix for _, prefix, _ in lo._walk(P, 4)]
         for iw, code, survivors, _, iprods, iwbar, wbar_survivors in walked:
             # the walk names letters and products by index; read them back
@@ -626,17 +630,17 @@ def test_walk_matches_whole_word_definitions(L_s3xs3, unclosed):
                 expected.append(expected[-1] * g)
             assert prods == tuple(expected)
             R_w = _survivors(rule.base, w)
-            assert survivors == mask(R_w)
-            assert rule.accepts(survivors) == (R_w in rule.objects)
+            assert survivors == _mask(rule, R_w)
+            assert (survivors in rule.masks) == (R_w in rule.objects)
             wbar = tuple(g.inv() for g in reversed(w))
             product = P.unit
             for g in wbar:
                 product = product * g
             assert ambient[iwbar] == product
-            assert wbar_survivors == mask(_survivors(rule.base, wbar))
+            assert wbar_survivors == _mask(rule, _survivors(rule.base, wbar))
             R_wbar_w = _survivors(rule.base, wbar + w)
-            assert wbar_survivors == mask(R_wbar_w)
-            assert rule.accepts(wbar_survivors) == (R_wbar_w in rule.objects)
+            assert wbar_survivors == _mask(rule, R_wbar_w)
+            assert (wbar_survivors in rule.masks) == (R_wbar_w in rule.objects)
         assert len(walked) == sum(len(els) ** k for k in (0, 1, 2, 3))
 
 
@@ -748,12 +752,15 @@ def test_planted_fault_splice_at_word_end(s3xs3, L_s3xs3, z, axiom, stats):
 
 
 def test_axiom_walk_makes_no_perm_products(monkeypatch, L_s3xs3):
-    """Once the tables exist, the partial-group check is integer work only."""
-    L_s3xs3.ambient.mul_table, L_s3xs3.ambient.inv_table
-    for g in L_s3xs3.ambient:
-        L_s3xs3.rule.survivors(g)
-    lo._chain_row(L_s3xs3, 0)  # fills the oracle's image table
-    lo._wbar_row(L_s3xs3, 0)  # and the inverse word's
+    """Once the ambient tables and the oracle's image tables exist, the
+    partial-group check is integer work only. The word rule of a fresh
+    locality of L_s3xs3's content builds its survivor table under the spy,
+    so the rule makes no Perm products either."""
+    L = lo.Locality(L_s3xs3.ambient, L_s3xs3.elems, L_s3xs3.Delta, L_s3xs3.S_elems, 2)
+    L.ambient.mul_table, L.ambient.inv_table
+    lo._chain_row(L, 0)  # fills the oracle's image table
+    lo._wbar_row(L, 0)  # and the inverse word's
+    assert "survivors" not in vars(L.rule)
     calls = []
     for name in ("__mul__", "conj"):
         real = getattr(Perm, name)
@@ -763,8 +770,9 @@ def test_axiom_walk_makes_no_perm_products(monkeypatch, L_s3xs3):
             return real(self, other)
 
         monkeypatch.setattr(Perm, name, spy)
-    assert lo.verify_partial_group(L_s3xs3).passed
+    assert lo.verify_partial_group(L).passed
     assert calls == []
+    assert len(L.rule.survivors) == L.ambient.order
 
 
 def test_objectivity_oracle_images_are_conjugates(L_s3xs3):
@@ -820,6 +828,7 @@ STRUCTURES = {
     "splice": lambda request: _splice_fault(request.getfixturevalue("s3")),
     "objectivity": lambda request: _objectivity_fault(request.getfixturevalue("s3xs3")),
     "missing-overgroup": lambda request: _missing_overgroup(request.getfixturevalue("s4")),
+    "trivial-object-only": lambda request: _trivial_object_only(request.getfixturevalue("s3xs3")),
     "l27-whole-group": lambda request: _l27_whole_group(request.getfixturevalue("L_l27")),
     "l27-dropped-class": lambda request: _l27_dropped_class(request.getfixturevalue("L_l27")),
     "l27-missing-conjugate": lambda request: _l27_missing_conjugate(
@@ -865,3 +874,31 @@ def test_domain_pairs_match_in_domain(name, request):
     ]
     assert 0 < len(expected) < len(els) * len(ambient)
     assert list(lo._domain_pairs(P, els, ambient)) == expected
+
+
+@pytest.mark.parametrize("name", ["L_s3xs3", "L_l27", "unclosed", "objectivity"])
+def test_survivor_table_matches_conjugation(name, request):
+    """The rule's survivor table, read off the ambient product and inverse
+    tables, holds for the a-th ambient element the mask of the base elements
+    whose Perm conjugate by it lies in the base. The objectivity structure's
+    rule has the base 1."""
+    rule = STRUCTURES[name](request).rule
+    ambient = tuple(rule.ambient)
+    assert len(rule.survivors) == len(ambient)
+    for a, g in enumerate(ambient):
+        assert rule.survivors[a] == _mask(rule, [x for x in rule.base if x.conj(g) in rule.base])
+
+
+@pytest.mark.parametrize("name", ["L_s3xs3", "unclosed", "L_l27"])
+def test_in_domain_matches_survivor_definition(name, request):
+    """A word over the ambient group is in the domain iff its letters lie in
+    L and R_w, taken by definition with Perm conjugation, is an object: for
+    every word of length at most 2."""
+    P = request.getfixturevalue(name)
+    ambient = tuple(P.ambient)
+    verdicts = Counter()
+    for w in [()] + [(a,) for a in ambient] + [(a, b) for a in ambient for b in ambient]:
+        expected = all(g in P.elems for g in w) and _survivors(P.rule.base, w) in P.rule.objects
+        assert P.in_domain(w) == expected
+        verdicts[expected] += 1
+    assert verdicts[True] > 0 and verdicts[False] > 0
