@@ -6,45 +6,43 @@ product is the ambient product, and only the word domain varies. The
 domain is never materialized; membership of a word (g_1, ..., g_n) is
 decided by one rule, the chain criterion: the subgroup R_w = {x in R : all
 prefix conjugates stay in R} of the base p-group R is one of the objects.
-R_w is the AND over the prefix products of one table, read by ambient
-element index: the mask of the x in R each element conjugates into R. For
-an object family closed under conjugacy and overgroups this holds iff w
-has an object chain P_0, ..., P_n with P_{i-1}^{g_i} = P_i: any chain
+For an object family closed under conjugacy and overgroups this holds iff
+w has an object chain P_0, ..., P_n with P_{i-1}^{g_i} = P_i: any chain
 start lies inside R_w (so R_w is an object by overgroup closure), and
 conversely the prefix conjugates of R_w form a chain.
 
+The rule is integer tables over the sorted elements of the ambient group
+(``Subgroup.mul_table``, ``inv_table``), a set of base elements being a
+bitmask: ``ChainDomain.conj_pos`` maps each base position through each
+element's conjugation, and R_w is the AND of its ``survivors`` masks over
+the prefix products. Every question about the domain or about conjugates
+of base elements reads them: ``in_domain``, the S_f masks, the object
+images, <P, X> and the maximality of ``restrict``, the germs of
+``fusion_of_partial``, the partial normal check and the axiom walk. In
+this module only the objectivity oracle conjugates Perms, so that it stays
+apart from the rule it checks; N_G(X) and N_G^K(X) come from the group
+layer, and elements are named only in witnesses and results.
+
 A whole group G with Sylow p-subgroup S is ``group_locality``: its objects
 are all subgroups of S, so every word is defined. L_Delta(G) is its
-restriction to Delta, built by ``restrict`` like bN_L^K(X).
-
-A partial subgroup of L is its element set, passed together with L; each
-function that takes one raises ValueError when it is not inside L.
+restriction to Delta, built by ``restrict`` like bN_L^K(X). A partial
+subgroup of L is its element set, passed together with L; each function
+that takes one raises ValueError when it is not inside L.
 
 Axiom verification quantifies over all words up to a configured length
 (default 3, the shortest length exercising the associativity-splicing
 axiom) plus the splicing/inversion patterns those words generate; pass
-``word_len=4`` for the fuller fragment on small structures. The words are
-visited by length and then lexicographically, in one depth-first walk per
-locality that goes one prefix at a time: a prefix carries its products
-and four states, and what the checks of its extensions by each letter
-need of the prefix alone (rows of the tables below, the products and
-codes of its spliced parts) is read once for all of them, so each word
-costs a few lookups. Whether each shorter word is in the domain is kept,
-so subwords and spliced words are looked up instead of walked again. The
-walk works on integers: letters and products are indexes into L's and the
-ambient group's sorted elements, stepped through the ambient product and
-inverse tables (``Subgroup.mul_table``, ``inv_table``); the rule's state
-is R_w as a bitmask, and the inverse word wbar of w is carried as
-Pi(wbar) and R_wbar, which decides wbar w, with wbar(w g) = g^-1 wbar(w)
-and R_wbar(w g) = S cap R_wbar(w)^g stepped through a table filled by
-conjugating base elements. The objectivity oracle's state is the objects
-ending an object chain along w, stepped through its own table, filled by
-conjugating each object's elements, so it shares nothing with the rule it
-checks. The first word where they disagree is the objectivity witness.
-Elements come back only in witnesses, so a witness names the same
-elements as a walk over ``Perm`` products would. The other domain
-questions, ``in_domain`` (so ``S_f`` and the partial normal check) and the
-pairs of the partial subgroup, N_L(P) and N X checks, read the same tables.
+``word_len=4`` for the fuller fragment on small structures. One
+depth-first walk per locality visits the words by length and then
+lexicographically, one prefix at a time: a prefix carries its products
+and four states, and what the checks of its extensions by each letter need
+of the prefix alone is read once for all of them, so each word costs a few
+lookups; the domain flags of shorter words are kept, so subwords and
+spliced words are looked up, not walked again. The states are R_w, the
+product and R_wbar of the inverse word wbar, which decide wbar w, and the
+objectivity oracle's objects ending an object chain along w, stepped
+through a table filled by conjugating each object's elements. The first
+word where rule and oracle disagree is the objectivity witness.
 
 The statement checkers in ``verify`` run the subcentric verification once
 per distinct structure of a corpus entry, keyed on its content in the memo
@@ -75,10 +73,10 @@ from .fusion import (
 )
 from .groups import (
     AutGroup,
+    GroupInjection,
     Subgroup,
     all_subgroups,
     aut_group,
-    conj_injection,
     group_K_normalizer,
     is_p_group,
     mulclose,
@@ -95,8 +93,9 @@ from .report import VerificationReport
 #
 # ChainDomain decides which words over the ambient group's elements are in
 # the domain. A set of base elements is a mask, an int whose bit i stands for
-# the i-th element of the sorted base; survivors holds one mask per ambient
-# element, by index, and masks the objects' masks.
+# the i-th element of the sorted base. conj_pos holds, per ambient element by
+# index, where its conjugation sends each base position; survivors holds one
+# mask per ambient element, read off conj_pos, and masks the objects' masks.
 
 
 class ChainDomain:
@@ -104,9 +103,9 @@ class ChainDomain:
 
     x survives w when each prefix product of w conjugates it into the base,
     so R_{w g} = R_w & survivors[Pi(w g)], one AND per letter for a walk
-    that carries its prefix products as ambient indexes. survivors is built
-    on first use from the ambient product and inverse tables, so the rule
-    makes no Perm products.
+    that carries its prefix products as ambient indexes. conj_pos, and
+    survivors from it, are built on first use from the ambient product and
+    inverse tables, so the rule makes no Perm products.
     """
 
     def __init__(self, ambient: Subgroup, base: FrozenSet[Perm], objects: Iterable[FrozenSet[Perm]]):
@@ -116,23 +115,32 @@ class ChainDomain:
         if self.base not in self.objects:
             raise ValueError("the base itself must be an object")
         self.base_order = sorted_elems(self.base)
-        index = {x: i for i, x in enumerate(self.base_order)}
-        # an object outside the base is never a survivor set
-        self.masks = frozenset(
-            sum(1 << index[x] for x in o) for o in self.objects if o <= self.base
+        self.position = {x: i for i, x in enumerate(self.base_order)}
+        # an object outside the base has mask -1, never a survivor set
+        self.masks = frozenset(map(self.mask_of, self.objects))
+
+    def mask_of(self, elems: Iterable[Perm]) -> int:
+        """The mask of a set of base elements; -1, every bit, for a set not
+        inside the base, so that it lies in no mask of base elements."""
+        elems = frozenset(elems)
+        return sum(1 << self.position[x] for x in elems) if elems <= self.base else -1
+
+    @cached_property
+    def conj_pos(self) -> Tuple[Tuple[int, ...], ...]:
+        """conj_pos[a][i]: the base position of x_i^a, -1 when that
+        conjugate leaves the base, for x_i the i-th sorted base element and
+        a the a-th sorted element of the ambient group."""
+        mul, inv, index = self.ambient.mul_table, self.ambient.inv_table, self.ambient.element_index
+        base = {index[x]: i for i, x in enumerate(self.base_order)}
+        return tuple(
+            tuple(base.get(mul[mul[inv[a]][x]][a], -1) for x in base) for a in range(len(mul))
         )
 
     @cached_property
     def survivors(self) -> Tuple[int, ...]:
         """survivors[a]: the mask of the base elements x with x^a in the
         base, for the a-th sorted element a of the ambient group."""
-        mul, inv = self.ambient.mul_table, self.ambient.inv_table
-        base = [self.ambient.element_index[x] for x in self.base_order]
-        inside = set(base)
-        return tuple(
-            sum(1 << i for i, x in enumerate(base) if mul[mul[inv[a]][x]][a] in inside)
-            for a in range(len(mul))
-        )
+        return tuple(sum(1 << i for i, j in enumerate(row) if j >= 0) for row in self.conj_pos)
 
     def word_ok(self, word: Sequence[Perm]) -> bool:
         index, mul, survivors = self.ambient.element_index, self.ambient.mul_table, self.survivors
@@ -296,18 +304,47 @@ def build_group_locality(
 # S_f and normalizers inside a locality
 
 
-def S_f(L: Locality, f: Perm) -> Subgroup:
-    """S_f = {x in S : (f^-1, x, f) in D and x^f in S}. Memoized per f."""
-    hit = L._memo.get(("S_f", f))
+def _S_f_masks(L: Locality) -> Tuple[int, ...]:
+    """S_f as a mask over S, the rule's base, by the ambient index of f,
+    kept in L's memo: bit i is set iff x_i^f lies in S, f, f^-1 and x_i lie
+    in L and R of (f^-1, x_i, f), with prefix products 1, f^-1, f^-1 x_i and
+    x_i^f, is an object."""
+    hit = L._memo.get("S_f")
     if hit is None:
-        fi = f.inv()
-        hit = frozenset(
-            x
-            for x in L.S_elems
-            if L.in_domain((fi, x, f)) and x.conj(f) in L.S_elems
-        )
-        L._memo[("S_f", f)] = hit
-    return Subgroup(hit)
+        index, mul, inv = L.ambient.element_index, L.ambient.mul_table, L.ambient.inv_table
+        rule, inside = L.rule, {index[g] for g in L.elems}
+        sv, base = rule.survivors, [index[x] for x in rule.base_order]
+
+        def mask(f, row):
+            fi = inv[f]
+            if f not in inside or fi not in inside:
+                return 0
+            return sum(
+                1 << i for i, x in enumerate(base) if x in inside and row[i] >= 0
+                and (sv[fi] & sv[mul[fi][x]] & sv[base[row[i]]]) in rule.masks
+            )
+
+        hit = L._memo["S_f"] = tuple(map(mask, range(len(mul)), rule.conj_pos))
+    return hit
+
+
+def S_f(L: Locality, f: Perm) -> Subgroup:
+    """S_f = {x in S : (f^-1, x, f) in D and x^f in S}, from its mask."""
+    mask = _S_f_masks(L)[L.ambient.element_index[f]] if f in L.elems else 0
+    return Subgroup(frozenset(x for i, x in enumerate(L.rule.base_order) if mask >> i & 1))
+
+
+def _conj_mask(L: Locality, mask: int, a: int) -> Optional[int]:
+    """P^f as a mask, f the a-th ambient element: None unless P <= S_f,
+    else P's bits mapped through conj_pos[a]."""
+    if mask & ~_S_f_masks(L)[a]:
+        return None
+    row, out = L.rule.conj_pos[a], 0
+    while mask:
+        low = mask & -mask
+        out |= 1 << row[low.bit_length() - 1]
+        mask ^= low
+    return out
 
 
 def normalizer_partial(L: Locality, X: Subgroup) -> FrozenSet[Perm]:
@@ -327,17 +364,12 @@ def K_normalizer_partial(L: Locality, X: Subgroup, K: AutGroup) -> FrozenSet[Per
 
 def _defined_on(L: Locality, X: Subgroup, N: Subgroup) -> FrozenSet[Perm]:
     """The f in N cap L for which X^f is defined in L: X <= S_f."""
-    return frozenset(f for f in N.elems & L.elems if X.elems <= S_f(L, f).elems)
+    x, sf, index = L.rule.mask_of(X.elems), _S_f_masks(L), L.ambient.element_index
+    return frozenset(f for f in N.elems & L.elems if not x & ~sf[index[f]])
 
 
 # ---------------------------------------------------------------------------
 # restriction H|_Gamma
-
-
-def _conj_subgroup_if_defined(L: Locality, P: FrozenSet[Perm], f: Perm) -> Optional[FrozenSet[Perm]]:
-    if P <= S_f(L, f).elems:
-        return frozenset(x.conj(f) for x in P)
-    return None
 
 
 def restrict(
@@ -350,7 +382,8 @@ def restrict(
     subgroup H of L, with the Gamma-chain domain.
 
     Checks the closure of Gamma and the hypotheses (Q1), (Q2) eagerly, and
-    raises NotSylow unless R is a maximal p-subgroup of the result. The
+    raises NotSylow unless R is a maximal p-subgroup of the result. Subsets
+    of S are masks: P^f is _conj_mask, once per object P and f in H. The
     result shares L's table of fusion systems (see fusion_of_partial), so
     every restriction reached from one locality, by any chain of restricts,
     holds the same table.
@@ -362,6 +395,9 @@ def restrict(
     for P in Gamma:
         if P not in r_subs:
             raise GammaNotClosed("object is not a subgroup of R")
+    rule, index = L.rule, L.ambient.element_index
+    mask = {P: rule.mask_of(P) for P in Gamma}
+    objects, r_mask = set(mask.values()), rule.mask_of(R)
     # P^f for each object P and f in H, None where it is not defined
     images = {}
     for P in Gamma:
@@ -369,23 +405,29 @@ def restrict(
             if P <= Q and Q not in Gamma:
                 raise GammaNotClosed("not closed under overgroups in R")
         for f in H:
-            img = images[P, f] = _conj_subgroup_if_defined(L, P, f)
-            if img is not None and img <= R and img not in Gamma:
+            a = index[f]
+            img = images[mask[P], a] = _conj_mask(L, mask[P], a)
+            if img is not None and not img & ~r_mask and img not in objects:
                 raise GammaNotClosed("not closed under H-conjugation")
-    # (Q1): <P, X> must be an object of L for every P in Gamma
-    joined_of = {P: mulclose(list(P | X.elems), cap=L.ambient.order) for P in Gamma}
-    for P, joined in joined_of.items():
-        if joined not in L.Delta:
+    # (Q1): <P, X> must be an object of L for every P in Gamma: the first
+    # subgroup of S, by order, whose mask holds P and X, if there is one
+    s_subs = [rule.mask_of(K.elems) for K in all_subgroups(L.S)]
+    x, joined_of = rule.mask_of(X.elems), {}
+    for P in Gamma:
+        want = mask[P] | x
+        joined = joined_of[mask[P]] = next((m for m in s_subs if m & want == want), None)
+        if joined not in rule.masks:
             raise Q1Violated("<P, X> is not an object for P with |P|=%d" % len(P))
     # (Q2): N_H(P1, P2) <= N_L(<P1,X>, <P2,X>); P2 = P1^f is the one object
     # that f can move P1 onto, and <P1,X> is often P1 itself
-    for (P1, f), P2 in images.items():
+    for (P1, a), P2 in images.items():
         J = joined_of[P1]
-        if P2 in Gamma and (
-            images[J, f] if J in Gamma else _conj_subgroup_if_defined(L, J, f)
+        if P2 in objects and (
+            images[J, a] if J in objects else _conj_mask(L, J, a)
         ) != joined_of[P2]:
             raise Q2Violated("transporter element does not move <P1,X> onto <P2,X>")
-    elems = frozenset(f for f in H if (S_f(L, f).elems & R) in Gamma)
+    sf = _S_f_masks(L)
+    elems = frozenset(f for f in H if (sf[index[f]] & r_mask) in objects)
     out = Locality(L.ambient, elems, Gamma, R, L.p)
     if not _is_max_p_subgroup(out, R, L.p):
         raise NotSylow("S cap H is not a maximal p-subgroup of the restriction")
@@ -393,12 +435,24 @@ def restrict(
     return out
 
 
+def _times_cyclic(G: Subgroup, R: Sequence[int], a: int) -> FrozenSet[int]:
+    """R<x> for x, the a-th element of G, normalizing R, by index: the union
+    of the cosets R x^k for k < m, m the least k > 0 with x^k in R."""
+    mul, inside = G.mul_table, set(R)
+    out, xk = set(R), a
+    while xk not in inside:
+        out.update(mul[y][xk] for y in R)
+        xk = mul[xk][a]
+    return frozenset(out)
+
+
 def _is_max_p_subgroup(P0: Locality, R: FrozenSet[Perm], p: int) -> bool:
     """R is a p-subgroup of the partial group P0, maximal among such.
 
     A p-subgroup H > R has N_H(R) > R, and a subgroup of H has its words
     defined when H has, so R is maximal iff no x in N_G(R) cap P0 outside R
-    gives a p-group <R, x> = R<x> inside P0 whose words are all defined."""
+    gives a p-group <R, x> = R<x> inside P0 whose words are all defined.
+    R<x> is read off the ambient product table by _times_cyclic."""
     if not R <= P0.elems:
         return False
     Rg = Subgroup(R)
@@ -406,10 +460,14 @@ def _is_max_p_subgroup(P0: Locality, R: FrozenSet[Perm], p: int) -> bool:
         return False
     if not P0.rule.group_words_ok(R):
         return False
-    for x in normalizer(P0.ambient, Rg).elems & P0.elems - R:
-        H = mulclose(list(R) + [x], cap=P0.ambient.order)
-        if len(H) == p_part(len(H), p) and H <= P0.elems and P0.rule.group_words_ok(H):
-            return False
+    G = P0.ambient
+    index, elems = G.element_index, tuple(G)
+    inside, r = {index[g] for g in P0.elems}, [index[y] for y in R]
+    for x in normalizer(G, Rg).elems & P0.elems - R:
+        H = _times_cyclic(G, r, index[x])
+        if len(H) == p_part(len(H), p) and H <= inside:
+            if P0.rule.group_words_ok([elems[i] for i in H]):
+                return False
     return True
 
 
@@ -457,10 +515,17 @@ def partial_normal_violation(L: Locality, N: FrozenSet[Perm]) -> Optional[dict]:
     bad = partial_subgroup_violation(L, N)
     if bad is not None:
         return bad
+    # n^f is defined iff f^-1 lies in L and R of (f^-1, n, f), with prefix
+    # products 1, f^-1, f^-1 n and n^f, is an object
+    index, mul, inv = L.ambient.element_index, L.ambient.mul_table, L.ambient.inv_table
+    sv, inside = L.rule.survivors, {index[g] for g in L.elems}
+    members = [(n, index[n]) for n in N]
+    normal = {b for _, b in members}
     for f in L.elems:
-        fi = f.inv()
-        for n in N:
-            if L.in_domain((fi, n, f)) and n.conj(f) not in N:
+        a, fi = index[f], inv[index[f]]
+        for n, b in members if fi in inside else ():
+            u = mul[fi][b]
+            if (sv[fi] & sv[u] & sv[mul[u][a]]) in L.rule.masks and mul[u][a] not in normal:
                 return {"kind": "conjugation", "f": str(f), "n": str(n)}
     return None
 
@@ -488,21 +553,36 @@ def fusion_of_partial(
     table, key = L._systems, (L, N, R.elems)
     hit = table.get(key)
     if hit is None:
-        germs = set()
-        r_subs = tuple(H.elems for H in all_subgroups(R))
-        for f in N:
-            sf = S_f(L, f).elems
-            for pe in r_subs:
-                if pe <= sf:
-                    img = frozenset(x.conj(f) for x in pe)
-                    if img <= R.elems:
-                        germs.add(conj_injection(pe, f))
+        germs = _partial_germs(L, N, R)
         closure = (R.elems, frozenset(germs))
         hit = table.get(closure)
         if hit is None:
             hit = table[closure] = close_generated(R, L.p, germs)
         table[key] = hit
     return hit
+
+
+def _partial_germs(L: Locality, N: FrozenSet[Perm], R: Subgroup) -> set:
+    """The c_f on P for f in N and P <= R with P <= S_f and P^f <= R, as
+    masks; a P not inside S lies in no S_f. Each distinct (P, images of its
+    bits) becomes one GroupInjection, first met in the order f, then P."""
+    rule, index, base = L.rule, L.ambient.element_index, L.rule.base_order
+    r_mask = rule.mask_of(R.elems & rule.base)
+    sources = [P.elems for P in all_subgroups(R) if P.elems <= rule.base]
+    sources = [(rule.mask_of(P), sorted(map(rule.position.get, P))) for P in sources]
+    seen, germs = set(), set()
+    for f in N:
+        a = index[f]
+        for mask, bits in sources:
+            img = _conj_mask(L, mask, a)
+            if img is None or img & ~r_mask:
+                continue
+            images = tuple(rule.conj_pos[a][i] for i in bits)
+            if (mask, images) in seen:
+                continue
+            seen.add((mask, images))
+            germs.add(GroupInjection((base[i], base[j]) for i, j in zip(bits, images)))
+    return germs
 
 
 # ---------------------------------------------------------------------------
@@ -541,13 +621,13 @@ def product_fusion(L: Locality, N: FrozenSet[Perm], X: Subgroup) -> FusionSystem
 def _step_row(P: Locality, key, things, conj, live: int) -> Tuple[int, ...]:
     """Row `live` of a (set, letter) step table kept in P's memo under key.
 
-    A set is a mask over a sorted tuple of things, base elements or
+    A set is a mask over a sorted tuple of things, base positions or
     objects, listed by ``things()`` on first use. The row holds, for each
     letter g, the mask of the conjugates conj(t, g) of the live things t
     that are things again; conjugation is injective, so their numbers add as
     bits. The memo keeps (things, images, rows met so far), where
     images[i][t] is the number of thing t conjugated by letter i, -1 if that
-    is none, found by conjugating elements.
+    is none.
     """
     table = P._memo.get(key)
     if table is None:
@@ -569,7 +649,8 @@ def _chain_row(P: Locality, live: int) -> Tuple[int, ...]:
     """The objectivity oracle's step: from the ends of the object chains
     along w, a mask over P's objects in sorted order, to the ends along w g
     for each letter g. Its images are found by conjugating the objects'
-    elements, never from the rule checked."""
+    elements as Perms, never read from the rule's tables, so the oracle
+    stays independent of the rule it checks."""
     return _step_row(
         P,
         "chain_ends",
@@ -586,10 +667,12 @@ def _wbar_row(P: Locality, mask: int) -> Tuple[int, ...]:
     R_wbar(w g) = S cap (R_wbar(w))^g. For wbar(w g) is g^-1 followed by
     wbar(w), so x lies in R_wbar(w g) iff x lies in S, y = x^(g^-1) lies in
     S and x^(g^-1 Pi(v)) = y^Pi(v) lies in S for each prefix v of wbar(w):
-    iff x lies in S and x = y^g for a y in R_wbar(w).
+    iff x lies in S and x = y^g for a y in R_wbar(w). The images of base
+    positions are read off the rule's conj_pos.
     """
-    rule = P.rule
-    return _step_row(P, ("wbar_survivors", rule), lambda: rule.base_order, Perm.conj, mask)
+    rule, index = P.rule, P.ambient.element_index
+    positions, image = range(len(rule.base_order)), lambda i, g: rule.conj_pos[index[g]][i]
+    return _step_row(P, ("wbar_survivors", rule), lambda: positions, image, mask)
 
 
 def _letter_tables(P: Locality):
@@ -847,12 +930,12 @@ def verify_locality(L: Locality, word_len: int = 3) -> VerificationReport:
     for f in L.sorted_elements():
         if not L.in_domain((f,)):
             return fail({"axiom": "length-one-domain", "w": [str(f)]})
-    for d in L.Delta:
+    rule, index, sf = L.rule, L.ambient.element_index, _S_f_masks(L)
+    for d in map(rule.mask_of, L.Delta):
         for f in L.elems:
-            if d <= S_f(L, f).elems:
-                img = frozenset(x.conj(f) for x in d)
-                if img not in L.Delta:
-                    return fail({"axiom": "Delta-conjugation", "f": str(f)})
+            img = _conj_mask(L, d, index[f])
+            if img is not None and img not in rule.masks:
+                return fail({"axiom": "Delta-conjugation", "f": str(f)})
 
     # objectivity: domain words are exactly those with an object chain, as
     # compared along verify_partial_group's walk
@@ -863,7 +946,7 @@ def verify_locality(L: Locality, word_len: int = 3) -> VerificationReport:
 
     # S_f contains an object (hence is one) for every f
     for f in L.elems:
-        if S_f(L, f).elems not in L.Delta:
+        if sf[index[f]] not in rule.masks:
             return fail({"axiom": "S_f-object", "f": str(f)})
 
     # maximality of S among p-subgroups of L

@@ -16,6 +16,11 @@ normalized Q is F_{N_S(Q)}(N_G(Q)).
 The objectivity oracle searches for an object chain along one word at a
 time, conjugating object elements, apart from the package's word rule and
 the chain-end table its axiom walk steps through.
+
+The restriction oracles keep the element-set form of H|_Gamma and of the
+germ search of a partial subgroup's fusion system: every P^f is
+conjugated element by element, <P, X> and R<x> are closed under products,
+and none of the package's bitmask tables is read.
 """
 
 from __future__ import annotations
@@ -367,3 +372,86 @@ def partial_group_by_words(P, word_len):
             if product(wbar + w) != unit:
                 return fail({"axiom": "inverse-word-product", "w": named})
     return "pass", None, {"words_checked": checked, "domain_words": domain}
+
+
+def S_f_by_perms(L, f):
+    """S_f = {x in S : (f^-1, x, f) in D and x^f in S}, one in_domain call
+    and one Perm conjugation per x."""
+    fi = f.inv()
+    return frozenset(x for x in L.S_elems if L.in_domain((fi, x, f)) and x.conj(f) in L.S_elems)
+
+
+def _conj_if_defined(L, P, f):
+    if P <= S_f_by_perms(L, f):
+        return frozenset(x.conj(f) for x in P)
+    return None
+
+
+def max_p_subgroup_by_perms(P0, R, p):
+    """R a maximal p-subgroup of the partial group P0, growing R<x> by
+    mulclose over each x in N_G(R) cap P0 outside R."""
+    from plocal.groups import mulclose, normalizer
+
+    if not R <= P0.elems or not is_p_power(len(R), p) or not P0.rule.group_words_ok(R):
+        return False
+    for x in normalizer(P0.ambient, Subgroup(R)).elems & P0.elems - R:
+        H = mulclose(list(R) + [x], cap=P0.ambient.order)
+        if is_p_power(len(H), p) and H <= P0.elems and P0.rule.group_words_ok(H):
+            return False
+    return True
+
+
+def restrict_by_perms(L, H, Gamma, X):
+    """H|_Gamma with its closure, (Q1), (Q2) and maximality checks, on
+    element sets: each P^f is conjugated element by element, <P, X> is
+    closed under products, and the checks raise the package's exceptions
+    with its messages in the same order over the same sets."""
+    from plocal import errors
+    from plocal import locality as lo
+    from plocal.groups import all_subgroups, mulclose
+
+    H = frozenset(H)
+    if not H <= L.elems:
+        raise ValueError("subset not inside the partial group")
+    Gamma = frozenset(frozenset(g) for g in Gamma)
+    R = L.S_elems & H
+    r_subs = {K.elems for K in all_subgroups(Subgroup(R))}
+    for P in Gamma:
+        if P not in r_subs:
+            raise errors.GammaNotClosed("object is not a subgroup of R")
+    images = {}
+    for P in Gamma:
+        for Q in r_subs:
+            if P <= Q and Q not in Gamma:
+                raise errors.GammaNotClosed("not closed under overgroups in R")
+        for f in H:
+            img = images[P, f] = _conj_if_defined(L, P, f)
+            if img is not None and img <= R and img not in Gamma:
+                raise errors.GammaNotClosed("not closed under H-conjugation")
+    joined_of = {P: mulclose(list(P | X.elems), cap=L.ambient.order) for P in Gamma}
+    for P, joined in joined_of.items():
+        if joined not in L.Delta:
+            raise errors.Q1Violated("<P, X> is not an object for P with |P|=%d" % len(P))
+    for (P1, f), P2 in images.items():
+        J = joined_of[P1]
+        if P2 in Gamma and _conj_if_defined(L, J, f) != joined_of[P2]:
+            raise errors.Q2Violated("transporter element does not move <P1,X> onto <P2,X>")
+    elems = frozenset(f for f in H if (S_f_by_perms(L, f) & R) in Gamma)
+    out = lo.Locality(L.ambient, elems, Gamma, R, L.p)
+    if not max_p_subgroup_by_perms(out, R, L.p):
+        raise errors.NotSylow("S cap H is not a maximal p-subgroup of the restriction")
+    return out
+
+
+def fusion_germs_by_perms(L, N, R):
+    """The germs c_f restricted to P for f in N and P <= R with P <= S_f
+    and P^f <= R, each conjugated element by element."""
+    from plocal.groups import all_subgroups
+
+    germs = set()
+    for f in N:
+        sf = S_f_by_perms(L, f)
+        for P in all_subgroups(R):
+            if P.elems <= sf and _conj(P.elems, f) <= R.elems:
+                germs.add(GroupInjection((x, x.conj(f)) for x in P.elems))
+    return germs

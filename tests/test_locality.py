@@ -245,18 +245,138 @@ def test_maximality_by_normalizer_growth_matches_definition(name, request):
 
 
 def test_restrict_conjugates_each_object_once(monkeypatch, L_l27):
-    """The closure check and (Q2) share one P^f per object P and element f."""
+    """The closure check and (Q2) share one P^f per object P and element f,
+    each conjugated as a mask over the base by the element's index."""
     calls = []
-    real = lo._conj_subgroup_if_defined
+    real = lo._conj_mask
 
-    def spy(L, P, f):
-        calls.append((P, f))
-        return real(L, P, f)
+    def spy(L, mask, a):
+        calls.append((mask, a))
+        return real(L, mask, a)
 
-    monkeypatch.setattr(lo, "_conj_subgroup_if_defined", spy)
+    monkeypatch.setattr(lo, "_conj_mask", spy)
     G = L_l27.ambient
-    lo.build_group_locality(G, L_l27.S, L_l27.Delta, 2)
-    assert Counter(calls) == Counter((P, f) for P in L_l27.Delta for f in G.elems)
+    L = lo.build_group_locality(G, L_l27.S, L_l27.Delta, 2)
+    index = G.element_index
+    expected = Counter((L.rule.mask_of(P), index[f]) for P in L_l27.Delta for f in G.elems)
+    assert Counter(calls) == expected
+
+
+def _restrict_outcome(restrict, L, H, Gamma, X):
+    """The content of a restriction, or the class and message it raised."""
+    try:
+        out = restrict(L, H, Gamma, X)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return out.ambient, out.elems, out.Delta, out.S_elems
+
+
+def _assert_germs_match(L, N, R):
+    got = lo._partial_germs(L, N, R)
+    assert got == oracles.fusion_germs_by_perms(L, N, R)
+    return got
+
+
+@pytest.mark.parametrize("name", ["L_s4", "L_sl23", "L_s3xs3"])
+def test_restrict_matches_perm_oracle_on_K_normalizers(name, request):
+    """bN_L^K(X) by masks against the restriction on element sets, for
+    every X <= S and K in {Aut(X), 1} with X fully K-normalized, Gamma the
+    subcentric set of N_F^K(X): the same locality or the same exception
+    and message. The germ search of fusion_of_partial matches the one on
+    element sets on N_L^K(X) and on each restriction."""
+    L = request.getfixturevalue(name)
+    F = fu.fusion_of_group(L.ambient, L.S, L.p)
+    outcomes = Counter()
+    for X in gp.all_subgroups(L.S):
+        for K in (gp.aut_group(X), gp.trivial_aut_group(X)):
+            if not fu.is_fully_K_normalized(F, X, K):
+                continue
+            H = lo.K_normalizer_partial(L, X, K)
+            Gamma = frozenset(P.elems for P in fu.subcentric_set(fu.K_normalizer_subsystem(F, X, K)))
+            got = _restrict_outcome(lo.restrict, L, H, Gamma, X)
+            assert got == _restrict_outcome(oracles.restrict_by_perms, L, H, Gamma, X)
+            outcomes[isinstance(got[0], gp.Subgroup)] += 1
+            _assert_germs_match(L, H, gp.Subgroup(H & L.S_elems))
+            if isinstance(got[0], gp.Subgroup):
+                out = lo.restrict(L, H, Gamma, X)
+                assert _assert_germs_match(out, out.elems, out.S)
+    assert outcomes[True] > 0
+
+
+def _other_sylow(s4):
+    S = gp.sylow_subgroup(s4, 2)
+    g = next(g for g in sorted(s4.elems) if frozenset(x.conj(g) for x in S.elems) != S.elems)
+    return frozenset(x.conj(g) for x in S.elems)
+
+
+def test_restrict_matches_perm_oracle_on_failures(L_s4, L_s3xs3, s4, s3xs3):
+    """The failing restrictions of the three tests above, and one with X
+    outside S, raise the same exception with the same message on masks as
+    on element sets."""
+    Z, other = gp.center(L_s4.S), _other_sylow(s4)
+    cases = [
+        (L_s4, L_s4.elems, [Z.elems], Z, GammaNotClosed),
+        (L_s3xs3, L_s3xs3.elems, [K.elems for K in gp.all_subgroups(L_s3xs3.S)],
+         s3xs3.trivial_subgroup(), Q1Violated),
+        (L_s4, other, [K.elems for K in gp.all_subgroups(gp.Subgroup(L_s4.S_elems & other))],
+         s4.trivial_subgroup(), NotSylow),
+        (L_s4, L_s4.elems, L_s4.Delta, gp.generate_group(perms(4, "(0 1 2)")), Q1Violated),
+    ]
+    for L, H, Gamma, X, error in cases:
+        got = _restrict_outcome(lo.restrict, L, H, Gamma, X)
+        assert got[0] is error
+        assert got == _restrict_outcome(oracles.restrict_by_perms, L, H, Gamma, X)
+
+
+def test_germs_skip_a_base_outside_S(L_s4, s4):
+    """Over another Sylow subgroup as base, only its subgroups inside S are
+    germ sources, on masks as on element sets."""
+    base = gp.Subgroup(_other_sylow(s4))
+    germs = _assert_germs_match(L_s4, L_s4.elems, base)
+    assert germs and all(g.src <= L_s4.S_elems for g in germs)
+
+
+def test_restrict_makes_no_perm_products(monkeypatch, L_l27, L_s4, F_s4):
+    """Once the ambient tables, the subgroup lattices of S and the
+    normalizers are built, restriction is mask and index work: L_l27's
+    locality rebuilt from a fresh one and one bN restriction of a fresh
+    copy of L_s4 multiply and conjugate no Perms and close nothing."""
+    G, S = L_l27.ambient, L_s4.S
+    # a transposition subgroup, fully normalized with N_S(Z) of order 4
+    Z = next(
+        X for X in gp.all_subgroups(S)
+        if X.order == 2 and gp.normalizer(S, X) != S
+        and fu.is_fully_K_normalized(F_s4, X, gp.aut_group(X))
+    )
+    K = gp.aut_group(Z)
+    H = lo.K_normalizer_partial(L_s4, Z, K)
+    Gamma = frozenset(P.elems for P in fu.subcentric_set(fu.K_normalizer_subsystem(F_s4, Z, K)))
+    bn = lo.restrict(L_s4, H, Gamma, Z)  # warms the lattice and normalizer of R
+    assert bn.S_elems < S.elems and any(Z.elems < P for P in Gamma)
+    gp.normalizer(G, L_l27.S)
+    fresh = [
+        lo.Locality(M.ambient, M.elems, M.Delta, M.S_elems, 2) for M in (L_l27, L_s4)
+    ]
+    calls = []
+    for name in ("__mul__", "conj"):
+        real = getattr(Perm, name)
+
+        def spy(self, other, real=real, name=name):
+            calls.append(name)
+            return real(self, other)
+
+        monkeypatch.setattr(Perm, name, spy)
+    real_close = gp.mulclose
+
+    def close(*args, **kwargs):
+        calls.append("mulclose")
+        return real_close(*args, **kwargs)
+
+    for module in (gp, lo):
+        monkeypatch.setattr(module, "mulclose", close)
+    assert lo.restrict(fresh[0], fresh[0].elems, fresh[0].Delta, G.trivial_subgroup()) == L_l27
+    assert lo.restrict(fresh[1], H, Gamma, Z) == bn
+    assert calls == []
 
 
 def test_l27_locality_is_partial(L_l27):
@@ -887,6 +1007,63 @@ def test_survivor_table_matches_conjugation(name, request):
     assert len(rule.survivors) == len(ambient)
     for a, g in enumerate(ambient):
         assert rule.survivors[a] == _mask(rule, [x for x in rule.base if x.conj(g) in rule.base])
+
+
+@pytest.mark.parametrize("name", ["L_s3xs3", "L_l27", "unclosed", "objectivity"])
+def test_conj_pos_matches_conjugation(name, request):
+    """conj_pos[a][i], read off the ambient tables, is the base position of
+    the Perm conjugate of the i-th base element by the a-th ambient element,
+    -1 when it leaves the base; survivors[a] holds the positions that stay."""
+    rule = STRUCTURES[name](request).rule
+    ambient, base = tuple(rule.ambient), rule.base_order
+    assert len(rule.conj_pos) == len(ambient)
+    for a, g in enumerate(ambient):
+        expected = tuple(
+            base.index(x.conj(g)) if x.conj(g) in rule.base else -1 for x in base
+        )
+        assert rule.conj_pos[a] == expected
+        assert rule.survivors[a] == sum(1 << i for i, j in enumerate(expected) if j >= 0)
+
+
+@pytest.mark.parametrize("name", ["L_l27", "unclosed"])
+def test_S_f_mask_matches_definition(name, request):
+    """The S_f mask of every element f of the ambient group holds the x in S
+    with (f^-1, x, f) in the domain and x^f in S; the public S_f is its
+    subgroup, and raises for an f with none, such as one outside L."""
+    P = request.getfixturevalue(name)
+    masks, index = lo._S_f_masks(P), P.ambient.element_index
+    verdicts = Counter()
+    for f in P.ambient:
+        fi = f.inv()
+        expected = frozenset(
+            x for x in P.S_elems if P.in_domain((fi, x, f)) and x.conj(f) in P.S_elems
+        )
+        assert masks[index[f]] == P.rule.mask_of(expected)
+        verdicts[bool(expected)] += 1
+        if expected:
+            assert lo.S_f(P, f).elems == expected
+        else:
+            with pytest.raises(ValueError):
+                lo.S_f(P, f)
+    assert verdicts[True] > 0 and verdicts[False] > 0
+
+
+@pytest.mark.parametrize("name", ["L_l27", "L_s3xs3", "L_s4", "L_sl23"])
+def test_times_cyclic_matches_mulclose(name, request):
+    """R<x> from the cosets R x^k is the closure of R and x, for every
+    p-subgroup R of the ambient group and every x normalizing it."""
+    L = request.getfixturevalue(name)
+    G, index = L.ambient, L.ambient.element_index
+    elems = tuple(G)
+    pool = {frozenset(x.conj(g) for x in P.elems) for P in gp.all_subgroups(L.S) for g in G.elems}
+    grown = 0
+    for R in pool:
+        r = [index[y] for y in R]
+        for x in gp.normalizer(G, gp.Subgroup(R)).elems:
+            got = frozenset(elems[i] for i in lo._times_cyclic(G, r, index[x]))
+            assert got == gp.mulclose(list(R) + [x], cap=G.order)
+            grown += len(got) > len(R)
+    assert grown > 0
 
 
 @pytest.mark.parametrize("name", ["L_s3xs3", "unclosed", "L_l27"])
