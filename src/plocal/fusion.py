@@ -8,15 +8,16 @@ composed with the inclusion of its image into Q, which is the same table.
 This normal form keeps closure computations small while every predicate in
 sight can still quantify over all morphisms exactly.
 
-A system caches what it derives (saturation witness, core, centric and
-subcentric sets, fully K-normalized verdicts per (X, K), K-normalizer
-subsystems per (X, K), and the verdicts of normality and p-power index
-of a smaller system E in it, per E) in its ``_cache``; all of it depends
-only on the content (S, p, germs) of the system and of the key, and
-systems compare by content, so a hit is exact. The K-normalizer
-subsystems of a system, and theirs in turn, are shared by content: they
-and the system they come from hold one table of systems, so equal
-subsystems reached under different (X, K) are one object with one cache.
+A system caches the subgroup lattice of S and what it derives (saturation
+witness, core, centric and subcentric sets, fully K-normalized verdicts
+per (X, K), K-normalizer subsystems per (X, K), and the verdicts of
+normality and p-power index of a smaller system E in it, per E) in its
+``_cache``; all of it depends only on the content (S, p, germs) of the
+system and of the key, and systems compare by content, so a hit is exact.
+The K-normalizer subsystems of a system, and theirs in turn, are shared
+by content: they and the system they come from hold one table of systems,
+so equal subsystems reached under different (X, K) are one object with
+one cache.
 
 External definitions used here and pinned in one place:
 
@@ -51,7 +52,7 @@ from .groups import (
     center,
     conj_injection,
     group_K_normalizer,
-    mulclose,
+    join,
     normalizer,
     op_residual,
     p_part,
@@ -64,7 +65,8 @@ GERM_CAP = 100_000
 
 class FusionSystem:
     """Category over the p-group S, germs grouped by source subgroup; a
-    germ is a :class:`GroupInjection`, a map whose target is its image."""
+    germ is a :class:`GroupInjection`, a map whose target is its image. It
+    owns the lattice of S, handed on by the construction that made it."""
 
     __slots__ = ("S", "p", "germs_by_src", "_all", "_hash", "_cache")
 
@@ -92,7 +94,10 @@ class FusionSystem:
     # -- structure access ---------------------------------------------------
 
     def subgroups(self) -> Tuple[Subgroup, ...]:
-        return all_subgroups(self.S)
+        """The subgroups of S in all_subgroups' canonical order."""
+        if "subgroups" not in self._cache:
+            self._cache["subgroups"] = all_subgroups(self.S)
+        return self._cache["subgroups"]
 
     def all_germs(self) -> FrozenSet[GroupInjection]:
         return self._all
@@ -147,22 +152,28 @@ def subsystem_le(E: FusionSystem, F: FusionSystem) -> bool:
 # constructions
 
 
-def fusion_of_group(G: Subgroup, S: Subgroup, p: int) -> FusionSystem:
-    """F_S(G): morphisms are the conjugations c_g between subgroups of S."""
+def fusion_of_group(
+    G: Subgroup, S: Subgroup, p: int, *, subgroups: Optional[Tuple[Subgroup, ...]] = None
+) -> FusionSystem:
+    """F_S(G): morphisms are the conjugations c_g between subgroups of S.
+    ``subgroups`` is S's lattice, if the caller holds it."""
     if not S.elems <= G.elems:
         raise NotSylow("S is not a subgroup of G")
     if S.order != p_part(G.order, p):
         raise NotSylow(
             "order %d is not the %d-part of %d" % (S.order, p, G.order)
         )
+    subgroups = subgroups or all_subgroups(S)
     germs = set()
-    for P in all_subgroups(S):
+    for P in subgroups:
         pe = P.elems
         for g in G.elems:
             img = frozenset(x.conj(g) for x in pe)
             if img <= S.elems:
                 germs.add(conj_injection(pe, g))
-    return FusionSystem(S, p, germs)
+    out = FusionSystem(S, p, germs)
+    out._cache["subgroups"] = subgroups
+    return out
 
 
 def close_generated(
@@ -170,12 +181,15 @@ def close_generated(
     p: int,
     generators: Iterable[GroupInjection] = (),
     cap: int = GERM_CAP,
+    *, subgroups: Optional[Tuple[Subgroup, ...]] = None,
 ) -> FusionSystem:
     """Smallest fusion system over S containing the generators.
 
     Fixed-point closure of the inner system and the generators under
     restriction, inversion of isomorphisms-onto-image, and composition.
+    ``subgroups`` is as for fusion_of_group.
     """
+    subgroups = subgroups or all_subgroups(S)
     germs: set = set()
     by_src: Dict[FrozenSet[Perm], set] = {}
     by_img: Dict[FrozenSet[Perm], set] = {}
@@ -191,7 +205,7 @@ def close_generated(
         by_img.setdefault(g.image, set()).add(g)
         queue.append(g)
 
-    for P in all_subgroups(S):
+    for P in subgroups:
         for s in S.elems:
             push(conj_injection(P.elems, s))
     for g in generators:
@@ -204,26 +218,19 @@ def close_generated(
                     raise ValueError("generator is not a homomorphism")
         push(g)
 
-    subs_of: Dict[FrozenSet[Perm], Tuple[FrozenSet[Perm], ...]] = {}
-
-    def subgroup_sets(elems: FrozenSet[Perm]) -> Tuple[FrozenSet[Perm], ...]:
-        if elems not in subs_of:
-            subs_of[elems] = tuple(
-                H.elems for H in all_subgroups(Subgroup(elems))
-            )
-        return subs_of[elems]
-
     while queue:
         g = queue.pop()
         push(g.inverse())
-        for sub in subgroup_sets(g.src):
-            if sub != g.src:
-                push(g.restrict(sub))
+        for P in subgroups:
+            if P.elems < g.src:
+                push(g.restrict(P.elems))
         for h in tuple(by_src.get(g.image, ())):
             push(g.then(h))
         for h in tuple(by_img.get(g.src, ())):
             push(h.then(g))
-    return FusionSystem(S, p, germs)
+    out = FusionSystem(S, p, germs)
+    out._cache["subgroups"] = subgroups
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +283,7 @@ def K_normalizer_subsystem(F: FusionSystem, X: Subgroup, K: AutGroup) -> FusionS
     The result is shared by content in the table of systems that F and
     every subsystem derived from it hold (``_cache["systems"]``): an (X, K)
     whose subsystem equals one in the table, F included, gets that object
-    and so its cache.
+    and so its cache. Its lattice is read off F's.
     """
     key = ("NFK", X.elems, K.maps)
     if key in F._cache:
@@ -284,7 +291,7 @@ def K_normalizer_subsystem(F: FusionSystem, X: Subgroup, K: AutGroup) -> FusionS
     if K.base.elems != X.elems:
         raise ValueError("K must consist of automorphisms of X")
     S0 = group_K_normalizer(F.S, X, K)
-    sub_sets = tuple(H.elems for H in all_subgroups(S0))
+    subgroups = tuple(P for P in F.subgroups() if P.elems <= S0.elems)
     xe = X.elems
     germs = set()
     for psi in F.all_germs():
@@ -294,15 +301,16 @@ def K_normalizer_subsystem(F: FusionSystem, X: Subgroup, K: AutGroup) -> FusionS
             continue
         if psi.restrict(xe) not in K.maps:
             continue
-        for pe in sub_sets:
-            if pe <= psi.src:
-                r = psi.restrict(pe)
+        for P in subgroups:
+            if P.elems <= psi.src:
+                r = psi.restrict(P.elems)
                 if r.image <= S0.elems:
                     germs.add(r)
     out = FusionSystem(S0, F.p, germs)
     systems = F._cache.setdefault("systems", {F: F})
     out = systems.setdefault(out, out)
     out._cache.setdefault("systems", systems)
+    out._cache.setdefault("subgroups", subgroups)
     F._cache[key] = out
     return out
 
@@ -421,9 +429,9 @@ def is_strongly_closed(F: FusionSystem, T: Subgroup) -> bool:
 def is_normal_in_fusion(F: FusionSystem, P: Subgroup) -> bool:
     """Every F-morphism extends to one whose source includes P and which
     maps P onto P."""
-    pe = P.elems
+    pe, subgroups = P.elems, F.subgroups()
     for src, germs in F.germs_by_src.items():
-        joined = mulclose(list(src | pe), cap=F.S.order)
+        joined = join(subgroups, src | pe).elems
         extended = {
             psi.restrict(src)
             for psi in F.germs_by_src.get(joined, ())
@@ -511,17 +519,12 @@ def _check_closure(F: FusionSystem, collection: Tuple[Subgroup, ...], name: str)
 
 def hyperfocal_subgroup(F: FusionSystem) -> Subgroup:
     """hyp(F) = < [P, O^p(Aut_F(P))] : P <= S >."""
-    gens = []
+    gens = set()
     for P in F.subgroups():
         res = op_residual(F.aut(P), F.p)
         for alpha in res.maps:
-            for x in P.elems:
-                c = x.inv() * alpha(x)
-                if not c.is_identity():
-                    gens.append(c)
-    if not gens:
-        return F.S.trivial_subgroup()
-    return Subgroup(mulclose(gens, cap=F.S.order))
+            gens.update(x.inv() * alpha(x) for x in P.elems)
+    return join(F.subgroups(), gens)
 
 
 def has_p_power_index(D: FusionSystem, F: FusionSystem) -> bool:
@@ -599,7 +602,7 @@ def is_normal_subsystem(E: FusionSystem, F: FusionSystem) -> bool:
 def _has_extension_property(E: FusionSystem, F: FusionSystem) -> bool:
     T = E.S
     C = centralizer(F.S, T)
-    P0 = mulclose(list(T.elems | C.elems), cap=F.S.order)
+    P0 = join(F.subgroups(), T.elems | C.elems).elems
     Z = center(T)
     for alpha in E.aut(T).maps:
         found = False

@@ -5,8 +5,10 @@ Everything here is exact and exhaustive: groups are small (corpus scale is
 generator-level algorithms. There is one group type, :class:`Subgroup`,
 held as its element set: an ambient group and its subgroups are values of
 the same class. Values are immutable after construction. Subgroup
-lattices are memoized on the element set and are asked for only on
-p-groups and on permutation images of automorphism groups.
+lattices are asked for only on p-groups and on permutation images of
+automorphism groups; S's is kept by the fusion system or locality over S.
+The lattice of R <= S is the members of S's inside R, in the same order,
+and the join of a subset of S the first member holding it (:func:`join`).
 """
 
 from __future__ import annotations
@@ -22,11 +24,6 @@ from .perm import Perm, identity, sorted_elems
 ELEMENT_CAP = 10_000
 SUBGROUP_CAP = 400
 AUT_BASE_CAP = 64
-
-# in-memory cache keyed by the frozen element set (a Perm's length is its
-# degree); module-level on purpose, so equal groups built separately share
-# one enumeration
-_SUBGROUP_CACHE: Dict[FrozenSet[Perm], Tuple["Subgroup", ...]] = {}
 
 
 def mulclose(gens: Iterable[Perm], cap: int = ELEMENT_CAP) -> FrozenSet[Perm]:
@@ -172,13 +169,10 @@ def all_subgroups(G: Subgroup, cap: int = SUBGROUP_CAP) -> Tuple[Subgroup, ...]:
 
     Works bottom-up: all cyclic subgroups, then closure of the lattice under
     joins with cyclic subgroups. Exhaustive because every subgroup is a join
-    of cyclic ones.
+    of cyclic ones. Not kept here: the fusion system or locality over G does.
     """
     if G.order > cap:
         raise CapExceeded("group order %d exceeds subgroup cap %d" % (G.order, cap))
-    hit = _SUBGROUP_CACHE.get(G.elems)
-    if hit is not None:
-        return hit
     cyclics = set()
     for g in G.elems:
         cyclics.add(mulclose([g], cap=G.order))
@@ -196,12 +190,18 @@ def all_subgroups(G: Subgroup, cap: int = SUBGROUP_CAP) -> Tuple[Subgroup, ...]:
                     found.add(J)
                     new.append(J)
         frontier = new
-    out = tuple(
+    return tuple(
         Subgroup(els)
         for els in sorted(found, key=lambda s: (len(s), sorted_elems(s)))
     )
-    _SUBGROUP_CACHE[G.elems] = out
-    return out
+
+
+def join(lattice: Sequence[Subgroup], elems: Iterable[Perm]) -> Optional[Subgroup]:
+    """The first member of a canonically ordered lattice holding elems, or
+    None: for S's lattice and elems inside S, the subgroup they generate,
+    which lies in every member holding them and so comes first."""
+    elems = frozenset(elems)
+    return next((H for H in lattice if elems <= H.elems), None)
 
 
 def normalizer(G: Subgroup, X: Subgroup) -> Subgroup:
@@ -258,20 +258,20 @@ def sylow_subgroup(G: Subgroup, p: int) -> Subgroup:
     P = G.trivial_subgroup()
     while P.order < target:
         N = normalizer(G, P)
-        grown = False
-        for x in sorted_elems(N.elems):
-            if x in P.elems:
-                continue
+        for x in sorted_elems(N.elems - P.elems):
             xp = x
             for _ in range(p - 1):
                 xp = xp * x
             if xp in P.elems:
-                cand = mulclose(list(P.elems) + [x], cap=G.order)
-                if len(cand) == P.order * p:
-                    P = Subgroup(cand)
-                    grown = True
-                    break
-        if not grown:  # cannot happen for a genuine group; guard anyway
+                # x normalizes P, x^p lies in P and x does not, so <P, x> is
+                # the union of the p cosets P x^k, k < p
+                grown, xk = set(P.elems), x
+                for _ in range(p - 1):
+                    grown.update(y * xk for y in P.elems)
+                    xk = xk * x
+                P = Subgroup(frozenset(grown))
+                break
+        else:  # cannot happen for a genuine group; guard anyway
             raise RuntimeError("Sylow growth stalled at order %d" % P.order)
     return P
 

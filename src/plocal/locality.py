@@ -79,7 +79,7 @@ from .groups import (
     aut_group,
     group_K_normalizer,
     is_p_group,
-    mulclose,
+    join,
     normalizer,
     p_part,
     trivial_aut_group,
@@ -150,15 +150,6 @@ class ChainDomain:
             mask &= survivors[u]
         return mask in self.masks
 
-    def group_words_ok(self, P: FrozenSet[Perm]) -> bool:
-        """Every word over the subgroup P is in the domain iff the uniform
-        survivor {x in base : x^u in base for all u in P} is an object."""
-        index, survivors = self.ambient.element_index, self.survivors
-        mask = survivors[0]  # the whole base
-        for u in P:
-            mask &= survivors[index[u]]
-        return mask in self.masks
-
 
 # ---------------------------------------------------------------------------
 # localities
@@ -168,7 +159,8 @@ class Locality:
     """(L, Delta, S): a group-backed partial group with object set Delta
     inside S. Its elements lie in the ambient group, its product is the
     ambient product and its words are decided by ChainDomain(ambient, S,
-    Delta)."""
+    Delta). It owns the lattice of S, handed on by group_locality or
+    restrict."""
 
     __slots__ = (
         "ambient", "elems", "Delta", "S_elems", "p", "rule", "_sorted", "_memo", "_systems"
@@ -203,6 +195,12 @@ class Locality:
     @property
     def S(self) -> Subgroup:
         return Subgroup(self.S_elems)
+
+    def subgroups(self) -> Tuple[Subgroup, ...]:
+        """The subgroups of S in all_subgroups' canonical order."""
+        if "subgroups" not in self._memo:
+            self._memo["subgroups"] = all_subgroups(self.S)
+        return self._memo["subgroups"]
 
     def sorted_elements(self) -> Tuple[Perm, ...]:
         if self._sorted is None:
@@ -283,7 +281,10 @@ def group_locality(G: Subgroup, S: Subgroup, p: int) -> Locality:
     an object, so every word is defined."""
     if S.order != p_part(G.order, p):
         raise NotSylow("S is not a Sylow %d-subgroup of G" % p)
-    return Locality(G, G.elems, (H.elems for H in all_subgroups(S)), S.elems, p)
+    subgroups = all_subgroups(S)
+    out = Locality(G, G.elems, (H.elems for H in subgroups), S.elems, p)
+    out._memo["subgroups"] = subgroups
+    return out
 
 
 def build_group_locality(
@@ -391,7 +392,8 @@ def restrict(
     H = _inside(L, H)
     Gamma = frozenset(frozenset(g) for g in Gamma)
     R = L.S_elems & H
-    r_subs = {K.elems for K in all_subgroups(Subgroup(R))}
+    r_lattice = tuple(K for K in L.subgroups() if K.elems <= R)
+    r_subs = {K.elems for K in r_lattice}
     for P in Gamma:
         if P not in r_subs:
             raise GammaNotClosed("object is not a subgroup of R")
@@ -409,13 +411,11 @@ def restrict(
             img = images[mask[P], a] = _conj_mask(L, mask[P], a)
             if img is not None and not img & ~r_mask and img not in objects:
                 raise GammaNotClosed("not closed under H-conjugation")
-    # (Q1): <P, X> must be an object of L for every P in Gamma: the first
-    # subgroup of S, by order, whose mask holds P and X, if there is one
-    s_subs = [rule.mask_of(K.elems) for K in all_subgroups(L.S)]
-    x, joined_of = rule.mask_of(X.elems), {}
+    # (Q1): <P, X> must be an object of L for every P in Gamma
+    joined_of = {}
     for P in Gamma:
-        want = mask[P] | x
-        joined = joined_of[mask[P]] = next((m for m in s_subs if m & want == want), None)
+        J = join(L.subgroups(), P | X.elems)
+        joined = joined_of[mask[P]] = None if J is None else rule.mask_of(J.elems)
         if joined not in rule.masks:
             raise Q1Violated("<P, X> is not an object for P with |P|=%d" % len(P))
     # (Q2): N_H(P1, P2) <= N_L(<P1,X>, <P2,X>); P2 = P1^f is the one object
@@ -429,7 +429,8 @@ def restrict(
     sf = _S_f_masks(L)
     elems = frozenset(f for f in H if (sf[index[f]] & r_mask) in objects)
     out = Locality(L.ambient, elems, Gamma, R, L.p)
-    if not _is_max_p_subgroup(out, R, L.p):
+    out._memo["subgroups"] = r_lattice
+    if not _is_max_p_subgroup(out):
         raise NotSylow("S cap H is not a maximal p-subgroup of the restriction")
     out._systems = L._systems
     return out
@@ -446,28 +447,25 @@ def _times_cyclic(G: Subgroup, R: Sequence[int], a: int) -> FrozenSet[int]:
     return frozenset(out)
 
 
-def _is_max_p_subgroup(P0: Locality, R: FrozenSet[Perm], p: int) -> bool:
-    """R is a p-subgroup of the partial group P0, maximal among such.
+def _is_max_p_subgroup(P0: Locality) -> bool:
+    """S, the base of P0's rule, is a p-subgroup of the partial group P0 (a
+    subgroup inside P0 with all its words defined), maximal among such.
 
-    A p-subgroup H > R has N_H(R) > R, and a subgroup of H has its words
-    defined when H has, so R is maximal iff no x in N_G(R) cap P0 outside R
-    gives a p-group <R, x> = R<x> inside P0 whose words are all defined.
-    R<x> is read off the ambient product table by _times_cyclic."""
-    if not R <= P0.elems:
+    A p-subgroup H > S has N_H(S) > S, so S is maximal iff no x in N_G(S)
+    cap P0 outside S gives a p-group S<x> inside P0, read off the ambient
+    product table by _times_cyclic. Words need no test: every element of
+    S<x> normalizes S, so its survivor mask, and so the AND of them along
+    any word over S<x> or over S, is the whole base, which is an object
+    (ChainDomain requires it)."""
+    S, G, p = P0.S_elems, P0.ambient, P0.p
+    if not (S <= P0.elems and is_p_group(P0.S, p)):
         return False
-    Rg = Subgroup(R)
-    if not is_p_group(Rg, p):
-        return False
-    if not P0.rule.group_words_ok(R):
-        return False
-    G = P0.ambient
-    index, elems = G.element_index, tuple(G)
-    inside, r = {index[g] for g in P0.elems}, [index[y] for y in R]
-    for x in normalizer(G, Rg).elems & P0.elems - R:
-        H = _times_cyclic(G, r, index[x])
+    index = G.element_index
+    inside, s = {index[g] for g in P0.elems}, [index[y] for y in S]
+    for x in normalizer(G, P0.S).elems & P0.elems - S:
+        H = _times_cyclic(G, s, index[x])
         if len(H) == p_part(len(H), p) and H <= inside:
-            if P0.rule.group_words_ok([elems[i] for i in H]):
-                return False
+            return False
     return True
 
 
@@ -544,12 +542,12 @@ def fusion_of_partial(
     it and with the locality it was restricted from, under two keys: the
     content (L, N, R) of the call, and the closure's input (R, generating
     germs), so that calls that differ in (L, N) but generate the same
-    system close it once and share it.
+    system close it once and share it. The base must lie in N cap S.
     """
     N = _inside(L, N)
     R = base if base is not None else Subgroup(N & L.S_elems)
-    if not R.elems <= N:
-        raise ValueError("base is not inside the partial subgroup")
+    if not R.elems <= N & L.S_elems:
+        raise ValueError("base is not inside the partial subgroup and S")
     table, key = L._systems, (L, N, R.elems)
     hit = table.get(key)
     if hit is None:
@@ -557,7 +555,8 @@ def fusion_of_partial(
         closure = (R.elems, frozenset(germs))
         hit = table.get(closure)
         if hit is None:
-            hit = table[closure] = close_generated(R, L.p, germs)
+            lattice = tuple(P for P in L.subgroups() if P.elems <= R.elems)
+            hit = table[closure] = close_generated(R, L.p, germs, subgroups=lattice)
         table[key] = hit
     return hit
 
@@ -568,7 +567,7 @@ def _partial_germs(L: Locality, N: FrozenSet[Perm], R: Subgroup) -> set:
     bits) becomes one GroupInjection, first met in the order f, then P."""
     rule, index, base = L.rule, L.ambient.element_index, L.rule.base_order
     r_mask = rule.mask_of(R.elems & rule.base)
-    sources = [P.elems for P in all_subgroups(R) if P.elems <= rule.base]
+    sources = [P.elems for P in L.subgroups() if P.elems <= R.elems]
     sources = [(rule.mask_of(P), sorted(map(rule.position.get, P))) for P in sources]
     seen, germs = set(), set()
     for f in N:
@@ -605,13 +604,12 @@ def product_partial(L: Locality, N: FrozenSet[Perm], X: Subgroup) -> FrozenSet[P
 def product_fusion(L: Locality, N: FrozenSet[Perm], X: Subgroup) -> FusionSystem:
     """The product system realized in the locality: F_{TX}(N X)."""
     NX = product_partial(L, N, X)
-    T = N & L.S_elems
-    TX = mulclose(list(T | X.elems), cap=L.ambient.order)
-    if NX & L.S_elems != TX:
+    TX = join(L.subgroups(), (N & L.S_elems) | X.elems)
+    if NX & L.S_elems != TX.elems:
         raise NotPartialSubgroup(
             "N X cap S differs from T X; the product is not well formed"
         )
-    return fusion_of_partial(L, NX, base=Subgroup(TX))
+    return fusion_of_partial(L, NX, base=TX)
 
 
 # ---------------------------------------------------------------------------
@@ -911,16 +909,13 @@ def verify_locality(L: Locality, word_len: int = 3) -> VerificationReport:
     if not pg.passed:
         return fail({"axiom": "partial-group", "inner": pg.witness})
 
-    # S is a p-group and its words are all defined
-    Ssub = L.S
-    if not is_p_group(Ssub, L.p):
+    # S is a p-group (its words are all defined: see _is_max_p_subgroup)
+    if not is_p_group(L.S, L.p):
         return fail({"axiom": "S-p-group"})
-    if not L.rule.group_words_ok(L.S_elems):
-        return fail({"axiom": "S-words-defined"})
 
     # Delta closure under overgroups, L inside D (S_f is empty for an f
     # outside D), then Delta closure under L-conjugation
-    s_subs = {H.elems for H in all_subgroups(Ssub)}
+    s_subs = {H.elems for H in L.subgroups()}
     for d in L.Delta:
         if d not in s_subs:
             return fail({"axiom": "Delta-in-S", "object_order": len(d)})
@@ -950,7 +945,7 @@ def verify_locality(L: Locality, word_len: int = 3) -> VerificationReport:
             return fail({"axiom": "S_f-object", "f": str(f)})
 
     # maximality of S among p-subgroups of L
-    if not _is_max_p_subgroup(L, L.S_elems, L.p):
+    if not _is_max_p_subgroup(L):
         return fail({"axiom": "S-maximal"})
 
     return VerificationReport("locality-axioms", inst, "pass", stats=stats)

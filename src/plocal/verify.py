@@ -471,7 +471,8 @@ def prepare_entry(entry, word_len: int = 3):
         return None, failed_report("Axioms", inst, {"subcentric-locality": rep.witness})
     H = entry.H
     T = Subgroup(S.elems & H.elems)
-    E = fu.fusion_of_group(H, T, p)
+    lattice = tuple(P for P in F.subgroups() if P.elems <= T.elems)
+    E = fu.fusion_of_group(H, T, p, subgroups=lattice)
     if not fu.is_normal_subsystem(E, F):
         return None, failed_report("Axioms", inst, {"subsystem": "F_T(H) not normal in F"})
     # H is normal in G, so H cap L is closed under inverses, defined products
@@ -605,10 +606,10 @@ def _k_sweep(pe: PreparedEntry, X: Subgroup) -> List[Tuple[str, Optional[AutGrou
     return k_options(X, pe.K_descriptors, skip_unfit=not named)
 
 
-def _p_subgroups(G: Subgroup, S: Subgroup) -> Tuple[Subgroup, ...]:
-    """The p-subgroups of G for S a Sylow p-subgroup: by Sylow's theorem the
-    G-conjugates of the subgroups of S, in all_subgroups' canonical order."""
-    found = {frozenset(x.conj(g) for x in P.elems) for P in gp.all_subgroups(S) for g in G.elems}
+def _p_subgroups(G: Subgroup, subgroups: Sequence[Subgroup]) -> Tuple[Subgroup, ...]:
+    """The p-subgroups of G, given those of a Sylow p-subgroup: by Sylow's
+    theorem their G-conjugates, in all_subgroups' canonical order."""
+    found = {frozenset(x.conj(g) for x in P.elems) for P in subgroups for g in G.elems}
     return tuple(Subgroup(e) for e in sorted(found, key=lambda e: (len(e), sorted_elems(e))))
 
 
@@ -643,7 +644,7 @@ def entry_reports(
     # the hypothesis on G, so it is decided once
     if want("Lemma-2.2a") or want("Lemma-2.2b"):
         G_char_p = gp.is_characteristic_p(pe.G, pe.p)
-        for X in _p_subgroups(pe.G, pe.F.S):
+        for X in _p_subgroups(pe.G, pe.F.subgroups()):
             xi = "%s|X=%s" % (name, X.label())
             if want("Lemma-2.2a"):
                 for H in _normalizer_range(pe.G, X):

@@ -387,16 +387,25 @@ def _conj_if_defined(L, P, f):
     return None
 
 
+def group_words_defined(P0, H):
+    """Every word over the subgroup H is in the domain of P0: the prefix
+    products of those words are the elements of H, so this holds iff the
+    base elements x with x^u in the base for every u in H form an object.
+    Conjugated as Perms, apart from the rule's survivor table."""
+    base = P0.S_elems
+    return frozenset(x for x in base if all(x.conj(u) in base for u in H)) in P0.Delta
+
+
 def max_p_subgroup_by_perms(P0, R, p):
     """R a maximal p-subgroup of the partial group P0, growing R<x> by
     mulclose over each x in N_G(R) cap P0 outside R."""
     from plocal.groups import mulclose, normalizer
 
-    if not R <= P0.elems or not is_p_power(len(R), p) or not P0.rule.group_words_ok(R):
+    if not R <= P0.elems or not is_p_power(len(R), p) or not group_words_defined(P0, R):
         return False
     for x in normalizer(P0.ambient, Subgroup(R)).elems & P0.elems - R:
         H = mulclose(list(R) + [x], cap=P0.ambient.order)
-        if is_p_power(len(H), p) and H <= P0.elems and P0.rule.group_words_ok(H):
+        if is_p_power(len(H), p) and H <= P0.elems and group_words_defined(P0, H):
             return False
     return True
 

@@ -9,8 +9,11 @@ A run builds the subgroup lattice of a p-group or of the permutation image
 of an automorphism group (``AutGroup.sub_autgroups``), never of an ambient
 group: the p-subgroups of G are the G-conjugates of the subgroups of S, the
 groups between C_G(X) and N_G(X) are K-normalizers, and maximality grows a
-p-subgroup inside its normalizer. A spy on ``groups.all_subgroups`` in
-every module that binds it holds the runs to that.
+p-subgroup inside its normalizer. Nor does it build the lattice of a
+proper subgroup of S: each fusion system and locality over S keeps S's
+lattice, and the lattices of its subgroups are read off it. A spy on
+``groups.all_subgroups`` in every module that binds it holds the runs to
+that.
 """
 
 import hashlib
@@ -31,12 +34,12 @@ L27_SHA256 = "d8c7946c67aeb2d1884b519abe05008206d233053cb93be3a6396f35ced67a42"
 
 @contextmanager
 def _lattice_spy():
-    """Record (calling function, group order) for each all_subgroups call."""
+    """Record (calling function, group) for each all_subgroups call."""
     calls = []
     real = gp.all_subgroups
 
     def spy(G, *args, **kwargs):
-        calls.append((sys._getframe(1).f_code.co_name, G.order))
+        calls.append((sys._getframe(1).f_code.co_name, G))
         return real(G, *args, **kwargs)
 
     with pytest.MonkeyPatch.context() as mp:
@@ -53,7 +56,7 @@ def _prime_power(n):
 def _ambient_lattices(calls):
     """The calls made on a group that is not a p-group, other than those
     on the image of an automorphism group."""
-    return [(caller, order) for caller, order in calls if caller != "sub_autgroups" and not _prime_power(order)]
+    return [(caller, G.order) for caller, G in calls if caller != "sub_autgroups" and not _prime_power(G.order)]
 
 
 def test_default_corpus_builds_no_ambient_lattice():
@@ -63,6 +66,23 @@ def test_default_corpus_builds_no_ambient_lattice():
     assert any(caller == "sub_autgroups" for caller, _ in calls)
     assert any(caller != "sub_autgroups" for caller, _ in calls)
     assert _ambient_lattices(calls) == []
+
+
+def test_s4_a4_builds_no_lattice_below_S():
+    """Preparing and checking s4_a4 asks all_subgroups for S and never for a
+    proper subgroup of S, though E lives on the four-group T = S cap A4 and
+    the restrictions and product systems on other subgroups of S. The image
+    of Aut(C4) acts on 4 points and can be a subgroup of S as a set of
+    Perms, so the calls of sub_autgroups are left out."""
+    (entry,) = [e for e in cli.parse_corpus(cli.default_corpus_text()) if e.name == "s4_a4"]
+    with _lattice_spy() as calls:
+        pe, axioms = vf.prepare_entry(entry)
+        reports = vf.entry_reports(pe)
+    assert axioms.passed and reports and not any(r.failed for r in reports)
+    S = pe.F.S.elems
+    assert pe.E.S.elems < S
+    assert [G for _, G in calls if G.elems == S]
+    assert [G.order for caller, G in calls if caller != "sub_autgroups" and G.elems < S] == []
 
 
 @pytest.fixture(scope="module")
@@ -89,5 +109,5 @@ def test_l27_report_is_pinned(l27_run):
 @pytest.mark.slow
 def test_l27_builds_no_ambient_lattice(l27_run):
     _, _, calls = l27_run
-    assert any(caller == "sub_autgroups" and order > 1 for caller, order in calls)
+    assert any(caller == "sub_autgroups" and G.order > 1 for caller, G in calls)
     assert _ambient_lattices(calls) == []

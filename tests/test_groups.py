@@ -81,6 +81,38 @@ def test_all_subgroups_cap(s4):
         gp.all_subgroups(gp.Subgroup(s4.elems), cap=10)
 
 
+def _corpus_sylows():
+    """(G, S) for the default corpus's four groups at their primes and for
+    PSL(2,7) at p = 2, S a Sylow p-subgroup of G."""
+    from plocal import cli
+
+    groups = [(e.G, e.p) for e in cli.parse_corpus(cli.default_corpus_text())]
+    groups.append((gp.generate_group(perms(7, "(0 1 2 3 4 5 6)", "(0 1)(2 5)")), 2))
+    return [(G, gp.sylow_subgroup(G, p)) for G, p in groups]
+
+
+def test_lattice_filter_is_the_lattice_of_a_subgroup():
+    """The members of S's lattice inside a subgroup R are R's lattice, in
+    all_subgroups' order: the sub-lattices read off S's are exact."""
+    for _, S in _corpus_sylows():
+        lattice = gp.all_subgroups(S)
+        for R in lattice:
+            assert tuple(H for H in lattice if H.elems <= R.elems) == gp.all_subgroups(R)
+
+
+def test_join_is_the_generated_subgroup():
+    """join over S's lattice is <P, Q> for every pair of subgroups P, Q of
+    S, and None for an element outside S."""
+    for G, S in _corpus_sylows():
+        lattice = gp.all_subgroups(S)
+        for P in lattice:
+            for Q in lattice:
+                both = P.elems | Q.elems
+                assert gp.join(lattice, both).elems == gp.mulclose(both, cap=S.order)
+        for g in sorted(G.elems - S.elems)[:1]:  # none where G = S
+            assert gp.join(lattice, [g]) is None
+
+
 # -- Sylow / O_p / characteristic p ----------------------------------------
 
 

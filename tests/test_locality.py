@@ -225,23 +225,46 @@ def L_sl23(sl23, F_sl23):
 
 @pytest.mark.parametrize("name", ["L_l27", "L_s3xs3", "L_s4", "L_sl23"])
 def test_maximality_by_normalizer_growth_matches_definition(name, request):
-    """R is a maximal p-subgroup of L, decided by growing R inside its
-    normalizer, iff R lies in L with its words defined and no p-subgroup
-    H > R of G lies in L with its words defined. The R and H range over
+    """The base R of a locality is a maximal p-subgroup, decided by growing R
+    inside its normalizer, iff R lies in L with its words defined and no
+    p-subgroup H > R of G lies in L with its words defined, words defined
+    being decided from survivor sets by Perm conjugation. The H range over
     every p-subgroup of G, taken as the G-conjugates of the subgroups of S,
-    not from G's subgroup lattice. In SL(2,3) the normalizer of S holds
-    elements of order 3, which give no p-group."""
+    not from G's subgroup lattice. Checked on the fixture, on each bN_L^K(X)
+    for K in {Aut(X), 1} and X fully K-normalized, and, where S is not
+    normal, on R = S cap S^g as the base of the elements of S^g, which is
+    not maximal. In SL(2,3) the normalizer of S holds elements of order 3,
+    which give no p-group. The trivial subgroup is not an object of
+    L_s3xs3, so (Q1) fails at X = 1, whose Gamma holds it."""
     L = request.getfixturevalue(name)
     G, p = L.ambient, L.p
     pool = {frozenset(x.conj(g) for x in P.elems) for P in gp.all_subgroups(L.S) for g in G.elems}
+    F = fu.fusion_of_group(G, L.S, p)
+    structures = [L]
+    for X in F.subgroups():
+        for K in (gp.aut_group(X), gp.trivial_aut_group(X)):
+            if fu.is_fully_K_normalized(F, X, K):
+                try:
+                    structures.append(lo.bN_K(L, F, X, K))
+                except Q1Violated:
+                    pass
+    other = next((H for H in pool if len(H) == len(L.S_elems) and H != L.S_elems), None)
+    if other is not None:
+        R = L.S_elems & other
+        Gamma = [K.elems for K in gp.all_subgroups(L.S) if K.elems <= R]
+        structures.append(lo.Locality(G, other, Gamma, R, p))
 
-    def in_L(H):
-        return H <= L.elems and L.rule.group_words_ok(H)
+    def in_L(M, H):
+        return H <= M.elems and oracles.group_words_defined(M, H)
 
-    verdicts = {R: lo._is_max_p_subgroup(L, R, p) for R in pool}
-    assert verdicts == {R: in_L(R) and not any(R < H and in_L(H) for H in pool) for R in pool}
-    assert verdicts[L.S_elems]
-    assert not all(verdicts[R] for R in pool if R < L.S_elems)
+    verdicts = Counter()
+    for M in structures:
+        R = M.S_elems
+        expected = in_L(M, R) and not any(R < H and in_L(M, H) for H in pool)
+        assert lo._is_max_p_subgroup(M) == expected
+        verdicts[expected] += 1
+    assert verdicts[True] == len(structures) - (other is not None) > 1
+    assert verdicts[False] == (other is not None)
 
 
 def test_restrict_conjugates_each_object_once(monkeypatch, L_l27):
@@ -337,10 +360,11 @@ def test_germs_skip_a_base_outside_S(L_s4, s4):
 
 
 def test_restrict_makes_no_perm_products(monkeypatch, L_l27, L_s4, F_s4):
-    """Once the ambient tables, the subgroup lattices of S and the
-    normalizers are built, restriction is mask and index work: L_l27's
+    """Once the ambient tables, the localities' subgroup lattices of S and
+    the normalizers are built, restriction is mask and index work: L_l27's
     locality rebuilt from a fresh one and one bN restriction of a fresh
-    copy of L_s4 multiply and conjugate no Perms and close nothing."""
+    copy of L_s4 multiply and conjugate no Perms and close nothing; the
+    lattice of R is read off S's."""
     G, S = L_l27.ambient, L_s4.S
     # a transposition subgroup, fully normalized with N_S(Z) of order 4
     Z = next(
@@ -351,12 +375,14 @@ def test_restrict_makes_no_perm_products(monkeypatch, L_l27, L_s4, F_s4):
     K = gp.aut_group(Z)
     H = lo.K_normalizer_partial(L_s4, Z, K)
     Gamma = frozenset(P.elems for P in fu.subcentric_set(fu.K_normalizer_subsystem(F_s4, Z, K)))
-    bn = lo.restrict(L_s4, H, Gamma, Z)  # warms the lattice and normalizer of R
+    bn = lo.restrict(L_s4, H, Gamma, Z)  # warms the normalizer of R
     assert bn.S_elems < S.elems and any(Z.elems < P for P in Gamma)
     gp.normalizer(G, L_l27.S)
     fresh = [
         lo.Locality(M.ambient, M.elems, M.Delta, M.S_elems, 2) for M in (L_l27, L_s4)
     ]
+    for M in fresh:
+        M.subgroups()
     calls = []
     for name in ("__mul__", "conj"):
         real = getattr(Perm, name)
@@ -372,8 +398,7 @@ def test_restrict_makes_no_perm_products(monkeypatch, L_l27, L_s4, F_s4):
         calls.append("mulclose")
         return real_close(*args, **kwargs)
 
-    for module in (gp, lo):
-        monkeypatch.setattr(module, "mulclose", close)
+    monkeypatch.setattr(gp, "mulclose", close)
     assert lo.restrict(fresh[0], fresh[0].elems, fresh[0].Delta, G.trivial_subgroup()) == L_l27
     assert lo.restrict(fresh[1], H, Gamma, Z) == bn
     assert calls == []
@@ -513,9 +538,9 @@ def test_fusion_of_partial_shared_by_restrictions(monkeypatch, s4, F_s4, E_s4, N
     closed = []
     real = lo.close_generated
 
-    def spy(R, *args):
+    def spy(R, *args, **kwargs):
         closed.append(R.elems)
-        return real(R, *args)
+        return real(R, *args, **kwargs)
 
     monkeypatch.setattr(lo, "close_generated", spy)
     one = s4.trivial_subgroup()

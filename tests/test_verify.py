@@ -89,7 +89,7 @@ def test_lemma22_sweep_matches_lattice_filters(name, p):
     order, *gens = SWEEP_GROUPS[name]
     G = gp.generate_group(perms(*gens))
     assert G.order == order
-    Xs = vf._p_subgroups(G, gp.sylow_subgroup(G, p))
+    Xs = vf._p_subgroups(G, gp.all_subgroups(gp.sylow_subgroup(G, p)))
     assert Xs == oracles.p_subgroups_by_lattice(G, p)
     for X in Xs:
         Hs = vf._normalizer_range(G, X)
@@ -453,10 +453,10 @@ def default_corpus_recorded():
     closures, verdicts = [], []
     real_close = fu.close_generated
 
-    def close(S, p, generators=(), cap=fu.GERM_CAP):
+    def close(S, p, generators=(), cap=fu.GERM_CAP, **kwargs):
         generators = frozenset(generators)
         closures[-1].append((S.elems, generators))
-        return real_close(S, p, generators, cap)
+        return real_close(S, p, generators, cap, **kwargs)
 
     def recorded(real):
         def wrapper(*args):
