@@ -76,11 +76,11 @@ class CorpusEntry:
                 gens = [perm_from_cycles(s, self.degree) for s in _split_cycles(spec)]
             except ValueError as exc:
                 raise CorpusParseError("entry %s: X=%s: %s" % (self.name, spec, exc))
-            X = G.generated_subgroup(gens)
-            if not X.elems <= S.elems:
+            if not set(gens) <= S.elems:
                 raise CorpusParseError(
                     "entry %s: X=%s is not inside the Sylow subgroup" % (self.name, spec)
                 )
+            X = S.generated_subgroup(gens)
             if X not in out:
                 out.append(X)
         return tuple(out)

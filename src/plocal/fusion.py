@@ -50,10 +50,10 @@ from .groups import (
     aut_induced,
     centralizer,
     center,
-    conj_injection,
     group_K_normalizer,
     join,
     normalizer,
+    normalizer_action,
     op_residual,
     p_part,
     trivial_aut_group,
@@ -122,7 +122,7 @@ class FusionSystem:
         """The F-conjugacy class of P, canonically ordered."""
         images = {g.image for g in self.germs_from(P)}
         images.add(P.elems)
-        return tuple(Subgroup(e) for e in sorted(images, key=sorted_elems))
+        return tuple(Subgroup(e, self.S) for e in sorted(images, key=sorted_elems))
 
     def __eq__(self, other):
         return (
@@ -164,16 +164,21 @@ def fusion_of_group(
             "order %d is not the %d-part of %d" % (S.order, p, G.order)
         )
     subgroups = subgroups or all_subgroups(S)
-    germs = set()
-    for P in subgroups:
-        pe = P.elems
-        for g in G.elems:
-            img = frozenset(x.conj(g) for x in pe)
-            if img <= S.elems:
-                germs.add(conj_injection(pe, g))
-    out = FusionSystem(S, p, germs)
+    out = FusionSystem(S, p, _conjugation_germs(G, S, subgroups))
     out._cache["subgroups"] = subgroups
     return out
+
+
+def _conjugation_germs(G: Subgroup, S: Subgroup, subgroups: Tuple[Subgroup, ...]) -> set:
+    """The maps c_g on P for g in G and P in subgroups with P^g inside S,
+    read off the conjugation table of G's home."""
+    conj, elems, inside = G.home.conj_table, tuple(G.home), set(G.indexes(S))
+    return {
+        GroupInjection((elems[x], elems[conj[a][x]]) for x in xs)
+        for xs in map(G.indexes, subgroups)
+        for a in G.indexes(G)
+        if all(conj[a][x] in inside for x in xs)
+    }
 
 
 def close_generated(
@@ -205,17 +210,16 @@ def close_generated(
         by_img.setdefault(g.image, set()).add(g)
         queue.append(g)
 
-    for P in subgroups:
-        for s in S.elems:
-            push(conj_injection(P.elems, s))
+    for g in _conjugation_germs(S, S, subgroups):  # the inner system
+        push(g)
     for g in generators:
         if not (g.src <= S.elems and g.image <= S.elems):
             raise ValueError("generator does not live inside S")
         # validate the homomorphism property of user-supplied generators
-        for x in g.src:
-            for y in g.src:
-                if g(x * y) != g(x) * g(y):
-                    raise ValueError("generator is not a homomorphism")
+        pairs, mul = list(map(S.indexes, g.pairs)), S.home.mul_table
+        table = dict(pairs)
+        if any(table[mul[x][y]] != mul[a][b] for x, a in pairs for y, b in pairs):
+            raise ValueError("generator is not a homomorphism")
         push(g)
 
     while queue:
@@ -242,8 +246,8 @@ def is_fully_K_normalized(F: FusionSystem, X: Subgroup, K: AutGroup) -> bool:
     with K^phi = phi^-1 K phi. Kept in F's cache per (X, K).
 
     K^phi is never built: c_g lies in K^phi exactly when phi c_g phi^-1,
-    x |-> ((x phi)^g) phi^-1, lies in K, which is tested in K's permutation
-    image as :func:`group_K_normalizer` does.
+    x |-> ((x phi)^g) phi^-1, lies in K: its image (:func:`_pulled_back`)
+    is tested in K's permutation image as :func:`group_K_normalizer` does.
     """
     if K.base.elems != X.elems:
         raise ValueError("K must consist of automorphisms of X")
@@ -253,13 +257,9 @@ def is_fully_K_normalized(F: FusionSystem, X: Subgroup, K: AutGroup) -> bool:
     if key in F._cache:
         return F._cache[key]
     n0 = group_K_normalizer(F.S, X, K).order
-    order, index, perms = K.base_order, K.base_index, K.perms
     verdict = True
     for phi in F.germs_from(X):
-        back = {y: x for x, y in phi.pairs}
-        moved = [phi(x) for x in order]
-        N = normalizer(F.S, Subgroup(phi.image)).elems
-        n = sum(1 for g in N if tuple(index[back[y.conj(g)]] for y in moved) in perms)
+        n = sum(1 for image in _pulled_back(F, phi.inverse()).values() if image in K.perms)
         if n > n0:
             verdict = False
             break
@@ -383,16 +383,25 @@ def saturation_failure(F: FusionSystem) -> Optional[dict]:
     return witness
 
 
+def _pulled_back(F: FusionSystem, psi: GroupInjection) -> Dict[Perm, Tuple[int, ...]]:
+    """For psi: Y -> Z, each g in N_S(Y) mapped to the permutation image of
+    psi^-1 c_g psi, z |-> ((z psi^-1)^g) psi, on Z's sorted elements: the
+    action of g on Y (:func:`normalizer_action`) carried through psi."""
+    Y = Subgroup(psi.src, F.S)
+    # to[j]: the position in sorted Z of psi(y_j), y_j the j-th of sorted Y
+    position = {z: k for k, z in enumerate(sorted_elems(psi.image))}
+    to = [position[psi(y)] for y in Y]
+    fro = sorted(range(len(to)), key=to.__getitem__)
+    action = normalizer_action(F.S, Y)
+    return {g: tuple(to[image[j]] for j in fro) for g, image in action.items()}
+
+
 def _extension_control_group(F: FusionSystem, phi: GroupInjection, autS_P: AutGroup) -> Subgroup:
     """N_phi = {g in N_S(Q) : phi^-1 c_g phi in Aut_S(P)} for phi: Q -> P,
-    with phi^-1 c_g phi, y |-> ((y phi^-1)^g) phi, tested in the
-    permutation image of Aut_S(P)."""
-    index, perms = autS_P.base_index, autS_P.perms
-    back = {y: x for x, y in phi.pairs}
-    pulled = [back[y] for y in autS_P.base_order]
-    NQ = normalizer(F.S, Subgroup(phi.src)).elems
+    tested in the permutation image of Aut_S(P)."""
+    perms = autS_P.perms
     return Subgroup(
-        frozenset(g for g in NQ if tuple(index[phi(x.conj(g))] for x in pulled) in perms)
+        frozenset(g for g, image in _pulled_back(F, phi).items() if image in perms), F.S
     )
 
 
@@ -519,12 +528,13 @@ def _check_closure(F: FusionSystem, collection: Tuple[Subgroup, ...], name: str)
 
 def hyperfocal_subgroup(F: FusionSystem) -> Subgroup:
     """hyp(F) = < [P, O^p(Aut_F(P))] : P <= S >."""
+    mul, inv, elems = F.S.home.mul_table, F.S.home.inv_table, tuple(F.S.home)
     gens = set()
     for P in F.subgroups():
         res = op_residual(F.aut(P), F.p)
         for alpha in res.maps:
-            gens.update(x.inv() * alpha(x) for x in P.elems)
-    return join(F.subgroups(), gens)
+            gens.update(mul[inv[x]][y] for x, y in map(F.S.indexes, alpha.pairs))
+    return join(F.subgroups(), map(elems.__getitem__, gens))
 
 
 def has_p_power_index(D: FusionSystem, F: FusionSystem) -> bool:
@@ -553,7 +563,7 @@ def conjugate_fusion(E: FusionSystem, alpha: GroupInjection) -> FusionSystem:
         src_moved = frozenset(alpha(x) for x in g.src)
         germs.append(inv.restrict(src_moved).then(g).then(alpha.restrict(g.image)))
     base = frozenset(alpha(x) for x in E.S.elems)
-    return FusionSystem(Subgroup(base), E.p, germs)
+    return FusionSystem(Subgroup(base, E.S), E.p, germs)
 
 
 def is_weakly_normal(E: FusionSystem, F: FusionSystem) -> bool:
@@ -603,13 +613,14 @@ def _has_extension_property(E: FusionSystem, F: FusionSystem) -> bool:
     T = E.S
     C = centralizer(F.S, T)
     P0 = join(F.subgroups(), T.elems | C.elems).elems
-    Z = center(T)
+    mul, inv, Z = F.S.home.mul_table, F.S.home.inv_table, set(F.S.indexes(center(T)))
     for alpha in E.aut(T).maps:
         found = False
         for psi in F.germs_by_src.get(P0, ()):
             if psi.restrict(T.elems) != alpha:
                 continue
-            if all(c.inv() * psi(c) in Z.elems for c in C.elems):
+            moved = map(F.S.indexes, psi.restrict(C.elems).pairs)
+            if all(mul[inv[c]][m] in Z for c, m in moved):
                 found = True
                 break
         if not found:

@@ -1,18 +1,27 @@
 """Finite permutation groups with full element enumeration.
 
 Everything here is exact and exhaustive: groups are small (corpus scale is
-|G| <= 72) and every operation enumerates elements rather than using
-generator-level algorithms. There is one group type, :class:`Subgroup`,
-held as its element set: an ambient group and its subgroups are values of
-the same class. Values are immutable after construction. Subgroup
-lattices are asked for only on p-groups and on permutation images of
-automorphism groups; S's is kept by the fusion system or locality over S.
-The lattice of R <= S is the members of S's inside R, in the same order,
-and the join of a subset of S the first member holding it (:func:`join`).
+|G| <= 72) and every operation enumerates elements. There is one group
+type, :class:`Subgroup`, held as its element set: an ambient group and its
+subgroups are values of the same class, immutable after construction.
+
+Products and conjugates are read off integer tables over the sorted
+elements of a group's *home*: the group it was found in, or itself when
+built alone (a corpus group, the permutation image of an automorphism
+group). A normalizer, a Sylow subgroup or a lattice member names its
+home, so no table is built for it. A home also keeps, per X, N_G(X) and
+its action on X: the one test of "g normalizes X".
+
+Subgroup lattices are asked for only on p-groups and on permutation images
+of automorphism groups; S's is kept by the fusion system or locality over
+S. The lattice of R <= S is the members of S's inside R, in the same
+order, and the join of a subset of S the first member holding it
+(:func:`join`).
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import gcd
@@ -27,40 +36,42 @@ AUT_BASE_CAP = 64
 
 
 def mulclose(gens: Iterable[Perm], cap: int = ELEMENT_CAP) -> FrozenSet[Perm]:
-    """Closure of a generator set under products (orbit of the identity)."""
+    """Closure of a generator set under products (orbit of the identity),
+    for groups given by generators: corpus groups and K descriptors."""
     gens = list(gens)
     if not gens:
         raise ValueError("need at least one generator")
-    deg = gens[0].degree
-    els = {identity(deg)}
-    frontier = [identity(deg)]
+    els = frontier = {identity(gens[0].degree)}
     while frontier:
-        new = []
-        for a in frontier:
-            for g in gens:
-                c = a * g
-                if c not in els:
-                    els.add(c)
-                    if len(els) > cap:
-                        raise CapExceeded("closure exceeded cap %d" % cap)
-                    new.append(c)
-        frontier = new
+        frontier = {a * g for a in frontier for g in gens} - els
+        els = els | frontier
+        if len(els) > cap:
+            raise CapExceeded("closure exceeded cap %d" % cap)
     return frozenset(els)
+
+
+def _close(mul: Sequence[Sequence[int]], gens: Iterable[int]) -> FrozenSet[int]:
+    """The indexes of the subgroup generated by the elements with indexes
+    gens, closed on a product table (the identity has index 0)."""
+    gens, out = tuple(set(gens)), frozenset([0])
+    frontier = out
+    while frontier:
+        frontier = {mul[a][g] for a in frontier for g in gens} - out
+        out |= frontier
+    return out
 
 
 @dataclass(frozen=True)
 class Subgroup:
     """A finite permutation group, held as its element set.
 
-    This is the one group type: a whole group and each of its subgroups are
-    values of it, and two are equal exactly when their elements are,
-    whatever group they were found in. The sorted element tuple, the
-    identity, the element tables (index, products, inverses) and the
-    normalizers N_G(X) asked for, one per X, are computed on first use
-    and kept.
+    Two are equal exactly when their elements are, whatever group they
+    were found in: ``ambient``, the group whose tables this one reads (see
+    :attr:`home`), takes no part in equality.
     """
 
     elems: FrozenSet[Perm]
+    ambient: Optional["Subgroup"] = field(default=None, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "elems", frozenset(self.elems))
@@ -70,6 +81,14 @@ class Subgroup:
         # and every subgroup built anywhere pays for it
         if len(set(map(len, self.elems))) != 1:
             raise DegreeMismatch("mixed degrees in element set")
+        if self.ambient is not None:
+            object.__setattr__(self, "ambient", self.ambient.home)
+
+    @property
+    def home(self) -> "Subgroup":
+        """The group whose tables this one reads: its ambient's home, or
+        itself when it has no ambient."""
+        return self if self.ambient is None else self.ambient
 
     @property
     def degree(self) -> int:
@@ -83,17 +102,19 @@ class Subgroup:
     def _sorted(self) -> Tuple[Perm, ...]:
         return sorted_elems(self.elems)
 
+    # The tables below are built on first use and read through ``home``:
+    # they name elements by their index in the sorted element tuple, so index
+    # order is element order.
+
     @cached_property
     def element_index(self) -> Dict[Perm, int]:
-        """Position of each element in the sorted element tuple; the
-        tables below name elements by these indexes."""
+        """Position of each element in the sorted element tuple."""
         return {x: i for i, x in enumerate(self._sorted)}
 
     @cached_property
     def mul_table(self) -> Tuple[Tuple[int, ...], ...]:
         """mul_table[i][j] is the index of the product of the i-th and the
-        j-th element. Products are composed as plain tuples, so building
-        the table leaves Perm's product memo alone."""
+        j-th element, composed as plain tuples."""
         index, elems = self.element_index, self._sorted
         return tuple(
             tuple(index[tuple(map(b.__getitem__, a))] for b in elems) for a in elems
@@ -106,9 +127,31 @@ class Subgroup:
         return tuple(row.index(0) for row in self.mul_table)
 
     @cached_property
-    def _normalizers(self) -> Dict[FrozenSet[Perm], "Subgroup"]:
-        """N_G(X) for G = self, per X.elems, filled by :func:`normalizer`."""
+    def conj_table(self) -> Tuple[Tuple[int, ...], ...]:
+        """conj_table[a][i] is the index of x^a = a^-1 x a for x the i-th
+        and a the a-th element, read off the product and inverse tables."""
+        mul, inv = self.mul_table, self.inv_table
+        return tuple(tuple(mul[b][a] for b in mul[inv[a]]) for a in range(len(mul)))
+
+    @cached_property
+    def _normalizers(self) -> Dict[FrozenSet[Perm], tuple]:
+        """Per X.elems, for G = self a home: N_G(X) and its action on X,
+        each g mapped to the permutation image of c_g on X's sorted
+        elements; filled by :func:`normalizer_action`."""
         return {}
+
+    def indexes(self, elems: Iterable[Perm]) -> List[int]:
+        """The home indexes of elems, in their order; ValueError for an
+        element outside the home."""
+        try:
+            return list(map(self.home.element_index.__getitem__, elems))
+        except KeyError:
+            raise ValueError("element outside the group's home") from None
+
+    def from_indexes(self, indexes: Iterable[int]) -> "Subgroup":
+        """The subgroup of the home with these home indexes."""
+        elems = self.home._sorted
+        return Subgroup(frozenset(elems[i] for i in indexes), self)
 
     @property
     def order(self) -> int:
@@ -124,13 +167,11 @@ class Subgroup:
         return len(self.elems)
 
     def trivial_subgroup(self) -> "Subgroup":
-        return Subgroup(frozenset([self.identity]))
+        return Subgroup(frozenset([self.identity]), self)
 
     def generated_subgroup(self, gens: Iterable[Perm]) -> "Subgroup":
-        gens = list(gens)
-        if not gens:
-            return self.trivial_subgroup()
-        return Subgroup(mulclose(gens, cap=self.order))
+        """The subgroup generated by elements of this group."""
+        return self.from_indexes(_close(self.home.mul_table, self.indexes(gens)))
 
     def is_normal_in(self, other: "Subgroup") -> bool:
         return normalizer(other, self) == other
@@ -150,50 +191,28 @@ def generate_group(gens: Iterable[Perm], cap: int = ELEMENT_CAP) -> Subgroup:
     return Subgroup(mulclose(gens, cap=cap))
 
 
-def _generating_sequence(elems: FrozenSet[Perm]) -> Tuple[Perm, ...]:
-    """Small (greedy, deterministic) generating sequence for a subgroup."""
-    deg = next(iter(elems)).degree
-    gens: List[Perm] = []
-    closure = frozenset([identity(deg)])
-    for x in sorted_elems(elems):
-        if x not in closure:
-            gens.append(x)
-            closure = mulclose(gens, cap=len(elems))
-            if len(closure) == len(elems):
-                break
-    return tuple(gens)
-
-
 def all_subgroups(G: Subgroup, cap: int = SUBGROUP_CAP) -> Tuple[Subgroup, ...]:
     """Every subgroup of G, canonically ordered (order, then element list).
 
-    Works bottom-up: all cyclic subgroups, then closure of the lattice under
-    joins with cyclic subgroups. Exhaustive because every subgroup is a join
-    of cyclic ones. Not kept here: the fusion system or locality over G does.
+    Works bottom-up on the home's product table: all cyclic subgroups, then
+    closure of the lattice under joins with cyclic subgroups. Exhaustive
+    because every subgroup is a join of cyclic ones. Not kept here: the
+    fusion system or locality over G does.
     """
     if G.order > cap:
         raise CapExceeded("group order %d exceeds subgroup cap %d" % (G.order, cap))
-    cyclics = set()
-    for g in G.elems:
-        cyclics.add(mulclose([g], cap=G.order))
-    found = set(cyclics)
-    found.add(frozenset([G.identity]))
-    frontier = list(found)
-    while frontier:
-        new = []
-        for H in frontier:
-            for C in cyclics:
-                if C <= H:
-                    continue
-                J = mulclose(list(H | C), cap=G.order)
-                if J not in found:
-                    found.add(J)
-                    new.append(J)
-        frontier = new
-    return tuple(
-        Subgroup(els)
-        for els in sorted(found, key=lambda s: (len(s), sorted_elems(s)))
-    )
+    # each subgroup found, with a generating tuple; the queue grows as it is read
+    mul, found = G.home.mul_table, {}
+    for a in G.indexes(G):
+        found.setdefault(_close(mul, (a,)), (a,))
+    cyclics, queue = list(found.items()), list(found)
+    for H in queue:
+        for C, c in cyclics:
+            if not C <= H and (J := _close(mul, found[H] + c)) not in found:
+                found[J] = found[H] + c
+                queue.append(J)
+    # index order is element order, so sorted indexes order as sorted elements
+    return tuple(G.from_indexes(H) for H in sorted(found, key=lambda H: (len(H), sorted(H))))
 
 
 def join(lattice: Sequence[Subgroup], elems: Iterable[Perm]) -> Optional[Subgroup]:
@@ -204,21 +223,36 @@ def join(lattice: Sequence[Subgroup], elems: Iterable[Perm]) -> Optional[Subgrou
     return next((H for H in lattice if elems <= H.elems), None)
 
 
-def normalizer(G: Subgroup, X: Subgroup) -> Subgroup:
-    """N_G(X) = {g : X^g = X}, kept on G per X."""
-    xe = X.elems
-    hit = G._normalizers.get(xe)
+def normalizer_action(G: Subgroup, X: Subgroup) -> Dict[Perm, Tuple[int, ...]]:
+    """The action of N_G(X) on X: each g in N_G(X) mapped to the positions
+    in X's sorted elements of x^g, x running over them in order. The home's
+    conjugation table is read once per X, and the result kept on the home
+    with N_home(X); for G not its home it is restricted to G."""
+    home = G.home
+    hit = home._normalizers.get(X.elems)
     if hit is None:
-        hit = G._normalizers[xe] = Subgroup(
-            frozenset(g for g in G.elems if all(x.conj(g) in xe for x in xe))
-        )
-    return hit
+        xs = home.indexes(X)
+        position = {x: k for k, x in enumerate(xs)}
+        images = (tuple(position.get(row[x], -1) for x in xs) for row in home.conj_table)
+        action = {g: image for g, image in zip(home, images) if -1 not in image}
+        hit = home._normalizers[X.elems] = (Subgroup(frozenset(action), home), action)
+    if G is home:
+        return hit[1]
+    return {g: image for g, image in hit[1].items() if g in G.elems}
+
+
+def normalizer(G: Subgroup, X: Subgroup) -> Subgroup:
+    """N_G(X) = {g : X^g = X}, kept on G's home per X."""
+    action = normalizer_action(G, X)
+    return G._normalizers[X.elems][0] if G is G.home else Subgroup(frozenset(action), G)
 
 
 def centralizer(G: Subgroup, X: Subgroup) -> Subgroup:
-    """C_G(X) = {g : x^g = x for all x in X}."""
+    """C_G(X) = {g : x^g = x for all x in X}: the g in N_G(X) acting on X
+    as the identity."""
+    fixed = tuple(range(X.order))
     return Subgroup(
-        frozenset(g for g in G.elems if all(x.conj(g) == x for x in X.elems))
+        frozenset(g for g, image in normalizer_action(G, X).items() if image == fixed), G
     )
 
 
@@ -227,12 +261,10 @@ def center(G: Subgroup) -> Subgroup:
 
 
 def normal_closure(G: Subgroup, H: Subgroup) -> Subgroup:
-    """Smallest normal subgroup of G containing H."""
-    gens = set(_generating_sequence(H.elems)) if H.order > 1 else set()
-    if not gens:
-        return H
-    conj_gens = {h.conj(g) for h in gens for g in G.elems}
-    return Subgroup(mulclose(list(conj_gens), cap=G.order))
+    """Smallest normal subgroup of G containing H: the subgroup generated
+    by the G-conjugates of H's elements, on the home's tables."""
+    conj, hs = G.home.conj_table, G.indexes(H)
+    return G.from_indexes(_close(G.home.mul_table, {conj[a][h] for a in G.indexes(G) for h in hs}))
 
 
 def p_part(n: int, p: int) -> int:
@@ -247,29 +279,32 @@ def is_p_group(X: Subgroup, p: int) -> bool:
     return X.order == p_part(X.order, p)
 
 
+def times_cyclic(G: Subgroup, R: Sequence[int], a: int) -> FrozenSet[int]:
+    """R<x> for x, the a-th element of G's home, normalizing R, by home
+    index: the union of the cosets R x^k for k < m, m the least k > 0 with
+    x^k in R."""
+    mul, inside = G.home.mul_table, set(R)
+    out, xk = set(R), a
+    while xk not in inside:
+        out.update(mul[y][xk] for y in R)
+        xk = mul[xk][a]
+    return frozenset(out)
+
+
 def sylow_subgroup(G: Subgroup, p: int) -> Subgroup:
-    """One Sylow p-subgroup, grown through normalizers.
+    """One Sylow p-subgroup, grown through normalizers on the home's tables.
 
     While |P| is short of the full p-part, N_G(P)/P has order divisible by p,
-    so there is x in N_G(P) \\ P with x^p in P and <P, x> is a p-group of
-    order p|P|.
+    so there is x in N_G(P) \\ P with x^p in P, and <P, x> is the union of
+    the p cosets P x^k, k < p; x is the first such in element order.
     """
-    target = p_part(G.order, p)
     P = G.trivial_subgroup()
-    while P.order < target:
-        N = normalizer(G, P)
-        for x in sorted_elems(N.elems - P.elems):
-            xp = x
-            for _ in range(p - 1):
-                xp = xp * x
-            if xp in P.elems:
-                # x normalizes P, x^p lies in P and x does not, so <P, x> is
-                # the union of the p cosets P x^k, k < p
-                grown, xk = set(P.elems), x
-                for _ in range(p - 1):
-                    grown.update(y * xk for y in P.elems)
-                    xk = xk * x
-                P = Subgroup(frozenset(grown))
+    while P.order < p_part(G.order, p):
+        inside = G.indexes(P)
+        for x in sorted(set(G.indexes(normalizer(G, P))) - set(inside)):
+            grown = times_cyclic(G, inside, x)
+            if len(grown) == p * len(inside):
+                P = G.from_indexes(grown)
                 break
         else:  # cannot happen for a genuine group; guard anyway
             raise RuntimeError("Sylow growth stalled at order %d" % P.order)
@@ -277,14 +312,10 @@ def sylow_subgroup(G: Subgroup, p: int) -> Subgroup:
 
 
 def core_Op(G: Subgroup, p: int) -> Subgroup:
-    """O_p(G), computed as the intersection of the Sylow conjugates."""
-    P = sylow_subgroup(G, p)
-    core = set(P.elems)
-    for g in G.elems:
-        core &= {x.conj(g) for x in P.elems}
-        if len(core) == 1:
-            break
-    return Subgroup(frozenset(core))
+    """O_p(G), the intersection of the Sylow conjugates: the x in a Sylow
+    subgroup P with x^g in P for every g in G."""
+    conj, inside, gs = G.home.conj_table, set(G.indexes(sylow_subgroup(G, p))), G.indexes(G)
+    return G.from_indexes(x for x in inside if all(conj[a][x] in inside for a in gs))
 
 
 def is_characteristic_p(G: Subgroup, p: int) -> bool:
@@ -404,11 +435,6 @@ def make_injection(source: Subgroup, target: Subgroup, mapping) -> GroupInjectio
     return GroupInjection(m.items())
 
 
-def conj_injection(X: Iterable[Perm], g: Perm) -> GroupInjection:
-    """c_g restricted to X: x |-> x^g. Homomorphism by construction."""
-    return GroupInjection((x, x.conj(g)) for x in X)
-
-
 # ---------------------------------------------------------------------------
 # automorphism groups as explicit map sets
 
@@ -420,9 +446,10 @@ class AutGroup:
     The group structure is mirrored by a faithful permutation action on the
     sorted element list of X, so the whole group machinery (subgroup
     lattices, subnormality, ...) applies to subgroups of Aut(X) as well.
-    The value keeps that permutation image: set products with their closure
-    check, subnormality and labels are computed on the images, and
-    K*Inn(X) is computed once and kept on K (:attr:`times_inn`).
+    The value keeps that permutation image, a home of its own with its
+    tables: set products with their closure check, subnormality, lattices
+    and labels are computed on the images, and K*Inn(X) is computed once
+    and kept on K (:attr:`times_inn`).
     """
 
     base: Subgroup = field(compare=True)
@@ -462,18 +489,21 @@ class AutGroup:
         index = self.base_index
         return Perm(tuple(index[m(x)] for x in self.base_order))
 
-    def perm_group(self) -> Subgroup:
+    @cached_property
+    def _image(self) -> Subgroup:
         return Subgroup(self.perms)
+
+    def perm_group(self) -> Subgroup:
+        return self._image
 
     def subgroup_from_perms(self, perms: Iterable[Sequence[int]]) -> "AutGroup":
         """Inverse of :meth:`to_perm`, over a set of permutations."""
-        order = self.base_order
-        maps = (GroupInjection((x, order[q[i]]) for i, x in enumerate(order)) for q in perms)
-        return AutGroup(self.base, frozenset(maps))
+        return _aut_from_perms(self.base, perms)
 
     def sub_autgroups(self) -> Tuple["AutGroup", ...]:
         """All subgroups of this automorphism group, in all_subgroups'
-        canonical order of their permutation images."""
+        canonical order of their permutation images, closed on the image's
+        own table."""
         return tuple(
             self.subgroup_from_perms(H.elems)
             for H in all_subgroups(self.perm_group())
@@ -488,8 +518,7 @@ class AutGroup:
 
         Worked on the images: to_perm(a.then(b)) == to_perm(a) * to_perm(b),
         so the set and its closure check are those of the maps. Images are
-        composed as plain tuples, which keeps the check out of Perm's
-        product memo; maps are built only for the result.
+        composed as plain tuples; maps are built only for the result.
         """
         self._check_base(other)
         prod = {tuple(map(b.__getitem__, a)) for a in self.perms for b in other.perms}
@@ -514,81 +543,59 @@ class AutGroup:
         return "[%s]" % body if body else "[1]"
 
 
-def _element_words(elems: FrozenSet[Perm], gens: Sequence[Perm]) -> Dict[Perm, Tuple[int, ...]]:
-    """Express each element as a left-to-right product of generators (BFS)."""
-    deg = next(iter(elems)).degree
-    words = {identity(deg): ()}
-    frontier = [identity(deg)]
-    while frontier:
-        new = []
-        for x in frontier:
-            for i, g in enumerate(gens):
-                y = x * g
-                if y not in words:
-                    words[y] = words[x] + (i,)
-                    new.append(y)
-        frontier = new
-    assert len(words) == len(elems)
-    return words
+def _aut_from_perms(X: Subgroup, perms: Iterable[Sequence[int]]) -> AutGroup:
+    """The automorphisms of X whose images on X's sorted elements are the
+    given index tuples."""
+    order = sorted_elems(X.elems)
+    maps = (GroupInjection((x, order[q[i]]) for i, x in enumerate(order)) for q in perms)
+    return AutGroup(X, frozenset(maps))
 
 
 def aut_group(X: Subgroup, cap: int = AUT_BASE_CAP) -> AutGroup:
     """Full automorphism group of X as explicit maps.
 
     Enumerates assignments of generator images filtered by element order,
-    builds each candidate map through generator words, and keeps the
-    bijective homomorphisms. The homomorphism check only needs (generator,
-    element) pairs because arbitrary elements are defined through words.
+    extends each to X along a spanning tree of products by generators, and
+    keeps the bijective homomorphisms. The homomorphism check only needs
+    (generator, element) pairs because every element is reached from the
+    identity by generators. Products are read off X's home table.
     """
     if X.order > cap:
         raise CapExceeded("automorphism base %d exceeds cap %d" % (X.order, cap))
-    elems = X.elems
-    gens = _generating_sequence(elems)
-    words = _element_words(elems, gens)
-    by_order: Dict[int, List[Perm]] = {}
-    for x in sorted_elems(elems):
-        by_order.setdefault(x.order(), []).append(x)
-    candidates = [by_order[g.order()] for g in gens]
-
+    mul, elems, xs = X.home.mul_table, X.home._sorted, X.indexes(X)
+    # a small (greedy, deterministic) generating sequence
+    gens, closure = [], {0}
+    for x in xs:
+        if x not in closure:
+            gens.append(x)
+            closure = _close(mul, gens)
+    # the tree: each element z other than 1 is (parent y) * (generator k)
+    tree, queue = {0: None}, [0]
+    for y in queue:
+        for k, g in enumerate(gens):
+            if mul[y][g] not in tree:
+                tree[mul[y][g]] = (y, k)
+                queue.append(mul[y][g])
+    by_order: Dict[int, List[int]] = {}
+    for x in xs:
+        by_order.setdefault(elems[x].order(), []).append(x)
     maps = set()
-    sorted_el = sorted_elems(elems)
-
-    def assemble(images):
-        table = {}
-        for x in sorted_el:
-            acc = None
-            for i in words[x]:
-                acc = images[i] if acc is None else acc * images[i]
-            table[x] = acc if acc is not None else identity(x.degree)
-        return table
-
-    import itertools
-
-    for images in itertools.product(*candidates):
-        table = assemble(images)
-        if len(set(table.values())) != len(table):
-            continue
-        if any(v not in elems for v in table.values()):
-            continue
-        ok = True
-        for g in gens:
-            tg = table[g]
-            for x in sorted_el:
-                if table[g * x] != tg * table[x]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            maps.add(GroupInjection(table.items()))
+    for images in itertools.product(*(by_order[elems[g].order()] for g in gens)):
+        table = {0: 0}
+        for z in queue[1:]:
+            y, k = tree[z]
+            table[z] = mul[table[y]][images[k]]
+        if len(set(table.values())) == len(xs) and all(
+            table[mul[g][x]] == mul[table[g]][table[x]] for g in gens for x in xs
+        ):
+            maps.add(GroupInjection((elems[x], elems[table[x]]) for x in xs))
     return AutGroup(X, frozenset(maps))
 
 
 def aut_induced(G: Subgroup, X: Subgroup) -> AutGroup:
-    """Aut_G(X) = {c_g restricted to X : g in N_G(X)}, one map per distinct
-    image of X's sorted elements: each is the image of |C_G(X)| elements."""
-    images = {tuple(x.conj(g) for x in X) for g in normalizer(G, X).elems}
-    return AutGroup(X, frozenset(GroupInjection(zip(X, img)) for img in images))
+    """Aut_G(X) = {c_g restricted to X : g in N_G(X)}: the distinct images
+    of the action of N_G(X) on X, one map each."""
+    return _aut_from_perms(X, set(normalizer_action(G, X).values()))
 
 
 def inn_group(X: Subgroup) -> AutGroup:
@@ -598,30 +605,29 @@ def inn_group(X: Subgroup) -> AutGroup:
 
 def trivial_aut_group(X: Subgroup) -> AutGroup:
     """{id} = Aut_1(X)."""
-    return aut_induced(X.trivial_subgroup(), X)
+    return _aut_from_perms(X, [range(X.order)])
 
 
 def op_residual(A: AutGroup, p: int) -> AutGroup:
     """O^p(A): the subgroup generated by all p'-elements of A."""
     G = A.perm_group()
-    gens = [g for g in G.elems if gcd(g.order(), p) == 1]
-    return A.subgroup_from_perms(mulclose(gens, cap=G.order))
+    closure = G.generated_subgroup(g for g in G.elems if gcd(g.order(), p) == 1)
+    return A.subgroup_from_perms(closure.elems)
 
 
 def group_K_normalizer(G: Subgroup, X: Subgroup, K: AutGroup) -> Subgroup:
-    """N_G^K(X) = {g in N_G(X) : c_g restricted to X lies in K}.
-
-    c_g is tested in K's permutation image: its index tuple on the sorted
-    base is :meth:`AutGroup.to_perm` of c_g, so no map is built per g.
-    """
+    """N_G^K(X) = {g in N_G(X) : c_g restricted to X lies in K}: the g whose
+    action on X lies in K's permutation image."""
     if K.base.elems != X.elems:
         raise ValueError("K is not a group of automorphisms of X")
-    order, index, perms = K.base_order, K.base_index, K.perms
-    N = normalizer(G, X).elems
+    perms = K.perms
     return Subgroup(
-        frozenset(g for g in N if tuple(index[x.conj(g)] for x in order) in perms)
+        frozenset(g for g, image in normalizer_action(G, X).items() if image in perms), G
     )
 
 
-def set_product(A: Iterable[Perm], B: Iterable[Perm]) -> FrozenSet[Perm]:
-    return frozenset(a * b for a in A for b in B)
+def set_product(G: Subgroup, A: Iterable[Perm], B: Iterable[Perm]) -> FrozenSet[Perm]:
+    """{ab : a in A, b in B} for subsets of G, read off the home's table."""
+    mul, elems = G.home.mul_table, G.home._sorted
+    bs = G.indexes(B)
+    return frozenset(elems[mul[a][b]] for a in G.indexes(A) for b in bs)

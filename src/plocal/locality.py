@@ -82,6 +82,7 @@ from .groups import (
     join,
     normalizer,
     p_part,
+    times_cyclic,
     trivial_aut_group,
 )
 from .perm import Perm, sorted_elems
@@ -104,8 +105,8 @@ class ChainDomain:
     x survives w when each prefix product of w conjugates it into the base,
     so R_{w g} = R_w & survivors[Pi(w g)], one AND per letter for a walk
     that carries its prefix products as ambient indexes. conj_pos, and
-    survivors from it, are built on first use from the ambient product and
-    inverse tables, so the rule makes no Perm products.
+    survivors from it, are built on first use from the ambient's
+    conjugation table, so the rule makes no Perm products.
     """
 
     def __init__(self, ambient: Subgroup, base: FrozenSet[Perm], objects: Iterable[FrozenSet[Perm]]):
@@ -129,11 +130,12 @@ class ChainDomain:
     def conj_pos(self) -> Tuple[Tuple[int, ...], ...]:
         """conj_pos[a][i]: the base position of x_i^a, -1 when that
         conjugate leaves the base, for x_i the i-th sorted base element and
-        a the a-th sorted element of the ambient group."""
-        mul, inv, index = self.ambient.mul_table, self.ambient.inv_table, self.ambient.element_index
+        a the a-th sorted element of the ambient group: the ambient's
+        conjugation table read at the base."""
+        index = self.ambient.element_index
         base = {index[x]: i for i, x in enumerate(self.base_order)}
         return tuple(
-            tuple(base.get(mul[mul[inv[a]][x]][a], -1) for x in base) for a in range(len(mul))
+            tuple(base.get(row[x], -1) for x in base) for row in self.ambient.conj_table
         )
 
     @cached_property
@@ -194,7 +196,7 @@ class Locality:
 
     @property
     def S(self) -> Subgroup:
-        return Subgroup(self.S_elems)
+        return Subgroup(self.S_elems, self.ambient)
 
     def subgroups(self) -> Tuple[Subgroup, ...]:
         """The subgroups of S in all_subgroups' canonical order."""
@@ -208,7 +210,7 @@ class Locality:
         return self._sorted
 
     def delta_subgroups(self) -> Tuple[Subgroup, ...]:
-        return tuple(Subgroup(d) for d in sorted(self.Delta, key=sorted_elems))
+        return tuple(Subgroup(d, self.ambient) for d in sorted(self.Delta, key=sorted_elems))
 
     def in_domain(self, word: Sequence[Perm]) -> bool:
         if not all(g in self.elems for g in word):
@@ -219,10 +221,10 @@ class Locality:
         word = tuple(word)
         if not self.in_domain(word):
             raise ValueError("word is not in the domain")
-        out = self.unit
+        index, mul, out = self.ambient.element_index, self.ambient.mul_table, 0
         for g in word:
-            out = out * g
-        return out
+            out = mul[out][index[g]]
+        return tuple(self.ambient)[out]
 
     def __eq__(self, other):
         # the rule is a function of (S_elems, Delta); caches are excluded
@@ -276,29 +278,35 @@ def partial_subgroup_violation(parent: Locality, elems: FrozenSet[Perm]) -> Opti
 # construction of group localities
 
 
-def group_locality(G: Subgroup, S: Subgroup, p: int) -> Locality:
+def group_locality(
+    G: Subgroup, S: Subgroup, p: int, *, subgroups: Optional[Tuple[Subgroup, ...]] = None
+) -> Locality:
     """G as a locality over its Sylow p-subgroup S: every subgroup of S is
-    an object, so every word is defined."""
+    an object, so every word is defined. ``subgroups`` is S's lattice, if
+    the caller holds it."""
     if S.order != p_part(G.order, p):
         raise NotSylow("S is not a Sylow %d-subgroup of G" % p)
-    subgroups = all_subgroups(S)
+    subgroups = subgroups or all_subgroups(S)
     out = Locality(G, G.elems, (H.elems for H in subgroups), S.elems, p)
     out._memo["subgroups"] = subgroups
     return out
 
 
 def build_group_locality(
-    G: Subgroup, S: Subgroup, Delta: Iterable[FrozenSet[Perm]], p: int
+    G: Subgroup, S: Subgroup, Delta: Iterable[FrozenSet[Perm]], p: int,
+    *, subgroups: Optional[Tuple[Subgroup, ...]] = None,
 ) -> Locality:
     """L_Delta(G) = {g in G : S cap S^{g^-1} in Delta}: the group locality
-    restricted to Delta, where S_g = S cap S^{g^-1}.
+    restricted to Delta, where S_g = S cap S^{g^-1}. ``subgroups`` is as
+    for group_locality.
 
     Delta must be closed under F_S(G)-conjugacy and overgroups in S;
     restrict raises GammaNotClosed otherwise. The construction always
     yields a structure; run verify_locality (or the subcentric verifier) to
     certify the axioms for a particular G.
     """
-    return restrict(group_locality(G, S, p), G.elems, Delta, S.trivial_subgroup())
+    L = group_locality(G, S, p, subgroups=subgroups)
+    return restrict(L, G.elems, Delta, S.trivial_subgroup())
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +340,9 @@ def _S_f_masks(L: Locality) -> Tuple[int, ...]:
 def S_f(L: Locality, f: Perm) -> Subgroup:
     """S_f = {x in S : (f^-1, x, f) in D and x^f in S}, from its mask."""
     mask = _S_f_masks(L)[L.ambient.element_index[f]] if f in L.elems else 0
-    return Subgroup(frozenset(x for i, x in enumerate(L.rule.base_order) if mask >> i & 1))
+    return Subgroup(
+        frozenset(x for i, x in enumerate(L.rule.base_order) if mask >> i & 1), L.ambient
+    )
 
 
 def _conj_mask(L: Locality, mask: int, a: int) -> Optional[int]:
@@ -436,24 +446,13 @@ def restrict(
     return out
 
 
-def _times_cyclic(G: Subgroup, R: Sequence[int], a: int) -> FrozenSet[int]:
-    """R<x> for x, the a-th element of G, normalizing R, by index: the union
-    of the cosets R x^k for k < m, m the least k > 0 with x^k in R."""
-    mul, inside = G.mul_table, set(R)
-    out, xk = set(R), a
-    while xk not in inside:
-        out.update(mul[y][xk] for y in R)
-        xk = mul[xk][a]
-    return frozenset(out)
-
-
 def _is_max_p_subgroup(P0: Locality) -> bool:
     """S, the base of P0's rule, is a p-subgroup of the partial group P0 (a
     subgroup inside P0 with all its words defined), maximal among such.
 
     A p-subgroup H > S has N_H(S) > S, so S is maximal iff no x in N_G(S)
     cap P0 outside S gives a p-group S<x> inside P0, read off the ambient
-    product table by _times_cyclic. Words need no test: every element of
+    product table by times_cyclic. Words need no test: every element of
     S<x> normalizes S, so its survivor mask, and so the AND of them along
     any word over S<x> or over S, is the whole base, which is an object
     (ChainDomain requires it)."""
@@ -463,7 +462,7 @@ def _is_max_p_subgroup(P0: Locality) -> bool:
     index = G.element_index
     inside, s = {index[g] for g in P0.elems}, [index[y] for y in S]
     for x in normalizer(G, P0.S).elems & P0.elems - S:
-        H = _times_cyclic(G, s, index[x])
+        H = times_cyclic(G, s, index[x])
         if len(H) == p_part(len(H), p) and H <= inside:
             return False
     return True
@@ -545,7 +544,7 @@ def fusion_of_partial(
     system close it once and share it. The base must lie in N cap S.
     """
     N = _inside(L, N)
-    R = base if base is not None else Subgroup(N & L.S_elems)
+    R = base if base is not None else Subgroup(N & L.S_elems, L.ambient)
     if not R.elems <= N & L.S_elems:
         raise ValueError("base is not inside the partial subgroup and S")
     table, key = L._systems, (L, N, R.elems)
@@ -563,10 +562,10 @@ def fusion_of_partial(
 
 def _partial_germs(L: Locality, N: FrozenSet[Perm], R: Subgroup) -> set:
     """The c_f on P for f in N and P <= R with P <= S_f and P^f <= R, as
-    masks; a P not inside S lies in no S_f. Each distinct (P, images of its
-    bits) becomes one GroupInjection, first met in the order f, then P."""
+    masks, for R inside S. Each distinct (P, images of its bits) becomes
+    one GroupInjection, first met in the order f, then P."""
     rule, index, base = L.rule, L.ambient.element_index, L.rule.base_order
-    r_mask = rule.mask_of(R.elems & rule.base)
+    r_mask = rule.mask_of(R.elems)
     sources = [P.elems for P in L.subgroups() if P.elems <= R.elems]
     sources = [(rule.mask_of(P), sorted(map(rule.position.get, P))) for P in sources]
     seen, germs = set(), set()
@@ -985,7 +984,7 @@ def verify_subcentric_locality(
         # genuine group: every pair product defined
         if sum(1 for _ in _domain_pairs(L, NP, NP)) < len(NP) ** 2:
             return fail({"axiom": "N_L(P)-words", "P": P.label()})
-        if not is_characteristic_p(Subgroup(NP), L.p):
+        if not is_characteristic_p(Subgroup(NP, L.ambient), L.p):
             return fail({"axiom": "N_L(P)-characteristic-p", "P": P.label()})
     stats["objects"] = len(L.Delta)
     return VerificationReport("subcentric-locality", inst, "pass", stats=stats)

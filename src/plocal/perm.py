@@ -13,6 +13,12 @@ Conventions (used consistently everywhere in the package):
 
 The right-action convention matches writing homomorphisms on the right of
 the argument, which is what the rest of the package does for group maps.
+
+A Perm is a plain value: its product and conjugation compute and keep
+nothing. The package multiplies and conjugates Perms only to parse groups
+given by generators, to check maps handed in from outside, and in the
+oracles that stand apart from the rules they check; every other product or
+conjugate is read off a group's integer tables (``groups.Subgroup``).
 """
 
 from __future__ import annotations
@@ -22,16 +28,12 @@ from typing import Iterable, Sequence
 
 from .errors import DegreeMismatch
 
-_CONJ_CACHE: dict = {}
-_CONJ_CACHE_CAP = 1 << 20
-_MUL_CACHE: dict = {}
-_MUL_CACHE_CAP = 1 << 19
-
 
 class Perm(tuple):
     """An immutable permutation: the tuple of its images, checked to be a
-    permutation when built. Being a tuple, it hashes and compares as its
-    image sequence, so sorting gives the canonical element ordering.
+    permutation when built (products, inverses and conjugates need no
+    check). Being a tuple, it hashes and compares as its image sequence, so
+    sorting gives the canonical element ordering.
     """
 
     __slots__ = ()
@@ -51,43 +53,24 @@ class Perm(tuple):
 
     def __mul__(self, other: "Perm") -> "Perm":
         # apply self first, then other
-        key = (self, other)
-        hit = _MUL_CACHE.get(key)
-        if hit is not None:
-            return hit
         if len(self) != len(other):
             raise DegreeMismatch("degree %d vs %d" % (len(self), len(other)))
-        res = Perm(tuple(other[i] for i in self))
-        if len(_MUL_CACHE) < _MUL_CACHE_CAP:
-            _MUL_CACHE[key] = res
-        return res
+        return tuple.__new__(Perm, [other[i] for i in self])
 
     def inv(self) -> "Perm":
         out = [0] * len(self)
         for i, j in enumerate(self):
             out[j] = i
-        return Perm(tuple(out))
+        return tuple.__new__(Perm, out)
 
     def conj(self, g: "Perm") -> "Perm":
-        """self ^ g = g^-1 * self * g, computed in one pass and memoized.
-
-        Conjugation dominates the word-domain walks of the locality layer.
-        Without this memo and the one on products the default corpus took
-        1.8-2.5 s instead of 1.1-1.4 s (raw runs, Python 3.11, 2 CPUs).
-        """
-        key = (self, g)
-        hit = _CONJ_CACHE.get(key)
-        if hit is not None:
-            return hit
+        """self ^ g = g^-1 * self * g, computed in one pass."""
         if len(g) != len(self):
             raise DegreeMismatch("degree %d vs %d" % (len(self), len(g)))
         out = [0] * len(g)
         for i in range(len(g)):
             out[g[i]] = g[self[i]]
-        res = Perm(tuple(out))
-        if len(_CONJ_CACHE) < _CONJ_CACHE_CAP:
-            _CONJ_CACHE[key] = res
-        return res
+        return tuple.__new__(Perm, out)
 
     def is_identity(self) -> bool:
         return all(i == j for i, j in enumerate(self))

@@ -41,7 +41,7 @@ from .errors import (
     PLocalError,
 )
 from .groups import AutGroup, Subgroup
-from .perm import Perm, parse_cycles, perm_from_cycles, sorted_elems
+from .perm import Perm, parse_cycles, perm_from_cycles
 from .report import VerificationReport, failed_report, passed_report, skipped_report
 
 STATEMENTS = (
@@ -83,7 +83,7 @@ def check_char_p_normalizer_subgroup(
     CX = gp.centralizer(G, X)
     if not (CX.elems <= H.elems and H.elems <= NX.elems):
         return skipped_report(stmt, instance, "H-not-between-centralizer-and-normalizer")
-    HX = Subgroup(gp.mulclose(list(H.elems | X.elems), cap=G.order))
+    HX = G.generated_subgroup(H.elems | X.elems)
     if not gp.is_subnormal(H, HX):
         return skipped_report(stmt, instance, "H-not-subnormal-in-HX")
     if gp.is_characteristic_p(H, p):
@@ -111,7 +111,7 @@ def check_char_p_normalizer_aut(
         return skipped_report(stmt, instance, "K-not-subnormal-in-K*Inn(X)")
     NK = gp.group_K_normalizer(G, X, K)
     NKI = gp.group_K_normalizer(G, X, KInn)
-    prod = gp.set_product(NK.elems, X.elems)
+    prod = gp.set_product(G, NK.elems, X.elems)
     if NKI.elems != prod:
         return failed_report(
             stmt,
@@ -325,7 +325,7 @@ def _decide_main_theorem(
         return TheoremRecord(witnesses=(w, w), stats=stats)
     NFK = fu.K_normalizer_subsystem(F, X, K_eff)
     T = N & L.S_elems
-    T0 = Subgroup(T & bn.S_elems)
+    T0 = Subgroup(T & bn.S_elems, L.ambient)
     M = N & bn.elems
 
     # (i) M is partial normal in bN
@@ -464,13 +464,13 @@ def prepare_entry(entry, word_len: int = 3):
     if sat is not None:
         return None, failed_report("Axioms", inst, {"saturation": sat})
     Delta = frozenset(P.elems for P in fu.subcentric_set(F))
-    L = lo.build_group_locality(G, S, Delta, p)
+    L = lo.build_group_locality(G, S, Delta, p, subgroups=F.subgroups())
     # bN_L^K(X) can be L itself, so its Lemma-2.1 check reuses this one
     rep = _verified_subcentric(L, L, F, word_len)
     if not rep.passed:
         return None, failed_report("Axioms", inst, {"subcentric-locality": rep.witness})
-    H = entry.H
-    T = Subgroup(S.elems & H.elems)
+    H = Subgroup(entry.H.elems, G)
+    T = Subgroup(S.elems & H.elems, G)
     lattice = tuple(P for P in F.subgroups() if P.elems <= T.elems)
     E = fu.fusion_of_group(H, T, p, subgroups=lattice)
     if not fu.is_normal_subsystem(E, F):
@@ -609,8 +609,9 @@ def _k_sweep(pe: PreparedEntry, X: Subgroup) -> List[Tuple[str, Optional[AutGrou
 def _p_subgroups(G: Subgroup, subgroups: Sequence[Subgroup]) -> Tuple[Subgroup, ...]:
     """The p-subgroups of G, given those of a Sylow p-subgroup: by Sylow's
     theorem their G-conjugates, in all_subgroups' canonical order."""
-    found = {frozenset(x.conj(g) for x in P.elems) for P in subgroups for g in G.elems}
-    return tuple(Subgroup(e) for e in sorted(found, key=lambda e: (len(e), sorted_elems(e))))
+    conj, gs = G.home.conj_table, G.indexes(G)
+    found = {frozenset(conj[a][x] for x in xs) for xs in map(G.indexes, subgroups) for a in gs}
+    return tuple(G.from_indexes(e) for e in sorted(found, key=lambda e: (len(e), sorted(e))))
 
 
 def _normalizer_range(G: Subgroup, X: Subgroup) -> Tuple[Subgroup, ...]:

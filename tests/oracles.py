@@ -55,13 +55,17 @@ def generated_subgroups(G: Subgroup, max_gens: int = 4):
     Complete for |G| <= 24: every subgroup has order <= 24, and the only
     such group needing four generators is C2^4 (order 16), so rank <= 4.
     """
-    from plocal.groups import mulclose
-
     elems = list(G.elems)
+    # every Perm product of G, computed once for the scan
+    times = {(a, b): a * b for a in elems for b in elems}
     out = {frozenset([G.identity])}
     for r in range(1, max_gens + 1):
         for combo in itertools.combinations(elems, r):
-            out.add(mulclose(combo, cap=G.order))
+            closure, frontier = {G.identity}, [G.identity]
+            while frontier:
+                frontier = [c for c in {times[a, g] for a in frontier for g in combo} if c not in closure]
+                closure.update(frontier)
+            out.add(frozenset(closure))
     return out
 
 
@@ -147,6 +151,41 @@ def bijection_automorphisms(X: Subgroup):
 
 def _conj(X, g):
     return frozenset(x.conj(g) for x in X)
+
+
+def conj_map(X, g) -> GroupInjection:
+    """c_g restricted to the element set X, x |-> x^g, by Perm conjugation."""
+    return GroupInjection((x, x.conj(g)) for x in X)
+
+
+def aut_induced_by_conjugation(G: Subgroup, X: Subgroup) -> frozenset:
+    """Aut_G(X) as maps: c_g on X for every g in G with X^g = X."""
+    return frozenset(conj_map(X.elems, g) for g in G.elems if _conj(X.elems, g) == X.elems)
+
+
+def core_Op_by_conjugation(G: Subgroup, p: int) -> frozenset:
+    """O_p(G), the largest normal p-subgroup: the intersection of all
+    G-conjugates of every largest p-subgroup closed under products, found
+    by growing a p-subgroup one element at a time and conjugating it by
+    every element of G."""
+    top = max(p**k for k in range(G.order.bit_length()) if G.order % p**k == 0)
+    P = {G.identity}
+    grown = True
+    while grown:
+        grown = False
+        for g in sorted(G.elems - P):
+            Q, frontier = set(P) | {g}, [g]
+            while frontier and len(Q) <= top:  # close P and g under products
+                new = {a * b for a in frontier for b in Q} | {b * a for a in frontier for b in Q}
+                frontier = new - Q
+                Q |= frontier
+            if len(Q) <= top and is_p_power(len(Q), p):
+                P, grown = Q, True
+                break
+    core = frozenset(P)
+    for g in G.elems:
+        core &= _conj(P, g)
+    return core
 
 
 def fusion_core_from_group(G: Subgroup, S: Subgroup):

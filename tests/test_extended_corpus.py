@@ -20,6 +20,7 @@ import hashlib
 import json
 import sys
 from contextlib import contextmanager
+from functools import cached_property
 from importlib.resources import files
 
 import pytest
@@ -27,6 +28,7 @@ import pytest
 from plocal import cli
 from plocal import groups as gp
 from plocal import verify as vf
+from plocal.perm import Perm
 from . import oracles
 
 L27_SHA256 = "d8c7946c67aeb2d1884b519abe05008206d233053cb93be3a6396f35ced67a42"
@@ -69,11 +71,12 @@ def test_default_corpus_builds_no_ambient_lattice():
 
 
 def test_s4_a4_builds_no_lattice_below_S():
-    """Preparing and checking s4_a4 asks all_subgroups for S and never for a
-    proper subgroup of S, though E lives on the four-group T = S cap A4 and
-    the restrictions and product systems on other subgroups of S. The image
-    of Aut(C4) acts on 4 points and can be a subgroup of S as a set of
-    Perms, so the calls of sub_autgroups are left out."""
+    """Preparing and checking s4_a4 asks all_subgroups for S once, for F,
+    whose lattice L is handed, and never for a proper subgroup of S, though
+    E lives on the four-group T = S cap A4 and the restrictions and product
+    systems on other subgroups of S. The image of Aut(C4) acts on 4 points
+    and can be a subgroup of S as a set of Perms, so the calls of
+    sub_autgroups are left out."""
     (entry,) = [e for e in cli.parse_corpus(cli.default_corpus_text()) if e.name == "s4_a4"]
     with _lattice_spy() as calls:
         pe, axioms = vf.prepare_entry(entry)
@@ -81,8 +84,60 @@ def test_s4_a4_builds_no_lattice_below_S():
     assert axioms.passed and reports and not any(r.failed for r in reports)
     S = pe.F.S.elems
     assert pe.E.S.elems < S
-    assert [G for _, G in calls if G.elems == S]
+    assert [caller for caller, G in calls if caller != "sub_autgroups" and G.elems == S] == [
+        "fusion_of_group"
+    ]
     assert [G.order for caller, G in calls if caller != "sub_autgroups" and G.elems < S] == []
+
+
+def _spy_cached(mp, cls, name, record):
+    """Record each value on which the cached property cls.name is computed."""
+    real = cls.__dict__[name].func
+
+    def spy(self):
+        record.append(self)
+        return real(self)
+
+    prop = cached_property(spy)
+    prop.__set_name__(cls, name)
+    mp.setattr(cls, name, prop)
+
+
+def test_default_corpus_tables_and_perm_arithmetic():
+    """Parsing and checking the default corpus builds product and
+    conjugation tables only on a corpus group or on the permutation image of
+    an automorphism group, each a home of its own. Checking the parsed
+    corpus multiplies no Perms and conjugates Perms only in the objectivity
+    oracle (``_chain_row``)."""
+    built, images, conj_callers = [], [], set()
+    real_conj = Perm.conj
+
+    def conj(self, g):
+        frame, names = sys._getframe(1), set()
+        while frame is not None:
+            names.add(frame.f_code.co_name)
+            frame = frame.f_back
+        conj_callers.add("_chain_row" in names)
+        return real_conj(self, g)
+
+    def mul(self, other):
+        raise AssertionError("Perm product")
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("mul_table", "conj_table"):
+            _spy_cached(mp, gp.Subgroup, name, built)
+        _spy_cached(mp, gp.AutGroup, "_image", images)
+        entries = cli.parse_corpus(cli.default_corpus_text())
+        mp.setattr(Perm, "conj", conj)
+        mp.setattr(Perm, "__mul__", mul)
+        reports, _ = vf.run_suite(entries)
+    assert len(reports) == 742
+    corpus = {e.G.elems for e in entries}
+    image_sets = [A.perm_group() for A in images]
+    assert any(B.elems in corpus for B in built)
+    assert all(B.ambient is None for B in built)
+    assert all(B.elems in corpus or any(B is I for I in image_sets) for B in built)
+    assert conj_callers == {True}
 
 
 @pytest.fixture(scope="module")

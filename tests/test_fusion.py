@@ -381,7 +381,7 @@ def test_verdicts_kept_per_subsystem(s4, E_s4):
     generated by one involution of Aut_F(V4) is neither."""
     F = fu.fusion_of_group(s4, gp.sylow_subgroup(s4, 2), 2)
     T = E_s4.S
-    swap = gp.conj_injection(T.elems, perms(4, "(0 1)")[0])
+    swap = oracles.conj_map(T.elems, perms(4, "(0 1)")[0])
     bad = fu.close_generated(T, 2, [swap])
     assert bad.S == T and fu.subsystem_le(bad, F)
     for _ in range(2):

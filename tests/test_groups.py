@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from plocal import groups as gp
-from plocal import perm
 from plocal.errors import CapExceeded, DegreeMismatch
 from plocal.perm import Perm, identity, perm_from_cycles
 
@@ -215,7 +214,7 @@ def test_aut_induced_builds_each_map_once(monkeypatch, s4, sl23, s3xs3):
     for G in (s4, sl23, s3xs3):
         for X in gp.all_subgroups(gp.sylow_subgroup(G, 2)):
             N = gp.normalizer(G, X)
-            every = frozenset(gp.conj_injection(X.elems, g) for g in N.elems)
+            every = frozenset(oracles.conj_map(X.elems, g) for g in N.elems)
             built = []
             real = gp.GroupInjection.__init__
 
@@ -298,6 +297,33 @@ def test_group_K_normalizer_matches_oracle(s4, sl23):
     assert checked == 68
 
 
+@pytest.mark.parametrize("case", range(5), ids=["s4", "d8", "s3", "sl23", "l27"])
+def test_conjugation_tables_match_perm_definitions(case):
+    """On the default corpus's four groups and PSL(2,7) at p = 2, for every
+    X <= S and every K of X's default sweep: Aut_G(X), Aut_S(X), N_G^K(X),
+    N_S^K(X), "X fully K-normalized in F_S(G)" and O_p(N_G^K(X)), all read
+    off G's tables, equal their definitions by Perm conjugation."""
+    from plocal import fusion as fu
+    from plocal import verify as vf
+
+    G, S = _corpus_sylows()[case]
+    p = min(q for q in range(2, S.order + 1) if S.order % q == 0)
+    F = fu.fusion_of_group(G, S, p)
+    for X in F.subgroups():
+        for H in (G, S):
+            assert gp.aut_induced(H, X).maps == oracles.aut_induced_by_conjugation(H, X)
+        for _, K in vf.k_options(X):
+            NK = gp.group_K_normalizer(G, X, K)
+            assert NK == oracles.K_normalizer_from_group(G, X, K)
+            assert gp.group_K_normalizer(S, X, K) == oracles.K_normalizer_from_group(S, X, K)
+            assert fu.is_fully_K_normalized(F, X, K) == oracles.fully_K_normalized_by_conjugation(
+                G, S, X, K
+            )
+            assert gp.core_Op(NK, p).elems == oracles.core_Op_by_conjugation(
+                gp.Subgroup(NK.elems), p
+            )
+
+
 def test_lemma22_product_identity(s4, sl23):
     """N_G^{K Inn(X)}(X) = N_G^K(X) X, for every K <= Aut(X)."""
     for G in (s4, sl23):
@@ -311,7 +337,7 @@ def test_lemma22_product_identity(s4, sl23):
             for K in A.sub_autgroups():
                 KInn = K.product(inn)
                 lhs = gp.group_K_normalizer(G, XG, KInn).elems
-                rhs = gp.set_product(gp.group_K_normalizer(G, XG, K).elems, XG.elems)
+                rhs = gp.set_product(G, gp.group_K_normalizer(G, XG, K).elems, XG.elems)
                 assert lhs == rhs
 
 
@@ -363,28 +389,15 @@ def test_mismatched_bases_are_refused(s4):
             method(B)
 
 
-def test_product_leaves_the_perm_memos_alone(monkeypatch):
-    E = gp.generate_group(perms(6, "(0 1)", "(2 3)", "(4 5)"))  # C2^3
-    A, inn = gp.aut_group(E), gp.inn_group(E)
-    monkeypatch.setattr(perm, "_MUL_CACHE", {})
-    monkeypatch.setattr(perm, "_CONJ_CACHE", {})
-    assert A.product(inn).order == 168  # GL(3,2)
-    assert len(perm._MUL_CACHE) == 0 and len(perm._CONJ_CACHE) == 0
-
-
 # -- element tables -------------------------------------------------------------
 
 
 @pytest.mark.parametrize("group", ["s3xs3", "sl23"])
-def test_element_tables_match_perm_arithmetic(monkeypatch, request, group):
+def test_element_tables_match_perm_arithmetic(request, group):
     """Every entry of the product and inverse tables is the Perm product or
-    inverse, and building the tables (on a fresh value, so nothing is kept
-    yet) leaves Perm's memos empty."""
+    inverse."""
     G = gp.Subgroup(request.getfixturevalue(group).elems)
-    monkeypatch.setattr(perm, "_MUL_CACHE", {})
-    monkeypatch.setattr(perm, "_CONJ_CACHE", {})
     mul, inv = G.mul_table, G.inv_table
-    assert len(perm._MUL_CACHE) == 0 and len(perm._CONJ_CACHE) == 0
     els = tuple(G)
     assert all(G.element_index[x] == i for i, x in enumerate(els))
     assert len(mul) == len(inv) == G.order

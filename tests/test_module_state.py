@@ -1,11 +1,11 @@
-"""No module of the package keeps state outside the two known caches.
+"""No module of the package keeps state.
 
 A module-level dict, set or list is shared by every caller in the process
-and grows for its life. The package has two on purpose, each keyed by
-content: the product and conjugation memos of ``perm``. A subgroup lattice
-is kept by the fusion system or locality that owns it, not in a module.
-Any other module-level container assignment is refused, so a third cannot
-slip in unnoticed.
+and grows for its life. The package has none: a subgroup lattice is kept
+by the fusion system or locality that owns it, and element tables and
+normalizers by the group they belong to, each under an explicit key. Any
+module-level container assignment is refused, so a cache cannot slip in
+unnoticed.
 """
 
 import ast
@@ -14,7 +14,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "plocal"
-KNOWN_CACHES = {"_MUL_CACHE", "_CONJ_CACHE"}
+KNOWN_CACHES = set()
 CONTAINER_CALLS = {"dict", "set", "list", "defaultdict", "OrderedDict", "Counter", "deque"}
 
 
