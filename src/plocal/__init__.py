@@ -24,7 +24,6 @@ from .errors import PLocalError
 from .perm import Perm, perm_from_cycles
 from .groups import (
     AutGroup,
-    GroupInjection,
     Subgroup,
     all_subgroups,
     aut_group,

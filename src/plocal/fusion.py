@@ -1,12 +1,17 @@
 """Fusion systems over finite p-groups as explicit finite categories.
 
 A fusion system is stored extensionally: for every subgroup P of S we keep
-the set of "germs" with source P. A germ is a map, an injective
-homomorphism held as its table, and its target is its image. The morphism
-set Hom_F(P, Q) is then the germs from P whose image lies in Q, each
-composed with the inclusion of its image into Q, which is the same table.
-This normal form keeps closure computations small while every predicate in
-sight can still quantify over all morphisms exactly.
+the set of "germs" with source P. A germ is an injective homomorphism
+from P into S, held as a tuple t indexed by S's sorted elements: t[i] is
+the position of the image of the i-th element, -1 outside P; its target
+is its image. A subgroup of S is a mask (bit i for the i-th element), so
+restriction sets the other entries to -1, "g then h" is h[g[i]] and the
+inverse is one scatter. A germ from S onto S is the tuple of the same map
+in an AutGroup on S. Aut_F(P), N_F^K(X) and the checks of a subsystem
+over T re-express germs in a subgroup's positions (``_local``) and lift
+them back (``_lift``). Hom_F(P, Q) is the germs from P whose image lies
+in Q. This normal form keeps closure computations small while every
+predicate in sight can still quantify over all morphisms exactly.
 
 A system caches the subgroup lattice of S and what it derives (saturation
 witness, core, centric and subcentric sets, fully K-normalized verdicts
@@ -43,7 +48,6 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 from .errors import CapExceeded, NotSaturated, NotSylow
 from .groups import (
     AutGroup,
-    GroupInjection,
     Subgroup,
     all_subgroups,
     aut_group,
@@ -58,26 +62,27 @@ from .groups import (
     p_part,
     trivial_aut_group,
 )
-from .perm import Perm, sorted_elems
+from .perm import Perm
 
 GERM_CAP = 100_000
 
 
 class FusionSystem:
-    """Category over the p-group S, germs grouped by source subgroup; a
-    germ is a :class:`GroupInjection`, a map whose target is its image. It
-    owns the lattice of S, handed on by the construction that made it."""
+    """Category over the p-group S, germs grouped by source mask. A germ
+    is a tuple of positions over S's sorted elements (see the module
+    docstring). It owns the lattice of S, handed on by the construction
+    that made it."""
 
     __slots__ = ("S", "p", "germs_by_src", "_all", "_hash", "_cache")
 
-    def __init__(self, S: Subgroup, p: int, germs: Iterable[GroupInjection]):
+    def __init__(self, S: Subgroup, p: int, germs: Iterable[tuple]):
         object.__setattr__(self, "S", S)
         object.__setattr__(self, "p", p)
-        by_src: Dict[FrozenSet[Perm], set] = {}
+        by_src: Dict[int, set] = {}
         for g in germs:
-            if not (g.src <= S.elems and g.image <= S.elems):
+            if len(g) != S.order or not -1 <= min(g) <= max(g) < S.order:
                 raise ValueError("germ does not live inside S")
-            by_src.setdefault(g.src, set()).add(g)
+            by_src.setdefault(_src(g), set()).add(g)
         object.__setattr__(
             self,
             "germs_by_src",
@@ -99,20 +104,21 @@ class FusionSystem:
             self._cache["subgroups"] = all_subgroups(self.S)
         return self._cache["subgroups"]
 
-    def all_germs(self) -> FrozenSet[GroupInjection]:
+    def all_germs(self) -> FrozenSet[tuple]:
         return self._all
 
-    def germs_from(self, P: Subgroup) -> FrozenSet[GroupInjection]:
-        return self.germs_by_src.get(P.elems, frozenset())
+    def germs_from(self, P: Subgroup) -> FrozenSet[tuple]:
+        return self.germs_by_src.get(_mask(self.S, P), frozenset())
 
-    def homs(self, P: Subgroup, Q: Subgroup) -> Tuple[GroupInjection, ...]:
+    def homs(self, P: Subgroup, Q: Subgroup) -> Tuple[tuple, ...]:
         """Hom_F(P, Q): the germs from P whose image lies in Q."""
-        return tuple(g for g in sorted(self.germs_from(P)) if g.image <= Q.elems)
+        q = _mask(self.S, Q)
+        return tuple(g for g in sorted(self.germs_from(P)) if not _img(g) & ~q)
 
     def aut(self, P: Subgroup) -> AutGroup:
-        """Aut_F(P)."""
-        maps = frozenset(g for g in self.germs_from(P) if g.image == P.elems)
-        return AutGroup(P, maps)
+        """Aut_F(P): the germs from P onto P, in P's positions."""
+        p, pos = _mask(self.S, P), _positions(self.S, P)
+        return AutGroup(P, {_local(g, pos) for g in self.germs_from(P) if _img(g) == p})
 
     def aut_S(self, P: Subgroup) -> AutGroup:
         """Aut_S(P) = automorphisms induced by conjugation from N_S(P)."""
@@ -120,9 +126,8 @@ class FusionSystem:
 
     def conjugates(self, P: Subgroup) -> Tuple[Subgroup, ...]:
         """The F-conjugacy class of P, canonically ordered."""
-        images = {g.image for g in self.germs_from(P)}
-        images.add(P.elems)
-        return tuple(Subgroup(e, self.S) for e in sorted(images, key=sorted_elems))
+        images = {_img(g) for g in self.germs_from(P)} | {_mask(self.S, P)}
+        return tuple(sorted(map(_lattice(self).__getitem__, images), key=tuple))
 
     def __eq__(self, other):
         return (
@@ -143,9 +148,78 @@ class FusionSystem:
         )
 
 
+# ---------------------------------------------------------------------------
+# germs: tuples of positions over the sorted elements of S
+
+
+def _positions(S: Subgroup, P: Subgroup) -> Dict[int, int]:
+    """The positions in S's sorted elements of P's, in order, each mapped
+    to its place in P."""
+    return {S.element_index[x]: k for k, x in enumerate(P)}
+
+
+def _mask(S: Subgroup, P: Subgroup) -> int:
+    """P <= S as a mask: bit i is set iff S's i-th element lies in P."""
+    return sum(1 << i for i in _positions(S, P))
+
+
+def _lattice(F: FusionSystem) -> Dict[int, Subgroup]:
+    """S's lattice by mask, in its canonical order, kept in F's cache."""
+    if "lattice" not in F._cache:
+        F._cache["lattice"] = {_mask(F.S, P): P for P in F.subgroups()}
+    return F._cache["lattice"]
+
+
+def _src(g: tuple) -> int:
+    return sum(1 << i for i, j in enumerate(g) if j >= 0)
+
+
+def _img(g: tuple) -> int:
+    return sum(1 << j for j in g if j >= 0)
+
+
+def _restrict(g: tuple, mask: int) -> tuple:
+    return tuple(j if mask >> i & 1 else -1 for i, j in enumerate(g))
+
+
+def _then(g: tuple, h: tuple) -> tuple:
+    """The composite: g first, then h."""
+    return tuple(-1 if j < 0 else h[j] for j in g)
+
+
+def _inverse(g: tuple) -> tuple:
+    """The germ from g's image back onto its source, by one scatter."""
+    out = [-1] * len(g)
+    for i, j in enumerate(g):
+        if j >= 0:
+            out[j] = i
+    return tuple(out)
+
+
+def _local(g: tuple, pos: Dict[int, int]) -> tuple:
+    """g re-expressed in the positions of a subgroup P, pos being
+    _positions(S, P): its entries on P, each image by its place in P, -1
+    for an image outside P."""
+    return tuple(pos.get(g[i], -1) for i in pos)
+
+
+def _lift(t: tuple, pos: Dict[int, int], n: int) -> tuple:
+    """The inverse of :func:`_local`: t, in the positions of a subgroup P,
+    as a germ of length n."""
+    out, where = [-1] * n, list(pos)
+    for k, j in enumerate(t):
+        if j >= 0:
+            out[where[k]] = where[j]
+    return tuple(out)
+
+
 def subsystem_le(E: FusionSystem, F: FusionSystem) -> bool:
-    """Extensional containment: E's base inside F's and every germ shared."""
-    return E.S.elems <= F.S.elems and E.all_germs() <= F.all_germs()
+    """Extensional containment: E's base inside F's and every germ of E,
+    lifted to F's base, one of F's."""
+    if not E.S.elems <= F.S.elems:
+        return False
+    pos = _positions(F.S, E.S)
+    return all(_lift(g, pos, F.S.order) in F.all_germs() for g in E.all_germs())
 
 
 # ---------------------------------------------------------------------------
@@ -170,68 +244,76 @@ def fusion_of_group(
 
 
 def _conjugation_germs(G: Subgroup, S: Subgroup, subgroups: Tuple[Subgroup, ...]) -> set:
-    """The maps c_g on P for g in G and P in subgroups with P^g inside S,
+    """The germs c_g on P for g in G and P in subgroups with P^g inside S,
     read off the conjugation table of G's home."""
-    conj, elems, inside = G.home.conj_table, tuple(G.home), set(G.indexes(S))
-    return {
-        GroupInjection((elems[x], elems[conj[a][x]]) for x in xs)
-        for xs in map(G.indexes, subgroups)
-        for a in G.indexes(G)
-        if all(conj[a][x] in inside for x in xs)
-    }
+    position = {x: i for i, x in enumerate(G.indexes(S))}  # home index -> S position
+    germs = set()
+    for xs in map(G.indexes, subgroups):
+        for row in map(G.home.conj_table.__getitem__, G.indexes(G)):
+            if all(row[x] in position for x in xs):
+                germ = [-1] * S.order
+                for x in xs:
+                    germ[position[x]] = position[row[x]]
+                germs.add(tuple(germ))
+    return germs
 
 
 def close_generated(
     S: Subgroup,
     p: int,
-    generators: Iterable[GroupInjection] = (),
+    generators: Iterable[tuple] = (),
     cap: int = GERM_CAP,
     *, subgroups: Optional[Tuple[Subgroup, ...]] = None,
 ) -> FusionSystem:
-    """Smallest fusion system over S containing the generators.
+    """Smallest fusion system over S containing the generators, germs over
+    S that are checked to be injective homomorphisms.
 
     Fixed-point closure of the inner system and the generators under
     restriction, inversion of isomorphisms-onto-image, and composition.
     ``subgroups`` is as for fusion_of_group.
     """
     subgroups = subgroups or all_subgroups(S)
+    masks = [_mask(S, P) for P in subgroups]
     germs: set = set()
-    by_src: Dict[FrozenSet[Perm], set] = {}
-    by_img: Dict[FrozenSet[Perm], set] = {}
-    queue: List[GroupInjection] = []
+    by_src: Dict[int, set] = {}
+    by_img: Dict[int, set] = {}
+    queue: List[tuple] = []
 
-    def push(g: GroupInjection):
+    def push(g: tuple):
         if g in germs:
             return
         germs.add(g)
         if len(germs) > cap:
             raise CapExceeded("germ closure exceeded cap %d" % cap)
-        by_src.setdefault(g.src, set()).add(g)
-        by_img.setdefault(g.image, set()).add(g)
+        by_src.setdefault(_src(g), set()).add(g)
+        by_img.setdefault(_img(g), set()).add(g)
         queue.append(g)
 
     for g in _conjugation_germs(S, S, subgroups):  # the inner system
         push(g)
-    for g in generators:
-        if not (g.src <= S.elems and g.image <= S.elems):
+    home = S.indexes(S)
+    for g in map(tuple, generators):
+        if len(g) != S.order or not -1 <= min(g) <= max(g) < S.order:
             raise ValueError("generator does not live inside S")
-        # validate the homomorphism property of user-supplied generators
-        pairs, mul = list(map(S.indexes, g.pairs)), S.home.mul_table
-        table = dict(pairs)
-        if any(table[mul[x][y]] != mul[a][b] for x, a in pairs for y, b in pairs):
+        pairs = [(home[i], home[j]) for i, j in enumerate(g) if j >= 0]
+        if len(set(g) - {-1}) != len(pairs):
+            raise ValueError("generator is not injective")
+        table, mul = dict(pairs), S.home.mul_table
+        if any(table.get(mul[x][y]) != mul[a][b] for x, a in pairs for y, b in pairs):
             raise ValueError("generator is not a homomorphism")
         push(g)
 
     while queue:
         g = queue.pop()
-        push(g.inverse())
-        for P in subgroups:
-            if P.elems < g.src:
-                push(g.restrict(P.elems))
-        for h in tuple(by_src.get(g.image, ())):
-            push(g.then(h))
-        for h in tuple(by_img.get(g.src, ())):
-            push(h.then(g))
+        src = _src(g)
+        push(_inverse(g))
+        for m in masks:
+            if m != src and not m & ~src:
+                push(_restrict(g, m))
+        for h in tuple(by_src.get(_img(g), ())):
+            push(_then(g, h))
+        for h in tuple(by_img.get(src, ())):
+            push(_then(h, g))
     out = FusionSystem(S, p, germs)
     out._cache["subgroups"] = subgroups
     return out
@@ -247,7 +329,7 @@ def is_fully_K_normalized(F: FusionSystem, X: Subgroup, K: AutGroup) -> bool:
 
     K^phi is never built: c_g lies in K^phi exactly when phi c_g phi^-1,
     x |-> ((x phi)^g) phi^-1, lies in K: its image (:func:`_pulled_back`)
-    is tested in K's permutation image as :func:`group_K_normalizer` does.
+    is tested among K's maps as :func:`group_K_normalizer` does.
     """
     if K.base.elems != X.elems:
         raise ValueError("K must consist of automorphisms of X")
@@ -259,7 +341,7 @@ def is_fully_K_normalized(F: FusionSystem, X: Subgroup, K: AutGroup) -> bool:
     n0 = group_K_normalizer(F.S, X, K).order
     verdict = True
     for phi in F.germs_from(X):
-        n = sum(1 for image in _pulled_back(F, phi.inverse()).values() if image in K.perms)
+        n = sum(1 for image in _pulled_back(F, _inverse(phi)).values() if image in K.maps)
         if n > n0:
             verdict = False
             break
@@ -283,7 +365,8 @@ def K_normalizer_subsystem(F: FusionSystem, X: Subgroup, K: AutGroup) -> FusionS
     The result is shared by content in the table of systems that F and
     every subsystem derived from it hold (``_cache["systems"]``): an (X, K)
     whose subsystem equals one in the table, F included, gets that object
-    and so its cache. Its lattice is read off F's.
+    and so its cache. Its lattice is read off F's, and its germs are F's
+    re-expressed in the positions of its base.
     """
     key = ("NFK", X.elems, K.maps)
     if key in F._cache:
@@ -291,26 +374,25 @@ def K_normalizer_subsystem(F: FusionSystem, X: Subgroup, K: AutGroup) -> FusionS
     if K.base.elems != X.elems:
         raise ValueError("K must consist of automorphisms of X")
     S0 = group_K_normalizer(F.S, X, K)
-    subgroups = tuple(P for P in F.subgroups() if P.elems <= S0.elems)
-    xe = X.elems
+    x, s0, xpos, s0pos = _mask(F.S, X), _mask(F.S, S0), _positions(F.S, X), _positions(F.S, S0)
+    lattice = {m: P for m, P in _lattice(F).items() if not m & ~s0}
     germs = set()
-    for psi in F.all_germs():
-        if not xe <= psi.src:
+    for src, psis in F.germs_by_src.items():
+        if x & ~src:
             continue
-        if frozenset(psi(x) for x in xe) != xe:
-            continue
-        if psi.restrict(xe) not in K.maps:
-            continue
-        for P in subgroups:
-            if P.elems <= psi.src:
-                r = psi.restrict(P.elems)
-                if r.image <= S0.elems:
-                    germs.add(r)
+        for psi in psis:
+            if _local(psi, xpos) not in K.maps:  # psi moves X off X, or acts outside K
+                continue
+            for m in lattice:
+                if not m & ~src:
+                    r = _restrict(psi, m)
+                    if not _img(r) & ~s0:
+                        germs.add(_local(r, s0pos))
     out = FusionSystem(S0, F.p, germs)
     systems = F._cache.setdefault("systems", {F: F})
     out = systems.setdefault(out, out)
     out._cache.setdefault("systems", systems)
-    out._cache.setdefault("subgroups", subgroups)
+    out._cache.setdefault("subgroups", tuple(lattice.values()))
     F._cache[key] = out
     return out
 
@@ -358,11 +440,12 @@ def saturation_failure(F: FusionSystem) -> Optional[dict]:
                 "aut_F": autF.order,
             }
             break
-        # receptivity
-        ok = True
+        # receptivity, phi in sorted order so that the witness depends on
+        # content alone
+        ok, pm = True, _mask(F.S, P)
         for Q in cls:
-            for phi in F.germs_from(Q):
-                if phi.image != P.elems:
+            for phi in sorted(F.germs_from(Q)):
+                if _img(phi) != pm:
                     continue
                 Nphi = _extension_control_group(F, phi, autS)
                 if not _extends_over(F, phi, Nphi):
@@ -370,7 +453,7 @@ def saturation_failure(F: FusionSystem) -> Optional[dict]:
                         "axiom": "receptive",
                         "P": P.label(),
                         "Q": Q.label(),
-                        "phi": _map_label(phi),
+                        "phi": _map_label(F, phi),
                         "N_phi": Nphi.label(),
                     }
                     ok = False
@@ -383,33 +466,31 @@ def saturation_failure(F: FusionSystem) -> Optional[dict]:
     return witness
 
 
-def _pulled_back(F: FusionSystem, psi: GroupInjection) -> Dict[Perm, Tuple[int, ...]]:
+def _pulled_back(F: FusionSystem, psi: tuple) -> Dict[Perm, Tuple[int, ...]]:
     """For psi: Y -> Z, each g in N_S(Y) mapped to the permutation image of
     psi^-1 c_g psi, z |-> ((z psi^-1)^g) psi, on Z's sorted elements: the
     action of g on Y (:func:`normalizer_action`) carried through psi."""
-    Y = Subgroup(psi.src, F.S)
-    # to[j]: the position in sorted Z of psi(y_j), y_j the j-th of sorted Y
-    position = {z: k for k, z in enumerate(sorted_elems(psi.image))}
-    to = [position[psi(y)] for y in Y]
-    fro = sorted(range(len(to)), key=to.__getitem__)
-    action = normalizer_action(F.S, Y)
+    images = [j for j in psi if j >= 0]  # of Y's elements in order
+    fro = sorted(range(len(images)), key=images.__getitem__)
+    to = sorted(range(len(images)), key=fro.__getitem__)  # Y's places to Z's
+    action = normalizer_action(F.S, _lattice(F)[_src(psi)])
     return {g: tuple(to[image[j]] for j in fro) for g, image in action.items()}
 
 
-def _extension_control_group(F: FusionSystem, phi: GroupInjection, autS_P: AutGroup) -> Subgroup:
+def _extension_control_group(F: FusionSystem, phi: tuple, autS_P: AutGroup) -> Subgroup:
     """N_phi = {g in N_S(Q) : phi^-1 c_g phi in Aut_S(P)} for phi: Q -> P,
-    tested in the permutation image of Aut_S(P)."""
-    perms = autS_P.perms
+    tested among the maps of Aut_S(P)."""
     return Subgroup(
-        frozenset(g for g, image in _pulled_back(F, phi).items() if image in perms), F.S
+        frozenset(g for g, image in _pulled_back(F, phi).items() if image in autS_P.maps), F.S
     )
 
 
-def _extends_over(F: FusionSystem, phi: GroupInjection, N: Subgroup) -> bool:
-    if N.elems == phi.src:
+def _extends_over(F: FusionSystem, phi: tuple, N: Subgroup) -> bool:
+    src = _src(phi)
+    if _mask(F.S, N) == src:
         return True
-    for psi in F.germs_by_src.get(N.elems, ()):
-        if psi.restrict(phi.src) == phi:
+    for psi in F.germs_from(N):
+        if _restrict(psi, src) == phi:
             return True
     return False
 
@@ -424,13 +505,13 @@ def is_saturated(F: FusionSystem) -> bool:
 
 def is_strongly_closed(F: FusionSystem, T: Subgroup) -> bool:
     """No F-morphism moves a subgroup of T outside T."""
-    te = T.elems
-    if not te <= F.S.elems:
+    if not T.elems <= F.S.elems:
         raise ValueError("T is not a subgroup of S")
+    t = _mask(F.S, T)
     for src, germs in F.germs_by_src.items():
-        if src <= te:
+        if not src & ~t:
             for g in germs:
-                if not g.image <= te:
+                if _img(g) & ~t:
                     return False
     return True
 
@@ -438,13 +519,13 @@ def is_strongly_closed(F: FusionSystem, T: Subgroup) -> bool:
 def is_normal_in_fusion(F: FusionSystem, P: Subgroup) -> bool:
     """Every F-morphism extends to one whose source includes P and which
     maps P onto P."""
-    pe, subgroups = P.elems, F.subgroups()
+    p = _mask(F.S, P)
     for src, germs in F.germs_by_src.items():
-        joined = join(subgroups, src | pe).elems
+        joined = next(m for m in _lattice(F) if not (src | p) & ~m)
         extended = {
-            psi.restrict(src)
+            _restrict(psi, src)
             for psi in F.germs_by_src.get(joined, ())
-            if frozenset(psi(x) for x in pe) == pe
+            if _img(_restrict(psi, p)) == p
         }
         if not germs <= extended:
             return False
@@ -531,9 +612,9 @@ def hyperfocal_subgroup(F: FusionSystem) -> Subgroup:
     mul, inv, elems = F.S.home.mul_table, F.S.home.inv_table, tuple(F.S.home)
     gens = set()
     for P in F.subgroups():
-        res = op_residual(F.aut(P), F.p)
-        for alpha in res.maps:
-            gens.update(mul[inv[x]][y] for x, y in map(F.S.indexes, alpha.pairs))
+        xs = F.S.indexes(P)
+        for alpha in op_residual(F.aut(P), F.p).maps:
+            gens.update(mul[inv[x]][xs[k]] for x, k in zip(xs, alpha))
     return join(F.subgroups(), map(elems.__getitem__, gens))
 
 
@@ -553,17 +634,11 @@ def has_p_power_index(D: FusionSystem, F: FusionSystem) -> bool:
     return F._cache[key]
 
 
-def conjugate_fusion(E: FusionSystem, alpha: GroupInjection) -> FusionSystem:
-    """E^alpha: transport every germ of E along the isomorphism alpha."""
-    if not E.S.elems <= alpha.src:
-        raise ValueError("alpha must be defined on the base of E")
-    inv = alpha.inverse()
-    germs = []
-    for g in E.all_germs():
-        src_moved = frozenset(alpha(x) for x in g.src)
-        germs.append(inv.restrict(src_moved).then(g).then(alpha.restrict(g.image)))
-    base = frozenset(alpha(x) for x in E.S.elems)
-    return FusionSystem(Subgroup(base, E.S), E.p, germs)
+def conjugate_fusion(E: FusionSystem, alpha: tuple) -> FusionSystem:
+    """E^alpha for an automorphism alpha of E's base, a germ from the base
+    onto it: every germ g of E becomes alpha^-1 g alpha."""
+    inv = _inverse(alpha)
+    return FusionSystem(E.S, E.p, (_then(_then(inv, g), alpha) for g in E.all_germs()))
 
 
 def is_weakly_normal(E: FusionSystem, F: FusionSystem) -> bool:
@@ -580,22 +655,24 @@ def is_weakly_normal(E: FusionSystem, F: FusionSystem) -> bool:
     for alpha in autFT.maps:
         if conjugate_fusion(E, alpha) != E:
             return False
-    # Frattini: phi = (E-germ) then (restriction of some alpha in Aut_F(T))
+    # Frattini: phi = (E-germ) then (restriction of some alpha in Aut_F(T)),
+    # phi taken in T's positions
+    t, pos = _mask(F.S, T), _positions(F.S, T)
     for src, germs in F.germs_by_src.items():
-        if not src <= T.elems:
+        if src & ~t:
             continue
         for phi in germs:
-            if not phi.image <= T.elems:
+            if _img(phi) & ~t:
                 continue
-            if not _frattini_factors(E, autFT, phi):
+            if not _frattini_factors(E, autFT, _local(phi, pos)):
                 return False
     return True
 
 
-def _frattini_factors(E: FusionSystem, autFT: AutGroup, phi: GroupInjection) -> bool:
-    for psi in E.germs_by_src.get(phi.src, ()):
+def _frattini_factors(E: FusionSystem, autFT: AutGroup, phi: tuple) -> bool:
+    for psi in E.germs_by_src.get(_src(phi), ()):
         for alpha in autFT.maps:
-            if psi.then(alpha.restrict(psi.image)) == phi:
+            if _then(psi, alpha) == phi:
                 return True
     return False
 
@@ -612,14 +689,15 @@ def is_normal_subsystem(E: FusionSystem, F: FusionSystem) -> bool:
 def _has_extension_property(E: FusionSystem, F: FusionSystem) -> bool:
     T = E.S
     C = centralizer(F.S, T)
-    P0 = join(F.subgroups(), T.elems | C.elems).elems
+    P0 = join(F.subgroups(), T.elems | C.elems)
     mul, inv, Z = F.S.home.mul_table, F.S.home.inv_table, set(F.S.indexes(center(T)))
+    home, pos, cm = F.S.indexes(F.S), _positions(F.S, T), _mask(F.S, C)
     for alpha in E.aut(T).maps:
         found = False
-        for psi in F.germs_by_src.get(P0, ()):
-            if psi.restrict(T.elems) != alpha:
+        for psi in F.germs_from(P0):
+            if _local(psi, pos) != alpha:  # in T's positions
                 continue
-            moved = map(F.S.indexes, psi.restrict(C.elems).pairs)
+            moved = ((home[i], home[j]) for i, j in enumerate(psi) if cm >> i & 1)
             if all(mul[inv[c]][m] in Z for c, m in moved):
                 found = True
                 break
@@ -628,7 +706,10 @@ def _has_extension_property(E: FusionSystem, F: FusionSystem) -> bool:
     return True
 
 
-def _map_label(g: GroupInjection) -> str:
+def _map_label(F: FusionSystem, g: tuple) -> str:
+    """The germ's (element, image) pairs in element order, leaving out 1->1
+    (the identity sorts first)."""
+    elems = tuple(F.S)
     return ";".join(
-        "%s->%s" % (a, b) for a, b in g.pairs if not (a.is_identity() and b.is_identity())
+        "%s->%s" % (elems[i], elems[j]) for i, j in enumerate(g) if j >= 0 and (i, j) != (0, 0)
     ) or "id"

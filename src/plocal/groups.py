@@ -348,185 +348,62 @@ def is_subnormal(H: Subgroup, G: Subgroup) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# explicit maps between subgroups
-
-
-class GroupInjection:
-    """An injective homomorphism between subgroups, stored as its table.
-
-    The value is the sorted pair table and nothing else: the source is the
-    key set and the target is the image. A germ, a morphism of a fusion
-    system and an automorphism are therefore one kind of value, and a map
-    built from conjugation in G compares equal to the same map built inside
-    an automorphism group. Whether the table is a homomorphism is checked
-    where tables come from outside (:func:`make_injection`).
-    """
-
-    __slots__ = ("pairs", "_map", "_hash")
-
-    def __init__(self, pairs: Iterable[Tuple[Perm, Perm]]):
-        pairs = tuple(sorted(pairs))
-        table = dict(pairs)
-        if len(table) != len(pairs):
-            raise ValueError("duplicate source elements")
-        if len(set(table.values())) != len(pairs):
-            raise ValueError("map is not injective")
-        object.__setattr__(self, "pairs", pairs)
-        object.__setattr__(self, "_map", table)
-        object.__setattr__(self, "_hash", hash(pairs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GroupInjection is immutable")
-
-    @property
-    def src(self) -> FrozenSet[Perm]:
-        return frozenset(self._map)
-
-    @property
-    def image(self) -> FrozenSet[Perm]:
-        return frozenset(self._map.values())
-
-    def __call__(self, x: Perm) -> Perm:
-        return self._map[x]
-
-    def __eq__(self, other):
-        return isinstance(other, GroupInjection) and self.pairs == other.pairs
-
-    def __hash__(self):
-        return self._hash
-
-    def __lt__(self, other):
-        return self.pairs < other.pairs
-
-    def __repr__(self):
-        return "GroupInjection(|src|=%d)" % len(self.pairs)
-
-    def is_identity_map(self) -> bool:
-        return all(a == b for a, b in self.pairs)
-
-    def then(self, other: "GroupInjection") -> "GroupInjection":
-        """Composite: apply self first, then other."""
-        if not self.image <= other.src:
-            raise ValueError("image of first map not inside source of second")
-        return GroupInjection((a, other._map[b]) for a, b in self.pairs)
-
-    def inverse(self) -> "GroupInjection":
-        """The inverse map, from the image back onto the source."""
-        return GroupInjection((b, a) for a, b in self.pairs)
-
-    def restrict(self, sub: Iterable[Perm]) -> "GroupInjection":
-        sub = frozenset(sub)
-        if not sub <= self.src:
-            raise ValueError("restriction set not inside source")
-        return GroupInjection((a, self._map[a]) for a in sub)
-
-
-def make_injection(source: Subgroup, target: Subgroup, mapping) -> GroupInjection:
-    """Validated constructor: mapping is an injective homomorphism into target."""
-    m = dict(mapping)
-    if set(m) != set(source.elems):
-        raise ValueError("mapping does not cover the source")
-    if not set(m.values()) <= target.elems:
-        raise ValueError("image not contained in the target")
-    for x in source.elems:
-        for y in source.elems:
-            if m[x * y] != m[x] * m[y]:
-                raise ValueError("mapping is not a homomorphism")
-    return GroupInjection(m.items())
-
-
-# ---------------------------------------------------------------------------
-# automorphism groups as explicit map sets
+# automorphism groups as permutation images
 
 
 @dataclass(frozen=True)
 class AutGroup:
-    """A group of automorphisms of a fixed base subgroup X, as explicit maps.
+    """A group of automorphisms of a fixed base subgroup X, held as its
+    permutation image: each map is the Perm of the positions of X's sorted
+    elements that sends k to the position of the image of the k-th element.
 
-    The group structure is mirrored by a faithful permutation action on the
-    sorted element list of X, so the whole group machinery (subgroup
-    lattices, subnormality, ...) applies to subgroups of Aut(X) as well.
-    The value keeps that permutation image, a home of its own with its
-    tables: set products with their closure check, subnormality, lattices
-    and labels are computed on the images, and K*Inn(X) is computed once
-    and kept on K (:attr:`times_inn`).
+    A germ of a fusion system over X with source X is the same tuple, so
+    Aut_F(X) is the set of such germs. The image is a home of its own with
+    its tables: set products with their closure check, subnormality and
+    lattices are computed on it, and K*Inn(X) is computed once and kept on
+    K (:attr:`times_inn`).
     """
 
     base: Subgroup = field(compare=True)
-    maps: FrozenSet[GroupInjection] = field(compare=True)
+    maps: FrozenSet[Perm] = field(compare=True)
 
     def __post_init__(self):
-        for m in self.maps:
-            if not m.src == m.image == self.base.elems:
-                raise ValueError("map is not an automorphism of the base")
+        maps = frozenset(map(Perm, self.maps))
+        if any(len(m) != self.base.order for m in maps):
+            raise ValueError("map is not a permutation of the base's elements")
+        object.__setattr__(self, "maps", maps)
 
     @property
     def order(self) -> int:
         return len(self.maps)
 
-    def __contains__(self, m: GroupInjection) -> bool:
-        return m in self.maps
-
-    def __iter__(self):
-        return iter(sorted(self.maps))
-
-    @cached_property
-    def base_order(self) -> Tuple[Perm, ...]:
-        """The sorted elements of the base: point i of the image is the
-        i-th of them."""
-        return sorted_elems(self.base.elems)
-
-    @cached_property
-    def base_index(self) -> Dict[Perm, int]:
-        return {x: i for i, x in enumerate(self.base_order)}
-
-    @cached_property
-    def perms(self) -> FrozenSet[Perm]:
-        """The permutation image of the group, one permutation per map."""
-        return frozenset(map(self.to_perm, self.maps))
-
-    def to_perm(self, m: GroupInjection) -> Perm:
-        index = self.base_index
-        return Perm(tuple(index[m(x)] for x in self.base_order))
-
     @cached_property
     def _image(self) -> Subgroup:
-        return Subgroup(self.perms)
+        return Subgroup(self.maps)
 
     def perm_group(self) -> Subgroup:
         return self._image
-
-    def subgroup_from_perms(self, perms: Iterable[Sequence[int]]) -> "AutGroup":
-        """Inverse of :meth:`to_perm`, over a set of permutations."""
-        return _aut_from_perms(self.base, perms)
 
     def sub_autgroups(self) -> Tuple["AutGroup", ...]:
         """All subgroups of this automorphism group, in all_subgroups'
         canonical order of their permutation images, closed on the image's
         own table."""
-        return tuple(
-            self.subgroup_from_perms(H.elems)
-            for H in all_subgroups(self.perm_group())
-        )
+        return tuple(AutGroup(self.base, H.elems) for H in all_subgroups(self.perm_group()))
 
     def _check_base(self, other: "AutGroup") -> None:
         if other.base.elems != self.base.elems:
             raise ValueError("mismatched bases")
 
     def product(self, other: "AutGroup") -> "AutGroup":
-        """Set product self*other, which must be a subgroup of Aut(base).
-
-        Worked on the images: to_perm(a.then(b)) == to_perm(a) * to_perm(b),
-        so the set and its closure check are those of the maps. Images are
-        composed as plain tuples; maps are built only for the result.
-        """
+        """Set product self*other, which must be a subgroup of Aut(base),
+        composed as plain tuples (a first, then b)."""
         self._check_base(other)
-        prod = {tuple(map(b.__getitem__, a)) for a in self.perms for b in other.perms}
+        prod = {tuple(map(b.__getitem__, a)) for a in self.maps for b in other.maps}
         for a in prod:  # closure sanity: product of subgroups along a normal one
             for b in prod:
                 if tuple(map(b.__getitem__, a)) not in prod:
                     raise ValueError("set product is not a subgroup")
-        return self.subgroup_from_perms(prod)
+        return AutGroup(self.base, prod)
 
     @cached_property
     def times_inn(self) -> "AutGroup":
@@ -535,24 +412,11 @@ class AutGroup:
 
     def is_subnormal_in(self, other: "AutGroup") -> bool:
         self._check_base(other)
-        return is_subnormal(Subgroup(self.perms), other.perm_group())
-
-    def label(self) -> str:
-        perms = sorted_elems(self.perms)
-        body = ",".join(str(q) for q in perms if not q.is_identity())
-        return "[%s]" % body if body else "[1]"
-
-
-def _aut_from_perms(X: Subgroup, perms: Iterable[Sequence[int]]) -> AutGroup:
-    """The automorphisms of X whose images on X's sorted elements are the
-    given index tuples."""
-    order = sorted_elems(X.elems)
-    maps = (GroupInjection((x, order[q[i]]) for i, x in enumerate(order)) for q in perms)
-    return AutGroup(X, frozenset(maps))
+        return is_subnormal(Subgroup(self.maps), other.perm_group())
 
 
 def aut_group(X: Subgroup, cap: int = AUT_BASE_CAP) -> AutGroup:
-    """Full automorphism group of X as explicit maps.
+    """Full automorphism group of X.
 
     Enumerates assignments of generator images filtered by element order,
     extends each to X along a spanning tree of products by generators, and
@@ -579,7 +443,7 @@ def aut_group(X: Subgroup, cap: int = AUT_BASE_CAP) -> AutGroup:
     by_order: Dict[int, List[int]] = {}
     for x in xs:
         by_order.setdefault(elems[x].order(), []).append(x)
-    maps = set()
+    maps, position = set(), {x: k for k, x in enumerate(xs)}
     for images in itertools.product(*(by_order[elems[g].order()] for g in gens)):
         table = {0: 0}
         for z in queue[1:]:
@@ -588,14 +452,14 @@ def aut_group(X: Subgroup, cap: int = AUT_BASE_CAP) -> AutGroup:
         if len(set(table.values())) == len(xs) and all(
             table[mul[g][x]] == mul[table[g]][table[x]] for g in gens for x in xs
         ):
-            maps.add(GroupInjection((elems[x], elems[table[x]]) for x in xs))
-    return AutGroup(X, frozenset(maps))
+            maps.add(tuple(position[table[x]] for x in xs))
+    return AutGroup(X, maps)
 
 
 def aut_induced(G: Subgroup, X: Subgroup) -> AutGroup:
     """Aut_G(X) = {c_g restricted to X : g in N_G(X)}: the distinct images
     of the action of N_G(X) on X, one map each."""
-    return _aut_from_perms(X, set(normalizer_action(G, X).values()))
+    return AutGroup(X, set(normalizer_action(G, X).values()))
 
 
 def inn_group(X: Subgroup) -> AutGroup:
@@ -605,24 +469,23 @@ def inn_group(X: Subgroup) -> AutGroup:
 
 def trivial_aut_group(X: Subgroup) -> AutGroup:
     """{id} = Aut_1(X)."""
-    return _aut_from_perms(X, [range(X.order)])
+    return AutGroup(X, [range(X.order)])
 
 
 def op_residual(A: AutGroup, p: int) -> AutGroup:
     """O^p(A): the subgroup generated by all p'-elements of A."""
     G = A.perm_group()
     closure = G.generated_subgroup(g for g in G.elems if gcd(g.order(), p) == 1)
-    return A.subgroup_from_perms(closure.elems)
+    return AutGroup(A.base, closure.elems)
 
 
 def group_K_normalizer(G: Subgroup, X: Subgroup, K: AutGroup) -> Subgroup:
     """N_G^K(X) = {g in N_G(X) : c_g restricted to X lies in K}: the g whose
-    action on X lies in K's permutation image."""
+    action on X is one of K's maps."""
     if K.base.elems != X.elems:
         raise ValueError("K is not a group of automorphisms of X")
-    perms = K.perms
     return Subgroup(
-        frozenset(g for g, image in normalizer_action(G, X).items() if image in perms), G
+        frozenset(g for g, image in normalizer_action(G, X).items() if image in K.maps), G
     )
 
 

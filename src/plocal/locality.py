@@ -73,7 +73,6 @@ from .fusion import (
 )
 from .groups import (
     AutGroup,
-    GroupInjection,
     Subgroup,
     all_subgroups,
     aut_group,
@@ -562,24 +561,24 @@ def fusion_of_partial(
 
 def _partial_germs(L: Locality, N: FrozenSet[Perm], R: Subgroup) -> set:
     """The c_f on P for f in N and P <= R with P <= S_f and P^f <= R, as
-    masks, for R inside S. Each distinct (P, images of its bits) becomes
-    one GroupInjection, first met in the order f, then P."""
-    rule, index, base = L.rule, L.ambient.element_index, L.rule.base_order
+    masks, for R inside S, each a germ over R (see fusion): the tuple of
+    the R positions of the images of R's elements, -1 outside P."""
+    rule, index = L.rule, L.ambient.element_index
     r_mask = rule.mask_of(R.elems)
+    rank = {rule.position[x]: k for k, x in enumerate(R)}  # base position -> R position
     sources = [P.elems for P in L.subgroups() if P.elems <= R.elems]
-    sources = [(rule.mask_of(P), sorted(map(rule.position.get, P))) for P in sources]
-    seen, germs = set(), set()
+    sources = [(rule.mask_of(P), [rule.position[x] for x in P]) for P in sources]
+    germs = set()
     for f in N:
         a = index[f]
         for mask, bits in sources:
             img = _conj_mask(L, mask, a)
             if img is None or img & ~r_mask:
                 continue
-            images = tuple(rule.conj_pos[a][i] for i in bits)
-            if (mask, images) in seen:
-                continue
-            seen.add((mask, images))
-            germs.add(GroupInjection((base[i], base[j]) for i, j in zip(bits, images)))
+            germ = [-1] * len(rank)
+            for i in bits:
+                germ[rank[i]] = rank[rule.conj_pos[a][i]]
+            germs.add(tuple(germ))
     return germs
 
 

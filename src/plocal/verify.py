@@ -230,9 +230,7 @@ def _subnormal_branch(F: fu.FusionSystem, X: Subgroup, K: AutGroup):
     derived objects (every realized automorphism lies in Aut_F(X))."""
     if K.is_subnormal_in(K.times_inn):
         return 1, K
-    autF = F.aut(X)
-    inter = frozenset(K.maps & autF.maps)
-    K2 = AutGroup(K.base, inter)
+    K2 = AutGroup(K.base, K.maps & F.aut(X).maps)
     if K2.is_subnormal_in(K2.times_inn):
         return 2, K2
     return None, None
@@ -591,11 +589,9 @@ def _k_from_gens(X: Subgroup, A: AutGroup, spec: str) -> AutGroup:
         raise KDescriptorNotForX(
             "K=gens:%s: generates more than |Aut(X)| = %d permutations" % (spec, A.order)
         )
-    K = A.subgroup_from_perms(closure)
-    for m in K.maps:
-        if m not in A.maps:
-            raise KDescriptorNotForX("K generator does not induce an automorphism of X")
-    return K
+    if not closure <= A.maps:
+        raise KDescriptorNotForX("K generator does not induce an automorphism of X")
+    return AutGroup(X, closure)
 
 
 def _k_sweep(pe: PreparedEntry, X: Subgroup) -> List[Tuple[str, Optional[AutGroup]]]:

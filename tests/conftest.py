@@ -10,6 +10,16 @@ def perms(degree, *specs):
     return [perm_from_cycles(s, degree) for s in specs]
 
 
+def germ(base, pairs):
+    """The germ over base with these (element, image) pairs: the tuple of
+    the positions of the images in base's sorted elements, -1 elsewhere."""
+    position = {x: i for i, x in enumerate(base)}
+    out = [-1] * base.order
+    for x, y in pairs:
+        out[position[x]] = position[y]
+    return tuple(out)
+
+
 @pytest.fixture(scope="session")
 def s4():
     return gp.generate_group(perms(4, "(0 1 2 3)", "(0 1)"))

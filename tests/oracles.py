@@ -21,14 +21,44 @@ The restriction oracles keep the element-set form of H|_Gamma and of the
 germ search of a partial subgroup's fusion system: every P^f is
 conjugated element by element, <P, X> and R<x> are closed under products,
 and none of the package's bitmask tables is read.
+
+A map here is its own value, apart from the package's position tuples: the
+frozenset of its (element, image) pairs, found by Perm conjugation and
+composed, inverted and restricted as pairs. ``as_pairs`` reads the
+package's germs and automorphisms back in this form for comparison.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from plocal.groups import AutGroup, GroupInjection, Subgroup
+from plocal.groups import Subgroup
 from plocal.perm import sorted_elems
+
+
+def as_pairs(base: Subgroup, maps) -> frozenset:
+    """Package maps as this module's values: each tuple of positions over
+    base's sorted elements (a germ of a fusion system over base, or a map
+    of an AutGroup on base) as the frozenset of its (element, image)
+    pairs."""
+    elems = sorted_elems(base.elems)
+    return frozenset(
+        frozenset((elems[i], elems[j]) for i, j in enumerate(m) if j >= 0) for m in maps
+    )
+
+
+def compose(a: frozenset, b: frozenset) -> frozenset:
+    """The map a then b, for b defined on a's image."""
+    table = dict(b)
+    return frozenset((x, table[y]) for x, y in a)
+
+
+def inverse(a: frozenset) -> frozenset:
+    return frozenset((y, x) for x, y in a)
+
+
+def restrict(a: frozenset, sub) -> frozenset:
+    return frozenset((x, y) for x, y in a if x in sub)
 
 
 def powerset_subgroups(G: Subgroup):
@@ -145,7 +175,7 @@ def bijection_automorphisms(X: Subgroup):
         table = {ident: ident}
         table.update(zip(others, images))
         if all(table[a * b] == table[a] * table[b] for a in elems for b in elems):
-            out.add(GroupInjection(tuple(table.items())))
+            out.add(frozenset(table.items()))
     return out
 
 
@@ -153,9 +183,9 @@ def _conj(X, g):
     return frozenset(x.conj(g) for x in X)
 
 
-def conj_map(X, g) -> GroupInjection:
+def conj_map(X, g) -> frozenset:
     """c_g restricted to the element set X, x |-> x^g, by Perm conjugation."""
-    return GroupInjection((x, x.conj(g)) for x in X)
+    return frozenset((x, x.conj(g)) for x in X)
 
 
 def aut_induced_by_conjugation(G: Subgroup, X: Subgroup) -> frozenset:
@@ -245,16 +275,16 @@ def subcentric_from_group(G: Subgroup, S: Subgroup):
     return out
 
 
+def _K_normalizer(H: Subgroup, X: frozenset, maps: frozenset) -> Subgroup:
+    """{h in H : X^h = X and c_h on X is one of the maps}, by scanning H."""
+    return Subgroup(
+        frozenset(h for h in H.elems if _conj(X, h) == X and conj_map(X, h) in maps)
+    )
+
+
 def K_normalizer_from_group(H: Subgroup, X: Subgroup, K) -> Subgroup:
     """N_H^K(X) = {h in H : X^h = X and c_h on X lies in K}, by scanning H."""
-    order = sorted_elems(X.elems)
-    maps = {tuple(m(x) for x in order) for m in K.maps}
-    return Subgroup(
-        frozenset(
-            h for h in H.elems
-            if _conj(X.elems, h) == X.elems and tuple(x.conj(h) for x in order) in maps
-        )
-    )
+    return _K_normalizer(H, X.elems, as_pairs(K.base, K.maps))
 
 
 def fully_K_normalized_by_conjugation(G: Subgroup, S: Subgroup, X: Subgroup, K) -> bool:
@@ -262,27 +292,22 @@ def fully_K_normalized_by_conjugation(G: Subgroup, S: Subgroup, X: Subgroup, K) 
     |N_S^{K^phi}(X phi)| for every phi = c_g with X^g <= S, where K^phi =
     phi^-1 K phi is built as maps and each K-normalizer scans S."""
     n0 = K_normalizer_from_group(S, X, K).order
+    maps = as_pairs(K.base, K.maps)
     for g in G.elems:
         if not _conj(X.elems, g) <= S.elems:
             continue
-        phi = GroupInjection((x, x.conj(g)) for x in X.elems)
-        inv = phi.inverse()
-        Kphi = AutGroup(Subgroup(phi.image), frozenset(inv.then(m).then(phi) for m in K.maps))
-        if K_normalizer_from_group(S, Kphi.base, Kphi).order > n0:
+        phi = conj_map(X.elems, g)
+        Kphi = frozenset(compose(compose(inverse(phi), m), phi) for m in maps)
+        if _K_normalizer(S, _conj(X.elems, g), Kphi).order > n0:
             return False
     return True
 
 
 def conjugation_germs(G: Subgroup, S: Subgroup):
-    """The morphisms of F_S(G) as tables: c_g on P for every P <= S and
+    """The morphisms of F_S(G) as maps: c_g on P for every P <= S and
     g in G with P^g <= S."""
     se = S.elems
-    return {
-        GroupInjection((x, x.conj(g)) for x in P)
-        for P in powerset_subgroups(S)
-        for g in G.elems
-        if _conj(P, g) <= se
-    }
+    return {conj_map(P, g) for P in powerset_subgroups(S) for g in G.elems if _conj(P, g) <= se}
 
 
 def normal_subgroups_by_classes(G: Subgroup):
@@ -501,5 +526,5 @@ def fusion_germs_by_perms(L, N, R):
         sf = S_f_by_perms(L, f)
         for P in all_subgroups(R):
             if P.elems <= sf and _conj(P.elems, f) <= R.elems:
-                germs.add(GroupInjection((x, x.conj(f)) for x in P.elems))
+                germs.add(conj_map(P.elems, f))
     return germs

@@ -11,7 +11,7 @@ from plocal.errors import NotSaturated, NotSylow
 from plocal.perm import perm_from_cycles
 
 from . import oracles
-from .conftest import perms
+from .conftest import germ, perms
 
 
 def sub(F, *specs):
@@ -41,8 +41,39 @@ def test_not_sylow_rejected(s4):
 def test_homs_materialization(F_s4, klein):
     V = gp.Subgroup(klein.elems)
     homs = F_s4.homs(V, F_s4.S)
-    assert len(homs) == 6
-    assert all(h.src == V.elems and h.image <= F_s4.S.elems for h in homs)
+    assert len(homs) == 6 and list(homs) == sorted(homs)
+    for h in oracles.as_pairs(F_s4.S, homs):
+        assert {x for x, _ in h} == V.elems and {y for _, y in h} <= F_s4.S.elems
+
+
+@pytest.mark.parametrize("case", ["s4", "l27"])
+def test_germ_operations_match_pair_maps(case, F_s4):
+    """Restriction, composition, inversion and the move to a subgroup's
+    positions and back, done on position tuples, agree with the same
+    operations on (element, image) pairs, over every germ of F_s4 and of
+    PSL(2,7) at p = 2 (and every restriction, and every composable pair)."""
+    if case == "s4":
+        F = F_s4
+    else:
+        G = gp.generate_group(perms(7, "(0 1 2 3 4 5 6)", "(0 1)(2 5)"))
+        F = fu.fusion_of_group(G, gp.sylow_subgroup(G, 2), 2)
+    S, lattice = F.S, fu._lattice(F)
+    pairs = {g: next(iter(oracles.as_pairs(S, [g]))) for g in F.all_germs()}
+    composed = 0
+    for g, a in pairs.items():
+        assert pairs[fu._inverse(g)] == oracles.inverse(a)
+        for mask, P in lattice.items():
+            if not mask & ~fu._src(g):
+                assert pairs[fu._restrict(g, mask)] == oracles.restrict(a, P.elems)
+            if not (fu._src(g) | fu._img(g)) & ~mask:
+                pos = fu._positions(S, P)
+                local = fu._local(g, pos)
+                assert oracles.as_pairs(P, [local]) == {a}
+                assert fu._lift(local, pos, S.order) == g
+        for h in F.germs_by_src[fu._img(g)]:
+            assert pairs[fu._then(g, h)] == oracles.compose(a, pairs[h])
+            composed += 1
+    assert composed > len(pairs)
 
 
 # -- close_generated ----------------------------------------------------------
@@ -57,15 +88,13 @@ def test_close_generated_restriction_property(d8):
     # order-2 subgroups it swaps, which no inner map joins
     S = d8
     A, inner = gp.aut_group(S), gp.inn_group(S).maps
-    alpha = next(
-        m for m in sorted(A.maps)
-        if m not in inner and m.then(m).is_identity_map()
-    )
-    F = fu.close_generated(S, 2, [alpha])
+    alpha = next(m for m in sorted(A.maps) if m not in inner and (m * m).is_identity())
+    F = fu.close_generated(S, 2, [alpha])  # an automorphism of S is a germ from S
     moved = 0
     for P in F.subgroups():
-        assert alpha.restrict(P.elems) in F.germs_from(P)
-        moved += frozenset(alpha(x) for x in P.elems) != P.elems
+        restricted = fu._restrict(alpha, fu._mask(S, P))
+        assert restricted in F.germs_from(P)
+        moved += fu._img(restricted) != fu._mask(S, P)
     assert moved
 
 
@@ -74,11 +103,28 @@ def test_close_generated_rejects_non_hom(s4):
     # bijection that is not a homomorphism
     r = perm_from_cycles("(0 1 2 3)", 4)
     C4 = s4.generated_subgroup([r])
-    bad = gp.GroupInjection(
-        ((s4.identity, s4.identity), (r, r), (r * r, r * r * r), (r * r * r, r * r))
-    )
-    with pytest.raises(ValueError):
+    bad = germ(C4, [(s4.identity, s4.identity), (r, r), (r * r, r * r * r), (r * r * r, r * r)])
+    with pytest.raises(ValueError, match="not a homomorphism"):
         fu.close_generated(C4, 2, [bad])
+
+
+def test_close_generated_rejects_non_injective(s4):
+    # on C4 = <r>: x |-> x^2 is a homomorphism with kernel <r^2>
+    r = perm_from_cycles("(0 1 2 3)", 4)
+    C4 = s4.generated_subgroup([r])
+    square = germ(C4, [(x, x * x) for x in C4])
+    with pytest.raises(ValueError, match="not injective"):
+        fu.close_generated(C4, 2, [square])
+
+
+def test_close_generated_rejects_a_germ_outside_S(s4):
+    r = perm_from_cycles("(0 1 2 3)", 4)
+    C4 = s4.generated_subgroup([r])
+    for bad in ((0, 1, 2), (0, 1, 2, 4), (0, 1, 2, -2)):
+        with pytest.raises(ValueError, match="inside S"):
+            fu.close_generated(C4, 2, [bad])
+        with pytest.raises(ValueError, match="inside S"):
+            fu.FusionSystem(C4, 2, [bad])
 
 
 # -- saturation ---------------------------------------------------------------
@@ -92,19 +138,35 @@ def test_corpus_systems_saturated(F_s4, F_s3, F_sl23):
 def test_unsaturated_witness():
     v4 = gp.generate_group(perms(4, "(0 1)(2 3)", "(0 2)(1 3)"))
     A = gp.aut_group(v4)
-    alpha = next(
-        m for m in sorted(A.maps)
-        if not m.is_identity_map() and m.then(m).is_identity_map()
-    )
+    alpha = next(m for m in sorted(A.maps) if not m.is_identity() and (m * m).is_identity())
     F = fu.close_generated(v4, 2, [alpha])
     w = fu.saturation_failure(F)
     assert w is not None and w["axiom"] == "fully-automized"
 
 
+def test_unreceptive_witness():
+    """On S = C4 x C2, the automorphism of V = {1, t, z, zt} (t = (4 5),
+    z = (0 2)(1 3)) swapping z and zt generates 11 germs. {z} is fully
+    normalized, but z t -> z does not extend to N_phi = S: receptivity
+    fails, with this witness."""
+    S = gp.generate_group(perms(6, "(0 1 2 3)", "(4 5)"))
+    e, t, z, zt = S.identity, *perms(6, "(4 5)", "(0 2)(1 3)", "(0 2)(1 3)(4 5)")
+    F = fu.close_generated(S, 2, [germ(S, [(e, e), (t, t), (z, zt), (zt, z)])])
+    assert len(F.all_germs()) == 11
+    assert fu.saturation_failure(F) == {
+        "axiom": "receptive",
+        "P": "{(0 2)(1 3)}",
+        "Q": "{(0 2)(1 3)(4 5)}",
+        "phi": "(0 2)(1 3)(4 5)->(0 2)(1 3)",
+        "N_phi": "{(4 5),(0 1 2 3),(0 1 2 3)(4 5),(0 2)(1 3),(0 2)(1 3)(4 5),"
+        "(0 3 2 1),(0 3 2 1)(4 5)}",
+    }
+
+
 def test_odd_aut_on_klein_four_is_saturated():
     v4 = gp.generate_group(perms(4, "(0 1)(2 3)", "(0 2)(1 3)"))
     A = gp.aut_group(v4)
-    rho = next(m for m in sorted(A.maps) if not m.then(m).is_identity_map())
+    rho = next(m for m in sorted(A.maps) if not (m * m).is_identity())
     F = fu.close_generated(v4, 2, [rho])  # = the A4 system
     assert fu.is_saturated(F)
     assert F.aut(F.S).order == 3
@@ -262,7 +324,7 @@ def test_K_normalizers_match_group_oracle_on_s4_a4():
             NG = oracles.K_normalizer_from_group(G, X, K)
             NS = gp.Subgroup(NG.elems & S.elems)
             assert NFK.S == NS
-            assert NFK.all_germs() == oracles.conjugation_germs(NG, NS)
+            assert oracles.as_pairs(NS, NFK.all_germs()) == oracles.conjugation_germs(NG, NS)
             assert fu.fusion_core(NFK).elems == oracles.fusion_core_from_group(NG, NS)
             got = {P.elems for P in fu.subcentric_set(NFK)}
             assert got == oracles.subcentric_from_group(NG, NS)
@@ -295,10 +357,7 @@ def test_subcentric_s4_is_everything(F_s4):
 def test_subcentric_requires_saturated():
     v4 = gp.generate_group(perms(4, "(0 1)(2 3)", "(0 2)(1 3)"))
     A = gp.aut_group(v4)
-    alpha = next(
-        m for m in sorted(A.maps)
-        if not m.is_identity_map() and m.then(m).is_identity_map()
-    )
+    alpha = next(m for m in sorted(A.maps) if not m.is_identity() and (m * m).is_identity())
     F = fu.close_generated(v4, 2, [alpha])
     with pytest.raises(NotSaturated):
         fu.subcentric_set(F)
@@ -381,7 +440,7 @@ def test_verdicts_kept_per_subsystem(s4, E_s4):
     generated by one involution of Aut_F(V4) is neither."""
     F = fu.fusion_of_group(s4, gp.sylow_subgroup(s4, 2), 2)
     T = E_s4.S
-    swap = oracles.conj_map(T.elems, perms(4, "(0 1)")[0])
+    swap = germ(T, oracles.conj_map(T.elems, perms(4, "(0 1)")[0]))
     bad = fu.close_generated(T, 2, [swap])
     assert bad.S == T and fu.subsystem_le(bad, F)
     for _ in range(2):

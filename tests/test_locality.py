@@ -296,7 +296,7 @@ def _restrict_outcome(restrict, L, H, Gamma, X):
 
 def _assert_germs_match(L, N, R):
     got = lo._partial_germs(L, N, R)
-    assert got == oracles.fusion_germs_by_perms(L, N, R)
+    assert oracles.as_pairs(R, got) == oracles.fusion_germs_by_perms(L, N, R)
     return got
 
 
@@ -446,7 +446,7 @@ def test_K_normalizer_matches_definition(L_s3xs3, s3xs3):
                 for f in L_s3xs3.elems
                 if xe <= lo.S_f(L_s3xs3, f).elems
                 and frozenset(x.conj(f) for x in xe) == xe
-                and oracles.conj_map(xe, f) in K.maps
+                and oracles.conj_map(xe, f) in oracles.as_pairs(X, K.maps)
             )
             assert lo.K_normalizer_partial(L_s3xs3, X, K) == expected
 

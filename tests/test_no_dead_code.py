@@ -7,7 +7,7 @@ used.
 
 Every parameter of a module-level function is read in that function's
 body. Methods are exempt: protocol methods such as
-``GroupInjection.__setattr__`` take arguments they ignore by design.
+``FusionSystem.__setattr__`` take arguments they ignore by design.
 
 Every name a module imports is read in that module. ``__init__.py`` is
 exempt, because its imports are the package's re-exports.
