@@ -15,14 +15,24 @@ predicate in sight can still quantify over all morphisms exactly.
 
 A system caches the subgroup lattice of S and what it derives (saturation
 witness, core, centric and subcentric sets, fully K-normalized verdicts
-per (X, K), K-normalizer subsystems per (X, K), and the verdicts of
-normality and p-power index of a smaller system E in it, per E) in its
-``_cache``; all of it depends only on the content (S, p, germs) of the
-system and of the key, and systems compare by content, so a hit is exact.
-The K-normalizer subsystems of a system, and theirs in turn, are shared
-by content: they and the system they come from hold one table of systems,
-so equal subsystems reached under different (X, K) are one object with
-one cache.
+per (X, K), K-normalizer subsystems per (X, K), the pulled-back actions
+of :func:`_pulled_back` per germ, and the verdicts of normality and
+p-power index of a smaller system E in it, per E) in its ``_cache``; all
+of it depends only on the content (S, p, germs) of the system and of the
+key, and systems compare by content, so a hit is exact.
+
+Equal content is also one object, and so one cache, through a *table of
+systems*: a dict mapping each system to itself, which every member holds
+under ``_cache["systems"]``. :func:`interned` gives the member equal to a
+new system, or enters it. A corpus entry keeps one table: it starts with
+F = F_S(G) (:func:`table_of_systems`), E = F_T(H) and the K-normalizer
+subsystems of every member are interned in it, and the entry's locality
+and its restrictions intern the systems of their partial subgroups in it
+too (``locality.fusion_of_partial``). So saturation, the core, the
+subcentric set, N_F^K(X), the fully K-normalized verdicts, normality and
+p-power index are decided once per content within an entry, whichever
+construction reached it. A system built alone gets a table of its own on
+first use.
 
 External definitions used here and pinned in one place:
 
@@ -109,11 +119,6 @@ class FusionSystem:
 
     def germs_from(self, P: Subgroup) -> FrozenSet[tuple]:
         return self.germs_by_src.get(_mask(self.S, P), frozenset())
-
-    def homs(self, P: Subgroup, Q: Subgroup) -> Tuple[tuple, ...]:
-        """Hom_F(P, Q): the germs from P whose image lies in Q."""
-        q = _mask(self.S, Q)
-        return tuple(g for g in sorted(self.germs_from(P)) if not _img(g) & ~q)
 
     def aut(self, P: Subgroup) -> AutGroup:
         """Aut_F(P): the germs from P onto P, in P's positions."""
@@ -220,6 +225,22 @@ def subsystem_le(E: FusionSystem, F: FusionSystem) -> bool:
         return False
     pos = _positions(F.S, E.S)
     return all(_lift(g, pos, F.S.order) in F.all_germs() for g in E.all_germs())
+
+
+def table_of_systems(F: FusionSystem) -> Dict[FusionSystem, FusionSystem]:
+    """The table of systems F belongs to (see the module docstring); for a
+    system that has none, a new one holding F alone."""
+    if "systems" not in F._cache:
+        F._cache["systems"] = {F: F}
+    return F._cache["systems"]
+
+
+def interned(systems: Dict[FusionSystem, FusionSystem], E: FusionSystem) -> FusionSystem:
+    """The member of the table of systems equal to E; E itself, entered in
+    the table, when it holds none."""
+    out = systems.setdefault(E, E)
+    out._cache.setdefault("systems", systems)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -362,11 +383,11 @@ def K_normalizer_subsystem(F: FusionSystem, X: Subgroup, K: AutGroup) -> FusionS
     those extending to an F-morphism that sends X to X acting as a member
     of K.
 
-    The result is shared by content in the table of systems that F and
-    every subsystem derived from it hold (``_cache["systems"]``): an (X, K)
-    whose subsystem equals one in the table, F included, gets that object
-    and so its cache. Its lattice is read off F's, and its germs are F's
-    re-expressed in the positions of its base.
+    The result is interned in F's table of systems (see the module
+    docstring): an (X, K) whose subsystem equals a member, F or any other
+    system its corpus entry has built, gets that object and so its cache.
+    Its lattice is read off F's, and its germs are F's re-expressed in the
+    positions of its base.
     """
     key = ("NFK", X.elems, K.maps)
     if key in F._cache:
@@ -388,10 +409,7 @@ def K_normalizer_subsystem(F: FusionSystem, X: Subgroup, K: AutGroup) -> FusionS
                     r = _restrict(psi, m)
                     if not _img(r) & ~s0:
                         germs.add(_local(r, s0pos))
-    out = FusionSystem(S0, F.p, germs)
-    systems = F._cache.setdefault("systems", {F: F})
-    out = systems.setdefault(out, out)
-    out._cache.setdefault("systems", systems)
+    out = interned(table_of_systems(F), FusionSystem(S0, F.p, germs))
     out._cache.setdefault("subgroups", tuple(lattice.values()))
     F._cache[key] = out
     return out
@@ -469,12 +487,16 @@ def saturation_failure(F: FusionSystem) -> Optional[dict]:
 def _pulled_back(F: FusionSystem, psi: tuple) -> Dict[Perm, Tuple[int, ...]]:
     """For psi: Y -> Z, each g in N_S(Y) mapped to the permutation image of
     psi^-1 c_g psi, z |-> ((z psi^-1)^g) psi, on Z's sorted elements: the
-    action of g on Y (:func:`normalizer_action`) carried through psi."""
-    images = [j for j in psi if j >= 0]  # of Y's elements in order
-    fro = sorted(range(len(images)), key=images.__getitem__)
-    to = sorted(range(len(images)), key=fro.__getitem__)  # Y's places to Z's
-    action = normalizer_action(F.S, _lattice(F)[_src(psi)])
-    return {g: tuple(to[image[j]] for j in fro) for g, image in action.items()}
+    action of g on Y (:func:`normalizer_action`) carried through psi. Kept
+    in F's cache per psi."""
+    key = ("pulled_back", psi)
+    if key not in F._cache:
+        images = [j for j in psi if j >= 0]  # of Y's elements in order
+        fro = sorted(range(len(images)), key=images.__getitem__)
+        to = sorted(range(len(images)), key=fro.__getitem__)  # Y's places to Z's
+        action = normalizer_action(F.S, _lattice(F)[_src(psi)])
+        F._cache[key] = {g: tuple(to[image[j]] for j in fro) for g, image in action.items()}
+    return F._cache[key]
 
 
 def _extension_control_group(F: FusionSystem, phi: tuple, autS_P: AutGroup) -> Subgroup:

@@ -10,7 +10,13 @@ elements of a group's *home*: the group it was found in, or itself when
 built alone (a corpus group, the permutation image of an automorphism
 group). A normalizer, a Sylow subgroup or a lattice member names its
 home, so no table is built for it. A home also keeps, per X, N_G(X) and
-its action on X: the one test of "g normalizes X".
+its action on X: the one test of "g normalizes X". And it keeps, each
+under a key of the content it depends on, what is decided about the
+groups that read its tables: O_p(H) and whether H has characteristic p,
+per (H, p); whether H is subnormal in G, per (H, G); Aut(X), per X; and
+the permutation image of each automorphism group of such an X, per maps,
+which is then the one home of that content. A question asked again about
+equal content, through whichever object, is answered from the home.
 
 Subgroup lattices are asked for only on p-groups and on permutation images
 of automorphism groups; S's is kept by the fusion system or locality over
@@ -138,6 +144,16 @@ class Subgroup:
         """Per X.elems, for G = self a home: N_G(X) and its action on X,
         each g mapped to the permutation image of c_g on X's sorted
         elements; filled by :func:`normalizer_action`."""
+        return {}
+
+    @cached_property
+    def _kept(self) -> Dict[tuple, object]:
+        """For G = self a home, what is decided about groups reading its
+        tables, per (kind, content): ("O_p", H.elems, p), ("char_p",
+        H.elems, p), ("subnormal", H.elems, G.elems), ("aut", X.elems) and
+        ("image", maps); filled by :func:`core_Op`,
+        :func:`is_characteristic_p`, :func:`is_subnormal`,
+        :func:`aut_group` and :attr:`AutGroup._image`."""
         return {}
 
     def indexes(self, elems: Iterable[Perm]) -> List[int]:
@@ -313,15 +329,21 @@ def sylow_subgroup(G: Subgroup, p: int) -> Subgroup:
 
 def core_Op(G: Subgroup, p: int) -> Subgroup:
     """O_p(G), the intersection of the Sylow conjugates: the x in a Sylow
-    subgroup P with x^g in P for every g in G."""
-    conj, inside, gs = G.home.conj_table, set(G.indexes(sylow_subgroup(G, p))), G.indexes(G)
-    return G.from_indexes(x for x in inside if all(conj[a][x] in inside for a in gs))
+    subgroup P with x^g in P for every g in G. Kept on G's home per (G, p)."""
+    kept, key = G.home._kept, ("O_p", G.elems, p)
+    if key not in kept:
+        conj, inside, gs = G.home.conj_table, set(G.indexes(sylow_subgroup(G, p))), G.indexes(G)
+        kept[key] = G.from_indexes(x for x in inside if all(conj[a][x] in inside for a in gs))
+    return kept[key]
 
 
 def is_characteristic_p(G: Subgroup, p: int) -> bool:
-    """C_G(O_p(G)) <= O_p(G)."""
-    Q = core_Op(G, p)
-    return centralizer(G, Q).elems <= Q.elems
+    """C_G(O_p(G)) <= O_p(G). Kept on G's home per (G, p)."""
+    kept, key = G.home._kept, ("char_p", G.elems, p)
+    if key not in kept:
+        Q = core_Op(G, p)
+        kept[key] = centralizer(G, Q).elems <= Q.elems
+    return kept[key]
 
 
 def subnormal_chain(H: Subgroup, G: Subgroup) -> Optional[Tuple[Subgroup, ...]]:
@@ -344,7 +366,12 @@ def subnormal_chain(H: Subgroup, G: Subgroup) -> Optional[Tuple[Subgroup, ...]]:
 
 
 def is_subnormal(H: Subgroup, G: Subgroup) -> bool:
-    return subnormal_chain(H, G) is not None
+    """Whether subnormal_chain(H, G) finds a chain. Kept on G's home per
+    (H, G); an H outside G raises on every call."""
+    kept, key = G.home._kept, ("subnormal", H.elems, G.elems)
+    if key not in kept:
+        kept[key] = subnormal_chain(H, G) is not None
+    return kept[key]
 
 
 # ---------------------------------------------------------------------------
@@ -359,9 +386,11 @@ class AutGroup:
 
     A germ of a fusion system over X with source X is the same tuple, so
     Aut_F(X) is the set of such germs. The image is a home of its own with
-    its tables: set products with their closure check, subnormality and
-    lattices are computed on it, and K*Inn(X) is computed once and kept on
-    K (:attr:`times_inn`).
+    its tables, one per content: kept on the base's home per maps, so
+    every AutGroup with these maps over a base of that home reads it. Set
+    products with their closure check, subnormality and lattices are
+    computed on it, and K*Inn(X) is computed once and kept on K
+    (:attr:`times_inn`).
     """
 
     base: Subgroup = field(compare=True)
@@ -379,7 +408,10 @@ class AutGroup:
 
     @cached_property
     def _image(self) -> Subgroup:
-        return Subgroup(self.maps)
+        kept, key = self.base.home._kept, ("image", self.maps)
+        if key not in kept:
+            kept[key] = Subgroup(self.maps)
+        return kept[key]
 
     def perm_group(self) -> Subgroup:
         return self._image
@@ -422,10 +454,20 @@ def aut_group(X: Subgroup, cap: int = AUT_BASE_CAP) -> AutGroup:
     extends each to X along a spanning tree of products by generators, and
     keeps the bijective homomorphisms. The homomorphism check only needs
     (generator, element) pairs because every element is reached from the
-    identity by generators. Products are read off X's home table.
+    identity by generators. Products are read off X's home table. Kept on
+    X's home per X, so every caller asking about equal content gets one
+    object, and what that object keeps (:attr:`AutGroup.times_inn`).
     """
     if X.order > cap:
         raise CapExceeded("automorphism base %d exceeds cap %d" % (X.order, cap))
+    kept, key = X.home._kept, ("aut", X.elems)
+    if key not in kept:
+        kept[key] = _automorphisms(X)
+    return kept[key]
+
+
+def _automorphisms(X: Subgroup) -> AutGroup:
+    """The search of :func:`aut_group`, run once per X on its home."""
     mul, elems, xs = X.home.mul_table, X.home._sorted, X.indexes(X)
     # a small (greedy, deterministic) generating sequence
     gens, closure = [], {0}

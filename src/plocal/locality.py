@@ -46,9 +46,12 @@ word where rule and oracle disagree is the objectivity witness.
 
 The statement checkers in ``verify`` run the subcentric verification once
 per distinct structure of a corpus entry, keyed on its content in the memo
-of the entry's locality. The fusion systems of partial subgroups are kept
-in one table per entry, which the entry's locality shares with all its
-restrictions, so each distinct closure input is closed once.
+of the entry's locality, and bN_K restricts once per content (N_L^K(X),
+Gamma, X) in that memo. The fusion systems of partial subgroups are
+interned in the entry's table of systems (see ``fusion``), which the
+entry's locality holds with F_S(G) and shares with all its restrictions,
+so each distinct closure input is closed once and each closed system is
+the one object of its content that the entry's fusion layer holds.
 """
 
 from __future__ import annotations
@@ -68,6 +71,7 @@ from .fusion import (
     FusionSystem,
     K_normalizer_subsystem,
     close_generated,
+    interned,
     is_fully_K_normalized,
     subcentric_set,
 )
@@ -161,7 +165,9 @@ class Locality:
     inside S. Its elements lie in the ambient group, its product is the
     ambient product and its words are decided by ChainDomain(ambient, S,
     Delta). It owns the lattice of S, handed on by group_locality or
-    restrict."""
+    restrict, and holds a table of systems (see fusion_of_partial): its
+    own, or the one group_locality is handed, shared with every
+    restriction of it."""
 
     __slots__ = (
         "ambient", "elems", "Delta", "S_elems", "p", "rule", "_sorted", "_memo", "_systems"
@@ -185,8 +191,8 @@ class Locality:
         self.rule = ChainDomain(ambient, self.S_elems, self.Delta)
         self._sorted = None
         self._memo = {}
-        # fusion systems of partial subgroups, shared with every restriction
-        # of this locality (see fusion_of_partial)
+        # the table of systems, shared with every restriction of this
+        # locality (see fusion_of_partial)
         self._systems = {}
 
     @property
@@ -278,34 +284,46 @@ def partial_subgroup_violation(parent: Locality, elems: FrozenSet[Perm]) -> Opti
 
 
 def group_locality(
-    G: Subgroup, S: Subgroup, p: int, *, subgroups: Optional[Tuple[Subgroup, ...]] = None
+    G: Subgroup, S: Subgroup, p: int, *,
+    subgroups: Optional[Tuple[Subgroup, ...]] = None,
+    systems: Optional[Dict[FusionSystem, FusionSystem]] = None,
 ) -> Locality:
     """G as a locality over its Sylow p-subgroup S: every subgroup of S is
     an object, so every word is defined. ``subgroups`` is S's lattice, if
-    the caller holds it."""
+    the caller holds it, and ``systems`` the table of systems (see
+    fusion_of_partial) the locality is to use, if the caller holds one."""
     if S.order != p_part(G.order, p):
         raise NotSylow("S is not a Sylow %d-subgroup of G" % p)
     subgroups = subgroups or all_subgroups(S)
     out = Locality(G, G.elems, (H.elems for H in subgroups), S.elems, p)
     out._memo["subgroups"] = subgroups
+    if systems is not None:
+        out._systems = systems
     return out
 
 
 def build_group_locality(
     G: Subgroup, S: Subgroup, Delta: Iterable[FrozenSet[Perm]], p: int,
     *, subgroups: Optional[Tuple[Subgroup, ...]] = None,
+    systems: Optional[Dict[FusionSystem, FusionSystem]] = None,
 ) -> Locality:
     """L_Delta(G) = {g in G : S cap S^{g^-1} in Delta}: the group locality
-    restricted to Delta, where S_g = S cap S^{g^-1}. ``subgroups`` is as
-    for group_locality.
+    restricted to Delta, where S_g = S cap S^{g^-1}. ``subgroups`` and
+    ``systems`` are as for group_locality.
 
     Delta must be closed under F_S(G)-conjugacy and overgroups in S;
     restrict raises GammaNotClosed otherwise. The construction always
     yields a structure; run verify_locality (or the subcentric verifier) to
     certify the axioms for a particular G.
     """
-    L = group_locality(G, S, p, subgroups=subgroups)
-    return restrict(L, G.elems, Delta, S.trivial_subgroup())
+    L = group_locality(G, S, p, subgroups=subgroups, systems=systems)
+    one = S.trivial_subgroup()
+    out = restrict(L, G.elems, Delta, one)
+    if out == L:
+        # every subgroup of S is an object, so out has L's content and
+        # restricts as L did, to itself: kept as bN_K keeps a restriction
+        out._memo["restrict", out.elems, out.Delta, one.elems] = out
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -476,8 +494,10 @@ def bN_K(L: Locality, F: FusionSystem, X: Subgroup, K: AutGroup) -> Locality:
 
     Requires X fully K-normalized in F. The output is a subcentric locality
     when K is subnormal in K*Inn(X); callers that need one test that
-    hypothesis themselves. Kept in L's memo per (F, X, K); a failed
-    hypothesis is not kept, so it raises again on every call.
+    hypothesis themselves. Kept in L's memo per (F, X, K), and the
+    restriction per its content (N_L^K(X), Gamma, X), which many (F, X, K)
+    share (K and K cap Aut_F(X), for one); a failed hypothesis is not
+    kept, so it raises again on every call.
     """
     key = ("bN_K", F, X.elems, K.maps)
     hit = L._memo.get(key)
@@ -487,7 +507,11 @@ def bN_K(L: Locality, F: FusionSystem, X: Subgroup, K: AutGroup) -> Locality:
         raise NotFullyKNormalized("X is not fully K-normalized in F")
     NFK = K_normalizer_subsystem(F, X, K)
     Gamma = frozenset(P.elems for P in subcentric_set(NFK))
-    hit = restrict(L, K_normalizer_partial(L, X, K), Gamma, X)
+    H = K_normalizer_partial(L, X, K)
+    content = ("restrict", H, Gamma, X.elems)
+    hit = L._memo.get(content)
+    if hit is None:
+        hit = L._memo[content] = restrict(L, H, Gamma, X)
     L._memo[key] = hit
     return hit
 
@@ -537,10 +561,13 @@ def fusion_of_partial(
     generated by the conjugation maps c_f, f in N.
 
     Kept in L's table of systems, which L shares with every restriction of
-    it and with the locality it was restricted from, under two keys: the
-    content (L, N, R) of the call, and the closure's input (R, generating
-    germs), so that calls that differ in (L, N) but generate the same
-    system close it once and share it. The base must lie in N cap S.
+    it and with the locality it was restricted from, and, for a corpus
+    entry's locality, with the entry's fusion systems (see fusion). The
+    closure is interned there by content, so it is the one object of its
+    content with one cache, and kept under two keys besides: the content
+    (L, N, R) of the call, and the closure's input (R, generating germs),
+    so that calls that differ in (L, N) but generate the same system close
+    it once. The base must lie in N cap S.
     """
     N = _inside(L, N)
     R = base if base is not None else Subgroup(N & L.S_elems, L.ambient)
@@ -554,7 +581,8 @@ def fusion_of_partial(
         hit = table.get(closure)
         if hit is None:
             lattice = tuple(P for P in L.subgroups() if P.elems <= R.elems)
-            hit = table[closure] = close_generated(R, L.p, germs, subgroups=lattice)
+            hit = close_generated(R, L.p, germs, subgroups=lattice)
+            hit = table[closure] = interned(table, hit)
         table[key] = hit
     return hit
 

@@ -462,7 +462,9 @@ def prepare_entry(entry, word_len: int = 3):
     if sat is not None:
         return None, failed_report("Axioms", inst, {"saturation": sat})
     Delta = frozenset(P.elems for P in fu.subcentric_set(F))
-    L = lo.build_group_locality(G, S, Delta, p, subgroups=F.subgroups())
+    # the entry's one table of systems, started by F and handed on to L
+    systems = fu.table_of_systems(F)
+    L = lo.build_group_locality(G, S, Delta, p, subgroups=F.subgroups(), systems=systems)
     # bN_L^K(X) can be L itself, so its Lemma-2.1 check reuses this one
     rep = _verified_subcentric(L, L, F, word_len)
     if not rep.passed:
@@ -470,7 +472,7 @@ def prepare_entry(entry, word_len: int = 3):
     H = Subgroup(entry.H.elems, G)
     T = Subgroup(S.elems & H.elems, G)
     lattice = tuple(P for P in F.subgroups() if P.elems <= T.elems)
-    E = fu.fusion_of_group(H, T, p, subgroups=lattice)
+    E = fu.interned(systems, fu.fusion_of_group(H, T, p, subgroups=lattice))
     if not fu.is_normal_subsystem(E, F):
         return None, failed_report("Axioms", inst, {"subsystem": "F_T(H) not normal in F"})
     # H is normal in G, so H cap L is closed under inverses, defined products

@@ -369,8 +369,11 @@ def partial_group_by_words(P, word_len):
 
     Every product is a product of ``Perm``s and a word is in the domain
     when R_w, the base elements whose conjugates by all prefix products of
-    w stay in the base, is one of the rule's objects. Nothing is kept from
-    one word for the next and no table is read. The words of length
+    w stay in the base, is one of the rule's objects. No package table is
+    read: each letter's inverse and its conjugates of the base elements
+    are computed once per call by ``Perm`` arithmetic, and each product of
+    an element by a letter the first time it is met; no verdict is kept
+    from one word for the next. The words of length
     1..word_len go by length and then lexicographically over the sorted
     elements, and each domain word w gets its checks in one order: length
     one, subwords w[i:j], the splices of Pi(w[i:j]) for j - i >= 2, and the
@@ -378,13 +381,18 @@ def partial_group_by_words(P, word_len):
     """
     rule, els, elems, unit = P.rule, P.sorted_elements(), P.elems, P.unit
     checked = domain = 0
+    # every letter of a word below lies in P: the words' own, a spliced
+    # product once it is found in P, and an inverse once inversion holds
+    inverse = {g: g.inv() for g in els}
+    conj = {g: {x: x.conj(g) for x in rule.base} for g in els}
+    times = {}
 
     def in_domain(word):
         R = []
         for x in rule.base:
             y = x
             for g in word:
-                y = y.conj(g)
+                y = conj[g][y]
                 if y not in rule.base:
                     break
             else:
@@ -394,11 +402,17 @@ def partial_group_by_words(P, word_len):
     def product(word):
         out = unit
         for g in word:
-            out = out * g
+            step = times.get((out, g))
+            if step is None:
+                step = times[out, g] = out * g
+            out = step
         return out
 
     def fail(witness):
         return "fail", witness, {"words_checked": checked, "domain_words": domain}
+
+    def named(word):
+        return [str(g) for g in word]
 
     for x in els:
         if x.inv() not in elems:
@@ -415,26 +429,25 @@ def partial_group_by_words(P, word_len):
             if not in_domain(w):
                 continue
             domain += 1
-            named = [str(g) for g in w]
             if k == 1 and product(w) != w[0]:
-                return fail({"axiom": "length-one", "w": named})
+                return fail({"axiom": "length-one", "w": named(w)})
             for i in range(k):
                 for j in range(i + 1, k + 1):
                     if j - i < k and not in_domain(w[i:j]):
-                        return fail({"axiom": "subword", "w": named, "i": i, "j": j})
+                        return fail({"axiom": "subword", "w": named(w), "i": i, "j": j})
             for i in range(k - 1):
                 for j in range(i + 2, k + 1):
                     v = product(w[i:j])
                     spliced = w[:i] + (v,) + w[j:]
                     if v not in elems or not in_domain(spliced):
-                        return fail({"axiom": "splice-domain", "w": named, "i": i, "j": j})
+                        return fail({"axiom": "splice-domain", "w": named(w), "i": i, "j": j})
                     if product(spliced) != product(w):
-                        return fail({"axiom": "splice-product", "w": named, "i": i, "j": j})
-            wbar = tuple(g.inv() for g in reversed(w))
+                        return fail({"axiom": "splice-product", "w": named(w), "i": i, "j": j})
+            wbar = tuple(inverse[g] for g in reversed(w))
             if not in_domain(wbar + w):
-                return fail({"axiom": "inverse-word-domain", "w": named})
+                return fail({"axiom": "inverse-word-domain", "w": named(w)})
             if product(wbar + w) != unit:
-                return fail({"axiom": "inverse-word-product", "w": named})
+                return fail({"axiom": "inverse-word-product", "w": named(w)})
     return "pass", None, {"words_checked": checked, "domain_words": domain}
 
 

@@ -39,11 +39,20 @@ def test_not_sylow_rejected(s4):
 
 
 def test_homs_materialization(F_s4, klein):
+    """Hom_F(V, S) is every germ from V."""
     V = gp.Subgroup(klein.elems)
-    homs = F_s4.homs(V, F_s4.S)
-    assert len(homs) == 6 and list(homs) == sorted(homs)
+    homs = F_s4.germs_from(V)
+    assert len(homs) == 6
     for h in oracles.as_pairs(F_s4.S, homs):
         assert {x for x, _ in h} == V.elems and {y for _, y in h} <= F_s4.S.elems
+
+
+def _s4_or_l27(case, F_s4):
+    """F_s4, or the fusion system of PSL(2,7) at p = 2."""
+    if case == "s4":
+        return F_s4
+    G = gp.generate_group(perms(7, "(0 1 2 3 4 5 6)", "(0 1)(2 5)"))
+    return fu.fusion_of_group(G, gp.sylow_subgroup(G, 2), 2)
 
 
 @pytest.mark.parametrize("case", ["s4", "l27"])
@@ -52,11 +61,7 @@ def test_germ_operations_match_pair_maps(case, F_s4):
     positions and back, done on position tuples, agree with the same
     operations on (element, image) pairs, over every germ of F_s4 and of
     PSL(2,7) at p = 2 (and every restriction, and every composable pair)."""
-    if case == "s4":
-        F = F_s4
-    else:
-        G = gp.generate_group(perms(7, "(0 1 2 3 4 5 6)", "(0 1)(2 5)"))
-        F = fu.fusion_of_group(G, gp.sylow_subgroup(G, 2), 2)
+    F = _s4_or_l27(case, F_s4)
     S, lattice = F.S, fu._lattice(F)
     pairs = {g: next(iter(oracles.as_pairs(S, [g]))) for g in F.all_germs()}
     composed = 0
@@ -74,6 +79,28 @@ def test_germ_operations_match_pair_maps(case, F_s4):
             assert pairs[fu._then(g, h)] == oracles.compose(a, pairs[h])
             composed += 1
     assert composed > len(pairs)
+
+
+@pytest.mark.parametrize("case", ["s4", "l27"])
+def test_pulled_back_is_psi_inverse_conjugation_psi(case, F_s4):
+    """For every germ psi: Y -> Z of F_s4 and of PSL(2,7) at p = 2, the
+    pulled-back action maps exactly the g in N_S(Y) to psi^-1 c_g psi on Z,
+    all built as pair maps by Perm conjugation; it is kept per psi."""
+    F = _s4_or_l27(case, F_s4)
+    S, lattice = F.S, fu._lattice(F)
+    moved = 0
+    for psi in F.all_germs():
+        Y, Z = lattice[fu._src(psi)], lattice[fu._img(psi)]
+        (a,) = oracles.as_pairs(S, [psi])
+        pulled = fu._pulled_back(F, psi)
+        assert set(pulled) == {g for g in S if {y.conj(g) for y in Y} == Y.elems}
+        for g, image in pulled.items():
+            c_g = oracles.conj_map(Y.elems, g)
+            want = oracles.compose(oracles.compose(oracles.inverse(a), c_g), a)
+            assert oracles.as_pairs(Z, [image]) == {want}
+            moved += want != oracles.conj_map(Z.elems, g)
+        assert fu._pulled_back(F, psi) is pulled
+    assert moved
 
 
 # -- close_generated ----------------------------------------------------------

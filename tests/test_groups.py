@@ -140,6 +140,26 @@ def test_characteristic_p(s4, s3):
     assert gp.is_characteristic_p(s3, 3)
 
 
+@pytest.mark.parametrize("order", [(2, 3), (3, 2)], ids=["2-then-3", "3-then-2"])
+@pytest.mark.parametrize(
+    "gens", [(4, "(0 1 2 3)", "(0 1)"), (6, "(0 1 2)", "(0 1)", "(3 4 5)", "(3 4)")],
+    ids=["s4", "s3xs3"],
+)
+def test_O_p_and_characteristic_p_kept_per_prime(gens, order):
+    """O_p(G) and whether G has characteristic p, kept on G's home, are
+    kept per prime: asked at both primes in turn on one home, each equals
+    O_p by conjugation and the verdict of a new home asked at that prime
+    alone. Both groups have characteristic p at one of the primes only."""
+    G = gp.generate_group(perms(*gens))
+    verdicts = set()
+    for p in order:
+        assert gp.core_Op(G, p).elems == oracles.core_Op_by_conjugation(G, p)
+        verdict = gp.is_characteristic_p(G, p)
+        assert verdict == gp.is_characteristic_p(gp.Subgroup(G.elems), p)
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
 # -- normalizer / centralizer ----------------------------------------------
 
 

@@ -240,6 +240,72 @@ def test_fusion_core_once_per_distinct_system(monkeypatch):
     assert len(computed) == len(set(computed))
 
 
+def test_each_structure_decided_once_per_content_of_an_entry(monkeypatch):
+    """Within each default-corpus entry, the saturation of a fusion system,
+    O_p of a group at p, subnormality, the automorphism search of X and
+    the restriction of a locality run once per content: equal systems are
+    one member of the entry's table of systems, group verdicts are kept on
+    their home, and bN_K keeps each restriction per (N_L^K(X), Gamma, X)."""
+    names = ("saturation_failure", "core_Op", "is_subnormal", "aut_group", "restrict")
+    runs = {name: [] for name in names}
+
+    def spy(name, real, content, fresh):
+        def wrapper(*args):
+            if fresh(*args):
+                runs[name][-1].append(content(*args))
+            return real(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(fu, "saturation_failure", spy(
+        "saturation_failure", fu.saturation_failure, lambda F: F, lambda F: "sat" not in F._cache
+    ))
+    monkeypatch.setattr(gp, "core_Op", spy(
+        "core_Op", gp.core_Op, lambda G, p: (G.elems, p),
+        lambda G, p: ("O_p", G.elems, p) not in G.home._kept,
+    ))
+    monkeypatch.setattr(gp, "is_subnormal", spy(
+        "is_subnormal", gp.is_subnormal, lambda H, G: (H.elems, G.elems),
+        lambda H, G: ("subnormal", H.elems, G.elems) not in G.home._kept,
+    ))
+    aut = spy(
+        "aut_group", gp.aut_group, lambda X: X.elems, lambda X: ("aut", X.elems) not in X.home._kept
+    )
+    for module in (gp, fu, lo):
+        monkeypatch.setattr(module, "aut_group", aut)
+    monkeypatch.setattr(lo, "restrict", spy(
+        "restrict", lo.restrict, lambda L, H, Gamma, X: (L, H, Gamma, X.elems), lambda *args: True
+    ))
+    for entry in cli.parse_corpus(cli.default_corpus_text()):
+        for made in runs.values():
+            made.append([])
+        reports, _ = vf.run_suite([entry])
+        assert not any(r.failed for r in reports)
+    for name, per_entry in runs.items():
+        assert len(per_entry) == 4 and all(per_entry), name
+        for made in per_entry:
+            assert len(made) == len(set(made)), name
+
+
+def test_bN_K_keeps_a_restriction_per_gamma():
+    """On PSL(2,7) as a group locality at p = 2, X = 1 and K = {id},
+    N_L^K(X) is the whole group whatever the system, but Gamma is the
+    subcentric set: nine of the ten subgroups of S for F_S(G), all ten for
+    S's inner system. Their restrictions differ, so the restriction bN_K
+    keeps is one per content (N_L^K(X), Gamma, X)."""
+    G = gp.generate_group(perms(7, "(0 1 2 3 4 5 6)", "(0 1)(2 5)"))
+    S = gp.sylow_subgroup(G, 2)
+    L = lo.group_locality(G, S, 2)
+    one = G.trivial_subgroup()
+    K = gp.trivial_aut_group(one)
+    sizes = []
+    for F in (fu.fusion_of_group(G, S, 2), fu.fusion_of_group(S, S, 2)):
+        bn = lo.bN_K(L, F, one, K)
+        assert bn.Delta == {P.elems for P in fu.subcentric_set(F)}
+        sizes.append((len(bn.elems), len(bn.Delta)))
+    assert sizes == [(104, 9), (168, 10)]
+
+
 def test_ambient_characteristic_p_decided_once_per_entry(monkeypatch):
     """The Lemma-2.2a/b sweep tests the ambient G for characteristic p once,
     not once per instance."""
@@ -448,9 +514,11 @@ def test_K_times_inn_once_per_value_on_s4_a4(monkeypatch):
 @pytest.fixture(scope="module")
 def default_corpus_recorded():
     """The default corpus run entry by entry, with the inputs of the
-    closures each entry makes and each normality, p-power-index and
-    saturation verdict that a checker in verify reads."""
-    closures, verdicts = [], []
+    closures each entry makes, each normality, p-power-index and
+    saturation verdict that a checker in verify reads, and each
+    characteristic-p, subnormality and automorphism-group answer that any
+    module gets."""
+    closures, verdicts, group_answers = [], [], []
     real_close = fu.close_generated
 
     def close(S, p, generators=(), cap=fu.GERM_CAP, **kwargs):
@@ -467,23 +535,36 @@ def default_corpus_recorded():
 
         return wrapper
 
+    def answered(real):
+        def wrapper(*args):
+            out = real(*args)
+            group_answers.append((real.__name__, args, out))
+            return out
+
+        return wrapper
+
     reports = []
     with pytest.MonkeyPatch.context() as mp:
         for module in (fu, lo):
             mp.setattr(module, "close_generated", close)
         for name in ("is_normal_subsystem", "has_p_power_index", "saturation_failure"):
             mp.setattr(fu, name, recorded(getattr(fu, name)))
+        for name in ("is_characteristic_p", "is_subnormal", "aut_group"):
+            spy = answered(getattr(gp, name))
+            for module in (gp, fu, lo):
+                if hasattr(module, name):
+                    mp.setattr(module, name, spy)
         for entry in cli.parse_corpus(cli.default_corpus_text()):
             closures.append([])
             reports += vf.run_suite([entry])[0]
-    return reports, closures, verdicts
+    return reports, closures, verdicts, group_answers
 
 
 def test_one_closure_per_input_of_an_entry(default_corpus_recorded):
     """Within a corpus entry each distinct (S, generator set) is closed
     once: the entry's locality and all its restrictions share one table of
     systems. An input that two entries meet is closed once in each."""
-    reports, closures, _ = default_corpus_recorded
+    reports, closures, _, _ = default_corpus_recorded
     assert len(reports) == 742 and not any(r.failed for r in reports)
     assert all(closures)
     for made in closures:
@@ -499,7 +580,7 @@ def test_kept_verdicts_match_fresh_ones(default_corpus_recorded):
     N_F^K(X), E_0 of p-power index in N_{EX}^K(X) and E_0 saturated for
     every theorem instance among them, equals the verdict computed on
     cache-free copies of its systems."""
-    _, _, verdicts = default_corpus_recorded
+    _, _, verdicts, _ = default_corpus_recorded
     assert {name for name, _, _ in verdicts} == {
         "is_normal_subsystem",
         "has_p_power_index",
@@ -515,6 +596,22 @@ def test_kept_verdicts_match_fresh_ones(default_corpus_recorded):
         else:
             want = fresh[key]
         assert out == want, (name, args)
+
+
+def test_kept_group_answers_match_fresh_ones(default_corpus_recorded):
+    """Each characteristic-p verdict, subnormality verdict and automorphism
+    group that a module got on the default corpus, many of them kept on a
+    home, equals the one computed on cache-free copies of its groups: new
+    homes with the same elements."""
+    _, _, _, answers = default_corpus_recorded
+    assert {name for name, _, _ in answers} == {"is_characteristic_p", "is_subnormal", "aut_group"}
+    fresh = {}
+    for name, args, out in answers:
+        key = (name,) + tuple(getattr(a, "elems", a) for a in args)
+        if key not in fresh:
+            copies = (gp.Subgroup(a.elems) if isinstance(a, gp.Subgroup) else a for a in args)
+            fresh[key] = getattr(gp, name)(*copies)
+        assert out == fresh[key], (name, args)
 
 
 # -- suite plumbing ------------------------------------------------------------
