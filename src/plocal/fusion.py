@@ -13,13 +13,13 @@ them back (``_lift``). Hom_F(P, Q) is the germs from P whose image lies
 in Q. This normal form keeps closure computations small while every
 predicate in sight can still quantify over all morphisms exactly.
 
-A system caches the subgroup lattice of S and what it derives (saturation
-witness, core, centric and subcentric sets, fully K-normalized verdicts
-per (X, K), K-normalizer subsystems per (X, K), the pulled-back actions
-of :func:`_pulled_back` per germ, and the verdicts of normality and
-p-power index of a smaller system E in it, per E) in its ``_cache``; all
-of it depends only on the content (S, p, germs) of the system and of the
-key, and systems compare by content, so a hit is exact.
+A system caches the subgroup lattice of S and what it derives (Aut_F(P)
+per P, saturation witness, core, centric and subcentric sets, fully
+K-normalized verdicts per (X, K), K-normalizer subsystems per (X, K), the
+pulled-back actions of :func:`_pulled_back` per germ, and the verdicts of
+normality and p-power index of a smaller system E in it, per E) in its
+``_cache``; all of it depends only on the content (S, p, germs) of the
+system and of the key, and systems compare by content, so a hit is exact.
 
 Equal content is also one object, and so one cache, through a *table of
 systems*: a dict mapping each system to itself, which every member holds
@@ -121,9 +121,12 @@ class FusionSystem:
         return self.germs_by_src.get(_mask(self.S, P), frozenset())
 
     def aut(self, P: Subgroup) -> AutGroup:
-        """Aut_F(P): the germs from P onto P, in P's positions."""
-        p, pos = _mask(self.S, P), _positions(self.S, P)
-        return AutGroup(P, {_local(g, pos) for g in self.germs_from(P) if _img(g) == p})
+        """Aut_F(P): the germs from P onto P in P's positions, kept per P."""
+        key = ("aut", P.elems)
+        if key not in self._cache:
+            p, pos = _mask(self.S, P), _positions(self.S, P)
+            self._cache[key] = AutGroup(P, {_local(g, pos) for g in self.germs_from(P) if _img(g) == p})
+        return self._cache[key]
 
     def aut_S(self, P: Subgroup) -> AutGroup:
         """Aut_S(P) = automorphisms induced by conjugation from N_S(P)."""
@@ -388,6 +391,11 @@ def K_normalizer_subsystem(F: FusionSystem, X: Subgroup, K: AutGroup) -> FusionS
     system its corpus entry has built, gets that object and so its cache.
     Its lattice is read off F's, and its germs are F's re-expressed in the
     positions of its base.
+
+    F is closed under restriction, so a germ from m extends to such an
+    F-morphism iff it extends to one from <m, X>: the germs from m are the
+    restrictions of those from the join that act on X in K, each join's
+    found once.
     """
     key = ("NFK", X.elems, K.maps)
     if key in F._cache:
@@ -397,18 +405,16 @@ def K_normalizer_subsystem(F: FusionSystem, X: Subgroup, K: AutGroup) -> FusionS
     S0 = group_K_normalizer(F.S, X, K)
     x, s0, xpos, s0pos = _mask(F.S, X), _mask(F.S, S0), _positions(F.S, X), _positions(F.S, S0)
     lattice = {m: P for m, P in _lattice(F).items() if not m & ~s0}
-    germs = set()
-    for src, psis in F.germs_by_src.items():
-        if x & ~src:
-            continue
-        for psi in psis:
-            if _local(psi, xpos) not in K.maps:  # psi moves X off X, or acts outside K
-                continue
-            for m in lattice:
-                if not m & ~src:
-                    r = _restrict(psi, m)
-                    if not _img(r) & ~s0:
-                        germs.add(_local(r, s0pos))
+    germs, good = set(), {}
+    for m in lattice:
+        # the join: the first member of S's lattice in canonical order holding m and X
+        J = next(j for j in _lattice(F) if not (m | x) & ~j)
+        if J not in good:  # the germs from J fixing X and acting on it in K
+            good[J] = [psi for psi in F.germs_by_src.get(J, ()) if _local(psi, xpos) in K.maps]
+        for psi in good[J]:
+            r = _restrict(psi, m)
+            if not _img(r) & ~s0:
+                germs.add(_local(r, s0pos))
     out = interned(table_of_systems(F), FusionSystem(S0, F.p, germs))
     out._cache.setdefault("subgroups", tuple(lattice.values()))
     F._cache[key] = out

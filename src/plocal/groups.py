@@ -428,13 +428,22 @@ class AutGroup:
 
     def product(self, other: "AutGroup") -> "AutGroup":
         """Set product self*other, which must be a subgroup of Aut(base),
-        composed as plain tuples (a first, then b)."""
+        composed as plain tuples (a first, then b). A finite set holding 1
+        is a subgroup iff prod t <= prod for each t in a set T generating
+        it: then prod <T> = prod holds 1 <T>. T is taken greedily, each map
+        of the product outside the group <T> generated so far."""
         self._check_base(other)
         prod = {tuple(map(b.__getitem__, a)) for a in self.maps for b in other.maps}
-        for a in prod:  # closure sanity: product of subgroups along a normal one
-            for b in prod:
-                if tuple(map(b.__getitem__, a)) not in prod:
+        gens, group = [], {tuple(range(self.base.order))}
+        for t in prod:
+            if t not in group:
+                if any(tuple(map(t.__getitem__, a)) not in prod for a in prod):
                     raise ValueError("set product is not a subgroup")
+                gens.append(t)
+                frontier = group
+                while frontier:  # <gens>, inside prod by the test
+                    frontier = {tuple(map(s.__getitem__, a)) for a in frontier for s in gens} - group
+                    group |= frontier
         return AutGroup(self.base, prod)
 
     @cached_property

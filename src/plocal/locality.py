@@ -35,14 +35,14 @@ axiom) plus the splicing/inversion patterns those words generate; pass
 ``word_len=4`` for the fuller fragment on small structures. One
 depth-first walk per locality visits the words by length and then
 lexicographically, one prefix at a time: a prefix carries its products
-and four states, and what the checks of its extensions by each letter need
-of the prefix alone is read once for all of them, so each word costs a few
-lookups; the domain flags of shorter words are kept, so subwords and
-spliced words are looked up, not walked again. The states are R_w, the
-product and R_wbar of the inverse word wbar, which decide wbar w, and the
-objectivity oracle's objects ending an object chain along w, stepped
-through a table filled by conjugating each object's elements. The first
-word where rule and oracle disagree is the objectivity witness.
+and four states, and its extensions by the n letters are checked at once,
+each check a set of letters (an int with one byte per letter) read in C
+off the prefix's rows; the domain sets of shorter words are kept, so
+subwords and spliced words are looked up, not walked again. The states
+are R_w, the product and R_wbar of the inverse word wbar, which decide
+wbar w, and the objectivity oracle's objects ending an object chain along
+w, stepped through a table filled by conjugating each object's elements.
+The first word where rule and oracle disagree is the objectivity witness.
 
 The statement checkers in ``verify`` run the subcentric verification once
 per distinct structure of a corpus entry, keyed on its content in the memo
@@ -57,6 +57,7 @@ the one object of its content that the entry's fusion layer holds.
 from __future__ import annotations
 
 from functools import cached_property
+from operator import getitem, ne
 from typing import Dict, FrozenSet, Iterable, Optional, Sequence, Tuple
 
 from .errors import (
@@ -789,12 +790,21 @@ def verify_partial_group(P: Locality, word_len: int = 3) -> VerificationReport:
 
     The words come from _walk, one prefix w at a time, as letter indexes
     with products in the ambient group's product table; elements appear
-    only in witnesses. Each word w g is then checked with a few lookups:
-    what its checks need of w alone is read once per prefix. Whether each
-    word shorter than word_len is in the domain is kept, one byte per word,
-    so the subwords and spliced words of a word are looked up by code
-    instead of walked again. The words and, per word, its checks go in the
-    same order as a walk over whole words, so every witness is the first.
+    only in witnesses. The n words w g, g a letter, are checked at once:
+    each check is a letter set, an int whose byte g is 1 when w g fails
+    it, read in C off a row over the letters, so unions, differences and
+    counts are int operations. D, the letters with w g in the domain, comes
+    first and cuts every other set; sets are kept for the call under what
+    they depend on, and the D of each word shorter than word_len by its
+    code, so subwords and spliced words are looked up, not walked again.
+
+    Every check of a walk over whole words is evaluated on every word, none
+    inferred from the axioms, so a faulty product table fails as it would
+    word by word: a product check compares rows of that table, and equal
+    row indexes give one row whatever its entries, while unequal ones are
+    compared letter by letter. The failing word is the lowest letter in
+    any failing set, the first in walk order, and its witness the first
+    check, in the order of a walk over whole words, that fails on it.
 
     The first word where the rule and the objectivity oracle, both carried
     by the walk, disagree is kept for verify_locality in P's memo under
@@ -810,9 +820,6 @@ def verify_partial_group(P: Locality, word_len: int = 3) -> VerificationReport:
     def fail(witness):
         stats = {"words_checked": checked, "domain_words": domain}
         return VerificationReport("partial-group-axioms", inst, "fail", witness=witness, stats=stats)
-
-    def word_fail(axiom, word, **where):
-        return fail({"axiom": axiom, "w": _strs(P, word), **where})
 
     elems, (amb, times, _) = P.sorted_elements(), _letter_tables(P)
     inv, mul = P.ambient.inv_table, P.ambient.mul_table
@@ -830,92 +837,109 @@ def verify_partial_group(P: Locality, word_len: int = 3) -> VerificationReport:
     if not P.prod(()) == P.unit:
         return fail({"axiom": "unit"})
     unit, n = P.ambient.element_index[P.unit], len(elems)
-    pw = [n**m for m in range(word_len + 1)]
-    # dom[m][c]: the word of length m and code c is in the domain
-    dom = [bytearray([1])] + [bytearray(pw[m]) for m in range(1, word_len)]
-    # the one-letter words' suffix, the empty word, is in the domain
-    empty_suffixes = b"\x01" * n
-    # splices[k]: each way to splice the product of u[i:j], j - i >= 2, into a
-    # word u of length k, with the domain flags of words as long as the
-    # spliced one; a one-letter u[i:j] gives back u itself
-    splices = [
-        [(i, j, dom[k - (j - i) + 1]) for i in range(k - 1) for j in range(i + 2, k + 1)]
-        for k in range(word_len + 1)
-    ]
     masks, survivors = P.rule.masks, P.rule.survivors
-    letters = range(n)
+    pw = [n**m for m in range(word_len + 1)]
+
+    def letters(flags) -> int:
+        return int.from_bytes(bytes(flags), "little")
+
+    def lowest(letter_set) -> int:
+        return (letter_set & -letter_set).bit_length() - 1 >> 3
+
+    def in_dom(m, c):  # the word of length m and code c is in the domain
+        return dom[m][c // n] >> 8 * (c % n) & 1
+
+    # dom[m][c]: D of the word of length m - 1 and code c
+    dom = [None] + [[0] * pw[m - 1] for m in range(1, word_len)]
+    # byte tables and letter sets kept for the call, by what they depend on
+    flags_of, states, ends_in, heads = {}, {}, {}, {}
     objectivity = None
-    for k, (w, code, mask, live, prods, _, _), (row, ends, wbars, wbar_masks) in _walk(P, word_len):
-        # the words w g, g a letter, have length k and codes base + g; each
-        # gets the checks of a walk over whole words, in the same order
-        base, record = code * n, dom[k] if k < word_len else None
+    for k, prefix, (row, ends, wbars, wbar_masks) in _walk(P, word_len):
+        w, code, mask, live, prods, wbar, wbar_mask = prefix
+        pi = prods[-1]
+        # what the prefix's state and rows alone decide: D, the live chain ends
+        # and the inversion checks, R_{wbar w} being R_wbar: past wbar, wbar w's
+        # prefix products are Pi(wbar) Pi(w_1...w_j) = Pi(wbar_1...wbar_{k-j})
+        state = states.get((mask, pi, live, wbar, wbar_mask))
+        if state is None:
+            flags = flags_of.get(mask)  # by ambient a: R_w & survivors[a] is an object
+            if flags is None:
+                flags = flags_of[mask] = bytes(map(masks.__contains__, map(mask.__and__, survivors)))
+            state = states[mask, pi, live, wbar, wbar_mask] = (
+                letters(map(flags.__getitem__, row)),
+                letters(map(bool, ends)),
+                letters(map(masks.__contains__, wbar_masks)),
+                letters(map(unit.__ne__, map(getitem, map(mul.__getitem__, wbars), row))),
+            )
+        D, chain, inverse_in, inverse_wrong = state
+        if objectivity is None and D != chain:
+            objectivity = w + (lowest(D ^ chain),)
+        if not D:
+            checked += n
+            continue
+        # (letters failing it, axiom, where) for each check failing on some
+        # w g, in the order of a walk over whole words
+        failing = []
+        if k == 1 and row != amb:
+            failing.append((D & letters(map(ne, row, amb)), "length-one", ()))
         # subword closure: every shorter domain word passed it, so the
-        # subwords of w g are in the domain iff w and g's suffix are
-        prefix_ok = dom[k - 1][code]
-        suffixes, suffix_base = (dom[k - 1], code % pw[k - 2] * n) if k > 1 else (empty_suffixes, 0)
-        # splicing: u o v o t in D  =>  u o (Pi v) o t in D, same product.
-        # For j < k, v = w[i:j] lies in w, so Pi v, the spliced word's code
-        # but its last letter g (at) and the row of its product but g (step)
-        # are read here, and w g costs one byte and one lookup. For j = k,
-        # w[i:j] is w[i:] g: Pi(w[i:] g) = step[g], step the row of Pi(w[i:]),
-        # and the spliced product is head[Pi(w[i:] g)], head that of Pi(w[:i])
-        hoisted = []
-        for i, j, spliced_dom in splices[k]:
-            v = unit
-            for x in w[i:j]:
-                v = times[v][x]
-            if j < k:
-                vi, at = letter_of[v], -1
-                if vi >= 0:
-                    head, tail = pw[k - 1 - i], pw[k - 1 - j]
-                    at = ((code // head * n + vi) * tail + code % tail) * n
-                spliced = mul[prods[i]][v]
-                for x in w[j:]:
-                    spliced = times[spliced][x]
-                hoisted.append((i, j, spliced_dom, at, times[spliced], None))
-            else:
-                hoisted.append((i, j, spliced_dom, code // pw[k - 1 - i] * n, times[v], mul[prods[i]]))
-        for g in letters:
-            a = row[g]
-            checked += 1
-            ok = (mask & survivors[a]) in masks
-            if objectivity is None and ok != (ends[g] != 0):
-                objectivity = w + (g,)
-            if not ok:
-                continue
-            domain += 1
-            if record is not None:
-                record[base + g] = 1
-            if k == 1 and a != amb[g]:
-                return word_fail("length-one", w + (g,))
-            if not (prefix_ok and suffixes[suffix_base + g]):
-                c = base + g
-                i, j = next(
-                    (i, j)
-                    for i in range(k)
-                    for j in range(i + 1, k + 1)
-                    if j - i < k and not dom[j - i][c // pw[k - j] % pw[j - i]]
-                )
-                return word_fail("subword", w + (g,), i=i, j=j)
-            for i, j, spliced_dom, at, step, head in hoisted:
-                if head is None:
-                    if at < 0 or not spliced_dom[at + g]:
-                        return word_fail("splice-domain", w + (g,), i=i, j=j)
-                    spliced = step[g]
+        # subwords of w g are in the domain iff w and w[1:] g are
+        if k > 1:
+            bad = D & ~dom[k - 1][code % pw[k - 2]] if in_dom(k - 1, code) else D
+            if bad:
+                failing.append((bad, "subword", None))
+        # splicing: u o v o t in D  =>  u o (Pi v) o t in D, same product
+        for i in range(k - 1):
+            for j in range(i + 2, k + 1):
+                v = unit
+                for x in w[i:j]:
+                    v = times[v][x]
+                if j < k:
+                    # v in w: the spliced word is s g, s = w[:i] (Pi v) w[j:]
+                    vi, head, tail = letter_of[v], pw[k - 1 - i], pw[k - 1 - j]
+                    at = (code // head * n + vi) * tail + code % tail
+                    ok = dom[k - j + i + 1][at] if vi >= 0 else 0
+                    spliced = mul[prods[i]][v]
+                    for x in w[j:]:
+                        spliced = times[spliced][x]
+                    wrong = 0 if spliced == pi else letters(map(ne, times[spliced], row))
                 else:
-                    v = step[g]
-                    vi = letter_of[v]
-                    if vi < 0 or not spliced_dom[at + vi]:
-                        return word_fail("splice-domain", w + (g,), i=i, j=j)
-                    spliced = head[v]
-                if spliced != a:
-                    return word_fail("splice-product", w + (g,), i=i, j=j)
-            # inversion axiom. R_{wbar w} = R_wbar, as the prefix products of
-            # wbar w past wbar are Pi(wbar) Pi(w_1...w_j) = Pi(wbar_1...wbar_{k-j})
-            if wbar_masks[g] not in masks:
-                return word_fail("inverse-word-domain", w + (g,))
-            if mul[wbars[g]][a] != unit:
-                return word_fail("inverse-word-product", w + (g,))
+                    # v = w[i:] g, whose product times[v][g] must be a letter
+                    # in D of w[:i]; -1, no letter, reads the padding byte 0
+                    start = dom[i + 1][code // pw[k - 1 - i]]
+                    ok = ends_in.get((v, start))
+                    if ok is None:
+                        flags = start.to_bytes(n + 1, "little")
+                        ok = letters(map(flags.__getitem__, map(letter_of.__getitem__, times[v])))
+                        ends_in[v, start] = ok
+                    # the spliced products Pi(w[:i]) Pi(v) against row
+                    wrong = heads.get((prods[i], v, pi))
+                    if wrong is None:
+                        spliced = tuple(map(mul[prods[i]].__getitem__, times[v]))
+                        wrong = 0 if spliced == row else letters(map(ne, spliced, row))
+                        heads[prods[i], v, pi] = wrong
+                if D & ~ok or D & wrong:
+                    failing += [(D & ~ok, "splice-domain", (i, j))]
+                    failing += [(D & wrong, "splice-product", (i, j))]
+        if D & ~inverse_in or D & inverse_wrong:
+            failing += [(D & ~inverse_in, "inverse-word-domain", ())]
+            failing += [(D & inverse_wrong, "inverse-word-product", ())]
+        if failing:
+            g = min(lowest(bad) for bad, _, _ in failing if bad)
+            checked += g + 1
+            domain += (D & (1 << 8 * g + 8) - 1).bit_count()
+            axiom, where = next((axiom, where) for bad, axiom, where in failing if bad >> 8 * g & 1)
+            if where is None:  # the first subword outside the domain
+                c = code * n + g
+                where = next(
+                    (i, j) for i in range(k) for j in range(i + 1, k + 1)
+                    if j - i < k and not in_dom(j - i, c // pw[k - j] % pw[j - i])
+                )
+            return fail({"axiom": axiom, "w": _strs(P, w + (g,)), **dict(zip("ij", where))})
+        checked += n
+        domain += D.bit_count()
+        if k < word_len:
+            dom[k][code] = D
     P._memo["objectivity", word_len] = None if objectivity is None else _strs(P, objectivity)
     stats = {"words_checked": checked, "domain_words": domain}
     return VerificationReport("partial-group-axioms", inst, "pass", stats=stats)

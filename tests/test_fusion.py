@@ -1,6 +1,8 @@
 """Fusion system tests: construction, closure, saturation, K-normalizers,
 distinguished subgroup sets and subsystem normality."""
 
+from pathlib import Path
+
 import pytest
 
 from plocal import cli
@@ -333,16 +335,23 @@ def test_K_normalizer_saturated_when_fully_K_normalized(F_s4, F_sl23):
                     assert fu.is_saturated(fu.K_normalizer_subsystem(F, X, K))
 
 
-def test_K_normalizers_match_group_oracle_on_s4_a4():
-    """For every fully K-normalized X of the s4_a4 entry and every K of its
-    sweep, the shared N_F^K(X) is F_{N_S^K(X)}(N_G^K(X)) read off G, and its
-    core and subcentric set, cached under whichever key first reached that
+def _oracle_entries():
+    """The default corpus's entries and a4xc2_v4 of the benchmark corpora."""
+    corpora = Path(__file__).resolve().parents[1] / "perfbench" / "corpora"
+    text = (corpora / "a4xc2_theorem.txt").read_text()
+    return cli.parse_corpus(cli.default_corpus_text()) + cli.parse_corpus(text)
+
+
+@pytest.mark.parametrize("entry", _oracle_entries(), ids=lambda e: e.name)
+def test_K_normalizers_match_group_oracle(entry):
+    """For every fully K-normalized X of the entry and every K of its sweep,
+    the shared N_F^K(X) is F_{N_S^K(X)}(N_G^K(X)) read off G, and its core
+    and subcentric set, cached under whichever key first reached that
     content, are the oracle's for that group."""
-    (entry,) = [e for e in cli.parse_corpus(cli.default_corpus_text()) if e.name == "s4_a4"]
     G = entry.G
-    S = gp.sylow_subgroup(G, 2)
-    F = fu.fusion_of_group(G, S, 2)
-    checked = set()
+    S = gp.sylow_subgroup(G, entry.p)
+    F = fu.fusion_of_group(G, S, entry.p)
+    checked, oracle = set(), {}
     for X in F.subgroups():
         for _, K in vf.k_options(X):
             if not fu.is_fully_K_normalized(F, X, K):
@@ -352,9 +361,13 @@ def test_K_normalizers_match_group_oracle_on_s4_a4():
             NS = gp.Subgroup(NG.elems & S.elems)
             assert NFK.S == NS
             assert oracles.as_pairs(NS, NFK.all_germs()) == oracles.conjugation_germs(NG, NS)
-            assert fu.fusion_core(NFK).elems == oracles.fusion_core_from_group(NG, NS)
-            got = {P.elems for P in fu.subcentric_set(NFK)}
-            assert got == oracles.subcentric_from_group(NG, NS)
+            if NG.elems not in oracle:  # the oracle's answers for the group NG
+                oracle[NG.elems] = (
+                    oracles.fusion_core_from_group(NG, NS), oracles.subcentric_from_group(NG, NS)
+                )
+            core, subcentric = oracle[NG.elems]
+            assert fu.fusion_core(NFK).elems == core
+            assert {P.elems for P in fu.subcentric_set(NFK)} == subcentric
             checked.add(id(NFK))
     assert len(checked) > 1
 

@@ -401,6 +401,16 @@ def test_product_matches_map_composition(s4, sl23):
     assert refused > 0
 
 
+def test_product_of_aut_c2_cubed_and_inn_is_aut():
+    """Aut(C2^3), GL(3, 2) of order 168, times its trivial Inn is itself,
+    the set product of the maps, and is kept on it."""
+    X = gp.generate_group(perms(6, "(0 1)", "(2 3)", "(4 5)"))
+    A = gp.aut_group(X)
+    assert A.order == 168
+    assert A.times_inn == A and A.times_inn is A.times_inn
+    assert oracles.as_pairs(X, A.times_inn.maps) == _map_product(A, gp.inn_group(X))
+
+
 def test_product_of_two_involution_groups_is_refused(klein):
     A = gp.aut_group(klein)  # S3
     first, second = [K for K in A.sub_autgroups() if K.order == 2][:2]

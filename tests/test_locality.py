@@ -5,9 +5,11 @@ from collections import Counter
 
 import pytest
 
+from plocal import cli
 from plocal import fusion as fu
 from plocal import groups as gp
 from plocal import locality as lo
+from plocal import verify as vf
 from plocal.errors import (
     GammaNotClosed,
     NotFullyKNormalized,
@@ -625,6 +627,14 @@ def _splice_fault(s3):
     return lo.Locality(s3, elems, [one], one, 2)
 
 
+def _splice_before_subword(s4, *elems):
+    """S4 over the base Stab(0), with the objects the base and <(2 3)>, and
+    the identity and the given elements."""
+    base = gp.generate_group(perms(4, "(1 2 3)", "(1 2)")).elems
+    C = gp.generate_group(perms(4, "(2 3)")).elems
+    return lo.Locality(s4, perms(4, "()", *elems), [base, C], base, 2)
+
+
 def _objectivity_fault(s3xs3):
     S = gp.sylow_subgroup(s3xs3, 2)
     nt = frozenset(H.elems for H in gp.all_subgroups(S) if H.order > 1)
@@ -706,6 +716,21 @@ def test_planted_fault_splice_domain(s3):
     rep = lo.verify_partial_group(_splice_fault(s3))
     assert rep.failed
     assert rep.witness == {"axiom": "splice-domain", "w": ["(1 2)", "(0 1)"], "i": 0, "j": 2}
+
+
+def test_planted_fault_lower_letter_fails_a_later_check(s4):
+    """The letters in order are 1, (1 2), (1 3), (0 2). In the prefix
+    ((1 2),) the lower letter (1 3) fails a later check than the higher
+    (0 2): (1 2)(1 3), a 3-cycle, is no element, so splicing it in leaves
+    the domain, while ((1 2), (0 2)) is in the domain but its suffix
+    ((0 2),) is not, R = <(1 3)> being no object. The lower letter's word
+    is the witness, counted up to it; without (1 3) the higher one's is."""
+    rep = lo.verify_partial_group(_splice_before_subword(s4, "(1 2)", "(1 3)", "(0 2)"))
+    assert rep.witness == {"axiom": "splice-domain", "w": ["(1 2)", "(1 3)"], "i": 0, "j": 2}
+    assert rep.stats == {"words_checked": 11, "domain_words": 9}
+    rep = lo.verify_partial_group(_splice_before_subword(s4, "(1 2)", "(0 2)"))
+    assert rep.witness == {"axiom": "subword", "w": ["(1 2)", "(0 2)"], "i": 1, "j": 2}
+    assert rep.stats == {"words_checked": 9, "domain_words": 7}
 
 
 def test_planted_fault_inverse_word_domain(unclosed):
@@ -963,6 +988,9 @@ STRUCTURES = {
         (("(0 1)",),), perms(9, "()", "(6 8)", "(3 5)(6 8)")
     ),
     "splice": lambda request: _splice_fault(request.getfixturevalue("s3")),
+    "splice-before-subword": lambda request: _splice_before_subword(
+        request.getfixturevalue("s4"), "(1 2)", "(1 3)", "(0 2)"
+    ),
     "objectivity": lambda request: _objectivity_fault(request.getfixturevalue("s3xs3")),
     "missing-overgroup": lambda request: _missing_overgroup(request.getfixturevalue("s4")),
     "trivial-object-only": lambda request: _trivial_object_only(request.getfixturevalue("s3xs3")),
@@ -994,6 +1022,35 @@ def test_axiom_walk_matches_whole_word_oracle(name, word_len, request):
     P = STRUCTURES[name](request)
     rep = lo.verify_partial_group(P, word_len=word_len)
     assert (rep.outcome, rep.witness, rep.stats) == oracles.partial_group_by_words(P, word_len)
+
+
+@pytest.fixture(scope="module")
+def default_structures():
+    """Each distinct structure whose partial-group axioms a run of the
+    default corpus checks."""
+    seen, real = {}, lo.verify_partial_group
+
+    def spy(P, word_len=3):
+        seen.setdefault(P, P)
+        return real(P, word_len)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lo, "verify_partial_group", spy)
+        reports, _ = vf.run_suite(cli.parse_corpus(cli.default_corpus_text()))
+    assert not any(r.failed for r in reports)
+    return list(seen)
+
+
+def test_axiom_walk_matches_whole_word_oracle_on_default_structures(default_structures):
+    """On each distinct structure the default corpus verifies, 20 by
+    Locality equality (19 by elements, objects and base: two share them
+    over different ambient groups), verify_partial_group at word_len 3
+    gives the verdict, witness and stats of the whole-word check."""
+    assert len(default_structures) == 20
+    assert len({(P.elems, P.Delta, P.S_elems) for P in default_structures}) == 19
+    for P in default_structures:
+        rep = lo.verify_partial_group(P)
+        assert (rep.outcome, rep.witness, rep.stats) == oracles.partial_group_by_words(P, 3)
 
 
 @pytest.mark.parametrize("name", ["L_l27", "L_s3xs3", "unclosed"])

@@ -242,11 +242,12 @@ def test_fusion_core_once_per_distinct_system(monkeypatch):
 
 def test_each_structure_decided_once_per_content_of_an_entry(monkeypatch):
     """Within each default-corpus entry, the saturation of a fusion system,
-    O_p of a group at p, subnormality, the automorphism search of X and
-    the restriction of a locality run once per content: equal systems are
-    one member of the entry's table of systems, group verdicts are kept on
-    their home, and bN_K keeps each restriction per (N_L^K(X), Gamma, X)."""
-    names = ("saturation_failure", "core_Op", "is_subnormal", "aut_group", "restrict")
+    Aut_F(P), O_p of a group at p, subnormality, the automorphism search of
+    X and the restriction of a locality run once per content: equal systems
+    are one member of the entry's table of systems, each keeping Aut_F(P)
+    per P, group verdicts are kept on their home, and bN_K keeps each
+    restriction per (N_L^K(X), Gamma, X)."""
+    names = ("saturation_failure", "aut_F", "core_Op", "is_subnormal", "aut_group", "restrict")
     runs = {name: [] for name in names}
 
     def spy(name, real, content, fresh):
@@ -259,6 +260,10 @@ def test_each_structure_decided_once_per_content_of_an_entry(monkeypatch):
 
     monkeypatch.setattr(fu, "saturation_failure", spy(
         "saturation_failure", fu.saturation_failure, lambda F: F, lambda F: "sat" not in F._cache
+    ))
+    monkeypatch.setattr(fu.FusionSystem, "aut", spy(
+        "aut_F", fu.FusionSystem.aut, lambda F, P: (F, P.elems),
+        lambda F, P: ("aut", P.elems) not in F._cache,
     ))
     monkeypatch.setattr(gp, "core_Op", spy(
         "core_Op", gp.core_Op, lambda G, p: (G.elems, p),
