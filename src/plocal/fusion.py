@@ -4,14 +4,18 @@ A fusion system is stored extensionally: for every subgroup P of S we keep
 the set of "germs" with source P. A germ is an injective homomorphism
 from P into S, held as a tuple t indexed by S's sorted elements: t[i] is
 the position of the image of the i-th element, -1 outside P; its target
-is its image. A subgroup of S is a mask (bit i for the i-th element), so
-restriction sets the other entries to -1, "g then h" is h[g[i]] and the
-inverse is one scatter. A germ from S onto S is the tuple of the same map
-in an AutGroup on S. Aut_F(P), N_F^K(X) and the checks of a subsystem
-over T re-express germs in a subgroup's positions (``_local``) and lift
-them back (``_lift``). Hom_F(P, Q) is the germs from P whose image lies
-in Q. This normal form keeps closure computations small while every
-predicate in sight can still quantify over all morphisms exactly.
+is its image. A subgroup of S is a mask (``S.mask``: bit i for the i-th
+element), so restriction sets the other entries to -1, "g then h" is
+h[g[i]] and the inverse is one scatter. A germ from S onto S is the tuple
+of the same map in an AutGroup on S. :func:`conjugation_germs` builds the
+germs c_g from rows of ``groups.conj_positions`` over S: those of F_S(G),
+of the inner system of :func:`close_generated` and of a locality's partial
+subgroup (``locality.fusion_of_partial``). Aut_F(P), N_F^K(X) and the
+checks of a subsystem over T re-express germs in a subgroup's positions
+(``_local``) and lift them back (``_lift``). Hom_F(P, Q) is the germs from
+P whose image lies in Q. This normal form keeps closure computations small
+while every predicate in sight can still quantify over all morphisms
+exactly.
 
 A system caches the subgroup lattice of S and what it derives (Aut_F(P)
 per P, saturation witness, core, centric and subcentric sets, fully
@@ -53,7 +57,7 @@ External definitions used here and pinned in one place:
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import CapExceeded, NotSaturated, NotSylow
 from .groups import (
@@ -64,6 +68,7 @@ from .groups import (
     aut_induced,
     centralizer,
     center,
+    conj_positions,
     group_K_normalizer,
     join,
     normalizer,
@@ -118,13 +123,13 @@ class FusionSystem:
         return self._all
 
     def germs_from(self, P: Subgroup) -> FrozenSet[tuple]:
-        return self.germs_by_src.get(_mask(self.S, P), frozenset())
+        return self.germs_by_src.get(self.S.mask(P.elems), frozenset())
 
     def aut(self, P: Subgroup) -> AutGroup:
         """Aut_F(P): the germs from P onto P in P's positions, kept per P."""
         key = ("aut", P.elems)
         if key not in self._cache:
-            p, pos = _mask(self.S, P), _positions(self.S, P)
+            p, pos = self.S.mask(P.elems), _positions(self.S, P)
             self._cache[key] = AutGroup(P, {_local(g, pos) for g in self.germs_from(P) if _img(g) == p})
         return self._cache[key]
 
@@ -134,7 +139,7 @@ class FusionSystem:
 
     def conjugates(self, P: Subgroup) -> Tuple[Subgroup, ...]:
         """The F-conjugacy class of P, canonically ordered."""
-        images = {_img(g) for g in self.germs_from(P)} | {_mask(self.S, P)}
+        images = {_img(g) for g in self.germs_from(P)} | {self.S.mask(P.elems)}
         return tuple(sorted(map(_lattice(self).__getitem__, images), key=tuple))
 
     def __eq__(self, other):
@@ -166,15 +171,10 @@ def _positions(S: Subgroup, P: Subgroup) -> Dict[int, int]:
     return {S.element_index[x]: k for k, x in enumerate(P)}
 
 
-def _mask(S: Subgroup, P: Subgroup) -> int:
-    """P <= S as a mask: bit i is set iff S's i-th element lies in P."""
-    return sum(1 << i for i in _positions(S, P))
-
-
 def _lattice(F: FusionSystem) -> Dict[int, Subgroup]:
     """S's lattice by mask, in its canonical order, kept in F's cache."""
     if "lattice" not in F._cache:
-        F._cache["lattice"] = {_mask(F.S, P): P for P in F.subgroups()}
+        F._cache["lattice"] = {F.S.mask(P.elems): P for P in F.subgroups()}
     return F._cache["lattice"]
 
 
@@ -262,23 +262,20 @@ def fusion_of_group(
             "order %d is not the %d-part of %d" % (S.order, p, G.order)
         )
     subgroups = subgroups or all_subgroups(S)
-    out = FusionSystem(S, p, _conjugation_germs(G, S, subgroups))
+    masks = [S.mask(P.elems) for P in subgroups]
+    out = FusionSystem(S, p, conjugation_germs(conj_positions(G, S), masks))
     out._cache["subgroups"] = subgroups
     return out
 
 
-def _conjugation_germs(G: Subgroup, S: Subgroup, subgroups: Tuple[Subgroup, ...]) -> set:
-    """The germs c_g on P for g in G and P in subgroups with P^g inside S,
-    read off the conjugation table of G's home."""
-    position = {x: i for i, x in enumerate(G.indexes(S))}  # home index -> S position
+def conjugation_germs(rows: Iterable[tuple], sources: Sequence[int]) -> set:
+    """The germs c_g on P read off rows of conj_positions over S: for each
+    distinct row and each source mask all of whose positions the row takes
+    into S, the row restricted to that source."""
     germs = set()
-    for xs in map(G.indexes, subgroups):
-        for row in map(G.home.conj_table.__getitem__, G.indexes(G)):
-            if all(row[x] in position for x in xs):
-                germ = [-1] * S.order
-                for x in xs:
-                    germ[position[x]] = position[row[x]]
-                germs.add(tuple(germ))
+    for row in set(rows):
+        inside = _src(row)
+        germs.update(_restrict(row, m) for m in sources if not m & ~inside)
     return germs
 
 
@@ -297,7 +294,7 @@ def close_generated(
     ``subgroups`` is as for fusion_of_group.
     """
     subgroups = subgroups or all_subgroups(S)
-    masks = [_mask(S, P) for P in subgroups]
+    masks = [S.mask(P.elems) for P in subgroups]
     germs: set = set()
     by_src: Dict[int, set] = {}
     by_img: Dict[int, set] = {}
@@ -313,7 +310,7 @@ def close_generated(
         by_img.setdefault(_img(g), set()).add(g)
         queue.append(g)
 
-    for g in _conjugation_germs(S, S, subgroups):  # the inner system
+    for g in conjugation_germs(conj_positions(S, S), masks):  # the inner system
         push(g)
     home = S.indexes(S)
     for g in map(tuple, generators):
@@ -403,7 +400,8 @@ def K_normalizer_subsystem(F: FusionSystem, X: Subgroup, K: AutGroup) -> FusionS
     if K.base.elems != X.elems:
         raise ValueError("K must consist of automorphisms of X")
     S0 = group_K_normalizer(F.S, X, K)
-    x, s0, xpos, s0pos = _mask(F.S, X), _mask(F.S, S0), _positions(F.S, X), _positions(F.S, S0)
+    x, s0 = F.S.mask(X.elems), F.S.mask(S0.elems)
+    xpos, s0pos = _positions(F.S, X), _positions(F.S, S0)
     lattice = {m: P for m, P in _lattice(F).items() if not m & ~s0}
     germs, good = set(), {}
     for m in lattice:
@@ -466,7 +464,7 @@ def saturation_failure(F: FusionSystem) -> Optional[dict]:
             break
         # receptivity, phi in sorted order so that the witness depends on
         # content alone
-        ok, pm = True, _mask(F.S, P)
+        ok, pm = True, F.S.mask(P.elems)
         for Q in cls:
             for phi in sorted(F.germs_from(Q)):
                 if _img(phi) != pm:
@@ -515,7 +513,7 @@ def _extension_control_group(F: FusionSystem, phi: tuple, autS_P: AutGroup) -> S
 
 def _extends_over(F: FusionSystem, phi: tuple, N: Subgroup) -> bool:
     src = _src(phi)
-    if _mask(F.S, N) == src:
+    if F.S.mask(N.elems) == src:
         return True
     for psi in F.germs_from(N):
         if _restrict(psi, src) == phi:
@@ -535,7 +533,7 @@ def is_strongly_closed(F: FusionSystem, T: Subgroup) -> bool:
     """No F-morphism moves a subgroup of T outside T."""
     if not T.elems <= F.S.elems:
         raise ValueError("T is not a subgroup of S")
-    t = _mask(F.S, T)
+    t = F.S.mask(T.elems)
     for src, germs in F.germs_by_src.items():
         if not src & ~t:
             for g in germs:
@@ -547,7 +545,7 @@ def is_strongly_closed(F: FusionSystem, T: Subgroup) -> bool:
 def is_normal_in_fusion(F: FusionSystem, P: Subgroup) -> bool:
     """Every F-morphism extends to one whose source includes P and which
     maps P onto P."""
-    p = _mask(F.S, P)
+    p = F.S.mask(P.elems)
     for src, germs in F.germs_by_src.items():
         joined = next(m for m in _lattice(F) if not (src | p) & ~m)
         extended = {
@@ -685,7 +683,7 @@ def is_weakly_normal(E: FusionSystem, F: FusionSystem) -> bool:
             return False
     # Frattini: phi = (E-germ) then (restriction of some alpha in Aut_F(T)),
     # phi taken in T's positions
-    t, pos = _mask(F.S, T), _positions(F.S, T)
+    t, pos = F.S.mask(T.elems), _positions(F.S, T)
     for src, germs in F.germs_by_src.items():
         if src & ~t:
             continue
@@ -719,7 +717,7 @@ def _has_extension_property(E: FusionSystem, F: FusionSystem) -> bool:
     C = centralizer(F.S, T)
     P0 = join(F.subgroups(), T.elems | C.elems)
     mul, inv, Z = F.S.home.mul_table, F.S.home.inv_table, set(F.S.indexes(center(T)))
-    home, pos, cm = F.S.indexes(F.S), _positions(F.S, T), _mask(F.S, C)
+    home, pos, cm = F.S.indexes(F.S), _positions(F.S, T), F.S.mask(C.elems)
     for alpha in E.aut(T).maps:
         found = False
         for psi in F.germs_from(P0):

@@ -9,14 +9,18 @@ Products and conjugates are read off integer tables over the sorted
 elements of a group's *home*: the group it was found in, or itself when
 built alone (a corpus group, the permutation image of an automorphism
 group). A normalizer, a Sylow subgroup or a lattice member names its
-home, so no table is built for it. A home also keeps, per X, N_G(X) and
-its action on X: the one test of "g normalizes X". And it keeps, each
-under a key of the content it depends on, what is decided about the
-groups that read its tables: O_p(H) and whether H has characteristic p,
-per (H, p); whether H is subnormal in G, per (H, G); Aut(X), per X; and
-the permutation image of each automorphism group of such an X, per maps,
-which is then the one home of that content. A question asked again about
-equal content, through whichever object, is answered from the home.
+home, so no table is built for it. Where conjugation sends the elements
+of X is read in one place, :func:`conj_positions`, and no other module
+reads the conjugation table; a set of a group's elements is a mask over
+its sorted elements (:meth:`Subgroup.mask`). A home also keeps, per X,
+N_G(X) and its action on X: the one test of "g normalizes X". And it
+keeps, each under a key of the content it depends on, what is decided
+about the groups that read its tables: O_p(H) and whether H has
+characteristic p, per (H, p); whether H is subnormal in G, per (H, G);
+Aut(X), per X; and the permutation image of each automorphism group of
+such an X, per maps, which is then the one home of that content. A
+question asked again about equal content, through whichever object, is
+answered from the home.
 
 Subgroup lattices are asked for only on p-groups and on permutation images
 of automorphism groups; S's is kept by the fusion system or locality over
@@ -156,6 +160,15 @@ class Subgroup:
         :func:`aut_group` and :attr:`AutGroup._image`."""
         return {}
 
+    def mask(self, elems: Iterable[Perm]) -> int:
+        """A set of this group's elements as a mask over its sorted
+        elements, bit i set iff the i-th lies in the set; -1, every bit,
+        for a set not inside, so that it lies in no mask of elements."""
+        elems = frozenset(elems)
+        if not elems <= self.elems:
+            return -1
+        return sum(1 << i for i in map(self.element_index.__getitem__, elems))
+
     def indexes(self, elems: Iterable[Perm]) -> List[int]:
         """The home indexes of elems, in their order; ValueError for an
         element outside the home."""
@@ -239,18 +252,25 @@ def join(lattice: Sequence[Subgroup], elems: Iterable[Perm]) -> Optional[Subgrou
     return next((H for H in lattice if elems <= H.elems), None)
 
 
+def conj_positions(G: Subgroup, X: Subgroup) -> Tuple[Tuple[int, ...], ...]:
+    """Per element g of G, in sorted order, the positions in X's sorted
+    elements of x^g, x running over them in order, -1 where x^g leaves X:
+    the home's conjugation table read at X. Nothing is kept."""
+    xs = G.indexes(X)
+    position = {x: k for k, x in enumerate(xs)}
+    rows = map(G.home.conj_table.__getitem__, G.indexes(G))
+    return tuple(tuple(position.get(row[x], -1) for x in xs) for row in rows)
+
+
 def normalizer_action(G: Subgroup, X: Subgroup) -> Dict[Perm, Tuple[int, ...]]:
-    """The action of N_G(X) on X: each g in N_G(X) mapped to the positions
-    in X's sorted elements of x^g, x running over them in order. The home's
-    conjugation table is read once per X, and the result kept on the home
-    with N_home(X); for G not its home it is restricted to G."""
+    """The action of N_G(X) on X: each g in N_G(X) mapped to its row of
+    conj_positions(G, X), which has no -1. Read once per X on the home and
+    kept there with N_home(X); for G not its home it is restricted to G."""
     home = G.home
     hit = home._normalizers.get(X.elems)
     if hit is None:
-        xs = home.indexes(X)
-        position = {x: k for k, x in enumerate(xs)}
-        images = (tuple(position.get(row[x], -1) for x in xs) for row in home.conj_table)
-        action = {g: image for g, image in zip(home, images) if -1 not in image}
+        rows = zip(home, conj_positions(home, X))
+        action = {g: image for g, image in rows if -1 not in image}
         hit = home._normalizers[X.elems] = (Subgroup(frozenset(action), home), action)
     if G is home:
         return hit[1]
@@ -284,11 +304,22 @@ def normal_closure(G: Subgroup, H: Subgroup) -> Subgroup:
 
 
 def p_part(n: int, p: int) -> int:
+    """The largest power of p dividing n, for n >= 1 and p >= 2."""
+    if n < 1 or p < 2:
+        raise ValueError("p_part needs n >= 1 and p >= 2, not n=%d, p=%d" % (n, p))
     out = 1
     while n % p == 0:
         n //= p
         out *= p
     return out
+
+
+def p_subgroups(G: Subgroup, subgroups: Sequence[Subgroup]) -> Tuple[Subgroup, ...]:
+    """The p-subgroups of G, given those of a Sylow p-subgroup: by Sylow's
+    theorem their G-conjugates, in all_subgroups' canonical order."""
+    conj, gs = G.home.conj_table, G.indexes(G)
+    found = {frozenset(conj[a][x] for x in xs) for xs in map(G.indexes, subgroups) for a in gs}
+    return tuple(G.from_indexes(e) for e in sorted(found, key=lambda e: (len(e), sorted(e))))
 
 
 def is_p_group(X: Subgroup, p: int) -> bool:

@@ -12,16 +12,20 @@ start lies inside R_w (so R_w is an object by overgroup closure), and
 conversely the prefix conjugates of R_w form a chain.
 
 The rule is integer tables over the sorted elements of the ambient group
-(``Subgroup.mul_table``, ``inv_table``), a set of base elements being a
-bitmask: ``ChainDomain.conj_pos`` maps each base position through each
-element's conjugation, and R_w is the AND of its ``survivors`` masks over
-the prefix products. Every question about the domain or about conjugates
-of base elements reads them: ``in_domain``, the S_f masks, the object
-images, <P, X> and the maximality of ``restrict``, the germs of
-``fusion_of_partial``, the partial normal check and the axiom walk. In
-this module only the objectivity oracle conjugates Perms, so that it stays
-apart from the rule it checks; N_G(X) and N_G^K(X) come from the group
-layer, and elements are named only in witnesses and results.
+(``Subgroup.mul_table``, ``inv_table``). ``ChainDomain`` holds its base as
+a subgroup S of the ambient, and a set of base elements is its mask over
+S's sorted elements (``S.mask``). ``ChainDomain.conj_pos``, read off the
+group layer as ``groups.conj_positions(ambient, S)``, maps each position
+of S through each element's conjugation, and R_w is the AND of its
+``survivors`` masks over the prefix products. Every question about the
+domain or about conjugates of base elements reads them: ``in_domain``,
+the S_f masks, the object images, <P, X> and the maximality of
+``restrict``, the partial normal check and the axiom walk. The germs of
+``fusion_of_partial`` are rows of ``groups.conj_positions(ambient, R)``
+cut to S_f, built by ``fusion.conjugation_germs``. In this module only
+the objectivity oracle conjugates Perms, so that it stays apart from the
+rule it checks; N_G(X) and N_G^K(X) come from the group layer, and
+elements are named only in witnesses and results.
 
 A whole group G with Sylow p-subgroup S is ``group_locality``: its objects
 are all subgroups of S, so every word is defined. L_Delta(G) is its
@@ -72,6 +76,7 @@ from .fusion import (
     FusionSystem,
     K_normalizer_subsystem,
     close_generated,
+    conjugation_germs,
     interned,
     is_fully_K_normalized,
     subcentric_set,
@@ -81,6 +86,7 @@ from .groups import (
     Subgroup,
     all_subgroups,
     aut_group,
+    conj_positions,
     group_K_normalizer,
     is_p_group,
     join,
@@ -98,49 +104,36 @@ from .report import VerificationReport
 #
 # ChainDomain decides which words over the ambient group's elements are in
 # the domain. A set of base elements is a mask, an int whose bit i stands for
-# the i-th element of the sorted base. conj_pos holds, per ambient element by
-# index, where its conjugation sends each base position; survivors holds one
-# mask per ambient element, read off conj_pos, and masks the objects' masks.
+# the i-th sorted element of the base S. conj_pos holds, per ambient element
+# by index, where its conjugation sends each position of S; survivors holds
+# one mask per ambient element, read off conj_pos, and masks the objects'.
 
 
 class ChainDomain:
-    """Words admitting an object chain inside the base p-group.
+    """Words admitting an object chain inside the base p-group S.
 
-    x survives w when each prefix product of w conjugates it into the base,
-    so R_{w g} = R_w & survivors[Pi(w g)], one AND per letter for a walk
-    that carries its prefix products as ambient indexes. conj_pos, and
-    survivors from it, are built on first use from the ambient's
-    conjugation table, so the rule makes no Perm products.
+    x survives w when each prefix product of w conjugates it into S, so
+    R_{w g} = R_w & survivors[Pi(w g)], one AND per letter for a walk that
+    carries its prefix products as ambient indexes. conj_pos, and survivors
+    from it, are read on first use off the group layer, so the rule makes no
+    Perm products.
     """
 
     def __init__(self, ambient: Subgroup, base: FrozenSet[Perm], objects: Iterable[FrozenSet[Perm]]):
         self.ambient = ambient
-        self.base = frozenset(base)
+        self.S = Subgroup(base, ambient)
         self.objects = frozenset(frozenset(o) for o in objects)
-        if self.base not in self.objects:
+        if self.S.elems not in self.objects:
             raise ValueError("the base itself must be an object")
-        self.base_order = sorted_elems(self.base)
-        self.position = {x: i for i, x in enumerate(self.base_order)}
         # an object outside the base has mask -1, never a survivor set
-        self.masks = frozenset(map(self.mask_of, self.objects))
-
-    def mask_of(self, elems: Iterable[Perm]) -> int:
-        """The mask of a set of base elements; -1, every bit, for a set not
-        inside the base, so that it lies in no mask of base elements."""
-        elems = frozenset(elems)
-        return sum(1 << self.position[x] for x in elems) if elems <= self.base else -1
+        self.masks = frozenset(map(self.S.mask, self.objects))
 
     @cached_property
     def conj_pos(self) -> Tuple[Tuple[int, ...], ...]:
-        """conj_pos[a][i]: the base position of x_i^a, -1 when that
-        conjugate leaves the base, for x_i the i-th sorted base element and
-        a the a-th sorted element of the ambient group: the ambient's
-        conjugation table read at the base."""
-        index = self.ambient.element_index
-        base = {index[x]: i for i, x in enumerate(self.base_order)}
-        return tuple(
-            tuple(base.get(row[x], -1) for x in base) for row in self.ambient.conj_table
-        )
+        """conj_pos[a][i]: the position in S of x_i^a, -1 when that
+        conjugate leaves S, for x_i the i-th sorted element of S and a the
+        a-th sorted element of the ambient group (conj_positions)."""
+        return conj_positions(self.ambient, self.S)
 
     @cached_property
     def survivors(self) -> Tuple[int, ...]:
@@ -171,7 +164,7 @@ class Locality:
     restriction of it."""
 
     __slots__ = (
-        "ambient", "elems", "Delta", "S_elems", "p", "rule", "_sorted", "_memo", "_systems"
+        "ambient", "elems", "Delta", "S_elems", "p", "rule", "S", "_sorted", "_memo", "_systems"
     )
 
     def __init__(
@@ -190,6 +183,7 @@ class Locality:
         self.Delta = frozenset(frozenset(d) for d in Delta)
         self.p = p
         self.rule = ChainDomain(ambient, self.S_elems, self.Delta)
+        self.S = self.rule.S
         self._sorted = None
         self._memo = {}
         # the table of systems, shared with every restriction of this
@@ -199,10 +193,6 @@ class Locality:
     @property
     def unit(self) -> Perm:
         return self.ambient.identity
-
-    @property
-    def S(self) -> Subgroup:
-        return Subgroup(self.S_elems, self.ambient)
 
     def subgroups(self) -> Tuple[Subgroup, ...]:
         """The subgroups of S in all_subgroups' canonical order."""
@@ -340,7 +330,7 @@ def _S_f_masks(L: Locality) -> Tuple[int, ...]:
     if hit is None:
         index, mul, inv = L.ambient.element_index, L.ambient.mul_table, L.ambient.inv_table
         rule, inside = L.rule, {index[g] for g in L.elems}
-        sv, base = rule.survivors, [index[x] for x in rule.base_order]
+        sv, base = rule.survivors, [index[x] for x in rule.S]
 
         def mask(f, row):
             fi = inv[f]
@@ -359,7 +349,7 @@ def S_f(L: Locality, f: Perm) -> Subgroup:
     """S_f = {x in S : (f^-1, x, f) in D and x^f in S}, from its mask."""
     mask = _S_f_masks(L)[L.ambient.element_index[f]] if f in L.elems else 0
     return Subgroup(
-        frozenset(x for i, x in enumerate(L.rule.base_order) if mask >> i & 1), L.ambient
+        frozenset(x for i, x in enumerate(L.rule.S) if mask >> i & 1), L.ambient
     )
 
 
@@ -393,7 +383,7 @@ def K_normalizer_partial(L: Locality, X: Subgroup, K: AutGroup) -> FrozenSet[Per
 
 def _defined_on(L: Locality, X: Subgroup, N: Subgroup) -> FrozenSet[Perm]:
     """The f in N cap L for which X^f is defined in L: X <= S_f."""
-    x, sf, index = L.rule.mask_of(X.elems), _S_f_masks(L), L.ambient.element_index
+    x, sf, index = L.rule.S.mask(X.elems), _S_f_masks(L), L.ambient.element_index
     return frozenset(f for f in N.elems & L.elems if not x & ~sf[index[f]])
 
 
@@ -426,8 +416,8 @@ def restrict(
         if P not in r_subs:
             raise GammaNotClosed("object is not a subgroup of R")
     rule, index = L.rule, L.ambient.element_index
-    mask = {P: rule.mask_of(P) for P in Gamma}
-    objects, r_mask = set(mask.values()), rule.mask_of(R)
+    mask = {P: rule.S.mask(P) for P in Gamma}
+    objects, r_mask = set(mask.values()), rule.S.mask(R)
     # P^f for each object P and f in H, None where it is not defined
     images = {}
     for P in Gamma:
@@ -443,7 +433,7 @@ def restrict(
     joined_of = {}
     for P in Gamma:
         J = join(L.subgroups(), P | X.elems)
-        joined = joined_of[mask[P]] = None if J is None else rule.mask_of(J.elems)
+        joined = joined_of[mask[P]] = None if J is None else rule.S.mask(J.elems)
         if joined not in rule.masks:
             raise Q1Violated("<P, X> is not an object for P with |P|=%d" % len(P))
     # (Q2): N_H(P1, P2) <= N_L(<P1,X>, <P2,X>); P2 = P1^f is the one object
@@ -589,26 +579,18 @@ def fusion_of_partial(
 
 
 def _partial_germs(L: Locality, N: FrozenSet[Perm], R: Subgroup) -> set:
-    """The c_f on P for f in N and P <= R with P <= S_f and P^f <= R, as
-    masks, for R inside S, each a germ over R (see fusion): the tuple of
-    the R positions of the images of R's elements, -1 outside P."""
-    rule, index = L.rule, L.ambient.element_index
-    r_mask = rule.mask_of(R.elems)
-    rank = {rule.position[x]: k for k, x in enumerate(R)}  # base position -> R position
-    sources = [P.elems for P in L.subgroups() if P.elems <= R.elems]
-    sources = [(rule.mask_of(P), [rule.position[x] for x in P]) for P in sources]
-    germs = set()
-    for f in N:
-        a = index[f]
-        for mask, bits in sources:
-            img = _conj_mask(L, mask, a)
-            if img is None or img & ~r_mask:
-                continue
-            germ = [-1] * len(rank)
-            for i in bits:
-                germ[rank[i]] = rank[rule.conj_pos[a][i]]
-            germs.add(tuple(germ))
-    return germs
+    """The c_f on P for f in N and P <= R with P <= S_f and P^f <= R, for R
+    inside S, each a germ over R (see fusion): f's row of
+    conj_positions(ambient, R) cut to S_f, restricted to P. Each distinct
+    (row, S_f) is cut once."""
+    index, sf, S = L.ambient.element_index, _S_f_masks(L), L.rule.S
+    rows = conj_positions(L.ambient, R)
+    at = [S.element_index[x] for x in R]  # the position in S of R's k-th element
+    cuts = {(rows[a], sf[a]) for a in map(index.__getitem__, N)}
+    return conjugation_germs(
+        {tuple(j if m >> i & 1 else -1 for i, j in zip(at, row)) for row, m in cuts},
+        [R.mask(P.elems) for P in L.subgroups() if P.elems <= R.elems],
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -643,61 +625,56 @@ def product_fusion(L: Locality, N: FrozenSet[Perm], X: Subgroup) -> FusionSystem
 # axiom verification
 
 
-def _step_row(P: Locality, key, things, conj, live: int) -> Tuple[int, ...]:
-    """Row `live` of a (set, letter) step table kept in P's memo under key.
-
-    A set is a mask over a sorted tuple of things, base positions or
-    objects, listed by ``things()`` on first use. The row holds, for each
-    letter g, the mask of the conjugates conj(t, g) of the live things t
-    that are things again; conjugation is injective, so their numbers add as
-    bits. The memo keeps (things, images, rows met so far), where
-    images[i][t] is the number of thing t conjugated by letter i, -1 if that
-    is none.
-    """
-    table = P._memo.get(key)
-    if table is None:
-        listed = things()
-        number = {t: o for o, t in enumerate(listed)}
-        images = tuple(
-            tuple(number.get(conj(t, g), -1) for t in listed) for g in P.sorted_elements()
-        )
-        table = P._memo[key] = (listed, images, {})
-    _, images, rows = table
-    row = rows.get(live)
-    if row is None:
-        ends = [o for o in range(live.bit_length()) if live >> o & 1]
-        row = rows[live] = tuple(sum(1 << img[o] for o in ends if img[o] >= 0) for img in images)
-    return row
+def _moved(images: Iterable[Tuple[int, ...]], live: int) -> Tuple[int, ...]:
+    """The step of a set of things, live a mask over their numbers, by
+    each letter: per letter's images, images[t] the number of thing t moved
+    by it or -1 when that is no thing, the mask of the live things' images.
+    A letter moves distinct things to distinct things, so they add as bits."""
+    ends = [o for o in range(live.bit_length()) if live >> o & 1]
+    return tuple(sum(1 << img[o] for o in ends if img[o] >= 0) for img in images)
 
 
 def _chain_row(P: Locality, live: int) -> Tuple[int, ...]:
     """The objectivity oracle's step: from the ends of the object chains
     along w, a mask over P's objects in sorted order, to the ends along w g
-    for each letter g. Its images are found by conjugating the objects'
-    elements as Perms, never read from the rule's tables, so the oracle
-    stays independent of the rule it checks."""
-    return _step_row(
-        P,
-        "chain_ends",
-        lambda: sorted(P.Delta, key=sorted_elems),
-        lambda d, g: frozenset(x.conj(g) for x in d),
-        live,
-    )
+    for each letter g. P's memo keeps (objects, images, rows met so far)
+    under "chain_ends", where images[i][o] is the number of object o
+    conjugated by letter i, -1 if that is no object. The images are found by
+    conjugating the objects' elements as Perms, never read from the rule's
+    tables, so the oracle stays independent of the rule it checks."""
+    table = P._memo.get("chain_ends")
+    if table is None:
+        listed = sorted(P.Delta, key=sorted_elems)
+        number = {d: o for o, d in enumerate(listed)}
+        images = tuple(
+            tuple(number.get(frozenset(x.conj(g) for x in d), -1) for d in listed)
+            for g in P.sorted_elements()
+        )
+        table = P._memo["chain_ends"] = (listed, images, {})
+    _, images, rows = table
+    row = rows.get(live)
+    if row is None:
+        row = rows[live] = _moved(images, live)
+    return row
 
 
 def _wbar_row(P: Locality, mask: int) -> Tuple[int, ...]:
-    """From R_wbar(w), a mask over the rule's sorted base S, to
-    R_wbar(w g) for each letter g, where wbar(w) is the inverse word of w.
+    """From R_wbar(w), a mask over the rule's base S, to R_wbar(w g) for
+    each letter g, where wbar(w) is the inverse word of w. The rows met so
+    far are kept in P's memo per rule.
 
     R_wbar(w g) = S cap (R_wbar(w))^g. For wbar(w g) is g^-1 followed by
     wbar(w), so x lies in R_wbar(w g) iff x lies in S, y = x^(g^-1) lies in
     S and x^(g^-1 Pi(v)) = y^Pi(v) lies in S for each prefix v of wbar(w):
-    iff x lies in S and x = y^g for a y in R_wbar(w). The images of base
-    positions are read off the rule's conj_pos.
+    iff x lies in S and x = y^g for a y in R_wbar(w). The images of S's
+    positions are the rule's conj_pos rows of the letters.
     """
-    rule, index = P.rule, P.ambient.element_index
-    positions, image = range(len(rule.base_order)), lambda i, g: rule.conj_pos[index[g]][i]
-    return _step_row(P, ("wbar_survivors", rule), lambda: positions, image, mask)
+    rows = P._memo.setdefault(("wbar_survivors", P.rule), {})
+    row = rows.get(mask)
+    if row is None:
+        letters = _letter_tables(P)[0]
+        row = rows[mask] = _moved(map(P.rule.conj_pos.__getitem__, letters), mask)
+    return row
 
 
 def _letter_tables(P: Locality):
@@ -976,7 +953,7 @@ def verify_locality(L: Locality, word_len: int = 3) -> VerificationReport:
         if not L.in_domain((f,)):
             return fail({"axiom": "length-one-domain", "w": [str(f)]})
     rule, index, sf = L.rule, L.ambient.element_index, _S_f_masks(L)
-    for d in map(rule.mask_of, L.Delta):
+    for d in map(rule.S.mask, L.Delta):
         for f in L.elems:
             img = _conj_mask(L, d, index[f])
             if img is not None and img not in rule.masks:

@@ -604,14 +604,6 @@ def _k_sweep(pe: PreparedEntry, X: Subgroup) -> List[Tuple[str, Optional[AutGrou
     return k_options(X, pe.K_descriptors, skip_unfit=not named)
 
 
-def _p_subgroups(G: Subgroup, subgroups: Sequence[Subgroup]) -> Tuple[Subgroup, ...]:
-    """The p-subgroups of G, given those of a Sylow p-subgroup: by Sylow's
-    theorem their G-conjugates, in all_subgroups' canonical order."""
-    conj, gs = G.home.conj_table, G.indexes(G)
-    found = {frozenset(conj[a][x] for x in xs) for xs in map(G.indexes, subgroups) for a in gs}
-    return tuple(G.from_indexes(e) for e in sorted(found, key=lambda e: (len(e), sorted(e))))
-
-
 def _normalizer_range(G: Subgroup, X: Subgroup) -> Tuple[Subgroup, ...]:
     """The H with C_G(X) <= H <= N_G(X): N_G(X)/C_G(X) is Aut_G(X), so they
     are the N_G^B(X) for B <= Aut_G(X), one per B."""
@@ -643,7 +635,7 @@ def entry_reports(
     # the hypothesis on G, so it is decided once
     if want("Lemma-2.2a") or want("Lemma-2.2b"):
         G_char_p = gp.is_characteristic_p(pe.G, pe.p)
-        for X in _p_subgroups(pe.G, pe.F.subgroups()):
+        for X in gp.p_subgroups(pe.G, pe.F.subgroups()):
             xi = "%s|X=%s" % (name, X.label())
             if want("Lemma-2.2a"):
                 for H in _normalizer_range(pe.G, X):

@@ -188,6 +188,16 @@ def conj_map(X, g) -> frozenset:
     return frozenset((x, x.conj(g)) for x in X)
 
 
+def conj_positions_by_conjugation(G: Subgroup, X: Subgroup) -> tuple:
+    """Per g in G in sorted order, the position in X's sorted elements of
+    x^g for each of them, by Perm conjugation; -1 where x^g leaves X."""
+    xs = sorted_elems(X.elems)
+    return tuple(
+        tuple(xs.index(x.conj(g)) if x.conj(g) in X.elems else -1 for x in xs)
+        for g in sorted_elems(G.elems)
+    )
+
+
 def aut_induced_by_conjugation(G: Subgroup, X: Subgroup) -> frozenset:
     """Aut_G(X) as maps: c_g on X for every g in G with X^g = X."""
     return frozenset(conj_map(X.elems, g) for g in G.elems if _conj(X.elems, g) == X.elems)
@@ -384,16 +394,16 @@ def partial_group_by_words(P, word_len):
     # every letter of a word below lies in P: the words' own, a spliced
     # product once it is found in P, and an inverse once inversion holds
     inverse = {g: g.inv() for g in els}
-    conj = {g: {x: x.conj(g) for x in rule.base} for g in els}
+    conj = {g: {x: x.conj(g) for x in rule.S} for g in els}
     times = {}
 
     def in_domain(word):
         R = []
-        for x in rule.base:
+        for x in rule.S:
             y = x
             for g in word:
                 y = conj[g][y]
-                if y not in rule.base:
+                if y not in rule.S:
                     break
             else:
                 R.append(x)

@@ -121,9 +121,9 @@ def test_close_generated_restriction_property(d8):
     F = fu.close_generated(S, 2, [alpha])  # an automorphism of S is a germ from S
     moved = 0
     for P in F.subgroups():
-        restricted = fu._restrict(alpha, fu._mask(S, P))
+        restricted = fu._restrict(alpha, S.mask(P.elems))
         assert restricted in F.germs_from(P)
-        moved += fu._img(restricted) != fu._mask(S, P)
+        moved += fu._img(restricted) != S.mask(P.elems)
     assert moved
 
 
@@ -171,6 +171,13 @@ def test_unsaturated_witness():
     F = fu.close_generated(v4, 2, [alpha])
     w = fu.saturation_failure(F)
     assert w is not None and w["axiom"] == "fully-automized"
+
+
+def test_germless_system_fails_saturation_loudly(d8):
+    """A system with no germ from P onto P has |Aut_F(P)| = 0, which has no
+    p-part: the saturation check raises on it rather than running on."""
+    with pytest.raises(ValueError):
+        fu.saturation_failure(fu.FusionSystem(d8, 2, []))
 
 
 def test_unreceptive_witness():

@@ -80,6 +80,16 @@ def test_all_subgroups_cap(s4):
         gp.all_subgroups(gp.Subgroup(s4.elems), cap=10)
 
 
+def _corpus_normals():
+    """The element set of each entry's declared normal subgroup H, in the
+    order of _corpus_sylows: the default corpus's, and PSL(2,7) paired with
+    itself as in the extended corpus."""
+    from plocal import cli
+
+    normals = [e.H.elems for e in cli.parse_corpus(cli.default_corpus_text())]
+    return normals + [_corpus_sylows()[-1][0].elems]
+
+
 def _corpus_sylows():
     """(G, S) for the default corpus's four groups at their primes and for
     PSL(2,7) at p = 2, S a Sylow p-subgroup of G."""
@@ -113,6 +123,26 @@ def test_join_is_the_generated_subgroup():
 
 
 # -- Sylow / O_p / characteristic p ----------------------------------------
+
+
+def test_p_part_refuses_what_has_none():
+    """p_part(n, p) is defined for n >= 1 and p >= 2; elsewhere it raises,
+    where dividing out p would never stop."""
+    assert [gp.p_part(n, 2) for n in (1, 8, 24)] == [1, 8, 8]
+    for n, p in ((0, 2), (-8, 2), (8, 1), (8, 0)):
+        with pytest.raises(ValueError):
+            gp.p_part(n, p)
+
+
+def test_mask_is_bits_of_sorted_positions(s4):
+    """mask sets bit i for the i-th sorted element of each element given,
+    and is -1 for a set not inside the group."""
+    S = gp.sylow_subgroup(s4, 2)
+    elems = tuple(S)
+    for X in gp.all_subgroups(S):
+        assert S.mask(X.elems) == sum(1 << elems.index(x) for x in X)
+    assert S.mask(S.elems) == (1 << S.order) - 1
+    assert S.mask(s4.elems) == -1
 
 
 def test_sylow_examples(s4, s3):
@@ -327,14 +357,24 @@ def test_conjugation_tables_match_perm_definitions(case):
     """On the default corpus's four groups and PSL(2,7) at p = 2, for every
     X <= S and every K of X's default sweep: Aut_G(X), Aut_S(X), N_G^K(X),
     N_S^K(X), "X fully K-normalized in F_S(G)" and O_p(N_G^K(X)), all read
-    off G's tables, equal their definitions by Perm conjugation."""
+    off G's tables, equal their definitions by Perm conjugation. So do the
+    positions of the conjugates of X's elements by G, by S and by the
+    entry's normal subgroup N as prepare_entry builds it (groups reading
+    G's tables), and the germs of F_S(G) and of E = F_T(N), T = S cap N."""
     from plocal import fusion as fu
     from plocal import verify as vf
 
     G, S = _corpus_sylows()[case]
+    N = gp.Subgroup(_corpus_normals()[case], G)
     p = min(q for q in range(2, S.order + 1) if S.order % q == 0)
     F = fu.fusion_of_group(G, S, p)
+    assert oracles.as_pairs(S, F.all_germs()) == oracles.conjugation_germs(G, S)
+    T = gp.Subgroup(S.elems & N.elems, G)
+    E = fu.fusion_of_group(N, T, p)
+    assert oracles.as_pairs(T, E.all_germs()) == oracles.conjugation_germs(N, T)
     for X in F.subgroups():
+        for A in (G, S, N):
+            assert gp.conj_positions(A, X) == oracles.conj_positions_by_conjugation(A, X)
         for H in (G, S):
             assert oracles.as_pairs(X, gp.aut_induced(H, X).maps) == (
                 oracles.aut_induced_by_conjugation(H, X)

@@ -283,7 +283,7 @@ def test_restrict_conjugates_each_object_once(monkeypatch, L_l27):
     G = L_l27.ambient
     L = lo.build_group_locality(G, L_l27.S, L_l27.Delta, 2)
     index = G.element_index
-    expected = Counter((L.rule.mask_of(P), index[f]) for P in L_l27.Delta for f in G.elems)
+    expected = Counter((L.rule.S.mask(P), index[f]) for P in L_l27.Delta for f in G.elems)
     assert Counter(calls) == expected
 
 
@@ -759,7 +759,7 @@ def _survivors(base, word):
 
 def _mask(rule, xs):
     """The rule's bitmask of the base elements xs."""
-    return sum(1 << rule.base_order.index(x) for x in xs)
+    return sum(1 << tuple(rule.S).index(x) for x in xs)
 
 
 @pytest.fixture(scope="module")
@@ -791,7 +791,7 @@ def test_walk_matches_whole_word_definitions(L_s3xs3, unclosed):
             for g in w:
                 expected.append(expected[-1] * g)
             assert prods == tuple(expected)
-            R_w = _survivors(rule.base, w)
+            R_w = _survivors(rule.S, w)
             assert survivors == _mask(rule, R_w)
             assert (survivors in rule.masks) == (R_w in rule.objects)
             wbar = tuple(g.inv() for g in reversed(w))
@@ -799,8 +799,8 @@ def test_walk_matches_whole_word_definitions(L_s3xs3, unclosed):
             for g in wbar:
                 product = product * g
             assert ambient[iwbar] == product
-            assert wbar_survivors == _mask(rule, _survivors(rule.base, wbar))
-            R_wbar_w = _survivors(rule.base, wbar + w)
+            assert wbar_survivors == _mask(rule, _survivors(rule.S, wbar))
+            R_wbar_w = _survivors(rule.S, wbar + w)
             assert wbar_survivors == _mask(rule, R_wbar_w)
             assert (wbar_survivors in rule.masks) == (R_wbar_w in rule.objects)
         assert len(walked) == sum(len(els) ** k for k in (0, 1, 2, 3))
@@ -1080,7 +1080,7 @@ def test_survivor_table_matches_conjugation(name, request):
     ambient = tuple(rule.ambient)
     assert len(rule.survivors) == len(ambient)
     for a, g in enumerate(ambient):
-        assert rule.survivors[a] == _mask(rule, [x for x in rule.base if x.conj(g) in rule.base])
+        assert rule.survivors[a] == _mask(rule, [x for x in rule.S if x.conj(g) in rule.S])
 
 
 @pytest.mark.parametrize("name", ["L_s3xs3", "L_l27", "unclosed", "objectivity"])
@@ -1089,11 +1089,11 @@ def test_conj_pos_matches_conjugation(name, request):
     the Perm conjugate of the i-th base element by the a-th ambient element,
     -1 when it leaves the base; survivors[a] holds the positions that stay."""
     rule = STRUCTURES[name](request).rule
-    ambient, base = tuple(rule.ambient), rule.base_order
+    ambient, base = tuple(rule.ambient), tuple(rule.S)
     assert len(rule.conj_pos) == len(ambient)
     for a, g in enumerate(ambient):
         expected = tuple(
-            base.index(x.conj(g)) if x.conj(g) in rule.base else -1 for x in base
+            base.index(x.conj(g)) if x.conj(g) in rule.S else -1 for x in base
         )
         assert rule.conj_pos[a] == expected
         assert rule.survivors[a] == sum(1 << i for i, j in enumerate(expected) if j >= 0)
@@ -1112,7 +1112,7 @@ def test_S_f_mask_matches_definition(name, request):
         expected = frozenset(
             x for x in P.S_elems if P.in_domain((fi, x, f)) and x.conj(f) in P.S_elems
         )
-        assert masks[index[f]] == P.rule.mask_of(expected)
+        assert masks[index[f]] == P.rule.S.mask(expected)
         verdicts[bool(expected)] += 1
         if expected:
             assert lo.S_f(P, f).elems == expected
@@ -1149,7 +1149,7 @@ def test_in_domain_matches_survivor_definition(name, request):
     ambient = tuple(P.ambient)
     verdicts = Counter()
     for w in [()] + [(a,) for a in ambient] + [(a, b) for a in ambient for b in ambient]:
-        expected = all(g in P.elems for g in w) and _survivors(P.rule.base, w) in P.rule.objects
+        expected = all(g in P.elems for g in w) and _survivors(P.rule.S, w) in P.rule.objects
         assert P.in_domain(w) == expected
         verdicts[expected] += 1
     assert verdicts[True] > 0 and verdicts[False] > 0
