@@ -75,6 +75,7 @@ from .groups import (
     normalizer_action,
     op_residual,
     p_part,
+    positions,
     trivial_aut_group,
 )
 from .perm import Perm
@@ -129,7 +130,7 @@ class FusionSystem:
         """Aut_F(P): the germs from P onto P in P's positions, kept per P."""
         key = ("aut", P.elems)
         if key not in self._cache:
-            p, pos = self.S.mask(P.elems), _positions(self.S, P)
+            p, pos = self.S.mask(P.elems), positions(self.S, P)
             self._cache[key] = AutGroup(P, {_local(g, pos) for g in self.germs_from(P) if _img(g) == p})
         return self._cache[key]
 
@@ -163,12 +164,6 @@ class FusionSystem:
 
 # ---------------------------------------------------------------------------
 # germs: tuples of positions over the sorted elements of S
-
-
-def _positions(S: Subgroup, P: Subgroup) -> Dict[int, int]:
-    """The positions in S's sorted elements of P's, in order, each mapped
-    to its place in P."""
-    return {S.element_index[x]: k for k, x in enumerate(P)}
 
 
 def _lattice(F: FusionSystem) -> Dict[int, Subgroup]:
@@ -206,7 +201,7 @@ def _inverse(g: tuple) -> tuple:
 
 def _local(g: tuple, pos: Dict[int, int]) -> tuple:
     """g re-expressed in the positions of a subgroup P, pos being
-    _positions(S, P): its entries on P, each image by its place in P, -1
+    positions(S, P): its entries on P, each image by its place in P, -1
     for an image outside P."""
     return tuple(pos.get(g[i], -1) for i in pos)
 
@@ -226,7 +221,7 @@ def subsystem_le(E: FusionSystem, F: FusionSystem) -> bool:
     lifted to F's base, one of F's."""
     if not E.S.elems <= F.S.elems:
         return False
-    pos = _positions(F.S, E.S)
+    pos = positions(F.S, E.S)
     return all(_lift(g, pos, F.S.order) in F.all_germs() for g in E.all_germs())
 
 
@@ -401,7 +396,7 @@ def K_normalizer_subsystem(F: FusionSystem, X: Subgroup, K: AutGroup) -> FusionS
         raise ValueError("K must consist of automorphisms of X")
     S0 = group_K_normalizer(F.S, X, K)
     x, s0 = F.S.mask(X.elems), F.S.mask(S0.elems)
-    xpos, s0pos = _positions(F.S, X), _positions(F.S, S0)
+    xpos, s0pos = positions(F.S, X), positions(F.S, S0)
     lattice = {m: P for m, P in _lattice(F).items() if not m & ~s0}
     germs, good = set(), {}
     for m in lattice:
@@ -683,7 +678,7 @@ def is_weakly_normal(E: FusionSystem, F: FusionSystem) -> bool:
             return False
     # Frattini: phi = (E-germ) then (restriction of some alpha in Aut_F(T)),
     # phi taken in T's positions
-    t, pos = F.S.mask(T.elems), _positions(F.S, T)
+    t, pos = F.S.mask(T.elems), positions(F.S, T)
     for src, germs in F.germs_by_src.items():
         if src & ~t:
             continue
@@ -717,7 +712,7 @@ def _has_extension_property(E: FusionSystem, F: FusionSystem) -> bool:
     C = centralizer(F.S, T)
     P0 = join(F.subgroups(), T.elems | C.elems)
     mul, inv, Z = F.S.home.mul_table, F.S.home.inv_table, set(F.S.indexes(center(T)))
-    home, pos, cm = F.S.indexes(F.S), _positions(F.S, T), F.S.mask(C.elems)
+    home, pos, cm = F.S.indexes(F.S), positions(F.S, T), F.S.mask(C.elems)
     for alpha in E.aut(T).maps:
         found = False
         for psi in F.germs_from(P0):

@@ -10,9 +10,11 @@ elements of a group's *home*: the group it was found in, or itself when
 built alone (a corpus group, the permutation image of an automorphism
 group). A normalizer, a Sylow subgroup or a lattice member names its
 home, so no table is built for it. Where conjugation sends the elements
-of X is read in one place, :func:`conj_positions`, and no other module
-reads the conjugation table; a set of a group's elements is a mask over
-its sorted elements (:meth:`Subgroup.mask`). A home also keeps, per X,
+of X is read in one place, :func:`conj_positions`. A set of a group's
+elements is a mask over its sorted elements (:meth:`Subgroup.mask`; a
+group's own over its home is :attr:`Subgroup.home_mask`, and
+:func:`elements` turns a mask back into Perms), so no other module reads
+the conjugation table or the element index. A home also keeps, per X,
 N_G(X) and its action on X: the one test of "g normalizes X". And it
 keeps, each under a key of the content it depends on, what is decided
 about the groups that read its tables: O_p(H) and whether H has
@@ -60,15 +62,33 @@ def mulclose(gens: Iterable[Perm], cap: int = ELEMENT_CAP) -> FrozenSet[Perm]:
     return frozenset(els)
 
 
-def _close(mul: Sequence[Sequence[int]], gens: Iterable[int]) -> FrozenSet[int]:
-    """The indexes of the subgroup generated by the elements with indexes
+def bits(mask: int) -> List[int]:
+    """The set bits of a mask, ascending: its elements in sorted order."""
+    if mask < 0:
+        raise ValueError("a mask has no negative bits")
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def pack(mask: int, within: int) -> int:
+    """mask read at within's set bits, bit k for the k-th: for within X's
+    mask over a group, a mask over X's sorted elements."""
+    return sum(1 << k for k, i in enumerate(bits(within)) if mask >> i & 1)
+
+
+def _close(mul: Sequence[Sequence[int]], gens: Iterable[int]) -> int:
+    """The home mask of the subgroup generated by the elements with indexes
     gens, closed on a product table (the identity has index 0)."""
     gens, out = tuple(set(gens)), frozenset([0])
     frontier = out
     while frontier:
         frontier = {mul[a][g] for a in frontier for g in gens} - out
         out |= frontier
-    return out
+    return sum(1 << a for a in out)
 
 
 @dataclass(frozen=True)
@@ -169,6 +189,15 @@ class Subgroup:
             return -1
         return sum(1 << i for i in map(self.element_index.__getitem__, elems))
 
+    @cached_property
+    def home_mask(self) -> int:
+        """This group's elements as a mask over its home's sorted elements."""
+        return self.home.mask(self.elems)
+
+    def from_home_mask(self, mask: int) -> "Subgroup":
+        """The subgroup of the home at mask's bits: home_mask's inverse."""
+        return Subgroup(frozenset(elements(self.home, mask)), self)
+
     def indexes(self, elems: Iterable[Perm]) -> List[int]:
         """The home indexes of elems, in their order; ValueError for an
         element outside the home."""
@@ -176,11 +205,6 @@ class Subgroup:
             return list(map(self.home.element_index.__getitem__, elems))
         except KeyError:
             raise ValueError("element outside the group's home") from None
-
-    def from_indexes(self, indexes: Iterable[int]) -> "Subgroup":
-        """The subgroup of the home with these home indexes."""
-        elems = self.home._sorted
-        return Subgroup(frozenset(elems[i] for i in indexes), self)
 
     @property
     def order(self) -> int:
@@ -200,7 +224,7 @@ class Subgroup:
 
     def generated_subgroup(self, gens: Iterable[Perm]) -> "Subgroup":
         """The subgroup generated by elements of this group."""
-        return self.from_indexes(_close(self.home.mul_table, self.indexes(gens)))
+        return self.from_home_mask(_close(self.home.mul_table, self.indexes(gens)))
 
     def is_normal_in(self, other: "Subgroup") -> bool:
         return normalizer(other, self) == other
@@ -212,6 +236,12 @@ class Subgroup:
 
     def __repr__(self):
         return "Subgroup(order=%d)" % self.order
+
+
+def elements(G: Subgroup, mask: int) -> Tuple[Perm, ...]:
+    """G's elements at mask's bits, in sorted order: the Perm view of a
+    mask over G."""
+    return tuple(map(G._sorted.__getitem__, bits(mask)))
 
 
 def generate_group(gens: Iterable[Perm], cap: int = ELEMENT_CAP) -> Subgroup:
@@ -237,11 +267,11 @@ def all_subgroups(G: Subgroup, cap: int = SUBGROUP_CAP) -> Tuple[Subgroup, ...]:
     cyclics, queue = list(found.items()), list(found)
     for H in queue:
         for C, c in cyclics:
-            if not C <= H and (J := _close(mul, found[H] + c)) not in found:
+            if C & ~H and (J := _close(mul, found[H] + c)) not in found:
                 found[J] = found[H] + c
                 queue.append(J)
-    # index order is element order, so sorted indexes order as sorted elements
-    return tuple(G.from_indexes(H) for H in sorted(found, key=lambda H: (len(H), sorted(H))))
+    # index order is element order, so bit lists order as sorted elements
+    return tuple(map(G.from_home_mask, sorted(found, key=lambda m: (m.bit_count(), bits(m)))))
 
 
 def join(lattice: Sequence[Subgroup], elems: Iterable[Perm]) -> Optional[Subgroup]:
@@ -250,6 +280,12 @@ def join(lattice: Sequence[Subgroup], elems: Iterable[Perm]) -> Optional[Subgrou
     which lies in every member holding them and so comes first."""
     elems = frozenset(elems)
     return next((H for H in lattice if elems <= H.elems), None)
+
+
+def positions(S: Subgroup, P: Subgroup) -> Dict[int, int]:
+    """The positions in S's sorted elements of P's, in order, each mapped
+    to its place in P."""
+    return {S.element_index[x]: k for k, x in enumerate(P)}
 
 
 def conj_positions(G: Subgroup, X: Subgroup) -> Tuple[Tuple[int, ...], ...]:
@@ -300,7 +336,7 @@ def normal_closure(G: Subgroup, H: Subgroup) -> Subgroup:
     """Smallest normal subgroup of G containing H: the subgroup generated
     by the G-conjugates of H's elements, on the home's tables."""
     conj, hs = G.home.conj_table, G.indexes(H)
-    return G.from_indexes(_close(G.home.mul_table, {conj[a][h] for a in G.indexes(G) for h in hs}))
+    return G.from_home_mask(_close(G.home.mul_table, {conj[a][h] for a in G.indexes(G) for h in hs}))
 
 
 def p_part(n: int, p: int) -> int:
@@ -318,24 +354,24 @@ def p_subgroups(G: Subgroup, subgroups: Sequence[Subgroup]) -> Tuple[Subgroup, .
     """The p-subgroups of G, given those of a Sylow p-subgroup: by Sylow's
     theorem their G-conjugates, in all_subgroups' canonical order."""
     conj, gs = G.home.conj_table, G.indexes(G)
-    found = {frozenset(conj[a][x] for x in xs) for xs in map(G.indexes, subgroups) for a in gs}
-    return tuple(G.from_indexes(e) for e in sorted(found, key=lambda e: (len(e), sorted(e))))
+    found = {sum(1 << conj[a][x] for x in xs) for xs in map(G.indexes, subgroups) for a in gs}
+    return tuple(map(G.from_home_mask, sorted(found, key=lambda m: (m.bit_count(), bits(m)))))
 
 
 def is_p_group(X: Subgroup, p: int) -> bool:
     return X.order == p_part(X.order, p)
 
 
-def times_cyclic(G: Subgroup, R: Sequence[int], a: int) -> FrozenSet[int]:
-    """R<x> for x, the a-th element of G's home, normalizing R, by home
-    index: the union of the cosets R x^k for k < m, m the least k > 0 with
+def times_cyclic(G: Subgroup, R: int, a: int) -> int:
+    """R<x> for x, the a-th element of G's home, normalizing R, both home
+    masks: the union of the cosets R x^k for k < m, m the least k > 0 with
     x^k in R."""
-    mul, inside = G.home.mul_table, set(R)
-    out, xk = set(R), a
-    while xk not in inside:
-        out.update(mul[y][xk] for y in R)
+    mul, rs = G.home.mul_table, bits(R)
+    out, xk = R, a
+    while not R >> xk & 1:
+        out |= sum(1 << mul[y][xk] for y in rs)
         xk = mul[xk][a]
-    return frozenset(out)
+    return out
 
 
 def sylow_subgroup(G: Subgroup, p: int) -> Subgroup:
@@ -347,11 +383,11 @@ def sylow_subgroup(G: Subgroup, p: int) -> Subgroup:
     """
     P = G.trivial_subgroup()
     while P.order < p_part(G.order, p):
-        inside = G.indexes(P)
-        for x in sorted(set(G.indexes(normalizer(G, P))) - set(inside)):
+        inside = P.home_mask
+        for x in bits(normalizer(G, P).home_mask & ~inside):
             grown = times_cyclic(G, inside, x)
-            if len(grown) == p * len(inside):
-                P = G.from_indexes(grown)
+            if grown.bit_count() == p * P.order:
+                P = G.from_home_mask(grown)
                 break
         else:  # cannot happen for a genuine group; guard anyway
             raise RuntimeError("Sylow growth stalled at order %d" % P.order)
@@ -364,7 +400,7 @@ def core_Op(G: Subgroup, p: int) -> Subgroup:
     kept, key = G.home._kept, ("O_p", G.elems, p)
     if key not in kept:
         conj, inside, gs = G.home.conj_table, set(G.indexes(sylow_subgroup(G, p))), G.indexes(G)
-        kept[key] = G.from_indexes(x for x in inside if all(conj[a][x] in inside for a in gs))
+        kept[key] = G.from_home_mask(sum(1 << x for x in inside if all(conj[a][x] in inside for a in gs)))
     return kept[key]
 
 
@@ -510,9 +546,9 @@ def _automorphisms(X: Subgroup) -> AutGroup:
     """The search of :func:`aut_group`, run once per X on its home."""
     mul, elems, xs = X.home.mul_table, X.home._sorted, X.indexes(X)
     # a small (greedy, deterministic) generating sequence
-    gens, closure = [], {0}
+    gens, closure = [], 1
     for x in xs:
-        if x not in closure:
+        if not closure >> x & 1:
             gens.append(x)
             closure = _close(mul, gens)
     # the tree: each element z other than 1 is (parent y) * (generator k)

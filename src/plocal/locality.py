@@ -11,27 +11,27 @@ w has an object chain P_0, ..., P_n with P_{i-1}^{g_i} = P_i: any chain
 start lies inside R_w (so R_w is an object by overgroup closure), and
 conversely the prefix conjugates of R_w form a chain.
 
-The rule is integer tables over the sorted elements of the ambient group
-(``Subgroup.mul_table``, ``inv_table``). ``ChainDomain`` holds its base as
-a subgroup S of the ambient, and a set of base elements is its mask over
-S's sorted elements (``S.mask``). ``ChainDomain.conj_pos``, read off the
-group layer as ``groups.conj_positions(ambient, S)``, maps each position
-of S through each element's conjugation, and R_w is the AND of its
-``survivors`` masks over the prefix products. Every question about the
-domain or about conjugates of base elements reads them: ``in_domain``,
-the S_f masks, the object images, <P, X> and the maximality of
-``restrict``, the partial normal check and the axiom walk. The germs of
-``fusion_of_partial`` are rows of ``groups.conj_positions(ambient, R)``
-cut to S_f, built by ``fusion.conjugation_germs``. In this module only
-the objectivity oracle conjugates Perms, so that it stays apart from the
-rule it checks; N_G(X) and N_G^K(X) come from the group layer, and
-elements are named only in witnesses and results.
+Every set here is a mask, an int whose bit a stands for a group's a-th
+sorted element. L, S and a partial subgroup such as N, N_L^K(X) or N X
+are masks over the ambient group, a home (see ``groups``), so a subgroup
+found by the group layer meets them as its ``home_mask``; an object of
+Delta or Gamma, S_f and R_w are masks over the base S. The rule is
+integer tables over the ambient's sorted elements (``mul_table``,
+``inv_table``): ``ChainDomain.conj_pos``, read off the group layer as
+``groups.conj_positions(ambient, S)``, maps each position of S through
+each element's conjugation, and R_w is the AND of its ``survivors`` masks
+over the prefix products. Every question about the domain or about
+conjugates of base elements reads them, the germs of
+``fusion_of_partial`` (built by ``fusion.conjugation_germs``) too.
+Elements are Perms only at the edges: ``sorted_elements``, the words of
+``in_domain`` and ``prod``, witnesses, and the objectivity oracle, which
+conjugates Perms so that it stays apart from the rule it checks.
 
 A whole group G with Sylow p-subgroup S is ``group_locality``: its objects
 are all subgroups of S, so every word is defined. L_Delta(G) is its
 restriction to Delta, built by ``restrict`` like bN_L^K(X). A partial
-subgroup of L is its element set, passed together with L; each function
-that takes one raises ValueError when it is not inside L.
+subgroup of L is its mask, passed together with L; each function that
+takes one raises ValueError when it is not inside L.
 
 Axiom verification quantifies over all words up to a configured length
 (default 3, the shortest length exercising the associativity-splicing
@@ -62,7 +62,7 @@ from __future__ import annotations
 
 from functools import cached_property
 from operator import getitem, ne
-from typing import Dict, FrozenSet, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from .errors import (
     GammaNotClosed,
@@ -86,31 +86,31 @@ from .groups import (
     Subgroup,
     all_subgroups,
     aut_group,
+    bits,
     conj_positions,
+    elements,
     group_K_normalizer,
+    is_characteristic_p,
     is_p_group,
-    join,
     normalizer,
     p_part,
+    pack,
+    positions,
     times_cyclic,
     trivial_aut_group,
 )
-from .perm import Perm, sorted_elems
+from .perm import Perm
 from .report import VerificationReport
 
 
 # ---------------------------------------------------------------------------
 # the word domain
-#
-# ChainDomain decides which words over the ambient group's elements are in
-# the domain. A set of base elements is a mask, an int whose bit i stands for
-# the i-th sorted element of the base S. conj_pos holds, per ambient element
-# by index, where its conjugation sends each position of S; survivors holds
-# one mask per ambient element, read off conj_pos, and masks the objects'.
 
 
 class ChainDomain:
-    """Words admitting an object chain inside the base p-group S.
+    """Words admitting an object chain inside the base p-group S, the
+    objects given as masks over S, a word being the ambient indexes of its
+    letters.
 
     x survives w when each prefix product of w conjugates it into S, so
     R_{w g} = R_w & survivors[Pi(w g)], one AND per letter for a walk that
@@ -119,14 +119,10 @@ class ChainDomain:
     Perm products.
     """
 
-    def __init__(self, ambient: Subgroup, base: FrozenSet[Perm], objects: Iterable[FrozenSet[Perm]]):
-        self.ambient = ambient
-        self.S = Subgroup(base, ambient)
-        self.objects = frozenset(frozenset(o) for o in objects)
-        if self.S.elems not in self.objects:
+    def __init__(self, ambient: Subgroup, S: Subgroup, masks: Iterable[int]):
+        self.ambient, self.S, self.masks = ambient, S, frozenset(masks)
+        if (1 << S.order) - 1 not in self.masks:
             raise ValueError("the base itself must be an object")
-        # an object outside the base has mask -1, never a survivor set
-        self.masks = frozenset(map(self.S.mask, self.objects))
 
     @cached_property
     def conj_pos(self) -> Tuple[Tuple[int, ...], ...]:
@@ -141,11 +137,11 @@ class ChainDomain:
         base, for the a-th sorted element a of the ambient group."""
         return tuple(sum(1 << i for i, j in enumerate(row) if j >= 0) for row in self.conj_pos)
 
-    def word_ok(self, word: Sequence[Perm]) -> bool:
-        index, mul, survivors = self.ambient.element_index, self.ambient.mul_table, self.survivors
+    def word_ok(self, word: Sequence[int]) -> bool:
+        mul, survivors = self.ambient.mul_table, self.survivors
         u, mask = 0, survivors[0]  # the identity sorts first; R of the empty word
-        for g in word:
-            u = mul[u][index[g]]
+        for a in word:
+            u = mul[u][a]
             mask &= survivors[u]
         return mask in self.masks
 
@@ -156,35 +152,25 @@ class ChainDomain:
 
 class Locality:
     """(L, Delta, S): a group-backed partial group with object set Delta
-    inside S. Its elements lie in the ambient group, its product is the
-    ambient product and its words are decided by ChainDomain(ambient, S,
-    Delta). It owns the lattice of S, handed on by group_locality or
-    restrict, and holds a table of systems (see fusion_of_partial): its
-    own, or the one group_locality is handed, shared with every
-    restriction of it."""
+    inside S. elems and S_elems are masks over the ambient group, a home,
+    and Delta a set of masks over S. Its product is the ambient product and
+    its words are decided by ChainDomain(ambient, S, Delta). It owns the
+    lattice of S (_lattice) and holds a table of systems (see
+    fusion_of_partial): its own, or the one group_locality is handed,
+    shared with every restriction of it."""
 
-    __slots__ = (
-        "ambient", "elems", "Delta", "S_elems", "p", "rule", "S", "_sorted", "_memo", "_systems"
-    )
+    __slots__ = ("ambient", "elems", "Delta", "S_elems", "p", "rule", "S", "_memo", "_systems")
 
-    def __init__(
-        self,
-        ambient: Subgroup,
-        elems: Iterable[Perm],
-        Delta: Iterable[FrozenSet[Perm]],
-        S_elems: FrozenSet[Perm],
-        p: int,
-    ):
-        self.ambient = ambient
-        self.elems = frozenset(elems)
-        self.S_elems = frozenset(S_elems)
-        if not self.elems | self.S_elems <= ambient.elems:
+    def __init__(self, ambient: Subgroup, elems: int, Delta: Iterable[int], S_elems: int, p: int):
+        if ambient.home is not ambient:
+            raise ValueError("the ambient group must be a home")
+        if (elems | S_elems) >> ambient.order:  # -1 for a negative mask
             raise ValueError("elements not inside the ambient group")
-        self.Delta = frozenset(frozenset(d) for d in Delta)
-        self.p = p
-        self.rule = ChainDomain(ambient, self.S_elems, self.Delta)
-        self.S = self.rule.S
-        self._sorted = None
+        self.ambient, self.elems, self.S_elems, self.p = ambient, elems, S_elems, p
+        self.S, self.Delta = ambient.from_home_mask(S_elems), frozenset(Delta)
+        if any(d >> self.S.order for d in self.Delta):
+            raise ValueError("objects not inside S")
+        self.rule = ChainDomain(ambient, self.S, self.Delta)
         self._memo = {}
         # the table of systems, shared with every restriction of this
         # locality (see fusion_of_partial)
@@ -194,79 +180,79 @@ class Locality:
     def unit(self) -> Perm:
         return self.ambient.identity
 
-    def subgroups(self) -> Tuple[Subgroup, ...]:
-        """The subgroups of S in all_subgroups' canonical order."""
-        if "subgroups" not in self._memo:
-            self._memo["subgroups"] = all_subgroups(self.S)
-        return self._memo["subgroups"]
-
     def sorted_elements(self) -> Tuple[Perm, ...]:
-        if self._sorted is None:
-            self._sorted = sorted_elems(self.elems)
-        return self._sorted
+        """The elements as Perms, in sorted order: the letters of words."""
+        return elements(self.ambient, self.elems)
 
     def delta_subgroups(self) -> Tuple[Subgroup, ...]:
-        return tuple(Subgroup(d, self.ambient) for d in sorted(self.Delta, key=sorted_elems))
+        """The objects, ordered by their sorted element lists."""
+        S, G = self.S, self.ambient
+        return tuple(Subgroup(frozenset(elements(S, d)), G) for d in sorted(self.Delta, key=bits))
 
     def in_domain(self, word: Sequence[Perm]) -> bool:
-        if not all(g in self.elems for g in word):
+        try:
+            word = self.ambient.indexes(word)
+        except ValueError:
             return False
-        return self.rule.word_ok(word)
+        return all(self.elems >> a & 1 for a in word) and self.rule.word_ok(word)
 
     def prod(self, word: Sequence[Perm]) -> Perm:
-        word = tuple(word)
         if not self.in_domain(word):
             raise ValueError("word is not in the domain")
-        index, mul, out = self.ambient.element_index, self.ambient.mul_table, 0
-        for g in word:
-            out = mul[out][index[g]]
-        return tuple(self.ambient)[out]
+        mul, out = self.ambient.mul_table, 0
+        for a in self.ambient.indexes(word):
+            out = mul[out][a]
+        return elements(self.ambient, 1 << out)[0]
+
+    def _content(self) -> tuple:
+        # the rule is a function of (S_elems, Delta); caches are excluded
+        return self.ambient, self.elems, self.S_elems, self.Delta
 
     def __eq__(self, other):
-        # the rule is a function of (S_elems, Delta); caches are excluded
-        return (
-            isinstance(other, Locality)
-            and self.ambient == other.ambient
-            and self.elems == other.elems
-            and self.S_elems == other.S_elems
-            and self.Delta == other.Delta
-        )
+        return isinstance(other, Locality) and self._content() == other._content()
 
     def __hash__(self):
-        return hash((self.ambient, self.elems, self.S_elems, self.Delta))
+        return hash(self._content())
 
     def __repr__(self):
         return "Locality(|L|=%d, |Delta|=%d, |S|=%d)" % (
-            len(self.elems),
-            len(self.Delta),
-            len(self.S_elems),
-        )
+            self.elems.bit_count(), len(self.Delta), self.S.order)
 
 
-def _inside(L: Locality, elems: Iterable[Perm]) -> FrozenSet[Perm]:
-    """elems as a frozenset, or ValueError if it is not a subset of L."""
-    elems = frozenset(elems)
-    if not elems <= L.elems:
+def _lattice(L: Locality) -> Dict[int, Subgroup]:
+    """S's lattice by mask over S, in all_subgroups' canonical order, kept
+    in L's memo: handed on by group_locality or restrict, or built."""
+    if "lattice" not in L._memo:
+        L._memo["lattice"] = {L.S.mask(P.elems): P for P in all_subgroups(L.S)}
+    return L._memo["lattice"]
+
+
+def _name(L: Locality, a: int) -> str:
+    """The a-th ambient element, for a witness."""
+    return str(elements(L.ambient, 1 << a)[0])
+
+
+def _inside(L: Locality, elems: int) -> int:
+    """elems, or ValueError if it is not a subset of L."""
+    if elems & ~L.elems:
         raise ValueError("subset not inside the partial group")
     return elems
 
 
-def partial_subgroup_violation(parent: Locality, elems: FrozenSet[Perm]) -> Optional[dict]:
+def partial_subgroup_violation(parent: Locality, elems: int) -> Optional[dict]:
     """None if elems is a partial subgroup of parent, else a witness.
 
     Pair products suffice for group-backed structures: splicing turns any
     longer domain word over the subset into nested pairs, so closure under
     pairs plus inversion is full closure.
     """
-    elems = _inside(parent, elems)
-    for x in elems:
-        if x.inv() not in elems:
-            return {"kind": "inverse", "x": str(x)}
-    index = parent.ambient.element_index
-    inside = {index[x] for x in elems}
+    elems, inv = _inside(parent, elems), parent.ambient.inv_table
+    for x in bits(elems):
+        if not elems >> inv[x] & 1:
+            return {"kind": "inverse", "x": _name(parent, x)}
     for a, b, ab in _domain_pairs(parent, elems, elems):
-        if ab not in inside:
-            return {"kind": "product", "a": str(a), "b": str(b)}
+        if not elems >> ab & 1:
+            return {"kind": "product", "a": _name(parent, a), "b": _name(parent, b)}
     return None
 
 
@@ -285,22 +271,22 @@ def group_locality(
     fusion_of_partial) the locality is to use, if the caller holds one."""
     if S.order != p_part(G.order, p):
         raise NotSylow("S is not a Sylow %d-subgroup of G" % p)
-    subgroups = subgroups or all_subgroups(S)
-    out = Locality(G, G.elems, (H.elems for H in subgroups), S.elems, p)
-    out._memo["subgroups"] = subgroups
+    lattice = {S.mask(H.elems): H for H in subgroups or all_subgroups(S)}
+    out = Locality(G, G.home_mask, lattice, G.mask(S.elems), p)
+    out._memo["lattice"] = lattice
     if systems is not None:
         out._systems = systems
     return out
 
 
 def build_group_locality(
-    G: Subgroup, S: Subgroup, Delta: Iterable[FrozenSet[Perm]], p: int,
+    G: Subgroup, S: Subgroup, Delta: Iterable[int], p: int,
     *, subgroups: Optional[Tuple[Subgroup, ...]] = None,
     systems: Optional[Dict[FusionSystem, FusionSystem]] = None,
 ) -> Locality:
     """L_Delta(G) = {g in G : S cap S^{g^-1} in Delta}: the group locality
-    restricted to Delta, where S_g = S cap S^{g^-1}. ``subgroups`` and
-    ``systems`` are as for group_locality.
+    restricted to Delta, masks over S, where S_g = S cap S^{g^-1}.
+    ``subgroups`` and ``systems`` are as for group_locality.
 
     Delta must be closed under F_S(G)-conjugacy and overgroups in S;
     restrict raises GammaNotClosed otherwise. The construction always
@@ -309,7 +295,7 @@ def build_group_locality(
     """
     L = group_locality(G, S, p, subgroups=subgroups, systems=systems)
     one = S.trivial_subgroup()
-    out = restrict(L, G.elems, Delta, one)
+    out = restrict(L, L.elems, Delta, one)
     if out == L:
         # every subgroup of S is an object, so out has L's content and
         # restricts as L did, to itself: kept as bN_K keeps a restriction
@@ -328,16 +314,15 @@ def _S_f_masks(L: Locality) -> Tuple[int, ...]:
     x_i^f, is an object."""
     hit = L._memo.get("S_f")
     if hit is None:
-        index, mul, inv = L.ambient.element_index, L.ambient.mul_table, L.ambient.inv_table
-        rule, inside = L.rule, {index[g] for g in L.elems}
-        sv, base = rule.survivors, [index[x] for x in rule.S]
+        mul, inv, inside, rule = L.ambient.mul_table, L.ambient.inv_table, L.elems, L.rule
+        sv, base = rule.survivors, bits(rule.S.home_mask)
 
         def mask(f, row):
             fi = inv[f]
-            if f not in inside or fi not in inside:
+            if not (inside >> f & 1 and inside >> fi & 1):
                 return 0
             return sum(
-                1 << i for i, x in enumerate(base) if x in inside and row[i] >= 0
+                1 << i for i, x in enumerate(base) if inside >> x & 1 and row[i] >= 0
                 and (sv[fi] & sv[mul[fi][x]] & sv[base[row[i]]]) in rule.masks
             )
 
@@ -347,10 +332,9 @@ def _S_f_masks(L: Locality) -> Tuple[int, ...]:
 
 def S_f(L: Locality, f: Perm) -> Subgroup:
     """S_f = {x in S : (f^-1, x, f) in D and x^f in S}, from its mask."""
-    mask = _S_f_masks(L)[L.ambient.element_index[f]] if f in L.elems else 0
-    return Subgroup(
-        frozenset(x for i, x in enumerate(L.rule.S) if mask >> i & 1), L.ambient
-    )
+    [a] = L.ambient.indexes([f])
+    mask = _S_f_masks(L)[a] if L.elems >> a & 1 else 0
+    return Subgroup(frozenset(elements(L.rule.S, mask)), L.ambient)
 
 
 def _conj_mask(L: Locality, mask: int, a: int) -> Optional[int]:
@@ -366,12 +350,12 @@ def _conj_mask(L: Locality, mask: int, a: int) -> Optional[int]:
     return out
 
 
-def normalizer_partial(L: Locality, X: Subgroup) -> FrozenSet[Perm]:
+def normalizer_partial(L: Locality, X: Subgroup) -> int:
     """N_L(X) = {f in N_G(X) cap L : X <= S_f}, G the ambient group."""
     return _defined_on(L, X, normalizer(L.ambient, X))
 
 
-def K_normalizer_partial(L: Locality, X: Subgroup, K: AutGroup) -> FrozenSet[Perm]:
+def K_normalizer_partial(L: Locality, X: Subgroup, K: AutGroup) -> int:
     """N_L^K(X) = {f in N_G^K(X) cap L : X <= S_f}, verified to be a
     partial subgroup of L."""
     out = _defined_on(L, X, group_K_normalizer(L.ambient, X, K))
@@ -381,73 +365,65 @@ def K_normalizer_partial(L: Locality, X: Subgroup, K: AutGroup) -> FrozenSet[Per
     return out
 
 
-def _defined_on(L: Locality, X: Subgroup, N: Subgroup) -> FrozenSet[Perm]:
+def _defined_on(L: Locality, X: Subgroup, N: Subgroup) -> int:
     """The f in N cap L for which X^f is defined in L: X <= S_f."""
-    x, sf, index = L.rule.S.mask(X.elems), _S_f_masks(L), L.ambient.element_index
-    return frozenset(f for f in N.elems & L.elems if not x & ~sf[index[f]])
+    x, sf = L.rule.S.mask(X.elems), _S_f_masks(L)
+    return sum(1 << f for f in bits(N.home_mask & L.elems) if not x & ~sf[f])
 
 
 # ---------------------------------------------------------------------------
 # restriction H|_Gamma
 
 
-def restrict(
-    L: Locality,
-    H: FrozenSet[Perm],
-    Gamma: Iterable[FrozenSet[Perm]],
-    X: Subgroup,
-) -> Locality:
+def restrict(L: Locality, H: int, Gamma: Iterable[int], X: Subgroup) -> Locality:
     """H|_Gamma = {f in H : S_f cap R in Gamma}, R = S cap H, for a partial
-    subgroup H of L, with the Gamma-chain domain.
+    subgroup H of L, with the Gamma-chain domain. Gamma is a set of masks
+    over S; the result's objects are the same subgroups as masks over R,
+    its base.
 
-    Checks the closure of Gamma and the hypotheses (Q1), (Q2) eagerly, and
-    raises NotSylow unless R is a maximal p-subgroup of the result. Subsets
-    of S are masks: P^f is _conj_mask, once per object P and f in H. The
-    result shares L's table of fusion systems (see fusion_of_partial), so
-    every restriction reached from one locality, by any chain of restricts,
-    holds the same table.
+    Checks the closure of Gamma and the hypotheses (Q1), (Q2) eagerly, in
+    the order of Gamma's masks, and raises NotSylow unless R is a maximal
+    p-subgroup of the result. P^f is _conj_mask, once per object P and f
+    in H. The result shares L's table of fusion systems (see
+    fusion_of_partial), so every restriction reached from one locality, by
+    any chain of restricts, holds the same table.
     """
-    H = _inside(L, H)
-    Gamma = frozenset(frozenset(g) for g in Gamma)
-    R = L.S_elems & H
-    r_lattice = tuple(K for K in L.subgroups() if K.elems <= R)
-    r_subs = {K.elems for K in r_lattice}
-    for P in Gamma:
-        if P not in r_subs:
+    H, Gamma = _inside(L, H), frozenset(Gamma)
+    objects, R = sorted(Gamma), L.S_elems & H
+    r, lattice = pack(R, L.S_elems), _lattice(L)
+    r_lattice = {m: P for m, P in lattice.items() if not m & ~r}
+    for P in objects:
+        if P not in r_lattice:
             raise GammaNotClosed("object is not a subgroup of R")
-    rule, index = L.rule, L.ambient.element_index
-    mask = {P: rule.S.mask(P) for P in Gamma}
-    objects, r_mask = set(mask.values()), rule.S.mask(R)
     # P^f for each object P and f in H, None where it is not defined
     images = {}
-    for P in Gamma:
-        for Q in r_subs:
-            if P <= Q and Q not in Gamma:
+    for P in objects:
+        for Q in r_lattice:
+            if not P & ~Q and Q not in Gamma:
                 raise GammaNotClosed("not closed under overgroups in R")
-        for f in H:
-            a = index[f]
-            img = images[mask[P], a] = _conj_mask(L, mask[P], a)
-            if img is not None and not img & ~r_mask and img not in objects:
+        for a in bits(H):
+            img = images[P, a] = _conj_mask(L, P, a)
+            if img is not None and not img & ~r and img not in Gamma:
                 raise GammaNotClosed("not closed under H-conjugation")
-    # (Q1): <P, X> must be an object of L for every P in Gamma
-    joined_of = {}
-    for P in Gamma:
-        J = join(L.subgroups(), P | X.elems)
-        joined = joined_of[mask[P]] = None if J is None else rule.S.mask(J.elems)
-        if joined not in rule.masks:
-            raise Q1Violated("<P, X> is not an object for P with |P|=%d" % len(P))
+    # (Q1): <P, X> must be an object of L for every P in Gamma; the join is
+    # the first member of S's lattice holding P and X (none for X outside S)
+    x, joined_of = L.rule.S.mask(X.elems), {}
+    for P in objects:
+        joined = joined_of[P] = next((m for m in lattice if not (P | x) & ~m), None)
+        if joined not in L.rule.masks:
+            raise Q1Violated("<P, X> is not an object for P with |P|=%d" % P.bit_count())
     # (Q2): N_H(P1, P2) <= N_L(<P1,X>, <P2,X>); P2 = P1^f is the one object
     # that f can move P1 onto, and <P1,X> is often P1 itself
     for (P1, a), P2 in images.items():
         J = joined_of[P1]
-        if P2 in objects and (
-            images[J, a] if J in objects else _conj_mask(L, J, a)
+        if P2 in Gamma and (
+            images[J, a] if J in Gamma else _conj_mask(L, J, a)
         ) != joined_of[P2]:
             raise Q2Violated("transporter element does not move <P1,X> onto <P2,X>")
     sf = _S_f_masks(L)
-    elems = frozenset(f for f in H if (sf[index[f]] & r_mask) in objects)
-    out = Locality(L.ambient, elems, Gamma, R, L.p)
-    out._memo["subgroups"] = r_lattice
+    elems = sum(1 << f for f in bits(H) if (sf[f] & r) in Gamma)
+    out = Locality(L.ambient, elems, (pack(P, r) for P in objects), R, L.p)
+    out._memo["lattice"] = {pack(m, r): P for m, P in r_lattice.items()}
     if not _is_max_p_subgroup(out):
         raise NotSylow("S cap H is not a maximal p-subgroup of the restriction")
     out._systems = L._systems
@@ -465,13 +441,11 @@ def _is_max_p_subgroup(P0: Locality) -> bool:
     any word over S<x> or over S, is the whole base, which is an object
     (ChainDomain requires it)."""
     S, G, p = P0.S_elems, P0.ambient, P0.p
-    if not (S <= P0.elems and is_p_group(P0.S, p)):
+    if S & ~P0.elems or not is_p_group(P0.S, p):
         return False
-    index = G.element_index
-    inside, s = {index[g] for g in P0.elems}, [index[y] for y in S]
-    for x in normalizer(G, P0.S).elems & P0.elems - S:
-        H = times_cyclic(G, s, index[x])
-        if len(H) == p_part(len(H), p) and H <= inside:
+    for x in bits(normalizer(G, P0.S).home_mask & P0.elems & ~S):
+        H = times_cyclic(G, S, x)
+        if H.bit_count() == p_part(H.bit_count(), p) and not H & ~P0.elems:
             return False
     return True
 
@@ -497,7 +471,7 @@ def bN_K(L: Locality, F: FusionSystem, X: Subgroup, K: AutGroup) -> Locality:
     if not is_fully_K_normalized(F, X, K):
         raise NotFullyKNormalized("X is not fully K-normalized in F")
     NFK = K_normalizer_subsystem(F, X, K)
-    Gamma = frozenset(P.elems for P in subcentric_set(NFK))
+    Gamma = frozenset(L.S.mask(P.elems) for P in subcentric_set(NFK))
     H = K_normalizer_partial(L, X, K)
     content = ("restrict", H, Gamma, X.elems)
     hit = L._memo.get(content)
@@ -521,33 +495,29 @@ def bC(L: Locality, F: FusionSystem, X: Subgroup) -> Locality:
 # partial normal subgroups
 
 
-def partial_normal_violation(L: Locality, N: FrozenSet[Perm]) -> Optional[dict]:
+def partial_normal_violation(L: Locality, N: int) -> Optional[dict]:
     """None if N is a partial normal subgroup of L, else a witness."""
     bad = partial_subgroup_violation(L, N)
     if bad is not None:
         return bad
     # n^f is defined iff f^-1 lies in L and R of (f^-1, n, f), with prefix
     # products 1, f^-1, f^-1 n and n^f, is an object
-    index, mul, inv = L.ambient.element_index, L.ambient.mul_table, L.ambient.inv_table
-    sv, inside = L.rule.survivors, {index[g] for g in L.elems}
-    members = [(n, index[n]) for n in N]
-    normal = {b for _, b in members}
-    for f in L.elems:
-        a, fi = index[f], inv[index[f]]
-        for n, b in members if fi in inside else ():
-            u = mul[fi][b]
-            if (sv[fi] & sv[u] & sv[mul[u][a]]) in L.rule.masks and mul[u][a] not in normal:
-                return {"kind": "conjugation", "f": str(f), "n": str(n)}
+    mul, inv, inside = L.ambient.mul_table, L.ambient.inv_table, L.elems
+    sv, masks, members = L.rule.survivors, L.rule.masks, bits(N)
+    for f in bits(inside):
+        fi = inv[f]
+        for n in members if inside >> fi & 1 else ():
+            u = mul[fi][n]
+            if (sv[fi] & sv[u] & sv[mul[u][f]]) in masks and not N >> mul[u][f] & 1:
+                return {"kind": "conjugation", "f": _name(L, f), "n": _name(L, n)}
     return None
 
 
-def is_partial_normal(L: Locality, N: FrozenSet[Perm]) -> bool:
+def is_partial_normal(L: Locality, N: int) -> bool:
     return partial_normal_violation(L, N) is None
 
 
-def fusion_of_partial(
-    L: Locality, N: FrozenSet[Perm], base: Optional[Subgroup] = None
-) -> FusionSystem:
+def fusion_of_partial(L: Locality, N: int, base: Optional[Subgroup] = None) -> FusionSystem:
     """F_R(N), R = N cap S (or the given base): the fusion system on R
     generated by the conjugation maps c_f, f in N.
 
@@ -560,36 +530,40 @@ def fusion_of_partial(
     so that calls that differ in (L, N) but generate the same system close
     it once. The base must lie in N cap S.
     """
-    N = _inside(L, N)
-    R = base if base is not None else Subgroup(N & L.S_elems, L.ambient)
-    if not R.elems <= N & L.S_elems:
+    T = _inside(L, N) & L.S_elems
+    R = base if base is not None else L.ambient.from_home_mask(T)
+    r = L.ambient.mask(R.elems)
+    if r & ~T:
         raise ValueError("base is not inside the partial subgroup and S")
-    table, key = L._systems, (L, N, R.elems)
+    table, key = L._systems, (L, N, r)
     hit = table.get(key)
     if hit is None:
         germs = _partial_germs(L, N, R)
         closure = (R.elems, frozenset(germs))
         hit = table.get(closure)
         if hit is None:
-            lattice = tuple(P for P in L.subgroups() if P.elems <= R.elems)
+            rs = pack(r, L.S_elems)
+            lattice = tuple(P for m, P in _lattice(L).items() if not m & ~rs)
             hit = close_generated(R, L.p, germs, subgroups=lattice)
             hit = table[closure] = interned(table, hit)
         table[key] = hit
     return hit
 
 
-def _partial_germs(L: Locality, N: FrozenSet[Perm], R: Subgroup) -> set:
+def _partial_germs(L: Locality, N: int, R: Subgroup) -> set:
     """The c_f on P for f in N and P <= R with P <= S_f and P^f <= R, for R
-    inside S, each a germ over R (see fusion): f's row of
-    conj_positions(ambient, R) cut to S_f, restricted to P. Each distinct
-    (row, S_f) is cut once."""
-    index, sf, S = L.ambient.element_index, _S_f_masks(L), L.rule.S
-    rows = conj_positions(L.ambient, R)
-    at = [S.element_index[x] for x in R]  # the position in S of R's k-th element
-    cuts = {(rows[a], sf[a]) for a in map(index.__getitem__, N)}
+    inside S, each a germ over R (see fusion): f's row of the rule's
+    conj_pos read in R's positions, restricted to P.
+
+    The row needs no cut to S_f, for S_f = S cap S^(f^-1), the positions
+    that the row keeps in S. For f in L, (f) and (f^-1) lie in D, so P =
+    S cap S^(f^-1) = R_(f) and P^f = R_(f^-1) are objects; for x in P the
+    object chain P^f, P, P, P^f along (f^-1, x, f) puts that word in D."""
+    rs, at = L.rule.S.mask(R.elems), positions(L.rule.S, R)
+    rows = {L.rule.conj_pos[a] for a in bits(N)}
     return conjugation_germs(
-        {tuple(j if m >> i & 1 else -1 for i, j in zip(at, row)) for row, m in cuts},
-        [R.mask(P.elems) for P in L.subgroups() if P.elems <= R.elems],
+        {tuple(at.get(row[i], -1) for i in at) for row in rows},
+        [pack(m, rs) for m in _lattice(L) if not m & ~rs],
     )
 
 
@@ -597,28 +571,26 @@ def _partial_germs(L: Locality, N: FrozenSet[Perm], R: Subgroup) -> set:
 # products N X
 
 
-def product_partial(L: Locality, N: FrozenSet[Perm], X: Subgroup) -> FrozenSet[Perm]:
+def product_partial(L: Locality, N: int, X: Subgroup) -> int:
     """N X = {Pi(n, x) : (n, x) in D}, verified to be a partial subgroup."""
-    N = _inside(L, N)
-    if not X.elems <= L.S_elems:
+    N, x = _inside(L, N), L.ambient.mask(X.elems)
+    if x & ~L.S_elems:
         raise ValueError("X must lie inside S")
-    ambient = tuple(L.ambient)
-    out = frozenset(ambient[nx] for _, _, nx in _domain_pairs(L, N, X.elems))
+    out = sum({1 << nx for _, _, nx in _domain_pairs(L, N, x)})
     bad = partial_subgroup_violation(L, out)
     if bad is not None:
         raise NotPartialSubgroup("N X failed closure: %r" % (bad,))
     return out
 
 
-def product_fusion(L: Locality, N: FrozenSet[Perm], X: Subgroup) -> FusionSystem:
+def product_fusion(L: Locality, N: int, X: Subgroup) -> FusionSystem:
     """The product system realized in the locality: F_{TX}(N X)."""
-    NX = product_partial(L, N, X)
-    TX = join(L.subgroups(), (N & L.S_elems) | X.elems)
-    if NX & L.S_elems != TX.elems:
-        raise NotPartialSubgroup(
-            "N X cap S differs from T X; the product is not well formed"
-        )
-    return fusion_of_partial(L, NX, base=TX)
+    NX, lattice = product_partial(L, N, X), _lattice(L)
+    tx = pack(N & L.S_elems, L.S_elems) | L.S.mask(X.elems)
+    TX = next(m for m in lattice if not tx & ~m)  # the join of T and X
+    if pack(NX & L.S_elems, L.S_elems) != TX:
+        raise NotPartialSubgroup("N X cap S differs from T X; the product is not well formed")
+    return fusion_of_partial(L, NX, base=lattice[TX])
 
 
 # ---------------------------------------------------------------------------
@@ -630,21 +602,22 @@ def _moved(images: Iterable[Tuple[int, ...]], live: int) -> Tuple[int, ...]:
     each letter: per letter's images, images[t] the number of thing t moved
     by it or -1 when that is no thing, the mask of the live things' images.
     A letter moves distinct things to distinct things, so they add as bits."""
-    ends = [o for o in range(live.bit_length()) if live >> o & 1]
+    ends = bits(live)
     return tuple(sum(1 << img[o] for o in ends if img[o] >= 0) for img in images)
 
 
 def _chain_row(P: Locality, live: int) -> Tuple[int, ...]:
     """The objectivity oracle's step: from the ends of the object chains
     along w, a mask over P's objects in sorted order, to the ends along w g
-    for each letter g. P's memo keeps (objects, images, rows met so far)
-    under "chain_ends", where images[i][o] is the number of object o
-    conjugated by letter i, -1 if that is no object. The images are found by
-    conjugating the objects' elements as Perms, never read from the rule's
-    tables, so the oracle stays independent of the rule it checks."""
+    for each letter g. P's memo keeps (objects as element sets, images,
+    rows met so far) under "chain_ends", where images[i][o] is the number
+    of object o conjugated by letter i, -1 if that is no object. The
+    images are found by conjugating the objects' elements as Perms, never
+    read from the rule's tables, so the oracle stays independent of the
+    rule it checks."""
     table = P._memo.get("chain_ends")
     if table is None:
-        listed = sorted(P.Delta, key=sorted_elems)
+        listed = [frozenset(elements(P.S, d)) for d in sorted(P.Delta, key=bits)]
         number = {d: o for o, d in enumerate(listed)}
         images = tuple(
             tuple(number.get(frozenset(x.conj(g) for x in d), -1) for d in listed)
@@ -684,30 +657,27 @@ def _letter_tables(P: Locality):
     element a), all read from the ambient product and inverse tables."""
     hit = P._memo.get("letter_tables")
     if hit is None:
-        index, mul, inv = P.ambient.element_index, P.ambient.mul_table, P.ambient.inv_table
-        letters = tuple(index[g] for g in P.sorted_elements())
+        mul, inv = P.ambient.mul_table, P.ambient.inv_table
+        letters = tuple(bits(P.elems))
         times = tuple(tuple(row[b] for b in letters) for row in mul)
         lefts = tuple(tuple(mul[inv[b]][a] for b in letters) for a in range(len(mul)))
         hit = P._memo["letter_tables"] = (letters, times, lefts)
     return hit
 
 
-def _domain_pairs(L: Locality, A: Iterable[Perm], B: Iterable[Perm]):
-    """The pairs (a, b) in D, a in A and b in B, in the order of A and then
-    B, each with the ambient index of ab. The prefix products of (a, b) are
-    1, a and ab, so R_(a,b) = survivors[a] & survivors[ab], R of the empty
-    word being the whole base."""
-    index, mul = L.ambient.element_index, L.ambient.mul_table
-    survivors, masks = L.rule.survivors, L.rule.masks
-    right = [(b, index[b]) for b in B if b in L.elems]
-    for a in A:
-        if a not in L.elems:
-            continue
-        row = mul[index[a]]
-        mask = survivors[index[a]]
-        for b, j in right:
-            if (mask & survivors[row[j]]) in masks:
-                yield a, b, row[j]
+def _domain_pairs(L: Locality, A: int, B: int):
+    """The pairs (a, b) in D, a in A and b in B, masks over the ambient
+    group, by ambient index, each with the index of ab, in the order of a
+    and then b. The prefix products of (a, b) are 1, a and ab, so R_(a,b) =
+    survivors[a] & survivors[ab], R of the empty word being the whole
+    base."""
+    mul, survivors, masks = L.ambient.mul_table, L.rule.survivors, L.rule.masks
+    right = bits(B & L.elems)
+    for a in bits(A & L.elems):
+        row, mask = mul[a], survivors[a]
+        for b in right:
+            if (mask & survivors[row[b]]) in masks:
+                yield a, b, row[b]
 
 
 def _walk(P: Locality, word_len: int):
@@ -729,7 +699,7 @@ def _walk(P: Locality, word_len: int):
     extension by letter i has product row[i], R_w & survivors[row[i]] and
     the i-th entry of each other row.
     """
-    n = len(P.elems)
+    n = P.elems.bit_count()
     survivors = P.rule.survivors
     _, times, lefts = _letter_tables(P)
     letters = range(n)
@@ -750,8 +720,8 @@ def _walk(P: Locality, word_len: int):
                 left - 1,
             )
 
-    unit = P.ambient.element_index[P.unit]
-    empty = ((), 0, survivors[unit], (1 << len(P.Delta)) - 1, (unit,), unit, survivors[unit])
+    # the identity sorts first, so its ambient index is 0
+    empty = ((), 0, survivors[0], (1 << len(P.Delta)) - 1, (0,), 0, survivors[0])
     for k in range(1, word_len + 1):
         for prefix, rows in extend(empty, k - 1):
             yield k, prefix, rows
@@ -791,7 +761,7 @@ def verify_partial_group(P: Locality, word_len: int = 3) -> VerificationReport:
     inverse-word and Delta-closure witnesses of structures whose objects are
     not closed.
     """
-    inst = "partial-group(|L|=%d)" % len(P.elems)
+    inst = "partial-group(|L|=%d)" % P.elems.bit_count()
     checked = domain = 0
 
     def fail(witness):
@@ -813,7 +783,7 @@ def verify_partial_group(P: Locality, word_len: int = 3) -> VerificationReport:
         return fail({"axiom": "empty-word"})
     if not P.prod(()) == P.unit:
         return fail({"axiom": "unit"})
-    unit, n = P.ambient.element_index[P.unit], len(elems)
+    unit, n = 0, len(elems)  # the identity sorts first
     masks, survivors = P.rule.masks, P.rule.survivors
     pw = [n**m for m in range(word_len + 1)]
 
@@ -925,7 +895,7 @@ def verify_partial_group(P: Locality, word_len: int = 3) -> VerificationReport:
 def verify_locality(L: Locality, word_len: int = 3) -> VerificationReport:
     """Locality axioms: partial group, Delta-closure, L inside D,
     objectivity, maximal p-subgroup, S_f an object for every element."""
-    inst = "locality(|L|=%d, |Delta|=%d)" % (len(L.elems), len(L.Delta))
+    inst = "locality(|L|=%d, |Delta|=%d)" % (L.elems.bit_count(), len(L.Delta))
     stats: Dict[str, object] = {}
 
     def fail(witness):
@@ -942,22 +912,22 @@ def verify_locality(L: Locality, word_len: int = 3) -> VerificationReport:
 
     # Delta closure under overgroups, L inside D (S_f is empty for an f
     # outside D), then Delta closure under L-conjugation
-    s_subs = {H.elems for H in L.subgroups()}
-    for d in L.Delta:
-        if d not in s_subs:
-            return fail({"axiom": "Delta-in-S", "object_order": len(d)})
-        for H in s_subs:
-            if d <= H and H not in L.Delta:
-                return fail({"axiom": "Delta-overgroups", "object_order": len(d)})
-    for f in L.sorted_elements():
-        if not L.in_domain((f,)):
-            return fail({"axiom": "length-one-domain", "w": [str(f)]})
-    rule, index, sf = L.rule, L.ambient.element_index, _S_f_masks(L)
-    for d in map(rule.S.mask, L.Delta):
-        for f in L.elems:
-            img = _conj_mask(L, d, index[f])
+    lattice, objects, letters = _lattice(L), sorted(L.Delta, key=bits), bits(L.elems)
+    for d in objects:
+        if d not in lattice:
+            return fail({"axiom": "Delta-in-S", "object_order": d.bit_count()})
+        for H in lattice:
+            if not d & ~H and H not in L.Delta:
+                return fail({"axiom": "Delta-overgroups", "object_order": d.bit_count()})
+    for f in letters:
+        if not L.rule.word_ok((f,)):
+            return fail({"axiom": "length-one-domain", "w": [_name(L, f)]})
+    rule, sf = L.rule, _S_f_masks(L)
+    for d in objects:
+        for f in letters:
+            img = _conj_mask(L, d, f)
             if img is not None and img not in rule.masks:
-                return fail({"axiom": "Delta-conjugation", "f": str(f)})
+                return fail({"axiom": "Delta-conjugation", "f": _name(L, f)})
 
     # objectivity: domain words are exactly those with an object chain, as
     # compared along verify_partial_group's walk
@@ -967,9 +937,9 @@ def verify_locality(L: Locality, word_len: int = 3) -> VerificationReport:
     stats["objectivity_words"] = pg.stats["words_checked"]
 
     # S_f contains an object (hence is one) for every f
-    for f in L.elems:
-        if sf[index[f]] not in rule.masks:
-            return fail({"axiom": "S_f-object", "f": str(f)})
+    for f in letters:
+        if sf[f] not in rule.masks:
+            return fail({"axiom": "S_f-object", "f": _name(L, f)})
 
     # maximality of S among p-subgroups of L
     if not _is_max_p_subgroup(L):
@@ -983,9 +953,7 @@ def verify_subcentric_locality(
 ) -> VerificationReport:
     """Subcentric locality over F: locality axioms, F_S(L) = F, Delta = F^s,
     and N_L(P) of characteristic p for every object P."""
-    from .groups import is_characteristic_p
-
-    inst = "subcentric(|L|=%d over |S|=%d)" % (len(L.elems), len(L.S_elems))
+    inst = "subcentric(|L|=%d over |S|=%d)" % (L.elems.bit_count(), L.S.order)
     stats: Dict[str, object] = {}
 
     def fail(witness):
@@ -997,9 +965,9 @@ def verify_subcentric_locality(
     stats.update(base.stats)
     if not base.passed:
         return fail({"axiom": "locality", "inner": base.witness})
-    if L.S_elems != F.S.elems:
+    if L.S != F.S:
         return fail({"axiom": "same-S"})
-    if frozenset(P.elems for P in subcentric_set(F)) != L.Delta:
+    if frozenset(L.S.mask(P.elems) for P in subcentric_set(F)) != L.Delta:
         return fail({"axiom": "Delta-is-subcentric-set"})
     FL = fusion_of_partial(L, L.elems, base=L.S)
     if FL != F:
@@ -1010,9 +978,9 @@ def verify_subcentric_locality(
         if bad is not None:
             return fail({"axiom": "N_L(P)-group", "P": P.label(), "inner": bad})
         # genuine group: every pair product defined
-        if sum(1 for _ in _domain_pairs(L, NP, NP)) < len(NP) ** 2:
+        if sum(1 for _ in _domain_pairs(L, NP, NP)) < NP.bit_count() ** 2:
             return fail({"axiom": "N_L(P)-words", "P": P.label()})
-        if not is_characteristic_p(Subgroup(NP, L.ambient), L.p):
+        if not is_characteristic_p(L.ambient.from_home_mask(NP), L.p):
             return fail({"axiom": "N_L(P)-characteristic-p", "P": P.label()})
     stats["objects"] = len(L.Delta)
     return VerificationReport("subcentric-locality", inst, "pass", stats=stats)

@@ -158,7 +158,7 @@ def check_restricted_subcentric(
     rep = _verified_subcentric(L, bn, NFK, word_len)
     if rep.passed:
         return passed_report(
-            stmt, instance, bn_size=len(bn.elems), objects=len(bn.Delta)
+            stmt, instance, bn_size=bn.elems.bit_count(), objects=len(bn.Delta)
         )
     return failed_report(stmt, instance, {"verification": rep.witness})
 
@@ -184,7 +184,7 @@ def _verified_subcentric(
 def check_fully_K_normalized_transfer(
     L: lo.Locality,
     F: fu.FusionSystem,
-    N: FrozenSet[Perm],
+    N: int,
     X: Subgroup,
     K: AutGroup,
     instance: str,
@@ -210,7 +210,7 @@ def check_fully_K_normalized_transfer(
     )
 
 
-def _product_system(L: lo.Locality, N: FrozenSet[Perm], X: Subgroup) -> fu.FusionSystem:
+def _product_system(L: lo.Locality, N: int, X: Subgroup) -> fu.FusionSystem:
     key = ("EX", N, X.elems)
     hit = L._memo.get(key)
     if hit is None:
@@ -258,7 +258,7 @@ def check_main_theorem(
     L: lo.Locality,
     F: fu.FusionSystem,
     E: fu.FusionSystem,
-    N: FrozenSet[Perm],
+    N: int,
     X: Subgroup,
     K: AutGroup,
     instance: str,
@@ -289,7 +289,7 @@ def _theorem_record(
     L: lo.Locality,
     F: fu.FusionSystem,
     E: fu.FusionSystem,
-    N: FrozenSet[Perm],
+    N: int,
     X: Subgroup,
     K: AutGroup,
 ) -> TheoremRecord:
@@ -305,7 +305,7 @@ def _decide_main_theorem(
     L: lo.Locality,
     F: fu.FusionSystem,
     E: fu.FusionSystem,
-    N: FrozenSet[Perm],
+    N: int,
     X: Subgroup,
     K: AutGroup,
 ) -> TheoremRecord:
@@ -322,8 +322,8 @@ def _decide_main_theorem(
         w = {"construction": str(exc)}
         return TheoremRecord(witnesses=(w, w), stats=stats)
     NFK = fu.K_normalizer_subsystem(F, X, K_eff)
-    T = N & L.S_elems
-    T0 = Subgroup(T & bn.S_elems, L.ambient)
+    t0 = N & L.S_elems & bn.S_elems
+    T0 = L.ambient.from_home_mask(t0)
     M = N & bn.elems
 
     # (i) M is partial normal in bN
@@ -332,7 +332,7 @@ def _decide_main_theorem(
     stats["i_partial_normal"] = int(cond_i)
 
     # (ii) M cap S = M cap N_S^K(X) = N_T^K(X)
-    cond_ii = (M & L.S_elems == T0.elems) and (M & bn.S_elems == T0.elems)
+    cond_ii = (M & L.S_elems == t0) and (M & bn.S_elems == t0)
     stats["ii_M_cap_S"] = int(cond_ii)
 
     # E_0 = F_{T_0}(M)
@@ -386,7 +386,7 @@ def check_corollary(
     L: lo.Locality,
     F: fu.FusionSystem,
     E: fu.FusionSystem,
-    N: FrozenSet[Perm],
+    N: int,
     X: Subgroup,
     instance: str,
 ) -> List[VerificationReport]:
@@ -443,7 +443,7 @@ class PreparedEntry:
     F: fu.FusionSystem
     L: lo.Locality
     E: fu.FusionSystem
-    N: FrozenSet[Perm]
+    N: int  # H cap L, a mask over the sorted elements of G
     X_list: Optional[Tuple[Subgroup, ...]] = None
     K_descriptors: Optional[Tuple[str, ...]] = None
 
@@ -461,7 +461,7 @@ def prepare_entry(entry, word_len: int = 3):
     sat = fu.saturation_failure(F)
     if sat is not None:
         return None, failed_report("Axioms", inst, {"saturation": sat})
-    Delta = frozenset(P.elems for P in fu.subcentric_set(F))
+    Delta = frozenset(S.mask(P.elems) for P in fu.subcentric_set(F))
     # the entry's one table of systems, started by F and handed on to L
     systems = fu.table_of_systems(F)
     L = lo.build_group_locality(G, S, Delta, p, subgroups=F.subgroups(), systems=systems)
@@ -477,7 +477,7 @@ def prepare_entry(entry, word_len: int = 3):
         return None, failed_report("Axioms", inst, {"subsystem": "F_T(H) not normal in F"})
     # H is normal in G, so H cap L is closed under inverses, defined products
     # and defined conjugates: a partial normal subgroup of L realizing E
-    N = H.elems & L.elems
+    N = H.home_mask & L.elems
     bad = lo.partial_normal_violation(L, N)
     if bad is not None:
         return None, failed_report("Axioms", inst, {"partial-normal": bad})
@@ -500,11 +500,11 @@ def prepare_entry(entry, word_len: int = 3):
     axioms = passed_report(
         "Axioms",
         inst,
-        L_size=len(L.elems),
+        L_size=L.elems.bit_count(),
         objects=len(L.Delta),
         subgroups_of_S=len(F.subgroups()),
         T_order=T.order,
-        N_size=len(N),
+        N_size=N.bit_count(),
     )
     return pe, axioms
 

@@ -67,8 +67,8 @@ def F_sl23(sl23):
 
 @pytest.fixture(scope="session")
 def L_s4(s4, F_s4):
-    Delta = frozenset(P.elems for P in fu.subcentric_set(F_s4))
-    return lo.build_group_locality(s4, gp.sylow_subgroup(s4, 2), Delta, 2)
+    Delta = frozenset(F_s4.S.mask(P.elems) for P in fu.subcentric_set(F_s4))
+    return lo.build_group_locality(s4, F_s4.S, Delta, 2)
 
 
 @pytest.fixture(scope="session")
@@ -80,7 +80,7 @@ def E_s4(s4, a4):
 
 @pytest.fixture(scope="session")
 def N_s4(L_s4, a4):
-    return a4.elems & L_s4.elems
+    return L_s4.ambient.mask(a4.elems) & L_s4.elems
 
 
 @pytest.fixture(scope="session")
@@ -93,5 +93,5 @@ def L_s3xs3(s3xs3):
     """A locality with a genuinely partial product: Delta is the set of
     nontrivial subgroups of the Sylow 2-subgroup of S3 x S3."""
     S = gp.sylow_subgroup(s3xs3, 2)
-    nt = frozenset(H.elems for H in gp.all_subgroups(S) if H.order > 1)
+    nt = frozenset(S.mask(H.elems) for H in gp.all_subgroups(S) if H.order > 1)
     return lo.build_group_locality(s3xs3, S, nt, 2)

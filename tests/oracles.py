@@ -20,7 +20,9 @@ the chain-end table its axiom walk steps through.
 The restriction oracles keep the element-set form of H|_Gamma and of the
 germ search of a partial subgroup's fusion system: every P^f is
 conjugated element by element, <P, X> and R<x> are closed under products,
-and none of the package's bitmask tables is read.
+and none of the package's bitmask tables is read. The package's sets
+are masks; ``elems_of`` and ``objects_of`` read a locality's as element
+sets, the form every oracle here works in.
 
 A map here is its own value, apart from the package's position tuples: the
 frozenset of its (element, image) pairs, found by Perm conjugation and
@@ -32,8 +34,23 @@ from __future__ import annotations
 
 import itertools
 
-from plocal.groups import Subgroup
+from plocal.groups import Subgroup, elements
 from plocal.perm import sorted_elems
+
+
+def elems_of(L, mask) -> frozenset:
+    """A mask over L's ambient group as its element set."""
+    return frozenset(elements(L.ambient, mask))
+
+
+def objects_of(L) -> frozenset:
+    """L's objects, masks over S, as element sets."""
+    return frozenset(frozenset(elements(L.S, d)) for d in L.Delta)
+
+
+def rule_objects(rule) -> frozenset:
+    """A word rule's objects, masks over its base S, as element sets."""
+    return frozenset(frozenset(elements(rule.S, d)) for d in rule.masks)
 
 
 def as_pairs(base: Subgroup, maps) -> frozenset:
@@ -344,14 +361,14 @@ def partial_normal_by_family(L, E):
     """The partial normal subgroups of L that realize E, searched over the
     family H cap L for H normal in the ambient group: each candidate is
     kept if it is partial normal, meets S in E's Sylow and has fusion
-    system E. A list of distinct element sets, smallest first."""
+    system E. A list of distinct masks, smallest H first."""
     from plocal import locality as lo
 
     out = []
     normals = normal_subgroups_by_classes(L.ambient)
     for H in sorted(normals, key=lambda s: (len(s), sorted_elems(s))):
-        cand = H & L.elems
-        if cand in out or cand & L.S_elems != E.S.elems:
+        cand = L.ambient.mask(H) & L.elems
+        if cand in out or cand & L.S_elems != L.ambient.mask(E.S.elems):
             continue
         if lo.partial_normal_violation(L, cand) is None and lo.fusion_of_partial(L, cand) == E:
             out.append(cand)
@@ -363,10 +380,11 @@ def delta_chain_exists(L, word) -> bool:
     P_{i-1}^{g_i} = P_i: each object in turn is conjugated along the word,
     element by element, and the search stops at the first chain. It reads
     L's objects only, never its word rule or the axiom walk's tables."""
-    for P in sorted(L.Delta, key=len):
+    objects = objects_of(L)
+    for P in sorted(objects, key=len):
         for g in word:
             P = frozenset(x.conj(g) for x in P)
-            if P not in L.Delta:
+            if P not in objects:
                 break
         else:
             return True
@@ -389,7 +407,8 @@ def partial_group_by_words(P, word_len):
     one, subwords w[i:j], the splices of Pi(w[i:j]) for j - i >= 2, and the
     inverse word wbar w.
     """
-    rule, els, elems, unit = P.rule, P.sorted_elements(), P.elems, P.unit
+    rule, els, unit = P.rule, P.sorted_elements(), P.unit
+    elems, objects = frozenset(els), rule_objects(rule)
     checked = domain = 0
     # every letter of a word below lies in P: the words' own, a spliced
     # product once it is found in P, and an inverse once inversion holds
@@ -407,7 +426,7 @@ def partial_group_by_words(P, word_len):
                     break
             else:
                 R.append(x)
-        return frozenset(R) in rule.objects
+        return frozenset(R) in objects
 
     def product(word):
         out = unit
@@ -464,8 +483,8 @@ def partial_group_by_words(P, word_len):
 def S_f_by_perms(L, f):
     """S_f = {x in S : (f^-1, x, f) in D and x^f in S}, one in_domain call
     and one Perm conjugation per x."""
-    fi = f.inv()
-    return frozenset(x for x in L.S_elems if L.in_domain((fi, x, f)) and x.conj(f) in L.S_elems)
+    fi, S = f.inv(), L.S.elems
+    return frozenset(x for x in S if L.in_domain((fi, x, f)) and x.conj(f) in S)
 
 
 def _conj_if_defined(L, P, f):
@@ -479,8 +498,8 @@ def group_words_defined(P0, H):
     products of those words are the elements of H, so this holds iff the
     base elements x with x^u in the base for every u in H form an object.
     Conjugated as Perms, apart from the rule's survivor table."""
-    base = P0.S_elems
-    return frozenset(x for x in base if all(x.conj(u) in base for u in H)) in P0.Delta
+    base = P0.S.elems
+    return frozenset(x for x in base if all(x.conj(u) in base for u in H)) in objects_of(P0)
 
 
 def max_p_subgroup_by_perms(P0, R, p):
@@ -488,11 +507,12 @@ def max_p_subgroup_by_perms(P0, R, p):
     mulclose over each x in N_G(R) cap P0 outside R."""
     from plocal.groups import mulclose, normalizer
 
-    if not R <= P0.elems or not is_p_power(len(R), p) or not group_words_defined(P0, R):
+    elems = elems_of(P0, P0.elems)
+    if not R <= elems or not is_p_power(len(R), p) or not group_words_defined(P0, R):
         return False
-    for x in normalizer(P0.ambient, Subgroup(R)).elems & P0.elems - R:
+    for x in normalizer(P0.ambient, Subgroup(R)).elems & elems - R:
         H = mulclose(list(R) + [x], cap=P0.ambient.order)
-        if is_p_power(len(H), p) and H <= P0.elems and group_words_defined(P0, H):
+        if is_p_power(len(H), p) and H <= elems and group_words_defined(P0, H):
             return False
     return True
 
@@ -501,22 +521,26 @@ def restrict_by_perms(L, H, Gamma, X):
     """H|_Gamma with its closure, (Q1), (Q2) and maximality checks, on
     element sets: each P^f is conjugated element by element, <P, X> is
     closed under products, and the checks raise the package's exceptions
-    with its messages in the same order over the same sets."""
+    with its messages in the same order over the same sets: H is a mask
+    over the ambient group and Gamma masks over S, as the package takes
+    them, each read once as element sets, and Gamma goes in the order of
+    its masks."""
     from plocal import errors
     from plocal import locality as lo
     from plocal.groups import all_subgroups, mulclose
 
-    H = frozenset(H)
-    if not H <= L.elems:
+    if H & ~L.elems:
         raise ValueError("subset not inside the partial group")
-    Gamma = frozenset(frozenset(g) for g in Gamma)
-    R = L.S_elems & H
+    H = elems_of(L, H)
+    listed = [frozenset(elements(L.S, P)) for P in sorted(set(Gamma))]
+    Gamma, objects = frozenset(listed), objects_of(L)
+    R = L.S.elems & H
     r_subs = {K.elems for K in all_subgroups(Subgroup(R))}
-    for P in Gamma:
+    for P in listed:
         if P not in r_subs:
             raise errors.GammaNotClosed("object is not a subgroup of R")
     images = {}
-    for P in Gamma:
+    for P in listed:
         for Q in r_subs:
             if P <= Q and Q not in Gamma:
                 raise errors.GammaNotClosed("not closed under overgroups in R")
@@ -524,28 +548,30 @@ def restrict_by_perms(L, H, Gamma, X):
             img = images[P, f] = _conj_if_defined(L, P, f)
             if img is not None and img <= R and img not in Gamma:
                 raise errors.GammaNotClosed("not closed under H-conjugation")
-    joined_of = {P: mulclose(list(P | X.elems), cap=L.ambient.order) for P in Gamma}
+    joined_of = {P: mulclose(list(P | X.elems), cap=L.ambient.order) for P in listed}
     for P, joined in joined_of.items():
-        if joined not in L.Delta:
+        if joined not in objects:
             raise errors.Q1Violated("<P, X> is not an object for P with |P|=%d" % len(P))
     for (P1, f), P2 in images.items():
         J = joined_of[P1]
         if P2 in Gamma and _conj_if_defined(L, J, f) != joined_of[P2]:
             raise errors.Q2Violated("transporter element does not move <P1,X> onto <P2,X>")
     elems = frozenset(f for f in H if (S_f_by_perms(L, f) & R) in Gamma)
-    out = lo.Locality(L.ambient, elems, Gamma, R, L.p)
+    base, G = Subgroup(R), L.ambient
+    out = lo.Locality(G, G.mask(elems), map(base.mask, Gamma), G.mask(R), L.p)
     if not max_p_subgroup_by_perms(out, R, L.p):
         raise errors.NotSylow("S cap H is not a maximal p-subgroup of the restriction")
     return out
 
 
 def fusion_germs_by_perms(L, N, R):
-    """The germs c_f restricted to P for f in N and P <= R with P <= S_f
-    and P^f <= R, each conjugated element by element."""
+    """The germs c_f restricted to P for f in N, a mask over the ambient
+    group, and P <= R with P <= S_f and P^f <= R, each conjugated element
+    by element."""
     from plocal.groups import all_subgroups
 
     germs = set()
-    for f in N:
+    for f in elems_of(L, N):
         sf = S_f_by_perms(L, f)
         for P in all_subgroups(R):
             if P.elems <= sf and _conj(P.elems, f) <= R.elems:

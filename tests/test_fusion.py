@@ -73,7 +73,7 @@ def test_germ_operations_match_pair_maps(case, F_s4):
             if not mask & ~fu._src(g):
                 assert pairs[fu._restrict(g, mask)] == oracles.restrict(a, P.elems)
             if not (fu._src(g) | fu._img(g)) & ~mask:
-                pos = fu._positions(S, P)
+                pos = gp.positions(S, P)
                 local = fu._local(g, pos)
                 assert oracles.as_pairs(P, [local]) == {a}
                 assert fu._lift(local, pos, S.order) == g

@@ -145,6 +145,22 @@ def test_mask_is_bits_of_sorted_positions(s4):
     assert S.mask(s4.elems) == -1
 
 
+def test_home_mask_conversions(s4):
+    """home_mask and from_home_mask are inverse, elements reads a mask's
+    bits in sorted order, and pack re-expresses a mask over the positions
+    of a subgroup's sorted elements; a negative mask has no bits."""
+    S = gp.sylow_subgroup(s4, 2)
+    home = tuple(s4)
+    for X in gp.all_subgroups(S):
+        assert X.home_mask == sum(1 << home.index(x) for x in X)
+        assert s4.from_home_mask(X.home_mask) == X
+        assert gp.elements(s4, X.home_mask) == tuple(X)
+        assert gp.bits(X.home_mask) == [home.index(x) for x in X]
+        assert gp.pack(X.home_mask, S.home_mask) == S.mask(X.elems)
+    with pytest.raises(ValueError):
+        gp.bits(-1)
+
+
 def test_sylow_examples(s4, s3):
     assert gp.sylow_subgroup(s4, 2).order == 8
     assert gp.sylow_subgroup(s3, 3).order == 3

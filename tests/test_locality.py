@@ -24,23 +24,30 @@ from .conftest import perms
 # -- construction -------------------------------------------------------------
 
 
+def _locality(G, elems, objects, base):
+    """A Locality from element sets: elems and base inside G, each object
+    inside base."""
+    S = gp.Subgroup(base, G)
+    return lo.Locality(G, G.mask(elems), [S.mask(o) for o in objects], G.mask(base), 2)
+
+
 def test_p_group_with_sylow_object_is_itself(d8):
     S = d8
-    L = lo.build_group_locality(d8, S, frozenset([S.elems]), 2)
-    assert L.elems == d8.elems
+    L = lo.build_group_locality(d8, S, frozenset([S.mask(S.elems)]), 2)
+    assert L.elems == d8.home_mask
     assert lo.verify_locality(L).passed
 
 
 def test_s4_all_subgroups_gives_whole_group(s4, F_s4, L_s4):
     # 1 is subcentric here (constrained system), so every element survives
-    assert L_s4.elems == s4.elems
+    assert L_s4.elems == s4.home_mask
     assert lo.verify_subcentric_locality(L_s4, F_s4).passed
 
 
 def test_sylow_only_object_set(s4):
     S = gp.sylow_subgroup(s4, 2)
-    L = lo.build_group_locality(s4, S, frozenset([S.elems]), 2)
-    assert L.elems == gp.normalizer(s4, S).elems  # = S, self-normalizing
+    L = lo.build_group_locality(s4, S, frozenset([S.mask(S.elems)]), 2)
+    assert L.elems == gp.normalizer(s4, S).home_mask  # = S, self-normalizing
     assert lo.verify_locality(L).passed
 
 
@@ -48,10 +55,12 @@ def test_group_locality_elements_match_definition(s4, s3xs3, L_s4, L_s3xs3):
     """L_Delta(G) = {g in G : S cap S^{g^-1} in Delta}, the definition the
     restriction of the group locality must reproduce."""
     S = gp.sylow_subgroup(s4, 2)
-    sylow_only = lo.build_group_locality(s4, S, frozenset([S.elems]), 2)
+    sylow_only = lo.build_group_locality(s4, S, frozenset([S.mask(S.elems)]), 2)
     for G, L in ((s4, L_s4), (s3xs3, L_s3xs3), (s4, sylow_only)):
-        S_g = {g: frozenset(x for x in L.S_elems if x.conj(g) in L.S_elems) for g in G.elems}
-        assert L.elems == frozenset(g for g in G.elems if S_g[g] in L.Delta)
+        S_g = {g: frozenset(x for x in L.S.elems if x.conj(g) in L.S.elems) for g in G.elems}
+        assert oracles.elems_of(L, L.elems) == frozenset(
+            g for g in G.elems if S_g[g] in oracles.objects_of(L)
+        )
 
 
 def _order_at_least_4_and_one_transposition(S):
@@ -78,14 +87,15 @@ def _order_at_least_4_and_one_transposition(S):
     ],
 )
 def test_delta_closure_rejected(s4, make_delta, message):
+    """An object outside S has mask -1 (S.mask), which is no subgroup."""
     S = gp.sylow_subgroup(s4, 2)
     with pytest.raises(GammaNotClosed, match=message):
-        lo.build_group_locality(s4, S, make_delta(S), 2)
+        lo.build_group_locality(s4, S, frozenset(map(S.mask, make_delta(S))), 2)
 
 
 def test_non_sylow_base_rejected(s4, klein):
     with pytest.raises(NotSylow):
-        lo.build_group_locality(s4, klein, frozenset([klein.elems]), 2)
+        lo.build_group_locality(s4, klein, frozenset([klein.mask(klein.elems)]), 2)
 
 
 def test_group_locality_passes_axioms(s3):
@@ -108,7 +118,7 @@ def _walked_words(P, word_len):
 
 
 def test_s3xs3_locality_is_partial(L_s3xs3):
-    els = sorted(L_s3xs3.elems)
+    els = L_s3xs3.sorted_elements()
     assert len(els) == 20
     pairs = [(a, b) for a in els for b in els]
     defined = [w for w in pairs if L_s3xs3.in_domain(w)]
@@ -130,7 +140,7 @@ def test_s3xs3_undefined_word_has_no_chain(L_s3xs3):
 
 
 def test_prod_raises_outside_domain(L_s3xs3):
-    els = sorted(L_s3xs3.elems)
+    els = L_s3xs3.sorted_elements()
     bad = next(
         (a, b) for a in els for b in els if not L_s3xs3.in_domain((a, b))
     )
@@ -142,15 +152,15 @@ def test_prod_raises_outside_domain(L_s3xs3):
 
 
 def test_S_f_trivial_cases(L_s4):
-    for f in sorted(L_s4.S_elems):
-        assert lo.S_f(L_s4, f).elems == L_s4.S_elems
-    assert lo.S_f(L_s4, L_s4.unit).elems == L_s4.S_elems
+    for f in L_s4.S:
+        assert lo.S_f(L_s4, f) == L_s4.S
+    assert lo.S_f(L_s4, L_s4.unit) == L_s4.S
 
 
 def test_S_f_is_intersection_for_group_localities(L_s4, L_s3xs3):
     for L in (L_s4, L_s3xs3):
-        for f in sorted(L.elems):
-            walk = frozenset(x for x in L.S_elems if x.conj(f) in L.S_elems)
+        for f in L.sorted_elements():
+            walk = frozenset(x for x in L.S.elems if x.conj(f) in L.S.elems)
             assert lo.S_f(L, f).elems == walk
 
 
@@ -169,9 +179,10 @@ def test_restrict_idempotent(L_s4, F_s4, s4):
     Z = gp.Subgroup(gp.center(gp.sylow_subgroup(s4, 2)).elems)
     CL = lo.K_normalizer_partial(L_s4, Z, gp.trivial_aut_group(Z))
     Gamma = frozenset(
-        P.elems for P in fu.subcentric_set(fu.centralizer_subsystem(F_s4, Z))
+        L_s4.S.mask(P.elems) for P in fu.subcentric_set(fu.centralizer_subsystem(F_s4, Z))
     )
     once = lo.restrict(L_s4, CL, Gamma, Z)
+    assert once.S == L_s4.S  # Z is central in S, so Gamma's masks are over once's S too
     twice = lo.restrict(once, once.elems, Gamma, Z)
     assert once.elems == twice.elems
     assert once == twice
@@ -181,7 +192,7 @@ def test_restrict_gamma_closure_error(L_s4, s4):
     S = gp.sylow_subgroup(s4, 2)
     Z = gp.center(S)
     with pytest.raises(GammaNotClosed):
-        lo.restrict(L_s4, L_s4.elems, frozenset([Z.elems]), gp.Subgroup(Z.elems))
+        lo.restrict(L_s4, L_s4.elems, frozenset([S.mask(Z.elems)]), gp.Subgroup(Z.elems))
 
 
 def test_restrict_q1_error(s3xs3, L_s3xs3):
@@ -190,7 +201,7 @@ def test_restrict_q1_error(s3xs3, L_s3xs3):
     # subgroup whose join with X is not an object must raise (Q1)
     S = gp.sylow_subgroup(s3xs3, 2)
     one = gp.Subgroup(frozenset([s3xs3.identity]))
-    all_subs = frozenset(K.elems for K in gp.all_subgroups(S))
+    all_subs = frozenset(S.mask(K.elems) for K in gp.all_subgroups(S))
     with pytest.raises(Q1Violated):
         lo.restrict(L_s3xs3, L_s3xs3.elems, all_subs, one)  # the trivial subgroup is not in Delta
 
@@ -203,9 +214,9 @@ def test_restrict_non_maximal_raises_not_sylow(L_s4, s4):
     H = frozenset(x.conj(g) for x in S.elems)
     R = gp.Subgroup(S.elems & H)
     assert R.order == 4
-    Gamma = frozenset(K.elems for K in gp.all_subgroups(R))
+    Gamma = frozenset(S.mask(K.elems) for K in gp.all_subgroups(R))
     with pytest.raises(NotSylow):
-        lo.restrict(L_s4, H, Gamma, s4.trivial_subgroup())
+        lo.restrict(L_s4, s4.mask(H), Gamma, s4.trivial_subgroup())
 
 
 @pytest.fixture(scope="module")
@@ -215,13 +226,13 @@ def L_l27():
     G = gp.generate_group(perms(7, "(0 1 2 3 4 5 6)", "(0 1)(2 5)"))
     S = gp.sylow_subgroup(G, 2)
     F = fu.fusion_of_group(G, S, 2)
-    return lo.build_group_locality(G, S, frozenset(P.elems for P in fu.subcentric_set(F)), 2)
+    return lo.build_group_locality(G, S, frozenset(S.mask(P.elems) for P in fu.subcentric_set(F)), 2)
 
 
 @pytest.fixture(scope="module")
 def L_sl23(sl23, F_sl23):
     """The subcentric locality of SL(2,3), whose Sylow Q8 is normal."""
-    Delta = frozenset(P.elems for P in fu.subcentric_set(F_sl23))
+    Delta = frozenset(F_sl23.S.mask(P.elems) for P in fu.subcentric_set(F_sl23))
     return lo.build_group_locality(sl23, F_sl23.S, Delta, 2)
 
 
@@ -250,18 +261,18 @@ def test_maximality_by_normalizer_growth_matches_definition(name, request):
                     structures.append(lo.bN_K(L, F, X, K))
                 except Q1Violated:
                     pass
-    other = next((H for H in pool if len(H) == len(L.S_elems) and H != L.S_elems), None)
+    other = next((H for H in pool if len(H) == L.S.order and H != L.S.elems), None)
     if other is not None:
-        R = L.S_elems & other
+        R = L.S.elems & other
         Gamma = [K.elems for K in gp.all_subgroups(L.S) if K.elems <= R]
-        structures.append(lo.Locality(G, other, Gamma, R, p))
+        structures.append(_locality(G, other, Gamma, R))
 
     def in_L(M, H):
-        return H <= M.elems and oracles.group_words_defined(M, H)
+        return H <= oracles.elems_of(M, M.elems) and oracles.group_words_defined(M, H)
 
     verdicts = Counter()
     for M in structures:
-        R = M.S_elems
+        R = M.S.elems
         expected = in_L(M, R) and not any(R < H and in_L(M, H) for H in pool)
         assert lo._is_max_p_subgroup(M) == expected
         verdicts[expected] += 1
@@ -281,9 +292,8 @@ def test_restrict_conjugates_each_object_once(monkeypatch, L_l27):
 
     monkeypatch.setattr(lo, "_conj_mask", spy)
     G = L_l27.ambient
-    L = lo.build_group_locality(G, L_l27.S, L_l27.Delta, 2)
-    index = G.element_index
-    expected = Counter((L.rule.S.mask(P), index[f]) for P in L_l27.Delta for f in G.elems)
+    lo.build_group_locality(G, L_l27.S, L_l27.Delta, 2)
+    expected = Counter((P, a) for P in L_l27.Delta for a in range(G.order))
     assert Counter(calls) == expected
 
 
@@ -317,11 +327,12 @@ def test_restrict_matches_perm_oracle_on_K_normalizers(name, request):
             if not fu.is_fully_K_normalized(F, X, K):
                 continue
             H = lo.K_normalizer_partial(L, X, K)
-            Gamma = frozenset(P.elems for P in fu.subcentric_set(fu.K_normalizer_subsystem(F, X, K)))
+            NFK = fu.K_normalizer_subsystem(F, X, K)
+            Gamma = frozenset(L.S.mask(P.elems) for P in fu.subcentric_set(NFK))
             got = _restrict_outcome(lo.restrict, L, H, Gamma, X)
             assert got == _restrict_outcome(oracles.restrict_by_perms, L, H, Gamma, X)
             outcomes[isinstance(got[0], gp.Subgroup)] += 1
-            _assert_germs_match(L, H, gp.Subgroup(H & L.S_elems))
+            _assert_germs_match(L, H, L.ambient.from_home_mask(H & L.S_elems))
             if isinstance(got[0], gp.Subgroup):
                 out = lo.restrict(L, H, Gamma, X)
                 assert _assert_germs_match(out, out.elems, out.S)
@@ -338,12 +349,12 @@ def test_restrict_matches_perm_oracle_on_failures(L_s4, L_s3xs3, s4, s3xs3):
     """The failing restrictions of the three tests above, and one with X
     outside S, raise the same exception with the same message on masks as
     on element sets."""
-    Z, other = gp.center(L_s4.S), _other_sylow(s4)
+    S, Z, other = L_s4.S, gp.center(L_s4.S), _other_sylow(s4)
     cases = [
-        (L_s4, L_s4.elems, [Z.elems], Z, GammaNotClosed),
-        (L_s3xs3, L_s3xs3.elems, [K.elems for K in gp.all_subgroups(L_s3xs3.S)],
+        (L_s4, L_s4.elems, [S.mask(Z.elems)], Z, GammaNotClosed),
+        (L_s3xs3, L_s3xs3.elems, [L_s3xs3.S.mask(K.elems) for K in gp.all_subgroups(L_s3xs3.S)],
          s3xs3.trivial_subgroup(), Q1Violated),
-        (L_s4, other, [K.elems for K in gp.all_subgroups(gp.Subgroup(L_s4.S_elems & other))],
+        (L_s4, s4.mask(other), [S.mask(K.elems) for K in gp.all_subgroups(gp.Subgroup(S.elems & other))],
          s4.trivial_subgroup(), NotSylow),
         (L_s4, L_s4.elems, L_s4.Delta, gp.generate_group(perms(4, "(0 1 2)")), Q1Violated),
     ]
@@ -368,15 +379,16 @@ def test_restrict_makes_no_perm_products(monkeypatch, L_l27, L_s4, F_s4):
     )
     K = gp.aut_group(Z)
     H = lo.K_normalizer_partial(L_s4, Z, K)
-    Gamma = frozenset(P.elems for P in fu.subcentric_set(fu.K_normalizer_subsystem(F_s4, Z, K)))
+    Gamma = frozenset(S.mask(P.elems) for P in fu.subcentric_set(fu.K_normalizer_subsystem(F_s4, Z, K)))
     bn = lo.restrict(L_s4, H, Gamma, Z)  # warms the normalizer of R
-    assert bn.S_elems < S.elems and any(Z.elems < P for P in Gamma)
+    z = S.mask(Z.elems)
+    assert bn.S.elems < S.elems and any(P != z and not z & ~P for P in Gamma)
     gp.normalizer(G, L_l27.S)
     fresh = [
         lo.Locality(M.ambient, M.elems, M.Delta, M.S_elems, 2) for M in (L_l27, L_s4)
     ]
     for M in fresh:
-        M.subgroups()
+        lo._lattice(M)
     calls = []
     for name in ("__mul__", "conj"):
         real = getattr(Perm, name)
@@ -399,16 +411,16 @@ def test_restrict_makes_no_perm_products(monkeypatch, L_l27, L_s4, F_s4):
 
 
 def test_l27_locality_is_partial(L_l27):
-    assert len(L_l27.elems) == 104 and len(L_l27.Delta) == 9
-    assert frozenset([L_l27.unit]) not in L_l27.Delta
+    assert L_l27.elems.bit_count() == 104 and len(L_l27.Delta) == 9
+    assert 1 not in L_l27.Delta  # the mask of the trivial subgroup
 
 
 def test_bC_of_center(L_s4, F_s4, s4):
     Z = gp.Subgroup(gp.center(gp.sylow_subgroup(s4, 2)).elems)
     bc = lo.bC(L_s4, F_s4, Z)
     CF = fu.centralizer_subsystem(F_s4, Z)
-    assert bc.S_elems == CF.S.elems
-    assert bc.elems == gp.centralizer(s4, Z).elems  # Gamma contains 1 here
+    assert bc.S == CF.S
+    assert bc.elems == gp.centralizer(s4, Z).home_mask  # Gamma contains 1 here
     assert lo.verify_subcentric_locality(bc, CF).passed
 
 
@@ -424,9 +436,9 @@ def test_bN_requires_fully_K_normalized(L_s4, F_s4, s4):
 def test_K_normalizer_named_cases(L_s4, s4, klein):
     V = gp.Subgroup(klein.elems)
     NL = lo.K_normalizer_partial(L_s4, V, gp.aut_group(V))
-    assert NL == gp.normalizer(s4, V).elems
+    assert NL == gp.normalizer(s4, V).home_mask
     CL = lo.K_normalizer_partial(L_s4, V, gp.trivial_aut_group(V))
-    assert CL == gp.centralizer(s4, V).elems
+    assert CL == gp.centralizer(s4, V).home_mask
 
 
 def test_K_normalizer_is_partial_subgroup(L_s3xs3, s3xs3):
@@ -443,9 +455,9 @@ def test_K_normalizer_matches_definition(L_s3xs3, s3xs3):
     for X in gp.all_subgroups(S):
         xe = X.elems
         for K in (gp.aut_group(X), gp.inn_group(X), gp.trivial_aut_group(X)):
-            expected = frozenset(
+            expected = s3xs3.mask(
                 f
-                for f in L_s3xs3.elems
+                for f in L_s3xs3.sorted_elements()
                 if xe <= lo.S_f(L_s3xs3, f).elems
                 and frozenset(x.conj(f) for x in xe) == xe
                 and oracles.conj_map(xe, f) in oracles.as_pairs(X, K.maps)
@@ -457,10 +469,10 @@ def test_K_normalizer_matches_definition(L_s3xs3, s3xs3):
 
 
 def test_partial_normal_cases(L_s4, N_s4, a4):
-    assert N_s4 == a4.elems
+    assert N_s4 == L_s4.ambient.mask(a4.elems)
     assert lo.is_partial_normal(L_s4, N_s4)
     assert lo.is_partial_normal(L_s4, L_s4.elems)
-    bad = frozenset(perms(4, "()", "(0 1)"))
+    bad = L_s4.ambient.mask(perms(4, "()", "(0 1)"))
     viol = lo.partial_normal_violation(L_s4, bad)
     assert viol is not None and viol["kind"] == "conjugation"
 
@@ -474,7 +486,7 @@ def test_ambient_normal_subgroup_meets_L_in_a_partial_normal_subgroup(name, requ
     lattice = {H.elems for H in gp.all_subgroups(L.ambient) if H.is_normal_in(L.ambient)}
     assert normals == lattice and len(normals) > 2
     for H in normals:
-        assert lo.partial_normal_violation(L, H & L.elems) is None
+        assert lo.partial_normal_violation(L, L.ambient.mask(H) & L.elems) is None
 
 
 # -- products --------------------------------------------------------------------
@@ -509,7 +521,7 @@ def test_product_fusion_with_outside_x(L_s4, N_s4, F_s4, s4):
 
 def test_fusion_of_partial_sylow(L_s4, s4):
     S = gp.sylow_subgroup(s4, 2)
-    F = lo.fusion_of_partial(L_s4, S.elems)
+    F = lo.fusion_of_partial(L_s4, S.home_mask)
     assert F == fu.close_generated(gp.Subgroup(S.elems), 2)
 
 
@@ -528,7 +540,7 @@ def test_fusion_of_partial_shared_by_restrictions(monkeypatch, s4, F_s4, E_s4, N
     gets another system. A locality built outside restrict has a table of
     its own, so an equal one built apart closes its system again."""
     S = gp.sylow_subgroup(s4, 2)
-    L = lo.build_group_locality(s4, S, frozenset(P.elems for P in fu.subcentric_set(F_s4)), 2)
+    L = lo.build_group_locality(s4, S, frozenset(S.mask(P.elems) for P in fu.subcentric_set(F_s4)), 2)
     closed = []
     real = lo.close_generated
 
@@ -567,10 +579,10 @@ def test_fusion_of_partial_shared_by_restrictions(monkeypatch, s4, F_s4, E_s4, N
     ],
 )
 def test_set_outside_locality_is_rejected(call, L_s3xs3, s3xs3):
-    """A partial subgroup is its element set; one not inside L is refused."""
-    assert not s3xs3.elems <= L_s3xs3.elems
+    """A partial subgroup is its mask; one not inside L is refused."""
+    assert s3xs3.home_mask & ~L_s3xs3.elems
     with pytest.raises(ValueError, match="not inside the partial group"):
-        call(L_s3xs3, s3xs3.elems, s3xs3.trivial_subgroup())
+        call(L_s3xs3, s3xs3.home_mask, s3xs3.trivial_subgroup())
 
 
 # -- axiom verification on negatives ----------------------------------------------
@@ -584,7 +596,7 @@ def test_verify_locality_flags_missing_overgroup(s4):
 
 def test_subcentric_rejects_wrong_delta(s4, F_s4):
     S = gp.sylow_subgroup(s4, 2)
-    sub4 = frozenset(H.elems for H in gp.all_subgroups(S) if H.order >= 4)
+    sub4 = frozenset(S.mask(H.elems) for H in gp.all_subgroups(S) if H.order >= 4)
     L = lo.build_group_locality(s4, S, sub4, 2)
     assert lo.verify_locality(L).passed
     rep = lo.verify_subcentric_locality(L, F_s4)
@@ -597,9 +609,9 @@ def test_a5_naive_construction_rejected():
     A5 = gp.generate_group(perms(5, "(0 1 2 3 4)", "(0 1 2)"))
     S = gp.sylow_subgroup(A5, 2)
     F = fu.fusion_of_group(A5, S, 2)
-    Delta = frozenset(P.elems for P in fu.subcentric_set(F))
+    Delta = frozenset(S.mask(P.elems) for P in fu.subcentric_set(F))
     L = lo.build_group_locality(A5, S, Delta, 2)
-    assert L.elems == A5.elems
+    assert L.elems == A5.home_mask
     rep = lo.verify_subcentric_locality(L, F, word_len=2)
     assert rep.failed
     assert rep.witness["axiom"] == "N_L(P)-characteristic-p"
@@ -618,13 +630,13 @@ def _subword_fault(object_gens, elems=None):
     objects = [base] + [gp.generate_group(perms(9, *gens)).elems for gens in object_gens]
     if elems is None:
         elems = gp.generate_group(perms(9, "(0 2)", "(3 5)", "(6 8)")).elems
-    return lo.Locality(G, elems, objects, base, 2)
+    return _locality(G, elems, objects, base)
 
 
 def _splice_fault(s3):
     elems = [s3.identity] + perms(3, "(0 1)", "(1 2)")
     one = frozenset([s3.identity])
-    return lo.Locality(s3, elems, [one], one, 2)
+    return _locality(s3, elems, [one], one)
 
 
 def _splice_before_subword(s4, *elems):
@@ -632,47 +644,45 @@ def _splice_before_subword(s4, *elems):
     the identity and the given elements."""
     base = gp.generate_group(perms(4, "(1 2 3)", "(1 2)")).elems
     C = gp.generate_group(perms(4, "(2 3)")).elems
-    return lo.Locality(s4, perms(4, "()", *elems), [base, C], base, 2)
+    return _locality(s4, perms(4, "()", *elems), [base, C], base)
 
 
 def _objectivity_fault(s3xs3):
     S = gp.sylow_subgroup(s3xs3, 2)
     nt = frozenset(H.elems for H in gp.all_subgroups(S) if H.order > 1)
-    L = lo.Locality(s3xs3, s3xs3.elems, nt, S.elems, 2)
-    one = frozenset([s3xs3.identity])
-    L.rule = lo.ChainDomain(L.ambient, one, [one])
+    L = _locality(s3xs3, s3xs3.elems, nt, S.elems)
+    L.rule = lo.ChainDomain(L.ambient, s3xs3.trivial_subgroup(), [1])
     return L
 
 
 def _l27_whole_group(L_l27):
     G = L_l27.ambient
-    L = lo.Locality(G, G.elems, L_l27.Delta, L_l27.S_elems, 2)
-    one = frozenset([G.identity])
-    L.rule = lo.ChainDomain(L.ambient, one, [one])
+    L = lo.Locality(G, G.home_mask, L_l27.Delta, L_l27.S_elems, 2)
+    L.rule = lo.ChainDomain(L.ambient, G.trivial_subgroup(), [1])
     return L
 
 
 def _l27_dropped_class(L_l27):
     L = lo.Locality(L_l27.ambient, L_l27.elems, L_l27.Delta, L_l27.S_elems, 2)
-    L.rule = lo.ChainDomain(L.ambient, L.S_elems, [d for d in L.Delta if len(d) > 2])
+    L.rule = lo.ChainDomain(L.ambient, L.S, [d for d in L.Delta if d.bit_count() > 2])
     return L
 
 
 def _l27_missing_conjugate(L_l27):
-    dropped = frozenset(perms(7, "()", "(2 4)(5 6)"))
+    dropped = L_l27.S.mask(perms(7, "()", "(2 4)(5 6)"))
     return lo.Locality(L_l27.ambient, L_l27.elems, L_l27.Delta - {dropped}, L_l27.S_elems, 2)
 
 
 def _missing_overgroup(s4):
     S = gp.sylow_subgroup(s4, 2)
     Delta_bad = frozenset(H.elems for H in gp.all_subgroups(S) if H.order in (2, 8))
-    return lo.Locality(s4, s4.elems, Delta_bad | {S.elems}, S.elems, 2)
+    return _locality(s4, s4.elems, Delta_bad | {S.elems}, S.elems)
 
 
 def _trivial_object_only(s3xs3):
     """S3 x S3 with the objects S and 1 only, not closed under overgroups."""
     S = gp.sylow_subgroup(s3xs3, 2).elems
-    return lo.Locality(s3xs3, s3xs3.elems, [S, frozenset([s3xs3.identity])], S, 2)
+    return _locality(s3xs3, s3xs3.elems, [S, frozenset([s3xs3.identity])], S)
 
 
 @pytest.mark.parametrize(
@@ -770,7 +780,7 @@ def unclosed(s4):
     base = gp.generate_group(perms(4, "(1 2 3)", "(1 2)")).elems
     C = gp.generate_group(perms(4, "(2 3)")).elems
     elems = gp.generate_group(perms(4, "(0 1 2 3)")).elems
-    return lo.Locality(s4, elems, [base, C], base, 2)
+    return _locality(s4, elems, [base, C], base)
 
 
 def test_walk_matches_whole_word_definitions(L_s3xs3, unclosed):
@@ -793,7 +803,7 @@ def test_walk_matches_whole_word_definitions(L_s3xs3, unclosed):
             assert prods == tuple(expected)
             R_w = _survivors(rule.S, w)
             assert survivors == _mask(rule, R_w)
-            assert (survivors in rule.masks) == (R_w in rule.objects)
+            assert (survivors in rule.masks) == (R_w in oracles.rule_objects(rule))
             wbar = tuple(g.inv() for g in reversed(w))
             product = P.unit
             for g in wbar:
@@ -802,7 +812,7 @@ def test_walk_matches_whole_word_definitions(L_s3xs3, unclosed):
             assert wbar_survivors == _mask(rule, _survivors(rule.S, wbar))
             R_wbar_w = _survivors(rule.S, wbar + w)
             assert wbar_survivors == _mask(rule, R_wbar_w)
-            assert (wbar_survivors in rule.masks) == (R_wbar_w in rule.objects)
+            assert (wbar_survivors in rule.masks) == (R_wbar_w in oracles.rule_objects(rule))
         assert len(walked) == sum(len(els) ** k for k in (0, 1, 2, 3))
 
 
@@ -822,7 +832,7 @@ def test_live_chain_ends_match_chain_search(name, word_len, request):
         assert (live != 0) == has_chain
         verdicts[has_chain] += 1
     assert verdicts[True] > 0
-    assert (verdicts[False] > 0) == (frozenset([P.unit]) not in P.Delta)
+    assert (verdicts[False] > 0) == (1 not in P.Delta)  # 1: the trivial subgroup's mask
 
 
 def test_planted_fault_objectivity(s3xs3):
@@ -847,7 +857,7 @@ def test_planted_fault_l27_dropped_class(L_l27):
     the words outside the domain and passes, so L inside D is checked on its
     own."""
     L = _l27_dropped_class(L_l27)
-    assert len(L.Delta) - len(L.rule.objects) == 5
+    assert len(L.Delta) - len(L.rule.masks) == 5
     rep = lo.verify_locality(L, word_len=2)
     assert rep.witness == {"axiom": "length-one-domain", "w": ["(0 1 2)(3 4 6)"]}
 
@@ -857,7 +867,7 @@ def test_planted_fault_l27_missing_conjugate(L_l27):
     and the oracle both follow the smaller Delta, and the inversion axiom
     catches it at w = (g), whose R_w = <(1 3)(4 5)> is still an object
     while R_{wbar w} = R_w^g is the one left out."""
-    assert frozenset(perms(7, "()", "(2 4)(5 6)")) in L_l27.Delta
+    assert L_l27.S.mask(perms(7, "()", "(2 4)(5 6)")) in L_l27.Delta
     rep = lo.verify_locality(_l27_missing_conjugate(L_l27))
     assert rep.witness == {
         "axiom": "partial-group",
@@ -944,12 +954,13 @@ def test_objectivity_oracle_images_are_conjugates(L_s3xs3):
     the row's live objects."""
     assert lo.verify_locality(L_s3xs3).passed
     objects, images, rows = L_s3xs3._memo["chain_ends"]
-    assert len(objects) == len(set(objects)) and set(objects) == L_s3xs3.Delta
+    Delta = oracles.objects_of(L_s3xs3)
+    assert len(objects) == len(set(objects)) and set(objects) == Delta
     filled = outside = 0
     for g, row in zip(L_s3xs3.sorted_elements(), images):
         for o, img in enumerate(row):
             conj = frozenset(x.conj(g) for x in objects[o])
-            assert img == (objects.index(conj) if conj in L_s3xs3.Delta else -1)
+            assert img == (objects.index(conj) if conj in Delta else -1)
             filled += 1
             outside += img < 0
     assert filled > outside > 0
@@ -958,7 +969,7 @@ def test_objectivity_oracle_images_are_conjugates(L_s3xs3):
         live_objects = [d for o, d in enumerate(objects) if live >> o & 1]
         for g, after in zip(L_s3xs3.sorted_elements(), row):
             ends = {frozenset(x.conj(g) for x in d) for d in live_objects}
-            assert after == sum(1 << objects.index(e) for e in ends & L_s3xs3.Delta)
+            assert after == sum(1 << objects.index(e) for e in ends & Delta)
 
 
 @pytest.mark.parametrize(
@@ -1025,29 +1036,115 @@ def test_axiom_walk_matches_whole_word_oracle(name, word_len, request):
 
 
 @pytest.fixture(scope="module")
-def default_structures():
+def default_run():
     """Each distinct structure whose partial-group axioms a run of the
-    default corpus checks."""
-    seen, real = {}, lo.verify_partial_group
+    default corpus checks, and each distinct locality whose partial
+    subgroups' germs it reads (_partial_germs)."""
+    checked, germ_sources = {}, {}
+    real_check, real_germs = lo.verify_partial_group, lo._partial_germs
 
-    def spy(P, word_len=3):
-        seen.setdefault(P, P)
-        return real(P, word_len)
+    def check(P, word_len=3):
+        checked.setdefault(P, P)
+        return real_check(P, word_len)
+
+    def germs(L, N, R):
+        germ_sources.setdefault(L, L)
+        return real_germs(L, N, R)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(lo, "verify_partial_group", spy)
+        mp.setattr(lo, "verify_partial_group", check)
+        mp.setattr(lo, "_partial_germs", germs)
         reports, _ = vf.run_suite(cli.parse_corpus(cli.default_corpus_text()))
     assert not any(r.failed for r in reports)
-    return list(seen)
+    return list(checked), list(germ_sources)
+
+
+@pytest.fixture(scope="module")
+def default_structures(default_run):
+    return default_run[0]
+
+
+def test_S_f_is_S_cap_its_conjugate_in_localities(default_run, L_l27):
+    """For f in a locality, S_f = S cap S^(f^-1), the x in S with x^f in
+    S, taken here by Perm conjugation: the fact that lets _partial_germs
+    read f's conj_pos row uncut. Checked for every f on each structure the
+    default corpus verifies, on each locality whose germs it reads (20,
+    restrictions among them, with 135 elements in all) and on l27's
+    locality."""
+    structures, germ_sources = default_run
+    assert len(germ_sources) == 20
+    localities = {*structures, *germ_sources, L_l27}
+    for L in localities:
+        masks, S = lo._S_f_masks(L), L.S.elems
+        for a, f in enumerate(L.ambient):
+            if L.elems >> a & 1:
+                assert masks[a] == L.S.mask(x for x in S if x.conj(f) in S)
+    assert sum(L.elems.bit_count() for L in germ_sources) == 135
+
+
+def _s4_locality():
+    """S4's subcentric locality, over a newly generated copy of S4."""
+    G = gp.generate_group(perms(4, "(0 1 2 3)", "(0 1)"))
+    S = gp.sylow_subgroup(G, 2)
+    F = fu.fusion_of_group(G, S, 2)
+    return lo.build_group_locality(G, S, frozenset(S.mask(P.elems) for P in fu.subcentric_set(F)), 2), F
+
+
+def test_localities_over_equal_homes_are_one_content():
+    """Two localities over separately generated ambient homes with equal
+    elements have equal masks, so they compare and hash equal, and the
+    keys each files in its memo and its table of systems are the other's."""
+    (L1, F1), (L2, F2) = _s4_locality(), _s4_locality()
+    assert L1.ambient is not L2.ambient and L1.ambient == L2.ambient
+    assert L1 == L2 and hash(L1) == hash(L2)
+    for L, F in ((L1, F1), (L2, F2)):
+        Z = gp.center(L.S)
+        lo.fusion_of_partial(L, L.elems)
+        lo.bC(L, F, Z)
+        lo.fusion_of_partial(L, lo.K_normalizer_partial(L, Z, gp.aut_group(Z)))
+    assert len(L1._memo) > 3 and set(L1._memo) == set(L2._memo)
+    assert len(L1._systems) > 3 and set(L1._systems) == set(L2._systems)
+
+
+@pytest.mark.parametrize(
+    "case, message",
+    [
+        ("element-beyond-ambient", "elements not inside the ambient group"),
+        ("negative-elements", "elements not inside the ambient group"),
+        ("S-beyond-ambient", "elements not inside the ambient group"),
+        ("object-beyond-S", "objects not inside S"),
+        ("negative-object", "objects not inside S"),
+        ("ambient-not-a-home", "must be a home"),
+    ],
+)
+def test_locality_refuses_sets_outside_its_groups(L_s4, case, message):
+    """The constructor checks its masks: elements and S inside the ambient
+    group, a home, and each object inside S."""
+    G, S, top = L_s4.ambient, L_s4.S_elems, (1 << L_s4.S.order) - 1
+    args = {
+        "element-beyond-ambient": (G, L_s4.elems | 1 << G.order, [top], S),
+        "negative-elements": (G, -1, [top], S),
+        "S-beyond-ambient": (G, L_s4.elems, [top], S | 1 << G.order),
+        "object-beyond-S": (G, L_s4.elems, [top, 1 << L_s4.S.order], S),
+        "negative-object": (G, L_s4.elems, [top, -1], S),
+        "ambient-not-a-home": (L_s4.S, 1, [top], 1),
+    }[case]
+    with pytest.raises(ValueError, match=message):
+        lo.Locality(*args, 2)
 
 
 def test_axiom_walk_matches_whole_word_oracle_on_default_structures(default_structures):
     """On each distinct structure the default corpus verifies, 20 by
-    Locality equality (19 by elements, objects and base: two share them
-    over different ambient groups), verify_partial_group at word_len 3
-    gives the verdict, witness and stats of the whole-word check."""
+    Locality equality (19 by element sets, objects and base: two share
+    them over different ambient groups, so their masks differ),
+    verify_partial_group at word_len 3 gives the verdict, witness and
+    stats of the whole-word check."""
     assert len(default_structures) == 20
-    assert len({(P.elems, P.Delta, P.S_elems) for P in default_structures}) == 19
+    assert len({(P.elems, P.Delta, P.S_elems) for P in default_structures}) == 20
+    contents = {
+        (oracles.elems_of(P, P.elems), oracles.objects_of(P), P.S.elems) for P in default_structures
+    }
+    assert len(contents) == 19
     for P in default_structures:
         rep = lo.verify_partial_group(P)
         assert (rep.outcome, rep.witness, rep.stats) == oracles.partial_group_by_words(P, 3)
@@ -1060,14 +1157,15 @@ def test_domain_pairs_match_in_domain(name, request):
     of its product; elements outside L give no pair."""
     P = request.getfixturevalue(name)
     els, ambient = P.sorted_elements(), tuple(P.ambient)
+    index = {g: a for a, g in enumerate(ambient)}
     expected = [
-        (a, b, P.ambient.element_index[a * b])
+        (index[a], index[b], index[a * b])
         for a in els
         for b in ambient
         if P.in_domain((a, b))
     ]
     assert 0 < len(expected) < len(els) * len(ambient)
-    assert list(lo._domain_pairs(P, els, ambient)) == expected
+    assert list(lo._domain_pairs(P, P.ambient.home_mask, P.ambient.home_mask)) == expected
 
 
 @pytest.mark.parametrize("name", ["L_s3xs3", "L_l27", "unclosed", "objectivity"])
@@ -1105,14 +1203,12 @@ def test_S_f_mask_matches_definition(name, request):
     with (f^-1, x, f) in the domain and x^f in S; the public S_f is its
     subgroup, and raises for an f with none, such as one outside L."""
     P = request.getfixturevalue(name)
-    masks, index = lo._S_f_masks(P), P.ambient.element_index
+    masks, S = lo._S_f_masks(P), P.S.elems
     verdicts = Counter()
-    for f in P.ambient:
+    for a, f in enumerate(P.ambient):
         fi = f.inv()
-        expected = frozenset(
-            x for x in P.S_elems if P.in_domain((fi, x, f)) and x.conj(f) in P.S_elems
-        )
-        assert masks[index[f]] == P.rule.S.mask(expected)
+        expected = frozenset(x for x in S if P.in_domain((fi, x, f)) and x.conj(f) in S)
+        assert masks[a] == P.rule.S.mask(expected)
         verdicts[bool(expected)] += 1
         if expected:
             assert lo.S_f(P, f).elems == expected
@@ -1127,14 +1223,13 @@ def test_times_cyclic_matches_mulclose(name, request):
     """R<x> from the cosets R x^k is the closure of R and x, for every
     p-subgroup R of the ambient group and every x normalizing it."""
     L = request.getfixturevalue(name)
-    G, index = L.ambient, L.ambient.element_index
-    elems = tuple(G)
+    G = L.ambient
+    index = {g: a for a, g in enumerate(G)}
     pool = {frozenset(x.conj(g) for x in P.elems) for P in gp.all_subgroups(L.S) for g in G.elems}
     grown = 0
     for R in pool:
-        r = [index[y] for y in R]
         for x in gp.normalizer(G, gp.Subgroup(R)).elems:
-            got = frozenset(elems[i] for i in gp.times_cyclic(G, r, index[x]))
+            got = frozenset(gp.elements(G, gp.times_cyclic(G, G.mask(R), index[x])))
             assert got == gp.mulclose(list(R) + [x], cap=G.order)
             grown += len(got) > len(R)
     assert grown > 0
@@ -1149,7 +1244,9 @@ def test_in_domain_matches_survivor_definition(name, request):
     ambient = tuple(P.ambient)
     verdicts = Counter()
     for w in [()] + [(a,) for a in ambient] + [(a, b) for a in ambient for b in ambient]:
-        expected = all(g in P.elems for g in w) and _survivors(P.rule.S, w) in P.rule.objects
+        expected = all(g in oracles.elems_of(P, P.elems) for g in w) and (
+            _survivors(P.rule.S, w) in oracles.rule_objects(P.rule)
+        )
         assert P.in_domain(w) == expected
         verdicts[expected] += 1
     assert verdicts[True] > 0 and verdicts[False] > 0

@@ -121,7 +121,7 @@ def test_lemma21_skip_on_not_fully_normalized(L_s4, F_s4, s4):
 @pytest.fixture
 def own_L_s4(s4, F_s4):
     """L_s4 built afresh, so that no other test has filled its memo."""
-    Delta = frozenset(P.elems for P in fu.subcentric_set(F_s4))
+    Delta = frozenset(F_s4.S.mask(P.elems) for P in fu.subcentric_set(F_s4))
     return lo.build_group_locality(s4, S_of(s4), Delta, 2)
 
 
@@ -306,8 +306,8 @@ def test_bN_K_keeps_a_restriction_per_gamma():
     sizes = []
     for F in (fu.fusion_of_group(G, S, 2), fu.fusion_of_group(S, S, 2)):
         bn = lo.bN_K(L, F, one, K)
-        assert bn.Delta == {P.elems for P in fu.subcentric_set(F)}
-        sizes.append((len(bn.elems), len(bn.Delta)))
+        assert bn.Delta == {S.mask(P.elems) for P in fu.subcentric_set(F)}
+        sizes.append((bn.elems.bit_count(), len(bn.Delta)))
     assert sizes == [(104, 9), (168, 10)]
 
 
@@ -643,7 +643,7 @@ def test_declared_N_is_the_one_the_family_search_finds():
         pe, axioms = vf.prepare_entry(entry)
         if pe is not None:
             accepted.append(entry.name)
-            assert axioms.stats["N_size"] == len(pe.N)
+            assert axioms.stats["N_size"] == pe.N.bit_count()
             assert oracles.partial_normal_by_family(pe.L, pe.E) == [pe.N]
     assert len(accepted) == 6
 
@@ -668,7 +668,7 @@ def _not_realizing_E(monkeypatch):
         # a base come from the locality check and stay real
         if base is not None:
             return real(L, N, base)
-        return fu.close_generated(gp.Subgroup(N & L.S_elems), L.p)
+        return fu.close_generated(L.ambient.from_home_mask(N & L.S_elems), L.p)
 
     monkeypatch.setattr(lo, "fusion_of_partial", inner_system)
     return {"partial-normal": "F_T(H cap L) != F_T(H)"}
