@@ -24,7 +24,6 @@ import math
 import re
 import sys
 import time
-from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
@@ -36,18 +35,13 @@ from .perm import Perm, max_point, perm_from_cycles
 from .report import VerificationReport
 
 
-@dataclass
 class CorpusEntry:
     """One corpus line-group: an ambient group, a prime, a declared normal
     subgroup, and optional sweep restrictions."""
 
-    name: str
-    p: int
-    gen_strings: Tuple[str, ...]
-    normal_gen_strings: Tuple[str, ...] = ()
-    X_strings: Tuple[str, ...] = ()
-    K_strings: Tuple[str, ...] = ()
-    degree: int = 0
+    def __init__(self, name, p, gen_strings, normal_gen_strings=(), X_strings=(), K_strings=(), degree=0):
+        self.name, self.p, self.gen_strings, self.degree = name, p, gen_strings, degree
+        self.normal_gen_strings, self.X_strings, self.K_strings = normal_gen_strings, X_strings, K_strings
 
     def generators(self) -> List[Perm]:
         return [perm_from_cycles(s, self.degree) for s in self.gen_strings]
@@ -89,22 +83,18 @@ class CorpusEntry:
         return tuple(self.K_strings) if self.K_strings else None
 
 
-@dataclass
 class RunConfig:
     """Input, statement filter, word length and report path for one run."""
 
-    corpus_path: Optional[Path] = None
-    statements: Optional[Tuple[str, ...]] = None
-    word_len: int = 3
-    report_path: Optional[Path] = None
-
-    def __post_init__(self):
-        if self.word_len <= 0:
+    def __init__(self, corpus_path=None, statements=None, word_len=3, report_path=None):
+        if word_len <= 0:
             raise ValueError("word_len must be positive")
-        if self.statements is not None:
-            unknown = set(self.statements) - set(vf.STATEMENTS)
+        if statements is not None:
+            unknown = set(statements) - set(vf.STATEMENTS)
             if unknown:
                 raise ValueError("unknown statement ids: %s" % sorted(unknown))
+        self.corpus_path, self.statements = corpus_path, statements
+        self.word_len, self.report_path = word_len, report_path
 
 
 def _split_cycles(text: str) -> List[str]:
@@ -203,9 +193,7 @@ def parse_corpus(text: str) -> List[CorpusEntry]:
 
 
 def default_corpus_text() -> str:
-    from importlib.resources import files
-
-    return files("plocal").joinpath("data/default_corpus.txt").read_text()
+    return Path(__file__).with_name("data").joinpath("default_corpus.txt").read_text(encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------

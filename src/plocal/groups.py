@@ -19,10 +19,10 @@ N_G(X) and its action on X: the one test of "g normalizes X". And it
 keeps, each under a key of the content it depends on, what is decided
 about the groups that read its tables: O_p(H) and whether H has
 characteristic p, per (H, p); whether H is subnormal in G, per (H, G);
-Aut(X), per X; and the permutation image of each automorphism group of
-such an X, per maps, which is then the one home of that content. A
-question asked again about equal content, through whichever object, is
-answered from the home.
+Aut(X), per X; the permutation image of each automorphism group of
+such an X, per maps, which is then the one home of that content; and the
+subgroups of that group, per (X, maps). A question asked again about
+equal content, through whichever object, is answered from the home.
 
 Subgroup lattices are asked for only on p-groups and on permutation images
 of automorphism groups; S's is kept by the fusion system or locality over
@@ -34,7 +34,6 @@ order, and the join of a subset of S the first member holding it
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from functools import cached_property
 from math import gcd
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
@@ -91,28 +90,36 @@ def _close(mul: Sequence[Sequence[int]], gens: Iterable[int]) -> int:
     return sum(1 << a for a in out)
 
 
-@dataclass(frozen=True)
 class Subgroup:
-    """A finite permutation group, held as its element set.
+    """A finite permutation group, held as its element set, immutable.
 
     Two are equal exactly when their elements are, whatever group they
     were found in: ``ambient``, the group whose tables this one reads (see
     :attr:`home`), takes no part in equality.
     """
 
-    elems: FrozenSet[Perm]
-    ambient: Optional["Subgroup"] = field(default=None, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "elems", frozenset(self.elems))
-        if not self.elems:
+    def __init__(self, elems: Iterable[Perm], ambient: Optional["Subgroup"] = None):
+        elems = frozenset(elems)
+        if not elems:
             raise ValueError("empty element set")
         # a Perm's length is its degree; one set of lengths keeps this cheap,
         # and every subgroup built anywhere pays for it
-        if len(set(map(len, self.elems))) != 1:
+        if len(set(map(len, elems))) != 1:
             raise DegreeMismatch("mixed degrees in element set")
-        if self.ambient is not None:
-            object.__setattr__(self, "ambient", self.ambient.home)
+        object.__setattr__(self, "elems", elems)
+        object.__setattr__(self, "ambient", None if ambient is None else ambient.home)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Subgroup is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("Subgroup is immutable")
+
+    def __eq__(self, other):
+        return self.elems == other.elems if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash((self.elems,))
 
     @property
     def home(self) -> "Subgroup":
@@ -174,10 +181,11 @@ class Subgroup:
     def _kept(self) -> Dict[tuple, object]:
         """For G = self a home, what is decided about groups reading its
         tables, per (kind, content): ("O_p", H.elems, p), ("char_p",
-        H.elems, p), ("subnormal", H.elems, G.elems), ("aut", X.elems) and
-        ("image", maps); filled by :func:`core_Op`,
-        :func:`is_characteristic_p`, :func:`is_subnormal`,
-        :func:`aut_group` and :attr:`AutGroup._image`."""
+        H.elems, p), ("subnormal", H.elems, G.elems), ("aut", X.elems),
+        ("image", maps) and ("sub_autgroups", X.elems, maps); filled by
+        :func:`core_Op`, :func:`is_characteristic_p`, :func:`is_subnormal`,
+        :func:`aut_group`, :attr:`AutGroup._image` and
+        :meth:`AutGroup.sub_autgroups`."""
         return {}
 
     def mask(self, elems: Iterable[Perm]) -> int:
@@ -445,7 +453,6 @@ def is_subnormal(H: Subgroup, G: Subgroup) -> bool:
 # automorphism groups as permutation images
 
 
-@dataclass(frozen=True)
 class AutGroup:
     """A group of automorphisms of a fixed base subgroup X, held as its
     permutation image: each map is the Perm of the positions of X's sorted
@@ -460,14 +467,26 @@ class AutGroup:
     (:attr:`times_inn`).
     """
 
-    base: Subgroup = field(compare=True)
-    maps: FrozenSet[Perm] = field(compare=True)
-
-    def __post_init__(self):
-        maps = frozenset(map(Perm, self.maps))
-        if any(len(m) != self.base.order for m in maps):
+    def __init__(self, base: Subgroup, maps: Iterable[Sequence[int]]):
+        maps = frozenset(map(Perm, maps))
+        if any(len(m) != base.order for m in maps):
             raise ValueError("map is not a permutation of the base's elements")
+        object.__setattr__(self, "base", base)
         object.__setattr__(self, "maps", maps)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("AutGroup is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("AutGroup is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.base, self.maps) == (other.base, other.maps)
+
+    def __hash__(self):
+        return hash((self.base, self.maps))
 
     @property
     def order(self) -> int:
@@ -486,8 +505,11 @@ class AutGroup:
     def sub_autgroups(self) -> Tuple["AutGroup", ...]:
         """All subgroups of this automorphism group, in all_subgroups'
         canonical order of their permutation images, closed on the image's
-        own table."""
-        return tuple(AutGroup(self.base, H.elems) for H in all_subgroups(self.perm_group()))
+        own table. Kept on the base's home per (base, maps)."""
+        kept, key = self.base.home._kept, ("sub_autgroups", self.base.elems, self.maps)
+        if key not in kept:
+            kept[key] = tuple(AutGroup(self.base, H.elems) for H in all_subgroups(self.perm_group()))
+        return kept[key]
 
     def _check_base(self, other: "AutGroup") -> None:
         if other.base.elems != self.base.elems:

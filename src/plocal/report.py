@@ -2,11 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional
 
-
-@dataclass
 class VerificationReport:
     """Outcome of one checked statement instance.
 
@@ -15,12 +11,9 @@ class VerificationReport:
     precondition.
     """
 
-    statement: str
-    instance: str
-    outcome: str
-    witness: Optional[dict] = None
-    reason: Optional[str] = None
-    stats: Dict[str, object] = field(default_factory=dict)
+    def __init__(self, statement, instance, outcome, witness=None, reason=None, stats=None):
+        self.statement, self.instance, self.outcome = statement, instance, outcome
+        self.witness, self.reason, self.stats = witness, reason, {} if stats is None else stats
 
     @property
     def passed(self) -> bool:

@@ -27,7 +27,6 @@ Statement ids:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from . import fusion as fu
@@ -236,7 +235,6 @@ def _subnormal_branch(F: fu.FusionSystem, X: Subgroup, K: AutGroup):
     return None, None
 
 
-@dataclass
 class TheoremRecord:
     """The main theorem decided for one (F, E, N, X, K), kept in L's memo.
 
@@ -248,10 +246,9 @@ class TheoremRecord:
     at X = 1.
     """
 
-    reason: Optional[str] = None
-    witnesses: Tuple[Optional[dict], Optional[dict]] = (None, None)
-    stats: Dict[str, object] = field(default_factory=dict)
-    E0_is_E: bool = False
+    def __init__(self, reason=None, witnesses=(None, None), stats=None, E0_is_E=False):
+        self.reason, self.witnesses, self.E0_is_E = reason, witnesses, E0_is_E
+        self.stats = {} if stats is None else stats
 
 
 def check_main_theorem(
@@ -433,19 +430,15 @@ def _with_trivial_case_check(
 # suite driver
 
 
-@dataclass
 class PreparedEntry:
-    """A corpus entry with all derived structures built and validated."""
+    """A corpus entry with all derived structures built and validated:
+    F = F_S(G), its locality L, E = F_T(H) and N = H cap L, a mask over
+    the sorted elements of G; X_list and K_descriptors restrict the
+    sweeps, None for the full ones."""
 
-    name: str
-    p: int
-    G: Subgroup
-    F: fu.FusionSystem
-    L: lo.Locality
-    E: fu.FusionSystem
-    N: int  # H cap L, a mask over the sorted elements of G
-    X_list: Optional[Tuple[Subgroup, ...]] = None
-    K_descriptors: Optional[Tuple[str, ...]] = None
+    def __init__(self, name, p, G, F, L, E, N, X_list=None, K_descriptors=None):
+        self.name, self.p, self.G, self.F, self.L, self.E, self.N = name, p, G, F, L, E, N
+        self.X_list, self.K_descriptors = X_list, K_descriptors
 
 
 def prepare_entry(entry, word_len: int = 3):

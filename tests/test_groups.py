@@ -37,6 +37,28 @@ def test_generated_group_is_its_element_set():
     assert hash(G) == hash(same)
 
 
+def test_subgroup_and_autgroup_are_immutable_values(s4, klein):
+    """Equal on content alone (a Subgroup's ambient takes no part), hashed
+    as the tuple of that content, not equal to another class, and closed
+    to assignment, while cached properties still fill."""
+    V = gp.Subgroup(klein.elems, s4)
+    alone = gp.Subgroup(klein.elems)
+    assert V == alone and V.ambient is s4 and alone.ambient is None
+    assert hash(V) == hash((klein.elems,)) == hash(alone)
+    assert V.__eq__(klein.elems) is NotImplemented and V != klein.elems
+    A = gp.aut_group(klein)
+    B = gp.AutGroup(alone, A.maps)
+    assert A == B and hash(A) == hash((A.base, A.maps)) == hash(B)
+    assert A.__eq__(A.perm_group()) is NotImplemented
+    assert A != gp.AutGroup(alone, gp.inn_group(klein).maps)
+    for value, name in ((V, "elems"), (V, "ambient"), (A, "maps"), (A, "base")):
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    assert V.identity is V.identity and B.times_inn is B.times_inn
+
+
 def test_generate_group_cap_and_mismatch():
     with pytest.raises(CapExceeded):
         gp.generate_group(perms(8, "(0 1 2 3 4 5 6 7)", "(0 1)"), cap=100)
@@ -455,6 +477,19 @@ def test_product_matches_map_composition(s4, sl23):
                 else:
                     assert oracles.as_pairs(A.base, A.product(B).maps) == expected
     assert refused > 0
+
+
+def test_sub_autgroups_kept_on_the_home(monkeypatch, s4, klein):
+    """The lattice of an automorphism group is computed once per (base,
+    maps) on the base's home: an equal group asked through a fresh value
+    gets the same tuple, and all_subgroups is not called again."""
+    X = gp.Subgroup(klein.elems, s4)
+    A = gp.AutGroup(X, gp.aut_group(klein).maps)
+    first = A.sub_autgroups()
+    calls = []
+    monkeypatch.setattr(gp, "all_subgroups", lambda G: calls.append(G))
+    assert gp.AutGroup(gp.Subgroup(klein.elems, s4), A.maps).sub_autgroups() is first
+    assert calls == [] and [K.order for K in first] == [1, 2, 2, 2, 3, 6]
 
 
 def test_product_of_aut_c2_cubed_and_inn_is_aut():

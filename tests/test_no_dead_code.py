@@ -12,12 +12,16 @@ body. Methods are exempt: protocol methods such as
 Every name a module imports is read in that module. ``__init__.py`` is
 exempt, because its imports are the package's re-exports.
 
-Every field of a ``@dataclass`` in the package is read as an attribute
-(``obj.field``) somewhere in ``src/plocal`` or ``tests``.
+Every field of a class in the package, an attribute that its
+``__init__`` sets, is read as an attribute (``obj.field``) somewhere in
+``src/plocal`` or ``tests``. The records are plain classes, so the fields
+are read off ``__init__``: the check must see all of them, and a planted
+unread field must be flagged.
 """
 
 import ast
 import re
+import shutil
 from collections import Counter
 from pathlib import Path
 
@@ -106,30 +110,75 @@ def test_every_import_is_read():
     assert not unused, "imported but never read: %s" % ", ".join(unused)
 
 
-def _is_dataclass(cls):
-    return any("dataclass" in ast.unparse(deco) for deco in cls.decorator_list)
+# the package's plain record classes; each must be seen with its fields
+RECORDS = {
+    "groups.Subgroup",
+    "groups.AutGroup",
+    "report.VerificationReport",
+    "verify.TheoremRecord",
+    "verify.PreparedEntry",
+    "cli.CorpusEntry",
+    "cli.RunConfig",
+}
 
 
-def _unread_fields():
-    """``module.Class.field`` for each dataclass field never read as an
-    attribute in the package or the tests."""
-    fields = []
-    for path in sorted(PACKAGE.glob("*.py")):
+def _init_fields(init):
+    """The attributes an ``__init__`` sets: ``self.name = ...``, also as
+    part of a tuple target, and ``object.__setattr__(self, "name", ...)``."""
+    out = []
+    for node in ast.walk(init):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            if isinstance(node.value, ast.Name) and node.value.id == "self":
+                out.append(node.attr)
+        elif isinstance(node, ast.Call) and ast.unparse(node.func) == "object.__setattr__":
+            if len(node.args) > 1 and isinstance(node.args[1], ast.Constant):
+                out.append(node.args[1].value)
+    return out
+
+
+def _fields(package):
+    """``(module.Class, field)`` for each attribute that a class's
+    ``__init__`` sets, over every class in the package."""
+    out = []
+    for path in sorted(package.glob("*.py")):
         for cls in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(cls, ast.ClassDef) and _is_dataclass(cls):
-                fields += [
-                    (path.stem, cls.name, node.target.id)
-                    for node in cls.body
-                    if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)
-                ]
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for fn in cls.body:
+                if isinstance(fn, ast.FunctionDef) and fn.name == "__init__":
+                    out += [("%s.%s" % (path.stem, cls.name), name) for name in _init_fields(fn)]
+    return out
+
+
+def _unread_fields(package):
+    """``module.Class.field`` for each field never read as an attribute in
+    the package or the tests."""
     read = set()
-    for path in sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "tests").glob("*.py")):
+    for path in sorted(package.glob("*.py")) + sorted((ROOT / "tests").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 read.add(node.attr)
-    return ["%s.%s.%s" % f for f in fields if f[2] not in read]
+    return ["%s.%s" % f for f in _fields(package) if f[1] not in read]
 
 
-def test_every_dataclass_field_is_read():
-    unread = _unread_fields()
-    assert not unread, "dataclass fields never read: %s" % ", ".join(unread)
+def test_every_record_field_is_read():
+    seen = {cls for cls, _ in _fields(PACKAGE)}
+    assert RECORDS <= seen, "records with no field found: %s" % ", ".join(sorted(RECORDS - seen))
+    unread = _unread_fields(PACKAGE)
+    assert not unread, "record fields never read: %s" % ", ".join(unread)
+
+
+def test_a_planted_unread_field_is_flagged(tmp_path):
+    copy = tmp_path / "plocal"
+    shutil.copytree(PACKAGE, copy, ignore=shutil.ignore_patterns("__pycache__"))
+    report = copy / "report.py"
+    text = report.read_text()
+    anchor = "        self.statement, self.instance, self.outcome = statement, instance, outcome\n"
+    assert anchor in text
+    planted = anchor + "        self.never_read_field = outcome\n"
+    planted += '        object.__setattr__(self, "never_read_either", outcome)\n'
+    report.write_text(text.replace(anchor, planted))
+    assert _unread_fields(copy) == [
+        "report.VerificationReport.never_read_field",
+        "report.VerificationReport.never_read_either",
+    ]
