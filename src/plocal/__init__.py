@@ -3,17 +3,17 @@ executable verification suite over a corpus of small concrete groups.
 
 The five public layers:
 
-* :mod:`plocal.groups` - permutation groups, each held as its element set
-  (one type, ``Subgroup``, for groups and subgroups alike), subgroup
-  lattices, Sylow subgroups, automorphism groups, subnormality, group
-  K-normalizers;
+* :mod:`plocal.groups` - permutation groups, each held as its home and a
+  mask over the home's sorted elements (one type, ``Subgroup``, for groups
+  and subgroups alike, its Perms a view for the edges), subgroup lattices,
+  Sylow subgroups, automorphism groups, subnormality, group K-normalizers;
 * :mod:`plocal.fusion` - fusion systems as explicit categories, saturation,
   K-normalizer subsystems, centric/subcentric sets, p-power index,
   normal subsystems;
 * :mod:`plocal.locality` - localities, the one partial-group type, with
   their one word rule; a group is a locality and L_Delta(G) its
   restriction; the restricted K-normalizers, partial normal subgroups
-  (each held as its element set), product subsystems;
+  (each an int mask over the ambient group), product subsystems;
 * :mod:`plocal.verify` - one checker per verified statement and the suite
   driver;
 * :mod:`plocal.cli` - corpus parsing and the command-line front end

@@ -53,11 +53,13 @@ class CorpusEntry:
 
     @cached_property
     def H(self) -> gp.Subgroup:
-        """The declared normal subgroup (G if none), built once per entry;
-        parse_corpus checks that it is normal in G."""
-        if not self.normal_gen_strings:
-            return self.G
-        return gp.generate_group(perm_from_cycles(s, self.degree) for s in self.normal_gen_strings)
+        """The declared normal subgroup (G if none), built in G's home once
+        per entry; NormalityError for a generator outside G. parse_corpus
+        checks that it is normal in G."""
+        gens = [perm_from_cycles(s, self.degree) for s in self.normal_gen_strings]
+        if not all(g in self.G for g in gens):
+            raise NormalityError("entry %s: declared subgroup is not inside the group" % self.name)
+        return self.G.generated_subgroup(gens) if gens else self.G
 
     def X_subgroups(self, G, S):
         """Explicitly requested X subgroups (must lie inside S), or None.
@@ -70,7 +72,7 @@ class CorpusEntry:
                 gens = [perm_from_cycles(s, self.degree) for s in _split_cycles(spec)]
             except ValueError as exc:
                 raise CorpusParseError("entry %s: X=%s: %s" % (self.name, spec, exc))
-            if not set(gens) <= S.elems:
+            if not all(g in S for g in gens):
                 raise CorpusParseError(
                     "entry %s: X=%s is not inside the Sylow subgroup" % (self.name, spec)
                 )
@@ -175,19 +177,11 @@ def parse_corpus(text: str) -> List[CorpusEntry]:
             degree=max(degree, 1),
         )
         try:
-            G, H = entry.G, entry.H
+            G, H = entry.G, entry.H  # H raises NormalityError if it is not inside G
         except ValueError as exc:
-            raise CorpusParseError(
-                "entry %s: %s" % (entry.name, exc), r["line"]
-            )
-        if not H.elems <= G.elems:
-            raise NormalityError(
-                "entry %s: declared subgroup is not inside the group" % entry.name
-            )
+            raise CorpusParseError("entry %s: %s" % (entry.name, exc), r["line"])
         if not H.is_normal_in(G):
-            raise NormalityError(
-                "entry %s: declared subgroup is not normal" % entry.name
-            )
+            raise NormalityError("entry %s: declared subgroup is not normal" % entry.name)
         entries.append(entry)
     return entries
 

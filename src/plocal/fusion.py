@@ -19,11 +19,12 @@ exactly.
 
 A system caches the subgroup lattice of S and what it derives (Aut_F(P)
 per P, saturation witness, core, centric and subcentric sets, fully
-K-normalized verdicts per (X, K), K-normalizer subsystems per (X, K), the
-pulled-back actions of :func:`_pulled_back` per germ, and the verdicts of
-normality and p-power index of a smaller system E in it, per E) in its
-``_cache``; all of it depends only on the content (S, p, germs) of the
-system and of the key, and systems compare by content, so a hit is exact.
+K-normalized verdicts per (X, K), K-normalizer subsystems per (X, K), each
+subgroup by its mask over S's home and K by its maps, the pulled-back
+actions of :func:`_pulled_back` per germ, and the verdicts of normality
+and p-power index of a smaller system E in it, per E) in its ``_cache``;
+all of it depends only on the content (S, p, germs) of the system and of
+the key, and systems compare by content, so a hit is exact.
 
 Equal content is also one object, and so one cache, through a *table of
 systems*: a dict mapping each system to itself, which every member holds
@@ -67,10 +68,12 @@ from .groups import (
     aut_group,
     aut_induced,
     centralizer,
+    bits,
     center,
     conj_positions,
     group_K_normalizer,
     join,
+    lattice_by_mask,
     normalizer,
     normalizer_action,
     op_residual,
@@ -78,8 +81,6 @@ from .groups import (
     positions,
     trivial_aut_group,
 )
-from .perm import Perm
-
 GERM_CAP = 100_000
 
 
@@ -124,14 +125,15 @@ class FusionSystem:
         return self._all
 
     def germs_from(self, P: Subgroup) -> FrozenSet[tuple]:
-        return self.germs_by_src.get(self.S.mask(P.elems), frozenset())
+        return self.germs_by_src.get(self.S.mask(P), frozenset())
 
     def aut(self, P: Subgroup) -> AutGroup:
         """Aut_F(P): the germs from P onto P in P's positions, kept per P."""
-        key = ("aut", P.elems)
+        key = ("aut", self.S.home_mask_of(P))
         if key not in self._cache:
-            p, pos = self.S.mask(P.elems), positions(self.S, P)
-            self._cache[key] = AutGroup(P, {_local(g, pos) for g in self.germs_from(P) if _img(g) == p})
+            p, pos = self.S.mask(P), positions(self.S, P)
+            onto = (g for g in self.germs_by_src.get(p, ()) if _img(g) == p)
+            self._cache[key] = AutGroup(P, {_local(g, pos) for g in onto})
         return self._cache[key]
 
     def aut_S(self, P: Subgroup) -> AutGroup:
@@ -140,8 +142,9 @@ class FusionSystem:
 
     def conjugates(self, P: Subgroup) -> Tuple[Subgroup, ...]:
         """The F-conjugacy class of P, canonically ordered."""
-        images = {_img(g) for g in self.germs_from(P)} | {self.S.mask(P.elems)}
-        return tuple(sorted(map(_lattice(self).__getitem__, images), key=tuple))
+        p = self.S.mask(P)
+        images = {_img(g) for g in self.germs_by_src.get(p, ())} | {p}
+        return tuple(map(_lattice(self).__getitem__, sorted(images, key=bits)))
 
     def __eq__(self, other):
         return (
@@ -169,7 +172,7 @@ class FusionSystem:
 def _lattice(F: FusionSystem) -> Dict[int, Subgroup]:
     """S's lattice by mask, in its canonical order, kept in F's cache."""
     if "lattice" not in F._cache:
-        F._cache["lattice"] = {F.S.mask(P.elems): P for P in F.subgroups()}
+        F._cache["lattice"] = lattice_by_mask(F.S, F.subgroups())
     return F._cache["lattice"]
 
 
@@ -219,7 +222,7 @@ def _lift(t: tuple, pos: Dict[int, int], n: int) -> tuple:
 def subsystem_le(E: FusionSystem, F: FusionSystem) -> bool:
     """Extensional containment: E's base inside F's and every germ of E,
     lifted to F's base, one of F's."""
-    if not E.S.elems <= F.S.elems:
+    if not E.S <= F.S:
         return False
     pos = positions(F.S, E.S)
     return all(_lift(g, pos, F.S.order) in F.all_germs() for g in E.all_germs())
@@ -250,14 +253,14 @@ def fusion_of_group(
 ) -> FusionSystem:
     """F_S(G): morphisms are the conjugations c_g between subgroups of S.
     ``subgroups`` is S's lattice, if the caller holds it."""
-    if not S.elems <= G.elems:
+    if not S <= G:
         raise NotSylow("S is not a subgroup of G")
     if S.order != p_part(G.order, p):
         raise NotSylow(
             "order %d is not the %d-part of %d" % (S.order, p, G.order)
         )
     subgroups = subgroups or all_subgroups(S)
-    masks = [S.mask(P.elems) for P in subgroups]
+    masks = [S.mask(P) for P in subgroups]
     out = FusionSystem(S, p, conjugation_germs(conj_positions(G, S), masks))
     out._cache["subgroups"] = subgroups
     return out
@@ -289,7 +292,7 @@ def close_generated(
     ``subgroups`` is as for fusion_of_group.
     """
     subgroups = subgroups or all_subgroups(S)
-    masks = [S.mask(P.elems) for P in subgroups]
+    masks = [S.mask(P) for P in subgroups]
     germs: set = set()
     by_src: Dict[int, set] = {}
     by_img: Dict[int, set] = {}
@@ -307,7 +310,7 @@ def close_generated(
 
     for g in conjugation_germs(conj_positions(S, S), masks):  # the inner system
         push(g)
-    home = S.indexes(S)
+    home = bits(S.home_mask)
     for g in map(tuple, generators):
         if len(g) != S.order or not -1 <= min(g) <= max(g) < S.order:
             raise ValueError("generator does not live inside S")
@@ -347,22 +350,18 @@ def is_fully_K_normalized(F: FusionSystem, X: Subgroup, K: AutGroup) -> bool:
     x |-> ((x phi)^g) phi^-1, lies in K: its image (:func:`_pulled_back`)
     is tested among K's maps as :func:`group_K_normalizer` does.
     """
-    if K.base.elems != X.elems:
+    if K.base != X:
         raise ValueError("K must consist of automorphisms of X")
-    if not X.elems <= F.S.elems:
+    if not X <= F.S:
         raise ValueError("X is not a subgroup of S")
-    key = ("fully_K", X.elems, K.maps)
-    if key in F._cache:
-        return F._cache[key]
-    n0 = group_K_normalizer(F.S, X, K).order
-    verdict = True
-    for phi in F.germs_from(X):
-        n = sum(1 for image in _pulled_back(F, _inverse(phi)).values() if image in K.maps)
-        if n > n0:
-            verdict = False
-            break
-    F._cache[key] = verdict
-    return verdict
+    key = ("fully_K", F.S.home_mask_of(X), K.maps)
+    if key not in F._cache:
+        n0 = group_K_normalizer(F.S, X, K).order
+        F._cache[key] = all(
+            sum(image in K.maps for image in _pulled_back(F, _inverse(phi)).values()) <= n0
+            for phi in F.germs_from(X)
+        )
+    return F._cache[key]
 
 
 def is_fully_normalized(F: FusionSystem, X: Subgroup) -> bool:
@@ -389,13 +388,13 @@ def K_normalizer_subsystem(F: FusionSystem, X: Subgroup, K: AutGroup) -> FusionS
     restrictions of those from the join that act on X in K, each join's
     found once.
     """
-    key = ("NFK", X.elems, K.maps)
+    key = ("NFK", F.S.home_mask_of(X), K.maps)
     if key in F._cache:
         return F._cache[key]
-    if K.base.elems != X.elems:
+    if K.base != X:
         raise ValueError("K must consist of automorphisms of X")
     S0 = group_K_normalizer(F.S, X, K)
-    x, s0 = F.S.mask(X.elems), F.S.mask(S0.elems)
+    x, s0 = F.S.mask(X), F.S.mask(S0)
     xpos, s0pos = positions(F.S, X), positions(F.S, S0)
     lattice = {m: P for m, P in _lattice(F).items() if not m & ~s0}
     germs, good = set(), {}
@@ -459,35 +458,30 @@ def saturation_failure(F: FusionSystem) -> Optional[dict]:
             break
         # receptivity, phi in sorted order so that the witness depends on
         # content alone
-        ok, pm = True, F.S.mask(P.elems)
-        for Q in cls:
-            for phi in sorted(F.germs_from(Q)):
-                if _img(phi) != pm:
-                    continue
-                Nphi = _extension_control_group(F, phi, autS)
-                if not _extends_over(F, phi, Nphi):
-                    witness = {
-                        "axiom": "receptive",
-                        "P": P.label(),
-                        "Q": Q.label(),
-                        "phi": _map_label(F, phi),
-                        "N_phi": Nphi.label(),
-                    }
-                    ok = False
-                    break
-            if not ok:
+        pm = F.S.mask(P)
+        onto_P = ((Q, phi) for Q in cls for phi in sorted(F.germs_from(Q)) if _img(phi) == pm)
+        for Q, phi in onto_P:
+            Nphi = _extension_control_group(F, phi, autS)
+            if not _extends_over(F, phi, Nphi):
+                witness = {
+                    "axiom": "receptive",
+                    "P": P.label(),
+                    "Q": Q.label(),
+                    "phi": _map_label(F, phi),
+                    "N_phi": Nphi.label(),
+                }
                 break
-        if not ok:
+        if witness is not None:
             break
     F._cache["sat"] = witness
     return witness
 
 
-def _pulled_back(F: FusionSystem, psi: tuple) -> Dict[Perm, Tuple[int, ...]]:
-    """For psi: Y -> Z, each g in N_S(Y) mapped to the permutation image of
-    psi^-1 c_g psi, z |-> ((z psi^-1)^g) psi, on Z's sorted elements: the
-    action of g on Y (:func:`normalizer_action`) carried through psi. Kept
-    in F's cache per psi."""
+def _pulled_back(F: FusionSystem, psi: tuple) -> Dict[int, Tuple[int, ...]]:
+    """For psi: Y -> Z, the home index of each g in N_S(Y) mapped to the
+    permutation image of psi^-1 c_g psi, z |-> ((z psi^-1)^g) psi, on Z's
+    sorted elements: the action of g on Y (:func:`normalizer_action`)
+    carried through psi. Kept in F's cache per psi."""
     key = ("pulled_back", psi)
     if key not in F._cache:
         images = [j for j in psi if j >= 0]  # of Y's elements in order
@@ -501,19 +495,13 @@ def _pulled_back(F: FusionSystem, psi: tuple) -> Dict[Perm, Tuple[int, ...]]:
 def _extension_control_group(F: FusionSystem, phi: tuple, autS_P: AutGroup) -> Subgroup:
     """N_phi = {g in N_S(Q) : phi^-1 c_g phi in Aut_S(P)} for phi: Q -> P,
     tested among the maps of Aut_S(P)."""
-    return Subgroup(
-        frozenset(g for g, image in _pulled_back(F, phi).items() if image in autS_P.maps), F.S
-    )
+    pulled = _pulled_back(F, phi).items()
+    return F.S.from_home_mask(sum(1 << g for g, image in pulled if image in autS_P.maps))
 
 
 def _extends_over(F: FusionSystem, phi: tuple, N: Subgroup) -> bool:
     src = _src(phi)
-    if F.S.mask(N.elems) == src:
-        return True
-    for psi in F.germs_from(N):
-        if _restrict(psi, src) == phi:
-            return True
-    return False
+    return F.S.mask(N) == src or any(_restrict(psi, src) == phi for psi in F.germs_from(N))
 
 
 def is_saturated(F: FusionSystem) -> bool:
@@ -526,21 +514,17 @@ def is_saturated(F: FusionSystem) -> bool:
 
 def is_strongly_closed(F: FusionSystem, T: Subgroup) -> bool:
     """No F-morphism moves a subgroup of T outside T."""
-    if not T.elems <= F.S.elems:
+    if not T <= F.S:
         raise ValueError("T is not a subgroup of S")
-    t = F.S.mask(T.elems)
-    for src, germs in F.germs_by_src.items():
-        if not src & ~t:
-            for g in germs:
-                if _img(g) & ~t:
-                    return False
-    return True
+    t = F.S.mask(T)
+    inside = (germs for src, germs in F.germs_by_src.items() if not src & ~t)
+    return not any(_img(g) & ~t for germs in inside for g in germs)
 
 
 def is_normal_in_fusion(F: FusionSystem, P: Subgroup) -> bool:
     """Every F-morphism extends to one whose source includes P and which
     maps P onto P."""
-    p = F.S.mask(P.elems)
+    p = F.S.mask(P)
     for src, germs in F.germs_by_src.items():
         joined = next(m for m in _lattice(F) if not (src | p) & ~m)
         extended = {
@@ -559,19 +543,15 @@ def fusion_core(F: FusionSystem) -> Subgroup:
         return F._cache["core"]
     normals = [P for P in F.subgroups() if is_normal_in_fusion(F, P)]
     best = max(normals, key=lambda P: P.order)
-    for P in normals:
-        if not P.elems <= best.elems:
-            raise RuntimeError(
-                "normal subgroups of the fusion system do not have a "
-                "unique maximum; lattice bug"
-            )
+    if not all(P <= best for P in normals):
+        raise RuntimeError("normal subgroups of the fusion system have no unique maximum; lattice bug")
     F._cache["core"] = best
     return best
 
 
 def is_centric(F: FusionSystem, P: Subgroup) -> bool:
     for Q in F.conjugates(P):
-        if not centralizer(F.S, Q).elems <= Q.elems:
+        if not centralizer(F.S, Q) <= Q:
             return False
     return True
 
@@ -592,18 +572,18 @@ def subcentric_set(F: FusionSystem) -> Tuple[Subgroup, ...]:
     if saturation_failure(F) is not None:
         raise NotSaturated("subcentric set requires a saturated fusion system")
     if "subcentric" not in F._cache:
-        verdict: Dict[FrozenSet[Perm], bool] = {}
+        verdict: Dict[int, bool] = {}
         out = []
         for P in F.subgroups():
-            if P.elems not in verdict:
+            if P.home_mask not in verdict:
                 cls = F.conjugates(P)
                 rep = _full_normalized_members(F, cls)[0]
                 NF = normalizer_subsystem(F, rep)
                 core = fusion_core(NF)
                 good = is_centric(F, core)
                 for Q in cls:
-                    verdict[Q.elems] = good
-            if verdict[P.elems]:
+                    verdict[Q.home_mask] = good
+            if verdict[P.home_mask]:
                 out.append(P)
         out = tuple(out)
         _check_closure(F, out, "subcentric")
@@ -614,13 +594,13 @@ def subcentric_set(F: FusionSystem) -> Tuple[Subgroup, ...]:
 def _check_closure(F: FusionSystem, collection: Tuple[Subgroup, ...], name: str):
     """The centric/subcentric sets must be closed under F-conjugacy and
     overgroups; a violation here is an implementation bug, not user error."""
-    members = {P.elems for P in collection}
+    members = {P.home_mask for P in collection}
     for P in collection:
         for Q in F.conjugates(P):
-            if Q.elems not in members:
+            if Q.home_mask not in members:
                 raise RuntimeError("%s set not closed under conjugacy" % name)
         for Q in F.subgroups():
-            if P.elems <= Q.elems and Q.elems not in members:
+            if P <= Q and Q.home_mask not in members:
                 raise RuntimeError("%s set not closed under overgroups" % name)
 
 
@@ -630,13 +610,13 @@ def _check_closure(F: FusionSystem, collection: Tuple[Subgroup, ...], name: str)
 
 def hyperfocal_subgroup(F: FusionSystem) -> Subgroup:
     """hyp(F) = < [P, O^p(Aut_F(P))] : P <= S >."""
-    mul, inv, elems = F.S.home.mul_table, F.S.home.inv_table, tuple(F.S.home)
+    mul, inv = F.S.home.mul_table, F.S.home.inv_table
     gens = set()
     for P in F.subgroups():
-        xs = F.S.indexes(P)
+        xs = bits(F.S.home_mask_of(P))
         for alpha in op_residual(F.aut(P), F.p).maps:
             gens.update(mul[inv[x]][xs[k]] for x, k in zip(xs, alpha))
-    return join(F.subgroups(), map(elems.__getitem__, gens))
+    return join(F.subgroups(), sum(1 << g for g in gens))
 
 
 def has_p_power_index(D: FusionSystem, F: FusionSystem) -> bool:
@@ -646,7 +626,7 @@ def has_p_power_index(D: FusionSystem, F: FusionSystem) -> bool:
     if key not in F._cache:
         F._cache[key] = (
             subsystem_le(D, F)
-            and hyperfocal_subgroup(F).elems <= D.S.elems
+            and hyperfocal_subgroup(F) <= D.S
             and all(
                 op_residual(F.aut(P), F.p).maps <= D.aut(P).maps
                 for P in D.subgroups()
@@ -678,7 +658,7 @@ def is_weakly_normal(E: FusionSystem, F: FusionSystem) -> bool:
             return False
     # Frattini: phi = (E-germ) then (restriction of some alpha in Aut_F(T)),
     # phi taken in T's positions
-    t, pos = F.S.mask(T.elems), positions(F.S, T)
+    t, pos = F.S.mask(T), positions(F.S, T)
     for src, germs in F.germs_by_src.items():
         if src & ~t:
             continue
@@ -710,9 +690,9 @@ def is_normal_subsystem(E: FusionSystem, F: FusionSystem) -> bool:
 def _has_extension_property(E: FusionSystem, F: FusionSystem) -> bool:
     T = E.S
     C = centralizer(F.S, T)
-    P0 = join(F.subgroups(), T.elems | C.elems)
-    mul, inv, Z = F.S.home.mul_table, F.S.home.inv_table, set(F.S.indexes(center(T)))
-    home, pos, cm = F.S.indexes(F.S), positions(F.S, T), F.S.mask(C.elems)
+    P0 = join(F.subgroups(), F.S.home_mask_of(T) | C.home_mask)
+    mul, inv, Z = F.S.home.mul_table, F.S.home.inv_table, set(bits(F.S.home_mask_of(center(T))))
+    home, pos, cm = bits(F.S.home_mask), positions(F.S, T), F.S.mask(C)
     for alpha in E.aut(T).maps:
         found = False
         for psi in F.germs_from(P0):

@@ -2,33 +2,33 @@
 
 Everything here is exact and exhaustive: groups are small (corpus scale is
 |G| <= 72) and every operation enumerates elements. There is one group
-type, :class:`Subgroup`, held as its element set: an ambient group and its
-subgroups are values of the same class, immutable after construction.
+type, :class:`Subgroup`, for an ambient group and its subgroups alike,
+immutable. A group built from Perms alone is its own *home* and holds its
+sorted elements; any other is found in a home (a corpus group, the
+permutation image of an automorphism group) and is that home and its
+:attr:`Subgroup.home_mask`, an int whose bit a stands for the home's a-th
+sorted element. Its Perms (``elems``, iteration, ``label``) are a view
+built on first use, for labels, witnesses, tests and generators.
 
-Products and conjugates are read off integer tables over the sorted
-elements of a group's *home*: the group it was found in, or itself when
-built alone (a corpus group, the permutation image of an automorphism
-group). A normalizer, a Sylow subgroup or a lattice member names its
-home, so no table is built for it. Where conjugation sends the elements
-of X is read in one place, :func:`conj_positions`. A set of a group's
-elements is a mask over its sorted elements (:meth:`Subgroup.mask`; a
-group's own over its home is :attr:`Subgroup.home_mask`, and
-:func:`elements` turns a mask back into Perms), so no other module reads
-the conjugation table or the element index. A home also keeps, per X,
-N_G(X) and its action on X: the one test of "g normalizes X". And it
-keeps, each under a key of the content it depends on, what is decided
-about the groups that read its tables: O_p(H) and whether H has
-characteristic p, per (H, p); whether H is subnormal in G, per (H, G);
-Aut(X), per X; the permutation image of each automorphism group of
-such an X, per maps, which is then the one home of that content; and the
-subgroups of that group, per (X, maps). A question asked again about
-equal content, through whichever object, is answered from the home.
+Products and conjugates are read off integer tables over the home's sorted
+elements, so every construction here builds a home mask, never a Perm set.
+Where conjugation sends the elements of X is read in one place,
+:func:`conj_positions`; a group from another home is carried into a home
+in one place, :meth:`Subgroup.home_mask_of`, and a group inside S is a
+mask over S's sorted elements by :meth:`Subgroup.mask`, so no other
+module reads the conjugation table or the element index. A home keeps,
+per X's mask, N_G(X) and its action on X: the one test of "g normalizes
+X". It also keeps, under the masks they depend on, the verdicts about the
+groups reading its tables: O_p(H) and whether H has characteristic p, per
+(H, p); whether H is subnormal in G, per (H, G); Aut(X), per X; the
+permutation image of an automorphism group of X, per maps, which is then
+the one home of that content; and that image's subgroups, per (X, maps).
 
 Subgroup lattices are asked for only on p-groups and on permutation images
 of automorphism groups; S's is kept by the fusion system or locality over
-S. The lattice of R <= S is the members of S's inside R, in the same
-order, and the join of a subset of S the first member holding it
-(:func:`join`).
+S, by mask over S (:func:`lattice_by_mask`). The lattice of R <= S is the
+members of S's inside R, in the same order, and the join of a mask the
+first member holding it (:func:`join`).
 """
 
 from __future__ import annotations
@@ -75,8 +75,14 @@ def bits(mask: int) -> List[int]:
 
 def pack(mask: int, within: int) -> int:
     """mask read at within's set bits, bit k for the k-th: for within X's
-    mask over a group, a mask over X's sorted elements."""
-    return sum(1 << k for k, i in enumerate(bits(within)) if mask >> i & 1)
+    mask over a group, a mask over X's sorted elements. Bit i goes to the
+    number of within's bits below it."""
+    out, mask = 0, mask & within
+    while mask:
+        low = mask & -mask
+        out |= 1 << (within & (low - 1)).bit_count()
+        mask ^= low
+    return out
 
 
 def _close(mul: Sequence[Sequence[int]], gens: Iterable[int]) -> int:
@@ -91,23 +97,31 @@ def _close(mul: Sequence[Sequence[int]], gens: Iterable[int]) -> int:
 
 
 class Subgroup:
-    """A finite permutation group, held as its element set, immutable.
+    """A finite permutation group, held as its home, the group whose
+    tables it reads, and its home mask, immutable.
 
-    Two are equal exactly when their elements are, whatever group they
-    were found in: ``ambient``, the group whose tables this one reads (see
-    :attr:`home`), takes no part in equality.
+    ``Subgroup(elems)`` is a home of its own, holding its sorted elements;
+    ``Subgroup(elems, ambient)`` is found in the ambient's home, and an
+    element outside that home raises ValueError. Two are equal exactly
+    when their elements are, whatever home they were found in: the home
+    takes no part in equality, and the hash is that of the Perm view.
     """
 
     def __init__(self, elems: Iterable[Perm], ambient: Optional["Subgroup"] = None):
         elems = frozenset(elems)
         if not elems:
             raise ValueError("empty element set")
-        # a Perm's length is its degree; one set of lengths keeps this cheap,
-        # and every subgroup built anywhere pays for it
+        # a Perm's length is its degree; one set of lengths keeps this cheap
         if len(set(map(len, elems))) != 1:
             raise DegreeMismatch("mixed degrees in element set")
-        object.__setattr__(self, "elems", elems)
-        object.__setattr__(self, "ambient", None if ambient is None else ambient.home)
+        if ambient is None:
+            home, mask = self, (1 << len(elems)) - 1
+            object.__setattr__(self, "_sorted", sorted_elems(elems))
+        else:
+            home = ambient.home
+            mask = home.home_mask_of(elems)
+        object.__setattr__(self, "home", home)
+        object.__setattr__(self, "home_mask", mask)
 
     def __setattr__(self, name, value):
         raise AttributeError("Subgroup is immutable")
@@ -116,28 +130,40 @@ class Subgroup:
         raise AttributeError("Subgroup is immutable")
 
     def __eq__(self, other):
-        return self.elems == other.elems if other.__class__ is self.__class__ else NotImplemented
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.home_mask == other.home_mask if self.home is other.home else self.elems == other.elems
 
     def __hash__(self):
         return hash((self.elems,))
 
+    def __le__(self, other: "Subgroup") -> bool:
+        """Whether this group's elements all lie in other."""
+        try:
+            return not other.home_mask_of(self) & ~other.home_mask
+        except ValueError:
+            return False
+
     @property
-    def home(self) -> "Subgroup":
-        """The group whose tables this one reads: its ambient's home, or
-        itself when it has no ambient."""
-        return self if self.ambient is None else self.ambient
+    def ambient(self) -> Optional["Subgroup"]:
+        """The home it was found in, None for a home of its own."""
+        return None if self.home is self else self.home
 
     @property
     def degree(self) -> int:
-        return len(next(iter(self.elems)))
+        return len(self.home._sorted[0])
 
     @cached_property
     def identity(self) -> Perm:
         return identity(self.degree)
 
     @cached_property
-    def _sorted(self) -> Tuple[Perm, ...]:
-        return sorted_elems(self.elems)
+    def _sorted(self) -> Tuple[Perm, ...]:  # a home's state, other groups' view
+        return elements(self.home, self.home_mask)
+
+    @cached_property
+    def elems(self) -> FrozenSet[Perm]:
+        return frozenset(self._sorted)
 
     # The tables below are built on first use and read through ``home``:
     # they name elements by their index in the sorted element tuple, so index
@@ -171,44 +197,60 @@ class Subgroup:
         return tuple(tuple(mul[b][a] for b in mul[inv[a]]) for a in range(len(mul)))
 
     @cached_property
-    def _normalizers(self) -> Dict[FrozenSet[Perm], tuple]:
-        """Per X.elems, for G = self a home: N_G(X) and its action on X,
-        each g mapped to the permutation image of c_g on X's sorted
+    def _normalizers(self) -> Dict[int, tuple]:
+        """Per X's mask, for G = self a home: N_G(X) and its action on X,
+        each g's index mapped to the permutation image of c_g on X's sorted
         elements; filled by :func:`normalizer_action`."""
         return {}
 
     @cached_property
     def _kept(self) -> Dict[tuple, object]:
         """For G = self a home, what is decided about groups reading its
-        tables, per (kind, content): ("O_p", H.elems, p), ("char_p",
-        H.elems, p), ("subnormal", H.elems, G.elems), ("aut", X.elems),
-        ("image", maps) and ("sub_autgroups", X.elems, maps); filled by
-        :func:`core_Op`, :func:`is_characteristic_p`, :func:`is_subnormal`,
+        tables, per (kind, home masks): ("O_p", H, p), ("char_p", H, p),
+        ("subnormal", H, G), ("aut", X), ("image", maps) and
+        ("sub_autgroups", X, maps); filled by :func:`core_Op`,
+        :func:`is_characteristic_p`, :func:`is_subnormal`,
         :func:`aut_group`, :attr:`AutGroup._image` and
         :meth:`AutGroup.sub_autgroups`."""
         return {}
 
-    def mask(self, elems: Iterable[Perm]) -> int:
-        """A set of this group's elements as a mask over its sorted
-        elements, bit i set iff the i-th lies in the set; -1, every bit,
-        for a set not inside, so that it lies in no mask of elements."""
-        elems = frozenset(elems)
-        if not elems <= self.elems:
-            return -1
-        return sum(1 << i for i in map(self.element_index.__getitem__, elems))
+    def home_mask_of(self, X: Iterable[Perm]) -> int:
+        """X, a group or a set of Perms, as a mask over this group's home: a
+        group's home_mask when it reads that home, else X's Perms carried
+        in through the home's element index, the one place a group crosses
+        homes; ValueError for an element outside the home."""
+        if X.__class__ is Subgroup and X.home is self.home:
+            return X.home_mask
+        return sum({1 << a for a in self.indexes(X)})
 
-    @cached_property
-    def home_mask(self) -> int:
-        """This group's elements as a mask over its home's sorted elements."""
-        return self.home.mask(self.elems)
+    def mask(self, X: Iterable[Perm]) -> int:
+        """X, a group or a set of Perms, as a mask over this group's sorted
+        elements, bit i for the i-th; -1, every bit, for an X not inside,
+        so that it lies in no mask of elements."""
+        try:
+            m = self.home_mask_of(X)
+        except ValueError:
+            return -1
+        return -1 if m & ~self.home_mask else pack(m, self.home_mask)
 
     def from_home_mask(self, mask: int) -> "Subgroup":
         """The subgroup of the home at mask's bits: home_mask's inverse."""
-        return Subgroup(frozenset(elements(self.home, mask)), self)
+        if mask <= 0 or mask >> len(self.home._sorted):
+            raise ValueError("not a nonempty set of the home's elements")
+        out = object.__new__(Subgroup)
+        object.__setattr__(out, "home", self.home)
+        object.__setattr__(out, "home_mask", mask)
+        return out
+
+    def from_mask(self, mask: int) -> "Subgroup":
+        """The subgroup at the bits of a mask over this group's sorted
+        elements: mask's inverse."""
+        inside = bits(self.home_mask)
+        return self.from_home_mask(sum(1 << inside[k] for k in bits(mask)))
 
     def indexes(self, elems: Iterable[Perm]) -> List[int]:
-        """The home indexes of elems, in their order; ValueError for an
-        element outside the home."""
+        """The home indexes of elems, in their order, for Perm words at the
+        edges; ValueError for an element outside the home."""
         try:
             return list(map(self.home.element_index.__getitem__, elems))
         except KeyError:
@@ -216,7 +258,7 @@ class Subgroup:
 
     @property
     def order(self) -> int:
-        return len(self.elems)
+        return self.home_mask.bit_count()
 
     def __contains__(self, p: Perm) -> bool:
         return p in self.elems
@@ -225,14 +267,15 @@ class Subgroup:
         return iter(self._sorted)
 
     def __len__(self):
-        return len(self.elems)
+        return self.order
 
     def trivial_subgroup(self) -> "Subgroup":
-        return Subgroup(frozenset([self.identity]), self)
+        return self.from_home_mask(1)  # the identity sorts first
 
     def generated_subgroup(self, gens: Iterable[Perm]) -> "Subgroup":
-        """The subgroup generated by elements of this group."""
-        return self.from_home_mask(_close(self.home.mul_table, self.indexes(gens)))
+        """The subgroup generated by elements of this group's home, given
+        as Perms."""
+        return generated(self, self.home_mask_of(gens))
 
     def is_normal_in(self, other: "Subgroup") -> bool:
         return normalizer(other, self) == other
@@ -258,6 +301,19 @@ def generate_group(gens: Iterable[Perm], cap: int = ELEMENT_CAP) -> Subgroup:
     return Subgroup(mulclose(gens, cap=cap))
 
 
+def generated(G: Subgroup, mask: int) -> Subgroup:
+    """The subgroup generated by the elements at mask's bits, a mask over
+    G's home, closed on the home's product table."""
+    return G.from_home_mask(_close(G.home.mul_table, bits(mask)))
+
+
+def _canonical(G: Subgroup, masks: Iterable[int]) -> Tuple[Subgroup, ...]:
+    """The subgroups of G's home at masks, in all_subgroups' canonical order
+    (order, then element list): index order is element order, so bit lists
+    order as sorted elements."""
+    return tuple(map(G.from_home_mask, sorted(masks, key=lambda m: (m.bit_count(), bits(m)))))
+
+
 def all_subgroups(G: Subgroup, cap: int = SUBGROUP_CAP) -> Tuple[Subgroup, ...]:
     """Every subgroup of G, canonically ordered (order, then element list).
 
@@ -270,7 +326,7 @@ def all_subgroups(G: Subgroup, cap: int = SUBGROUP_CAP) -> Tuple[Subgroup, ...]:
         raise CapExceeded("group order %d exceeds subgroup cap %d" % (G.order, cap))
     # each subgroup found, with a generating tuple; the queue grows as it is read
     mul, found = G.home.mul_table, {}
-    for a in G.indexes(G):
+    for a in bits(G.home_mask):
         found.setdefault(_close(mul, (a,)), (a,))
     cyclics, queue = list(found.items()), list(found)
     for H in queue:
@@ -278,62 +334,68 @@ def all_subgroups(G: Subgroup, cap: int = SUBGROUP_CAP) -> Tuple[Subgroup, ...]:
             if C & ~H and (J := _close(mul, found[H] + c)) not in found:
                 found[J] = found[H] + c
                 queue.append(J)
-    # index order is element order, so bit lists order as sorted elements
-    return tuple(map(G.from_home_mask, sorted(found, key=lambda m: (m.bit_count(), bits(m)))))
+    return _canonical(G, found)
 
 
-def join(lattice: Sequence[Subgroup], elems: Iterable[Perm]) -> Optional[Subgroup]:
-    """The first member of a canonically ordered lattice holding elems, or
-    None: for S's lattice and elems inside S, the subgroup they generate,
-    which lies in every member holding them and so comes first."""
-    elems = frozenset(elems)
-    return next((H for H in lattice if elems <= H.elems), None)
+def lattice_by_mask(S: Subgroup, subgroups: Iterable[Subgroup]) -> Dict[int, Subgroup]:
+    """Subgroups of S keyed by their masks over S's sorted elements, in
+    their order: S's lattice as the fusion and locality layers keep it."""
+    return {S.mask(P): P for P in subgroups}
+
+
+def join(lattice: Sequence[Subgroup], mask: int) -> Optional[Subgroup]:
+    """The first member of a canonically ordered lattice holding the
+    elements at mask's bits, a mask over the members' home, or None: for
+    S's lattice and a mask inside S, the subgroup they generate, which lies
+    in every member holding them and so comes first."""
+    return next((H for H in lattice if not mask & ~H.home_mask), None)
 
 
 def positions(S: Subgroup, P: Subgroup) -> Dict[int, int]:
     """The positions in S's sorted elements of P's, in order, each mapped
     to its place in P."""
-    return {S.element_index[x]: k for k, x in enumerate(P)}
+    return {i: k for k, i in enumerate(bits(S.mask(P)))}
 
 
 def conj_positions(G: Subgroup, X: Subgroup) -> Tuple[Tuple[int, ...], ...]:
     """Per element g of G, in sorted order, the positions in X's sorted
     elements of x^g, x running over them in order, -1 where x^g leaves X:
     the home's conjugation table read at X. Nothing is kept."""
-    xs = G.indexes(X)
+    xs = bits(G.home_mask_of(X))
     position = {x: k for k, x in enumerate(xs)}
-    rows = map(G.home.conj_table.__getitem__, G.indexes(G))
+    rows = map(G.home.conj_table.__getitem__, bits(G.home_mask))
     return tuple(tuple(position.get(row[x], -1) for x in xs) for row in rows)
 
 
-def normalizer_action(G: Subgroup, X: Subgroup) -> Dict[Perm, Tuple[int, ...]]:
-    """The action of N_G(X) on X: each g in N_G(X) mapped to its row of
-    conj_positions(G, X), which has no -1. Read once per X on the home and
-    kept there with N_home(X); for G not its home it is restricted to G."""
-    home = G.home
-    hit = home._normalizers.get(X.elems)
-    if hit is None:
-        rows = zip(home, conj_positions(home, X))
-        action = {g: image for g, image in rows if -1 not in image}
-        hit = home._normalizers[X.elems] = (Subgroup(frozenset(action), home), action)
-    if G is home:
-        return hit[1]
-    return {g: image for g, image in hit[1].items() if g in G.elems}
+def normalizer_action(G: Subgroup, X: Subgroup) -> Dict[int, Tuple[int, ...]]:
+    """The action of N_G(X) on X: the home index of each g in N_G(X)
+    mapped to its row of conj_positions(G, X), which has no -1. Read once
+    per X's mask on the home and kept there with N_home(X); for G not its
+    home it is restricted to G."""
+    home, x = G.home, G.home_mask_of(X)
+    if x not in home._normalizers:
+        action = {g: image for g, image in enumerate(conj_positions(home, X)) if -1 not in image}
+        home._normalizers[x] = (home.from_home_mask(sum(1 << g for g in action)), action)
+    action = home._normalizers[x][1]
+    return action if G is home else {g: image for g, image in action.items() if G.home_mask >> g & 1}
 
 
 def normalizer(G: Subgroup, X: Subgroup) -> Subgroup:
     """N_G(X) = {g : X^g = X}, kept on G's home per X."""
-    action = normalizer_action(G, X)
-    return G._normalizers[X.elems][0] if G is G.home else Subgroup(frozenset(action), G)
+    normalizer_action(G.home, X)
+    N = G.home._normalizers[G.home_mask_of(X)][0]
+    return N if G is G.home else G.from_home_mask(N.home_mask & G.home_mask)
+
+
+def _acting(G: Subgroup, X: Subgroup, maps) -> Subgroup:
+    """The g in N_G(X) whose action on X is one of maps."""
+    return G.from_home_mask(sum(1 << g for g, image in normalizer_action(G, X).items() if image in maps))
 
 
 def centralizer(G: Subgroup, X: Subgroup) -> Subgroup:
     """C_G(X) = {g : x^g = x for all x in X}: the g in N_G(X) acting on X
     as the identity."""
-    fixed = tuple(range(X.order))
-    return Subgroup(
-        frozenset(g for g, image in normalizer_action(G, X).items() if image == fixed), G
-    )
+    return _acting(G, X, (tuple(range(X.order)),))
 
 
 def center(G: Subgroup) -> Subgroup:
@@ -343,8 +405,8 @@ def center(G: Subgroup) -> Subgroup:
 def normal_closure(G: Subgroup, H: Subgroup) -> Subgroup:
     """Smallest normal subgroup of G containing H: the subgroup generated
     by the G-conjugates of H's elements, on the home's tables."""
-    conj, hs = G.home.conj_table, G.indexes(H)
-    return G.from_home_mask(_close(G.home.mul_table, {conj[a][h] for a in G.indexes(G) for h in hs}))
+    conj, hs = G.home.conj_table, bits(G.home_mask_of(H))
+    return generated(G, sum({1 << conj[a][h] for a in bits(G.home_mask) for h in hs}))
 
 
 def p_part(n: int, p: int) -> int:
@@ -361,9 +423,9 @@ def p_part(n: int, p: int) -> int:
 def p_subgroups(G: Subgroup, subgroups: Sequence[Subgroup]) -> Tuple[Subgroup, ...]:
     """The p-subgroups of G, given those of a Sylow p-subgroup: by Sylow's
     theorem their G-conjugates, in all_subgroups' canonical order."""
-    conj, gs = G.home.conj_table, G.indexes(G)
-    found = {sum(1 << conj[a][x] for x in xs) for xs in map(G.indexes, subgroups) for a in gs}
-    return tuple(map(G.from_home_mask, sorted(found, key=lambda m: (m.bit_count(), bits(m)))))
+    conj, gs = G.home.conj_table, bits(G.home_mask)
+    xss = [bits(G.home_mask_of(P)) for P in subgroups]
+    return _canonical(G, {sum(1 << conj[a][x] for x in xs) for xs in xss for a in gs})
 
 
 def is_p_group(X: Subgroup, p: int) -> bool:
@@ -405,19 +467,20 @@ def sylow_subgroup(G: Subgroup, p: int) -> Subgroup:
 def core_Op(G: Subgroup, p: int) -> Subgroup:
     """O_p(G), the intersection of the Sylow conjugates: the x in a Sylow
     subgroup P with x^g in P for every g in G. Kept on G's home per (G, p)."""
-    kept, key = G.home._kept, ("O_p", G.elems, p)
+    kept, key = G.home._kept, ("O_p", G.home_mask, p)
     if key not in kept:
-        conj, inside, gs = G.home.conj_table, set(G.indexes(sylow_subgroup(G, p))), G.indexes(G)
+        conj, gs = G.home.conj_table, bits(G.home_mask)
+        inside = set(bits(sylow_subgroup(G, p).home_mask))
         kept[key] = G.from_home_mask(sum(1 << x for x in inside if all(conj[a][x] in inside for a in gs)))
     return kept[key]
 
 
 def is_characteristic_p(G: Subgroup, p: int) -> bool:
     """C_G(O_p(G)) <= O_p(G). Kept on G's home per (G, p)."""
-    kept, key = G.home._kept, ("char_p", G.elems, p)
+    kept, key = G.home._kept, ("char_p", G.home_mask, p)
     if key not in kept:
         Q = core_Op(G, p)
-        kept[key] = centralizer(G, Q).elems <= Q.elems
+        kept[key] = centralizer(G, Q) <= Q
     return kept[key]
 
 
@@ -428,13 +491,13 @@ def subnormal_chain(H: Subgroup, G: Subgroup) -> Optional[Tuple[Subgroup, ...]]:
     closure of H in G_i; H is subnormal in G iff the sequence reaches H.
     Each term is normal in its predecessor, so reversing gives the chain.
     """
-    if not H.elems <= G.elems:
+    if not H <= G:
         raise ValueError("H is not a subgroup of G")
     descent = [G]
-    while descent[-1].elems != H.elems:
+    while descent[-1] != H:
         cur = descent[-1]
         nxt = normal_closure(cur, H)
-        if nxt.elems == cur.elems:
+        if nxt == cur:
             return None
         descent.append(nxt)
     return tuple(reversed(descent))
@@ -443,7 +506,7 @@ def subnormal_chain(H: Subgroup, G: Subgroup) -> Optional[Tuple[Subgroup, ...]]:
 def is_subnormal(H: Subgroup, G: Subgroup) -> bool:
     """Whether subnormal_chain(H, G) finds a chain. Kept on G's home per
     (H, G); an H outside G raises on every call."""
-    kept, key = G.home._kept, ("subnormal", H.elems, G.elems)
+    kept, key = G.home._kept, ("subnormal", G.home_mask_of(H), G.home_mask)
     if key not in kept:
         kept[key] = subnormal_chain(H, G) is not None
     return kept[key]
@@ -506,13 +569,13 @@ class AutGroup:
         """All subgroups of this automorphism group, in all_subgroups'
         canonical order of their permutation images, closed on the image's
         own table. Kept on the base's home per (base, maps)."""
-        kept, key = self.base.home._kept, ("sub_autgroups", self.base.elems, self.maps)
+        kept, key = self.base.home._kept, ("sub_autgroups", self.base.home_mask, self.maps)
         if key not in kept:
-            kept[key] = tuple(AutGroup(self.base, H.elems) for H in all_subgroups(self.perm_group()))
+            kept[key] = tuple(AutGroup(self.base, H) for H in all_subgroups(self.perm_group()))
         return kept[key]
 
     def _check_base(self, other: "AutGroup") -> None:
-        if other.base.elems != self.base.elems:
+        if other.base != self.base:
             raise ValueError("mismatched bases")
 
     def product(self, other: "AutGroup") -> "AutGroup":
@@ -542,7 +605,8 @@ class AutGroup:
 
     def is_subnormal_in(self, other: "AutGroup") -> bool:
         self._check_base(other)
-        return is_subnormal(Subgroup(self.maps), other.perm_group())
+        G = other.perm_group()
+        return is_subnormal(Subgroup(self.maps, G), G)
 
 
 def aut_group(X: Subgroup, cap: int = AUT_BASE_CAP) -> AutGroup:
@@ -558,7 +622,7 @@ def aut_group(X: Subgroup, cap: int = AUT_BASE_CAP) -> AutGroup:
     """
     if X.order > cap:
         raise CapExceeded("automorphism base %d exceeds cap %d" % (X.order, cap))
-    kept, key = X.home._kept, ("aut", X.elems)
+    kept, key = X.home._kept, ("aut", X.home_mask)
     if key not in kept:
         kept[key] = _automorphisms(X)
     return kept[key]
@@ -566,7 +630,7 @@ def aut_group(X: Subgroup, cap: int = AUT_BASE_CAP) -> AutGroup:
 
 def _automorphisms(X: Subgroup) -> AutGroup:
     """The search of :func:`aut_group`, run once per X on its home."""
-    mul, elems, xs = X.home.mul_table, X.home._sorted, X.indexes(X)
+    mul, elems, xs = X.home.mul_table, X.home._sorted, bits(X.home_mask)
     # a small (greedy, deterministic) generating sequence
     gens, closure = [], 1
     for x in xs:
@@ -615,22 +679,19 @@ def trivial_aut_group(X: Subgroup) -> AutGroup:
 def op_residual(A: AutGroup, p: int) -> AutGroup:
     """O^p(A): the subgroup generated by all p'-elements of A."""
     G = A.perm_group()
-    closure = G.generated_subgroup(g for g in G.elems if gcd(g.order(), p) == 1)
-    return AutGroup(A.base, closure.elems)
+    return AutGroup(A.base, generated(G, sum(1 << a for a, g in enumerate(G) if gcd(g.order(), p) == 1)))
 
 
 def group_K_normalizer(G: Subgroup, X: Subgroup, K: AutGroup) -> Subgroup:
     """N_G^K(X) = {g in N_G(X) : c_g restricted to X lies in K}: the g whose
     action on X is one of K's maps."""
-    if K.base.elems != X.elems:
+    if K.base != X:
         raise ValueError("K is not a group of automorphisms of X")
-    return Subgroup(
-        frozenset(g for g, image in normalizer_action(G, X).items() if image in K.maps), G
-    )
+    return _acting(G, X, K.maps)
 
 
-def set_product(G: Subgroup, A: Iterable[Perm], B: Iterable[Perm]) -> FrozenSet[Perm]:
-    """{ab : a in A, b in B} for subsets of G, read off the home's table."""
-    mul, elems = G.home.mul_table, G.home._sorted
-    bs = G.indexes(B)
-    return frozenset(elems[mul[a][b]] for a in G.indexes(A) for b in bs)
+def set_product(G: Subgroup, A: Subgroup, B: Subgroup) -> int:
+    """{ab : a in A, b in B} for subgroups of G's home, as a mask over the
+    home, read off its table."""
+    mul, bs = G.home.mul_table, bits(G.home_mask_of(B))
+    return sum({1 << mul[a][b] for a in bits(G.home_mask_of(A)) for b in bs})

@@ -92,6 +92,7 @@ from .groups import (
     group_K_normalizer,
     is_characteristic_p,
     is_p_group,
+    lattice_by_mask,
     normalizer,
     p_part,
     pack,
@@ -184,11 +185,6 @@ class Locality:
         """The elements as Perms, in sorted order: the letters of words."""
         return elements(self.ambient, self.elems)
 
-    def delta_subgroups(self) -> Tuple[Subgroup, ...]:
-        """The objects, ordered by their sorted element lists."""
-        S, G = self.S, self.ambient
-        return tuple(Subgroup(frozenset(elements(S, d)), G) for d in sorted(self.Delta, key=bits))
-
     def in_domain(self, word: Sequence[Perm]) -> bool:
         try:
             word = self.ambient.indexes(word)
@@ -223,7 +219,7 @@ def _lattice(L: Locality) -> Dict[int, Subgroup]:
     """S's lattice by mask over S, in all_subgroups' canonical order, kept
     in L's memo: handed on by group_locality or restrict, or built."""
     if "lattice" not in L._memo:
-        L._memo["lattice"] = {L.S.mask(P.elems): P for P in all_subgroups(L.S)}
+        L._memo["lattice"] = lattice_by_mask(L.S, all_subgroups(L.S))
     return L._memo["lattice"]
 
 
@@ -271,8 +267,8 @@ def group_locality(
     fusion_of_partial) the locality is to use, if the caller holds one."""
     if S.order != p_part(G.order, p):
         raise NotSylow("S is not a Sylow %d-subgroup of G" % p)
-    lattice = {S.mask(H.elems): H for H in subgroups or all_subgroups(S)}
-    out = Locality(G, G.home_mask, lattice, G.mask(S.elems), p)
+    lattice = lattice_by_mask(S, subgroups or all_subgroups(S))
+    out = Locality(G, G.home_mask, lattice, G.home_mask_of(S), p)
     out._memo["lattice"] = lattice
     if systems is not None:
         out._systems = systems
@@ -299,7 +295,7 @@ def build_group_locality(
     if out == L:
         # every subgroup of S is an object, so out has L's content and
         # restricts as L did, to itself: kept as bN_K keeps a restriction
-        out._memo["restrict", out.elems, out.Delta, one.elems] = out
+        out._memo["restrict", out.elems, out.Delta, one.home_mask] = out
     return out
 
 
@@ -333,8 +329,7 @@ def _S_f_masks(L: Locality) -> Tuple[int, ...]:
 def S_f(L: Locality, f: Perm) -> Subgroup:
     """S_f = {x in S : (f^-1, x, f) in D and x^f in S}, from its mask."""
     [a] = L.ambient.indexes([f])
-    mask = _S_f_masks(L)[a] if L.elems >> a & 1 else 0
-    return Subgroup(frozenset(elements(L.rule.S, mask)), L.ambient)
+    return L.rule.S.from_mask(_S_f_masks(L)[a] if L.elems >> a & 1 else 0)
 
 
 def _conj_mask(L: Locality, mask: int, a: int) -> Optional[int]:
@@ -367,7 +362,7 @@ def K_normalizer_partial(L: Locality, X: Subgroup, K: AutGroup) -> int:
 
 def _defined_on(L: Locality, X: Subgroup, N: Subgroup) -> int:
     """The f in N cap L for which X^f is defined in L: X <= S_f."""
-    x, sf = L.rule.S.mask(X.elems), _S_f_masks(L)
+    x, sf = L.rule.S.mask(X), _S_f_masks(L)
     return sum(1 << f for f in bits(N.home_mask & L.elems) if not x & ~sf[f])
 
 
@@ -407,7 +402,7 @@ def restrict(L: Locality, H: int, Gamma: Iterable[int], X: Subgroup) -> Locality
                 raise GammaNotClosed("not closed under H-conjugation")
     # (Q1): <P, X> must be an object of L for every P in Gamma; the join is
     # the first member of S's lattice holding P and X (none for X outside S)
-    x, joined_of = L.rule.S.mask(X.elems), {}
+    x, joined_of = L.rule.S.mask(X), {}
     for P in objects:
         joined = joined_of[P] = next((m for m in lattice if not (P | x) & ~m), None)
         if joined not in L.rule.masks:
@@ -464,16 +459,17 @@ def bN_K(L: Locality, F: FusionSystem, X: Subgroup, K: AutGroup) -> Locality:
     share (K and K cap Aut_F(X), for one); a failed hypothesis is not
     kept, so it raises again on every call.
     """
-    key = ("bN_K", F, X.elems, K.maps)
+    x = L.ambient.home_mask_of(X)
+    key = ("bN_K", F, x, K.maps)
     hit = L._memo.get(key)
     if hit is not None:
         return hit
     if not is_fully_K_normalized(F, X, K):
         raise NotFullyKNormalized("X is not fully K-normalized in F")
     NFK = K_normalizer_subsystem(F, X, K)
-    Gamma = frozenset(L.S.mask(P.elems) for P in subcentric_set(NFK))
+    Gamma = frozenset(L.S.mask(P) for P in subcentric_set(NFK))
     H = K_normalizer_partial(L, X, K)
-    content = ("restrict", H, Gamma, X.elems)
+    content = ("restrict", H, Gamma, x)
     hit = L._memo.get(content)
     if hit is None:
         hit = L._memo[content] = restrict(L, H, Gamma, X)
@@ -532,14 +528,14 @@ def fusion_of_partial(L: Locality, N: int, base: Optional[Subgroup] = None) -> F
     """
     T = _inside(L, N) & L.S_elems
     R = base if base is not None else L.ambient.from_home_mask(T)
-    r = L.ambient.mask(R.elems)
+    r = L.ambient.home_mask_of(R)
     if r & ~T:
         raise ValueError("base is not inside the partial subgroup and S")
     table, key = L._systems, (L, N, r)
     hit = table.get(key)
     if hit is None:
         germs = _partial_germs(L, N, R)
-        closure = (R.elems, frozenset(germs))
+        closure = (r, frozenset(germs))
         hit = table.get(closure)
         if hit is None:
             rs = pack(r, L.S_elems)
@@ -559,7 +555,7 @@ def _partial_germs(L: Locality, N: int, R: Subgroup) -> set:
     that the row keeps in S. For f in L, (f) and (f^-1) lie in D, so P =
     S cap S^(f^-1) = R_(f) and P^f = R_(f^-1) are objects; for x in P the
     object chain P^f, P, P, P^f along (f^-1, x, f) puts that word in D."""
-    rs, at = L.rule.S.mask(R.elems), positions(L.rule.S, R)
+    rs, at = L.rule.S.mask(R), positions(L.rule.S, R)
     rows = {L.rule.conj_pos[a] for a in bits(N)}
     return conjugation_germs(
         {tuple(at.get(row[i], -1) for i in at) for row in rows},
@@ -573,7 +569,7 @@ def _partial_germs(L: Locality, N: int, R: Subgroup) -> set:
 
 def product_partial(L: Locality, N: int, X: Subgroup) -> int:
     """N X = {Pi(n, x) : (n, x) in D}, verified to be a partial subgroup."""
-    N, x = _inside(L, N), L.ambient.mask(X.elems)
+    N, x = _inside(L, N), L.ambient.home_mask_of(X)
     if x & ~L.S_elems:
         raise ValueError("X must lie inside S")
     out = sum({1 << nx for _, _, nx in _domain_pairs(L, N, x)})
@@ -586,7 +582,7 @@ def product_partial(L: Locality, N: int, X: Subgroup) -> int:
 def product_fusion(L: Locality, N: int, X: Subgroup) -> FusionSystem:
     """The product system realized in the locality: F_{TX}(N X)."""
     NX, lattice = product_partial(L, N, X), _lattice(L)
-    tx = pack(N & L.S_elems, L.S_elems) | L.S.mask(X.elems)
+    tx = pack(N & L.S_elems, L.S_elems) | L.S.mask(X)
     TX = next(m for m in lattice if not tx & ~m)  # the join of T and X
     if pack(NX & L.S_elems, L.S_elems) != TX:
         raise NotPartialSubgroup("N X cap S differs from T X; the product is not well formed")
@@ -967,12 +963,12 @@ def verify_subcentric_locality(
         return fail({"axiom": "locality", "inner": base.witness})
     if L.S != F.S:
         return fail({"axiom": "same-S"})
-    if frozenset(L.S.mask(P.elems) for P in subcentric_set(F)) != L.Delta:
+    if frozenset(L.S.mask(P) for P in subcentric_set(F)) != L.Delta:
         return fail({"axiom": "Delta-is-subcentric-set"})
     FL = fusion_of_partial(L, L.elems, base=L.S)
     if FL != F:
         return fail({"axiom": "F_S(L)-is-F"})
-    for P in L.delta_subgroups():
+    for P in map(L.S.from_mask, sorted(L.Delta, key=bits)):  # in sorted element order
         NP = normalizer_partial(L, P)
         bad = partial_subgroup_violation(L, NP)
         if bad is not None:

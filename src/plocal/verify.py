@@ -27,7 +27,7 @@ Statement ids:
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import fusion as fu
 from . import groups as gp
@@ -40,7 +40,7 @@ from .errors import (
     PLocalError,
 )
 from .groups import AutGroup, Subgroup
-from .perm import Perm, parse_cycles, perm_from_cycles
+from .perm import parse_cycles, perm_from_cycles
 from .report import VerificationReport, failed_report, passed_report, skipped_report
 
 STATEMENTS = (
@@ -78,20 +78,14 @@ def check_char_p_normalizer_subgroup(
         return skipped_report(stmt, instance, "G-not-characteristic-p")
     if not gp.is_p_group(X, p):
         return skipped_report(stmt, instance, "X-not-p-group")
-    NX = gp.normalizer(G, X)
-    CX = gp.centralizer(G, X)
-    if not (CX.elems <= H.elems and H.elems <= NX.elems):
+    if not gp.centralizer(G, X) <= H <= gp.normalizer(G, X):
         return skipped_report(stmt, instance, "H-not-between-centralizer-and-normalizer")
-    HX = G.generated_subgroup(H.elems | X.elems)
+    HX = gp.generated(G, G.home_mask_of(H) | G.home_mask_of(X))
     if not gp.is_subnormal(H, HX):
         return skipped_report(stmt, instance, "H-not-subnormal-in-HX")
     if gp.is_characteristic_p(H, p):
         return passed_report(stmt, instance, H_order=H.order)
-    return failed_report(
-        stmt,
-        instance,
-        {"H": H.label(), "O_p(H)": gp.core_Op(H, p).label()},
-    )
+    return failed_report(stmt, instance, {"H": H.label(), "O_p(H)": gp.core_Op(H, p).label()})
 
 
 def check_char_p_normalizer_aut(
@@ -108,26 +102,15 @@ def check_char_p_normalizer_aut(
     KInn = K.times_inn
     if not K.is_subnormal_in(KInn):
         return skipped_report(stmt, instance, "K-not-subnormal-in-K*Inn(X)")
-    NK = gp.group_K_normalizer(G, X, K)
-    NKI = gp.group_K_normalizer(G, X, KInn)
-    prod = gp.set_product(G, NK.elems, X.elems)
-    if NKI.elems != prod:
-        return failed_report(
-            stmt,
-            instance,
-            {
-                "part": "product-identity",
-                "N^{KInn}": NKI.label(),
-                "N^K * X": sorted(str(x) for x in prod),
-            },
-        )
+    NK, NKI = gp.group_K_normalizer(G, X, K), gp.group_K_normalizer(G, X, KInn)
+    prod = gp.set_product(G, NK, X)
+    if NKI.home_mask != prod:
+        NKX = sorted(str(x) for x in gp.elements(G.home, prod))
+        witness = {"part": "product-identity", "N^{KInn}": NKI.label(), "N^K * X": NKX}
+        return failed_report(stmt, instance, witness)
     if gp.is_characteristic_p(NK, p):
         return passed_report(stmt, instance, NK_order=NK.order, identity_checked=1)
-    return failed_report(
-        stmt,
-        instance,
-        {"part": "characteristic-p", "N^K": NK.label()},
-    )
+    return failed_report(stmt, instance, {"part": "characteristic-p", "N^K": NK.label()})
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +193,7 @@ def check_fully_K_normalized_transfer(
 
 
 def _product_system(L: lo.Locality, N: int, X: Subgroup) -> fu.FusionSystem:
-    key = ("EX", N, X.elems)
+    key = ("EX", N, L.ambient.home_mask_of(X))
     hit = L._memo.get(key)
     if hit is None:
         hit = lo.product_fusion(L, N, X)
@@ -290,7 +273,7 @@ def _theorem_record(
     X: Subgroup,
     K: AutGroup,
 ) -> TheoremRecord:
-    key = ("theorem", F, E, N, X.elems, K.maps)
+    key = ("theorem", F, E, N, L.ambient.home_mask_of(X), K.maps)
     hit = L._memo.get(key)
     if hit is None:
         hit = _decide_main_theorem(L, F, E, N, X, K)
@@ -454,7 +437,7 @@ def prepare_entry(entry, word_len: int = 3):
     sat = fu.saturation_failure(F)
     if sat is not None:
         return None, failed_report("Axioms", inst, {"saturation": sat})
-    Delta = frozenset(S.mask(P.elems) for P in fu.subcentric_set(F))
+    Delta = frozenset(S.mask(P) for P in fu.subcentric_set(F))
     # the entry's one table of systems, started by F and handed on to L
     systems = fu.table_of_systems(F)
     L = lo.build_group_locality(G, S, Delta, p, subgroups=F.subgroups(), systems=systems)
@@ -462,9 +445,10 @@ def prepare_entry(entry, word_len: int = 3):
     rep = _verified_subcentric(L, L, F, word_len)
     if not rep.passed:
         return None, failed_report("Axioms", inst, {"subcentric-locality": rep.witness})
-    H = Subgroup(entry.H.elems, G)
-    T = Subgroup(S.elems & H.elems, G)
-    lattice = tuple(P for P in F.subgroups() if P.elems <= T.elems)
+    # H is built in G's home when the corpus is read, so T = S cap H is an AND
+    H = entry.H
+    T = G.from_home_mask(S.home_mask & H.home_mask)
+    lattice = tuple(P for P in F.subgroups() if P <= T)
     E = fu.interned(systems, fu.fusion_of_group(H, T, p, subgroups=lattice))
     if not fu.is_normal_subsystem(E, F):
         return None, failed_report("Axioms", inst, {"subsystem": "F_T(H) not normal in F"})
@@ -475,29 +459,11 @@ def prepare_entry(entry, word_len: int = 3):
     if bad is not None:
         return None, failed_report("Axioms", inst, {"partial-normal": bad})
     if lo.fusion_of_partial(L, N) != E:
-        return None, failed_report(
-            "Axioms", inst, {"partial-normal": "F_T(H cap L) != F_T(H)"}
-        )
-    X_list = entry.X_subgroups(G, S)
-    pe = PreparedEntry(
-        name=name,
-        p=p,
-        G=G,
-        F=F,
-        L=L,
-        E=E,
-        N=N,
-        X_list=X_list,
-        K_descriptors=entry.K_descriptors(),
-    )
+        return None, failed_report("Axioms", inst, {"partial-normal": "F_T(H cap L) != F_T(H)"})
+    pe = PreparedEntry(name, p, G, F, L, E, N, entry.X_subgroups(G, S), entry.K_descriptors())
     axioms = passed_report(
-        "Axioms",
-        inst,
-        L_size=L.elems.bit_count(),
-        objects=len(L.Delta),
-        subgroups_of_S=len(F.subgroups()),
-        T_order=T.order,
-        N_size=N.bit_count(),
+        "Axioms", inst, L_size=L.elems.bit_count(), objects=len(L.Delta),
+        subgroups_of_S=len(F.subgroups()), T_order=T.order, N_size=N.bit_count(),
     )
     return pe, axioms
 
@@ -617,12 +583,13 @@ def entry_reports(
     name = pe.name
     # one K sweep per X for both sweeps below, so each K value is one object
     # and K*Inn(X), kept on it, is formed once
-    sweeps: Dict[FrozenSet[Perm], List[Tuple[str, Optional[AutGroup]]]] = {}
+    sweeps: Dict[int, List[Tuple[str, Optional[AutGroup]]]] = {}
 
     def k_sweep(X: Subgroup) -> List[Tuple[str, Optional[AutGroup]]]:
-        if X.elems not in sweeps:
-            sweeps[X.elems] = _k_sweep(pe, X)
-        return sweeps[X.elems]
+        x = pe.G.home_mask_of(X)
+        if x not in sweeps:
+            sweeps[x] = _k_sweep(pe, X)
+        return sweeps[x]
 
     # group-level Lemma 2.2 over all p-subgroups of G; every instance shares
     # the hypothesis on G, so it is decided once

@@ -80,8 +80,12 @@ def test_prime_check_is_fast_for_a_large_prime():
 
 def test_parse_rejects_non_normal_subgroup():
     bad = "group s3 p=3 gens=(0 1 2);(0 1)\nnormal gens=(0 1)\n"
-    with pytest.raises(NormalityError):
+    with pytest.raises(NormalityError, match="not normal"):
         cli.parse_corpus(bad)
+    # (2 3) moves the fourth point, which S3 fixes
+    outside = "group s3 p=3 gens=(0 1 2);(0 1)\nnormal gens=(2 3)\n"
+    with pytest.raises(NormalityError, match="declared subgroup is not inside the group"):
+        cli.parse_corpus(outside)
 
 
 def test_x_outside_sylow_rejected():

@@ -86,17 +86,18 @@ def test_germ_operations_match_pair_maps(case, F_s4):
 @pytest.mark.parametrize("case", ["s4", "l27"])
 def test_pulled_back_is_psi_inverse_conjugation_psi(case, F_s4):
     """For every germ psi: Y -> Z of F_s4 and of PSL(2,7) at p = 2, the
-    pulled-back action maps exactly the g in N_S(Y) to psi^-1 c_g psi on Z,
-    all built as pair maps by Perm conjugation; it is kept per psi."""
+    pulled-back action maps exactly the g in N_S(Y), by home index, to
+    psi^-1 c_g psi on Z, all built as pair maps by Perm conjugation; it is
+    kept per psi."""
     F = _s4_or_l27(case, F_s4)
-    S, lattice = F.S, fu._lattice(F)
+    S, lattice, home = F.S, fu._lattice(F), tuple(F.S.home)
     moved = 0
     for psi in F.all_germs():
         Y, Z = lattice[fu._src(psi)], lattice[fu._img(psi)]
         (a,) = oracles.as_pairs(S, [psi])
         pulled = fu._pulled_back(F, psi)
-        assert set(pulled) == {g for g in S if {y.conj(g) for y in Y} == Y.elems}
-        for g, image in pulled.items():
+        assert {home[g] for g in pulled} == {g for g in S if {y.conj(g) for y in Y} == Y.elems}
+        for g, image in ((home[g], image) for g, image in pulled.items()):
             c_g = oracles.conj_map(Y.elems, g)
             want = oracles.compose(oracles.compose(oracles.inverse(a), c_g), a)
             assert oracles.as_pairs(Z, [image]) == {want}

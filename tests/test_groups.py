@@ -23,10 +23,19 @@ def test_generate_group_orders():
 
 
 def test_group_value_checks_its_elements():
+    """A group is a nonempty set of one degree, and one found in an ambient
+    group lies in the ambient's home: S3 on 4 points refuses X = {1, (2 3)}
+    when X is built, where it once failed later, in normalizer or
+    from_home_mask."""
     with pytest.raises(ValueError):
         gp.Subgroup(frozenset())
     with pytest.raises(DegreeMismatch):
         gp.Subgroup(frozenset([identity(2), identity(3)]))
+    s3 = gp.generate_group(perms(4, "(0 1 2)", "(0 1)"))
+    with pytest.raises(ValueError, match="outside the group's home"):
+        gp.Subgroup(perms(4, "()", "(2 3)"), s3)
+    X = gp.Subgroup(perms(4, "()", "(0 1)"), s3)
+    assert X.ambient is s3 and gp.normalizer(s3, X) == X
 
 
 def test_generated_group_is_its_element_set():
@@ -133,15 +142,15 @@ def test_lattice_filter_is_the_lattice_of_a_subgroup():
 
 def test_join_is_the_generated_subgroup():
     """join over S's lattice is <P, Q> for every pair of subgroups P, Q of
-    S, and None for an element outside S."""
+    S, and None for an element outside S; its argument is a mask over G."""
     for G, S in _corpus_sylows():
         lattice = gp.all_subgroups(S)
         for P in lattice:
             for Q in lattice:
                 both = P.elems | Q.elems
-                assert gp.join(lattice, both).elems == gp.mulclose(both, cap=S.order)
+                assert gp.join(lattice, G.mask(both)).elems == gp.mulclose(both, cap=S.order)
         for g in sorted(G.elems - S.elems)[:1]:  # none where G = S
-            assert gp.join(lattice, [g]) is None
+            assert gp.join(lattice, G.mask([g])) is None
 
 
 # -- Sylow / O_p / characteristic p ----------------------------------------
@@ -441,8 +450,8 @@ def test_lemma22_product_identity(s4, sl23):
             inn = gp.inn_group(XG)
             for K in A.sub_autgroups():
                 KInn = K.product(inn)
-                lhs = gp.group_K_normalizer(G, XG, KInn).elems
-                rhs = gp.set_product(G, gp.group_K_normalizer(G, XG, K).elems, XG.elems)
+                lhs = gp.group_K_normalizer(G, XG, KInn).home_mask
+                rhs = gp.set_product(G, gp.group_K_normalizer(G, XG, K), XG)
                 assert lhs == rhs
 
 

@@ -1,5 +1,5 @@
 """Only the group layer reads a group's conjugation table and its element
-index.
+index, and only it builds a group from Perms.
 
 Where conjugation by g sends the elements of X is one fact, and
 ``groups.conj_positions`` owns it: N_G(X) and its action, the word rule of
@@ -7,10 +7,13 @@ a locality, and the germs of F_S(G) and of F_R(N) all read it there. Where
 an element sits among a group's sorted elements is another, and
 ``Subgroup.element_index`` holds it: the other layers cross between
 elements and positions through the group layer's masks (``mask``,
-``home_mask``, ``from_home_mask``, ``elements``, ``positions``), so their
-own sets stay masks. A module other than ``groups`` that names either
-table is refused, so a second copy of that expression cannot slip in
-unnoticed.
+``home_mask``, ``home_mask_of``, ``from_home_mask``, ``elements``,
+``positions``), so their own sets stay masks. A module other than
+``groups`` that names either table is refused, so a second copy of that
+expression cannot slip in unnoticed. A subgroup is its home and a mask
+over it, so the other layers get their groups from the group layer's
+constructions and ``from_home_mask``; a module other than ``groups`` that
+calls ``Subgroup(...)``, which builds from a Perm set, is refused too.
 """
 
 import ast
@@ -72,3 +75,33 @@ def test_a_planted_reader_is_flagged(tmp_path):
 def test_a_planted_element_index_reader_is_flagged(tmp_path, module, reader):
     copy = _planted(tmp_path, module, reader)
     assert _readers(copy, "element_index") == {"groups", module}
+
+
+def _builders(package):
+    """The modules that call ``Subgroup(...)``, by name or as an attribute."""
+    out = set()
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name == "Subgroup":
+                    out.add(path.stem)
+    return out
+
+
+def test_only_the_group_layer_builds_a_subgroup_from_perms():
+    assert _builders(PACKAGE) == {"groups"}
+
+
+@pytest.mark.parametrize(
+    "module, builder",
+    [
+        ("verify", "def _T(S, H, G):\n    return Subgroup(S.elems & H.elems, G)\n"),
+        ("locality", "def _T(S, H, G):\n    return gp.Subgroup(S.elems & H.elems, G)\n"),
+    ],
+    ids=["name", "attribute"],
+)
+def test_a_planted_builder_is_flagged(tmp_path, module, builder):
+    copy = _planted(tmp_path, module, builder)
+    assert _builders(copy) == {"groups", module}

@@ -263,18 +263,18 @@ def test_each_structure_decided_once_per_content_of_an_entry(monkeypatch):
     ))
     monkeypatch.setattr(fu.FusionSystem, "aut", spy(
         "aut_F", fu.FusionSystem.aut, lambda F, P: (F, P.elems),
-        lambda F, P: ("aut", P.elems) not in F._cache,
+        lambda F, P: ("aut", F.S.home_mask_of(P)) not in F._cache,
     ))
     monkeypatch.setattr(gp, "core_Op", spy(
         "core_Op", gp.core_Op, lambda G, p: (G.elems, p),
-        lambda G, p: ("O_p", G.elems, p) not in G.home._kept,
+        lambda G, p: ("O_p", G.home_mask, p) not in G.home._kept,
     ))
     monkeypatch.setattr(gp, "is_subnormal", spy(
         "is_subnormal", gp.is_subnormal, lambda H, G: (H.elems, G.elems),
-        lambda H, G: ("subnormal", H.elems, G.elems) not in G.home._kept,
+        lambda H, G: ("subnormal", G.home_mask_of(H), G.home_mask) not in G.home._kept,
     ))
     aut = spy(
-        "aut_group", gp.aut_group, lambda X: X.elems, lambda X: ("aut", X.elems) not in X.home._kept
+        "aut_group", gp.aut_group, lambda X: X.elems, lambda X: ("aut", X.home_mask) not in X.home._kept
     )
     for module in (gp, fu, lo):
         monkeypatch.setattr(module, "aut_group", aut)
