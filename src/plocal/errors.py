@@ -57,9 +57,8 @@ class CorpusParseError(PLocalError):
 
 
 class KDescriptorNotForX(CorpusParseError):
-    """A well-formed ``K=gens:`` descriptor defines no subgroup of Aut(X)
-    for this X: it names a point past |X|, a map that is not an
-    automorphism, or more maps than Aut(X) has."""
+    """A well-formed ``K=gens:`` descriptor with a generator outside Aut(X)
+    for this X, such as one naming a point past |X|."""
 
 
 class NormalityError(PLocalError):

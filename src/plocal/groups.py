@@ -19,10 +19,10 @@ mask over S's sorted elements by :meth:`Subgroup.mask`, so no other
 module reads the conjugation table or the element index. A home keeps,
 per X's mask, N_G(X) and its action on X: the one test of "g normalizes
 X". It also keeps, under the masks they depend on, the verdicts about the
-groups reading its tables: O_p(H) and whether H has characteristic p, per
-(H, p); whether H is subnormal in G, per (H, G); Aut(X), per X; the
-permutation image of an automorphism group of X, per maps, which is then
-the one home of that content; and that image's subgroups, per (X, maps).
+groups reading its tables: whether H has characteristic p, per (H, p);
+whether H is subnormal in G, per (H, G); X's table on its positions and
+Aut(X), per X; the permutation image of an automorphism group of X, per
+maps, the one home of that content; and its subgroups, per (X, maps).
 
 Subgroup lattices are asked for only on p-groups and on permutation images
 of automorphism groups; S's is kept by the fusion system or locality over
@@ -206,12 +206,11 @@ class Subgroup:
     @cached_property
     def _kept(self) -> Dict[tuple, object]:
         """For G = self a home, what is decided about groups reading its
-        tables, per (kind, home masks): ("O_p", H, p), ("char_p", H, p),
-        ("subnormal", H, G), ("aut", X), ("image", maps) and
-        ("sub_autgroups", X, maps); filled by :func:`core_Op`,
-        :func:`is_characteristic_p`, :func:`is_subnormal`,
-        :func:`aut_group`, :attr:`AutGroup._image` and
-        :meth:`AutGroup.sub_autgroups`."""
+        tables, per (kind, home masks): ("char_p", H, p), ("subnormal", H,
+        G), ("table", X), ("aut", X), ("image", maps) and ("sub_autgroups",
+        X, maps); filled by :func:`is_characteristic_p`,
+        :func:`is_subnormal`, :func:`_position_table`, :func:`aut_group`,
+        :attr:`AutGroup.image` and :meth:`AutGroup.sub_autgroups`."""
         return {}
 
     def home_mask_of(self, X: Iterable[Perm]) -> int:
@@ -466,13 +465,10 @@ def sylow_subgroup(G: Subgroup, p: int) -> Subgroup:
 
 def core_Op(G: Subgroup, p: int) -> Subgroup:
     """O_p(G), the intersection of the Sylow conjugates: the x in a Sylow
-    subgroup P with x^g in P for every g in G. Kept on G's home per (G, p)."""
-    kept, key = G.home._kept, ("O_p", G.home_mask, p)
-    if key not in kept:
-        conj, gs = G.home.conj_table, bits(G.home_mask)
-        inside = set(bits(sylow_subgroup(G, p).home_mask))
-        kept[key] = G.from_home_mask(sum(1 << x for x in inside if all(conj[a][x] in inside for a in gs)))
-    return kept[key]
+    subgroup P with x^g in P for every g in G."""
+    conj, gs = G.home.conj_table, bits(G.home_mask)
+    inside = set(bits(sylow_subgroup(G, p).home_mask))
+    return G.from_home_mask(sum(1 << x for x in inside if all(conj[a][x] in inside for a in gs)))
 
 
 def is_characteristic_p(G: Subgroup, p: int) -> bool:
@@ -522,18 +518,17 @@ class AutGroup:
     elements that sends k to the position of the image of the k-th element.
 
     A germ of a fusion system over X with source X is the same tuple, so
-    Aut_F(X) is the set of such germs. The image is a home of its own with
-    its tables, one per content: kept on the base's home per maps, so
-    every AutGroup with these maps over a base of that home reads it. Set
-    products with their closure check, subnormality and lattices are
-    computed on it, and K*Inn(X) is computed once and kept on K
-    (:attr:`times_inn`).
+    Aut_F(X) is the set of such germs. The maps must form a group; one that
+    is not an automorphism raises ValueError, checked by membership when
+    Aut(X) is kept and else by :func:`_is_automorphism`, with no search.
+    Subnormality and lattices are computed on the image (:attr:`image`),
+    and K*Inn(X) is kept on K (:attr:`times_inn`).
     """
 
     def __init__(self, base: Subgroup, maps: Iterable[Sequence[int]]):
-        maps = frozenset(map(Perm, maps))
-        if any(len(m) != base.order for m in maps):
-            raise ValueError("map is not a permutation of the base's elements")
+        maps, known = frozenset(map(Perm, maps)), base.home._kept.get(("aut", base.home_mask))
+        if not (maps <= known.maps if known else all(_is_automorphism(base, m) for m in maps)):
+            raise ValueError("map is not an automorphism of the base")
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "maps", maps)
 
@@ -556,14 +551,13 @@ class AutGroup:
         return len(self.maps)
 
     @cached_property
-    def _image(self) -> Subgroup:
+    def image(self) -> Subgroup:
+        """The permutation image, a home of its own with its tables, kept on
+        the base's home per maps, so one per content."""
         kept, key = self.base.home._kept, ("image", self.maps)
         if key not in kept:
             kept[key] = Subgroup(self.maps)
         return kept[key]
-
-    def perm_group(self) -> Subgroup:
-        return self._image
 
     def sub_autgroups(self) -> Tuple["AutGroup", ...]:
         """All subgroups of this automorphism group, in all_subgroups'
@@ -571,41 +565,21 @@ class AutGroup:
         own table. Kept on the base's home per (base, maps)."""
         kept, key = self.base.home._kept, ("sub_autgroups", self.base.home_mask, self.maps)
         if key not in kept:
-            kept[key] = tuple(AutGroup(self.base, H) for H in all_subgroups(self.perm_group()))
+            kept[key] = tuple(AutGroup(self.base, H) for H in all_subgroups(self.image))
         return kept[key]
-
-    def _check_base(self, other: "AutGroup") -> None:
-        if other.base != self.base:
-            raise ValueError("mismatched bases")
-
-    def product(self, other: "AutGroup") -> "AutGroup":
-        """Set product self*other, which must be a subgroup of Aut(base),
-        composed as plain tuples (a first, then b). A finite set holding 1
-        is a subgroup iff prod t <= prod for each t in a set T generating
-        it: then prod <T> = prod holds 1 <T>. T is taken greedily, each map
-        of the product outside the group <T> generated so far."""
-        self._check_base(other)
-        prod = {tuple(map(b.__getitem__, a)) for a in self.maps for b in other.maps}
-        gens, group = [], {tuple(range(self.base.order))}
-        for t in prod:
-            if t not in group:
-                if any(tuple(map(t.__getitem__, a)) not in prod for a in prod):
-                    raise ValueError("set product is not a subgroup")
-                gens.append(t)
-                frontier = group
-                while frontier:  # <gens>, inside prod by the test
-                    frontier = {tuple(map(s.__getitem__, a)) for a in frontier for s in gens} - group
-                    group |= frontier
-        return AutGroup(self.base, prod)
 
     @cached_property
     def times_inn(self) -> "AutGroup":
-        """K*Inn(X) for K = self and X = base, kept on K."""
-        return self.product(inn_group(self.base))
+        """K*Inn(X) = {k then c_x} for K = self, kept on K. It is a group for
+        every K <= Aut(X) as Inn(X) is normal: a^-1 c_x a = c_{xa}, so
+        c_x k = k c_{xk} and the set is closed under products and inverses."""
+        inn = inn_group(self.base).maps
+        return AutGroup(self.base, {tuple(map(c.__getitem__, k)) for k in self.maps for c in inn})
 
     def is_subnormal_in(self, other: "AutGroup") -> bool:
-        self._check_base(other)
-        G = other.perm_group()
+        if other.base != self.base:
+            raise ValueError("mismatched bases")
+        G = other.image
         return is_subnormal(Subgroup(self.maps, G), G)
 
 
@@ -614,11 +588,9 @@ def aut_group(X: Subgroup, cap: int = AUT_BASE_CAP) -> AutGroup:
 
     Enumerates assignments of generator images filtered by element order,
     extends each to X along a spanning tree of products by generators, and
-    keeps the bijective homomorphisms. The homomorphism check only needs
-    (generator, element) pairs because every element is reached from the
-    identity by generators. Products are read off X's home table. Kept on
-    X's home per X, so every caller asking about equal content gets one
-    object, and what that object keeps (:attr:`AutGroup.times_inn`).
+    keeps the automorphisms (:func:`_is_automorphism`). Kept on X's home
+    per X, so every caller asking about equal content gets one object, and
+    what that object keeps (:attr:`AutGroup.times_inn`).
     """
     if X.order > cap:
         raise CapExceeded("automorphism base %d exceeds cap %d" % (X.order, cap))
@@ -628,35 +600,50 @@ def aut_group(X: Subgroup, cap: int = AUT_BASE_CAP) -> AutGroup:
     return kept[key]
 
 
+def _position_table(X: Subgroup) -> Tuple[List[int], Tuple[Tuple[int, ...], ...]]:
+    """X's product table on its sorted positions, read off its home's, and a
+    greedy generating sequence of positions; kept on X's home per X."""
+    kept, key = X.home._kept, ("table", X.home_mask)
+    if key not in kept:
+        xs, mul = bits(X.home_mask), X.home.mul_table
+        position = {x: k for k, x in enumerate(xs)}
+        rows, gens = tuple(tuple(position[mul[a][b]] for b in xs) for a in xs), []
+        for k in range(len(xs)):
+            if not _close(rows, gens) >> k & 1:
+                gens.append(k)
+        kept[key] = (gens, rows)
+    return kept[key]
+
+
+def _is_automorphism(X: Subgroup, m: Sequence[int]) -> bool:
+    """Whether m, a map of X's sorted positions, is one-to-one and respects
+    the products g x for g among :func:`_position_table`'s generators."""
+    gens, rows = _position_table(X)
+    return len(m) == len(set(m)) == len(rows) and all(
+        list(map(m.__getitem__, rows[g])) == list(map(rows[m[g]].__getitem__, m)) for g in gens
+    )
+
+
 def _automorphisms(X: Subgroup) -> AutGroup:
-    """The search of :func:`aut_group`, run once per X on its home."""
-    mul, elems, xs = X.home.mul_table, X.home._sorted, bits(X.home_mask)
-    # a small (greedy, deterministic) generating sequence
-    gens, closure = [], 1
-    for x in xs:
-        if not closure >> x & 1:
-            gens.append(x)
-            closure = _close(mul, gens)
+    """The search of :func:`aut_group` on X's positions, once per X."""
+    gens, rows = _position_table(X)
     # the tree: each element z other than 1 is (parent y) * (generator k)
     tree, queue = {0: None}, [0]
     for y in queue:
         for k, g in enumerate(gens):
-            if mul[y][g] not in tree:
-                tree[mul[y][g]] = (y, k)
-                queue.append(mul[y][g])
-    by_order: Dict[int, List[int]] = {}
-    for x in xs:
-        by_order.setdefault(elems[x].order(), []).append(x)
-    maps, position = set(), {x: k for k, x in enumerate(xs)}
-    for images in itertools.product(*(by_order[elems[g].order()] for g in gens)):
-        table = {0: 0}
+            if rows[y][g] not in tree:
+                tree[rows[y][g]] = (y, k)
+                queue.append(rows[y][g])
+    orders = [e.order() for e in elements(X.home, X.home_mask)]
+    by_order = {o: [x for x, e in enumerate(orders) if e == o] for o in set(orders)}
+    maps = set()
+    for images in itertools.product(*(by_order[orders[g]] for g in gens)):
+        table = [0] * len(rows)
         for z in queue[1:]:
             y, k = tree[z]
-            table[z] = mul[table[y]][images[k]]
-        if len(set(table.values())) == len(xs) and all(
-            table[mul[g][x]] == mul[table[g]][table[x]] for g in gens for x in xs
-        ):
-            maps.add(tuple(position[table[x]] for x in xs))
+            table[z] = rows[table[y]][images[k]]
+        if _is_automorphism(X, table):
+            maps.add(tuple(table))
     return AutGroup(X, maps)
 
 
@@ -678,7 +665,7 @@ def trivial_aut_group(X: Subgroup) -> AutGroup:
 
 def op_residual(A: AutGroup, p: int) -> AutGroup:
     """O^p(A): the subgroup generated by all p'-elements of A."""
-    G = A.perm_group()
+    G = A.image
     return AutGroup(A.base, generated(G, sum(1 << a for a, g in enumerate(G) if gcd(g.order(), p) == 1)))
 
 

@@ -126,14 +126,14 @@ def test_default_corpus_tables_and_perm_arithmetic():
     with pytest.MonkeyPatch.context() as mp:
         for name in ("mul_table", "conj_table"):
             _spy_cached(mp, gp.Subgroup, name, built)
-        _spy_cached(mp, gp.AutGroup, "_image", images)
+        _spy_cached(mp, gp.AutGroup, "image", images)
         entries = cli.parse_corpus(cli.default_corpus_text())
         mp.setattr(Perm, "conj", conj)
         mp.setattr(Perm, "__mul__", mul)
         reports, _ = vf.run_suite(entries)
     assert len(reports) == 742
     corpus = {e.G.elems for e in entries}
-    image_sets = [A.perm_group() for A in images]
+    image_sets = [A.image for A in images]
     assert any(B.elems in corpus for B in built)
     assert all(B.ambient is None for B in built)
     assert all(B.elems in corpus or any(B is I for I in image_sets) for B in built)

@@ -209,6 +209,20 @@ def test_odd_aut_on_klein_four_is_saturated():
     assert F.aut(F.S).order == 3
 
 
+def test_saturation_over_a_base_past_the_automorphism_search_cap():
+    """Aut_F(P) and Aut_S(P) are built without searching Aut(P), so
+    saturation runs over S = C81 in D162, past AUT_BASE_CAP."""
+    n = 81
+    rot = perm_from_cycles("(%s)" % " ".join(map(str, range(n))), n)
+    ref = perm_from_cycles("".join("(%d %d)" % (i, n - i) for i in range(1, (n + 1) // 2)), n)
+    G = gp.generate_group([rot, ref])
+    S = gp.sylow_subgroup(G, 3)
+    assert S.order == 81 > gp.AUT_BASE_CAP
+    F = fu.fusion_of_group(G, S, 3)
+    assert fu.is_saturated(F)
+    assert F.aut(S).order == 2 and F.aut_S(S).order == 1
+
+
 # -- fully K-normalized -------------------------------------------------------
 
 

@@ -58,7 +58,7 @@ def test_subgroup_and_autgroup_are_immutable_values(s4, klein):
     A = gp.aut_group(klein)
     B = gp.AutGroup(alone, A.maps)
     assert A == B and hash(A) == hash((A.base, A.maps)) == hash(B)
-    assert A.__eq__(A.perm_group()) is NotImplemented
+    assert A.__eq__(A.image) is NotImplemented
     assert A != gp.AutGroup(alone, gp.inn_group(klein).maps)
     for value, name in ((V, "elems"), (V, "ambient"), (A, "maps"), (A, "base")):
         with pytest.raises(AttributeError):
@@ -333,9 +333,25 @@ def test_aut_perm_realization_roundtrip(klein):
     A = gp.aut_group(klein)
     for m in A.maps:
         assert gp.AutGroup(A.base, [tuple(m)]).maps == {m}
-    assert A.perm_group().elems == A.maps and A.perm_group().order == A.order
+    assert A.image.elems == A.maps and A.image.order == A.order
     with pytest.raises(ValueError):
         gp.AutGroup(A.base, [(0, 1, 2)])
+
+
+def test_autgroup_refuses_a_non_automorphism(s4):
+    """Maps outside Aut(X) are refused at construction, before any
+    K-normalizer reads them: swapping V4's identity with an involution
+    moves 1. The check runs no automorphism search, and gives the same
+    answers once Aut(X) is kept."""
+    V = gp.Subgroup(s4.elems).generated_subgroup(perms(4, "(0 1)(2 3)", "(0 2)(1 3)"))
+    for searched in (False, True):
+        with pytest.raises(ValueError, match="not an automorphism"):
+            gp.AutGroup(V, [(1, 0, 2, 3)])
+        with pytest.raises(ValueError, match="not an automorphism"):
+            gp.AutGroup(V, [range(4), (0, 1, 3, 2), (0, 2, 1, 3), (1, 0, 2, 3)])
+        assert gp.AutGroup(V, [range(4), (0, 1, 3, 2)]).order == 2
+        assert (("aut", V.home_mask) in V.home._kept) is searched
+        gp.aut_group(V)
 
 
 # -- subnormality ------------------------------------------------------------
@@ -447,9 +463,8 @@ def test_lemma22_product_identity(s4, sl23):
             A = gp.aut_group(XG)
             if A.order > 24:
                 continue
-            inn = gp.inn_group(XG)
             for K in A.sub_autgroups():
-                KInn = K.product(inn)
+                KInn = K.times_inn
                 lhs = gp.group_K_normalizer(G, XG, KInn).home_mask
                 rhs = gp.set_product(G, gp.group_K_normalizer(G, XG, K), XG)
                 assert lhs == rhs
@@ -461,7 +476,7 @@ def test_lemma22_product_identity(s4, sl23):
 def _map_product(A, B):
     """The set product by composing the maps as (element, image) pairs,
     {a then b}, or None when that set is not closed under composition: the
-    definition ``product`` keeps."""
+    definition ``times_inn`` keeps for B = Inn(X)."""
     compose, maps = oracles.compose, [oracles.as_pairs(K.base, K.maps) for K in (A, B)]
     prod = frozenset(compose(a, b) for a in maps[0] for b in maps[1])
     if all(compose(a, b) in prod for a in prod for b in prod):
@@ -469,23 +484,16 @@ def _map_product(A, B):
     return None
 
 
-def test_product_matches_map_composition(s4, sl23):
-    """For every pair of subgroups of Aut(D8) and of Aut(Q8), the product
-    worked on the permutation image is the set product of the maps, and is
-    refused exactly when that set is not a subgroup."""
-    refused = 0
+def test_times_inn_matches_map_composition(s4, sl23):
+    """For every subgroup K of Aut(D8) and of Aut(Q8), K*Inn(X) worked on
+    the permutation image is the set product of the maps, and that set is a
+    subgroup: Inn(X) is normal in Aut(X)."""
     for G in (s4, sl23):
         subs = gp.aut_group(gp.sylow_subgroup(G, 2)).sub_autgroups()
-        for A in subs:
-            for B in subs:
-                expected = _map_product(A, B)
-                if expected is None:
-                    refused += 1
-                    with pytest.raises(ValueError, match="not a subgroup"):
-                        A.product(B)
-                else:
-                    assert oracles.as_pairs(A.base, A.product(B).maps) == expected
-    assert refused > 0
+        for K in subs:
+            expected = _map_product(K, gp.inn_group(K.base))
+            assert expected is not None
+            assert oracles.as_pairs(K.base, K.times_inn.maps) == expected
 
 
 def test_sub_autgroups_kept_on_the_home(monkeypatch, s4, klein):
@@ -511,21 +519,12 @@ def test_product_of_aut_c2_cubed_and_inn_is_aut():
     assert oracles.as_pairs(X, A.times_inn.maps) == _map_product(A, gp.inn_group(X))
 
 
-def test_product_of_two_involution_groups_is_refused(klein):
-    A = gp.aut_group(klein)  # S3
-    first, second = [K for K in A.sub_autgroups() if K.order == 2][:2]
-    assert first != second
-    with pytest.raises(ValueError, match="not a subgroup"):
-        first.product(second)
-
-
 def test_mismatched_bases_are_refused(s4):
     V = s4.generated_subgroup(perms(4, "(0 1)(2 3)", "(0 2)(1 3)"))
     W = s4.generated_subgroup(perms(4, "(0 1)", "(2 3)"))
     A, B = gp.aut_group(V), gp.aut_group(W)
-    for method in (A.product, A.is_subnormal_in):
-        with pytest.raises(ValueError, match="mismatched bases"):
-            method(B)
+    with pytest.raises(ValueError, match="mismatched bases"):
+        A.is_subnormal_in(B)
 
 
 # -- element tables -------------------------------------------------------------

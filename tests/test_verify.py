@@ -2,6 +2,7 @@
 and the suite driver plumbing."""
 
 import sys
+from functools import cached_property
 from pathlib import Path
 
 import pytest
@@ -184,17 +185,24 @@ def test_bN_K_restricts_once_per_key(monkeypatch, own_L_s4, F_s4, klein):
     assert calls == [V]
 
 
+def _spy_times_inn(monkeypatch, record):
+    """Call record(K) for each K on which K*Inn(X) is computed."""
+    real = gp.AutGroup.__dict__["times_inn"].func
+
+    def spy(self):
+        record(self)
+        return real(self)
+
+    prop = cached_property(spy)
+    prop.__set_name__(gp.AutGroup, "times_inn")
+    monkeypatch.setattr(gp.AutGroup, "times_inn", prop)
+
+
 def test_K_times_inn_once_per_K(monkeypatch, own_L_s4, F_s4, s4, klein):
     """Lemma 2.1, Lemma 2.2(b) and the theorem's hypothesis read K*Inn(X)
     from K, so the product is formed once for one K."""
     calls = []
-    real = gp.AutGroup.product
-
-    def spy(self, other):
-        calls.append(self)
-        return real(self, other)
-
-    monkeypatch.setattr(gp.AutGroup, "product", spy)
+    _spy_times_inn(monkeypatch, calls.append)
     V = gp.Subgroup(klein.elems)
     K = gp.AutGroup(V, gp.aut_group(V).maps)  # a fresh value, nothing kept on it
     assert vf.check_restricted_subcentric(own_L_s4, F_s4, V, K, "t").passed
@@ -245,8 +253,9 @@ def test_each_structure_decided_once_per_content_of_an_entry(monkeypatch):
     Aut_F(P), O_p of a group at p, subnormality, the automorphism search of
     X and the restriction of a locality run once per content: equal systems
     are one member of the entry's table of systems, each keeping Aut_F(P)
-    per P, group verdicts are kept on their home, and bN_K keeps each
-    restriction per (N_L^K(X), Gamma, X)."""
+    per P, group verdicts are kept on their home (O_p(H) is asked only
+    under the characteristic-p verdict, kept per (H, p), so every call
+    counts), and bN_K keeps each restriction per (N_L^K(X), Gamma, X)."""
     names = ("saturation_failure", "aut_F", "core_Op", "is_subnormal", "aut_group", "restrict")
     runs = {name: [] for name in names}
 
@@ -266,8 +275,7 @@ def test_each_structure_decided_once_per_content_of_an_entry(monkeypatch):
         lambda F, P: ("aut", F.S.home_mask_of(P)) not in F._cache,
     ))
     monkeypatch.setattr(gp, "core_Op", spy(
-        "core_Op", gp.core_Op, lambda G, p: (G.elems, p),
-        lambda G, p: ("O_p", G.home_mask, p) not in G.home._kept,
+        "core_Op", gp.core_Op, lambda G, p: (G.elems, p), lambda *args: True
     ))
     monkeypatch.setattr(gp, "is_subnormal", spy(
         "is_subnormal", gp.is_subnormal, lambda H, G: (H.elems, G.elems),
@@ -398,12 +406,11 @@ def test_main_theorem_second_branch_exists(F_sl23, sl23):
     logic is consistent either way."""
     Q8 = S_of(sl23)
     A = gp.aut_group(Q8)
-    inn = gp.inn_group(Q8)
     seen = set()
     for K in A.sub_autgroups():
-        b1 = K.is_subnormal_in(K.product(inn))
+        b1 = K.is_subnormal_in(K.times_inn)
         K2 = gp.AutGroup(K.base, frozenset(K.maps & F_sl23.aut(gp.Subgroup(Q8.elems)).maps))
-        b2 = K2.is_subnormal_in(K2.product(inn))
+        b2 = K2.is_subnormal_in(K2.times_inn)
         branch, K_eff = vf._subnormal_branch(F_sl23, gp.Subgroup(Q8.elems), K)
         if b1:
             assert branch == 1 and K_eff.maps == K.maps
@@ -499,13 +506,7 @@ def test_K_times_inn_once_per_value_on_s4_a4(monkeypatch):
     """The Lemma-2.2(b) sweep and the locality sweep share one K sweep per
     X, so K*Inn(X) is formed once per (X, K)."""
     calls = []
-    real = gp.AutGroup.product
-
-    def spy(self, other):
-        calls.append((self.base.elems, self.maps))
-        return real(self, other)
-
-    monkeypatch.setattr(gp.AutGroup, "product", spy)
+    _spy_times_inn(monkeypatch, lambda K: calls.append((K.base.elems, K.maps)))
     (entry,) = [e for e in cli.parse_corpus(cli.default_corpus_text()) if e.name == "s4_a4"]
     pe, axioms = vf.prepare_entry(entry)
     assert axioms.passed
@@ -709,7 +710,7 @@ def test_k_options_rejects_non_automorphism(s4):
 
     with pytest.raises(CorpusParseError):
         vf.k_options(C4, descriptors=("gens:(0 1)",))
-    # these generate all of Sym(4), more than |Aut(V4)| = 6 permutations
+    # (0 1 2 3) moves V4's identity; the message names the descriptor
     V4 = gp.core_Op(s4, 2)
     with pytest.raises(CorpusParseError, match=r"gens:\(0 1 2 3\);\(0 1\)"):
         vf.k_options(V4, descriptors=("gens:(0 1 2 3);(0 1)",))
@@ -721,7 +722,7 @@ def test_k_options_skips_descriptors_not_for_X(s4, klein):
     C4 = gp.Subgroup(gp.mulclose(perms(4, "(0 1 2 3)"), cap=24))
     descs = ("id", "gens:(1 2)")
     assert [K.order for _, K in vf.k_options(V, descs, skip_unfit=True)] == [1, 2]
-    # a point past |X|, a non-automorphism of C4, more maps than Aut(X) has
+    # a point past |X|, a non-automorphism of C4, one beside an automorphism of V4
     for X, desc in ((one, "gens:(1 2)"), (C4, "gens:(0 1)"), (V, "gens:(1 2 3);(1 2)(0 3)")):
         assert vf.k_options(X, ("id", desc), skip_unfit=True)[1] == (desc, None)
         with pytest.raises(KDescriptorNotForX):
