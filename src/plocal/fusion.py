@@ -19,12 +19,13 @@ exactly.
 
 A system caches the subgroup lattice of S and what it derives (Aut_F(P)
 per P, saturation witness, core, centric and subcentric sets, fully
-K-normalized verdicts per (X, K), K-normalizer subsystems per (X, K), each
-subgroup by its mask over S's home and K by its maps, the pulled-back
-actions of :func:`_pulled_back` per germ, and the verdicts of normality
-and p-power index of a smaller system E in it, per E) in its ``_cache``;
-all of it depends only on the content (S, p, germs) of the system and of
-the key, and systems compare by content, so a hit is exact.
+K-normalized verdicts and K-normalizer subsystems per (X, K cap Aut_F(X)),
+each subgroup by its mask over S's home and K cap Aut_F(X) by its maps,
+the pulled-back actions of :func:`_pulled_back` per germ, and the verdicts
+of normality and p-power index of a smaller system E in it, per E) in its
+``_cache``; all of it depends only on the content (S, p, germs) of the
+system and of the key (the proofs for K are in the docstrings), and
+systems compare by content, so a hit is exact.
 
 Equal content is also one object, and so one cache, through a *table of
 systems*: a dict mapping each system to itself, which every member holds
@@ -107,7 +108,8 @@ class FusionSystem:
         )
         allg = frozenset(g for v in by_src.values() for g in v)
         object.__setattr__(self, "_all", allg)
-        object.__setattr__(self, "_hash", hash((S, p, allg)))
+        # S by its order: hashing S itself would build its Perm view
+        object.__setattr__(self, "_hash", hash((S.order, p, allg)))
         object.__setattr__(self, "_cache", {})
 
     def __setattr__(self, name, value):
@@ -342,18 +344,28 @@ def close_generated(
 # K-normalizers
 
 
+def realized_part(F: FusionSystem, X: Subgroup, K: AutGroup) -> AutGroup:
+    """K cap Aut_F(X) for K on X <= S, K itself when F realizes all of K."""
+    if K.base != X:
+        raise ValueError("K must consist of automorphisms of X")
+    autF = F.aut(X).maps
+    return K if K.maps <= autF else AutGroup(X, K.maps & autF)
+
+
 def is_fully_K_normalized(F: FusionSystem, X: Subgroup, K: AutGroup) -> bool:
     """|N_S^K(X)| >= |N_S^{K^phi}(X phi)| for every phi in Hom_F(X, S),
-    with K^phi = phi^-1 K phi. Kept in F's cache per (X, K).
+    with K^phi = phi^-1 K phi. Kept in F's cache per (X, K cap Aut_F(X)),
+    computed on that: c_s on X for s in N_S(X) lies in Aut_S(X) <= Aut_F(X)
+    (every system here holds its base's inner system), and K^phi cap
+    Aut_F(X phi) = (K cap Aut_F(X))^phi as Aut_F(X phi) = Aut_F(X)^phi.
 
     K^phi is never built: c_g lies in K^phi exactly when phi c_g phi^-1,
     x |-> ((x phi)^g) phi^-1, lies in K: its image (:func:`_pulled_back`)
     is tested among K's maps as :func:`group_K_normalizer` does.
     """
-    if K.base != X:
-        raise ValueError("K must consist of automorphisms of X")
     if not X <= F.S:
         raise ValueError("X is not a subgroup of S")
+    K = realized_part(F, X, K)
     key = ("fully_K", F.S.home_mask_of(X), K.maps)
     if key not in F._cache:
         n0 = group_K_normalizer(F.S, X, K).order
@@ -377,6 +389,9 @@ def K_normalizer_subsystem(F: FusionSystem, X: Subgroup, K: AutGroup) -> FusionS
     those extending to an F-morphism that sends X to X acting as a member
     of K.
 
+    Kept in F's cache per (X, K cap Aut_F(X)), built on that: each germ
+    mapping X onto X, and each c_s with s in N_S(X), is on X in Aut_F(X).
+
     The result is interned in F's table of systems (see the module
     docstring): an (X, K) whose subsystem equals a member, F or any other
     system its corpus entry has built, gets that object and so its cache.
@@ -388,11 +403,10 @@ def K_normalizer_subsystem(F: FusionSystem, X: Subgroup, K: AutGroup) -> FusionS
     restrictions of those from the join that act on X in K, each join's
     found once.
     """
+    K = realized_part(F, X, K)
     key = ("NFK", F.S.home_mask_of(X), K.maps)
     if key in F._cache:
         return F._cache[key]
-    if K.base != X:
-        raise ValueError("K must consist of automorphisms of X")
     S0 = group_K_normalizer(F.S, X, K)
     x, s0 = F.S.mask(X), F.S.mask(S0)
     xpos, s0pos = positions(F.S, X), positions(F.S, S0)

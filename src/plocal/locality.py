@@ -79,6 +79,7 @@ from .fusion import (
     conjugation_germs,
     interned,
     is_fully_K_normalized,
+    realized_part,
     subcentric_set,
 )
 from .groups import (
@@ -452,14 +453,17 @@ def _is_max_p_subgroup(P0: Locality) -> bool:
 def bN_K(L: Locality, F: FusionSystem, X: Subgroup, K: AutGroup) -> Locality:
     """bN_L^K(X) = N_L^K(X) restricted to the subcentric set of N_F^K(X).
 
-    Requires X fully K-normalized in F. The output is a subcentric locality
-    when K is subnormal in K*Inn(X); callers that need one test that
-    hypothesis themselves. Kept in L's memo per (F, X, K), and the
-    restriction per its content (N_L^K(X), Gamma, X), which many (F, X, K)
-    share (K and K cap Aut_F(X), for one); a failed hypothesis is not
-    kept, so it raises again on every call.
+    Requires F = F_S(L) and X fully K-normalized in F. The output is a
+    subcentric locality when K is subnormal in K*Inn(X); callers that need
+    one test that hypothesis themselves. Kept in L's memo per (F, X,
+    K cap Aut_F(X)) and built on that intersection: N_L^K(X) reads K
+    through c_f on X for f in N_L(X) with X <= S_f, morphisms of
+    F_S(L) = F, and N_F^K(X) through K cap Aut_F(X) (see
+    ``fusion.K_normalizer_subsystem``). The restriction is kept per its
+    content (N_L^K(X), Gamma, X), which many (F, X, K) share; a failed
+    hypothesis is not kept, so it raises again on every call.
     """
-    x = L.ambient.home_mask_of(X)
+    x, K = L.ambient.home_mask_of(X), realized_part(F, X, K)
     key = ("bN_K", F, x, K.maps)
     hit = L._memo.get(key)
     if hit is not None:

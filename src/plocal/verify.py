@@ -151,10 +151,15 @@ def _verified_subcentric(
     entry. M is L or a restriction of it, so it has L's ambient group and
     p, and the maximality of its S reads only subgroups inside M.elems."""
     key = ("verified", M.elems, M.Delta, M.S_elems, F, word_len)
+    return _memoized(L, key, lo.verify_subcentric_locality, M, F, word_len)
+
+
+def _memoized(L: lo.Locality, key, decide, *args):
+    """The entry of L's memo under key, decide(*args) on a miss; a raise is
+    not kept."""
     hit = L._memo.get(key)
     if hit is None:
-        hit = lo.verify_subcentric_locality(M, F, word_len=word_len)
-        L._memo[key] = hit
+        hit = L._memo[key] = decide(*args)
     return hit
 
 
@@ -192,12 +197,7 @@ def check_fully_K_normalized_transfer(
 
 
 def _product_system(L: lo.Locality, N: int, X: Subgroup) -> fu.FusionSystem:
-    key = ("EX", N, L.ambient.home_mask_of(X))
-    hit = L._memo.get(key)
-    if hit is None:
-        hit = lo.product_fusion(L, N, X)
-        L._memo[key] = hit
-    return hit
+    return _memoized(L, ("EX", N, L.ambient.home_mask_of(X)), lo.product_fusion, L, N, X)
 
 
 # ---------------------------------------------------------------------------
@@ -211,14 +211,15 @@ def _subnormal_branch(F: fu.FusionSystem, X: Subgroup, K: AutGroup):
     derived objects (every realized automorphism lies in Aut_F(X))."""
     if K.is_subnormal_in(K.times_inn):
         return 1, K
-    K2 = AutGroup(K.base, K.maps & F.aut(X).maps)
+    K2 = fu.realized_part(F, X, K)
     if K2.is_subnormal_in(K2.times_inn):
         return 2, K2
     return None, None
 
 
 class TheoremRecord:
-    """The main theorem decided for one (F, E, N, X, K), kept in L's memo.
+    """The main theorem decided for one (F, E, N, X, K), or its conclusions
+    for one K cap Aut_F(X) (no branch in the stats), kept in L's memo.
 
     ``reason`` is the skip reason of both statements, or None when the
     hypotheses hold. Then ``witnesses`` holds the fail witness of the
@@ -265,36 +266,36 @@ def check_main_theorem(
 
 
 def _theorem_record(
-    L: lo.Locality,
-    F: fu.FusionSystem,
-    E: fu.FusionSystem,
-    N: int,
-    X: Subgroup,
-    K: AutGroup,
+    L: lo.Locality, F: fu.FusionSystem, E: fu.FusionSystem, N: int, X: Subgroup, K: AutGroup
 ) -> TheoremRecord:
     key = ("theorem", F, E, N, L.ambient.home_mask_of(X), K.maps)
-    hit = L._memo.get(key)
-    if hit is None:
-        hit = _decide_main_theorem(L, F, E, N, X, K)
-        L._memo[key] = hit
-    return hit
+    return _memoized(L, key, _decide_main_theorem, L, F, E, N, X, K)
 
 
 def _decide_main_theorem(
-    L: lo.Locality,
-    F: fu.FusionSystem,
-    E: fu.FusionSystem,
-    N: int,
-    X: Subgroup,
-    K: AutGroup,
+    L: lo.Locality, F: fu.FusionSystem, E: fu.FusionSystem, N: int, X: Subgroup, K: AutGroup
 ) -> TheoremRecord:
+    """The hypotheses per K; the conclusions (i)-(vi), decided for the first
+    K_eff, kept in L's memo per (F, E, N, X, K_eff cap Aut_F(X)), the branch
+    put back into the stats. Exact: bN_L^K(X) and N_F^K(X) read K only via
+    K cap Aut_F(X) (``locality.bN_K``), N_{EX}^K(X) via K cap Aut_EX(X), and
+    Aut_EX(X) <= Aut_F(X) as E X <= F."""
     if not fu.is_fully_K_normalized(F, X, K):
         return TheoremRecord(reason="not-fully-K-normalized")
     branch, K_eff = _subnormal_branch(F, X, K)
     if branch is None:
         return TheoremRecord(reason="K-not-subnormal-in-K*Inn(X)-either-branch")
-    stats: Dict[str, object] = {"branch": branch}
+    realized = fu.realized_part(F, X, K_eff).maps
+    key = ("conclusions", F, E, N, L.ambient.home_mask_of(X), realized)
+    rec = _memoized(L, key, _decide_conclusions, L, F, E, N, X, K_eff)
+    stats = {"branch": branch, **rec.stats}
+    return TheoremRecord(witnesses=rec.witnesses, stats=stats, E0_is_E=rec.E0_is_E)
 
+
+def _decide_conclusions(
+    L: lo.Locality, F: fu.FusionSystem, E: fu.FusionSystem, N: int, X: Subgroup, K_eff: AutGroup
+) -> TheoremRecord:
+    stats: Dict[str, object] = {}
     try:
         bn = lo.bN_K(L, F, X, K_eff)
     except PLocalError as exc:

@@ -1,5 +1,8 @@
+from pathlib import Path
+
 import pytest
 
+from plocal import cli
 from plocal import fusion as fu
 from plocal import groups as gp
 from plocal import locality as lo
@@ -8,6 +11,13 @@ from plocal.perm import perm_from_cycles
 
 def perms(degree, *specs):
     return [perm_from_cycles(s, degree) for s in specs]
+
+
+def default_and_a4xc2_entries():
+    """The default corpus's entries and a4xc2_v4 of the benchmark corpora."""
+    corpora = Path(__file__).resolve().parents[1] / "perfbench" / "corpora"
+    text = (corpora / "a4xc2_theorem.txt").read_text()
+    return cli.parse_corpus(cli.default_corpus_text()) + cli.parse_corpus(text)
 
 
 def germ(base, pairs):

@@ -330,6 +330,27 @@ def fully_K_normalized_by_conjugation(G: Subgroup, S: Subgroup, X: Subgroup, K) 
     return True
 
 
+def E0_by_group(H: Subgroup, S: Subgroup, X: Subgroup, K):
+    """The theorem's E_0 predicted from the group H: (T_0, N_H^K(X), maps),
+    with T_0 = N_T^K(X) = N_H^K(X) cap S for T = S cap H, and maps the
+    morphisms of F_{T_0}(N_H^K(X)): c_h on P for P <= T_0 and h in
+    N_H^K(X) with P^h <= T_0, by Perm conjugation; |T_0| <= 8.
+
+    E_0 = F_{T_0}(M) with M = N cap bN_L^K(X) inside N_H^K(X), so E_0 lies
+    in F_{T_0}(N_H^K(X)) at once. Equality is not proved here: the tests
+    check it instance by instance.
+    """
+    NH = K_normalizer_from_group(H, X, K)
+    T0 = Subgroup(NH.elems & S.elems)
+    maps = {
+        conj_map(P, h)
+        for P in powerset_subgroups(T0)
+        for h in NH.elems
+        if _conj(P, h) <= T0.elems
+    }
+    return T0, NH, maps
+
+
 def conjugation_germs(G: Subgroup, S: Subgroup):
     """The morphisms of F_S(G) as maps: c_g on P for every P <= S and
     g in G with P^g <= S."""

@@ -1,8 +1,6 @@
 """Fusion system tests: construction, closure, saturation, K-normalizers,
 distinguished subgroup sets and subsystem normality."""
 
-from pathlib import Path
-
 import pytest
 
 from plocal import cli
@@ -13,7 +11,7 @@ from plocal.errors import NotSaturated, NotSylow
 from plocal.perm import perm_from_cycles
 
 from . import oracles
-from .conftest import germ, perms
+from .conftest import default_and_a4xc2_entries, germ, perms
 
 
 def sub(F, *specs):
@@ -281,8 +279,10 @@ def test_fully_K_normalized_matches_conjugation_oracle():
 
 
 def test_group_K_normalizer_once_per_fully_K_key(monkeypatch):
-    """The verdict is kept in F's cache, and the conjugates phi(X) are
-    counted without a group_K_normalizer call: one call per (X, K)."""
+    """The verdict is kept in F's cache per (X, K cap Aut_F(X)), and the
+    conjugates phi(X) are counted without a group_K_normalizer call: one
+    call per (X, K cap Aut_F(X)), 21 for the 30 (X, K) of s4_a4, each made
+    on the intersection."""
     calls = []
     real = fu.group_K_normalizer
 
@@ -292,13 +292,15 @@ def test_group_K_normalizer_once_per_fully_K_key(monkeypatch):
 
     monkeypatch.setattr(fu, "group_K_normalizer", spy)
     _, _, F = _entry_fusion("s4_a4")
-    keys = set()
+    raw, realized = set(), set()
     for X in F.subgroups():
         for _, K in vf.k_options(X):
             first = fu.is_fully_K_normalized(F, X, K)
             assert fu.is_fully_K_normalized(F, X, K) is first
-            keys.add((X.elems, K.maps))
-    assert len(calls) == len(keys) == len(set(calls))
+            raw.add((X.elems, K.maps))
+            realized.add((X.elems, K.maps & F.aut(X).maps))
+    assert (len(raw), len(realized)) == (30, 21)
+    assert len(calls) == len(set(calls)) and set(calls) == realized
 
 
 # -- K-normalizer subsystems --------------------------------------------------
@@ -335,7 +337,7 @@ def test_aut_K_equals_autF_K_normalizer(F_s4):
 def test_equal_K_normalizers_are_one_object(s4):
     """Keys (X, K) with the same N_F^K(X) share one system, and so share
     what it caches. For the non-normal four-group, Aut(X) and Aut_F(X) are
-    different keys with the same subsystem."""
+    different K with one realized part, so one cache entry."""
     F = fu.fusion_of_group(s4, gp.sylow_subgroup(s4, 2), 2)
     two_keys = 0
     for X in F.subgroups():
@@ -344,6 +346,22 @@ def test_equal_K_normalizers_are_one_object(s4):
         assert fu.K_normalizer_subsystem(F, X, autF) is full
         two_keys += A.maps != autF.maps
     assert two_keys > 0
+
+
+def test_K_normalizer_on_a_new_base_leaves_its_Perm_view_unbuilt():
+    """A system hashes its base by order, not by the base's elements, so
+    entering N_F^K(X) over a base built for it in the table of systems
+    builds no Perm view of that base."""
+    _, _, F = _entry_fusion("s4_a4")
+    new = []
+    for X in F.subgroups():
+        for _, K in vf.k_options(X):
+            before = len(fu.table_of_systems(F))
+            NFK = fu.K_normalizer_subsystem(F, X, K)
+            if len(fu.table_of_systems(F)) > before:
+                new.append(NFK)
+    assert len(new) > 1
+    assert not any({"elems", "_sorted"} & set(vars(NFK.S)) for NFK in new)
 
 
 def test_K_normalizer_saturated_when_fully_K_normalized(F_s4, F_sl23):
@@ -357,14 +375,7 @@ def test_K_normalizer_saturated_when_fully_K_normalized(F_s4, F_sl23):
                     assert fu.is_saturated(fu.K_normalizer_subsystem(F, X, K))
 
 
-def _oracle_entries():
-    """The default corpus's entries and a4xc2_v4 of the benchmark corpora."""
-    corpora = Path(__file__).resolve().parents[1] / "perfbench" / "corpora"
-    text = (corpora / "a4xc2_theorem.txt").read_text()
-    return cli.parse_corpus(cli.default_corpus_text()) + cli.parse_corpus(text)
-
-
-@pytest.mark.parametrize("entry", _oracle_entries(), ids=lambda e: e.name)
+@pytest.mark.parametrize("entry", default_and_a4xc2_entries(), ids=lambda e: e.name)
 def test_K_normalizers_match_group_oracle(entry):
     """For every fully K-normalized X of the entry and every K of its sweep,
     the shared N_F^K(X) is F_{N_S^K(X)}(N_G^K(X)) read off G, and its core

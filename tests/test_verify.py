@@ -15,7 +15,7 @@ from plocal import verify as vf
 from plocal.errors import CorpusParseError, KDescriptorNotForX, NotFullyKNormalized
 from plocal.report import VerificationReport
 from . import oracles
-from .conftest import perms
+from .conftest import default_and_a4xc2_entries, perms
 
 PERFBENCH_CORPORA = Path(__file__).resolve().parents[1] / "perfbench" / "corpora"
 
@@ -183,6 +183,62 @@ def test_bN_K_restricts_once_per_key(monkeypatch, own_L_s4, F_s4, klein):
     first = lo.bN_K(own_L_s4, F_s4, V, K)
     assert lo.bN_K(own_L_s4, F_s4, V, K) is first
     assert calls == [V]
+
+
+def _theorem_instances(pe):
+    """The (X, K) of the entry's sweep whose theorem hypotheses hold, full
+    K-normalization read off G (oracles.fully_K_normalized_by_conjugation),
+    with K_eff of the subnormality branch."""
+    for X in pe.X_list or pe.F.subgroups():
+        for _, K in vf._k_sweep(pe, X):
+            if K is None or not oracles.fully_K_normalized_by_conjugation(pe.G, pe.F.S, X, K):
+                continue
+            branch, K_eff = vf._subnormal_branch(pe.F, X, K)
+            if branch is not None:
+                yield X, K, K_eff
+
+
+def test_bN_K_is_one_object_per_realized_K():
+    """bN_L^K(X) reads K only through K cap Aut_F(X): on every entry of the
+    default corpus and a4xc2_v4, for every fully K-normalized X and every K
+    of its sweep, K and that intersection, formed here as maps, get the
+    same object; some K are not their intersection."""
+    merged = 0
+    for entry in default_and_a4xc2_entries():
+        pe, axioms = vf.prepare_entry(entry)
+        assert axioms.passed
+        for X in pe.F.subgroups():
+            autF = pe.F.aut(X).maps
+            for _, K in vf.k_options(X):
+                if not fu.is_fully_K_normalized(pe.F, X, K):
+                    continue
+                realized = gp.AutGroup(X, K.maps & autF)
+                assert lo.bN_K(pe.L, pe.F, X, K) is lo.bN_K(pe.L, pe.F, X, realized)
+                merged += realized.maps != K.maps
+    assert merged > 0
+
+
+@pytest.mark.parametrize("entry", default_and_a4xc2_entries(), ids=lambda e: e.name)
+def test_E0_matches_group_oracle(entry):
+    """For every (X, K) of the entry's sweep whose theorem hypotheses hold,
+    E_0 = F_{T_0}(N cap bN_L^K(X)), with bN_L^K(X) asked for the raw K and
+    so shared by every K of its realized part, is the group's
+    F_{T_0}(N_H^K(X)) (oracles.E0_by_group), T_0 = N_T^K(X) is Sylow in
+    N_H^K(X), and the theorem record of (X, K) counts its germs."""
+    pe, axioms = vf.prepare_entry(entry)
+    assert axioms.passed
+    checked = 0
+    for X, K, _ in _theorem_instances(pe):
+        bn = lo.bN_K(pe.L, pe.F, X, K)
+        T0, NH, want = oracles.E0_by_group(entry.H, pe.F.S, X, K)
+        assert T0.order == gp.p_part(NH.order, pe.p)
+        t0 = pe.N & pe.L.S_elems & bn.S_elems
+        assert set(gp.elements(pe.L.ambient, t0)) == T0.elems
+        E0 = lo.fusion_of_partial(bn, pe.N & bn.elems, base=pe.L.ambient.from_home_mask(t0))
+        assert oracles.as_pairs(E0.S, E0.all_germs()) == want
+        assert vf._theorem_record(pe.L, pe.F, pe.E, pe.N, X, K).stats["E0_germs"] == len(want)
+        checked += 1
+    assert checked > 1
 
 
 def _spy_times_inn(monkeypatch, record):
@@ -447,6 +503,29 @@ def test_main_theorem_decided_once_per_instance(monkeypatch, own_L_s4, F_s4, E_s
     for a, b in zip(first, second):
         assert a.stats == b.stats and a.stats is not b.stats
     assert first[0].stats is not first[1].stats
+
+
+def test_theorem_conclusions_decided_once_per_realized_K_on_s4_a4(monkeypatch):
+    """The s4_a4 sweep decides the theorem's conclusions once per distinct
+    (X, K_eff cap Aut_F(X)), for fewer keys than the (X, K) whose
+    hypotheses hold, with no report failing."""
+    decided = []
+    real = vf._decide_conclusions
+
+    def spy(L, F, E, N, X, K_eff):
+        decided.append((X.elems, K_eff.maps & F.aut(X).maps))
+        return real(L, F, E, N, X, K_eff)
+
+    monkeypatch.setattr(vf, "_decide_conclusions", spy)
+    pe, axioms = vf.prepare_entry(_s4_a4_entry())
+    assert axioms.passed
+    assert not any(r.failed for r in vf.entry_reports(pe))
+    raw, realized = set(), set()
+    for X, K, K_eff in _theorem_instances(pe):
+        raw.add((X.elems, K.maps))
+        realized.add((X.elems, K_eff.maps & pe.F.aut(X).maps))
+    assert len(decided) == len(set(decided)) and set(decided) == realized
+    assert len(realized) < len(raw)
 
 
 # -- Corollary 3.3 -------------------------------------------------------------
