@@ -17,20 +17,22 @@ P whose image lies in Q. This normal form keeps closure computations small
 while every predicate in sight can still quantify over all morphisms
 exactly.
 
-A system caches the subgroup lattice of S and what it derives (Aut_F(P)
-per P, saturation witness, core, centric and subcentric sets, fully
-K-normalized verdicts and K-normalizer subsystems per (X, K cap Aut_F(X)),
-each subgroup by its mask over S's home and K cap Aut_F(X) by its maps,
-the pulled-back actions of :func:`_pulled_back` per germ, and the verdicts
-of normality and p-power index of a smaller system E in it, per E) in its
-``_cache``; all of it depends only on the content (S, p, germs) of the
-system and of the key (the proofs for K are in the docstrings), and
-systems compare by content, so a hit is exact.
+A system keeps the subgroup lattice of S and what it derives (Aut_F(P)
+per P, saturation witness, core, centric and subcentric sets, K cap
+Aut_F(X), fully K-normalized verdicts and K-normalizer subsystems per (X,
+K), the last two by K cap Aut_F(X), each subgroup by its mask over S's
+home and K by its maps, the pulled-back actions of :func:`_pulled_back`
+per germ, and the verdicts of normality and p-power index of a smaller
+system E in it, per E) in its ``_cache``, through ``groups.memo``, or
+``groups.keep`` for a lattice handed on, the one way a result is kept. All
+of it depends only on the content (S, p, germs) of the system and of the
+key (the proofs for K are in the docstrings), and systems compare by
+content, so a hit is exact.
 
 Equal content is also one object, and so one cache, through a *table of
-systems*: a dict mapping each system to itself, which every member holds
-under ``_cache["systems"]``. :func:`interned` gives the member equal to a
-new system, or enters it. A corpus entry keeps one table: it starts with
+systems*: a dict mapping each system to itself, which every member keeps
+under the key "systems". :func:`interned` gives the member equal to a new
+system, or enters it. A corpus entry keeps one table: it starts with
 F = F_S(G) (:func:`table_of_systems`), E = F_T(H) and the K-normalizer
 subsystems of every member are interned in it, and the entry's locality
 and its restrictions intern the systems of their partial subgroups in it
@@ -74,7 +76,9 @@ from .groups import (
     conj_positions,
     group_K_normalizer,
     join,
+    keep,
     lattice_by_mask,
+    memo,
     normalizer,
     normalizer_action,
     op_residual,
@@ -119,9 +123,7 @@ class FusionSystem:
 
     def subgroups(self) -> Tuple[Subgroup, ...]:
         """The subgroups of S in all_subgroups' canonical order."""
-        if "subgroups" not in self._cache:
-            self._cache["subgroups"] = all_subgroups(self.S)
-        return self._cache["subgroups"]
+        return memo(self._cache, "subgroups", all_subgroups, self.S)
 
     def all_germs(self) -> FrozenSet[tuple]:
         return self._all
@@ -131,12 +133,7 @@ class FusionSystem:
 
     def aut(self, P: Subgroup) -> AutGroup:
         """Aut_F(P): the germs from P onto P in P's positions, kept per P."""
-        key = ("aut", self.S.home_mask_of(P))
-        if key not in self._cache:
-            p, pos = self.S.mask(P), positions(self.S, P)
-            onto = (g for g in self.germs_by_src.get(p, ()) if _img(g) == p)
-            self._cache[key] = AutGroup(P, {_local(g, pos) for g in onto})
-        return self._cache[key]
+        return memo(self._cache, ("aut", self.S.home_mask_of(P)), _automized, self, P)
 
     def aut_S(self, P: Subgroup) -> AutGroup:
         """Aut_S(P) = automorphisms induced by conjugation from N_S(P)."""
@@ -167,15 +164,19 @@ class FusionSystem:
         )
 
 
+def _automized(F: FusionSystem, P: Subgroup) -> AutGroup:
+    p, pos = F.S.mask(P), positions(F.S, P)
+    onto = (g for g in F.germs_by_src.get(p, ()) if _img(g) == p)
+    return AutGroup(P, {_local(g, pos) for g in onto})
+
+
 # ---------------------------------------------------------------------------
 # germs: tuples of positions over the sorted elements of S
 
 
 def _lattice(F: FusionSystem) -> Dict[int, Subgroup]:
     """S's lattice by mask, in its canonical order, kept in F's cache."""
-    if "lattice" not in F._cache:
-        F._cache["lattice"] = lattice_by_mask(F.S, F.subgroups())
-    return F._cache["lattice"]
+    return memo(F._cache, "lattice", lambda: lattice_by_mask(F.S, F.subgroups()))
 
 
 def _src(g: tuple) -> int:
@@ -233,16 +234,14 @@ def subsystem_le(E: FusionSystem, F: FusionSystem) -> bool:
 def table_of_systems(F: FusionSystem) -> Dict[FusionSystem, FusionSystem]:
     """The table of systems F belongs to (see the module docstring); for a
     system that has none, a new one holding F alone."""
-    if "systems" not in F._cache:
-        F._cache["systems"] = {F: F}
-    return F._cache["systems"]
+    return keep(F._cache, "systems", {F: F})
 
 
 def interned(systems: Dict[FusionSystem, FusionSystem], E: FusionSystem) -> FusionSystem:
     """The member of the table of systems equal to E; E itself, entered in
     the table, when it holds none."""
-    out = systems.setdefault(E, E)
-    out._cache.setdefault("systems", systems)
+    out = keep(systems, E, E)
+    keep(out._cache, "systems", systems)
     return out
 
 
@@ -264,7 +263,7 @@ def fusion_of_group(
     subgroups = subgroups or all_subgroups(S)
     masks = [S.mask(P) for P in subgroups]
     out = FusionSystem(S, p, conjugation_germs(conj_positions(G, S), masks))
-    out._cache["subgroups"] = subgroups
+    keep(out._cache, "subgroups", subgroups)
     return out
 
 
@@ -336,7 +335,7 @@ def close_generated(
         for h in tuple(by_img.get(src, ())):
             push(_then(h, g))
     out = FusionSystem(S, p, germs)
-    out._cache["subgroups"] = subgroups
+    keep(out._cache, "subgroups", subgroups)
     return out
 
 
@@ -345,11 +344,14 @@ def close_generated(
 
 
 def realized_part(F: FusionSystem, X: Subgroup, K: AutGroup) -> AutGroup:
-    """K cap Aut_F(X) for K on X <= S, K itself when F realizes all of K."""
+    """K cap Aut_F(X) for K on X <= S, K itself when F realizes all of K.
+    Kept in F's cache per (X, K's maps), exact as Aut_F(X) is a function
+    of F and X."""
     if K.base != X:
         raise ValueError("K must consist of automorphisms of X")
-    autF = F.aut(X).maps
-    return K if K.maps <= autF else AutGroup(X, K.maps & autF)
+    return memo(F._cache, ("realized", F.S.home_mask_of(X), K.maps), lambda: (
+        K if K.maps <= F.aut(X).maps else AutGroup(X, K.maps & F.aut(X).maps)
+    ))
 
 
 def is_fully_K_normalized(F: FusionSystem, X: Subgroup, K: AutGroup) -> bool:
@@ -366,14 +368,15 @@ def is_fully_K_normalized(F: FusionSystem, X: Subgroup, K: AutGroup) -> bool:
     if not X <= F.S:
         raise ValueError("X is not a subgroup of S")
     K = realized_part(F, X, K)
-    key = ("fully_K", F.S.home_mask_of(X), K.maps)
-    if key not in F._cache:
-        n0 = group_K_normalizer(F.S, X, K).order
-        F._cache[key] = all(
-            sum(image in K.maps for image in _pulled_back(F, _inverse(phi)).values()) <= n0
-            for phi in F.germs_from(X)
-        )
-    return F._cache[key]
+    return memo(F._cache, ("fully_K", F.S.home_mask_of(X), K.maps), _fully_K, F, X, K)
+
+
+def _fully_K(F: FusionSystem, X: Subgroup, K: AutGroup) -> bool:
+    n0 = group_K_normalizer(F.S, X, K).order
+    return all(
+        sum(image in K.maps for image in _pulled_back(F, _inverse(phi)).values()) <= n0
+        for phi in F.germs_from(X)
+    )
 
 
 def is_fully_normalized(F: FusionSystem, X: Subgroup) -> bool:
@@ -404,9 +407,10 @@ def K_normalizer_subsystem(F: FusionSystem, X: Subgroup, K: AutGroup) -> FusionS
     found once.
     """
     K = realized_part(F, X, K)
-    key = ("NFK", F.S.home_mask_of(X), K.maps)
-    if key in F._cache:
-        return F._cache[key]
+    return memo(F._cache, ("NFK", F.S.home_mask_of(X), K.maps), _K_normalizer, F, X, K)
+
+
+def _K_normalizer(F: FusionSystem, X: Subgroup, K: AutGroup) -> FusionSystem:
     S0 = group_K_normalizer(F.S, X, K)
     x, s0 = F.S.mask(X), F.S.mask(S0)
     xpos, s0pos = positions(F.S, X), positions(F.S, S0)
@@ -422,8 +426,7 @@ def K_normalizer_subsystem(F: FusionSystem, X: Subgroup, K: AutGroup) -> FusionS
             if not _img(r) & ~s0:
                 germs.add(_local(r, s0pos))
     out = interned(table_of_systems(F), FusionSystem(S0, F.p, germs))
-    out._cache.setdefault("subgroups", tuple(lattice.values()))
-    F._cache[key] = out
+    keep(out._cache, "subgroups", tuple(lattice.values()))
     return out
 
 
@@ -453,8 +456,10 @@ def saturation_failure(F: FusionSystem) -> Optional[dict]:
     (Aut_S(P) is a Sylow p-subgroup of Aut_F(P)) and receptive (every
     isomorphism onto P extends to its N_phi).
     """
-    if "sat" in F._cache:
-        return F._cache["sat"]
+    return memo(F._cache, "sat", _saturation_witness, F)
+
+
+def _saturation_witness(F: FusionSystem) -> Optional[dict]:
     witness = None
     for P in F.subgroups():
         cls = F.conjugates(P)
@@ -487,7 +492,6 @@ def saturation_failure(F: FusionSystem) -> Optional[dict]:
                 break
         if witness is not None:
             break
-    F._cache["sat"] = witness
     return witness
 
 
@@ -496,14 +500,15 @@ def _pulled_back(F: FusionSystem, psi: tuple) -> Dict[int, Tuple[int, ...]]:
     permutation image of psi^-1 c_g psi, z |-> ((z psi^-1)^g) psi, on Z's
     sorted elements: the action of g on Y (:func:`normalizer_action`)
     carried through psi. Kept in F's cache per psi."""
-    key = ("pulled_back", psi)
-    if key not in F._cache:
-        images = [j for j in psi if j >= 0]  # of Y's elements in order
-        fro = sorted(range(len(images)), key=images.__getitem__)
-        to = sorted(range(len(images)), key=fro.__getitem__)  # Y's places to Z's
-        action = normalizer_action(F.S, _lattice(F)[_src(psi)])
-        F._cache[key] = {g: tuple(to[image[j]] for j in fro) for g, image in action.items()}
-    return F._cache[key]
+    return memo(F._cache, ("pulled_back", psi), _pulling_back, F, psi)
+
+
+def _pulling_back(F: FusionSystem, psi: tuple) -> Dict[int, Tuple[int, ...]]:
+    images = [j for j in psi if j >= 0]  # of Y's elements in order
+    fro = sorted(range(len(images)), key=images.__getitem__)
+    to = sorted(range(len(images)), key=fro.__getitem__)  # Y's places to Z's
+    action = normalizer_action(F.S, _lattice(F)[_src(psi)])
+    return {g: tuple(to[image[j]] for j in fro) for g, image in action.items()}
 
 
 def _extension_control_group(F: FusionSystem, phi: tuple, autS_P: AutGroup) -> Subgroup:
@@ -553,13 +558,14 @@ def is_normal_in_fusion(F: FusionSystem, P: Subgroup) -> bool:
 
 def fusion_core(F: FusionSystem) -> Subgroup:
     """O_p(F): the largest subgroup normal in the fusion system."""
-    if "core" in F._cache:
-        return F._cache["core"]
+    return memo(F._cache, "core", _largest_normal, F)
+
+
+def _largest_normal(F: FusionSystem) -> Subgroup:
     normals = [P for P in F.subgroups() if is_normal_in_fusion(F, P)]
     best = max(normals, key=lambda P: P.order)
     if not all(P <= best for P in normals):
         raise RuntimeError("normal subgroups of the fusion system have no unique maximum; lattice bug")
-    F._cache["core"] = best
     return best
 
 
@@ -574,40 +580,39 @@ def centric_set(F: FusionSystem) -> Tuple[Subgroup, ...]:
     """F^c, the F-centric subgroups of S."""
     if saturation_failure(F) is not None:
         raise NotSaturated("centric set requires a saturated fusion system")
-    if "centric" not in F._cache:
-        out = tuple(P for P in F.subgroups() if is_centric(F, P))
-        _check_closure(F, out, "centric")
-        F._cache["centric"] = out
-    return F._cache["centric"]
+    return memo(F._cache, "centric", lambda: _check_closure(
+        F, tuple(P for P in F.subgroups() if is_centric(F, P)), "centric"
+    ))
 
 
 def subcentric_set(F: FusionSystem) -> Tuple[Subgroup, ...]:
     """F^s: P with O_p(N_F(Q)) centric for a fully normalized conjugate Q."""
     if saturation_failure(F) is not None:
         raise NotSaturated("subcentric set requires a saturated fusion system")
-    if "subcentric" not in F._cache:
-        verdict: Dict[int, bool] = {}
-        out = []
-        for P in F.subgroups():
-            if P.home_mask not in verdict:
-                cls = F.conjugates(P)
-                rep = _full_normalized_members(F, cls)[0]
-                NF = normalizer_subsystem(F, rep)
-                core = fusion_core(NF)
-                good = is_centric(F, core)
-                for Q in cls:
-                    verdict[Q.home_mask] = good
-            if verdict[P.home_mask]:
-                out.append(P)
-        out = tuple(out)
-        _check_closure(F, out, "subcentric")
-        F._cache["subcentric"] = out
-    return F._cache["subcentric"]
+    return memo(F._cache, "subcentric", _subcentrics, F)
+
+
+def _subcentrics(F: FusionSystem) -> Tuple[Subgroup, ...]:
+    verdict: Dict[int, bool] = {}
+    out = []
+    for P in F.subgroups():
+        if P.home_mask not in verdict:
+            cls = F.conjugates(P)
+            rep = _full_normalized_members(F, cls)[0]
+            NF = normalizer_subsystem(F, rep)
+            core = fusion_core(NF)
+            good = is_centric(F, core)
+            for Q in cls:
+                verdict[Q.home_mask] = good
+        if verdict[P.home_mask]:
+            out.append(P)
+    return _check_closure(F, tuple(out), "subcentric")
 
 
 def _check_closure(F: FusionSystem, collection: Tuple[Subgroup, ...], name: str):
     """The centric/subcentric sets must be closed under F-conjugacy and
-    overgroups; a violation here is an implementation bug, not user error."""
+    overgroups, and are returned; a violation here is an implementation
+    bug, not user error."""
     members = {P.home_mask for P in collection}
     for P in collection:
         for Q in F.conjugates(P):
@@ -616,6 +621,7 @@ def _check_closure(F: FusionSystem, collection: Tuple[Subgroup, ...], name: str)
         for Q in F.subgroups():
             if P <= Q and Q.home_mask not in members:
                 raise RuntimeError("%s set not closed under overgroups" % name)
+    return collection
 
 
 # ---------------------------------------------------------------------------
@@ -636,17 +642,11 @@ def hyperfocal_subgroup(F: FusionSystem) -> Subgroup:
 def has_p_power_index(D: FusionSystem, F: FusionSystem) -> bool:
     """D over R has p-power index in F: hyp(F) <= R and O^p(Aut_F(P)) <=
     Aut_D(P) for every P <= R. Kept in F's cache per D."""
-    key = ("p_power_index", D)
-    if key not in F._cache:
-        F._cache[key] = (
-            subsystem_le(D, F)
-            and hyperfocal_subgroup(F) <= D.S
-            and all(
-                op_residual(F.aut(P), F.p).maps <= D.aut(P).maps
-                for P in D.subgroups()
-            )
-        )
-    return F._cache[key]
+    return memo(F._cache, ("p_power_index", D), lambda: (
+        subsystem_le(D, F)
+        and hyperfocal_subgroup(F) <= D.S
+        and all(op_residual(F.aut(P), F.p).maps <= D.aut(P).maps for P in D.subgroups())
+    ))
 
 
 def conjugate_fusion(E: FusionSystem, alpha: tuple) -> FusionSystem:
@@ -696,9 +696,7 @@ def is_normal_subsystem(E: FusionSystem, F: FusionSystem) -> bool:
     """Weakly normal + extension property: each alpha in Aut_E(T) extends
     to T*C_S(T) moving C_S(T) only within Z(T). Kept in F's cache per E."""
     key = ("normal", E)
-    if key not in F._cache:
-        F._cache[key] = is_weakly_normal(E, F) and _has_extension_property(E, F)
-    return F._cache[key]
+    return memo(F._cache, key, lambda: is_weakly_normal(E, F) and _has_extension_property(E, F))
 
 
 def _has_extension_property(E: FusionSystem, F: FusionSystem) -> bool:

@@ -16,13 +16,17 @@ Where conjugation sends the elements of X is read in one place,
 :func:`conj_positions`; a group from another home is carried into a home
 in one place, :meth:`Subgroup.home_mask_of`, and a group inside S is a
 mask over S's sorted elements by :meth:`Subgroup.mask`, so no other
-module reads the conjugation table or the element index. A home keeps,
-per X's mask, N_G(X) and its action on X: the one test of "g normalizes
-X". It also keeps, under the masks they depend on, the verdicts about the
-groups reading its tables: whether H has characteristic p, per (H, p);
-whether H is subnormal in G, per (H, G); X's table on its positions and
-Aut(X), per X; the permutation image of an automorphism group of X, per
-maps, the one home of that content; and its subgroups, per (X, maps).
+module reads the conjugation table or the element index. A home keeps
+in ``_kept``, under the masks they depend on, what is decided about the
+groups reading its tables: N_G(X) and its action on X, per X, the one test
+of "g normalizes X"; whether H has characteristic p, per (H, p); whether
+H is subnormal in G, per (H, G); X's table on its positions and Aut(X),
+per X; the permutation image of an automorphism group of X, per maps, the
+one home of that content; and its subgroups, per (X, maps).
+
+:func:`memo` and :func:`keep` are the one way the package keeps a result,
+there, in a fusion system's ``_cache``, a locality's ``_memo`` and a table
+of systems; :func:`peek` reads one without deciding it.
 
 Subgroup lattices are asked for only on p-groups and on permutation images
 of automorphism groups; S's is kept by the fusion system or locality over
@@ -44,6 +48,29 @@ from .perm import Perm, identity, sorted_elems
 ELEMENT_CAP = 10_000
 SUBGROUP_CAP = 400
 AUT_BASE_CAP = 64
+
+
+def memo(place: dict, key, decide, *args):
+    """What place keeps under key, else decide(*args), kept there. A result
+    of None or False is kept; a raise is not, so it comes again on every
+    call. Pass decide as the module attribute a wrapper would replace. A
+    hit is one dict lookup: no place keeps itself, so it marks a miss."""
+    out = place.get(key, place)
+    if out is place:
+        out = place[key] = decide(*args)
+    return out
+
+
+def keep(place: dict, key, value):
+    """What place keeps under key, else value, kept there: for a value the
+    caller already holds, such as a lattice handed on."""
+    return place.setdefault(key, value)
+
+
+def peek(place: dict, key):
+    """What place keeps under key, None if nothing: decides and keeps
+    nothing."""
+    return place.get(key)
 
 
 def mulclose(gens: Iterable[Perm], cap: int = ELEMENT_CAP) -> FrozenSet[Perm]:
@@ -197,18 +224,12 @@ class Subgroup:
         return tuple(tuple(mul[b][a] for b in mul[inv[a]]) for a in range(len(mul)))
 
     @cached_property
-    def _normalizers(self) -> Dict[int, tuple]:
-        """Per X's mask, for G = self a home: N_G(X) and its action on X,
-        each g's index mapped to the permutation image of c_g on X's sorted
-        elements; filled by :func:`normalizer_action`."""
-        return {}
-
-    @cached_property
     def _kept(self) -> Dict[tuple, object]:
         """For G = self a home, what is decided about groups reading its
-        tables, per (kind, home masks): ("char_p", H, p), ("subnormal", H,
-        G), ("table", X), ("aut", X), ("image", maps) and ("sub_autgroups",
-        X, maps); filled by :func:`is_characteristic_p`,
+        tables, per (kind, home masks): ("normalizer", X), ("char_p", H,
+        p), ("subnormal", H, G), ("table", X), ("aut", X), ("image", maps)
+        and ("sub_autgroups", X, maps); filled through :func:`memo` by
+        :func:`normalizer_action`, :func:`is_characteristic_p`,
         :func:`is_subnormal`, :func:`_position_table`, :func:`aut_group`,
         :attr:`AutGroup.image` and :meth:`AutGroup.sub_autgroups`."""
         return {}
@@ -366,23 +387,28 @@ def conj_positions(G: Subgroup, X: Subgroup) -> Tuple[Tuple[int, ...], ...]:
     return tuple(tuple(position.get(row[x], -1) for x in xs) for row in rows)
 
 
+def _home_normalizer(G: Subgroup, X: Subgroup) -> Tuple[Subgroup, Dict[int, Tuple[int, ...]]]:
+    """N_home(X) and its action on X, for G's home, kept there per X."""
+    return memo(G.home._kept, ("normalizer", G.home_mask_of(X)), _normalizing, G.home, X)
+
+
+def _normalizing(home: Subgroup, X: Subgroup):
+    action = {g: image for g, image in enumerate(conj_positions(home, X)) if -1 not in image}
+    return home.from_home_mask(sum(1 << g for g in action)), action
+
+
 def normalizer_action(G: Subgroup, X: Subgroup) -> Dict[int, Tuple[int, ...]]:
     """The action of N_G(X) on X: the home index of each g in N_G(X)
     mapped to its row of conj_positions(G, X), which has no -1. Read once
     per X's mask on the home and kept there with N_home(X); for G not its
     home it is restricted to G."""
-    home, x = G.home, G.home_mask_of(X)
-    if x not in home._normalizers:
-        action = {g: image for g, image in enumerate(conj_positions(home, X)) if -1 not in image}
-        home._normalizers[x] = (home.from_home_mask(sum(1 << g for g in action)), action)
-    action = home._normalizers[x][1]
-    return action if G is home else {g: image for g, image in action.items() if G.home_mask >> g & 1}
+    action = _home_normalizer(G, X)[1]
+    return action if G is G.home else {g: image for g, image in action.items() if G.home_mask >> g & 1}
 
 
 def normalizer(G: Subgroup, X: Subgroup) -> Subgroup:
     """N_G(X) = {g : X^g = X}, kept on G's home per X."""
-    normalizer_action(G.home, X)
-    N = G.home._normalizers[G.home_mask_of(X)][0]
+    N = _home_normalizer(G, X)[0]
     return N if G is G.home else G.from_home_mask(N.home_mask & G.home_mask)
 
 
@@ -473,11 +499,12 @@ def core_Op(G: Subgroup, p: int) -> Subgroup:
 
 def is_characteristic_p(G: Subgroup, p: int) -> bool:
     """C_G(O_p(G)) <= O_p(G). Kept on G's home per (G, p)."""
-    kept, key = G.home._kept, ("char_p", G.home_mask, p)
-    if key not in kept:
-        Q = core_Op(G, p)
-        kept[key] = centralizer(G, Q) <= Q
-    return kept[key]
+    return memo(G.home._kept, ("char_p", G.home_mask, p), _char_p, G, p)
+
+
+def _char_p(G: Subgroup, p: int) -> bool:
+    Q = core_Op(G, p)
+    return centralizer(G, Q) <= Q
 
 
 def subnormal_chain(H: Subgroup, G: Subgroup) -> Optional[Tuple[Subgroup, ...]]:
@@ -502,10 +529,8 @@ def subnormal_chain(H: Subgroup, G: Subgroup) -> Optional[Tuple[Subgroup, ...]]:
 def is_subnormal(H: Subgroup, G: Subgroup) -> bool:
     """Whether subnormal_chain(H, G) finds a chain. Kept on G's home per
     (H, G); an H outside G raises on every call."""
-    kept, key = G.home._kept, ("subnormal", G.home_mask_of(H), G.home_mask)
-    if key not in kept:
-        kept[key] = subnormal_chain(H, G) is not None
-    return kept[key]
+    key = ("subnormal", G.home_mask_of(H), G.home_mask)
+    return memo(G.home._kept, key, lambda: subnormal_chain(H, G) is not None)
 
 
 # ---------------------------------------------------------------------------
@@ -526,7 +551,7 @@ class AutGroup:
     """
 
     def __init__(self, base: Subgroup, maps: Iterable[Sequence[int]]):
-        maps, known = frozenset(map(Perm, maps)), base.home._kept.get(("aut", base.home_mask))
+        maps, known = frozenset(map(Perm, maps)), peek(base.home._kept, ("aut", base.home_mask))
         if not (maps <= known.maps if known else all(_is_automorphism(base, m) for m in maps)):
             raise ValueError("map is not an automorphism of the base")
         object.__setattr__(self, "base", base)
@@ -554,19 +579,18 @@ class AutGroup:
     def image(self) -> Subgroup:
         """The permutation image, a home of its own with its tables, kept on
         the base's home per maps, so one per content."""
-        kept, key = self.base.home._kept, ("image", self.maps)
-        if key not in kept:
-            kept[key] = Subgroup(self.maps)
-        return kept[key]
+        return memo(self.base.home._kept, ("image", self.maps), Subgroup, self.maps)
 
     def sub_autgroups(self) -> Tuple["AutGroup", ...]:
         """All subgroups of this automorphism group, in all_subgroups'
         canonical order of their permutation images, closed on the image's
         own table. Kept on the base's home per (base, maps)."""
-        kept, key = self.base.home._kept, ("sub_autgroups", self.base.home_mask, self.maps)
-        if key not in kept:
-            kept[key] = tuple(AutGroup(self.base, H) for H in all_subgroups(self.image))
-        return kept[key]
+        key = ("sub_autgroups", self.base.home_mask, self.maps)
+        # not through memo: the lattice tests tell an image's lattice from S's
+        # by the caller of all_subgroups, this method
+        return peek(self.base.home._kept, key) or keep(
+            self.base.home._kept, key, tuple(AutGroup(self.base, H) for H in all_subgroups(self.image))
+        )
 
     @cached_property
     def times_inn(self) -> "AutGroup":
@@ -594,25 +618,23 @@ def aut_group(X: Subgroup, cap: int = AUT_BASE_CAP) -> AutGroup:
     """
     if X.order > cap:
         raise CapExceeded("automorphism base %d exceeds cap %d" % (X.order, cap))
-    kept, key = X.home._kept, ("aut", X.home_mask)
-    if key not in kept:
-        kept[key] = _automorphisms(X)
-    return kept[key]
+    return memo(X.home._kept, ("aut", X.home_mask), _automorphisms, X)
 
 
 def _position_table(X: Subgroup) -> Tuple[List[int], Tuple[Tuple[int, ...], ...]]:
     """X's product table on its sorted positions, read off its home's, and a
     greedy generating sequence of positions; kept on X's home per X."""
-    kept, key = X.home._kept, ("table", X.home_mask)
-    if key not in kept:
-        xs, mul = bits(X.home_mask), X.home.mul_table
-        position = {x: k for k, x in enumerate(xs)}
-        rows, gens = tuple(tuple(position[mul[a][b]] for b in xs) for a in xs), []
-        for k in range(len(xs)):
-            if not _close(rows, gens) >> k & 1:
-                gens.append(k)
-        kept[key] = (gens, rows)
-    return kept[key]
+    return memo(X.home._kept, ("table", X.home_mask), _table_and_gens, X)
+
+
+def _table_and_gens(X: Subgroup) -> Tuple[List[int], Tuple[Tuple[int, ...], ...]]:
+    xs, mul = bits(X.home_mask), X.home.mul_table
+    position = {x: k for k, x in enumerate(xs)}
+    rows, gens = tuple(tuple(position[mul[a][b]] for b in xs) for a in xs), []
+    for k in range(len(xs)):
+        if not _close(rows, gens) >> k & 1:
+            gens.append(k)
+    return gens, rows
 
 
 def _is_automorphism(X: Subgroup, m: Sequence[int]) -> bool:

@@ -93,10 +93,13 @@ from .groups import (
     group_K_normalizer,
     is_characteristic_p,
     is_p_group,
+    keep,
     lattice_by_mask,
+    memo,
     normalizer,
     p_part,
     pack,
+    peek,
     positions,
     times_cyclic,
     trivial_aut_group,
@@ -159,7 +162,9 @@ class Locality:
     its words are decided by ChainDomain(ambient, S, Delta). It owns the
     lattice of S (_lattice) and holds a table of systems (see
     fusion_of_partial): its own, or the one group_locality is handed,
-    shared with every restriction of it."""
+    shared with every restriction of it. What is decided about it is kept
+    in its ``_memo`` and its table of systems through ``groups.memo`` and
+    ``groups.keep``, the one way to keep a result."""
 
     __slots__ = ("ambient", "elems", "Delta", "S_elems", "p", "rule", "S", "_memo", "_systems")
 
@@ -219,9 +224,7 @@ class Locality:
 def _lattice(L: Locality) -> Dict[int, Subgroup]:
     """S's lattice by mask over S, in all_subgroups' canonical order, kept
     in L's memo: handed on by group_locality or restrict, or built."""
-    if "lattice" not in L._memo:
-        L._memo["lattice"] = lattice_by_mask(L.S, all_subgroups(L.S))
-    return L._memo["lattice"]
+    return memo(L._memo, "lattice", lambda: lattice_by_mask(L.S, all_subgroups(L.S)))
 
 
 def _name(L: Locality, a: int) -> str:
@@ -270,7 +273,7 @@ def group_locality(
         raise NotSylow("S is not a Sylow %d-subgroup of G" % p)
     lattice = lattice_by_mask(S, subgroups or all_subgroups(S))
     out = Locality(G, G.home_mask, lattice, G.home_mask_of(S), p)
-    out._memo["lattice"] = lattice
+    keep(out._memo, "lattice", lattice)
     if systems is not None:
         out._systems = systems
     return out
@@ -296,7 +299,7 @@ def build_group_locality(
     if out == L:
         # every subgroup of S is an object, so out has L's content and
         # restricts as L did, to itself: kept as bN_K keeps a restriction
-        out._memo["restrict", out.elems, out.Delta, one.home_mask] = out
+        keep(out._memo, ("restrict", out.elems, out.Delta, one.home_mask), out)
     return out
 
 
@@ -309,22 +312,23 @@ def _S_f_masks(L: Locality) -> Tuple[int, ...]:
     kept in L's memo: bit i is set iff x_i^f lies in S, f, f^-1 and x_i lie
     in L and R of (f^-1, x_i, f), with prefix products 1, f^-1, f^-1 x_i and
     x_i^f, is an object."""
-    hit = L._memo.get("S_f")
-    if hit is None:
-        mul, inv, inside, rule = L.ambient.mul_table, L.ambient.inv_table, L.elems, L.rule
-        sv, base = rule.survivors, bits(rule.S.home_mask)
+    return memo(L._memo, "S_f", _S_f_of, L)
 
-        def mask(f, row):
-            fi = inv[f]
-            if not (inside >> f & 1 and inside >> fi & 1):
-                return 0
-            return sum(
-                1 << i for i, x in enumerate(base) if inside >> x & 1 and row[i] >= 0
-                and (sv[fi] & sv[mul[fi][x]] & sv[base[row[i]]]) in rule.masks
-            )
 
-        hit = L._memo["S_f"] = tuple(map(mask, range(len(mul)), rule.conj_pos))
-    return hit
+def _S_f_of(L: Locality) -> Tuple[int, ...]:
+    mul, inv, inside, rule = L.ambient.mul_table, L.ambient.inv_table, L.elems, L.rule
+    sv, base = rule.survivors, bits(rule.S.home_mask)
+
+    def mask(f, row):
+        fi = inv[f]
+        if not (inside >> f & 1 and inside >> fi & 1):
+            return 0
+        return sum(
+            1 << i for i, x in enumerate(base) if inside >> x & 1 and row[i] >= 0
+            and (sv[fi] & sv[mul[fi][x]] & sv[base[row[i]]]) in rule.masks
+        )
+
+    return tuple(map(mask, range(len(mul)), rule.conj_pos))
 
 
 def S_f(L: Locality, f: Perm) -> Subgroup:
@@ -419,7 +423,7 @@ def restrict(L: Locality, H: int, Gamma: Iterable[int], X: Subgroup) -> Locality
     sf = _S_f_masks(L)
     elems = sum(1 << f for f in bits(H) if (sf[f] & r) in Gamma)
     out = Locality(L.ambient, elems, (pack(P, r) for P in objects), R, L.p)
-    out._memo["lattice"] = {pack(m, r): P for m, P in r_lattice.items()}
+    keep(out._memo, "lattice", {pack(m, r): P for m, P in r_lattice.items()})
     if not _is_max_p_subgroup(out):
         raise NotSylow("S cap H is not a maximal p-subgroup of the restriction")
     out._systems = L._systems
@@ -463,22 +467,18 @@ def bN_K(L: Locality, F: FusionSystem, X: Subgroup, K: AutGroup) -> Locality:
     content (N_L^K(X), Gamma, X), which many (F, X, K) share; a failed
     hypothesis is not kept, so it raises again on every call.
     """
-    x, K = L.ambient.home_mask_of(X), realized_part(F, X, K)
-    key = ("bN_K", F, x, K.maps)
-    hit = L._memo.get(key)
-    if hit is not None:
-        return hit
+    K = realized_part(F, X, K)
+    return memo(L._memo, ("bN_K", F, L.ambient.home_mask_of(X), K.maps), _bN_K, L, F, X, K)
+
+
+def _bN_K(L: Locality, F: FusionSystem, X: Subgroup, K: AutGroup) -> Locality:
     if not is_fully_K_normalized(F, X, K):
         raise NotFullyKNormalized("X is not fully K-normalized in F")
     NFK = K_normalizer_subsystem(F, X, K)
     Gamma = frozenset(L.S.mask(P) for P in subcentric_set(NFK))
     H = K_normalizer_partial(L, X, K)
-    content = ("restrict", H, Gamma, x)
-    hit = L._memo.get(content)
-    if hit is None:
-        hit = L._memo[content] = restrict(L, H, Gamma, X)
-    L._memo[key] = hit
-    return hit
+    content = ("restrict", H, Gamma, L.ambient.home_mask_of(X))
+    return memo(L._memo, content, restrict, L, H, Gamma, X)
 
 
 def bN(L: Locality, F: FusionSystem, X: Subgroup) -> Locality:
@@ -535,19 +535,15 @@ def fusion_of_partial(L: Locality, N: int, base: Optional[Subgroup] = None) -> F
     r = L.ambient.home_mask_of(R)
     if r & ~T:
         raise ValueError("base is not inside the partial subgroup and S")
-    table, key = L._systems, (L, N, r)
-    hit = table.get(key)
-    if hit is None:
-        germs = _partial_germs(L, N, R)
-        closure = (r, frozenset(germs))
-        hit = table.get(closure)
-        if hit is None:
-            rs = pack(r, L.S_elems)
-            lattice = tuple(P for m, P in _lattice(L).items() if not m & ~rs)
-            hit = close_generated(R, L.p, germs, subgroups=lattice)
-            hit = table[closure] = interned(table, hit)
-        table[key] = hit
-    return hit
+    return memo(L._systems, (L, N, r), _generated, L, N, R, r)
+
+
+def _generated(L: Locality, N: int, R: Subgroup, r: int) -> FusionSystem:
+    germs, rs = _partial_germs(L, N, R), pack(r, L.S_elems)
+    lattice = tuple(P for m, P in _lattice(L).items() if not m & ~rs)
+    return memo(L._systems, (r, frozenset(germs)), lambda: interned(
+        L._systems, close_generated(R, L.p, germs, subgroups=lattice)
+    ))
 
 
 def _partial_germs(L: Locality, N: int, R: Subgroup) -> set:
@@ -615,20 +611,18 @@ def _chain_row(P: Locality, live: int) -> Tuple[int, ...]:
     images are found by conjugating the objects' elements as Perms, never
     read from the rule's tables, so the oracle stays independent of the
     rule it checks."""
-    table = P._memo.get("chain_ends")
-    if table is None:
-        listed = [frozenset(elements(P.S, d)) for d in sorted(P.Delta, key=bits)]
-        number = {d: o for o, d in enumerate(listed)}
-        images = tuple(
-            tuple(number.get(frozenset(x.conj(g) for x in d), -1) for d in listed)
-            for g in P.sorted_elements()
-        )
-        table = P._memo["chain_ends"] = (listed, images, {})
-    _, images, rows = table
-    row = rows.get(live)
-    if row is None:
-        row = rows[live] = _moved(images, live)
-    return row
+    _, images, rows = memo(P._memo, "chain_ends", _chain_ends, P)
+    return memo(rows, live, _moved, images, live)
+
+
+def _chain_ends(P: Locality):
+    listed = [frozenset(elements(P.S, d)) for d in sorted(P.Delta, key=bits)]
+    number = {d: o for o, d in enumerate(listed)}
+    images = tuple(
+        tuple(number.get(frozenset(x.conj(g) for x in d), -1) for d in listed)
+        for g in P.sorted_elements()
+    )
+    return listed, images, {}
 
 
 def _wbar_row(P: Locality, mask: int) -> Tuple[int, ...]:
@@ -642,12 +636,12 @@ def _wbar_row(P: Locality, mask: int) -> Tuple[int, ...]:
     iff x lies in S and x = y^g for a y in R_wbar(w). The images of S's
     positions are the rule's conj_pos rows of the letters.
     """
-    rows = P._memo.setdefault(("wbar_survivors", P.rule), {})
-    row = rows.get(mask)
-    if row is None:
-        letters = _letter_tables(P)[0]
-        row = rows[mask] = _moved(map(P.rule.conj_pos.__getitem__, letters), mask)
-    return row
+    rows = memo(P._memo, ("wbar_survivors", P.rule), dict)
+    return memo(rows, mask, _wbar_moved, P, mask)
+
+
+def _wbar_moved(P: Locality, mask: int) -> Tuple[int, ...]:
+    return _moved(map(P.rule.conj_pos.__getitem__, _letter_tables(P)[0]), mask)
 
 
 def _letter_tables(P: Locality):
@@ -655,14 +649,15 @@ def _letter_tables(P: Locality):
     index of P's i-th sorted element, times[a][i] that of (ambient element
     a) * (letter i), and lefts[a][i] that of (letter i)^-1 * (ambient
     element a), all read from the ambient product and inverse tables."""
-    hit = P._memo.get("letter_tables")
-    if hit is None:
-        mul, inv = P.ambient.mul_table, P.ambient.inv_table
-        letters = tuple(bits(P.elems))
-        times = tuple(tuple(row[b] for b in letters) for row in mul)
-        lefts = tuple(tuple(mul[inv[b]][a] for b in letters) for a in range(len(mul)))
-        hit = P._memo["letter_tables"] = (letters, times, lefts)
-    return hit
+    return memo(P._memo, "letter_tables", _letter_tables_of, P)
+
+
+def _letter_tables_of(P: Locality):
+    mul, inv = P.ambient.mul_table, P.ambient.inv_table
+    letters = tuple(bits(P.elems))
+    times = tuple(tuple(row[b] for b in letters) for row in mul)
+    lefts = tuple(tuple(mul[inv[b]][a] for b in letters) for a in range(len(mul)))
+    return letters, times, lefts
 
 
 def _domain_pairs(L: Locality, A: int, B: int):
@@ -887,7 +882,7 @@ def verify_partial_group(P: Locality, word_len: int = 3) -> VerificationReport:
         domain += D.bit_count()
         if k < word_len:
             dom[k][code] = D
-    P._memo["objectivity", word_len] = None if objectivity is None else _strs(P, objectivity)
+    keep(P._memo, ("objectivity", word_len), None if objectivity is None else _strs(P, objectivity))
     stats = {"words_checked": checked, "domain_words": domain}
     return VerificationReport("partial-group-axioms", inst, "pass", stats=stats)
 
@@ -931,7 +926,7 @@ def verify_locality(L: Locality, word_len: int = 3) -> VerificationReport:
 
     # objectivity: domain words are exactly those with an object chain, as
     # compared along verify_partial_group's walk
-    w = L._memo["objectivity", word_len]
+    w = peek(L._memo, ("objectivity", word_len))
     if w is not None:
         return fail({"axiom": "objectivity", "w": w})
     stats["objectivity_words"] = pg.stats["words_checked"]

@@ -151,16 +151,7 @@ def _verified_subcentric(
     entry. M is L or a restriction of it, so it has L's ambient group and
     p, and the maximality of its S reads only subgroups inside M.elems."""
     key = ("verified", M.elems, M.Delta, M.S_elems, F, word_len)
-    return _memoized(L, key, lo.verify_subcentric_locality, M, F, word_len)
-
-
-def _memoized(L: lo.Locality, key, decide, *args):
-    """The entry of L's memo under key, decide(*args) on a miss; a raise is
-    not kept."""
-    hit = L._memo.get(key)
-    if hit is None:
-        hit = L._memo[key] = decide(*args)
-    return hit
+    return gp.memo(L._memo, key, lo.verify_subcentric_locality, M, F, word_len)
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +188,7 @@ def check_fully_K_normalized_transfer(
 
 
 def _product_system(L: lo.Locality, N: int, X: Subgroup) -> fu.FusionSystem:
-    return _memoized(L, ("EX", N, L.ambient.home_mask_of(X)), lo.product_fusion, L, N, X)
+    return gp.memo(L._memo, ("EX", N, L.ambient.home_mask_of(X)), lo.product_fusion, L, N, X)
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +260,7 @@ def _theorem_record(
     L: lo.Locality, F: fu.FusionSystem, E: fu.FusionSystem, N: int, X: Subgroup, K: AutGroup
 ) -> TheoremRecord:
     key = ("theorem", F, E, N, L.ambient.home_mask_of(X), K.maps)
-    return _memoized(L, key, _decide_main_theorem, L, F, E, N, X, K)
+    return gp.memo(L._memo, key, _decide_main_theorem, L, F, E, N, X, K)
 
 
 def _decide_main_theorem(
@@ -287,7 +278,7 @@ def _decide_main_theorem(
         return TheoremRecord(reason="K-not-subnormal-in-K*Inn(X)-either-branch")
     realized = fu.realized_part(F, X, K_eff).maps
     key = ("conclusions", F, E, N, L.ambient.home_mask_of(X), realized)
-    rec = _memoized(L, key, _decide_conclusions, L, F, E, N, X, K_eff)
+    rec = gp.memo(L._memo, key, _decide_conclusions, L, F, E, N, X, K_eff)
     stats = {"branch": branch, **rec.stats}
     return TheoremRecord(witnesses=rec.witnesses, stats=stats, E0_is_E=rec.E0_is_E)
 
@@ -577,10 +568,7 @@ def entry_reports(
     sweeps: Dict[int, List[Tuple[str, Optional[AutGroup]]]] = {}
 
     def k_sweep(X: Subgroup) -> List[Tuple[str, Optional[AutGroup]]]:
-        x = pe.G.home_mask_of(X)
-        if x not in sweeps:
-            sweeps[x] = _k_sweep(pe, X)
-        return sweeps[x]
+        return gp.memo(sweeps, pe.G.home_mask_of(X), _k_sweep, pe, X)
 
     # group-level Lemma 2.2 over all p-subgroups of G; every instance shares
     # the hypothesis on G, so it is decided once
