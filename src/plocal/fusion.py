@@ -68,7 +68,6 @@ from .groups import (
     AutGroup,
     Subgroup,
     all_subgroups,
-    aut_group,
     aut_induced,
     centralizer,
     bits,
@@ -380,7 +379,7 @@ def _fully_K(F: FusionSystem, X: Subgroup, K: AutGroup) -> bool:
 
 
 def is_fully_normalized(F: FusionSystem, X: Subgroup) -> bool:
-    return is_fully_K_normalized(F, X, aut_group(X))
+    return is_fully_K_normalized(F, X, F.aut(X))
 
 
 def is_fully_centralized(F: FusionSystem, X: Subgroup) -> bool:
@@ -414,11 +413,12 @@ def _K_normalizer(F: FusionSystem, X: Subgroup, K: AutGroup) -> FusionSystem:
     S0 = group_K_normalizer(F.S, X, K)
     x, s0 = F.S.mask(X), F.S.mask(S0)
     xpos, s0pos = positions(F.S, X), positions(F.S, S0)
-    lattice = {m: P for m, P in _lattice(F).items() if not m & ~s0}
+    whole = _lattice(F)
+    lattice = {m: P for m, P in whole.items() if not m & ~s0}
     germs, good = set(), {}
     for m in lattice:
         # the join: the first member of S's lattice in canonical order holding m and X
-        J = next(j for j in _lattice(F) if not (m | x) & ~j)
+        J = next(j for j in whole if not (m | x) & ~j)
         if J not in good:  # the germs from J fixing X and acting on it in K
             good[J] = [psi for psi in F.germs_by_src.get(J, ()) if _local(psi, xpos) in K.maps]
         for psi in good[J]:
@@ -431,8 +431,9 @@ def _K_normalizer(F: FusionSystem, X: Subgroup, K: AutGroup) -> FusionSystem:
 
 
 def normalizer_subsystem(F: FusionSystem, X: Subgroup) -> FusionSystem:
-    """N_F(X) = N_F^{Aut(X)}(X)."""
-    return K_normalizer_subsystem(F, X, aut_group(X))
+    """N_F(X) = N_F^{Aut(X)}(X), read like full normalization through K cap
+    Aut_F(X) = Aut_F(X) (see realized_part): no search of Aut(X)."""
+    return K_normalizer_subsystem(F, X, F.aut(X))
 
 
 def centralizer_subsystem(F: FusionSystem, X: Subgroup) -> FusionSystem:
@@ -543,9 +544,9 @@ def is_strongly_closed(F: FusionSystem, T: Subgroup) -> bool:
 def is_normal_in_fusion(F: FusionSystem, P: Subgroup) -> bool:
     """Every F-morphism extends to one whose source includes P and which
     maps P onto P."""
-    p = F.S.mask(P)
+    p, lattice = F.S.mask(P), _lattice(F)
     for src, germs in F.germs_by_src.items():
-        joined = next(m for m in _lattice(F) if not (src | p) & ~m)
+        joined = next(m for m in lattice if not (src | p) & ~m)
         extended = {
             _restrict(psi, src)
             for psi in F.germs_by_src.get(joined, ())

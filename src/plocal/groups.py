@@ -22,7 +22,7 @@ groups reading its tables: N_G(X) and its action on X, per X, the one test
 of "g normalizes X"; whether H has characteristic p, per (H, p); whether
 H is subnormal in G, per (H, G); X's table on its positions and Aut(X),
 per X; the permutation image of an automorphism group of X, per maps, the
-one home of that content; and its subgroups, per (X, maps).
+one home of that content; its subgroups and K*Inn(X), per (X, maps).
 
 :func:`memo` and :func:`keep` are the one way the package keeps a result,
 there, in a fusion system's ``_cache``, a locality's ``_memo`` and a table
@@ -227,11 +227,11 @@ class Subgroup:
     def _kept(self) -> Dict[tuple, object]:
         """For G = self a home, what is decided about groups reading its
         tables, per (kind, home masks): ("normalizer", X), ("char_p", H,
-        p), ("subnormal", H, G), ("table", X), ("aut", X), ("image", maps)
-        and ("sub_autgroups", X, maps); filled through :func:`memo` by
-        :func:`normalizer_action`, :func:`is_characteristic_p`,
-        :func:`is_subnormal`, :func:`_position_table`, :func:`aut_group`,
-        :attr:`AutGroup.image` and :meth:`AutGroup.sub_autgroups`."""
+        p), ("subnormal", H, G), ("table", X), ("aut", X), ("image", maps),
+        ("sub_autgroups", X, maps) and ("times_inn", X, maps); filled through
+        :func:`memo` by :func:`normalizer_action`, :func:`is_characteristic_p`,
+        :func:`is_subnormal`, :func:`_position_table`, :func:`aut_group` and
+        AutGroup's :attr:`image`, :meth:`sub_autgroups` and :attr:`times_inn`."""
         return {}
 
     def home_mask_of(self, X: Iterable[Perm]) -> int:
@@ -547,7 +547,7 @@ class AutGroup:
     is not an automorphism raises ValueError, checked by membership when
     Aut(X) is kept and else by :func:`_is_automorphism`, with no search.
     Subnormality and lattices are computed on the image (:attr:`image`),
-    and K*Inn(X) is kept on K (:attr:`times_inn`).
+    and K*Inn(X) is kept on X's home per value (:attr:`times_inn`).
     """
 
     def __init__(self, base: Subgroup, maps: Iterable[Sequence[int]]):
@@ -592,13 +592,12 @@ class AutGroup:
             self.base.home._kept, key, tuple(AutGroup(self.base, H) for H in all_subgroups(self.image))
         )
 
-    @cached_property
+    @property
     def times_inn(self) -> "AutGroup":
-        """K*Inn(X) = {k then c_x} for K = self, kept on K. It is a group for
-        every K <= Aut(X) as Inn(X) is normal: a^-1 c_x a = c_{xa}, so
-        c_x k = k c_{xk} and the set is closed under products and inverses."""
-        inn = inn_group(self.base).maps
-        return AutGroup(self.base, {tuple(map(c.__getitem__, k)) for k in self.maps for c in inn})
+        """K*Inn(X) for K = self (:func:`_times_inn`), kept on X's home per
+        (X, maps): one per value, however many objects hold it."""
+        key = ("times_inn", self.base.home_mask, self.maps)
+        return memo(self.base.home._kept, key, _times_inn, self)
 
     def is_subnormal_in(self, other: "AutGroup") -> bool:
         if other.base != self.base:
@@ -607,14 +606,21 @@ class AutGroup:
         return is_subnormal(Subgroup(self.maps, G), G)
 
 
+def _times_inn(K: AutGroup) -> AutGroup:
+    """K*Inn(X) = {k then c_x}, a group for every K <= Aut(X) as Inn(X) is
+    normal: a^-1 c_x a = c_{xa}, so c_x k = k c_{xk} and the set is closed
+    under products and inverses."""
+    inn = inn_group(K.base).maps
+    return AutGroup(K.base, {tuple(map(c.__getitem__, k)) for k in K.maps for c in inn})
+
+
 def aut_group(X: Subgroup, cap: int = AUT_BASE_CAP) -> AutGroup:
     """Full automorphism group of X.
 
     Enumerates assignments of generator images filtered by element order,
     extends each to X along a spanning tree of products by generators, and
     keeps the automorphisms (:func:`_is_automorphism`). Kept on X's home
-    per X, so every caller asking about equal content gets one object, and
-    what that object keeps (:attr:`AutGroup.times_inn`).
+    per X, so every caller asking about equal content gets one object.
     """
     if X.order > cap:
         raise CapExceeded("automorphism base %d exceeds cap %d" % (X.order, cap))

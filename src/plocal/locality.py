@@ -45,8 +45,9 @@ off the prefix's rows; the domain sets of shorter words are kept, so
 subwords and spliced words are looked up, not walked again. The states
 are R_w, the product and R_wbar of the inverse word wbar, which decide
 wbar w, and the objectivity oracle's objects ending an object chain along
-w, stepped through a table filled by conjugating each object's elements.
-The first word where rule and oracle disagree is the objectivity witness.
+w, stepped through a table the walk fills once by conjugating each
+object's elements; the walk holds the rows it steps until it ends. The
+first word where rule and oracle disagree is the objectivity witness.
 
 The statement checkers in ``verify`` run the subcentric verification once
 per distinct structure of a corpus entry, keyed on its content in the memo
@@ -86,7 +87,6 @@ from .groups import (
     AutGroup,
     Subgroup,
     all_subgroups,
-    aut_group,
     bits,
     conj_positions,
     elements,
@@ -482,8 +482,8 @@ def _bN_K(L: Locality, F: FusionSystem, X: Subgroup, K: AutGroup) -> Locality:
 
 
 def bN(L: Locality, F: FusionSystem, X: Subgroup) -> Locality:
-    """bN_L(X), for X fully normalized."""
-    return bN_K(L, F, X, aut_group(X))
+    """bN_L(X), for X fully normalized: bN_K reads Aut(X) as Aut_F(X)."""
+    return bN_K(L, F, X, F.aut(X))
 
 
 def bC(L: Locality, F: FusionSystem, X: Subgroup) -> Locality:
@@ -602,46 +602,18 @@ def _moved(images: Iterable[Tuple[int, ...]], live: int) -> Tuple[int, ...]:
     return tuple(sum(1 << img[o] for o in ends if img[o] >= 0) for img in images)
 
 
-def _chain_row(P: Locality, live: int) -> Tuple[int, ...]:
-    """The objectivity oracle's step: from the ends of the object chains
-    along w, a mask over P's objects in sorted order, to the ends along w g
-    for each letter g. P's memo keeps (objects as element sets, images,
-    rows met so far) under "chain_ends", where images[i][o] is the number
-    of object o conjugated by letter i, -1 if that is no object. The
-    images are found by conjugating the objects' elements as Perms, never
-    read from the rule's tables, so the oracle stays independent of the
-    rule it checks."""
-    _, images, rows = memo(P._memo, "chain_ends", _chain_ends, P)
-    return memo(rows, live, _moved, images, live)
-
-
-def _chain_ends(P: Locality):
+def _chain_images(P: Locality) -> Tuple[Tuple[int, ...], ...]:
+    """The objectivity oracle's images: images[i][o] is the number of P's
+    o-th object, in sorted order, conjugated by letter i, -1 if that is no
+    object. They are found by conjugating the objects' elements as Perms,
+    never read from the rule's tables, so the oracle stays independent of
+    the rule it checks."""
     listed = [frozenset(elements(P.S, d)) for d in sorted(P.Delta, key=bits)]
     number = {d: o for o, d in enumerate(listed)}
-    images = tuple(
+    return tuple(
         tuple(number.get(frozenset(x.conj(g) for x in d), -1) for d in listed)
         for g in P.sorted_elements()
     )
-    return listed, images, {}
-
-
-def _wbar_row(P: Locality, mask: int) -> Tuple[int, ...]:
-    """From R_wbar(w), a mask over the rule's base S, to R_wbar(w g) for
-    each letter g, where wbar(w) is the inverse word of w. The rows met so
-    far are kept in P's memo per rule.
-
-    R_wbar(w g) = S cap (R_wbar(w))^g. For wbar(w g) is g^-1 followed by
-    wbar(w), so x lies in R_wbar(w g) iff x lies in S, y = x^(g^-1) lies in
-    S and x^(g^-1 Pi(v)) = y^Pi(v) lies in S for each prefix v of wbar(w):
-    iff x lies in S and x = y^g for a y in R_wbar(w). The images of S's
-    positions are the rule's conj_pos rows of the letters.
-    """
-    rows = memo(P._memo, ("wbar_survivors", P.rule), dict)
-    return memo(rows, mask, _wbar_moved, P, mask)
-
-
-def _wbar_moved(P: Locality, mask: int) -> Tuple[int, ...]:
-    return _moved(map(P.rule.conj_pos.__getitem__, _letter_tables(P)[0]), mask)
 
 
 def _letter_tables(P: Locality):
@@ -687,21 +659,28 @@ def _walk(P: Locality, word_len: int):
     its prefix products Pi(g_1...g_l), l = 0..m, are indexes into the
     sorted elements of the ambient group. A prefix is (word, code, R_w,
     live chain ends, prefix products, Pi(wbar), R_wbar), for wbar the
-    inverse word g_m^-1...g_1^-1: the rule's survivor mask R_w, the live
-    chain ends of _chain_row (all objects for the empty word; w has an
-    object chain iff they are not 0) and R_wbar of _wbar_row. Its rows are
-    (times[Pi(w)], _chain_row, lefts[Pi(wbar)], _wbar_row), read once: the
-    extension by letter i has product row[i], R_w & survivors[row[i]] and
-    the i-th entry of each other row.
+    inverse word g_m^-1...g_1^-1: the rule's survivor mask R_w, the ends
+    of w's object chains as a mask over P's sorted objects (all for the
+    empty word; w has a chain iff it is not 0) and R_wbar, a mask over S.
+    Its rows are (times[Pi(w)], the ends' step by the oracle's images of
+    _chain_images, lefts[Pi(wbar)], R_wbar's step by the letters' conj_pos
+    rows), read once, the steps by _moved and kept for the walk: letter i
+    extends it by product row[i], R_w & survivors[row[i]] and the i-th
+    entry of each other row. R_wbar(w g) = S cap (R_wbar(w))^g: x lies in
+    it iff x and y = x^(g^-1) lie in S and y^Pi(v) does for each prefix v
+    of wbar(w).
     """
     n = P.elems.bit_count()
     survivors = P.rule.survivors
-    _, times, lefts = _letter_tables(P)
+    amb, times, lefts = _letter_tables(P)
+    chain, wbar_step = _chain_images(P), tuple(map(P.rule.conj_pos.__getitem__, amb))
+    chain_rows, wbar_rows = {}, {}
     letters = range(n)
 
     def extend(prefix, left):
         _, _, _, live, prods, wbar, wbar_mask = prefix
-        rows = times[prods[-1]], _chain_row(P, live), lefts[wbar], _wbar_row(P, wbar_mask)
+        rows = (times[prods[-1]], memo(chain_rows, live, _moved, chain, live),
+                lefts[wbar], memo(wbar_rows, wbar_mask, _moved, wbar_step, wbar_mask))
         if not left:
             yield prefix, rows
             return

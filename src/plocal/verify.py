@@ -209,19 +209,16 @@ def _subnormal_branch(F: fu.FusionSystem, X: Subgroup, K: AutGroup):
 
 
 class TheoremRecord:
-    """The main theorem decided for one (F, E, N, X, K), or its conclusions
-    for one K cap Aut_F(X) (no branch in the stats), kept in L's memo.
-
-    ``reason`` is the skip reason of both statements, or None when the
-    hypotheses hold. Then ``witnesses`` holds the fail witness of the
-    fusion-level and of the locality-level statement, None for a pass, and
-    ``stats`` the branch, the six conditions and the counts both reports
-    carry. ``E0_is_E`` says whether E_0 = E, which the corollary requires
-    at X = 1.
+    """The main theorem's conclusions for one (F, E, N, X, K_eff cap
+    Aut_F(X)), kept in L's memo (see :func:`_theorem`). ``witnesses`` holds
+    the fail witness of the fusion-level and of the locality-level
+    statement, None for a pass, and ``stats`` the six conditions and the
+    counts both reports carry. ``E0_is_E`` says whether E_0 = E, which the
+    corollary requires at X = 1.
     """
 
-    def __init__(self, reason=None, witnesses=(None, None), stats=None, E0_is_E=False):
-        self.reason, self.witnesses, self.E0_is_E = reason, witnesses, E0_is_E
+    def __init__(self, witnesses=(None, None), stats=None, E0_is_E=False):
+        self.witnesses, self.E0_is_E = witnesses, E0_is_E
         self.stats = {} if stats is None else stats
 
 
@@ -240,47 +237,38 @@ def check_main_theorem(
     Emits two reports: the fusion-level statement (E_0 normal in N_F^K(X),
     E_0 inside E) and the locality-level one (M partial normal, M cap S =
     N_T^K(X), E_0 saturated of p-power index in N_{EX}^K(X), cross-checked
-    against the O^p criterion at T_0). The instance is decided once (see
-    :func:`_theorem_record`); each call names its reports and gives each
-    its own copy of the stats.
+    against the O^p criterion at T_0), both skipped with one reason when a
+    hypothesis fails (see :func:`_theorem`). Each call names its reports
+    and gives each its own copy of the stats.
     """
-    rec = _theorem_record(L, F, E, N, X, K)
-    reports = []
-    for stmt, witness in zip(statements, rec.witnesses):
-        if rec.reason is not None:
-            reports.append(skipped_report(stmt, instance, rec.reason))
-        elif witness is None:
-            reports.append(passed_report(stmt, instance, **rec.stats))
-        else:
-            reports.append(failed_report(stmt, instance, witness, **rec.stats))
-    return reports
+    reason, branch, rec = _theorem(L, F, E, N, X, K)
+    if reason is not None:
+        return [skipped_report(stmt, instance, reason) for stmt in statements]
+    return [
+        passed_report(stmt, instance, branch=branch, **rec.stats) if witness is None
+        else failed_report(stmt, instance, witness, branch=branch, **rec.stats)
+        for stmt, witness in zip(statements, rec.witnesses)
+    ]
 
 
-def _theorem_record(
+def _theorem(
     L: lo.Locality, F: fu.FusionSystem, E: fu.FusionSystem, N: int, X: Subgroup, K: AutGroup
-) -> TheoremRecord:
-    key = ("theorem", F, E, N, L.ambient.home_mask_of(X), K.maps)
-    return gp.memo(L._memo, key, _decide_main_theorem, L, F, E, N, X, K)
-
-
-def _decide_main_theorem(
-    L: lo.Locality, F: fu.FusionSystem, E: fu.FusionSystem, N: int, X: Subgroup, K: AutGroup
-) -> TheoremRecord:
-    """The hypotheses per K; the conclusions (i)-(vi), decided for the first
-    K_eff, kept in L's memo per (F, E, N, X, K_eff cap Aut_F(X)), the branch
-    put back into the stats. Exact: bN_L^K(X) and N_F^K(X) read K only via
-    K cap Aut_F(X) (``locality.bN_K``), N_{EX}^K(X) via K cap Aut_EX(X), and
-    Aut_EX(X) <= Aut_F(X) as E X <= F."""
+) -> Tuple[Optional[str], Optional[int], Optional[TheoremRecord]]:
+    """(skip reason, None, None) if a hypothesis fails, else (None, branch,
+    conclusions record). The hypotheses are decided on every call off kept
+    results (full K-normalization in F's cache, subnormality on the home);
+    the conclusions (i)-(vi), decided for the first K_eff, are kept in L's
+    memo per (F, E, N, X, K_eff cap Aut_F(X)). Exact: bN_L^K(X) and
+    N_F^K(X) read K only via K cap Aut_F(X) (``locality.bN_K``), N_{EX}^K(X)
+    via K cap Aut_EX(X), and Aut_EX(X) <= Aut_F(X) as E X <= F."""
     if not fu.is_fully_K_normalized(F, X, K):
-        return TheoremRecord(reason="not-fully-K-normalized")
+        return "not-fully-K-normalized", None, None
     branch, K_eff = _subnormal_branch(F, X, K)
     if branch is None:
-        return TheoremRecord(reason="K-not-subnormal-in-K*Inn(X)-either-branch")
+        return "K-not-subnormal-in-K*Inn(X)-either-branch", None, None
     realized = fu.realized_part(F, X, K_eff).maps
     key = ("conclusions", F, E, N, L.ambient.home_mask_of(X), realized)
-    rec = gp.memo(L._memo, key, _decide_conclusions, L, F, E, N, X, K_eff)
-    stats = {"branch": branch, **rec.stats}
-    return TheoremRecord(witnesses=rec.witnesses, stats=stats, E0_is_E=rec.E0_is_E)
+    return None, branch, gp.memo(L._memo, key, _decide_conclusions, L, F, E, N, X, K_eff)
 
 
 def _decide_conclusions(
@@ -364,8 +352,8 @@ def check_corollary(
     """Corollary: the theorem specialized to K = Aut(X) on fully normalized
     X (normalizer case) and K = {id} on fully centralized X (centralizer
     case). For X = 1 additionally requires E_0 = E on the nose. Each case
-    reads the theorem record of its (X, K), which the K sweep has already
-    made when it ran the theorem for that K."""
+    reads the conclusions record of its (X, K cap Aut_F(X)), which the K
+    sweep has already made when it ran the theorem for such a K."""
     out: List[VerificationReport] = []
     cases = [
         ("normalizer", gp.aut_group(X)),
@@ -377,7 +365,7 @@ def check_corollary(
             L, F, E, N, X, K, inst, statements=("Corollary-3.3a", "Corollary-3.3b")
         )
         if X.order == 1:
-            rec = _theorem_record(L, F, E, N, X, K)
+            rec = _theorem(L, F, E, N, X, K)[2]
             reps = [_with_trivial_case_check(r, rec, E) for r in reps]
         out.extend(reps)
     return out
@@ -563,13 +551,6 @@ def entry_reports(
 
     reports: List[VerificationReport] = []
     name = pe.name
-    # one K sweep per X for both sweeps below, so each K value is one object
-    # and K*Inn(X), kept on it, is formed once
-    sweeps: Dict[int, List[Tuple[str, Optional[AutGroup]]]] = {}
-
-    def k_sweep(X: Subgroup) -> List[Tuple[str, Optional[AutGroup]]]:
-        return gp.memo(sweeps, pe.G.home_mask_of(X), _k_sweep, pe, X)
-
     # group-level Lemma 2.2 over all p-subgroups of G; every instance shares
     # the hypothesis on G, so it is decided once
     if want("Lemma-2.2a") or want("Lemma-2.2b"):
@@ -584,7 +565,7 @@ def entry_reports(
                         )
                     )
             if want("Lemma-2.2b"):
-                for tag, K in k_sweep(X):
+                for tag, K in _k_sweep(pe, X):
                     inst = "%s|K=%s" % (xi, tag)
                     if K is None:
                         reports.append(skipped_report("Lemma-2.2b", inst, UNFIT_K))
@@ -598,7 +579,7 @@ def entry_reports(
     for X in X_sweep:
         xi = "%s|X=%s" % (name, X.label())
         if any(want(stmt) for stmt in K_STATEMENTS):
-            for tag, K in k_sweep(X):
+            for tag, K in _k_sweep(pe, X):
                 inst = "%s|K=%s" % (xi, tag)
                 if K is None:
                     reports.extend(

@@ -108,7 +108,7 @@ def test_default_corpus_tables_and_perm_arithmetic():
     conjugation tables only on a corpus group or on the permutation image of
     an automorphism group, each a home of its own. Checking the parsed
     corpus multiplies no Perms and conjugates Perms only in the objectivity
-    oracle (``_chain_row``)."""
+    oracle's image function (``_chain_images``)."""
     built, images, conj_callers = [], [], set()
     real_conj = Perm.conj
 
@@ -117,7 +117,7 @@ def test_default_corpus_tables_and_perm_arithmetic():
         while frame is not None:
             names.add(frame.f_code.co_name)
             frame = frame.f_back
-        conj_callers.add("_chain_row" in names)
+        conj_callers.add("_chain_images" in names)
         return real_conj(self, g)
 
     def mul(self, other):

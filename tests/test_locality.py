@@ -430,6 +430,22 @@ def test_bN_requires_fully_K_normalized(L_s4, F_s4, s4):
         lo.bN(L_s4, F_s4, Y)  # conjugate center has a larger normalizer
 
 
+def test_N_F_and_bN_search_no_automorphism_group(monkeypatch):
+    """N_F(X), full normalization and bN_L(X) read K = Aut(X) only through
+    K cap Aut_F(X) = Aut_F(X), so on a fresh home the subcentric set, which
+    forms N_F(Q) for a fully normalized Q of each class, and bN_L(X) for
+    every fully normalized X run no search of Aut(X)."""
+    searched, real = [], gp._automorphisms
+    monkeypatch.setattr(gp, "_automorphisms", lambda X: searched.append(X) or real(X))
+    G = gp.generate_group(perms(4, "(0 1 2 3)", "(0 1)"))
+    S = gp.sylow_subgroup(G, 2)
+    F = fu.fusion_of_group(G, S, 2)
+    L = lo.build_group_locality(G, S, [S.mask(P) for P in fu.subcentric_set(F)], 2)
+    normalized = [X for X in F.subgroups() if fu.is_fully_normalized(F, X)]
+    assert all(lo.bN(L, F, X).S == fu.normalizer_subsystem(F, X).S for X in normalized)
+    assert len(normalized) > 1 and searched == []
+
+
 # -- K-normalizer partial subgroups ---------------------------------------------
 
 
@@ -924,14 +940,17 @@ def test_planted_fault_splice_at_word_end(s3xs3, L_s3xs3, z, axiom, stats):
 
 
 def test_axiom_walk_makes_no_perm_products(monkeypatch, L_s3xs3):
-    """Once the ambient tables and the oracle's image tables exist, the
-    partial-group check is integer work only. The word rule of a fresh
-    locality of L_s3xs3's content builds its survivor table under the spy,
-    so the rule makes no Perm products either."""
+    """Past the oracle's image function, the one place the walk conjugates
+    Perms, the partial-group check is integer work only: with the ambient
+    tables built and _chain_images answered from a table made before the
+    spy, it makes no Perm product or conjugate, and asks for the images
+    once. The word rule of a fresh locality of L_s3xs3's content builds its
+    survivor table under the spy, so the rule makes no Perm products
+    either."""
     L = lo.Locality(L_s3xs3.ambient, L_s3xs3.elems, L_s3xs3.Delta, L_s3xs3.S_elems, 2)
     L.ambient.mul_table, L.ambient.inv_table
-    lo._chain_row(L, 0)  # fills the oracle's image table
-    lo._wbar_row(L, 0)  # and the inverse word's
+    images, asked = lo._chain_images(L), []
+    monkeypatch.setattr(lo, "_chain_images", lambda P: asked.append(P) or images)
     assert "survivors" not in vars(L.rule)
     calls = []
     for name in ("__mul__", "conj"):
@@ -943,17 +962,18 @@ def test_axiom_walk_makes_no_perm_products(monkeypatch, L_s3xs3):
 
         monkeypatch.setattr(Perm, name, spy)
     assert lo.verify_partial_group(L).passed
-    assert calls == []
+    assert calls == [] and asked == [L]
     assert len(L.rule.survivors) == L.ambient.order
 
 
 def test_objectivity_oracle_images_are_conjugates(L_s3xs3):
     """The oracle's (letter, object) image table holds the conjugate of the
     object by the letter, looked up among the objects, -1 if it is none, and
-    each filled row of its step table holds, for each letter, the images of
-    the row's live objects."""
-    assert lo.verify_locality(L_s3xs3).passed
-    objects, images, rows = L_s3xs3._memo["chain_ends"]
+    the chain-end row the walk steps each prefix's live objects by holds,
+    for each letter, the images of those objects."""
+    objects = [frozenset(gp.elements(L_s3xs3.S, d)) for d in sorted(L_s3xs3.Delta, key=gp.bits)]
+    images = lo._chain_images(L_s3xs3)
+    rows = {prefix[3]: ends for _, prefix, (_, ends, _, _) in lo._walk(L_s3xs3, 3)}
     Delta = oracles.objects_of(L_s3xs3)
     assert len(objects) == len(set(objects)) and set(objects) == Delta
     filled = outside = 0

@@ -2,7 +2,6 @@
 and the suite driver plumbing."""
 
 import sys
-from functools import cached_property
 from pathlib import Path
 
 import pytest
@@ -224,7 +223,8 @@ def test_E0_matches_group_oracle(entry):
     E_0 = F_{T_0}(N cap bN_L^K(X)), with bN_L^K(X) asked for the raw K and
     so shared by every K of its realized part, is the group's
     F_{T_0}(N_H^K(X)) (oracles.E0_by_group), T_0 = N_T^K(X) is Sylow in
-    N_H^K(X), and the theorem record of (X, K) counts its germs."""
+    N_H^K(X), and the conclusions record that (X, K) reads counts its
+    germs."""
     pe, axioms = vf.prepare_entry(entry)
     assert axioms.passed
     checked = 0
@@ -236,27 +236,28 @@ def test_E0_matches_group_oracle(entry):
         assert set(gp.elements(pe.L.ambient, t0)) == T0.elems
         E0 = lo.fusion_of_partial(bn, pe.N & bn.elems, base=pe.L.ambient.from_home_mask(t0))
         assert oracles.as_pairs(E0.S, E0.all_germs()) == want
-        assert vf._theorem_record(pe.L, pe.F, pe.E, pe.N, X, K).stats["E0_germs"] == len(want)
+        reason, _, rec = vf._theorem(pe.L, pe.F, pe.E, pe.N, X, K)
+        assert reason is None and rec.stats["E0_germs"] == len(want)
         checked += 1
     assert checked > 1
 
 
 def _spy_times_inn(monkeypatch, record):
-    """Call record(K) for each K on which K*Inn(X) is computed."""
-    real = gp.AutGroup.__dict__["times_inn"].func
+    """Call record(K) for each K on which K*Inn(X) is computed: each call
+    of the decide that AutGroup.times_inn keeps."""
+    real = gp._times_inn
 
-    def spy(self):
-        record(self)
-        return real(self)
+    def spy(K):
+        record(K)
+        return real(K)
 
-    prop = cached_property(spy)
-    prop.__set_name__(gp.AutGroup, "times_inn")
-    monkeypatch.setattr(gp.AutGroup, "times_inn", prop)
+    monkeypatch.setattr(gp, "_times_inn", spy)
 
 
 def test_K_times_inn_once_per_K(monkeypatch, own_L_s4, F_s4, s4, klein):
     """Lemma 2.1, Lemma 2.2(b) and the theorem's hypothesis read K*Inn(X)
-    from K, so the product is formed once for one K."""
+    kept per K's value, so the product is formed once for one K, and not
+    again for an equal K."""
     calls = []
     _spy_times_inn(monkeypatch, calls.append)
     V = gp.Subgroup(klein.elems)
@@ -264,6 +265,8 @@ def test_K_times_inn_once_per_K(monkeypatch, own_L_s4, F_s4, s4, klein):
     assert vf.check_restricted_subcentric(own_L_s4, F_s4, V, K, "t").passed
     assert vf.check_char_p_normalizer_aut(s4, 2, gp.is_characteristic_p(s4, 2), V, K, "t").passed
     assert vf._subnormal_branch(F_s4, V, K) == (1, K)
+    again = gp.AutGroup(V, K.maps)
+    assert again.times_inn is K.times_inn
     assert calls == [K]
 
 
@@ -340,8 +343,7 @@ def test_each_structure_decided_once_per_content_of_an_entry(monkeypatch):
     aut = spy(
         "aut_group", gp.aut_group, lambda X: X.elems, lambda X: ("aut", X.home_mask) not in X.home._kept
     )
-    for module in (gp, fu, lo):
-        monkeypatch.setattr(module, "aut_group", aut)
+    monkeypatch.setattr(gp, "aut_group", aut)
     monkeypatch.setattr(lo, "restrict", spy(
         "restrict", lo.restrict, lambda L, H, Gamma, X: (L, H, Gamma, X.elems), lambda *args: True
     ))
@@ -528,6 +530,22 @@ def test_theorem_conclusions_decided_once_per_realized_K_on_s4_a4(monkeypatch):
     assert len(realized) < len(raw)
 
 
+def test_an_entry_keeps_no_walk_rows_and_no_record_per_raw_K():
+    """After an entry's reports, the memos of its locality and of every
+    restriction kept there hold objectivity witnesses and conclusions
+    records, but no row table of an axiom walk ("chain_ends" or
+    ("wbar_survivors", rule)) and no theorem record per raw K (("theorem",
+    ...)): no later reader asks for them."""
+    for entry in cli.parse_corpus(cli.default_corpus_text()):
+        pe, axioms = vf.prepare_entry(entry)
+        assert axioms.passed
+        assert not any(r.failed for r in vf.entry_reports(pe))
+        memos = [pe.L._memo] + [M._memo for M in pe.L._memo.values() if isinstance(M, lo.Locality)]
+        kinds = {key if isinstance(key, str) else key[0] for memo in memos for key in memo}
+        assert {"objectivity", "conclusions"} <= kinds
+        assert not kinds & {"chain_ends", "wbar_survivors", "theorem"}
+
+
 # -- Corollary 3.3 -------------------------------------------------------------
 
 
@@ -582,8 +600,8 @@ def test_corollary_trivial_X_exactness_reads_the_record(monkeypatch, own_L_s4, F
 
 
 def test_K_times_inn_once_per_value_on_s4_a4(monkeypatch):
-    """The Lemma-2.2(b) sweep and the locality sweep share one K sweep per
-    X, so K*Inn(X) is formed once per (X, K)."""
+    """The Lemma-2.2(b) sweep, the locality sweep and the corollary's fresh
+    {id} read K*Inn(X) kept per value, so it is formed once per (X, K)."""
     calls = []
     _spy_times_inn(monkeypatch, lambda K: calls.append((K.base.elems, K.maps)))
     (entry,) = [e for e in cli.parse_corpus(cli.default_corpus_text()) if e.name == "s4_a4"]
