@@ -650,16 +650,11 @@ def has_p_power_index(D: FusionSystem, F: FusionSystem) -> bool:
     ))
 
 
-def conjugate_fusion(E: FusionSystem, alpha: tuple) -> FusionSystem:
-    """E^alpha for an automorphism alpha of E's base, a germ from the base
-    onto it: every germ g of E becomes alpha^-1 g alpha."""
-    inv = _inverse(alpha)
-    return FusionSystem(E.S, E.p, (_then(_then(inv, g), alpha) for g in E.all_germs()))
-
-
 def is_weakly_normal(E: FusionSystem, F: FusionSystem) -> bool:
     """Saturated + strongly closed base + Aut_F(T)-invariance + Frattini
-    factorization of F-morphisms between subgroups of T."""
+    factorization of F-morphisms between subgroups of T. Invariance is
+    alpha^-1 g alpha in E for each germ g of E and alpha in Aut_F(T), which
+    is E^alpha = E as g |-> alpha^-1 g alpha is one-to-one."""
     if not subsystem_le(E, F):
         return False
     T = E.S
@@ -667,9 +662,10 @@ def is_weakly_normal(E: FusionSystem, F: FusionSystem) -> bool:
         return False
     if saturation_failure(E) is not None:
         return False
-    autFT = F.aut(T)
+    autFT, germs = F.aut(T), E.all_germs()
     for alpha in autFT.maps:
-        if conjugate_fusion(E, alpha) != E:
+        inv = _inverse(alpha)
+        if any(_then(_then(inv, g), alpha) not in germs for g in germs):
             return False
     # Frattini: phi = (E-germ) then (restriction of some alpha in Aut_F(T)),
     # phi taken in T's positions

@@ -544,15 +544,14 @@ class AutGroup:
 
     A germ of a fusion system over X with source X is the same tuple, so
     Aut_F(X) is the set of such germs. The maps must form a group; one that
-    is not an automorphism raises ValueError, checked by membership when
-    Aut(X) is kept and else by :func:`_is_automorphism`, with no search.
+    is not an automorphism raises ValueError (:func:`are_automorphisms`).
     Subnormality and lattices are computed on the image (:attr:`image`),
     and K*Inn(X) is kept on X's home per value (:attr:`times_inn`).
     """
 
     def __init__(self, base: Subgroup, maps: Iterable[Sequence[int]]):
-        maps, known = frozenset(map(Perm, maps)), peek(base.home._kept, ("aut", base.home_mask))
-        if not (maps <= known.maps if known else all(_is_automorphism(base, m) for m in maps)):
+        maps = frozenset(map(Perm, maps))
+        if not are_automorphisms(base, maps):
             raise ValueError("map is not an automorphism of the base")
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "maps", maps)
@@ -582,15 +581,9 @@ class AutGroup:
         return memo(self.base.home._kept, ("image", self.maps), Subgroup, self.maps)
 
     def sub_autgroups(self) -> Tuple["AutGroup", ...]:
-        """All subgroups of this automorphism group, in all_subgroups'
-        canonical order of their permutation images, closed on the image's
-        own table. Kept on the base's home per (base, maps)."""
+        """:func:`_sub_autgroups`, kept on the base's home per (base, maps)."""
         key = ("sub_autgroups", self.base.home_mask, self.maps)
-        # not through memo: the lattice tests tell an image's lattice from S's
-        # by the caller of all_subgroups, this method
-        return peek(self.base.home._kept, key) or keep(
-            self.base.home._kept, key, tuple(AutGroup(self.base, H) for H in all_subgroups(self.image))
-        )
+        return memo(self.base.home._kept, key, _sub_autgroups, self)
 
     @property
     def times_inn(self) -> "AutGroup":
@@ -604,6 +597,12 @@ class AutGroup:
             raise ValueError("mismatched bases")
         G = other.image
         return is_subnormal(Subgroup(self.maps, G), G)
+
+
+def _sub_autgroups(A: AutGroup) -> Tuple[AutGroup, ...]:
+    """The subgroups of A, in all_subgroups' canonical order of their
+    permutation images, closed on the image's own table."""
+    return tuple(AutGroup(A.base, H) for H in all_subgroups(A.image))
 
 
 def _times_inn(K: AutGroup) -> AutGroup:
@@ -650,6 +649,13 @@ def _is_automorphism(X: Subgroup, m: Sequence[int]) -> bool:
     return len(m) == len(set(m)) == len(rows) and all(
         list(map(m.__getitem__, rows[g])) == list(map(rows[m[g]].__getitem__, m)) for g in gens
     )
+
+
+def are_automorphisms(X: Subgroup, maps: FrozenSet[Perm]) -> bool:
+    """Whether each of a set of maps is an automorphism of X: by membership
+    when Aut(X) is kept, else by :func:`_is_automorphism`, with no search."""
+    known = peek(X.home._kept, ("aut", X.home_mask))
+    return maps <= known.maps if known else all(_is_automorphism(X, m) for m in maps)
 
 
 def _automorphisms(X: Subgroup) -> AutGroup:

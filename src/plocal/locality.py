@@ -617,14 +617,10 @@ def _chain_images(P: Locality) -> Tuple[Tuple[int, ...], ...]:
 
 
 def _letter_tables(P: Locality):
-    """(letters, times, lefts), kept in P's memo: letters[i] is the ambient
-    index of P's i-th sorted element, times[a][i] that of (ambient element
-    a) * (letter i), and lefts[a][i] that of (letter i)^-1 * (ambient
-    element a), all read from the ambient product and inverse tables."""
-    return memo(P._memo, "letter_tables", _letter_tables_of, P)
-
-
-def _letter_tables_of(P: Locality):
+    """(letters, times, lefts): letters[i] is the ambient index of P's i-th
+    sorted element, times[a][i] that of (ambient element a) * (letter i),
+    and lefts[a][i] that of (letter i)^-1 * (ambient element a), all read
+    from the ambient product and inverse tables."""
     mul, inv = P.ambient.mul_table, P.ambient.inv_table
     letters = tuple(bits(P.elems))
     times = tuple(tuple(row[b] for b in letters) for row in mul)
@@ -647,7 +643,7 @@ def _domain_pairs(L: Locality, A: int, B: int):
                 yield a, b, row[b]
 
 
-def _walk(P: Locality, word_len: int):
+def _walk(P: Locality, word_len: int, tables):
     """For k = 1..word_len, every word of length k - 1 over P's sorted
     elements, lexicographically, as (k, prefix, rows); its extensions by
     each letter in turn are the words of length k, so these are met by
@@ -672,7 +668,7 @@ def _walk(P: Locality, word_len: int):
     """
     n = P.elems.bit_count()
     survivors = P.rule.survivors
-    amb, times, lefts = _letter_tables(P)
+    amb, times, lefts = tables  # P's _letter_tables
     chain, wbar_step = _chain_images(P), tuple(map(P.rule.conj_pos.__getitem__, amb))
     chain_rows, wbar_rows = {}, {}
     letters = range(n)
@@ -742,7 +738,8 @@ def verify_partial_group(P: Locality, word_len: int = 3) -> VerificationReport:
         stats = {"words_checked": checked, "domain_words": domain}
         return VerificationReport("partial-group-axioms", inst, "fail", witness=witness, stats=stats)
 
-    elems, (amb, times, _) = P.sorted_elements(), _letter_tables(P)
+    elems, tables = P.sorted_elements(), _letter_tables(P)
+    amb, times, _ = tables
     inv, mul = P.ambient.inv_table, P.ambient.mul_table
     # letter_of[a]: the letter index of ambient element a, -1 outside P
     letter_of = [-1] * len(inv)
@@ -775,7 +772,7 @@ def verify_partial_group(P: Locality, word_len: int = 3) -> VerificationReport:
     # byte tables and letter sets kept for the call, by what they depend on
     flags_of, states, ends_in, heads = {}, {}, {}, {}
     objectivity = None
-    for k, prefix, (row, ends, wbars, wbar_masks) in _walk(P, word_len):
+    for k, prefix, (row, ends, wbars, wbar_masks) in _walk(P, word_len, tables):
         w, code, mask, live, prods, wbar, wbar_mask = prefix
         pi = prods[-1]
         # what the prefix's state and rows alone decide: D, the live chain ends

@@ -67,13 +67,13 @@ UNFIT_K = "K-descriptor-not-for-X"
 
 
 def check_char_p_normalizer_subgroup(
-    G: Subgroup, p: int, G_char_p: bool, X: Subgroup, H: Subgroup, instance: str
+    G: Subgroup, p: int, X: Subgroup, H: Subgroup, instance: str
 ) -> VerificationReport:
     """Lemma 2.2(a): G of characteristic p, X a p-subgroup, C_G(X) <= H <=
-    N_G(X) and H subnormal in HX imply H of characteristic p. G_char_p is
-    whether G has characteristic p, decided once by the caller."""
+    N_G(X) and H subnormal in HX imply H of characteristic p. G's verdict
+    is kept on its home per (G, p), so a sweep decides it once."""
     stmt = "Lemma-2.2a"
-    if not G_char_p:
+    if not gp.is_characteristic_p(G, p):
         return skipped_report(stmt, instance, "G-not-characteristic-p")
     if not gp.is_p_group(X, p):
         return skipped_report(stmt, instance, "X-not-p-group")
@@ -88,13 +88,13 @@ def check_char_p_normalizer_subgroup(
 
 
 def check_char_p_normalizer_aut(
-    G: Subgroup, p: int, G_char_p: bool, X: Subgroup, K: AutGroup, instance: str
+    G: Subgroup, p: int, X: Subgroup, K: AutGroup, instance: str
 ) -> VerificationReport:
     """Lemma 2.2(b): N_G^K(X) is of characteristic p when K is subnormal in
     K*Inn(X); also checks the product identity N_G^{K Inn(X)}(X) =
-    N_G^K(X) X from its proof. G_char_p is as for Lemma 2.2(a)."""
+    N_G^K(X) X from its proof. G's verdict is read as for Lemma 2.2(a)."""
     stmt = "Lemma-2.2b"
-    if not G_char_p:
+    if not gp.is_characteristic_p(G, p):
         return skipped_report(stmt, instance, "G-not-characteristic-p")
     if not gp.is_p_group(X, p):
         return skipped_report(stmt, instance, "X-not-p-group")
@@ -353,13 +353,12 @@ def check_corollary(
     X (normalizer case) and K = {id} on fully centralized X (centralizer
     case). For X = 1 additionally requires E_0 = E on the nose. Each case
     reads the conclusions record of its (X, K cap Aut_F(X)), which the K
-    sweep has already made when it ran the theorem for such a K."""
+    sweep has already made when it ran the theorem for such a K. The
+    normalizer case takes K = Aut_F(X), no search of Aut(X): exact, as the
+    theorem reads K only via K cap Aut_F(X), Aut_F(X) for both, and as
+    Inn(X) <= Aut_S(X) <= Aut_F(X), K*Inn(X) = K for both: branch 1."""
     out: List[VerificationReport] = []
-    cases = [
-        ("normalizer", gp.aut_group(X)),
-        ("centralizer", gp.trivial_aut_group(X)),
-    ]
-    for tag, K in cases:
+    for tag, K in (("normalizer", F.aut(X)), ("centralizer", gp.trivial_aut_group(X))):
         inst = "%s|%s" % (instance, tag)
         reps = check_main_theorem(
             L, F, E, N, X, K, inst, statements=("Corollary-3.3a", "Corollary-3.3b")
@@ -462,12 +461,12 @@ def k_options(
     subgroup of Aut(X) when |Aut(X)| is within the cap. With explicit
     descriptors ("aut" | "id" | "inn" | "gens:<cycles>;..." acting on the
     index of the sorted elements of X) only those are used. Deduplicated,
-    deterministic order.
+    deterministic order. Aut(X) is searched only for "aut" and for the
+    default sweep, which holds it once.
 
     A ``gens:`` descriptor that defines no subgroup of Aut(X) raises
     KDescriptorNotForX, or with ``skip_unfit`` is returned with K None.
     """
-    A = gp.aut_group(X)
     out: List[Tuple[str, Optional[AutGroup]]] = []
     seen = set()
 
@@ -477,40 +476,37 @@ def k_options(
             seen.add(mark)
             out.append((tag, K))
 
-    if descriptors is not None:
-        for desc in descriptors:
-            if desc == "aut":
-                push(desc, A)
-            elif desc == "id":
-                push(desc, gp.trivial_aut_group(X))
-            elif desc == "inn":
-                push(desc, gp.inn_group(X))
-            elif desc.startswith("gens:"):
-                try:
-                    push(desc, _k_from_gens(X, A, desc[5:]))
-                except KDescriptorNotForX:
-                    if not skip_unfit:
-                        raise
-                    push(desc, None)
-            else:
-                raise CorpusParseError("unknown K descriptor %r" % desc)
-        return out
-
-    push("aut", A)
-    push("id", gp.trivial_aut_group(X))
-    push("inn", gp.inn_group(X))
-    if A.order <= AUT_CAP:
-        for idx, K in enumerate(A.sub_autgroups()):
-            push(_k_label(idx, K), K)
+    for desc in ("aut", "id", "inn") if descriptors is None else descriptors:
+        if desc == "aut":
+            push(desc, gp.aut_group(X))
+        elif desc == "id":
+            push(desc, gp.trivial_aut_group(X))
+        elif desc == "inn":
+            push(desc, gp.inn_group(X))
+        elif desc.startswith("gens:"):
+            try:
+                push(desc, _k_from_gens(X, desc[5:]))
+            except KDescriptorNotForX:
+                if not skip_unfit:
+                    raise
+                push(desc, None)
+        else:
+            raise CorpusParseError("unknown K descriptor %r" % desc)
+    if descriptors is None:
+        A = out[0][1]  # pushed first: Aut(X)
+        if A.order <= AUT_CAP:
+            for idx, K in enumerate(A.sub_autgroups()):
+                push(_k_label(idx, K), K)
     return out
 
 
-def _k_from_gens(X: Subgroup, A: AutGroup, spec: str) -> AutGroup:
+def _k_from_gens(X: Subgroup, spec: str) -> AutGroup:
     """Explicit K: permutation generators on the sorted element index of X.
 
     A malformed spec raises CorpusParseError whatever X is; a well-formed
     one with a generator outside Aut(X), such as one naming a point past
-    |X|, raises KDescriptorNotForX. Else the closure lies in Aut(X).
+    |X|, raises KDescriptorNotForX, checked as any AutGroup's maps are, with
+    no search of Aut(X). Else the closure lies in Aut(X).
     """
     specs = [s for s in spec.split(";") if s.strip()]
     if not specs:
@@ -519,10 +515,10 @@ def _k_from_gens(X: Subgroup, A: AutGroup, spec: str) -> AutGroup:
         top = max((pt for s in specs for cyc in parse_cycles(s) for pt in cyc), default=-1)
     except ValueError as exc:
         raise CorpusParseError("K=gens:%s: %s" % (spec, exc))
-    perms = [perm_from_cycles(s, max(top + 1, X.order)) for s in specs]
-    if not all(g in A.maps for g in perms):
+    perms = frozenset(perm_from_cycles(s, max(top + 1, X.order)) for s in specs)
+    if not gp.are_automorphisms(X, perms):
         raise KDescriptorNotForX("K=gens:%s: a generator is not an automorphism of X" % spec)
-    return AutGroup(X, gp.mulclose(perms, cap=A.order))
+    return AutGroup(X, gp.mulclose(perms))
 
 
 def _k_sweep(pe: PreparedEntry, X: Subgroup) -> List[Tuple[str, Optional[AutGroup]]]:
@@ -551,28 +547,21 @@ def entry_reports(
 
     reports: List[VerificationReport] = []
     name = pe.name
-    # group-level Lemma 2.2 over all p-subgroups of G; every instance shares
-    # the hypothesis on G, so it is decided once
+    # group-level Lemma 2.2 over all p-subgroups of G
     if want("Lemma-2.2a") or want("Lemma-2.2b"):
-        G_char_p = gp.is_characteristic_p(pe.G, pe.p)
         for X in gp.p_subgroups(pe.G, pe.F.subgroups()):
             xi = "%s|X=%s" % (name, X.label())
             if want("Lemma-2.2a"):
                 for H in _normalizer_range(pe.G, X):
-                    reports.append(
-                        check_char_p_normalizer_subgroup(
-                            pe.G, pe.p, G_char_p, X, H, "%s|H=%s" % (xi, H.label())
-                        )
-                    )
+                    inst = "%s|H=%s" % (xi, H.label())
+                    reports.append(check_char_p_normalizer_subgroup(pe.G, pe.p, X, H, inst))
             if want("Lemma-2.2b"):
                 for tag, K in _k_sweep(pe, X):
                     inst = "%s|K=%s" % (xi, tag)
                     if K is None:
                         reports.append(skipped_report("Lemma-2.2b", inst, UNFIT_K))
                     else:
-                        reports.append(
-                            check_char_p_normalizer_aut(pe.G, pe.p, G_char_p, X, K, inst)
-                        )
+                        reports.append(check_char_p_normalizer_aut(pe.G, pe.p, X, K, inst))
 
     # locality-level statements over subgroups of S
     X_sweep = pe.X_list if pe.X_list else pe.F.subgroups()

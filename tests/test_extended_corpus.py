@@ -6,7 +6,7 @@ object. Its canonical report is pinned by sha256. The run takes seconds,
 so it is marked ``slow``; the default pytest run still includes it.
 
 A run builds the subgroup lattice of a p-group or of the permutation image
-of an automorphism group (``AutGroup.sub_autgroups``), never of an ambient
+of an automorphism group (``groups._sub_autgroups``), never of an ambient
 group: the p-subgroups of G are the G-conjugates of the subgroups of S, the
 groups between C_G(X) and N_G(X) are K-normalizers, and maximality grows a
 p-subgroup inside its normalizer. Nor does it build the lattice of a
@@ -58,15 +58,15 @@ def _prime_power(n):
 def _ambient_lattices(calls):
     """The calls made on a group that is not a p-group, other than those
     on the image of an automorphism group."""
-    return [(caller, G.order) for caller, G in calls if caller != "sub_autgroups" and not _prime_power(G.order)]
+    return [(caller, G.order) for caller, G in calls if caller != "_sub_autgroups" and not _prime_power(G.order)]
 
 
 def test_default_corpus_builds_no_ambient_lattice():
     with _lattice_spy() as calls:
         reports, _ = vf.run_suite(cli.parse_corpus(cli.default_corpus_text()))
     assert len(reports) == 742
-    assert any(caller == "sub_autgroups" for caller, _ in calls)
-    assert any(caller != "sub_autgroups" for caller, _ in calls)
+    assert any(caller == "_sub_autgroups" for caller, _ in calls)
+    assert any(caller != "_sub_autgroups" for caller, _ in calls)
     assert _ambient_lattices(calls) == []
 
 
@@ -84,10 +84,10 @@ def test_s4_a4_builds_no_lattice_below_S():
     assert axioms.passed and reports and not any(r.failed for r in reports)
     S = pe.F.S.elems
     assert pe.E.S.elems < S
-    assert [caller for caller, G in calls if caller != "sub_autgroups" and G.elems == S] == [
+    assert [caller for caller, G in calls if caller != "_sub_autgroups" and G.elems == S] == [
         "fusion_of_group"
     ]
-    assert [G.order for caller, G in calls if caller != "sub_autgroups" and G.elems < S] == []
+    assert [G.order for caller, G in calls if caller != "_sub_autgroups" and G.elems < S] == []
 
 
 def _spy_cached(mp, cls, name, record):
@@ -164,5 +164,5 @@ def test_l27_report_is_pinned(l27_run):
 @pytest.mark.slow
 def test_l27_builds_no_ambient_lattice(l27_run):
     _, _, calls = l27_run
-    assert any(caller == "sub_autgroups" and G.order > 1 for caller, G in calls)
+    assert any(caller == "_sub_autgroups" and G.order > 1 for caller, G in calls)
     assert _ambient_lattices(calls) == []

@@ -500,6 +500,23 @@ def test_inner_sylow_subsystem_not_normal_in_s4_system(F_s4):
     assert not fu.is_weakly_normal(inner, F_s4)
 
 
+def test_aut_invariance_alone_fails_in_s3_wreath_c2():
+    """G = S3 wr C2 at p = 3 with H = S3 x C3 of order 18: T = S of order 9
+    is strongly closed, E = F_T(H) is saturated, and the Frattini
+    factorization and the extension property both hold, but the swap of
+    the factors does not leave E invariant, so E is not weakly normal."""
+    G = gp.generate_group(perms(6, "(0 1 2)", "(0 1)", "(0 3)(1 4)(2 5)"))
+    H = G.generated_subgroup(perms(6, "(0 1 2)", "(0 1)", "(3 4 5)"))
+    S = gp.sylow_subgroup(G, 3)
+    assert (G.order, H.order, S.order) == (72, 18, 9) and S <= H
+    F, E = fu.fusion_of_group(G, S, 3), fu.fusion_of_group(H, S, 3)
+    assert fu.subsystem_le(E, F) and fu.is_strongly_closed(F, S) and fu.is_saturated(E)
+    assert all(fu._frattini_factors(E, F.aut(S), phi) for phi in F.all_germs())
+    assert fu._has_extension_property(E, F)
+    assert not fu.is_weakly_normal(E, F)
+    assert not fu.is_normal_subsystem(E, F)
+
+
 def test_sl23_inner_q8_normal(F_sl23, sl23):
     q8 = gp.sylow_subgroup(sl23, 2)
     E = fu.fusion_of_group(q8, q8, 2)

@@ -112,7 +112,7 @@ def _walked_words(P, word_len):
     """Every word of length 1..word_len with the state the axiom walk
     carries for it: the prefixes it yields when one letter longer words
     are walked, past the empty one."""
-    for k, prefix, _ in lo._walk(P, word_len + 1):
+    for k, prefix, _ in lo._walk(P, word_len + 1, lo._letter_tables(P)):
         if k > 1:
             yield prefix
 
@@ -807,7 +807,7 @@ def test_walk_matches_whole_word_definitions(L_s3xs3, unclosed):
     off R_wbar: the axiom check takes R_{wbar w} to be the walk's R_wbar."""
     for P in (L_s3xs3, unclosed):
         rule, els, ambient = P.rule, P.sorted_elements(), tuple(P.ambient)
-        walked = [prefix for _, prefix, _ in lo._walk(P, 4)]
+        walked = [prefix for _, prefix, _ in lo._walk(P, 4, lo._letter_tables(P))]
         for iw, code, survivors, _, iprods, iwbar, wbar_survivors in walked:
             # the walk names letters and products by index; read them back
             w = tuple(els[i] for i in iw)
@@ -973,7 +973,7 @@ def test_objectivity_oracle_images_are_conjugates(L_s3xs3):
     for each letter, the images of those objects."""
     objects = [frozenset(gp.elements(L_s3xs3.S, d)) for d in sorted(L_s3xs3.Delta, key=gp.bits)]
     images = lo._chain_images(L_s3xs3)
-    rows = {prefix[3]: ends for _, prefix, (_, ends, _, _) in lo._walk(L_s3xs3, 3)}
+    rows = {prefix[3]: ends for _, prefix, (_, ends, _, _) in lo._walk(L_s3xs3, 3, lo._letter_tables(L_s3xs3))}
     Delta = oracles.objects_of(L_s3xs3)
     assert len(objects) == len(set(objects)) and set(objects) == Delta
     filled = outside = 0

@@ -29,30 +29,30 @@ def S_of(G, p=2):
 def test_lemma22a_p_group_case(d8):
     X = d8.generated_subgroup(perms(4, "(0 2)(1 3)"))
     H = gp.normalizer(d8, X)
-    rep = vf.check_char_p_normalizer_subgroup(d8, 2, gp.is_characteristic_p(d8, 2), X, H, "t")
+    rep = vf.check_char_p_normalizer_subgroup(d8, 2, X, H, "t")
     assert rep.passed
 
 
 def test_lemma22a_s4_transposition_pair(s4):
     X = s4.generated_subgroup(perms(4, "(0 2)(1 3)"))
     H = gp.centralizer(s4, X)
-    rep = vf.check_char_p_normalizer_subgroup(s4, 2, gp.is_characteristic_p(s4, 2), X, H, "t")
+    rep = vf.check_char_p_normalizer_subgroup(s4, 2, X, H, "t")
     assert rep.passed
 
 
 def test_lemma22a_skips(s4):
     X = s4.generated_subgroup(perms(4, "(0 1 2)"))
-    rep = vf.check_char_p_normalizer_subgroup(s4, 2, gp.is_characteristic_p(s4, 2), X, X, "t")
+    rep = vf.check_char_p_normalizer_subgroup(s4, 2, X, X, "t")
     assert rep.outcome == "skipped" and rep.reason == "X-not-p-group"
     c6 = gp.generate_group(perms(5, "(0 1 2)(3 4)"))
     X2 = c6.generated_subgroup(perms(5, "(3 4)"))
-    rep = vf.check_char_p_normalizer_subgroup(c6, 2, gp.is_characteristic_p(c6, 2), X2, c6, "t")
+    rep = vf.check_char_p_normalizer_subgroup(c6, 2, X2, c6, "t")
     assert rep.outcome == "skipped" and rep.reason == "G-not-characteristic-p"
 
 
 def test_lemma22b_pass_and_identity(s4, klein):
     K = gp.trivial_aut_group(klein)
-    rep = vf.check_char_p_normalizer_aut(s4, 2, gp.is_characteristic_p(s4, 2), klein, K, "t")
+    rep = vf.check_char_p_normalizer_aut(s4, 2, klein, K, "t")
     assert rep.passed
     assert rep.stats["identity_checked"] == 1
 
@@ -62,7 +62,7 @@ def test_lemma22b_subnormal_skip(sl23):
     A = gp.aut_group(Q8)
     # an order-3 subgroup of Aut(Q8) = S4 is not subnormal in C3 * V4 = A4
     C3 = next(K for K in A.sub_autgroups() if K.order == 3)
-    rep = vf.check_char_p_normalizer_aut(sl23, 2, gp.is_characteristic_p(sl23, 2), Q8, C3, "t")
+    rep = vf.check_char_p_normalizer_aut(sl23, 2, Q8, C3, "t")
     assert rep.outcome == "skipped"
     assert rep.reason == "K-not-subnormal-in-K*Inn(X)"
 
@@ -263,7 +263,7 @@ def test_K_times_inn_once_per_K(monkeypatch, own_L_s4, F_s4, s4, klein):
     V = gp.Subgroup(klein.elems)
     K = gp.AutGroup(V, gp.aut_group(V).maps)  # a fresh value, nothing kept on it
     assert vf.check_restricted_subcentric(own_L_s4, F_s4, V, K, "t").passed
-    assert vf.check_char_p_normalizer_aut(s4, 2, gp.is_characteristic_p(s4, 2), V, K, "t").passed
+    assert vf.check_char_p_normalizer_aut(s4, 2, V, K, "t").passed
     assert vf._subnormal_branch(F_s4, V, K) == (1, K)
     again = gp.AutGroup(V, K.maps)
     assert again.times_inn is K.times_inn
@@ -378,20 +378,21 @@ def test_bN_K_keeps_a_restriction_per_gamma():
 
 
 def test_ambient_characteristic_p_decided_once_per_entry(monkeypatch):
-    """The Lemma-2.2a/b sweep tests the ambient G for characteristic p once,
-    not once per instance."""
+    """Whether the ambient G has characteristic p is decided once per
+    entry, not once per Lemma-2.2a/b instance: every checker reads the
+    verdict kept on G's home."""
     (entry,) = [e for e in cli.parse_corpus(cli.default_corpus_text()) if e.name == "s4_a4"]
-    pe, axioms = vf.prepare_entry(entry)
-    assert axioms.passed
     ambient_calls = []
-    real = gp.is_characteristic_p
+    real = gp._char_p
 
     def spy(G, p):
-        if G is pe.G:
+        if G == entry.G:
             ambient_calls.append(p)
         return real(G, p)
 
-    monkeypatch.setattr(gp, "is_characteristic_p", spy)
+    monkeypatch.setattr(gp, "_char_p", spy)
+    pe, axioms = vf.prepare_entry(entry)
+    assert axioms.passed
     reports = vf.entry_reports(pe, statements=("Lemma-2.2a", "Lemma-2.2b"))
     assert len(reports) > 1 and all(r.passed for r in reports)
     assert ambient_calls == [2]
@@ -799,6 +800,21 @@ def test_k_options_default_and_descriptors(s4, klein):
     assert len(only) == 1 and only[0][0] == "id"
     explicit = vf.k_options(V, descriptors=("gens:(1 2 3)",))
     assert explicit[0][1].order == 3
+
+
+@pytest.mark.slow
+def test_k_lines_without_aut_search_no_automorphism_group(monkeypatch):
+    """C3 wr C3 at p = 3: S = G has order 81, past AUT_BASE_CAP, so Aut(S)
+    cannot be searched. K lines that never name aut search no Aut(X), nor
+    does the corollary, whose normalizer case takes Aut_F(X): the entry is
+    checked in full."""
+    searched = []
+    monkeypatch.setattr(gp, "_automorphisms", lambda X: searched.append(X.order))
+    corpus = "group c3wrc3 p=3 gens=(0 1 2);(0 3 6)(1 4 7)(2 5 8)\nK=id\nK=inn\n"
+    reports, coverage = vf.run_suite(cli.parse_corpus(corpus))
+    assert len(reports) == 604 and all(cov["fail"] == 0 for cov in coverage.values())
+    assert coverage["Corollary-3.3a"]["pass"] == 100 and coverage["Lemma-2.2b"]["pass"] == 54
+    assert searched == []
 
 
 def test_k_options_rejects_non_automorphism(s4):
