@@ -17,30 +17,28 @@ P whose image lies in Q. This normal form keeps closure computations small
 while every predicate in sight can still quantify over all morphisms
 exactly.
 
-A system keeps the subgroup lattice of S and what it derives (Aut_F(P)
-per P, saturation witness, core, centric and subcentric sets, K cap
-Aut_F(X), fully K-normalized verdicts and K-normalizer subsystems per (X,
-K), the last two by K cap Aut_F(X), each subgroup by its mask over S's
-home and K by its maps, the pulled-back actions of :func:`_pulled_back`
-per germ, and the verdicts of normality and p-power index of a smaller
-system E in it, per E) in its ``_cache``, through ``groups.memo``, or
-``groups.keep`` for a lattice handed on, the one way a result is kept. All
-of it depends only on the content (S, p, germs) of the system and of the
-key (the proofs for K are in the docstrings), and systems compare by
-content, so a hit is exact.
+A system keeps what it derives (Aut_F(P) per P, saturation witness,
+core, centric and subcentric sets, K cap Aut_F(X), fully K-normalized
+verdicts and K-normalizer subsystems per (X, K), the last two by K cap
+Aut_F(X), each subgroup by its mask over S's home and K by its maps, the
+pulled-back actions of :func:`_pulled_back` per germ, and the verdicts of
+normality and p-power index of a smaller system E in it, per E) in its
+``_cache``, through ``groups.memo``, the one way a result is kept. All of
+it depends only on the content (S, p, germs) of the system and of the key
+(the proofs for K are in the docstrings), and systems compare by content,
+so a hit is exact. The lattice of S, and of every subgroup of S, is read
+off S's home (``groups.lattice``).
 
-Equal content is also one object, and so one cache, through a *table of
-systems*: a dict mapping each system to itself, which every member keeps
-under the key "systems". :func:`interned` gives the member equal to a new
-system, or enters it. A corpus entry keeps one table: it starts with
-F = F_S(G) (:func:`table_of_systems`), E = F_T(H) and the K-normalizer
-subsystems of every member are interned in it, and the entry's locality
-and its restrictions intern the systems of their partial subgroups in it
-too (``locality.fusion_of_partial``). So saturation, the core, the
-subcentric set, N_F^K(X), the fully K-normalized verdicts, normality and
-p-power index are decided once per content within an entry, whichever
-construction reached it. A system built alone gets a table of its own on
-first use.
+Equal content is also one object, and so one cache, through the *table of
+systems* on the home of the base: a dict mapping each system to itself.
+:func:`interned` gives the member equal to a new system, or enters it, and
+every construction here returns what it gives: F_S(G), the closures of
+:func:`close_generated`, among them those of ``locality.fusion_of_partial``,
+and the K-normalizer subsystems. Every system of a corpus entry lives over
+a subgroup of the entry's group, so the entry has one table, and
+saturation, the core, the subcentric set, N_F^K(X), the fully K-normalized
+verdicts, normality and p-power index are decided once per content within
+an entry, whichever construction reached it.
 
 External definitions used here and pinned in one place:
 
@@ -61,22 +59,22 @@ External definitions used here and pinned in one place:
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Collection, Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from .errors import CapExceeded, NotSaturated, NotSylow
 from .groups import (
     AutGroup,
     Subgroup,
-    all_subgroups,
     aut_induced,
     centralizer,
     bits,
     center,
     conj_positions,
+    generated,
     group_K_normalizer,
     join,
     keep,
-    lattice_by_mask,
+    lattice,
     memo,
     normalizer,
     normalizer_action,
@@ -91,8 +89,7 @@ GERM_CAP = 100_000
 class FusionSystem:
     """Category over the p-group S, germs grouped by source mask. A germ
     is a tuple of positions over S's sorted elements (see the module
-    docstring). It owns the lattice of S, handed on by the construction
-    that made it."""
+    docstring)."""
 
     __slots__ = ("S", "p", "germs_by_src", "_all", "_hash", "_cache")
 
@@ -122,7 +119,7 @@ class FusionSystem:
 
     def subgroups(self) -> Tuple[Subgroup, ...]:
         """The subgroups of S in all_subgroups' canonical order."""
-        return memo(self._cache, "subgroups", all_subgroups, self.S)
+        return tuple(lattice(self.S).values())
 
     def all_germs(self) -> FrozenSet[tuple]:
         return self._all
@@ -142,7 +139,7 @@ class FusionSystem:
         """The F-conjugacy class of P, canonically ordered."""
         p = self.S.mask(P)
         images = {_img(g) for g in self.germs_by_src.get(p, ())} | {p}
-        return tuple(map(_lattice(self).__getitem__, sorted(images, key=bits)))
+        return tuple(map(lattice(self.S).__getitem__, sorted(images, key=bits)))
 
     def __eq__(self, other):
         return (
@@ -171,11 +168,6 @@ def _automized(F: FusionSystem, P: Subgroup) -> AutGroup:
 
 # ---------------------------------------------------------------------------
 # germs: tuples of positions over the sorted elements of S
-
-
-def _lattice(F: FusionSystem) -> Dict[int, Subgroup]:
-    """S's lattice by mask, in its canonical order, kept in F's cache."""
-    return memo(F._cache, "lattice", lambda: lattice_by_mask(F.S, F.subgroups()))
 
 
 def _src(g: tuple) -> int:
@@ -230,43 +222,28 @@ def subsystem_le(E: FusionSystem, F: FusionSystem) -> bool:
     return all(_lift(g, pos, F.S.order) in F.all_germs() for g in E.all_germs())
 
 
-def table_of_systems(F: FusionSystem) -> Dict[FusionSystem, FusionSystem]:
-    """The table of systems F belongs to (see the module docstring); for a
-    system that has none, a new one holding F alone."""
-    return keep(F._cache, "systems", {F: F})
-
-
-def interned(systems: Dict[FusionSystem, FusionSystem], E: FusionSystem) -> FusionSystem:
-    """The member of the table of systems equal to E; E itself, entered in
-    the table, when it holds none."""
-    out = keep(systems, E, E)
-    keep(out._cache, "systems", systems)
-    return out
+def interned(E: FusionSystem) -> FusionSystem:
+    """The member of the table of systems on E's base's home equal to E;
+    E itself, entered in the table, when it holds none."""
+    return keep(memo(E.S.home._kept, "systems", dict), E, E)
 
 
 # ---------------------------------------------------------------------------
 # constructions
 
 
-def fusion_of_group(
-    G: Subgroup, S: Subgroup, p: int, *, subgroups: Optional[Tuple[Subgroup, ...]] = None
-) -> FusionSystem:
-    """F_S(G): morphisms are the conjugations c_g between subgroups of S.
-    ``subgroups`` is S's lattice, if the caller holds it."""
+def fusion_of_group(G: Subgroup, S: Subgroup, p: int) -> FusionSystem:
+    """F_S(G): morphisms are the conjugations c_g between subgroups of S."""
     if not S <= G:
         raise NotSylow("S is not a subgroup of G")
     if S.order != p_part(G.order, p):
         raise NotSylow(
             "order %d is not the %d-part of %d" % (S.order, p, G.order)
         )
-    subgroups = subgroups or all_subgroups(S)
-    masks = [S.mask(P) for P in subgroups]
-    out = FusionSystem(S, p, conjugation_germs(conj_positions(G, S), masks))
-    keep(out._cache, "subgroups", subgroups)
-    return out
+    return interned(FusionSystem(S, p, conjugation_germs(conj_positions(G, S), lattice(S))))
 
 
-def conjugation_germs(rows: Iterable[tuple], sources: Sequence[int]) -> set:
+def conjugation_germs(rows: Iterable[tuple], sources: Collection[int]) -> set:
     """The germs c_g on P read off rows of conj_positions over S: for each
     distinct row and each source mask all of whose positions the row takes
     into S, the row restricted to that source."""
@@ -278,21 +255,15 @@ def conjugation_germs(rows: Iterable[tuple], sources: Sequence[int]) -> set:
 
 
 def close_generated(
-    S: Subgroup,
-    p: int,
-    generators: Iterable[tuple] = (),
-    cap: int = GERM_CAP,
-    *, subgroups: Optional[Tuple[Subgroup, ...]] = None,
+    S: Subgroup, p: int, generators: Iterable[tuple] = (), cap: int = GERM_CAP
 ) -> FusionSystem:
     """Smallest fusion system over S containing the generators, germs over
     S that are checked to be injective homomorphisms.
 
     Fixed-point closure of the inner system and the generators under
     restriction, inversion of isomorphisms-onto-image, and composition.
-    ``subgroups`` is as for fusion_of_group.
     """
-    subgroups = subgroups or all_subgroups(S)
-    masks = [S.mask(P) for P in subgroups]
+    masks = lattice(S)
     germs: set = set()
     by_src: Dict[int, set] = {}
     by_img: Dict[int, set] = {}
@@ -333,9 +304,7 @@ def close_generated(
             push(_then(g, h))
         for h in tuple(by_img.get(src, ())):
             push(_then(h, g))
-    out = FusionSystem(S, p, germs)
-    keep(out._cache, "subgroups", subgroups)
-    return out
+    return interned(FusionSystem(S, p, germs))
 
 
 # ---------------------------------------------------------------------------
@@ -394,11 +363,10 @@ def K_normalizer_subsystem(F: FusionSystem, X: Subgroup, K: AutGroup) -> FusionS
     Kept in F's cache per (X, K cap Aut_F(X)), built on that: each germ
     mapping X onto X, and each c_s with s in N_S(X), is on X in Aut_F(X).
 
-    The result is interned in F's table of systems (see the module
-    docstring): an (X, K) whose subsystem equals a member, F or any other
-    system its corpus entry has built, gets that object and so its cache.
-    Its lattice is read off F's, and its germs are F's re-expressed in the
-    positions of its base.
+    The result is interned (see the module docstring): an (X, K) whose
+    subsystem equals a system already built over a subgroup of S's home,
+    F or any other, gets that object and so its cache. Its germs are F's
+    re-expressed in the positions of its base.
 
     F is closed under restriction, so a germ from m extends to such an
     F-morphism iff it extends to one from <m, X>: the germs from m are the
@@ -413,21 +381,18 @@ def _K_normalizer(F: FusionSystem, X: Subgroup, K: AutGroup) -> FusionSystem:
     S0 = group_K_normalizer(F.S, X, K)
     x, s0 = F.S.mask(X), F.S.mask(S0)
     xpos, s0pos = positions(F.S, X), positions(F.S, S0)
-    whole = _lattice(F)
-    lattice = {m: P for m, P in whole.items() if not m & ~s0}
     germs, good = set(), {}
-    for m in lattice:
-        # the join: the first member of S's lattice in canonical order holding m and X
-        J = next(j for j in whole if not (m | x) & ~j)
+    for m in lattice(F.S):
+        if m & ~s0:
+            continue
+        J = join(F.S, m | x)
         if J not in good:  # the germs from J fixing X and acting on it in K
             good[J] = [psi for psi in F.germs_by_src.get(J, ()) if _local(psi, xpos) in K.maps]
         for psi in good[J]:
             r = _restrict(psi, m)
             if not _img(r) & ~s0:
                 germs.add(_local(r, s0pos))
-    out = interned(table_of_systems(F), FusionSystem(S0, F.p, germs))
-    keep(out._cache, "subgroups", tuple(lattice.values()))
-    return out
+    return interned(FusionSystem(S0, F.p, germs))
 
 
 def normalizer_subsystem(F: FusionSystem, X: Subgroup) -> FusionSystem:
@@ -508,7 +473,7 @@ def _pulling_back(F: FusionSystem, psi: tuple) -> Dict[int, Tuple[int, ...]]:
     images = [j for j in psi if j >= 0]  # of Y's elements in order
     fro = sorted(range(len(images)), key=images.__getitem__)
     to = sorted(range(len(images)), key=fro.__getitem__)  # Y's places to Z's
-    action = normalizer_action(F.S, _lattice(F)[_src(psi)])
+    action = normalizer_action(F.S, lattice(F.S)[_src(psi)])
     return {g: tuple(to[image[j]] for j in fro) for g, image in action.items()}
 
 
@@ -542,19 +507,17 @@ def is_strongly_closed(F: FusionSystem, T: Subgroup) -> bool:
 
 
 def is_normal_in_fusion(F: FusionSystem, P: Subgroup) -> bool:
-    """Every F-morphism extends to one whose source includes P and which
-    maps P onto P."""
-    p, lattice = F.S.mask(P), _lattice(F)
-    for src, germs in F.germs_by_src.items():
-        joined = next(m for m in lattice if not (src | p) & ~m)
-        extended = {
-            _restrict(psi, src)
-            for psi in F.germs_by_src.get(joined, ())
-            if _img(_restrict(psi, p)) == p
-        }
-        if not germs <= extended:
-            return False
-    return True
+    """P is normal in F: every F-morphism extends to one whose source
+    includes P and which maps P onto P. That is N_F(P) = F.
+
+    N_F(P) = N_F^{Aut_F(P)}(P), over N_S(P), holds exactly the F-germs that
+    extend to an F-germ from <source, P> mapping P onto P, as such an
+    extension acts on P as a member of Aut_F(P) (:func:`normalizer_subsystem`).
+    When N_S(P) = S, N_F(P) = F says every germ of F is one of them. When
+    N_S(P) < S, the germ c_s on S for s outside N_S(P) extends only to
+    itself, which moves P, so P is not normal, and N_F(P), over a smaller
+    base, is not F."""
+    return normalizer_subsystem(F, P) == F
 
 
 def fusion_core(F: FusionSystem) -> Subgroup:
@@ -637,7 +600,7 @@ def hyperfocal_subgroup(F: FusionSystem) -> Subgroup:
         xs = bits(F.S.home_mask_of(P))
         for alpha in op_residual(F.aut(P), F.p).maps:
             gens.update(mul[inv[x]][xs[k]] for x, k in zip(xs, alpha))
-    return join(F.subgroups(), sum(1 << g for g in gens))
+    return generated(F.S, sum(1 << g for g in gens))
 
 
 def has_p_power_index(D: FusionSystem, F: FusionSystem) -> bool:
@@ -699,7 +662,7 @@ def is_normal_subsystem(E: FusionSystem, F: FusionSystem) -> bool:
 def _has_extension_property(E: FusionSystem, F: FusionSystem) -> bool:
     T = E.S
     C = centralizer(F.S, T)
-    P0 = join(F.subgroups(), F.S.home_mask_of(T) | C.home_mask)
+    P0 = generated(F.S, F.S.home_mask_of(T) | C.home_mask)
     mul, inv, Z = F.S.home.mul_table, F.S.home.inv_table, set(bits(F.S.home_mask_of(center(T))))
     home, pos, cm = bits(F.S.home_mask), positions(F.S, T), F.S.mask(C)
     for alpha in E.aut(T).maps:

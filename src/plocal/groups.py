@@ -22,17 +22,18 @@ groups reading its tables: N_G(X) and its action on X, per X, the one test
 of "g normalizes X"; whether H has characteristic p, per (H, p); whether
 H is subnormal in G, per (H, G); X's table on its positions and Aut(X),
 per X; the permutation image of an automorphism group of X, per maps, the
-one home of that content; its subgroups and K*Inn(X), per (X, maps).
+one home of that content; its subgroups and K*Inn(X), per (X, maps); the
+subgroup lattice of R, per R (:func:`lattice`); and the table of fusion
+systems over its subgroups (``fusion.interned``).
 
 :func:`memo` and :func:`keep` are the one way the package keeps a result,
-there, in a fusion system's ``_cache``, a locality's ``_memo`` and a table
-of systems; :func:`peek` reads one without deciding it.
+there, in a fusion system's ``_cache`` and a locality's ``_memo``;
+:func:`peek` reads one without deciding it.
 
 Subgroup lattices are asked for only on p-groups and on permutation images
-of automorphism groups; S's is kept by the fusion system or locality over
-S, by mask over S (:func:`lattice_by_mask`). The lattice of R <= S is the
-members of S's inside R, in the same order, and the join of a mask the
-first member holding it (:func:`join`).
+of automorphism groups, and read only through :func:`lattice`, R's
+subgroups by mask over R, and :func:`join`, the first of them holding a
+mask.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ def memo(place: dict, key, decide, *args):
 
 def keep(place: dict, key, value):
     """What place keeps under key, else value, kept there: for a value the
-    caller already holds, such as a lattice handed on."""
+    caller already holds, such as a system to intern."""
     return place.setdefault(key, value)
 
 
@@ -228,10 +229,13 @@ class Subgroup:
         """For G = self a home, what is decided about groups reading its
         tables, per (kind, home masks): ("normalizer", X), ("char_p", H,
         p), ("subnormal", H, G), ("table", X), ("aut", X), ("image", maps),
-        ("sub_autgroups", X, maps) and ("times_inn", X, maps); filled through
-        :func:`memo` by :func:`normalizer_action`, :func:`is_characteristic_p`,
-        :func:`is_subnormal`, :func:`_position_table`, :func:`aut_group` and
-        AutGroup's :attr:`image`, :meth:`sub_autgroups` and :attr:`times_inn`."""
+        ("sub_autgroups", X, maps), ("times_inn", X, maps) and ("lattice",
+        R), and "systems"; filled through :func:`memo` by
+        :func:`normalizer_action`, :func:`is_characteristic_p`,
+        :func:`is_subnormal`, :func:`_position_table`, :func:`aut_group`,
+        AutGroup's :attr:`image`, :meth:`sub_autgroups` and :attr:`times_inn`,
+        :func:`lattice` and ``fusion.interned``; ``locality.fusion_of_partial``
+        keeps its closures here too."""
         return {}
 
     def home_mask_of(self, X: Iterable[Perm]) -> int:
@@ -339,8 +343,8 @@ def all_subgroups(G: Subgroup, cap: int = SUBGROUP_CAP) -> Tuple[Subgroup, ...]:
 
     Works bottom-up on the home's product table: all cyclic subgroups, then
     closure of the lattice under joins with cyclic subgroups. Exhaustive
-    because every subgroup is a join of cyclic ones. Not kept here: the
-    fusion system or locality over G does.
+    because every subgroup is a join of cyclic ones. Not kept here:
+    :func:`lattice` keeps it.
     """
     if G.order > cap:
         raise CapExceeded("group order %d exceeds subgroup cap %d" % (G.order, cap))
@@ -357,18 +361,21 @@ def all_subgroups(G: Subgroup, cap: int = SUBGROUP_CAP) -> Tuple[Subgroup, ...]:
     return _canonical(G, found)
 
 
-def lattice_by_mask(S: Subgroup, subgroups: Iterable[Subgroup]) -> Dict[int, Subgroup]:
-    """Subgroups of S keyed by their masks over S's sorted elements, in
-    their order: S's lattice as the fusion and locality layers keep it."""
-    return {S.mask(P): P for P in subgroups}
+def lattice(R: Subgroup) -> Dict[int, Subgroup]:
+    """R's subgroups keyed by their masks over R's sorted elements, in
+    all_subgroups' order, kept on R's home per R."""
+    return memo(R.home._kept, ("lattice", R.home_mask), _subgroups_by_mask, R)
 
 
-def join(lattice: Sequence[Subgroup], mask: int) -> Optional[Subgroup]:
-    """The first member of a canonically ordered lattice holding the
-    elements at mask's bits, a mask over the members' home, or None: for
-    S's lattice and a mask inside S, the subgroup they generate, which lies
-    in every member holding them and so comes first."""
-    return next((H for H in lattice if not mask & ~H.home_mask), None)
+def _subgroups_by_mask(R: Subgroup) -> Dict[int, Subgroup]:
+    return {R.mask(P): P for P in all_subgroups(R)}
+
+
+def join(R: Subgroup, mask: int) -> Optional[int]:
+    """The mask of the first member of R's lattice holding mask, a mask
+    over R, or None: for a mask inside R, the subgroup its elements
+    generate, which lies in every member holding them and so comes first."""
+    return next((m for m in lattice(R) if not mask & ~m), None)
 
 
 def positions(S: Subgroup, P: Subgroup) -> Dict[int, int]:
@@ -445,11 +452,11 @@ def p_part(n: int, p: int) -> int:
     return out
 
 
-def p_subgroups(G: Subgroup, subgroups: Sequence[Subgroup]) -> Tuple[Subgroup, ...]:
-    """The p-subgroups of G, given those of a Sylow p-subgroup: by Sylow's
-    theorem their G-conjugates, in all_subgroups' canonical order."""
+def p_subgroups(G: Subgroup, S: Subgroup) -> Tuple[Subgroup, ...]:
+    """The p-subgroups of G, given a Sylow p-subgroup S: by Sylow's theorem
+    the G-conjugates of S's subgroups, in all_subgroups' canonical order."""
     conj, gs = G.home.conj_table, bits(G.home_mask)
-    xss = [bits(G.home_mask_of(P)) for P in subgroups]
+    xss = [bits(G.home_mask_of(P)) for P in lattice(S).values()]
     return _canonical(G, {sum(1 << conj[a][x] for x in xs) for xs in xss for a in gs})
 
 

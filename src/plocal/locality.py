@@ -52,11 +52,12 @@ first word where rule and oracle disagree is the objectivity witness.
 The statement checkers in ``verify`` run the subcentric verification once
 per distinct structure of a corpus entry, keyed on its content in the memo
 of the entry's locality, and bN_K restricts once per content (N_L^K(X),
-Gamma, X) in that memo. The fusion systems of partial subgroups are
-interned in the entry's table of systems (see ``fusion``), which the
-entry's locality holds with F_S(G) and shares with all its restrictions,
-so each distinct closure input is closed once and each closed system is
-the one object of its content that the entry's fusion layer holds.
+Gamma, X) in that memo. The fusion systems of partial subgroups are kept
+on the ambient home, by the call and by the closure's input, so each
+distinct closure input over that home is closed once, and the closure is
+interned there in the table of systems (see ``fusion``), the one object
+of its content that the entry's fusion layer holds. The lattices of S and
+of its subgroups are read off the home too (``groups.lattice``).
 """
 
 from __future__ import annotations
@@ -78,7 +79,6 @@ from .fusion import (
     K_normalizer_subsystem,
     close_generated,
     conjugation_germs,
-    interned,
     is_fully_K_normalized,
     realized_part,
     subcentric_set,
@@ -86,15 +86,15 @@ from .fusion import (
 from .groups import (
     AutGroup,
     Subgroup,
-    all_subgroups,
     bits,
     conj_positions,
     elements,
     group_K_normalizer,
     is_characteristic_p,
     is_p_group,
+    join,
     keep,
-    lattice_by_mask,
+    lattice,
     memo,
     normalizer,
     p_part,
@@ -159,14 +159,11 @@ class Locality:
     """(L, Delta, S): a group-backed partial group with object set Delta
     inside S. elems and S_elems are masks over the ambient group, a home,
     and Delta a set of masks over S. Its product is the ambient product and
-    its words are decided by ChainDomain(ambient, S, Delta). It owns the
-    lattice of S (_lattice) and holds a table of systems (see
-    fusion_of_partial): its own, or the one group_locality is handed,
-    shared with every restriction of it. What is decided about it is kept
-    in its ``_memo`` and its table of systems through ``groups.memo`` and
+    its words are decided by ChainDomain(ambient, S, Delta). What is
+    decided about it is kept in its ``_memo`` through ``groups.memo`` and
     ``groups.keep``, the one way to keep a result."""
 
-    __slots__ = ("ambient", "elems", "Delta", "S_elems", "p", "rule", "S", "_memo", "_systems")
+    __slots__ = ("ambient", "elems", "Delta", "S_elems", "p", "rule", "S", "_memo")
 
     def __init__(self, ambient: Subgroup, elems: int, Delta: Iterable[int], S_elems: int, p: int):
         if ambient.home is not ambient:
@@ -179,9 +176,6 @@ class Locality:
             raise ValueError("objects not inside S")
         self.rule = ChainDomain(ambient, self.S, self.Delta)
         self._memo = {}
-        # the table of systems, shared with every restriction of this
-        # locality (see fusion_of_partial)
-        self._systems = {}
 
     @property
     def unit(self) -> Perm:
@@ -221,12 +215,6 @@ class Locality:
             self.elems.bit_count(), len(self.Delta), self.S.order)
 
 
-def _lattice(L: Locality) -> Dict[int, Subgroup]:
-    """S's lattice by mask over S, in all_subgroups' canonical order, kept
-    in L's memo: handed on by group_locality or restrict, or built."""
-    return memo(L._memo, "lattice", lambda: lattice_by_mask(L.S, all_subgroups(L.S)))
-
-
 def _name(L: Locality, a: int) -> str:
     """The a-th ambient element, for a witness."""
     return str(elements(L.ambient, 1 << a)[0])
@@ -260,40 +248,24 @@ def partial_subgroup_violation(parent: Locality, elems: int) -> Optional[dict]:
 # construction of group localities
 
 
-def group_locality(
-    G: Subgroup, S: Subgroup, p: int, *,
-    subgroups: Optional[Tuple[Subgroup, ...]] = None,
-    systems: Optional[Dict[FusionSystem, FusionSystem]] = None,
-) -> Locality:
+def group_locality(G: Subgroup, S: Subgroup, p: int) -> Locality:
     """G as a locality over its Sylow p-subgroup S: every subgroup of S is
-    an object, so every word is defined. ``subgroups`` is S's lattice, if
-    the caller holds it, and ``systems`` the table of systems (see
-    fusion_of_partial) the locality is to use, if the caller holds one."""
+    an object, so every word is defined."""
     if S.order != p_part(G.order, p):
         raise NotSylow("S is not a Sylow %d-subgroup of G" % p)
-    lattice = lattice_by_mask(S, subgroups or all_subgroups(S))
-    out = Locality(G, G.home_mask, lattice, G.home_mask_of(S), p)
-    keep(out._memo, "lattice", lattice)
-    if systems is not None:
-        out._systems = systems
-    return out
+    return Locality(G, G.home_mask, lattice(S), G.home_mask_of(S), p)
 
 
-def build_group_locality(
-    G: Subgroup, S: Subgroup, Delta: Iterable[int], p: int,
-    *, subgroups: Optional[Tuple[Subgroup, ...]] = None,
-    systems: Optional[Dict[FusionSystem, FusionSystem]] = None,
-) -> Locality:
+def build_group_locality(G: Subgroup, S: Subgroup, Delta: Iterable[int], p: int) -> Locality:
     """L_Delta(G) = {g in G : S cap S^{g^-1} in Delta}: the group locality
     restricted to Delta, masks over S, where S_g = S cap S^{g^-1}.
-    ``subgroups`` and ``systems`` are as for group_locality.
 
     Delta must be closed under F_S(G)-conjugacy and overgroups in S;
     restrict raises GammaNotClosed otherwise. The construction always
     yields a structure; run verify_locality (or the subcentric verifier) to
     certify the axioms for a particular G.
     """
-    L = group_locality(G, S, p, subgroups=subgroups, systems=systems)
+    L = group_locality(G, S, p)
     one = S.trivial_subgroup()
     out = restrict(L, L.elems, Delta, one)
     if out == L:
@@ -384,14 +356,12 @@ def restrict(L: Locality, H: int, Gamma: Iterable[int], X: Subgroup) -> Locality
     Checks the closure of Gamma and the hypotheses (Q1), (Q2) eagerly, in
     the order of Gamma's masks, and raises NotSylow unless R is a maximal
     p-subgroup of the result. P^f is _conj_mask, once per object P and f
-    in H. The result shares L's table of fusion systems (see
-    fusion_of_partial), so every restriction reached from one locality, by
-    any chain of restricts, holds the same table.
+    in H.
     """
     H, Gamma = _inside(L, H), frozenset(Gamma)
     objects, R = sorted(Gamma), L.S_elems & H
-    r, lattice = pack(R, L.S_elems), _lattice(L)
-    r_lattice = {m: P for m, P in lattice.items() if not m & ~r}
+    r = pack(R, L.S_elems)
+    r_lattice = [m for m in lattice(L.S) if not m & ~r]
     for P in objects:
         if P not in r_lattice:
             raise GammaNotClosed("object is not a subgroup of R")
@@ -405,11 +375,11 @@ def restrict(L: Locality, H: int, Gamma: Iterable[int], X: Subgroup) -> Locality
             img = images[P, a] = _conj_mask(L, P, a)
             if img is not None and not img & ~r and img not in Gamma:
                 raise GammaNotClosed("not closed under H-conjugation")
-    # (Q1): <P, X> must be an object of L for every P in Gamma; the join is
-    # the first member of S's lattice holding P and X (none for X outside S)
+    # (Q1): <P, X> must be an object of L for every P in Gamma (no join for
+    # X outside S)
     x, joined_of = L.rule.S.mask(X), {}
     for P in objects:
-        joined = joined_of[P] = next((m for m in lattice if not (P | x) & ~m), None)
+        joined = joined_of[P] = join(L.S, P | x)
         if joined not in L.rule.masks:
             raise Q1Violated("<P, X> is not an object for P with |P|=%d" % P.bit_count())
     # (Q2): N_H(P1, P2) <= N_L(<P1,X>, <P2,X>); P2 = P1^f is the one object
@@ -423,10 +393,8 @@ def restrict(L: Locality, H: int, Gamma: Iterable[int], X: Subgroup) -> Locality
     sf = _S_f_masks(L)
     elems = sum(1 << f for f in bits(H) if (sf[f] & r) in Gamma)
     out = Locality(L.ambient, elems, (pack(P, r) for P in objects), R, L.p)
-    keep(out._memo, "lattice", {pack(m, r): P for m, P in r_lattice.items()})
     if not _is_max_p_subgroup(out):
         raise NotSylow("S cap H is not a maximal p-subgroup of the restriction")
-    out._systems = L._systems
     return out
 
 
@@ -521,29 +489,24 @@ def fusion_of_partial(L: Locality, N: int, base: Optional[Subgroup] = None) -> F
     """F_R(N), R = N cap S (or the given base): the fusion system on R
     generated by the conjugation maps c_f, f in N.
 
-    Kept in L's table of systems, which L shares with every restriction of
-    it and with the locality it was restricted from, and, for a corpus
-    entry's locality, with the entry's fusion systems (see fusion). The
-    closure is interned there by content, so it is the one object of its
-    content with one cache, and kept under two keys besides: the content
-    (L, N, R) of the call, and the closure's input (R, generating germs),
-    so that calls that differ in (L, N) but generate the same system close
-    it once. The base must lie in N cap S.
+    Kept on L's ambient home under two keys: the content (L, N, R) of the
+    call, and the closure's input (R, generating germs), so that calls
+    that differ in (L, N), from any locality over that home, but generate
+    the same system close it once. The closure is interned by content
+    (see fusion), so it is the one object of its content with one cache.
+    The base must lie in N cap S.
     """
     T = _inside(L, N) & L.S_elems
     R = base if base is not None else L.ambient.from_home_mask(T)
     r = L.ambient.home_mask_of(R)
     if r & ~T:
         raise ValueError("base is not inside the partial subgroup and S")
-    return memo(L._systems, (L, N, r), _generated, L, N, R, r)
+    return memo(L.ambient._kept, ("fusion_of_partial", L, N, r), _generated, L, N, R, r)
 
 
 def _generated(L: Locality, N: int, R: Subgroup, r: int) -> FusionSystem:
-    germs, rs = _partial_germs(L, N, R), pack(r, L.S_elems)
-    lattice = tuple(P for m, P in _lattice(L).items() if not m & ~rs)
-    return memo(L._systems, (r, frozenset(germs)), lambda: interned(
-        L._systems, close_generated(R, L.p, germs, subgroups=lattice)
-    ))
+    germs = _partial_germs(L, N, R)
+    return memo(L.ambient._kept, ("closure", r, frozenset(germs)), close_generated, R, L.p, germs)
 
 
 def _partial_germs(L: Locality, N: int, R: Subgroup) -> set:
@@ -555,12 +518,8 @@ def _partial_germs(L: Locality, N: int, R: Subgroup) -> set:
     that the row keeps in S. For f in L, (f) and (f^-1) lie in D, so P =
     S cap S^(f^-1) = R_(f) and P^f = R_(f^-1) are objects; for x in P the
     object chain P^f, P, P, P^f along (f^-1, x, f) puts that word in D."""
-    rs, at = L.rule.S.mask(R), positions(L.rule.S, R)
-    rows = {L.rule.conj_pos[a] for a in bits(N)}
-    return conjugation_germs(
-        {tuple(at.get(row[i], -1) for i in at) for row in rows},
-        [pack(m, rs) for m in _lattice(L) if not m & ~rs],
-    )
+    at, rows = positions(L.rule.S, R), {L.rule.conj_pos[a] for a in bits(N)}
+    return conjugation_germs({tuple(at.get(row[i], -1) for i in at) for row in rows}, lattice(R))
 
 
 # ---------------------------------------------------------------------------
@@ -581,12 +540,11 @@ def product_partial(L: Locality, N: int, X: Subgroup) -> int:
 
 def product_fusion(L: Locality, N: int, X: Subgroup) -> FusionSystem:
     """The product system realized in the locality: F_{TX}(N X)."""
-    NX, lattice = product_partial(L, N, X), _lattice(L)
-    tx = pack(N & L.S_elems, L.S_elems) | L.S.mask(X)
-    TX = next(m for m in lattice if not tx & ~m)  # the join of T and X
+    NX = product_partial(L, N, X)
+    TX = join(L.S, pack(N & L.S_elems, L.S_elems) | L.S.mask(X))
     if pack(NX & L.S_elems, L.S_elems) != TX:
         raise NotPartialSubgroup("N X cap S differs from T X; the product is not well formed")
-    return fusion_of_partial(L, NX, base=lattice[TX])
+    return fusion_of_partial(L, NX, base=L.S.from_mask(TX))
 
 
 # ---------------------------------------------------------------------------
@@ -883,11 +841,11 @@ def verify_locality(L: Locality, word_len: int = 3) -> VerificationReport:
 
     # Delta closure under overgroups, L inside D (S_f is empty for an f
     # outside D), then Delta closure under L-conjugation
-    lattice, objects, letters = _lattice(L), sorted(L.Delta, key=bits), bits(L.elems)
+    whole, objects, letters = lattice(L.S), sorted(L.Delta, key=bits), bits(L.elems)
     for d in objects:
-        if d not in lattice:
+        if d not in whole:
             return fail({"axiom": "Delta-in-S", "object_order": d.bit_count()})
-        for H in lattice:
+        for H in whole:
             if not d & ~H and H not in L.Delta:
                 return fail({"axiom": "Delta-overgroups", "object_order": d.bit_count()})
     for f in letters:

@@ -116,6 +116,30 @@ def test_run_small_corpus(tmp_path, capsys):
     assert "statement" in out and "reports in" in out
 
 
+CAPPED = GOOD + """
+group c3wrc3 p=3 gens=(0 1 2);(0 3 6)(1 4 7)(2 5 8)
+"""
+
+
+@pytest.mark.slow
+def test_a_cap_rejects_only_its_own_entry(tmp_path, capsys):
+    """C3 wr C3 at p = 3 with no K lines: the default K sweep meets the
+    automorphism base cap at S, of order 81. That entry's reports become one
+    failed Axioms report naming the cap and a skip per statement; s3_a3,
+    before it, keeps its reports, and the report is written with status 1."""
+    alone, report = tmp_path / "alone.json", tmp_path / "r.json"
+    assert cli.run(cli.RunConfig(report_path=alone), corpus_text=GOOD) == 0
+    assert cli.run(cli.RunConfig(report_path=report), corpus_text=CAPPED) == 1
+    doc = json.loads(report.read_text())
+    capped = [r for r in doc if r["instance"].startswith("c3wrc3|")]
+    assert [r for r in doc if r not in capped] == json.loads(alone.read_text())
+    axioms, *skips = capped
+    assert axioms["statement"] == "Axioms" and axioms["outcome"] == "fail"
+    assert axioms["witness"] == {"cap": "automorphism base 81 exceeds cap 64"}
+    assert len(skips) == 8 and {r["reason"] for r in skips} == {"entry-rejected"}
+    assert "suite error" not in capsys.readouterr().err
+
+
 def test_statement_filter(tmp_path):
     report = tmp_path / "r.json"
     config = cli.RunConfig(report_path=report, statements=("Lemma-2.2b",))

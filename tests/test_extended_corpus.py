@@ -9,11 +9,11 @@ A run builds the subgroup lattice of a p-group or of the permutation image
 of an automorphism group (``groups._sub_autgroups``), never of an ambient
 group: the p-subgroups of G are the G-conjugates of the subgroups of S, the
 groups between C_G(X) and N_G(X) are K-normalizers, and maximality grows a
-p-subgroup inside its normalizer. Nor does it build the lattice of a
-proper subgroup of S: each fusion system and locality over S keeps S's
-lattice, and the lattices of its subgroups are read off it. A spy on
-``groups.all_subgroups`` in every module that binds it holds the runs to
-that.
+p-subgroup inside its normalizer. Every other lattice is read through
+``groups.lattice``, which keeps it on the home per base, so a run builds
+each once however many systems and localities live over that base. A spy
+on ``groups.all_subgroups`` in every module that binds it holds the runs
+to that.
 """
 
 import hashlib
@@ -70,24 +70,24 @@ def test_default_corpus_builds_no_ambient_lattice():
     assert _ambient_lattices(calls) == []
 
 
-def test_s4_a4_builds_no_lattice_below_S():
-    """Preparing and checking s4_a4 asks all_subgroups for S once, for F,
-    whose lattice L is handed, and never for a proper subgroup of S, though
-    E lives on the four-group T = S cap A4 and the restrictions and product
-    systems on other subgroups of S. The image of Aut(C4) acts on 4 points
-    and can be a subgroup of S as a set of Perms, so the calls of
-    sub_autgroups are left out."""
-    (entry,) = [e for e in cli.parse_corpus(cli.default_corpus_text()) if e.name == "s4_a4"]
+def test_default_corpus_builds_each_lattice_once():
+    """Over a default run, every lattice but those of sub_autgroups (kept
+    as automorphism groups per (X, maps)) is built by groups.lattice, and
+    all_subgroups runs once per distinct (home, base): F, its locality,
+    E, the restrictions and the product systems of an entry, and the
+    K-normalizer subsystems over one base, all read one lattice. The
+    default corpus has 16 such bases, S and T among them."""
+    entries = cli.parse_corpus(cli.default_corpus_text())
     with _lattice_spy() as calls:
-        pe, axioms = vf.prepare_entry(entry)
-        reports = vf.entry_reports(pe)
-    assert axioms.passed and reports and not any(r.failed for r in reports)
-    S = pe.F.S.elems
-    assert pe.E.S.elems < S
-    assert [caller for caller, G in calls if caller != "_sub_autgroups" and G.elems == S] == [
-        "fusion_of_group"
-    ]
-    assert [G.order for caller, G in calls if caller != "_sub_autgroups" and G.elems < S] == []
+        reports, _ = vf.run_suite(entries)
+    assert len(reports) == 742
+    bases = [(caller, id(G.home), G.home_mask) for caller, G in calls if caller != "_sub_autgroups"]
+    assert {caller for caller, _, _ in bases} == {"_subgroups_by_mask"}
+    assert len(bases) == len(set(bases)) == 16
+    s4_a4 = next(e for e in entries if e.name == "s4_a4")
+    S = gp.sylow_subgroup(s4_a4.G, 2)
+    T = S.home_mask & s4_a4.H.home_mask
+    assert {S.home_mask, T} <= {mask for _, home, mask in bases if home == id(S.home)}
 
 
 def _spy_cached(mp, cls, name, record):

@@ -140,17 +140,32 @@ def test_lattice_filter_is_the_lattice_of_a_subgroup():
             assert tuple(H for H in lattice if H.elems <= R.elems) == gp.all_subgroups(R)
 
 
-def test_join_is_the_generated_subgroup():
-    """join over S's lattice is <P, Q> for every pair of subgroups P, Q of
-    S, and None for an element outside S; its argument is a mask over G."""
+def test_lattice_is_kept_on_the_home_by_mask():
+    """lattice(R) is all_subgroups(R) keyed by mask over R, for S and each
+    member of S's lattice, one object per (home, R): asked again, or for R
+    built apart in the same home, it is the kept one."""
     for G, S in _corpus_sylows():
-        lattice = gp.all_subgroups(S)
-        for P in lattice:
-            for Q in lattice:
-                both = P.elems | Q.elems
-                assert gp.join(lattice, G.mask(both)).elems == gp.mulclose(both, cap=S.order)
+        lattice = gp.lattice(S)
+        assert tuple(lattice.values()) == gp.all_subgroups(S)
+        for m, R in lattice.items():
+            assert S.mask(R) == m
+            assert gp.lattice(G.from_home_mask(R.home_mask)) is gp.lattice(R)
+            assert {R.mask(P): P for P in gp.all_subgroups(R)} == gp.lattice(R)
+
+
+def test_join_is_the_generated_subgroup():
+    """join(S, mask) is the mask over S of <P, Q>, the subgroup generated
+    on the home's table and the closure of their Perms, for every pair of
+    members P, Q of S's lattice, and None for a mask not inside S."""
+    for G, S in _corpus_sylows():
+        lattice = gp.lattice(S)
+        for p, P in lattice.items():
+            for q, Q in lattice.items():
+                joined = S.from_mask(gp.join(S, p | q))
+                assert joined == gp.generated(S, P.home_mask | Q.home_mask)
+                assert joined.elems == gp.mulclose(P.elems | Q.elems, cap=S.order)
         for g in sorted(G.elems - S.elems)[:1]:  # none where G = S
-            assert gp.join(lattice, G.mask([g])) is None
+            assert gp.join(S, S.mask([g])) is None
 
 
 # -- Sylow / O_p / characteristic p ----------------------------------------

@@ -365,7 +365,7 @@ def test_restrict_matches_perm_oracle_on_failures(L_s4, L_s3xs3, s4, s3xs3):
 
 
 def test_restrict_makes_no_perm_products(monkeypatch, L_l27, L_s4, F_s4):
-    """Once the ambient tables, the localities' subgroup lattices of S and
+    """Once the ambient tables, the subgroup lattices of S on the home and
     the normalizers are built, restriction is mask and index work: L_l27's
     locality rebuilt from a fresh one and one bN restriction of a fresh
     copy of L_s4 multiply and conjugate no Perms and close nothing; the
@@ -388,7 +388,7 @@ def test_restrict_makes_no_perm_products(monkeypatch, L_l27, L_s4, F_s4):
         lo.Locality(M.ambient, M.elems, M.Delta, M.S_elems, 2) for M in (L_l27, L_s4)
     ]
     for M in fresh:
-        lo._lattice(M)
+        gp.lattice(M.S)
     calls = []
     for name in ("__mul__", "conj"):
         real = getattr(Perm, name)
@@ -550,13 +550,17 @@ def test_fusion_of_partial_alternating(L_s4, N_s4, E_s4):
     assert lo.fusion_of_partial(L_s4, N_s4) == E_s4
 
 
-def test_fusion_of_partial_shared_by_restrictions(monkeypatch, s4, F_s4, E_s4, N_s4):
-    """Restrictions of one locality share its table of systems: two equal
-    restrictions built apart get one F_S(L) from one closure, and another N
-    gets another system. A locality built outside restrict has a table of
-    its own, so an equal one built apart closes its system again."""
-    S = gp.sylow_subgroup(s4, 2)
-    L = lo.build_group_locality(s4, S, frozenset(S.mask(P.elems) for P in fu.subcentric_set(F_s4)), 2)
+def test_fusion_of_partial_shared_by_restrictions(monkeypatch, F_s4, E_s4):
+    """Localities over one home share the systems of their partial
+    subgroups, kept on the home: two equal restrictions built apart get one
+    F_S(L) from one closure, interned as the home's F_S(G) itself, and
+    another N gets another system. Localities built apart over the same
+    home close nothing again; over a second home with equal elements,
+    F_S(L) is closed once more, and interned there. Both homes are new, so
+    no other test has closed anything on them."""
+    L, F = _s4_locality()
+    s4, S = L.ambient, L.S
+    N = s4.generated_subgroup(perms(4, "(0 1 2)", "(0 1)(2 3)")).home_mask & L.elems
     closed = []
     real = lo.close_generated
 
@@ -570,13 +574,16 @@ def test_fusion_of_partial_shared_by_restrictions(monkeypatch, s4, F_s4, E_s4, N
     assert first is not second and first == second
     got = lo.fusion_of_partial(first, first.elems)
     assert lo.fusion_of_partial(second, second.elems) is got
-    assert got == F_s4 and len(closed) == 1
-    other = lo.fusion_of_partial(second, N_s4)
+    assert got is F and got == F_s4 and len(closed) == 1
+    other = lo.fusion_of_partial(second, N)
     assert other == E_s4 and other != got and len(closed) == 2
     apart = [lo.group_locality(s4, S, 2) for _ in range(2)]
-    systems = [lo.fusion_of_partial(A, A.elems) for A in apart]
-    assert apart[0] == apart[1] and systems[0] == systems[1] == F_s4
-    assert systems[0] is not systems[1] and len(closed) == 4
+    assert apart[0] is not apart[1] and apart[0] == apart[1]
+    assert all(lo.fusion_of_partial(A, A.elems) is got for A in apart) and len(closed) == 2
+    L2, F2 = _s4_locality()
+    assert L2.ambient is not s4 and L2.ambient == s4 and L2 == L
+    F_L2 = lo.fusion_of_partial(L2, L2.elems)
+    assert F_L2 == got and F_L2 is not got and F_L2 is F2 and len(closed) == 3
 
 
 # -- element sets from the caller ------------------------------------------------
@@ -1113,7 +1120,8 @@ def _s4_locality():
 def test_localities_over_equal_homes_are_one_content():
     """Two localities over separately generated ambient homes with equal
     elements have equal masks, so they compare and hash equal, and the
-    keys each files in its memo and its table of systems are the other's."""
+    keys each files in its memo, and each home in its kept results and its
+    table of systems, are the other's."""
     (L1, F1), (L2, F2) = _s4_locality(), _s4_locality()
     assert L1.ambient is not L2.ambient and L1.ambient == L2.ambient
     assert L1 == L2 and hash(L1) == hash(L2)
@@ -1123,7 +1131,11 @@ def test_localities_over_equal_homes_are_one_content():
         lo.bC(L, F, Z)
         lo.fusion_of_partial(L, lo.K_normalizer_partial(L, Z, gp.aut_group(Z)))
     assert len(L1._memo) > 3 and set(L1._memo) == set(L2._memo)
-    assert len(L1._systems) > 3 and set(L1._systems) == set(L2._systems)
+    kept = [set(L.ambient._kept) for L in (L1, L2)]
+    assert kept[0] == kept[1]
+    assert {"fusion_of_partial", "closure"} <= {key[0] for key in kept[0]}
+    tables = [gp.peek(L.ambient._kept, "systems") for L in (L1, L2)]
+    assert len(tables[0]) > 3 and set(tables[0]) == set(tables[1])
 
 
 @pytest.mark.parametrize(

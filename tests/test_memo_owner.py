@@ -1,15 +1,15 @@
 """Only the memo helpers read or write a place where results are kept.
 
-A result is kept in one of four places: a fusion system's ``_cache``, a
-locality's ``_memo``, a home's ``_kept`` and the table of systems a
-locality holds as ``_systems``. ``groups.memo`` decides a result on a miss
+A result is kept in one of three places: a fusion system's ``_cache``, a
+locality's ``_memo`` and a home's ``_kept``, which holds the lattices and
+the table of systems too. ``groups.memo`` decides a result on a miss
 and keeps it, ``groups.keep`` keeps a value its caller already holds, and
 ``groups.peek`` reads one without deciding. Outside those three functions
 no module of the package subscripts a place, calls a method on it, tests
 membership in it or binds it to a local name; it may only hand a place to
-the helpers, create it empty, or share it with a restriction. So a fourth
-memo idiom cannot slip in unnoticed, and counting what the places keep
-needs one wrapper around the helpers.
+the helpers or create it empty. So a fourth memo idiom cannot slip in
+unnoticed, and counting what the places keep needs one wrapper around the
+helpers.
 
 The helpers keep a result of None or False, so a kept "saturated" or "not
 subnormal" is decided once, and keep no raise (the ``bN_K`` test of
@@ -29,7 +29,7 @@ from .conftest import perms
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "plocal"
-PLACES = {"_cache", "_memo", "_kept", "_systems"}
+PLACES = {"_cache", "_memo", "_kept"}
 HELPERS = {"memo", "keep", "peek"}
 
 
@@ -96,7 +96,7 @@ def _planted(tmp_path, module, reader):
         ("locality", '    return ("S_f",) in X._memo\n'),
         ("groups", "    kept = X.home._kept\n    return kept\n"),
         ("groups", '    kept, key = X.home._kept, "aut"\n    return kept\n'),
-        ("fusion", "    def memo(X):\n        return X._systems.setdefault(X, X)\n"),
+        ("fusion", "    def memo(X):\n        return X._kept.setdefault(X, X)\n"),
     ],
     ids=["attribute", "string", "in-test", "alias", "unpacked-alias", "helper-named-elsewhere"],
 )
