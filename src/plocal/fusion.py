@@ -17,10 +17,10 @@ P whose image lies in Q. This normal form keeps closure computations small
 while every predicate in sight can still quantify over all morphisms
 exactly.
 
-A system keeps what it derives (Aut_F(P) per P, saturation witness,
-core, centric and subcentric sets, K cap Aut_F(X), fully K-normalized
-verdicts and K-normalizer subsystems per (X, K), the last two by K cap
-Aut_F(X), each subgroup by its mask over S's home and K by its maps, the
+A system keeps what it derives (Aut_F(P) per P, by its mask over S's
+home, saturation witness, core, centric and subcentric sets, K cap
+Aut_F(X) per K, fully K-normalized verdicts and K-normalizer subsystems
+per K cap Aut_F(X), each K being the one AutGroup of its content, the
 pulled-back actions of :func:`_pulled_back` per germ, and the verdicts of
 normality and p-power index of a smaller system E in it, per E) in its
 ``_cache``, through ``groups.memo``, the one way a result is kept. All of
@@ -312,19 +312,17 @@ def close_generated(
 
 
 def realized_part(F: FusionSystem, X: Subgroup, K: AutGroup) -> AutGroup:
-    """K cap Aut_F(X) for K on X <= S, K itself when F realizes all of K.
-    Kept in F's cache per (X, K's maps), exact as Aut_F(X) is a function
-    of F and X."""
+    """K cap Aut_F(X) for K on X <= S: K itself when F realizes all of K,
+    as AutGroup gives one object per content. Kept in F's cache per K,
+    exact as Aut_F(X) is a function of F and X, K's base."""
     if K.base != X:
         raise ValueError("K must consist of automorphisms of X")
-    return memo(F._cache, ("realized", F.S.home_mask_of(X), K.maps), lambda: (
-        K if K.maps <= F.aut(X).maps else AutGroup(X, K.maps & F.aut(X).maps)
-    ))
+    return memo(F._cache, ("realized", K), lambda: AutGroup(K.base, K.maps & F.aut(X).maps))
 
 
 def is_fully_K_normalized(F: FusionSystem, X: Subgroup, K: AutGroup) -> bool:
     """|N_S^K(X)| >= |N_S^{K^phi}(X phi)| for every phi in Hom_F(X, S),
-    with K^phi = phi^-1 K phi. Kept in F's cache per (X, K cap Aut_F(X)),
+    with K^phi = phi^-1 K phi. Kept in F's cache per K cap Aut_F(X),
     computed on that: c_s on X for s in N_S(X) lies in Aut_S(X) <= Aut_F(X)
     (every system here holds its base's inner system), and K^phi cap
     Aut_F(X phi) = (K cap Aut_F(X))^phi as Aut_F(X phi) = Aut_F(X)^phi.
@@ -336,7 +334,7 @@ def is_fully_K_normalized(F: FusionSystem, X: Subgroup, K: AutGroup) -> bool:
     if not X <= F.S:
         raise ValueError("X is not a subgroup of S")
     K = realized_part(F, X, K)
-    return memo(F._cache, ("fully_K", F.S.home_mask_of(X), K.maps), _fully_K, F, X, K)
+    return memo(F._cache, ("fully_K", K), _fully_K, F, X, K)
 
 
 def _fully_K(F: FusionSystem, X: Subgroup, K: AutGroup) -> bool:
@@ -360,7 +358,7 @@ def K_normalizer_subsystem(F: FusionSystem, X: Subgroup, K: AutGroup) -> FusionS
     those extending to an F-morphism that sends X to X acting as a member
     of K.
 
-    Kept in F's cache per (X, K cap Aut_F(X)), built on that: each germ
+    Kept in F's cache per K cap Aut_F(X), built on that: each germ
     mapping X onto X, and each c_s with s in N_S(X), is on X in Aut_F(X).
 
     The result is interned (see the module docstring): an (X, K) whose
@@ -374,7 +372,7 @@ def K_normalizer_subsystem(F: FusionSystem, X: Subgroup, K: AutGroup) -> FusionS
     found once.
     """
     K = realized_part(F, X, K)
-    return memo(F._cache, ("NFK", F.S.home_mask_of(X), K.maps), _K_normalizer, F, X, K)
+    return memo(F._cache, ("NFK", K), _K_normalizer, F, X, K)
 
 
 def _K_normalizer(F: FusionSystem, X: Subgroup, K: AutGroup) -> FusionSystem:

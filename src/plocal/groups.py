@@ -21,10 +21,10 @@ in ``_kept``, under the masks they depend on, what is decided about the
 groups reading its tables: N_G(X) and its action on X, per X, the one test
 of "g normalizes X"; whether H has characteristic p, per (H, p); whether
 H is subnormal in G, per (H, G); X's table on its positions and Aut(X),
-per X; the permutation image of an automorphism group of X, per maps, the
-one home of that content; its subgroups and K*Inn(X), per (X, maps); the
-subgroup lattice of R, per R (:func:`lattice`); and the table of fusion
-systems over its subgroups (``fusion.interned``).
+per X; the table of automorphism groups, one per (X, maps), and per such
+K its subgroups and K*Inn(X); K's permutation image, per maps, the one
+home of that content; the subgroup lattice of R, per R (:func:`lattice`);
+and the table of fusion systems over its subgroups (``fusion.interned``).
 
 :func:`memo` and :func:`keep` are the one way the package keeps a result,
 there, in a fusion system's ``_cache`` and a locality's ``_memo``;
@@ -229,13 +229,13 @@ class Subgroup:
         """For G = self a home, what is decided about groups reading its
         tables, per (kind, home masks): ("normalizer", X), ("char_p", H,
         p), ("subnormal", H, G), ("table", X), ("aut", X), ("image", maps),
-        ("sub_autgroups", X, maps), ("times_inn", X, maps) and ("lattice",
-        R), and "systems"; filled through :func:`memo` by
+        ("sub_autgroups", K), ("times_inn", K) and ("lattice", R), and the
+        tables "autgroups" and "systems"; filled through :func:`memo` by
         :func:`normalizer_action`, :func:`is_characteristic_p`,
         :func:`is_subnormal`, :func:`_position_table`, :func:`aut_group`,
-        AutGroup's :attr:`image`, :meth:`sub_autgroups` and :attr:`times_inn`,
-        :func:`lattice` and ``fusion.interned``; ``locality.fusion_of_partial``
-        keeps its closures here too."""
+        :class:`AutGroup`, its :attr:`image`, :meth:`sub_autgroups` and
+        :attr:`times_inn`, :func:`lattice` and ``fusion.interned``;
+        ``locality.fusion_of_partial`` keeps its closures here too."""
         return {}
 
     def home_mask_of(self, X: Iterable[Perm]) -> int:
@@ -550,18 +550,26 @@ class AutGroup:
     elements that sends k to the position of the image of the k-th element.
 
     A germ of a fusion system over X with source X is the same tuple, so
-    Aut_F(X) is the set of such germs. The maps must form a group; one that
-    is not an automorphism raises ValueError (:func:`are_automorphisms`).
-    Subnormality and lattices are computed on the image (:attr:`image`),
-    and K*Inn(X) is kept on X's home per value (:attr:`times_inn`).
+    Aut_F(X) is the set of such germs. ``AutGroup(base, maps)`` is the one
+    object for (base's home mask, maps), kept in a table on the base's home
+    as ``fusion.interned`` keeps systems: its maps are checked once (a map
+    that is not an automorphism raises ValueError, :func:`are_automorphisms`),
+    each result about K is kept under K, and K made again from equal maps,
+    as K cap Aut_F(X) when F realizes K, is K. Subnormality and lattices
+    are computed on the image (:attr:`image`).
     """
 
-    def __init__(self, base: Subgroup, maps: Iterable[Sequence[int]]):
+    def __new__(cls, base: Subgroup, maps: Iterable[Sequence[int]]):
         maps = frozenset(map(Perm, maps))
-        if not are_automorphisms(base, maps):
-            raise ValueError("map is not an automorphism of the base")
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "maps", maps)
+
+        def checked():  # once per content: a raise is not kept
+            if not are_automorphisms(base, maps):
+                raise ValueError("map is not an automorphism of the base")
+            out = object.__new__(cls)
+            object.__setattr__(out, "base", base)
+            object.__setattr__(out, "maps", maps)
+            return out
+        return memo(memo(base.home._kept, "autgroups", dict), (base.home_mask, maps), checked)
 
     def __setattr__(self, name, value):
         raise AttributeError("AutGroup is immutable")
@@ -575,7 +583,8 @@ class AutGroup:
         return (self.base, self.maps) == (other.base, other.maps)
 
     def __hash__(self):
-        return hash((self.base, self.maps))
+        # the base by its order: hashing the base itself would build its Perm view
+        return hash((self.base.order, self.maps))
 
     @property
     def order(self) -> int:
@@ -584,20 +593,18 @@ class AutGroup:
     @cached_property
     def image(self) -> Subgroup:
         """The permutation image, a home of its own with its tables, kept on
-        the base's home per maps, so one per content."""
+        the base's home per maps, so one per content whatever the base."""
         return memo(self.base.home._kept, ("image", self.maps), Subgroup, self.maps)
 
     def sub_autgroups(self) -> Tuple["AutGroup", ...]:
-        """:func:`_sub_autgroups`, kept on the base's home per (base, maps)."""
-        key = ("sub_autgroups", self.base.home_mask, self.maps)
-        return memo(self.base.home._kept, key, _sub_autgroups, self)
+        """:func:`_sub_autgroups`, kept on the base's home per value."""
+        return memo(self.base.home._kept, ("sub_autgroups", self), _sub_autgroups, self)
 
     @property
     def times_inn(self) -> "AutGroup":
         """K*Inn(X) for K = self (:func:`_times_inn`), kept on X's home per
-        (X, maps): one per value, however many objects hold it."""
-        key = ("times_inn", self.base.home_mask, self.maps)
-        return memo(self.base.home._kept, key, _times_inn, self)
+        value, however many objects hold it."""
+        return memo(self.base.home._kept, ("times_inn", self), _times_inn, self)
 
     def is_subnormal_in(self, other: "AutGroup") -> bool:
         if other.base != self.base:
@@ -608,8 +615,9 @@ class AutGroup:
 
 def _sub_autgroups(A: AutGroup) -> Tuple[AutGroup, ...]:
     """The subgroups of A, in all_subgroups' canonical order of their
-    permutation images, closed on the image's own table."""
-    return tuple(AutGroup(A.base, H) for H in all_subgroups(A.image))
+    permutation images: the image's lattice (:func:`lattice`), kept on the
+    image's home, so equal maps on bases of one home are enumerated once."""
+    return tuple(AutGroup(A.base, H) for H in lattice(A.image).values())
 
 
 def _times_inn(K: AutGroup) -> AutGroup:
@@ -659,10 +667,9 @@ def _is_automorphism(X: Subgroup, m: Sequence[int]) -> bool:
 
 
 def are_automorphisms(X: Subgroup, maps: FrozenSet[Perm]) -> bool:
-    """Whether each of a set of maps is an automorphism of X: by membership
-    when Aut(X) is kept, else by :func:`_is_automorphism`, with no search."""
-    known = peek(X.home._kept, ("aut", X.home_mask))
-    return maps <= known.maps if known else all(_is_automorphism(X, m) for m in maps)
+    """Whether each of a set of maps is an automorphism of X, by
+    :func:`_is_automorphism`, with no search."""
+    return all(_is_automorphism(X, m) for m in maps)
 
 
 def _automorphisms(X: Subgroup) -> AutGroup:

@@ -210,7 +210,7 @@ def _subnormal_branch(F: fu.FusionSystem, X: Subgroup, K: AutGroup):
 
 
 class TheoremRecord:
-    """The main theorem's conclusions for one (F, E, N, X, K_eff cap
+    """The main theorem's conclusions for one (F, E, N, K_eff cap
     Aut_F(X)), kept in L's memo (see :func:`_theorem`). ``witnesses`` holds
     the fail witness of the fusion-level and of the locality-level
     statement, None for a pass, and ``stats`` the six conditions and the
@@ -259,16 +259,16 @@ def _theorem(
     conclusions record). The hypotheses are decided on every call off kept
     results (full K-normalization in F's cache, subnormality on the home);
     the conclusions (i)-(vi), decided for the first K_eff, are kept in L's
-    memo per (F, E, N, X, K_eff cap Aut_F(X)). Exact: bN_L^K(X) and
-    N_F^K(X) read K only via K cap Aut_F(X) (``locality.bN_K``), N_{EX}^K(X)
-    via K cap Aut_EX(X), and Aut_EX(X) <= Aut_F(X) as E X <= F."""
+    memo per (F, E, N, K_eff cap Aut_F(X)), whose base is X. Exact:
+    bN_L^K(X) and N_F^K(X) read K only via K cap Aut_F(X)
+    (``locality.bN_K``), N_{EX}^K(X) via K cap Aut_EX(X), and Aut_EX(X) <=
+    Aut_F(X) as E X <= F."""
     if not fu.is_fully_K_normalized(F, X, K):
         return "not-fully-K-normalized", None, None
     branch, K_eff = _subnormal_branch(F, X, K)
     if branch is None:
         return "K-not-subnormal-in-K*Inn(X)-either-branch", None, None
-    realized = fu.realized_part(F, X, K_eff).maps
-    key = ("conclusions", F, E, N, L.ambient.home_mask_of(X), realized)
+    key = ("conclusions", F, E, N, fu.realized_part(F, X, K_eff))
     return None, branch, gp.memo(L._memo, key, _decide_conclusions, L, F, E, N, X, K_eff)
 
 
@@ -447,10 +447,6 @@ def _axioms_instance(entry) -> str:
     return "%s|G-order=%d|p=%d" % (entry.name, entry.G.order, entry.p)
 
 
-def _k_label(idx: int, K: AutGroup) -> str:
-    return "K%02d[o=%d]" % (idx, K.order)
-
-
 def k_options(
     X: Subgroup,
     descriptors: Optional[Sequence[str]] = None,
@@ -472,7 +468,7 @@ def k_options(
     seen = set()
 
     def push(tag: str, K: Optional[AutGroup]):
-        mark = tag if K is None else K.maps
+        mark = tag if K is None else K  # one AutGroup per content
         if mark not in seen:
             seen.add(mark)
             out.append((tag, K))
@@ -497,7 +493,7 @@ def k_options(
         A = out[0][1]  # pushed first: Aut(X)
         if A.order <= AUT_CAP:
             for idx, K in enumerate(A.sub_autgroups()):
-                push(_k_label(idx, K), K)
+                push("K%02d[o=%d]" % (idx, K.order), K)
     return out
 
 
@@ -598,13 +594,12 @@ def entry_reports(
 
 
 def coverage_summary(reports: Sequence[VerificationReport]) -> Dict[str, Dict[str, int]]:
-    """Per-statement outcome counts, plus non-degenerate (X != 1) passes."""
-    cov: Dict[str, Dict[str, int]] = {}
-    for stmt in STATEMENTS + ("Axioms",):
-        cov[stmt] = {"pass": 0, "fail": 0, "skipped": 0, "nondegenerate_pass": 0}
+    """Per-statement outcome counts, plus non-degenerate (X != 1) passes.
+    Every report is built with one of the ids STATEMENTS + ("Axioms",), so
+    each has its row from the start."""
+    zero = {"pass": 0, "fail": 0, "skipped": 0, "nondegenerate_pass": 0}
+    cov = {stmt: dict(zero) for stmt in STATEMENTS + ("Axioms",)}
     for r in reports:
-        if r.statement not in cov:
-            cov[r.statement] = {"pass": 0, "fail": 0, "skipped": 0, "nondegenerate_pass": 0}
         cov[r.statement][r.outcome] += 1
         if r.outcome == "pass" and "|X={1}" not in r.instance:
             cov[r.statement]["nondegenerate_pass"] += 1

@@ -428,7 +428,7 @@ def partial_group_by_words(P, word_len):
     one, subwords w[i:j], the splices of Pi(w[i:j]) for j - i >= 2, and the
     inverse word wbar w.
     """
-    rule, els, unit = P.rule, P.sorted_elements(), P.unit
+    rule, els, unit = P.rule, P.sorted_elements(), P.ambient.identity
     elems, objects = frozenset(els), rule_objects(rule)
     checked = domain = 0
     # every letter of a word below lies in P: the words' own, a spliced

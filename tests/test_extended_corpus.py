@@ -9,11 +9,12 @@ A run builds the subgroup lattice of a p-group or of the permutation image
 of an automorphism group (``groups._sub_autgroups``), never of an ambient
 group: the p-subgroups of G are the G-conjugates of the subgroups of S, the
 groups between C_G(X) and N_G(X) are K-normalizers, and maximality grows a
-p-subgroup inside its normalizer. Every other lattice is read through
+p-subgroup inside its normalizer. Every lattice is read through
 ``groups.lattice``, which keeps it on the home per base, so a run builds
-each once however many systems and localities live over that base. A spy
-on ``groups.all_subgroups`` in every module that binds it holds the runs
-to that.
+each once however many systems, localities and automorphism groups live
+over that base. A spy on ``groups.all_subgroups`` in every module that
+binds it holds the runs to that; an image is told by its home, recorded by
+a spy on ``AutGroup.image``.
 """
 
 import hashlib
@@ -34,62 +35,6 @@ from . import oracles
 L27_SHA256 = "d8c7946c67aeb2d1884b519abe05008206d233053cb93be3a6396f35ced67a42"
 
 
-@contextmanager
-def _lattice_spy():
-    """Record (calling function, group) for each all_subgroups call."""
-    calls = []
-    real = gp.all_subgroups
-
-    def spy(G, *args, **kwargs):
-        calls.append((sys._getframe(1).f_code.co_name, G))
-        return real(G, *args, **kwargs)
-
-    with pytest.MonkeyPatch.context() as mp:
-        for name, mod in list(sys.modules.items()):
-            if name.split(".")[0] == "plocal" and getattr(mod, "all_subgroups", None) is real:
-                mp.setattr(mod, "all_subgroups", spy)
-        yield calls
-
-
-def _prime_power(n):
-    return n == 1 or oracles.is_p_power(n, min(d for d in range(2, n + 1) if n % d == 0))
-
-
-def _ambient_lattices(calls):
-    """The calls made on a group that is not a p-group, other than those
-    on the image of an automorphism group."""
-    return [(caller, G.order) for caller, G in calls if caller != "_sub_autgroups" and not _prime_power(G.order)]
-
-
-def test_default_corpus_builds_no_ambient_lattice():
-    with _lattice_spy() as calls:
-        reports, _ = vf.run_suite(cli.parse_corpus(cli.default_corpus_text()))
-    assert len(reports) == 742
-    assert any(caller == "_sub_autgroups" for caller, _ in calls)
-    assert any(caller != "_sub_autgroups" for caller, _ in calls)
-    assert _ambient_lattices(calls) == []
-
-
-def test_default_corpus_builds_each_lattice_once():
-    """Over a default run, every lattice but those of sub_autgroups (kept
-    as automorphism groups per (X, maps)) is built by groups.lattice, and
-    all_subgroups runs once per distinct (home, base): F, its locality,
-    E, the restrictions and the product systems of an entry, and the
-    K-normalizer subsystems over one base, all read one lattice. The
-    default corpus has 16 such bases, S and T among them."""
-    entries = cli.parse_corpus(cli.default_corpus_text())
-    with _lattice_spy() as calls:
-        reports, _ = vf.run_suite(entries)
-    assert len(reports) == 742
-    bases = [(caller, id(G.home), G.home_mask) for caller, G in calls if caller != "_sub_autgroups"]
-    assert {caller for caller, _, _ in bases} == {"_subgroups_by_mask"}
-    assert len(bases) == len(set(bases)) == 16
-    s4_a4 = next(e for e in entries if e.name == "s4_a4")
-    S = gp.sylow_subgroup(s4_a4.G, 2)
-    T = S.home_mask & s4_a4.H.home_mask
-    assert {S.home_mask, T} <= {mask for _, home, mask in bases if home == id(S.home)}
-
-
 def _spy_cached(mp, cls, name, record):
     """Record each value on which the cached property cls.name is computed."""
     real = cls.__dict__[name].func
@@ -101,6 +46,71 @@ def _spy_cached(mp, cls, name, record):
     prop = cached_property(spy)
     prop.__set_name__(cls, name)
     mp.setattr(cls, name, prop)
+
+
+@contextmanager
+def _lattice_spy():
+    """Record (calling function, group) for each all_subgroups call, and
+    the homes of the permutation images of automorphism groups, by id."""
+    calls, autgroups, homes = [], [], set()
+    real = gp.all_subgroups
+
+    def spy(G, *args, **kwargs):
+        calls.append((sys._getframe(1).f_code.co_name, G))
+        return real(G, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name, mod in list(sys.modules.items()):
+            if name.split(".")[0] == "plocal" and getattr(mod, "all_subgroups", None) is real:
+                mp.setattr(mod, "all_subgroups", spy)
+        _spy_cached(mp, gp.AutGroup, "image", autgroups)
+        yield calls, homes
+    # each image, cached on its AutGroup, is read once the spy is gone
+    homes.update(id(A.image) for A in autgroups)
+
+
+def _prime_power(n):
+    return n == 1 or oracles.is_p_power(n, min(d for d in range(2, n + 1) if n % d == 0))
+
+
+def _on_images(calls, homes):
+    """The calls made on the permutation image of an automorphism group."""
+    return [(caller, G) for caller, G in calls if id(G.home) in homes]
+
+
+def _ambient_lattices(calls, homes):
+    """The calls made on a group that is not a p-group, other than those
+    on the image of an automorphism group."""
+    return [(caller, G.order) for caller, G in calls if id(G.home) not in homes and not _prime_power(G.order)]
+
+
+def test_default_corpus_builds_no_ambient_lattice():
+    with _lattice_spy() as (calls, homes):
+        reports, _ = vf.run_suite(cli.parse_corpus(cli.default_corpus_text()))
+    assert len(reports) == 742
+    assert 0 < len(_on_images(calls, homes)) < len(calls)
+    assert _ambient_lattices(calls, homes) == []
+
+
+def test_default_corpus_builds_each_lattice_once():
+    """Over a default run, every lattice is built by groups.lattice, and
+    all_subgroups runs once per distinct (home, base): F, its locality, E,
+    the restrictions and the product systems of an entry, and the
+    K-normalizer subsystems over one base, all read one lattice, and so do
+    all automorphism groups with one image home. The default corpus has 16
+    bases that are no image, S and T among them, and 26 image homes."""
+    entries = cli.parse_corpus(cli.default_corpus_text())
+    with _lattice_spy() as (calls, homes):
+        reports, _ = vf.run_suite(entries)
+    assert len(reports) == 742
+    bases = [(caller, id(G.home), G.home_mask) for caller, G in calls]
+    assert {caller for caller, _, _ in bases} == {"_subgroups_by_mask"}
+    assert len(bases) == len(set(bases)) == 42
+    assert len(_on_images(calls, homes)) == len({id(G.home) for _, G in _on_images(calls, homes)}) == 26
+    s4_a4 = next(e for e in entries if e.name == "s4_a4")
+    S = gp.sylow_subgroup(s4_a4.G, 2)
+    T = S.home_mask & s4_a4.H.home_mask
+    assert {S.home_mask, T} <= {mask for _, home, mask in bases if home == id(S.home)}
 
 
 def test_default_corpus_tables_and_perm_arithmetic():
@@ -146,14 +156,14 @@ def l27_run(tmp_path_factory):
     status, the report bytes and the spy's record."""
     text = files("plocal").joinpath("data/extended_corpus.txt").read_text()
     report = tmp_path_factory.mktemp("extended") / "report.json"
-    with _lattice_spy() as calls:
+    with _lattice_spy() as (calls, homes):
         status = cli.run(cli.RunConfig(report_path=report), corpus_text=text)
-    return status, report.read_bytes(), calls
+    return status, report.read_bytes(), calls, homes
 
 
 @pytest.mark.slow
 def test_l27_report_is_pinned(l27_run):
-    status, body, _ = l27_run
+    status, body, _, _ = l27_run
     assert status == 0
     outcomes = [r["outcome"] for r in json.loads(body)]
     assert len(outcomes) == 772
@@ -163,6 +173,6 @@ def test_l27_report_is_pinned(l27_run):
 
 @pytest.mark.slow
 def test_l27_builds_no_ambient_lattice(l27_run):
-    _, _, calls = l27_run
-    assert any(caller == "_sub_autgroups" and G.order > 1 for caller, G in calls)
-    assert _ambient_lattices(calls) == []
+    _, _, calls, homes = l27_run
+    assert any(G.order > 1 for _, G in _on_images(calls, homes))
+    assert _ambient_lattices(calls, homes) == []

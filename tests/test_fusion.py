@@ -303,6 +303,20 @@ def test_group_K_normalizer_once_per_fully_K_key(monkeypatch):
     assert len(calls) == len(set(calls)) and set(calls) == realized
 
 
+def test_realized_part_is_K_when_F_realizes_K():
+    """K cap Aut_F(X) comes back as K itself for every K <= Aut_F(X):
+    Aut_F(X), its subgroups, Inn(X) <= Aut_S(X) and the trivial group, on
+    each subgroup X of S4's Sylow 2-subgroup, all on S4's home. So one
+    AutGroup, and the results kept under it, serve K and its realized
+    part."""
+    G = gp.generate_group(perms(4, "(0 1 2 3)", "(0 1)"))
+    F = fu.fusion_of_group(G, gp.sylow_subgroup(G, 2), 2)
+    for X in F.subgroups():
+        A = F.aut(X)
+        for K in (A, gp.inn_group(X), gp.trivial_aut_group(X)) + A.sub_autgroups():
+            assert fu.realized_part(F, X, K) is K
+
+
 # -- K-normalizer subsystems --------------------------------------------------
 
 

@@ -49,7 +49,9 @@ def test_generated_group_is_its_element_set():
 def test_subgroup_and_autgroup_are_immutable_values(s4, klein):
     """Equal on content alone (a Subgroup's ambient takes no part), hashed
     as the tuple of that content, not equal to another class, and closed
-    to assignment, while cached properties still fill."""
+    to assignment, while cached properties still fill. An AutGroup hashes
+    its base by order, so hashing it builds no Perm view of the base; one
+    on another home with equal content is another object, but equal."""
     V = gp.Subgroup(klein.elems, s4)
     alone = gp.Subgroup(klein.elems)
     assert V == alone and V.ambient is s4 and alone.ambient is None
@@ -57,7 +59,9 @@ def test_subgroup_and_autgroup_are_immutable_values(s4, klein):
     assert V.__eq__(klein.elems) is NotImplemented and V != klein.elems
     A = gp.aut_group(klein)
     B = gp.AutGroup(alone, A.maps)
-    assert A == B and hash(A) == hash((A.base, A.maps)) == hash(B)
+    assert A == B and A is not B and hash(A) == hash((klein.order, A.maps)) == hash(B)
+    fresh = s4.from_home_mask(klein.home_mask)
+    assert hash(gp.AutGroup(fresh, A.maps)) == hash(A) and "elems" not in vars(fresh)
     assert A.__eq__(A.image) is NotImplemented
     assert A != gp.AutGroup(alone, gp.inn_group(klein).maps)
     for value, name in ((V, "elems"), (V, "ambient"), (A, "maps"), (A, "base")):
@@ -353,6 +357,25 @@ def test_aut_perm_realization_roundtrip(klein):
         gp.AutGroup(A.base, [(0, 1, 2)])
 
 
+def test_autgroup_is_one_object_per_content(monkeypatch):
+    """AutGroup(X, maps) is the object kept on X's home for (X's mask,
+    maps): equal bases on one home, found apart, and the maps given in
+    another form give that object, whose maps _is_automorphism checks
+    once. Other maps on X are another object, checked on their own."""
+    G = gp.generate_group(perms(4, "(0 1 2 3)", "(0 1)"))
+    X = G.generated_subgroup(perms(4, "(0 1)", "(2 3)"))
+    Y = G.from_home_mask(X.home_mask)
+    checked = []
+    real = gp._is_automorphism
+    monkeypatch.setattr(gp, "_is_automorphism", lambda X, m: checked.append(m) or real(X, m))
+    maps = [range(4), (0, 2, 1, 3)]
+    A = gp.AutGroup(X, maps)
+    assert len(checked) == 2 and A.base is X
+    assert gp.AutGroup(Y, map(tuple, maps)) is A and gp.AutGroup(X, A.maps) is A
+    assert len(checked) == 2
+    assert gp.AutGroup(Y, [range(4)]) is not A and len(checked) == 3
+
+
 def test_autgroup_refuses_a_non_automorphism(s4):
     """Maps outside Aut(X) are refused at construction, before any
     K-normalizer reads them: swapping V4's identity with an involution
@@ -530,7 +553,7 @@ def test_product_of_aut_c2_cubed_and_inn_is_aut():
     X = gp.generate_group(perms(6, "(0 1)", "(2 3)", "(4 5)"))
     A = gp.aut_group(X)
     assert A.order == 168
-    assert A.times_inn == A and A.times_inn is A.times_inn
+    assert A.times_inn is A
     assert oracles.as_pairs(X, A.times_inn.maps) == _map_product(A, gp.inn_group(X))
 
 

@@ -154,7 +154,7 @@ def test_prod_raises_outside_domain(L_s3xs3):
 def test_S_f_trivial_cases(L_s4):
     for f in L_s4.S:
         assert lo.S_f(L_s4, f) == L_s4.S
-    assert lo.S_f(L_s4, L_s4.unit) == L_s4.S
+    assert lo.S_f(L_s4, L_s4.ambient.identity) == L_s4.S
 
 
 def test_S_f_is_intersection_for_group_localities(L_s4, L_s3xs3):
@@ -820,7 +820,7 @@ def test_walk_matches_whole_word_definitions(L_s3xs3, unclosed):
             w = tuple(els[i] for i in iw)
             prods = tuple(ambient[a] for a in iprods)
             assert code == sum(els.index(g) * len(els) ** m for m, g in enumerate(reversed(w)))
-            expected = [P.unit]
+            expected = [P.ambient.identity]
             for g in w:
                 expected.append(expected[-1] * g)
             assert prods == tuple(expected)
@@ -828,7 +828,7 @@ def test_walk_matches_whole_word_definitions(L_s3xs3, unclosed):
             assert survivors == _mask(rule, R_w)
             assert (survivors in rule.masks) == (R_w in oracles.rule_objects(rule))
             wbar = tuple(g.inv() for g in reversed(w))
-            product = P.unit
+            product = P.ambient.identity
             for g in wbar:
                 product = product * g
             assert ambient[iwbar] == product

@@ -153,22 +153,21 @@ def test_a_kept_false_subnormal_verdict_is_decided_once(monkeypatch):
 
 def test_realized_part_is_kept_per_maps(monkeypatch):
     """K = Aut(X) for X = <(0 1), (2 3)> in S4 at p = 2 is not inside
-    Aut_F(X), of order 2: the intersection is built once, and an equal K
-    given as another object gets the same AutGroup."""
+    Aut_F(X), of order 2: the intersection is kept per K, the one AutGroup
+    of X's mask and K's maps, so K made again on an equal base is K and
+    gets the kept intersection, built once. That intersection has
+    Aut_F(X)'s maps, so it is Aut_F(X) itself, and no map is checked
+    again."""
     G = gp.generate_group(perms(4, "(0 1 2 3)", "(0 1)"))
     F = fu.fusion_of_group(G, gp.sylow_subgroup(G, 2), 2)
     X = G.generated_subgroup(perms(4, "(0 1)", "(2 3)"))
-    K1 = gp.aut_group(X)
-    K2 = gp.AutGroup(X, K1.maps)
-    assert K1 is not K2 and F.aut(X).order == 2
-    built = []
-    real = gp.AutGroup.__init__
-
-    def init(self, base, maps):
-        built.append(base)
-        real(self, base, maps)
-
-    monkeypatch.setattr(gp.AutGroup, "__init__", init)
-    first = fu.realized_part(F, X, K1)
-    assert fu.realized_part(F, X, K2) is first
-    assert first.order == 2 and len(built) == 1
+    Y = G.from_home_mask(X.home_mask)
+    K = gp.aut_group(X)
+    assert gp.AutGroup(Y, K.maps) is K and F.aut(X).order == 2
+    built, checked = [], []
+    real_check = gp.are_automorphisms
+    monkeypatch.setattr(fu, "AutGroup", lambda base, maps: built.append(base) or gp.AutGroup(base, maps))
+    monkeypatch.setattr(gp, "are_automorphisms", lambda X, maps: checked.append(maps) or real_check(X, maps))
+    first = fu.realized_part(F, X, K)
+    assert fu.realized_part(F, Y, gp.AutGroup(Y, K.maps)) is first is F.aut(X)
+    assert len(built) == 1 and checked == []

@@ -13,10 +13,11 @@ Every name a module imports is read in that module. ``__init__.py`` is
 exempt, because its imports are the package's re-exports.
 
 Every field of a class in the package, an attribute that its
-``__init__`` sets, is read as an attribute (``obj.field``) somewhere in
-``src/plocal`` or ``tests``. The records are plain classes, so the fields
-are read off ``__init__``: the check must see all of them, and a planted
-unread field must be flagged.
+``__init__`` or ``__new__`` sets, is read as an attribute (``obj.field``)
+somewhere in ``src/plocal`` or ``tests``. The records are plain classes,
+so the fields are read off ``__init__``, or off ``__new__`` for one that
+gives one object per content (``AutGroup``): the check must see all of
+them, and a planted unread field must be flagged in either.
 """
 
 import ast
@@ -123,8 +124,9 @@ RECORDS = {
 
 
 def _init_fields(init):
-    """The attributes an ``__init__`` sets: ``self.name = ...``, also as
-    part of a tuple target, and ``object.__setattr__(self, "name", ...)``."""
+    """The attributes an ``__init__`` or ``__new__`` sets: ``self.name =
+    ...``, also as part of a tuple target, and ``object.__setattr__(obj,
+    "name", ...)`` for any obj."""
     out = []
     for node in ast.walk(init):
         if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
@@ -138,14 +140,14 @@ def _init_fields(init):
 
 def _fields(package):
     """``(module.Class, field)`` for each attribute that a class's
-    ``__init__`` sets, over every class in the package."""
+    ``__init__`` or ``__new__`` sets, over every class in the package."""
     out = []
     for path in sorted(package.glob("*.py")):
         for cls in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if not isinstance(cls, ast.ClassDef):
                 continue
             for fn in cls.body:
-                if isinstance(fn, ast.FunctionDef) and fn.name == "__init__":
+                if isinstance(fn, ast.FunctionDef) and fn.name in ("__init__", "__new__"):
                     out += [("%s.%s" % (path.stem, cls.name), name) for name in _init_fields(fn)]
     return out
 
@@ -178,7 +180,14 @@ def test_a_planted_unread_field_is_flagged(tmp_path):
     planted = anchor + "        self.never_read_field = outcome\n"
     planted += '        object.__setattr__(self, "never_read_either", outcome)\n'
     report.write_text(text.replace(anchor, planted))
+    groups = copy / "groups.py"
+    text = groups.read_text()
+    anchor = '            object.__setattr__(out, "maps", maps)\n'
+    assert text.count(anchor) == 1
+    planted = anchor + '            object.__setattr__(out, "never_read_in_new", maps)\n'
+    groups.write_text(text.replace(anchor, planted))
     assert _unread_fields(copy) == [
+        "groups.AutGroup.never_read_in_new",
         "report.VerificationReport.never_read_field",
         "report.VerificationReport.never_read_either",
     ]
