@@ -29,16 +29,18 @@ it depends only on the content (S, p, germs) of the system and of the key
 so a hit is exact. The lattice of S, and of every subgroup of S, is read
 off S's home (``groups.lattice``).
 
-Equal content is also one object, and so one cache, through the *table of
-systems* on the home of the base: a dict mapping each system to itself.
-:func:`interned` gives the member equal to a new system, or enters it, and
-every construction here returns what it gives: F_S(G), the closures of
+Equal content is also one object, and so one cache: as ``AutGroup`` does,
+``FusionSystem(S, p, germs)`` returns the member equal to it of the *table
+of systems* on S's home, a dict mapping each system to itself, entering
+the new one when there is none. So F_S(G), the closures of
 :func:`close_generated`, among them those of ``locality.fusion_of_partial``,
-and the K-normalizer subsystems. Every system of a corpus entry lives over
-a subgroup of the entry's group, so the entry has one table, and
-saturation, the core, the subcentric set, N_F^K(X), the fully K-normalized
-verdicts, normality and p-power index are decided once per content within
-an entry, whichever construction reached it.
+and the K-normalizer subsystems are that member, and Aut_F(P) is built on
+S's lattice member, so F keeps one AutGroup per content whatever home P
+was asked from. Every system of a corpus entry lives over a subgroup of
+the entry's group, so the entry has one table, and saturation, the core,
+the subcentric set, N_F^K(X), the fully K-normalized verdicts, normality
+and p-power index are decided once per content within an entry, whichever
+construction reached it.
 
 External definitions used here and pinned in one place:
 
@@ -89,28 +91,31 @@ GERM_CAP = 100_000
 class FusionSystem:
     """Category over the p-group S, germs grouped by source mask. A germ
     is a tuple of positions over S's sorted elements (see the module
-    docstring)."""
+    docstring). ``FusionSystem(S, p, germs)`` is the one object of its
+    content on S's home."""
 
     __slots__ = ("S", "p", "germs_by_src", "_all", "_hash", "_cache")
 
-    def __init__(self, S: Subgroup, p: int, germs: Iterable[tuple]):
-        object.__setattr__(self, "S", S)
-        object.__setattr__(self, "p", p)
+    def __new__(cls, S: Subgroup, p: int, germs: Iterable[tuple]):
+        out = object.__new__(cls)
+        object.__setattr__(out, "S", S)
+        object.__setattr__(out, "p", p)
         by_src: Dict[int, set] = {}
         for g in germs:
             if len(g) != S.order or not -1 <= min(g) <= max(g) < S.order:
                 raise ValueError("germ does not live inside S")
             by_src.setdefault(_src(g), set()).add(g)
         object.__setattr__(
-            self,
+            out,
             "germs_by_src",
             {k: frozenset(v) for k, v in by_src.items()},
         )
         allg = frozenset(g for v in by_src.values() for g in v)
-        object.__setattr__(self, "_all", allg)
+        object.__setattr__(out, "_all", allg)
         # S by its order: hashing S itself would build its Perm view
-        object.__setattr__(self, "_hash", hash((S.order, p, allg)))
-        object.__setattr__(self, "_cache", {})
+        object.__setattr__(out, "_hash", hash((S.order, p, allg)))
+        object.__setattr__(out, "_cache", {})
+        return keep(memo(S.home._kept, "systems", dict), out, out)
 
     def __setattr__(self, name, value):
         raise AttributeError("FusionSystem is immutable")
@@ -128,7 +133,8 @@ class FusionSystem:
         return self.germs_by_src.get(self.S.mask(P), frozenset())
 
     def aut(self, P: Subgroup) -> AutGroup:
-        """Aut_F(P): the germs from P onto P in P's positions, kept per P."""
+        """Aut_F(P): the germs from P onto P in P's positions, on S's
+        lattice member P, kept per P."""
         return memo(self._cache, ("aut", self.S.home_mask_of(P)), _automized, self, P)
 
     def aut_S(self, P: Subgroup) -> AutGroup:
@@ -163,7 +169,7 @@ class FusionSystem:
 def _automized(F: FusionSystem, P: Subgroup) -> AutGroup:
     p, pos = F.S.mask(P), positions(F.S, P)
     onto = (g for g in F.germs_by_src.get(p, ()) if _img(g) == p)
-    return AutGroup(P, {_local(g, pos) for g in onto})
+    return AutGroup(lattice(F.S)[p], {_local(g, pos) for g in onto})
 
 
 # ---------------------------------------------------------------------------
@@ -222,12 +228,6 @@ def subsystem_le(E: FusionSystem, F: FusionSystem) -> bool:
     return all(_lift(g, pos, F.S.order) in F.all_germs() for g in E.all_germs())
 
 
-def interned(E: FusionSystem) -> FusionSystem:
-    """The member of the table of systems on E's base's home equal to E;
-    E itself, entered in the table, when it holds none."""
-    return keep(memo(E.S.home._kept, "systems", dict), E, E)
-
-
 # ---------------------------------------------------------------------------
 # constructions
 
@@ -240,7 +240,7 @@ def fusion_of_group(G: Subgroup, S: Subgroup, p: int) -> FusionSystem:
         raise NotSylow(
             "order %d is not the %d-part of %d" % (S.order, p, G.order)
         )
-    return interned(FusionSystem(S, p, conjugation_germs(conj_positions(G, S), lattice(S))))
+    return FusionSystem(S, p, conjugation_germs(conj_positions(G, S), lattice(S)))
 
 
 def conjugation_germs(rows: Iterable[tuple], sources: Collection[int]) -> set:
@@ -304,7 +304,7 @@ def close_generated(
             push(_then(g, h))
         for h in tuple(by_img.get(src, ())):
             push(_then(h, g))
-    return interned(FusionSystem(S, p, germs))
+    return FusionSystem(S, p, germs)
 
 
 # ---------------------------------------------------------------------------
@@ -361,10 +361,10 @@ def K_normalizer_subsystem(F: FusionSystem, X: Subgroup, K: AutGroup) -> FusionS
     Kept in F's cache per K cap Aut_F(X), built on that: each germ
     mapping X onto X, and each c_s with s in N_S(X), is on X in Aut_F(X).
 
-    The result is interned (see the module docstring): an (X, K) whose
-    subsystem equals a system already built over a subgroup of S's home,
-    F or any other, gets that object and so its cache. Its germs are F's
-    re-expressed in the positions of its base.
+    An (X, K) whose subsystem equals a system already built over a
+    subgroup of S's home, F or any other, gets that object and so its
+    cache (see the module docstring). Its germs are F's re-expressed in
+    the positions of its base.
 
     F is closed under restriction, so a germ from m extends to such an
     F-morphism iff it extends to one from <m, X>: the germs from m are the
@@ -390,7 +390,7 @@ def _K_normalizer(F: FusionSystem, X: Subgroup, K: AutGroup) -> FusionSystem:
             r = _restrict(psi, m)
             if not _img(r) & ~s0:
                 germs.add(_local(r, s0pos))
-    return interned(FusionSystem(S0, F.p, germs))
+    return FusionSystem(S0, F.p, germs)
 
 
 def normalizer_subsystem(F: FusionSystem, X: Subgroup) -> FusionSystem:

@@ -24,7 +24,7 @@ H is subnormal in G, per (H, G); X's table on its positions and Aut(X),
 per X; the table of automorphism groups, one per (X, maps), and per such
 K its subgroups and K*Inn(X); K's permutation image, per maps, the one
 home of that content; the subgroup lattice of R, per R (:func:`lattice`);
-and the table of fusion systems over its subgroups (``fusion.interned``).
+and the table of fusion systems over its subgroups (``fusion.FusionSystem``).
 
 :func:`memo` and :func:`keep` are the one way the package keeps a result,
 there, in a fusion system's ``_cache`` and a locality's ``_memo``;
@@ -64,7 +64,7 @@ def memo(place: dict, key, decide, *args):
 
 def keep(place: dict, key, value):
     """What place keeps under key, else value, kept there: for a value the
-    caller already holds, such as a system to intern."""
+    caller already holds, such as a new fusion system."""
     return place.setdefault(key, value)
 
 
@@ -234,7 +234,7 @@ class Subgroup:
         :func:`normalizer_action`, :func:`is_characteristic_p`,
         :func:`is_subnormal`, :func:`_position_table`, :func:`aut_group`,
         :class:`AutGroup`, its :attr:`image`, :meth:`sub_autgroups` and
-        :attr:`times_inn`, :func:`lattice` and ``fusion.interned``;
+        :attr:`times_inn`, :func:`lattice` and ``fusion.FusionSystem``;
         ``locality.fusion_of_partial`` keeps its closures here too."""
         return {}
 
@@ -552,8 +552,8 @@ class AutGroup:
     A germ of a fusion system over X with source X is the same tuple, so
     Aut_F(X) is the set of such germs. ``AutGroup(base, maps)`` is the one
     object for (base's home mask, maps), kept in a table on the base's home
-    as ``fusion.interned`` keeps systems: its maps are checked once (a map
-    that is not an automorphism raises ValueError, :func:`are_automorphisms`),
+    as ``fusion.FusionSystem`` keeps systems: its maps are checked once (a
+    map that is not an automorphism raises ValueError, :func:`are_automorphisms`),
     each result about K is kept under K, and K made again from equal maps,
     as K cap Aut_F(X) when F realizes K, is K. Subnormality and lattices
     are computed on the image (:attr:`image`).

@@ -51,13 +51,12 @@ first word where rule and oracle disagree is the objectivity witness.
 
 The statement checkers in ``verify`` run the subcentric verification once
 per distinct structure of a corpus entry, keyed on its content in the memo
-of the entry's locality, and bN_K restricts once per content (N_L^K(X),
-Gamma, X) in that memo. The fusion systems of partial subgroups are kept
-on the ambient home, by the call and by the closure's input, so each
-distinct closure input over that home is closed once, and the closure is
-interned there in the table of systems (see ``fusion``), the one object
-of its content that the entry's fusion layer holds. The lattices of S and
-of its subgroups are read off the home too (``groups.lattice``).
+of the entry's locality, and bN_K once per (F, K cap Aut_F(X)) there.
+The fusion systems of partial subgroups are kept on the ambient home, by
+the call and by the closure's input, so each distinct closure input over
+that home is closed once; the closure is the one system of its content
+on that home (see ``fusion``). The lattices of S and of its subgroups are
+read off the home too (``groups.lattice``).
 """
 
 from __future__ import annotations
@@ -262,13 +261,7 @@ def build_group_locality(G: Subgroup, S: Subgroup, Delta: Iterable[int], p: int)
     certify the axioms for a particular G.
     """
     L = group_locality(G, S, p)
-    one = S.trivial_subgroup()
-    out = restrict(L, L.elems, Delta, one)
-    if out == L:
-        # every subgroup of S is an object, so out has L's content and
-        # restricts as L did, to itself: kept as bN_K keeps a restriction
-        keep(out._memo, ("restrict", out.elems, out.Delta, one.home_mask), out)
-    return out
+    return restrict(L, L.elems, Delta, S.trivial_subgroup())
 
 
 # ---------------------------------------------------------------------------
@@ -427,9 +420,8 @@ def bN_K(L: Locality, F: FusionSystem, X: Subgroup, K: AutGroup) -> Locality:
     K cap Aut_F(X)) and built on that intersection: N_L^K(X) reads K
     through c_f on X for f in N_L(X) with X <= S_f, morphisms of
     F_S(L) = F, and N_F^K(X) through K cap Aut_F(X) (see
-    ``fusion.K_normalizer_subsystem``). The restriction is kept per its
-    content (N_L^K(X), Gamma, X), which many (F, X, K) share; a failed
-    hypothesis is not kept, so it raises again on every call.
+    ``fusion.K_normalizer_subsystem``). A failed hypothesis is not kept,
+    so it raises again on every call.
     """
     K = realized_part(F, X, K)
     return memo(L._memo, ("bN_K", F, K), _bN_K, L, F, X, K)
@@ -440,9 +432,7 @@ def _bN_K(L: Locality, F: FusionSystem, X: Subgroup, K: AutGroup) -> Locality:
         raise NotFullyKNormalized("X is not fully K-normalized in F")
     NFK = K_normalizer_subsystem(F, X, K)
     Gamma = frozenset(L.S.mask(P) for P in subcentric_set(NFK))
-    H = K_normalizer_partial(L, X, K)
-    content = ("restrict", H, Gamma, L.ambient.home_mask_of(X))
-    return memo(L._memo, content, restrict, L, H, Gamma, X)
+    return restrict(L, K_normalizer_partial(L, X, K), Gamma, X)
 
 
 def bN(L: Locality, F: FusionSystem, X: Subgroup) -> Locality:
@@ -488,9 +478,7 @@ def fusion_of_partial(L: Locality, N: int, base: Optional[Subgroup] = None) -> F
     Kept on L's ambient home under two keys: the content (L, N, R) of the
     call, and the closure's input (R, generating germs), so that calls
     that differ in (L, N), from any locality over that home, but generate
-    the same system close it once. The closure is interned by content
-    (see fusion), so it is the one object of its content with one cache.
-    The base must lie in N cap S.
+    the same system close it once. The base must lie in N cap S.
     """
     T = _inside(L, N) & L.S_elems
     R = base if base is not None else L.ambient.from_home_mask(T)

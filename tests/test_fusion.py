@@ -317,6 +317,34 @@ def test_realized_part_is_K_when_F_realizes_K():
             assert fu.realized_part(F, X, K) is K
 
 
+def test_aut_F_lives_on_S_whatever_home_P_came_from():
+    """Aut_F(P) asked first with a P on a home of its own is the AutGroup
+    on S's lattice member P: F keeps one AutGroup per content, and K cap
+    Aut_F(X) is K for every K <= Aut_F(X) on S's home."""
+    G = gp.generate_group(perms(4, "(0 1 2 3)", "(0 1)"))
+    F = fu.fusion_of_group(G, gp.sylow_subgroup(G, 2), 2)
+    for X in F.subgroups():
+        A = F.aut(gp.Subgroup(X.elems))  # asked first, from a new home
+        assert A.base.home is F.S.home and A is F.aut(X)
+        for K in (A, gp.inn_group(X), gp.trivial_aut_group(X)) + A.sub_autgroups():
+            assert fu.realized_part(F, X, K) is K
+
+
+def test_fusion_system_is_one_object_per_content():
+    """FusionSystem(S, p, germs) is the system kept for its content on S's
+    home: made twice it is one object, F_S(G) itself when the germs agree,
+    and another, equal object over an equal S on another home."""
+    G = gp.generate_group(perms(4, "(0 1 2 3)", "(0 1)"))
+    S = gp.sylow_subgroup(G, 2)
+    F = fu.fusion_of_group(G, S, 2)
+    germs = F.all_germs()
+    assert fu.FusionSystem(S, 2, germs) is fu.FusionSystem(S, 2, set(germs)) is F
+    inner = fu.close_generated(S, 2)
+    assert fu.FusionSystem(S, 2, inner.all_germs()) is inner is not F
+    elsewhere = fu.FusionSystem(gp.Subgroup(S.elems), 2, germs)
+    assert elsewhere == F and elsewhere is not F
+
+
 # -- K-normalizer subsystems --------------------------------------------------
 
 
@@ -491,6 +519,16 @@ def test_p_power_index(F_s4, E_s4):
     assert fu.has_p_power_index(E_s4, F_s4)  # the A4 system is O^2(F)V4
     inner = fu.close_generated(F_s4.S, 2)
     assert not fu.has_p_power_index(inner, F_s4)  # misses O^2(Aut_F(V4))
+
+
+def test_p_power_index_needs_the_hyperfocal_subgroup_inside(a4):
+    """The trivial system over 1 lies in F = F_{V4}(A4) and holds
+    O^2(Aut_F(1)) = 1, but hyp(F) = V4 is not inside its base, so it has
+    no 2-power index: the hyperfocal clause alone refuses it."""
+    F = fu.fusion_of_group(a4, gp.sylow_subgroup(a4, 2), 2)
+    D = fu.close_generated(F.S.trivial_subgroup(), 2)
+    assert fu.subsystem_le(D, F) and fu.hyperfocal_subgroup(F) == F.S
+    assert not fu.has_p_power_index(D, F)
 
 
 # -- weak normality and normality ---------------------------------------------

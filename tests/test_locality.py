@@ -15,6 +15,7 @@ from plocal.errors import (
     NotFullyKNormalized,
     NotSylow,
     Q1Violated,
+    Q2Violated,
 )
 from plocal.perm import Perm
 from . import oracles
@@ -24,11 +25,11 @@ from .conftest import perms
 # -- construction -------------------------------------------------------------
 
 
-def _locality(G, elems, objects, base):
+def _locality(G, elems, objects, base, p=2):
     """A Locality from element sets: elems and base inside G, each object
     inside base."""
     S = gp.Subgroup(base, G)
-    return lo.Locality(G, G.mask(elems), [S.mask(o) for o in objects], G.mask(base), 2)
+    return lo.Locality(G, G.mask(elems), [S.mask(o) for o in objects], G.mask(base), p)
 
 
 def test_p_group_with_sylow_object_is_itself(d8):
@@ -204,6 +205,16 @@ def test_restrict_q1_error(s3xs3, L_s3xs3):
     all_subs = frozenset(S.mask(K.elems) for K in gp.all_subgroups(S))
     with pytest.raises(Q1Violated):
         lo.restrict(L_s3xs3, L_s3xs3.elems, all_subs, one)  # the trivial subgroup is not in Delta
+
+
+def test_restrict_q2_error(s4):
+    """On S4's group locality, with Gamma every subgroup of S and X =
+    <(0 1)>, an element that moves an object P1 onto P2 inside S does not
+    move <P1, X> onto <P2, X>: (Q2) fails."""
+    S = gp.sylow_subgroup(s4, 2)
+    X = gp.Subgroup(gp.mulclose(perms(4, "(0 1)")), s4)
+    with pytest.raises(Q2Violated, match="transporter"):
+        lo.restrict(lo.group_locality(s4, S, 2), s4.home_mask, gp.lattice(S), X)
 
 
 def test_restrict_non_maximal_raises_not_sylow(L_s4, s4):
@@ -553,11 +564,11 @@ def test_fusion_of_partial_alternating(L_s4, N_s4, E_s4):
 def test_fusion_of_partial_shared_by_restrictions(monkeypatch, F_s4, E_s4):
     """Localities over one home share the systems of their partial
     subgroups, kept on the home: two equal restrictions built apart get one
-    F_S(L) from one closure, interned as the home's F_S(G) itself, and
-    another N gets another system. Localities built apart over the same
-    home close nothing again; over a second home with equal elements,
-    F_S(L) is closed once more, and interned there. Both homes are new, so
-    no other test has closed anything on them."""
+    F_S(L) from one closure, the home's F_S(G) itself, and another N gets
+    another system. Localities built apart over the same home close nothing
+    again; over a second home with equal elements, F_S(L) is closed once
+    more, into that home's system. Both homes are new, so no other test has
+    closed anything on them."""
     L, F = _s4_locality()
     s4, S = L.ambient, L.S
     N = s4.generated_subgroup(perms(4, "(0 1 2)", "(0 1)(2 3)")).home_mask & L.elems
@@ -615,6 +626,70 @@ def test_verify_locality_flags_missing_overgroup(s4):
     rep = lo.verify_locality(_missing_overgroup(s4))
     assert rep.failed
     assert rep.witness["axiom"].startswith("Delta")
+
+
+def _clause_case(name, s3, s4, d8):
+    """The structure that fails verify_locality first at the named clause,
+    its sets given as sets of Perms: e, c3 and t are S3's (), (0 1 2) and
+    (1 2)."""
+    e, c3, t = s3.identity, *perms(3, "(0 1 2)", "(1 2)")
+    C2 = {e, t}
+    if name == "S-p-group":  # S = <(1 2)> at p = 3
+        return _locality(s3, {e}, [C2], C2, p=3)
+    if name == "S_f-object":  # S not inside L: S_() = 1 is no object
+        return _locality(s3, {e}, [C2], C2)
+    if name == "S-maximal":  # S = 1 at p = 3 in L = S3, which holds A3
+        return _locality(s3, s3.elems, [{e}], {e}, p=3)
+    if name == "inversion-closure":  # (0 1 2) in L, its inverse not
+        return _locality(s3, {e, c3, t}, [C2], C2)
+    if name == "Delta-in-S":  # a 3-element mask that is no subgroup of S
+        L = lo.group_locality(s4, gp.sylow_subgroup(s4, 2), 2)
+        return lo.Locality(s4, L.elems, L.Delta | {0b111}, L.S_elems, 2)
+    if name == "Delta-conjugation":  # (1 3) moves <(0 1)(2 3)> out of Delta
+        V = gp.mulclose(perms(4, "(0 1)(2 3)", "(0 2)(1 3)"))
+        return _locality(d8, d8.elems, [V, gp.mulclose(perms(4, "(0 1)(2 3)"))], V)
+    if name == "Delta-overgroups":  # 1 an object, <(1 3)> not
+        W = gp.mulclose(perms(4, "(1 3)", "(0 2)"))
+        return _locality(d8, d8.elems, [W, {d8.identity}], W)
+    raise KeyError(name)
+
+
+CLAUSE_WITNESSES = {
+    "S-p-group": {"axiom": "S-p-group"},
+    "S_f-object": {"axiom": "S_f-object", "f": "()"},
+    "S-maximal": {"axiom": "S-maximal"},
+    "Delta-in-S": {"axiom": "Delta-in-S", "object_order": 3},
+    "Delta-conjugation": {"axiom": "Delta-conjugation", "f": "(1 3)"},
+    "Delta-overgroups": {"axiom": "Delta-overgroups", "object_order": 1},
+    "inversion-closure": {
+        "axiom": "partial-group", "inner": {"axiom": "inversion-closure", "x": "(0 1 2)"}
+    },
+}
+
+
+@pytest.mark.parametrize("name", list(CLAUSE_WITNESSES))
+def test_each_locality_clause_fails_first_on_its_witness(name, s3, s4, d8):
+    """Each clause of verify_locality, and inversion closure in the axiom
+    walk, is the first to fail on one small structure, so deleting that
+    clause alone changes the verdict or its witness."""
+    rep = lo.verify_locality(_clause_case(name, s3, s4, d8))
+    assert rep.failed and rep.witness == CLAUSE_WITNESSES[name]
+
+
+def test_subcentric_rejects_another_base(s3):
+    """L over <(0 2)> against F_{<(1 2)>}(S3): the bases differ."""
+    L = lo.build_group_locality(s3, gp.Subgroup(perms(3, "()", "(0 2)"), s3), [1, 3], 2)
+    F = fu.fusion_of_group(s3, gp.Subgroup(perms(3, "()", "(1 2)"), s3), 2)
+    assert lo.verify_subcentric_locality(L, F).witness == {"axiom": "same-S"}
+
+
+def test_subcentric_rejects_another_fusion_system(s3):
+    """S3's group locality at p = 3 has Delta = {A3, 1}, the subcentric set
+    of A3's inner system too, but F_S(L) is F_{A3}(S3), not that system."""
+    A3 = gp.sylow_subgroup(s3, 3)
+    L = lo.build_group_locality(s3, A3, gp.lattice(A3), 3)
+    rep = lo.verify_subcentric_locality(L, fu.close_generated(A3, 3))
+    assert rep.witness == {"axiom": "F_S(L)-is-F"}
 
 
 def test_subcentric_rejects_wrong_delta(s4, F_s4):
@@ -1121,14 +1196,18 @@ def test_localities_over_equal_homes_are_one_content():
     """Two localities over separately generated ambient homes with equal
     elements have equal masks, so they compare and hash equal, and the
     keys each files in its memo, and each home in its kept results and its
-    table of systems, are the other's."""
+    table of systems, are the other's. The memo holds S_f and one bN_K
+    per (F, K cap Aut_F(X)): bC and bN of Z(S) are one, as Aut_F(Z(S)) is
+    trivial, and those of S two."""
     (L1, F1), (L2, F2) = _s4_locality(), _s4_locality()
     assert L1.ambient is not L2.ambient and L1.ambient == L2.ambient
     assert L1 == L2 and hash(L1) == hash(L2)
     for L, F in ((L1, F1), (L2, F2)):
         Z = gp.center(L.S)
         lo.fusion_of_partial(L, L.elems)
-        lo.bC(L, F, Z)
+        for X in (Z, L.S):
+            lo.bC(L, F, X)
+            lo.bN(L, F, X)
         lo.fusion_of_partial(L, lo.K_normalizer_partial(L, Z, gp.aut_group(Z)))
     assert len(L1._memo) > 3 and set(L1._memo) == set(L2._memo)
     kept = [set(L.ambient._kept) for L in (L1, L2)]

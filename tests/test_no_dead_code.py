@@ -16,8 +16,9 @@ Every field of a class in the package, an attribute that its
 ``__init__`` or ``__new__`` sets, is read as an attribute (``obj.field``)
 somewhere in ``src/plocal`` or ``tests``. The records are plain classes,
 so the fields are read off ``__init__``, or off ``__new__`` for one that
-gives one object per content (``AutGroup``): the check must see all of
-them, and a planted unread field must be flagged in either.
+gives one object per content (``AutGroup``, ``FusionSystem``): the check
+must see all of them, and a planted unread field must be flagged in
+either.
 """
 
 import ast

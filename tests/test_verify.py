@@ -309,13 +309,16 @@ def test_fusion_core_once_per_distinct_system(monkeypatch):
 
 def test_each_structure_decided_once_per_content_of_an_entry(monkeypatch):
     """Within each default-corpus entry, the saturation of a fusion system,
-    Aut_F(P), O_p of a group at p, subnormality, the automorphism search of
-    X and the restriction of a locality run once per content: equal systems
-    are one member of the entry's table of systems, each keeping Aut_F(P)
-    per P, group verdicts are kept on their home (O_p(H) is asked only
-    under the characteristic-p verdict, kept per (H, p), so every call
-    counts), and bN_K keeps each restriction per (N_L^K(X), Gamma, X)."""
-    names = ("saturation_failure", "aut_F", "core_Op", "is_subnormal", "aut_group", "restrict")
+    Aut_F(P), O_p of a group at p, subnormality and the automorphism search
+    of X run once per content: equal systems are one member of the entry's
+    table of systems, each keeping Aut_F(P) per P, and group verdicts are
+    kept on their home (O_p(H) is asked only under the characteristic-p
+    verdict, kept per (H, p), so every call counts). A restriction is not
+    kept: bN_K is kept per (F, K cap Aut_F(X)), and the only restriction a
+    corpus run makes twice is the entry's group locality, restricted to
+    every subgroup of S by build_group_locality and again by bN_K for
+    X = 1 and K = 1, a few per run, which no memo pays for."""
+    names = ("saturation_failure", "aut_F", "core_Op", "is_subnormal", "aut_group")
     runs = {name: [] for name in names}
 
     def spy(name, real, content, fresh):
@@ -344,9 +347,6 @@ def test_each_structure_decided_once_per_content_of_an_entry(monkeypatch):
         "aut_group", gp.aut_group, lambda X: X.elems, lambda X: ("aut", X.home_mask) not in X.home._kept
     )
     monkeypatch.setattr(gp, "aut_group", aut)
-    monkeypatch.setattr(lo, "restrict", spy(
-        "restrict", lo.restrict, lambda L, H, Gamma, X: (L, H, Gamma, X.elems), lambda *args: True
-    ))
     for entry in cli.parse_corpus(cli.default_corpus_text()):
         for made in runs.values():
             made.append([])
@@ -362,8 +362,8 @@ def test_bN_K_keeps_a_restriction_per_gamma():
     """On PSL(2,7) as a group locality at p = 2, X = 1 and K = {id},
     N_L^K(X) is the whole group whatever the system, but Gamma is the
     subcentric set: nine of the ten subgroups of S for F_S(G), all ten for
-    S's inner system. Their restrictions differ, so the restriction bN_K
-    keeps is one per content (N_L^K(X), Gamma, X)."""
+    S's inner system. Their restrictions differ, and bN_K, kept per
+    (F, K cap Aut_F(X)), gives each system its own."""
     G = gp.generate_group(perms(7, "(0 1 2 3 4 5 6)", "(0 1)(2 5)"))
     S = gp.sylow_subgroup(G, 2)
     L = lo.group_locality(G, S, 2)
