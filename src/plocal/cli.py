@@ -30,7 +30,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from . import groups as gp
 from . import verify as vf
-from .errors import CorpusParseError, NormalityError, PLocalError
+from .errors import CapExceeded, CorpusParseError, NormalityError, PLocalError
 from .perm import Perm, max_point, perm_from_cycles
 from .report import VerificationReport
 
@@ -178,7 +178,7 @@ def parse_corpus(text: str) -> List[CorpusEntry]:
         )
         try:
             G, H = entry.G, entry.H  # H raises NormalityError if it is not inside G
-        except ValueError as exc:
+        except (ValueError, CapExceeded) as exc:
             raise CorpusParseError("entry %s: %s" % (entry.name, exc), r["line"])
         if not H.is_normal_in(G):
             raise NormalityError("entry %s: declared subgroup is not normal" % entry.name)

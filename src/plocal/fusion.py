@@ -312,11 +312,13 @@ def close_generated(
 
 
 def realized_part(F: FusionSystem, X: Subgroup, K: AutGroup) -> AutGroup:
-    """K cap Aut_F(X) for K on X <= S: K itself when F realizes all of K,
-    as AutGroup gives one object per content. Kept in F's cache per K,
-    exact as Aut_F(X) is a function of F and X, K's base."""
+    """K cap Aut_F(X) for K on X <= S: Aut_F(X) for K = Aut(X), K itself
+    when F realizes all of K, as AutGroup gives one object per content.
+    Kept in F's cache per K, exact as Aut_F(X) is a function of F and X."""
     if K.base != X:
         raise ValueError("K must consist of automorphisms of X")
+    if K.full:
+        return F.aut(X)
     return memo(F._cache, ("realized", K), lambda: AutGroup(K.base, K.maps & F.aut(X).maps))
 
 

@@ -22,9 +22,11 @@ groups reading its tables: N_G(X) and its action on X, per X, the one test
 of "g normalizes X"; whether H has characteristic p, per (H, p); whether
 H is subnormal in G, per (H, G); X's table on its positions and Aut(X),
 per X; the table of automorphism groups, one per (X, maps), and per such
-K its subgroups and K*Inn(X); K's permutation image, per maps, the one
-home of that content; the subgroup lattice of R, per R (:func:`lattice`);
-and the table of fusion systems over its subgroups (``fusion.FusionSystem``).
+K its subgroups, K*Inn(X) and whether K is subnormal in it; K's
+permutation image, per maps, the one home of that content; the subgroup
+lattice of R, per R (:func:`lattice`); the table of fusion systems over
+its subgroups (``fusion.FusionSystem``); and the closures of
+``locality.fusion_of_partial``.
 
 :func:`memo` and :func:`keep` are the one way the package keeps a result,
 there, in a fusion system's ``_cache`` and a locality's ``_memo``;
@@ -41,13 +43,14 @@ from __future__ import annotations
 import itertools
 from functools import cached_property
 from math import gcd
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import CapExceeded, DegreeMismatch
 from .perm import Perm, identity, sorted_elems
 
 ELEMENT_CAP = 10_000
 SUBGROUP_CAP = 400
+# Aut(X) is listed in full only for |X| up to this (AutGroup.maps of aut_group(X))
 AUT_BASE_CAP = 64
 
 
@@ -226,16 +229,8 @@ class Subgroup:
 
     @cached_property
     def _kept(self) -> Dict[tuple, object]:
-        """For G = self a home, what is decided about groups reading its
-        tables, per (kind, home masks): ("normalizer", X), ("char_p", H,
-        p), ("subnormal", H, G), ("table", X), ("aut", X), ("image", maps),
-        ("sub_autgroups", K), ("times_inn", K) and ("lattice", R), and the
-        tables "autgroups" and "systems"; filled through :func:`memo` by
-        :func:`normalizer_action`, :func:`is_characteristic_p`,
-        :func:`is_subnormal`, :func:`_position_table`, :func:`aut_group`,
-        :class:`AutGroup`, its :attr:`image`, :meth:`sub_autgroups` and
-        :attr:`times_inn`, :func:`lattice` and ``fusion.FusionSystem``;
-        ``locality.fusion_of_partial`` keeps its closures here too."""
+        """For self a home, what the module docstring lists, filled through
+        :func:`memo` per (kind, home masks), such as ("aut", X)."""
         return {}
 
     def home_mask_of(self, X: Iterable[Perm]) -> int:
@@ -555,9 +550,11 @@ class AutGroup:
     as ``fusion.FusionSystem`` keeps systems: its maps are checked once (a
     map that is not an automorphism raises ValueError, :func:`are_automorphisms`),
     each result about K is kept under K, and K made again from equal maps,
-    as K cap Aut_F(X) when F realizes K, is K. Subnormality and lattices
-    are computed on the image (:attr:`image`).
+    as K cap Aut_F(X) when F realizes K, is K. Aut(X) itself, ``full``, is
+    made by :func:`aut_group` alone.
     """
+
+    full = False
 
     def __new__(cls, base: Subgroup, maps: Iterable[Sequence[int]]):
         maps = frozenset(map(Perm, maps))
@@ -586,6 +583,26 @@ class AutGroup:
         # the base by its order: hashing the base itself would build its Perm view
         return hash((self.base.order, self.maps))
 
+    @cached_property
+    def maps(self) -> FrozenSet[Perm]:
+        """Given to every AutGroup but Aut(X), whose search is read here to
+        its end, once, past AUT_BASE_CAP a CapExceeded; Aut(X) is then the
+        object kept for its maps, unless an equal group was made first."""
+        X = self.base
+        if X.order > AUT_BASE_CAP:
+            raise CapExceeded("automorphism base %d exceeds cap %d" % (X.order, AUT_BASE_CAP))
+        self._found.extend(self._search)
+        maps = frozenset(self._found)
+        keep(memo(X.home._kept, "autgroups", dict), (X.home_mask, maps), self)
+        return maps
+
+    def order_at_least(self, n: int) -> bool:
+        """|K| >= n: for Aut(X), read off at most n maps of its search."""
+        if not self.full:
+            return self.order >= n
+        self._found.extend(itertools.islice(self._search, max(n - len(self._found), 0)))
+        return len(self._found) >= n
+
     @property
     def order(self) -> int:
         return len(self.maps)
@@ -603,14 +620,20 @@ class AutGroup:
     @property
     def times_inn(self) -> "AutGroup":
         """K*Inn(X) for K = self (:func:`_times_inn`), kept on X's home per
-        value, however many objects hold it."""
-        return memo(self.base.home._kept, ("times_inn", self), _times_inn, self)
+        value, however many objects hold it; Aut(X) itself."""
+        return self if self.full else memo(self.base.home._kept, ("times_inn", self), _times_inn, self)
 
     def is_subnormal_in(self, other: "AutGroup") -> bool:
+        """Whether K = self is subnormal in other, on other's image, kept on
+        X's home per (K, other); K in itself is, Aut(X) read without maps."""
         if other.base != self.base:
             raise ValueError("mismatched bases")
-        G = other.image
-        return is_subnormal(Subgroup(self.maps, G), G)
+        key = ("subnormal_in", self, other)
+        return self is other or memo(self.base.home._kept, key, _subnormal_in, self, other)
+
+
+def _subnormal_in(K: AutGroup, A: AutGroup) -> bool:
+    return is_subnormal(Subgroup(K.maps, A.image), A.image)
 
 
 def _sub_autgroups(A: AutGroup) -> Tuple[AutGroup, ...]:
@@ -628,17 +651,18 @@ def _times_inn(K: AutGroup) -> AutGroup:
     return AutGroup(K.base, {tuple(map(c.__getitem__, k)) for k in K.maps for c in inn})
 
 
-def aut_group(X: Subgroup, cap: int = AUT_BASE_CAP) -> AutGroup:
-    """Full automorphism group of X.
+def aut_group(X: Subgroup) -> AutGroup:
+    """Aut(X), kept on X's home per X, searched (:func:`_automorphisms`)
+    only as far as it is read. It knows it is full, so K*Inn(X) = K,
+    N_G^K(X) = N_G(X) and K cap Aut_F(X) = Aut_F(X) need none of its maps;
+    ``order_at_least(n)`` reads at most n, and its ``maps`` all of them."""
+    return memo(X.home._kept, ("aut", X.home_mask), _unread_aut, X)
 
-    Enumerates assignments of generator images filtered by element order,
-    extends each to X along a spanning tree of products by generators, and
-    keeps the automorphisms (:func:`_is_automorphism`). Kept on X's home
-    per X, so every caller asking about equal content gets one object.
-    """
-    if X.order > cap:
-        raise CapExceeded("automorphism base %d exceeds cap %d" % (X.order, cap))
-    return memo(X.home._kept, ("aut", X.home_mask), _automorphisms, X)
+
+def _unread_aut(X: Subgroup) -> AutGroup:
+    out = object.__new__(AutGroup)
+    vars(out).update(base=X, full=True, _search=_automorphisms(X), _found=[])
+    return out
 
 
 def _position_table(X: Subgroup) -> Tuple[List[int], Tuple[Tuple[int, ...], ...]]:
@@ -672,8 +696,10 @@ def are_automorphisms(X: Subgroup, maps: FrozenSet[Perm]) -> bool:
     return all(_is_automorphism(X, m) for m in maps)
 
 
-def _automorphisms(X: Subgroup) -> AutGroup:
-    """The search of :func:`aut_group` on X's positions, once per X."""
+def _automorphisms(X: Subgroup) -> Iterator[Perm]:
+    """The one search of Aut(X), on X's positions: each assignment of
+    generator images of their element orders, extended to X along a spanning
+    tree of products by generators, yielded if an automorphism."""
     gens, rows = _position_table(X)
     # the tree: each element z other than 1 is (parent y) * (generator k)
     tree, queue = {0: None}, [0]
@@ -684,15 +710,13 @@ def _automorphisms(X: Subgroup) -> AutGroup:
                 queue.append(rows[y][g])
     orders = [e.order() for e in elements(X.home, X.home_mask)]
     by_order = {o: [x for x, e in enumerate(orders) if e == o] for o in set(orders)}
-    maps = set()
     for images in itertools.product(*(by_order[orders[g]] for g in gens)):
         table = [0] * len(rows)
         for z in queue[1:]:
             y, k = tree[z]
             table[z] = rows[table[y]][images[k]]
         if _is_automorphism(X, table):
-            maps.add(tuple(table))
-    return AutGroup(X, maps)
+            yield Perm(table)
 
 
 def aut_induced(G: Subgroup, X: Subgroup) -> AutGroup:
@@ -719,10 +743,10 @@ def op_residual(A: AutGroup, p: int) -> AutGroup:
 
 def group_K_normalizer(G: Subgroup, X: Subgroup, K: AutGroup) -> Subgroup:
     """N_G^K(X) = {g in N_G(X) : c_g restricted to X lies in K}: the g whose
-    action on X is one of K's maps."""
+    action on X is one of K's maps, N_G(X) for K = Aut(X)."""
     if K.base != X:
         raise ValueError("K is not a group of automorphisms of X")
-    return _acting(G, X, K.maps)
+    return normalizer(G, X) if K.full else _acting(G, X, K.maps)
 
 
 def set_product(G: Subgroup, A: Subgroup, B: Subgroup) -> int:

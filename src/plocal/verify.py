@@ -54,7 +54,8 @@ STATEMENTS = (
     "Corollary-3.3b",
 )
 
-# the default K sweep adds every subgroup of Aut(X) when |Aut(X)| is at most this
+# the default K sweep adds every subgroup of Aut(X) when |Aut(X)| is at most
+# this, read off at most AUT_CAP + 1 maps of Aut(X)'s search
 AUT_CAP = 24
 
 # the statements of the locality sweep that take a K, and the skip reason for
@@ -139,9 +140,7 @@ def check_restricted_subcentric(
     NFK = fu.K_normalizer_subsystem(F, X, K)
     rep = _verified_subcentric(L, bn, NFK, word_len)
     if rep.passed:
-        return passed_report(
-            stmt, instance, bn_size=bn.elems.bit_count(), objects=len(bn.Delta)
-        )
+        return passed_report(stmt, instance, bn_size=bn.elems.bit_count(), objects=len(bn.Delta))
     return failed_report(stmt, instance, {"verification": rep.witness})
 
 
@@ -178,14 +177,8 @@ def check_fully_K_normalized_transfer(
         return failed_report(stmt, instance, {"product": str(exc)})
     if fu.is_fully_K_normalized(EX, X, K):
         return passed_report(stmt, instance, EX_base=EX.S.order)
-    return failed_report(
-        stmt,
-        instance,
-        {
-            "EX_base_order": EX.S.order,
-            "conjugates": [P.label() for P in EX.conjugates(X)],
-        },
-    )
+    witness = {"EX_base_order": EX.S.order, "conjugates": [P.label() for P in EX.conjugates(X)]}
+    return failed_report(stmt, instance, witness)
 
 
 def _product_system(L: lo.Locality, N: int, X: Subgroup) -> fu.FusionSystem:
@@ -361,9 +354,7 @@ def check_corollary(
     out: List[VerificationReport] = []
     for tag, K in (("normalizer", F.aut(X)), ("centralizer", gp.trivial_aut_group(X))):
         inst = "%s|%s" % (instance, tag)
-        reps = check_main_theorem(
-            L, F, E, N, X, K, inst, statements=("Corollary-3.3a", "Corollary-3.3b")
-        )
+        reps = check_main_theorem(L, F, E, N, X, K, inst, statements=("Corollary-3.3a", "Corollary-3.3b"))
         if X.order == 1:
             rec = _theorem(L, F, E, N, X, K)[2]
             reps = [_with_trivial_case_check(r, rec, E) for r in reps]
@@ -458,28 +449,29 @@ def k_options(
     subgroup of Aut(X) when |Aut(X)| is within the cap. With explicit
     descriptors ("aut" | "id" | "inn" | "gens:<cycles>;..." acting on the
     index of the sorted elements of X) only those are used. Deduplicated,
-    deterministic order. Aut(X) is searched only for "aut" and for the
-    default sweep, which holds it once.
+    deterministic order. Aut(X) is held only for "aut" and the default
+    sweep, and searched only as far as it is read: AUT_CAP + 1 maps at most
+    for the cap, |K| + 1 to tell a K <= Aut(X) from Aut(X), and so all of
+    them for the subgroups of an Aut(X) within the cap.
 
     A ``gens:`` descriptor that defines no subgroup of Aut(X) raises
     KDescriptorNotForX, or with ``skip_unfit`` is returned with K None.
     """
     out: List[Tuple[str, Optional[AutGroup]]] = []
     seen = set()
+    A = gp.aut_group(X) if descriptors is None or "aut" in descriptors else None
 
     def push(tag: str, K: Optional[AutGroup]):
         mark = tag if K is None else K  # one AutGroup per content
+        if K is not None and A is not None and (K.full or not A.order_at_least(K.order + 1)):
+            mark = "aut"  # K <= Aut(X) as large as Aut(X)
         if mark not in seen:
             seen.add(mark)
             out.append((tag, K))
 
     for desc in ("aut", "id", "inn") if descriptors is None else descriptors:
-        if desc == "aut":
-            push(desc, gp.aut_group(X))
-        elif desc == "id":
-            push(desc, gp.trivial_aut_group(X))
-        elif desc == "inn":
-            push(desc, gp.inn_group(X))
+        if desc in ("aut", "id", "inn"):
+            push(desc, A if desc == "aut" else gp.trivial_aut_group(X) if desc == "id" else gp.inn_group(X))
         elif desc.startswith("gens:"):
             try:
                 push(desc, _k_from_gens(X, desc[5:]))
@@ -489,11 +481,9 @@ def k_options(
                 push(desc, None)
         else:
             raise CorpusParseError("unknown K descriptor %r" % desc)
-    if descriptors is None:
-        A = out[0][1]  # pushed first: Aut(X)
-        if A.order <= AUT_CAP:
-            for idx, K in enumerate(A.sub_autgroups()):
-                push("K%02d[o=%d]" % (idx, K.order), K)
+    if descriptors is None and not A.order_at_least(AUT_CAP + 1):
+        for idx, K in enumerate(A.sub_autgroups()):
+            push("K%02d[o=%d]" % (idx, K.order), K)
     return out
 
 
@@ -555,10 +545,8 @@ def entry_reports(
             if want("Lemma-2.2b"):
                 for tag, K in _k_sweep(pe, X):
                     inst = "%s|K=%s" % (xi, tag)
-                    if K is None:
-                        reports.append(skipped_report("Lemma-2.2b", inst, UNFIT_K))
-                    else:
-                        reports.append(check_char_p_normalizer_aut(pe.G, pe.p, X, K, inst))
+                    reports.append(skipped_report("Lemma-2.2b", inst, UNFIT_K) if K is None
+                                   else check_char_p_normalizer_aut(pe.G, pe.p, X, K, inst))
 
     # locality-level statements over subgroups of S
     X_sweep = pe.X_list if pe.X_list else pe.F.subgroups()
@@ -568,28 +556,18 @@ def entry_reports(
             for tag, K in _k_sweep(pe, X):
                 inst = "%s|K=%s" % (xi, tag)
                 if K is None:
-                    reports.extend(
-                        skipped_report(stmt, inst, UNFIT_K) for stmt in K_STATEMENTS if want(stmt)
-                    )
+                    reports.extend(skipped_report(stmt, inst, UNFIT_K) for stmt in K_STATEMENTS if want(stmt))
                     continue
                 if want("Lemma-2.1"):
-                    reports.append(
-                        check_restricted_subcentric(
-                            pe.L, pe.F, X, K, inst, word_len=word_len
-                        )
-                    )
+                    reports.append(check_restricted_subcentric(pe.L, pe.F, X, K, inst, word_len=word_len))
                 if want("Lemma-3.1"):
-                    reports.append(
-                        check_fully_K_normalized_transfer(pe.L, pe.F, pe.N, X, K, inst)
-                    )
+                    reports.append(check_fully_K_normalized_transfer(pe.L, pe.F, pe.N, X, K, inst))
                 if want("Theorem-3.2a") or want("Theorem-3.2b"):
-                    for rep in check_main_theorem(pe.L, pe.F, pe.E, pe.N, X, K, inst):
-                        if want(rep.statement):
-                            reports.append(rep)
+                    reps = check_main_theorem(pe.L, pe.F, pe.E, pe.N, X, K, inst)
+                    reports.extend(rep for rep in reps if want(rep.statement))
         if want("Corollary-3.3a") or want("Corollary-3.3b"):
-            for rep in check_corollary(pe.L, pe.F, pe.E, pe.N, X, xi):
-                if want(rep.statement):
-                    reports.append(rep)
+            reps = check_corollary(pe.L, pe.F, pe.E, pe.N, X, xi)
+            reports.extend(rep for rep in reps if want(rep.statement))
     return reports
 
 
@@ -631,14 +609,9 @@ def run_suite(
         if pe is None:
             for stmt in STATEMENTS:
                 if statements is None or stmt in statements:
-                    results.append(
-                        skipped_report(stmt, "%s|entry" % entry.name, "entry-rejected")
-                    )
+                    results.append(skipped_report(stmt, "%s|entry" % entry.name, "entry-rejected"))
         results.extend(reports)
 
-    def sort_key(r: VerificationReport):
-        entry_name = r.instance.split("|", 1)[0]
-        return (entry_name, r.statement, r.instance)
-
-    results.sort(key=sort_key)
+    # by (entry name, statement, instance)
+    results.sort(key=lambda r: (r.instance.split("|", 1)[0], r.statement, r.instance))
     return results, coverage_summary(results)

@@ -9,8 +9,9 @@ A mutant deletes one clause of a verdict: one exact text of one file under
 ``src/plocal`` replaced by another. The list holds the clauses of
 ``verify_locality`` and ``verify_subcentric_locality`` that a test makes
 fail first, the (Q2) check of ``restrict``, and the clauses of saturation,
-full K-normalization, p-power index and weak normality in ``fusion``. Run
-from the root of a checkout:
+full K-normalization, p-power index and weak normality in ``fusion``; and
+the two reads of Aut(X)'s search in the K sweep of ``verify.k_options``,
+each cut one map short. Run from the root of a checkout:
 
     python tests/mutants.py              # every mutant
     python tests/mutants.py NAME ...     # the named ones
@@ -45,7 +46,7 @@ class Mutant(NamedTuple):
     test: Optional[str]  # the killing test's node id; None for a known survivor
 
 
-LOC, FUS = "src/plocal/locality.py", "src/plocal/fusion.py"
+LOC, FUS, VER = "src/plocal/locality.py", "src/plocal/fusion.py", "src/plocal/verify.py"
 CLAUSE = "tests/test_locality.py::test_each_locality_clause_fails_first_on_its_witness[%s]"
 
 MUTANTS = (
@@ -109,6 +110,14 @@ MUTANTS = (
         "weakly-normal-Frattini", FUS,
         "if not _frattini_factors(E, autFT, _local(phi, pos)):", "if False:",
         "tests/test_fusion.py::test_inner_sylow_subsystem_not_normal_in_s4_system",
+    ),
+    Mutant(
+        "k-sweep-cap-read", VER, "A.order_at_least(AUT_CAP + 1)", "A.order_at_least(AUT_CAP)",
+        "tests/test_verify.py::test_k_sweep_holds_every_subgroup_of_aut_q8",
+    ),
+    Mutant(
+        "k-sweep-dedup-read", VER, "A.order_at_least(K.order + 1)", "A.order_at_least(K.order)",
+        "tests/test_verify.py::test_k_sweep_drops_id_and_inn_where_aut_x_is_trivial",
     ),
 )
 

@@ -1,6 +1,7 @@
 """Corpus parsing, config validation, report output, determinism, the
 files a run writes, and exit codes."""
 
+import hashlib
 import json
 import time
 from pathlib import Path
@@ -116,28 +117,49 @@ def test_run_small_corpus(tmp_path, capsys):
     assert "statement" in out and "reports in" in out
 
 
+C3WRC3_SHA256 = "74f22f15a55ff888121cf09e86e62c6adf3c5b814a898af2c943701802c87137"
+
 CAPPED = GOOD + """
-group c3wrc3 p=3 gens=(0 1 2);(0 3 6)(1 4 7)(2 5 8)
+group c2e9 p=2 gens=(0 1);(2 3);(4 5);(6 7);(8 9);(10 11);(12 13);(14 15);(16 17)
 """
 
 
 @pytest.mark.slow
 def test_a_cap_rejects_only_its_own_entry(tmp_path, capsys):
-    """C3 wr C3 at p = 3 with no K lines: the default K sweep meets the
-    automorphism base cap at S, of order 81. That entry's reports become one
-    failed Axioms report naming the cap and a skip per statement; s3_a3,
-    before it, keeps its reports, and the report is written with status 1."""
+    """C2^9 on 18 points at p = 2: the subgroup lattice of S = G, of order
+    512, is past the subgroup cap. That entry's reports become one failed
+    Axioms report naming the cap and a skip per statement; s3_a3, before
+    it, keeps its reports, and the report is written with status 1."""
     alone, report = tmp_path / "alone.json", tmp_path / "r.json"
     assert cli.run(cli.RunConfig(report_path=alone), corpus_text=GOOD) == 0
     assert cli.run(cli.RunConfig(report_path=report), corpus_text=CAPPED) == 1
     doc = json.loads(report.read_text())
-    capped = [r for r in doc if r["instance"].startswith("c3wrc3|")]
+    capped = [r for r in doc if r["instance"].startswith("c2e9|")]
     assert [r for r in doc if r not in capped] == json.loads(alone.read_text())
     axioms, *skips = capped
     assert axioms["statement"] == "Axioms" and axioms["outcome"] == "fail"
-    assert axioms["witness"] == {"cap": "automorphism base 81 exceeds cap 64"}
+    assert axioms["witness"] == {"cap": "group order 512 exceeds subgroup cap 400"}
     assert len(skips) == 8 and {r["reason"] for r in skips} == {"entry-rejected"}
     assert "suite error" not in capsys.readouterr().err
+
+
+def test_a_group_past_the_element_cap_is_corpus_error(tmp_path, capsys):
+    """S8 meets the element cap while its entry is read: a corpus error
+    naming the entry and its line, exit 2, as for a bad generator."""
+    assert _main_on(tmp_path, GOOD + "group s8 p=2 gens=(0 1 2 3 4 5 6 7);(0 1)\n") == 2
+    assert "line 5: entry s8: closure exceeded cap 10000" in capsys.readouterr().err
+
+
+@pytest.mark.slow
+def test_c3_wreath_c3_without_k_lines_is_pinned(tmp_path):
+    """C3 wr C3 at p = 3 with no K lines: S = G has order 81, past the
+    automorphism base cap, yet the default K sweep reads Aut(X) only as far
+    as a verdict needs (a prefix for its cap, Aut(X) itself through
+    Aut_F(X) and N_G(X)), so the entry is checked in full."""
+    code, doc = _reports_of(tmp_path, "group c3wrc3 p=3 gens=(0 1 2);(0 3 6)(1 4 7)(2 5 8)\n")
+    assert code == 0 and len(doc) == 909 and not any(r["outcome"] == "fail" for r in doc)
+    body = (tmp_path / "report.json").read_bytes()
+    assert hashlib.sha256(body).hexdigest() == C3WRC3_SHA256
 
 
 def test_statement_filter(tmp_path):

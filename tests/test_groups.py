@@ -304,16 +304,29 @@ def test_aut_vs_bijection_oracle(s4, klein, d8, sl23):
 
 
 def test_aut_cap():
+    """Aut(C65), on a base past AUT_BASE_CAP, is held and read in part, but
+    its maps, and so its order, are listed in full only within the cap."""
     big = gp.generate_group([Perm(tuple(list(range(1, 65)) + [0]))])
-    with pytest.raises(CapExceeded):
-        gp.aut_group(big, cap=64)
+    A = gp.aut_group(big)
+    assert big.order == 65 > gp.AUT_BASE_CAP and A.full
+    assert A.order_at_least(25) and len(A._found) == 25
+    for read in (lambda: A.maps, lambda: A.order):
+        with pytest.raises(CapExceeded, match="automorphism base 65 exceeds cap 64"):
+            read()
 
 
 def test_aut_cap_holds_on_a_cache_hit(s4):
+    """Aut(X) is kept on X's home with the prefix of its search read so far;
+    a cap met is not kept, so the kept value meets it on every read, and a
+    base within the cap lists its maps once."""
+    big = gp.generate_group([Perm(tuple(list(range(1, 65)) + [0]))])
+    A = gp.aut_group(big)
+    assert A.order_at_least(2) and gp.aut_group(gp.Subgroup(big.elems, big)) is A
+    for _ in range(2):
+        with pytest.raises(CapExceeded):
+            A.maps
     X = gp.sylow_subgroup(s4, 2)  # D8, order 8
-    assert gp.aut_group(X).order == 8  # fills the cache
-    with pytest.raises(CapExceeded):
-        gp.aut_group(X, cap=7)
+    assert gp.aut_group(X).order == 8 and gp.aut_group(X).maps is gp.aut_group(X).maps
 
 
 def test_inn_group(sl23, klein):

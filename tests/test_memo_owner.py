@@ -152,18 +152,19 @@ def test_a_kept_false_subnormal_verdict_is_decided_once(monkeypatch):
 
 
 def test_realized_part_is_kept_per_maps(monkeypatch):
-    """K = Aut(X) for X = <(0 1), (2 3)> in S4 at p = 2 is not inside
-    Aut_F(X), of order 2: the intersection is kept per K, the one AutGroup
-    of X's mask and K's maps, so K made again on an equal base is K and
-    gets the kept intersection, built once. That intersection has
-    Aut_F(X)'s maps, so it is Aut_F(X) itself, and no map is checked
-    again."""
+    """K, a group with the maps of Aut(X) for X = <(0 1), (2 3)> in S4 at
+    p = 2, made as maps, is not inside Aut_F(X), of order 2: the
+    intersection is kept per K, the one AutGroup of X's mask and K's maps,
+    so K made again on an equal base is K and gets the kept intersection,
+    built once. That intersection has Aut_F(X)'s maps, so it is Aut_F(X)
+    itself, and no map is checked again. Aut(X) itself, from aut_group,
+    gets Aut_F(X) with no map of it listed."""
     G = gp.generate_group(perms(4, "(0 1 2 3)", "(0 1)"))
     F = fu.fusion_of_group(G, gp.sylow_subgroup(G, 2), 2)
     X = G.generated_subgroup(perms(4, "(0 1)", "(2 3)"))
     Y = G.from_home_mask(X.home_mask)
-    K = gp.aut_group(X)
-    assert gp.AutGroup(Y, K.maps) is K and F.aut(X).order == 2
+    K = gp.AutGroup(X, gp.aut_group(gp.Subgroup(X.elems)).maps)
+    assert gp.AutGroup(Y, K.maps) is K and not K.full and F.aut(X).order == 2
     built, checked = [], []
     real_check = gp.are_automorphisms
     monkeypatch.setattr(fu, "AutGroup", lambda base, maps: built.append(base) or gp.AutGroup(base, maps))
@@ -171,3 +172,4 @@ def test_realized_part_is_kept_per_maps(monkeypatch):
     first = fu.realized_part(F, X, K)
     assert fu.realized_part(F, Y, gp.AutGroup(Y, K.maps)) is first is F.aut(X)
     assert len(built) == 1 and checked == []
+    assert fu.realized_part(F, X, gp.aut_group(X)) is first and "maps" not in vars(gp.aut_group(X))

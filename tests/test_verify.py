@@ -261,7 +261,7 @@ def test_K_times_inn_once_per_K(monkeypatch, own_L_s4, F_s4, s4, klein):
     calls = []
     _spy_times_inn(monkeypatch, calls.append)
     V = gp.Subgroup(klein.elems)
-    K = gp.AutGroup(V, gp.aut_group(V).maps)  # a fresh value, nothing kept on it
+    K = gp.AutGroup(V, gp.aut_group(klein).maps)  # a fresh value on V's home, not Aut(V)
     assert vf.check_restricted_subcentric(own_L_s4, F_s4, V, K, "t").passed
     assert vf.check_char_p_normalizer_aut(s4, 2, V, K, "t").passed
     assert vf._subnormal_branch(F_s4, V, K) == (1, K)
@@ -602,14 +602,21 @@ def test_corollary_trivial_X_exactness_reads_the_record(monkeypatch, own_L_s4, F
 
 def test_K_times_inn_once_per_value_on_s4_a4(monkeypatch):
     """The Lemma-2.2(b) sweep, the locality sweep and the corollary's fresh
-    {id} read K*Inn(X) kept per value, so it is formed once per (X, K)."""
-    calls = []
-    _spy_times_inn(monkeypatch, lambda K: calls.append((K.base.elems, K.maps)))
+    {id} read K*Inn(X), and whether K is subnormal in it, kept per value,
+    so each is decided once per (X, K), and never for K = Aut(X), which is
+    its own K*Inn(X)."""
+    calls, subnormal = [], []
+    _spy_times_inn(monkeypatch, lambda K: calls.append((K.base.elems, K.maps, K.full)))
+    real = gp._subnormal_in
+    spy = lambda K, A: subnormal.append((K.base.elems, K.maps, A.maps, K.full)) or real(K, A)  # noqa: E731
+    monkeypatch.setattr(gp, "_subnormal_in", spy)
     (entry,) = [e for e in cli.parse_corpus(cli.default_corpus_text()) if e.name == "s4_a4"]
     pe, axioms = vf.prepare_entry(entry)
     assert axioms.passed
     assert not any(r.failed for r in vf.entry_reports(pe))
     assert calls and len(calls) == len(set(calls))
+    assert subnormal and len(subnormal) == len(set(subnormal))
+    assert not any(key[-1] for key in calls + subnormal)
 
 
 # -- systems and verdicts kept across instances -----------------------------------
@@ -802,12 +809,54 @@ def test_k_options_default_and_descriptors(s4, klein):
     assert explicit[0][1].order == 3
 
 
+def test_k_sweep_holds_every_subgroup_of_aut_q8(sl23):
+    """|Aut(Q8)| = 24 = AUT_CAP: the cap test reads AUT_CAP + 1 maps of the
+    search and finds 24, so the sweep holds all 30 subgroups of Aut(Q8),
+    Aut(Q8) itself as "aut", {id} as "id" and Inn(Q8) as "inn"."""
+    Q8 = gp.Subgroup(gp.sylow_subgroup(sl23, 2).elems)  # a home of its own: nothing read yet
+    opts = vf.k_options(Q8)
+    assert len(opts) == 30 and [tag for tag, _ in opts[:3]] == ["aut", "id", "inn"]
+    assert gp.aut_group(Q8).order == vf.AUT_CAP
+
+
+def test_k_sweep_drops_id_and_inn_where_aut_x_is_trivial(s4):
+    """At X = 1 and X = C2, Aut(X) = Inn(X) = {id}: a K <= Aut(X) is
+    Aut(X) when the search has no map past |K|, so "id" and "inn" are
+    dropped after "aut", and "aut" and "inn" after "id"."""
+    for X in (s4.trivial_subgroup(), s4.generated_subgroup(perms(4, "(0 1)"))):
+        X = gp.Subgroup(X.elems)  # a home of its own: nothing read yet
+        assert [tag for tag, _ in vf.k_options(X)] == ["aut"]
+        assert [tag for tag, _ in vf.k_options(X, ("id", "aut", "inn"))] == ["id"]
+
+
+def test_a4xc2_reads_aut_c2_cubed_only_to_the_k_sweep_cap(monkeypatch):
+    """On a4xc2_v4 with every statement, Aut(C2^3) = GL(3, 2), of order 168
+    > AUT_CAP, is read only for the cap test, AUT_CAP + 1 maps of its
+    search, and as K = Aut(X) through Aut_F(X) and N_G(X); every smaller
+    X's Aut(X) is within the cap, so listed in full for its subgroups."""
+    listed = {}
+    real = gp._automorphisms
+
+    def spy(X):
+        for m in real(X):
+            listed[X.elems] = listed.get(X.elems, 0) + 1
+            yield m
+
+    monkeypatch.setattr(gp, "_automorphisms", spy)
+    (entry,) = [e for e in default_and_a4xc2_entries() if e.name == "a4xc2_v4"]
+    reports, _ = vf.run_suite([entry])
+    assert len(reports) == 343 and not any(r.failed for r in reports)
+    assert [n for X, n in listed.items() if len(X) == 8] == [vf.AUT_CAP + 1]
+    assert all(n <= vf.AUT_CAP for X, n in listed.items() if len(X) < 8)
+
+
 @pytest.mark.slow
 def test_k_lines_without_aut_search_no_automorphism_group(monkeypatch):
-    """C3 wr C3 at p = 3: S = G has order 81, past AUT_BASE_CAP, so Aut(S)
-    cannot be searched. K lines that never name aut search no Aut(X), nor
-    does the corollary, whose normalizer case takes Aut_F(X): the entry is
-    checked in full."""
+    """C3 wr C3 at p = 3, S = G of order 81: K lines that never name aut
+    start no search of any Aut(X), not even in part, nor does the
+    corollary, whose normalizer case takes Aut_F(X): the entry is checked
+    in full. With no K lines the default sweep reads Aut(S), past
+    AUT_BASE_CAP, only in part (test_cli pins that run)."""
     searched = []
     monkeypatch.setattr(gp, "_automorphisms", lambda X: searched.append(X.order))
     corpus = "group c3wrc3 p=3 gens=(0 1 2);(0 3 6)(1 4 7)(2 5 8)\nK=id\nK=inn\n"
