@@ -30,17 +30,19 @@ so a hit is exact. The lattice of S, and of every subgroup of S, is read
 off S's home (``groups.lattice``).
 
 Equal content is also one object, and so one cache: as ``AutGroup`` does,
-``FusionSystem(S, p, germs)`` returns the member equal to it of the *table
-of systems* on S's home, a dict mapping each system to itself, entering
-the new one when there is none. So F_S(G), the closures of
-:func:`close_generated`, among them those of ``locality.fusion_of_partial``,
-and the K-normalizer subsystems are that member, and Aut_F(P) is built on
-S's lattice member, so F keeps one AutGroup per content whatever home P
-was asked from. Every system of a corpus entry lives over a subgroup of
-the entry's group, so the entry has one table, and saturation, the core,
-the subcentric set, N_F^K(X), the fully K-normalized verdicts, normality
-and p-power index are decided once per content within an entry, whichever
-construction reached it.
+``FusionSystem(S, p, germs)`` returns the system kept for its content in
+the *table of systems* on S's home, a dict from (S's home mask, p, germs)
+to the system. It looks the content up first, and only a miss groups
+the germs by source, checks that each lives inside S and enters the new
+system: a hit's germs are those of a system already checked. So F_S(G),
+the closures of :func:`close_generated`, among them those of
+``locality.fusion_of_partial``, and the K-normalizer subsystems are that
+member, and Aut_F(P) is built on S's lattice member, so F keeps one
+AutGroup per content whatever home P was asked from. Every system of a
+corpus entry lives over a subgroup of the entry's group, so the entry has
+one table, and saturation, the core, the subcentric set, N_F^K(X), the
+fully K-normalized verdicts, normality and p-power index are decided once
+per content within an entry, whichever construction reached it.
 
 External definitions used here and pinned in one place:
 
@@ -75,7 +77,6 @@ from .groups import (
     generated,
     group_K_normalizer,
     join,
-    keep,
     lattice,
     memo,
     normalizer,
@@ -97,25 +98,24 @@ class FusionSystem:
     __slots__ = ("S", "p", "germs_by_src", "_all", "_hash", "_cache")
 
     def __new__(cls, S: Subgroup, p: int, germs: Iterable[tuple]):
-        out = object.__new__(cls)
-        object.__setattr__(out, "S", S)
-        object.__setattr__(out, "p", p)
-        by_src: Dict[int, set] = {}
-        for g in germs:
-            if len(g) != S.order or not -1 <= min(g) <= max(g) < S.order:
-                raise ValueError("germ does not live inside S")
-            by_src.setdefault(_src(g), set()).add(g)
-        object.__setattr__(
-            out,
-            "germs_by_src",
-            {k: frozenset(v) for k, v in by_src.items()},
-        )
-        allg = frozenset(g for v in by_src.values() for g in v)
-        object.__setattr__(out, "_all", allg)
-        # S by its order: hashing S itself would build its Perm view
-        object.__setattr__(out, "_hash", hash((S.order, p, allg)))
-        object.__setattr__(out, "_cache", {})
-        return keep(memo(S.home._kept, "systems", dict), out, out)
+        allg = frozenset(germs)
+
+        def checked():  # on a miss alone: a hit's germs are a checked system's
+            by_src: Dict[int, set] = {}
+            for g in allg:
+                if len(g) != S.order or not -1 <= min(g) <= max(g) < S.order:
+                    raise ValueError("germ does not live inside S")
+                by_src.setdefault(_src(g), set()).add(g)
+            out = object.__new__(cls)
+            object.__setattr__(out, "S", S)
+            object.__setattr__(out, "p", p)
+            object.__setattr__(out, "germs_by_src", {k: frozenset(v) for k, v in by_src.items()})
+            object.__setattr__(out, "_all", allg)
+            # S by its order: hashing S itself would build its Perm view
+            object.__setattr__(out, "_hash", hash((S.order, p, allg)))
+            object.__setattr__(out, "_cache", {})
+            return out
+        return memo(memo(S.home._kept, "systems", dict), (S.home_mask, p, allg), checked)
 
     def __setattr__(self, name, value):
         raise AttributeError("FusionSystem is immutable")

@@ -27,7 +27,8 @@ Statement ids:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+import os
+from typing import Dict, List, NoReturn, Optional, Sequence, Tuple
 
 from . import fusion as fu
 from . import groups as gp
@@ -596,22 +597,125 @@ def run_suite(
     statement so coverage stays visible. An entry that meets a cap is
     rejected so, its axiom report a fail with the cap's message as witness,
     and the other entries keep their reports.
+
+    Entries are independent: every result a check keeps lives on the
+    entry's own homes and objects (its groups, their lattices and tables of
+    systems, its localities), and no module keeps state, so an entry's
+    reports do not depend on what ran before it, or in which process. The
+    entries are dealt to n workers, n the number of usable CPUs
+    (``os.sched_getaffinity``) but at most one per entry, and 1 where the
+    platform cannot fork or tell: entry i to worker i mod n, worker 0 being
+    this process and the others forked from it (:func:`_dealt`). The deal
+    is fixed, so each process checks the same entries on every run. An
+    exception raised by an entry, here or in a worker, is raised here: that
+    of the first entry in corpus order that raised, as a serial run would.
     """
+    entries = list(entries)
+    n = max(1, min(_usable_cpus(), len(entries)))
+    shares = _dealt(entries, n, statements, word_len)
     results: List[VerificationReport] = []
-    for entry in entries:
-        try:
-            pe, axioms = prepare_entry(entry, word_len=word_len)
-            reports = [] if pe is None else entry_reports(pe, statements=statements, word_len=word_len)
-        except CapExceeded as exc:
-            pe, reports = None, []
-            axioms = failed_report("Axioms", _axioms_instance(entry), {"cap": str(exc)})
-        results.append(axioms)
-        if pe is None:
-            for stmt in STATEMENTS:
-                if statements is None or stmt in statements:
-                    results.append(skipped_report(stmt, "%s|entry" % entry.name, "entry-rejected"))
-        results.extend(reports)
+    for i in range(len(entries)):
+        outcome = shares[i % n][i // n]
+        if isinstance(outcome, Exception):
+            raise outcome
+        results.extend(outcome)
 
     # by (entry name, statement, instance)
     results.sort(key=lambda r: (r.instance.split("|", 1)[0], r.statement, r.instance))
     return results, coverage_summary(results)
+
+
+def _usable_cpus() -> int:
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _entry_results(entry, statements, word_len: int) -> List[VerificationReport]:
+    """One entry's reports, a cap it meets rejecting it."""
+    try:
+        pe, axioms = prepare_entry(entry, word_len=word_len)
+        reports = [] if pe is None else entry_reports(pe, statements=statements, word_len=word_len)
+    except CapExceeded as exc:
+        pe, reports = None, []
+        axioms = failed_report("Axioms", _axioms_instance(entry), {"cap": str(exc)})
+    out = [axioms]
+    if pe is None:
+        for stmt in STATEMENTS:
+            if statements is None or stmt in statements:
+                out.append(skipped_report(stmt, "%s|entry" % entry.name, "entry-rejected"))
+    return out + reports
+
+
+def _share(entries, statements, word_len: int) -> list:
+    """Each entry's reports, in order, up to the first entry that raises:
+    its exception stands in its place, and the entries after it are not
+    run. run_suite raises it once it knows no earlier entry raised."""
+    out = []
+    for entry in entries:
+        try:
+            out.append(_entry_results(entry, statements, word_len))
+        except Exception as exc:
+            out.append(exc)
+            break
+    return out
+
+
+def _dealt(entries, n: int, statements, word_len: int) -> list:
+    """The shares (see _share) of the n workers, entry i dealt to worker
+    i mod n. Worker 0's runs here; each other one in a process forked from
+    this one (which starts no thread), whose share comes back pickled
+    through a pipe. This process runs its own share, then reads each
+    worker's whole answer before it reaps the worker. A worker that ends
+    without answering raises RuntimeError naming its entries; on any raise
+    here the workers not yet reaped are killed and reaped, so no process
+    outlives the call."""
+    if n > 1:  # only a run that forks imports it
+        import pickle
+    shares, pipes = [None] * n, {}  # pipes: pid of each unreaped worker -> (number, read end)
+    try:
+        for w in range(1, n):
+            read, write = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                os.close(read)
+                _worker(write, entries[w::n], statements, word_len)
+            os.close(write)
+            pipes[pid] = (w, os.fdopen(read, "rb"))
+        shares[0] = _share(entries[0::n], statements, word_len)
+        for pid in list(pipes):
+            w, pipe = pipes[pid]
+            answer = pipe.read()
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del pipes[pid]
+            pipe.close()
+            if status != 0:
+                names = ", ".join(entry.name for entry in entries[w::n])
+                raise RuntimeError("worker for entries %s ended without an answer (exit code %d)" % (names, status))
+            shares[w] = pickle.loads(answer)
+    finally:
+        if pipes:  # raising: stop the workers still running
+            import signal
+
+            for pid, (_, pipe) in pipes.items():
+                pipe.close()
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+    return shares
+
+
+def _worker(write: int, entries, statements, word_len: int) -> NoReturn:
+    """A forked worker's whole life: its share, pickled, written to the
+    pipe's write end, then os._exit, so that none of the parent's exit
+    handlers run and none of its buffers are flushed. The exit code is 0
+    once the whole share is written, 1 otherwise."""
+    status = 1
+    try:
+        import pickle
+
+        answer = pickle.dumps(_share(entries, statements, word_len))
+        with os.fdopen(write, "wb") as pipe:
+            pipe.write(answer)
+        status = 0
+    finally:
+        os._exit(status)

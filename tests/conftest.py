@@ -1,3 +1,4 @@
+import os
 from pathlib import Path
 
 import pytest
@@ -18,6 +19,12 @@ def default_and_a4xc2_entries():
     corpora = Path(__file__).resolve().parents[1] / "perfbench" / "corpora"
     text = (corpora / "a4xc2_theorem.txt").read_text()
     return cli.parse_corpus(cli.default_corpus_text()) + cli.parse_corpus(text)
+
+
+def one_cpu(mp):
+    """Let a run see one usable CPU, so that run_suite checks every entry
+    in this process: a spy records only the calls of its own process."""
+    mp.setattr(os, "sched_getaffinity", lambda pid: {0})
 
 
 def germ(base, pairs):

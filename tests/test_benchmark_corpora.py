@@ -6,8 +6,9 @@ Each workload of ``perfbench/run.py`` is run once here through
 from the package), with the statement set the workload names. A spy on
 ``locality.verify_partial_group`` sums ``words_checked`` and
 ``domain_words`` over its calls, as the benchmark's tracer does, and
-counts the calls and the distinct structures checked. Every walk word is
-in the domain on these corpora, so the two counters agree.
+counts the calls and the distinct structures checked; the run sees one
+usable CPU, so the spy sees every call. Every walk word is in the domain
+on these corpora, so the two counters agree.
 
 order36 holds ``d12_c6``, rejected because N_L(1) = G is not of
 characteristic 2, so its run exits 1 with that witness.
@@ -22,6 +23,7 @@ import pytest
 from plocal import cli
 from plocal import locality as lo
 from plocal import verify as vf
+from .conftest import one_cpu
 
 CORPORA = Path(__file__).resolve().parents[1] / "perfbench" / "corpora"
 
@@ -60,6 +62,7 @@ def _run(tmp_path, corpus, statements):
     report = tmp_path / "report.json"
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(lo, "verify_partial_group", spy)
+        one_cpu(mp)
         status = cli.run(cli.RunConfig(report_path=report, statements=statements), corpus_text=text)
     return status, report.read_bytes(), totals, len(calls), len(set(calls))
 

@@ -31,6 +31,7 @@ from plocal import groups as gp
 from plocal import verify as vf
 from plocal.perm import Perm
 from . import oracles
+from .conftest import one_cpu
 
 L27_SHA256 = "d8c7946c67aeb2d1884b519abe05008206d233053cb93be3a6396f35ced67a42"
 
@@ -51,7 +52,8 @@ def _spy_cached(mp, cls, name, record):
 @contextmanager
 def _lattice_spy():
     """Record (calling function, group) for each all_subgroups call, and
-    the homes of the permutation images of automorphism groups, by id."""
+    the homes of the permutation images of automorphism groups, by id, in
+    a run that sees one usable CPU."""
     calls, autgroups, homes = [], [], set()
     real = gp.all_subgroups
 
@@ -64,6 +66,7 @@ def _lattice_spy():
             if name.split(".")[0] == "plocal" and getattr(mod, "all_subgroups", None) is real:
                 mp.setattr(mod, "all_subgroups", spy)
         _spy_cached(mp, gp.AutGroup, "image", autgroups)
+        one_cpu(mp)
         yield calls, homes
     # each image, cached on its AutGroup, is read once the spy is gone
     homes.update(id(A.image) for A in autgroups)
@@ -140,6 +143,7 @@ def test_default_corpus_tables_and_perm_arithmetic():
         entries = cli.parse_corpus(cli.default_corpus_text())
         mp.setattr(Perm, "conj", conj)
         mp.setattr(Perm, "__mul__", mul)
+        one_cpu(mp)
         reports, _ = vf.run_suite(entries)
     assert len(reports) == 742
     corpus = {e.G.elems for e in entries}

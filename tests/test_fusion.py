@@ -345,6 +345,25 @@ def test_fusion_system_is_one_object_per_content():
     assert elsewhere == F and elsewhere is not F
 
 
+def test_a_kept_system_is_found_before_its_germs_are_read(monkeypatch):
+    """FusionSystem(S, p, germs) looks its content up in the table of
+    systems first: a hit groups no germ by source, so it checks none and
+    builds nothing; a miss groups each germ once and enters a new system."""
+    G = gp.generate_group(perms(4, "(0 1 2 3)", "(0 1)"))
+    S = gp.sylow_subgroup(G, 2)
+    F = fu.fusion_of_group(G, S, 2)
+    table = gp.peek(S.home._kept, "systems")
+    real, grouped = fu._src, []
+    monkeypatch.setattr(fu, "_src", lambda g: grouped.append(g) or real(g))
+    before = len(table)
+    assert fu.FusionSystem(S, 2, iter(F.all_germs())) is F
+    assert grouped == [] and len(table) == before
+    autS = F.germs_from(S)
+    E = fu.FusionSystem(S, 2, autS)
+    assert sorted(grouped) == sorted(autS) and len(table) == before + 1
+    assert E.all_germs() == autS and E is not F
+
+
 # -- K-normalizer subsystems --------------------------------------------------
 
 
@@ -396,7 +415,7 @@ def test_K_normalizer_on_a_new_base_leaves_its_Perm_view_unbuilt():
     the home builds no Perm view of that base."""
     _, _, F = _entry_fusion("s4_a4")
     table, new = gp.peek(F.S.home._kept, "systems"), []
-    assert F in table
+    assert table[F.S.home_mask, F.p, F.all_germs()] is F
     for X in F.subgroups():
         for _, K in vf.k_options(X):
             before = len(table)

@@ -19,7 +19,7 @@ from plocal.errors import (
 )
 from plocal.perm import Perm
 from . import oracles
-from .conftest import perms
+from .conftest import one_cpu, perms
 
 
 # -- construction -------------------------------------------------------------
@@ -1141,7 +1141,8 @@ def test_axiom_walk_matches_whole_word_oracle(name, word_len, request):
 def default_run():
     """Each distinct structure whose partial-group axioms a run of the
     default corpus checks, and each distinct locality whose partial
-    subgroups' germs it reads (_partial_germs)."""
+    subgroups' germs it reads (_partial_germs), the run seeing one usable
+    CPU."""
     checked, germ_sources = {}, {}
     real_check, real_germs = lo.verify_partial_group, lo._partial_germs
 
@@ -1156,6 +1157,7 @@ def default_run():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(lo, "verify_partial_group", check)
         mp.setattr(lo, "_partial_germs", germs)
+        one_cpu(mp)
         reports, _ = vf.run_suite(cli.parse_corpus(cli.default_corpus_text()))
     assert not any(r.failed for r in reports)
     return list(checked), list(germ_sources)

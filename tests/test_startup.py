@@ -6,9 +6,12 @@ the default corpus is read as a file beside ``cli.py``, so importing
 ``plocal.cli`` and reading the default corpus load neither ``dataclasses``
 (which brings ``inspect``, ``dis``, ``ast`` and ``tokenize``) nor
 ``importlib.resources`` (which brings ``zipfile``, ``tempfile`` and
-``shutil``). The child runs under ``python -S``: a ``.pth`` file in
-site-packages may import modules at start-up, which would hide a module
-the package loads itself.
+``shutil``). ``pickle`` is imported only by a run that forks workers
+(``verify.run_suite``), after parsing, and no run uses
+``multiprocessing`` or ``concurrent.futures``, whose import and pool
+start-up would cost more than the workers save. The child runs under
+``python -S``: a ``.pth`` file in site-packages may import modules at
+start-up, which would hide a module the package loads itself.
 """
 
 import shutil
@@ -20,7 +23,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "plocal"
-UNWANTED = {"dataclasses", "inspect", "importlib.resources"}
+UNWANTED = {"dataclasses", "inspect", "importlib.resources", "pickle", "multiprocessing", "concurrent.futures"}
 
 # prints where plocal.cli came from, then each module the import and the
 # corpus read loaded
@@ -61,8 +64,9 @@ def test_import_loads_neither_dataclasses_nor_resources():
         ("groups", "import dataclasses", "dataclasses"),
         ("report", "import inspect", "inspect"),
         ("cli", "from importlib.resources import files", "importlib.resources"),
+        ("verify", "import pickle", "pickle"),
     ],
-    ids=["dataclasses", "inspect", "resources"],
+    ids=["dataclasses", "inspect", "resources", "pickle"],
 )
 def test_a_planted_import_is_flagged(tmp_path, module, line, unwanted):
     copy = tmp_path / "plocal"
