@@ -70,7 +70,6 @@ from .locality import (
     product_partial,
     restrict,
     verify_locality,
-    verify_partial_group,
     verify_subcentric_locality,
 )
 from .report import VerificationReport

@@ -86,17 +86,14 @@ class CorpusEntry:
 
 
 class RunConfig:
-    """Input, statement filter, word length and report path for one run."""
+    """Input, statement filter and report path for one run."""
 
-    def __init__(self, corpus_path=None, statements=None, word_len=3, report_path=None):
-        if word_len <= 0:
-            raise ValueError("word_len must be positive")
+    def __init__(self, corpus_path=None, statements=None, report_path=None):
         if statements is not None:
             unknown = set(statements) - set(vf.STATEMENTS)
             if unknown:
                 raise ValueError("unknown statement ids: %s" % sorted(unknown))
-        self.corpus_path, self.statements = corpus_path, statements
-        self.word_len, self.report_path = word_len, report_path
+        self.corpus_path, self.statements, self.report_path = corpus_path, statements, report_path
 
 
 def _split_cycles(text: str) -> List[str]:
@@ -234,9 +231,7 @@ def run(config: RunConfig, corpus_text: Optional[str] = None) -> int:
 
     t0 = time.time()
     try:
-        reports, coverage = vf.run_suite(
-            entries, statements=config.statements, word_len=config.word_len
-        )
+        reports, coverage = vf.run_suite(entries, statements=config.statements)
     except PLocalError as exc:
         print("suite error: %s" % exc, file=sys.stderr)
         return 2
@@ -268,11 +263,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
         metavar="ID",
         help="restrict to a statement id (repeatable): %s" % ", ".join(vf.STATEMENTS),
     )
-    ap.add_argument(
-        "--full-word-check",
-        action="store_true",
-        help="check partial-group words up to length 4 instead of 3",
-    )
     ap.add_argument("--report", type=Path, default=None, help="write the JSON report here")
     return ap
 
@@ -283,7 +273,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         config = RunConfig(
             corpus_path=args.corpus,
             statements=tuple(args.statement) if args.statement else None,
-            word_len=4 if args.full_word_check else 3,
             report_path=args.report,
         )
     except ValueError as exc:

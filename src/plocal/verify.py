@@ -125,7 +125,6 @@ def check_restricted_subcentric(
     X: Subgroup,
     K: AutGroup,
     instance: str,
-    word_len: int = 3,
 ) -> VerificationReport:
     """(bN_L^K(X), N_F^K(X)^s, N_S^K(X)) is a subcentric locality over
     N_F^K(X), when X is fully K-normalized and K subnormal in K*Inn(X)."""
@@ -139,20 +138,18 @@ def check_restricted_subcentric(
     except PLocalError as exc:
         return failed_report(stmt, instance, {"construction": str(exc)})
     NFK = fu.K_normalizer_subsystem(F, X, K)
-    rep = _verified_subcentric(L, bn, NFK, word_len)
+    rep = _verified_subcentric(L, bn, NFK)
     if rep.passed:
         return passed_report(stmt, instance, bn_size=bn.elems.bit_count(), objects=len(bn.Delta))
     return failed_report(stmt, instance, {"verification": rep.witness})
 
 
-def _verified_subcentric(
-    L: lo.Locality, M: lo.Locality, F: fu.FusionSystem, word_len: int
-) -> VerificationReport:
+def _verified_subcentric(L: lo.Locality, M: lo.Locality, F: fu.FusionSystem) -> VerificationReport:
     """verify_subcentric_locality(M, F), once per content of M within L's
     entry. M is L or a restriction of it, so it has L's ambient group and
     p, and the maximality of its S reads only subgroups inside M.elems."""
-    key = ("verified", M.elems, M.Delta, M.S_elems, F, word_len)
-    return gp.memo(L._memo, key, lo.verify_subcentric_locality, M, F, word_len)
+    key = ("verified", M.elems, M.Delta, M.S_elems, F)
+    return gp.memo(L._memo, key, lo.verify_subcentric_locality, M, F)
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +392,7 @@ class PreparedEntry:
         self.X_list, self.K_descriptors = X_list, K_descriptors
 
 
-def prepare_entry(entry, word_len: int = 3):
+def prepare_entry(entry):
     """Build and validate one corpus entry.
 
     Returns (PreparedEntry, axioms_report) on success or (None, report)
@@ -410,7 +407,7 @@ def prepare_entry(entry, word_len: int = 3):
     Delta = frozenset(S.mask(P) for P in fu.subcentric_set(F))
     L = lo.build_group_locality(G, S, Delta, p)
     # bN_L^K(X) can be L itself, so its Lemma-2.1 check reuses this one
-    rep = _verified_subcentric(L, L, F, word_len)
+    rep = _verified_subcentric(L, L, F)
     if not rep.passed:
         return None, failed_report("Axioms", inst, {"subcentric-locality": rep.witness})
     # H is built in G's home when the corpus is read, so T = S cap H is an AND
@@ -524,9 +521,7 @@ def _normalizer_range(G: Subgroup, X: Subgroup) -> Tuple[Subgroup, ...]:
 
 
 def entry_reports(
-    pe: PreparedEntry,
-    statements: Optional[Sequence[str]] = None,
-    word_len: int = 3,
+    pe: PreparedEntry, statements: Optional[Sequence[str]] = None
 ) -> List[VerificationReport]:
     """Run every selected checker over the instance sweep of one entry."""
 
@@ -560,7 +555,7 @@ def entry_reports(
                     reports.extend(skipped_report(stmt, inst, UNFIT_K) for stmt in K_STATEMENTS if want(stmt))
                     continue
                 if want("Lemma-2.1"):
-                    reports.append(check_restricted_subcentric(pe.L, pe.F, X, K, inst, word_len=word_len))
+                    reports.append(check_restricted_subcentric(pe.L, pe.F, X, K, inst))
                 if want("Lemma-3.1"):
                     reports.append(check_fully_K_normalized_transfer(pe.L, pe.F, pe.N, X, K, inst))
                 if want("Theorem-3.2a") or want("Theorem-3.2b"):
@@ -586,9 +581,7 @@ def coverage_summary(reports: Sequence[VerificationReport]) -> Dict[str, Dict[st
 
 
 def run_suite(
-    entries,
-    statements: Optional[Sequence[str]] = None,
-    word_len: int = 3,
+    entries, statements: Optional[Sequence[str]] = None
 ) -> Tuple[List[VerificationReport], Dict[str, Dict[str, int]]]:
     """Run the suite over parsed corpus entries.
 
@@ -612,7 +605,7 @@ def run_suite(
     """
     entries = list(entries)
     n = max(1, min(_usable_cpus(), len(entries)))
-    shares = _dealt(entries, n, statements, word_len)
+    shares = _dealt(entries, n, statements)
     results: List[VerificationReport] = []
     for i in range(len(entries)):
         outcome = shares[i % n][i // n]
@@ -631,11 +624,11 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def _entry_results(entry, statements, word_len: int) -> List[VerificationReport]:
+def _entry_results(entry, statements) -> List[VerificationReport]:
     """One entry's reports, a cap it meets rejecting it."""
     try:
-        pe, axioms = prepare_entry(entry, word_len=word_len)
-        reports = [] if pe is None else entry_reports(pe, statements=statements, word_len=word_len)
+        pe, axioms = prepare_entry(entry)
+        reports = [] if pe is None else entry_reports(pe, statements=statements)
     except CapExceeded as exc:
         pe, reports = None, []
         axioms = failed_report("Axioms", _axioms_instance(entry), {"cap": str(exc)})
@@ -647,21 +640,21 @@ def _entry_results(entry, statements, word_len: int) -> List[VerificationReport]
     return out + reports
 
 
-def _share(entries, statements, word_len: int) -> list:
+def _share(entries, statements) -> list:
     """Each entry's reports, in order, up to the first entry that raises:
     its exception stands in its place, and the entries after it are not
     run. run_suite raises it once it knows no earlier entry raised."""
     out = []
     for entry in entries:
         try:
-            out.append(_entry_results(entry, statements, word_len))
+            out.append(_entry_results(entry, statements))
         except Exception as exc:
             out.append(exc)
             break
     return out
 
 
-def _dealt(entries, n: int, statements, word_len: int) -> list:
+def _dealt(entries, n: int, statements) -> list:
     """The shares (see _share) of the n workers, entry i dealt to worker
     i mod n. Worker 0's runs here; each other one in a process forked from
     this one (which starts no thread), whose share comes back pickled
@@ -679,10 +672,10 @@ def _dealt(entries, n: int, statements, word_len: int) -> list:
             pid = os.fork()
             if pid == 0:
                 os.close(read)
-                _worker(write, entries[w::n], statements, word_len)
+                _worker(write, entries[w::n], statements)
             os.close(write)
             pipes[pid] = (w, os.fdopen(read, "rb"))
-        shares[0] = _share(entries[0::n], statements, word_len)
+        shares[0] = _share(entries[0::n], statements)
         for pid in list(pipes):
             w, pipe = pipes[pid]
             answer = pipe.read()
@@ -704,7 +697,7 @@ def _dealt(entries, n: int, statements, word_len: int) -> list:
     return shares
 
 
-def _worker(write: int, entries, statements, word_len: int) -> NoReturn:
+def _worker(write: int, entries, statements) -> NoReturn:
     """A forked worker's whole life: its share, pickled, written to the
     pipe's write end, then os._exit, so that none of the parent's exit
     handlers run and none of its buffers are flushed. The exit code is 0
@@ -713,7 +706,7 @@ def _worker(write: int, entries, statements, word_len: int) -> NoReturn:
     try:
         import pickle
 
-        answer = pickle.dumps(_share(entries, statements, word_len))
+        answer = pickle.dumps(_share(entries, statements))
         with os.fdopen(write, "wb") as pipe:
             pipe.write(answer)
         status = 0

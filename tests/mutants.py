@@ -11,7 +11,10 @@ A mutant deletes one clause of a verdict: one exact text of one file under
 fail first, the (Q2) check of ``restrict``, and the clauses of saturation,
 full K-normalization, p-power index and weak normality in ``fusion``; and
 the two reads of Aut(X)'s search in the K sweep of ``verify.k_options``,
-each cut one map short. Run from the root of a checkout:
+each cut one map short; and the verdicts of two statement checkers that
+only a wrong helper can make fail, Lemma-2.2b's product identity and
+Lemma-3.1's conclusion, killed by wiring controls that monkeypatch the
+helper. Run from the root of a checkout:
 
     python tests/mutants.py              # every mutant
     python tests/mutants.py NAME ...     # the named ones
@@ -118,6 +121,14 @@ MUTANTS = (
     Mutant(
         "k-sweep-dedup-read", VER, "A.order_at_least(K.order + 1)", "A.order_at_least(K.order)",
         "tests/test_verify.py::test_k_sweep_drops_id_and_inn_where_aut_x_is_trivial",
+    ),
+    Mutant(
+        "lemma-2.2b-product-identity", VER, "if NKI.home_mask != prod:", "if False:",
+        "tests/test_verify.py::test_lemma22b_fails_on_a_wrong_product_identity",
+    ),
+    Mutant(
+        "lemma-3.1-conclusion", VER, "if fu.is_fully_K_normalized(EX, X, K):", "if True:",
+        "tests/test_verify.py::test_lemma31_fails_where_EX_says_not_fully_K_normalized",
     ),
 )
 

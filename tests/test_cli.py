@@ -10,7 +10,6 @@ import pytest
 
 from plocal import cli
 from plocal import groups as gp
-from plocal import locality as lo
 from plocal.errors import CorpusParseError, NormalityError
 
 GOOD = """
@@ -101,8 +100,6 @@ def test_x_outside_sylow_rejected():
 def test_run_config_validation():
     with pytest.raises(ValueError):
         cli.RunConfig(statements=("Lemma-9.9",))
-    with pytest.raises(ValueError):
-        cli.RunConfig(word_len=0)
 
 
 def test_run_small_corpus(tmp_path, capsys):
@@ -182,7 +179,7 @@ def test_failing_entry_sets_exit_one(tmp_path):
     # A5 at p=2 is rejected (its naive locality is not subcentric), which
     # is an axiom fail and must surface as exit status 1
     corpus = "group a5 p=2 gens=(0 1 2 3 4);(0 1 2)\nnormal gens=(0 1 2 3 4);(0 1 2)\n"
-    config = cli.RunConfig(report_path=tmp_path / "r.json", word_len=2)
+    config = cli.RunConfig(report_path=tmp_path / "r.json")
     assert cli.run(config, corpus) == 1
     doc = json.loads((tmp_path / "r.json").read_text())
     ax = [r for r in doc if r["statement"] == "Axioms"]
@@ -343,32 +340,13 @@ def test_cli_writes_only_its_report(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize(
     "flags",
-    [["--jobs", "2"], ["--no-cache"], ["--cache-dir", "d"], ["--max-elements", "5"]],
+    [
+        ["--jobs", "2"], ["--no-cache"], ["--cache-dir", "d"], ["--max-elements", "5"],
+        ["--full-word-check"],
+    ],
 )
 def test_removed_flags_are_rejected(flags, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     with pytest.raises(SystemExit) as ei:
         cli.main(flags)
     assert ei.value.code == 2
-
-
-def test_full_word_check_keeps_outcomes(tmp_path, monkeypatch):
-    corpus = tmp_path / "corpus.txt"
-    corpus.write_text(GOOD)
-    real = lo.verify_partial_group
-    lengths = []
-
-    def spy(P, word_len=3):
-        lengths[-1].add(word_len)
-        return real(P, word_len=word_len)
-
-    monkeypatch.setattr(lo, "verify_partial_group", spy)
-    outcomes = []
-    for flags in ([], ["--full-word-check"]):
-        lengths.append(set())
-        report = tmp_path / "r.json"
-        assert cli.main(["--corpus", str(corpus), "--report", str(report), *flags]) == 0
-        doc = json.loads(report.read_text())
-        outcomes.append([(r["statement"], r["instance"], r["outcome"]) for r in doc])
-    assert lengths == [{3}, {4}]
-    assert outcomes[0] == outcomes[1]

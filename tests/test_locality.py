@@ -1,6 +1,7 @@
 """Partial group and locality tests: construction, axiom verification,
 restriction, K-normalizers, partial normal subgroups and products."""
 
+import random
 from collections import Counter
 
 import pytest
@@ -710,7 +711,7 @@ def test_a5_naive_construction_rejected():
     Delta = frozenset(S.mask(P.elems) for P in fu.subcentric_set(F))
     L = lo.build_group_locality(A5, S, Delta, 2)
     assert L.elems == A5.home_mask
-    rep = lo.verify_subcentric_locality(L, F, word_len=2)
+    rep = lo.verify_subcentric_locality(L, F)
     assert rep.failed
     assert rep.witness["axiom"] == "N_L(P)-characteristic-p"
 
@@ -936,16 +937,16 @@ def test_live_chain_ends_match_chain_search(name, word_len, request):
 def test_planted_fault_objectivity(s3xs3):
     """A rule accepting every word over S3 x S3 disagrees with the object
     chains of the nontrivial subgroups of S: (0 1)(3 4) has none."""
-    rep = lo.verify_locality(_objectivity_fault(s3xs3), word_len=2)
+    rep = lo.verify_locality(_objectivity_fault(s3xs3))
     assert rep.failed
     assert rep.witness == {"axiom": "objectivity", "w": ["(0 1)(3 4)"]}
-    assert rep.stats["pg_words_checked"] == rep.stats["pg_domain_words"] == 36 + 36**2
+    assert rep.stats["pg_words_checked"] == rep.stats["pg_domain_words"] == 36 + 36**2 + 36**3
 
 
 def test_planted_fault_l27_whole_group(L_l27):
     """PSL(2,7) with the objects of its subcentric locality but a rule
     accepting every word: (0 2)(3 4) conjugates no object into an object."""
-    rep = lo.verify_locality(_l27_whole_group(L_l27), word_len=2)
+    rep = lo.verify_locality(_l27_whole_group(L_l27))
     assert rep.witness == {"axiom": "objectivity", "w": ["(0 2)(3 4)"]}
 
 
@@ -956,7 +957,7 @@ def test_planted_fault_l27_dropped_class(L_l27):
     own."""
     L = _l27_dropped_class(L_l27)
     assert len(L.Delta) - len(L.rule.masks) == 5
-    rep = lo.verify_locality(L, word_len=2)
+    rep = lo.verify_locality(L)
     assert rep.witness == {"axiom": "length-one-domain", "w": ["(0 1 2)(3 4 6)"]}
 
 
@@ -1083,7 +1084,7 @@ def test_word_fragment_counts(s3, L_s3xs3, word_len, group_stats, locality_stats
     the ones in the domain (all of them for a group)."""
     group = lo.group_locality(s3, gp.sylow_subgroup(s3, 2), 2)
     for P, expected in ((group, group_stats), (L_s3xs3, locality_stats)):
-        rep = lo.verify_partial_group(P, word_len=word_len)
+        rep, _ = lo._axiom_walk(P, word_len)
         assert rep.passed
         assert (rep.stats["words_checked"], rep.stats["domain_words"]) == expected
 
@@ -1133,8 +1134,76 @@ def test_axiom_walk_matches_whole_word_oracle(name, word_len, request):
     planted in the product table is not among them: the whole-word check
     never reads the table."""
     P = STRUCTURES[name](request)
-    rep = lo.verify_partial_group(P, word_len=word_len)
+    rep, _ = lo._axiom_walk(P, word_len)
     assert (rep.outcome, rep.witness, rep.stats) == oracles.partial_group_by_words(P, word_len)
+
+
+def _closed_objects(G, S, Delta):
+    """The smallest set of masks over S holding Delta that is closed under
+    overgroups in S and under conjugation by G inside S."""
+    lattice = sorted(gp.lattice(S))
+    mask_of = {frozenset(gp.elements(S, m)): m for m in lattice}
+    out = set(Delta)
+    while True:
+        grown = {m for d in out for m in lattice if not d & ~m}
+        for d in list(grown):
+            P = gp.elements(S, d)
+            grown |= {mask_of[Q] for Q in (frozenset(x.conj(g) for x in P) for g in G) if Q in mask_of}
+        if grown == out:
+            return out
+        out = grown
+
+
+def _random_locality_args(rng, groups):
+    """Locality arguments over a random one of groups and a prime p
+    dividing its order, S its Sylow p-subgroup: objects S and a random set
+    of subgroups of S, closed (see _closed_objects) half of the time, and
+    the f with S cap S^(f^-1) an object, with one element toggled 30 % of
+    the time and replaced by a random set, holding S or not, 15 %."""
+    G = groups[rng.choice(sorted(groups))]
+    p = rng.choice([q for q in (2, 3) if G.order % q == 0])
+    S = gp.sylow_subgroup(G, p)
+    lattice = sorted(gp.lattice(S))
+    Delta = {(1 << S.order) - 1} | set(rng.sample(lattice, rng.randrange(len(lattice) + 1)))
+    if rng.random() < 0.5:
+        Delta = _closed_objects(G, S, Delta)
+    base = frozenset(S)
+    elems = {f for f in G if S.mask(x for x in base if x.conj(f) in base) in Delta}
+    r = rng.random()
+    if r < 0.3:
+        elems ^= {rng.choice(list(G))}
+    elif r < 0.45:
+        elems = {f for f in G if rng.random() < 0.5} | (base if rng.random() < 0.5 else set())
+    return G, G.mask(elems), frozenset(Delta), G.home_mask_of(S), p
+
+
+def test_length_three_decides_length_four_on_random_structures(monkeypatch, s3, a4, d8):
+    """verify_locality gives the same outcome with the walk at length 4 as
+    at WORD_LEN = 3, on 200 seeded random structures over S3, A4, D8, D12
+    and S3 x C2, as its docstring's theorem says: a pass at length 3 makes
+    every word length hold. Each run has its own Locality, as the walk
+    keeps its objectivity word in the locality's memo. On each passing one
+    N_L(P), for every object P, is a subgroup with every pair in D: the
+    conditions verify_subcentric_locality no longer checks."""
+    groups = {
+        "S3": s3, "A4": a4, "D8": d8,
+        "D12": gp.generate_group(perms(6, "(0 1 2 3 4 5)", "(0 5)(1 4)(2 3)")),
+        "S3xC2": gp.generate_group(perms(5, "(0 1 2)", "(0 1)", "(3 4)")),
+    }
+    rng, outcomes = random.Random(2107), Counter()
+    for _ in range(200):
+        args = _random_locality_args(rng, groups)
+        L = lo.Locality(*args)
+        rep = lo.verify_locality(L)
+        with monkeypatch.context() as mp:
+            mp.setattr(lo, "WORD_LEN", 4)
+            assert lo.verify_locality(lo.Locality(*args)).outcome == rep.outcome
+        outcomes[rep.outcome] += 1
+        for P in map(L.S.from_mask, L.Delta) if rep.passed else ():
+            NP = lo.normalizer_partial(L, P)
+            assert lo.partial_subgroup_violation(L, NP) is None
+            assert len(list(lo._domain_pairs(L, NP, NP))) == NP.bit_count() ** 2
+    assert outcomes["pass"] >= 50 and outcomes["fail"] >= 50
 
 
 @pytest.fixture(scope="module")
@@ -1146,9 +1215,9 @@ def default_run():
     checked, germ_sources = {}, {}
     real_check, real_germs = lo.verify_partial_group, lo._partial_germs
 
-    def check(P, word_len=3):
+    def check(P):
         checked.setdefault(P, P)
-        return real_check(P, word_len)
+        return real_check(P)
 
     def germs(L, N, R):
         germ_sources.setdefault(L, L)
@@ -1250,7 +1319,7 @@ def test_axiom_walk_matches_whole_word_oracle_on_default_structures(default_stru
     """On each distinct structure the default corpus verifies, 20 by
     Locality equality (19 by element sets, objects and base: two share
     them over different ambient groups, so their masks differ),
-    verify_partial_group at word_len 3 gives the verdict, witness and
+    verify_partial_group, at length 3, gives the verdict, witness and
     stats of the whole-word check."""
     assert len(default_structures) == 20
     assert len({(P.elems, P.Delta, P.S_elems) for P in default_structures}) == 20

@@ -57,6 +57,25 @@ def test_lemma22b_pass_and_identity(s4, klein):
     assert rep.stats["identity_checked"] == 1
 
 
+def test_lemma22b_fails_on_a_wrong_product_identity(monkeypatch, s4, klein):
+    """A wiring control: with set_product answering N^K * X plus S, the
+    identity N^{K Inn(X)}(X) = N^K(X) X fails, and the report names both
+    sides. At K = 1 and X = V4 both are V4."""
+    real = gp.set_product
+    monkeypatch.setattr(gp, "set_product", lambda G, A, X: real(G, A, X) | G.home_mask_of(S_of(G)))
+    rep = vf.check_char_p_normalizer_aut(s4, 2, klein, gp.trivial_aut_group(klein), "t")
+    assert rep.to_json_obj() == {
+        "statement": "Lemma-2.2b", "instance": "t", "outcome": "fail", "stats": {},
+        "witness": {
+            "part": "product-identity",
+            "N^{KInn}": "{(0 1)(2 3),(0 2)(1 3),(0 3)(1 2)}",
+            "N^K * X": [
+                "()", "(0 1)", "(0 1)(2 3)", "(0 2 1 3)", "(0 2)(1 3)", "(0 3 1 2)", "(0 3)(1 2)", "(2 3)",
+            ],
+        },
+    }
+
+
 def test_lemma22b_subnormal_skip(sl23):
     Q8 = S_of(sl23)
     A = gp.aut_group(Q8)
@@ -126,14 +145,14 @@ def own_L_s4(s4, F_s4):
 
 
 def _count_verifications(monkeypatch, result=None):
-    """Record the word_len of each verify_subcentric_locality call; answer
-    with ``result`` instead of verifying when one is given."""
+    """Record the fusion system of each verify_subcentric_locality call;
+    answer with ``result`` instead of verifying when one is given."""
     calls = []
     real = lo.verify_subcentric_locality
 
-    def spy(L, F, word_len=3):
-        calls.append(word_len)
-        return real(L, F, word_len=word_len) if result is None else result
+    def spy(L, F):
+        calls.append(F)
+        return real(L, F) if result is None else result
 
     monkeypatch.setattr(lo, "verify_subcentric_locality", spy)
     return calls
@@ -145,7 +164,7 @@ def test_lemma21_verifies_equal_restrictions_once(monkeypatch, own_L_s4, F_s4, s
     for X in (s4.trivial_subgroup(), klein):
         rep = vf.check_restricted_subcentric(own_L_s4, F_s4, X, gp.aut_group(X), "t")
         assert rep.passed
-    assert calls == [3]
+    assert calls == [F_s4]
 
 
 def test_lemma21_reused_failure_stays_a_failure(monkeypatch, own_L_s4, F_s4, s4, klein):
@@ -156,16 +175,16 @@ def test_lemma21_reused_failure_stays_a_failure(monkeypatch, own_L_s4, F_s4, s4,
         rep = vf.check_restricted_subcentric(own_L_s4, F_s4, X, gp.aut_group(X), "t")
         assert rep.failed
         assert rep.witness == {"verification": witness}
-    assert calls == [3]
+    assert calls == [F_s4]
 
 
-def test_verification_reuse_is_keyed_on_F_and_word_len(monkeypatch, own_L_s4, F_s4, s4):
+def test_verification_reuse_is_keyed_on_F(monkeypatch, own_L_s4, F_s4, s4):
     calls = _count_verifications(monkeypatch)
     S = S_of(s4)
     inner = fu.fusion_of_group(S, S, 2)
-    for F, word_len in ((F_s4, 3), (F_s4, 3), (F_s4, 2), (inner, 3), (inner, 2)):
-        vf._verified_subcentric(own_L_s4, own_L_s4, F, word_len)
-    assert calls == [3, 2, 3, 2]
+    for F in (F_s4, F_s4, inner, inner):
+        vf._verified_subcentric(own_L_s4, own_L_s4, F)
+    assert calls == [F_s4, inner]
 
 
 def test_bN_K_restricts_once_per_key(monkeypatch, own_L_s4, F_s4, klein):
@@ -416,6 +435,21 @@ def test_lemma31_fully_normalized_two_cycle(L_s4, F_s4, N_s4, s4):
         L_s4, F_s4, N_s4, X, gp.aut_group(X), "t"
     )
     assert rep.passed
+
+
+def test_lemma31_fails_where_EX_says_not_fully_K_normalized(monkeypatch, L_s4, F_s4, N_s4, s4):
+    """A wiring control: X = <(0 1)(2 3)> is fully normalized in F, and an
+    is_fully_K_normalized that says no for every other system says no for
+    E X = F_T(A4) over T = V4, where X has three conjugates: the report
+    fails and names them."""
+    X = gp.Subgroup(gp.mulclose(perms(4, "(0 1)(2 3)"), cap=24))
+    real = fu.is_fully_K_normalized
+    monkeypatch.setattr(fu, "is_fully_K_normalized", lambda E, X, K: E is F_s4 and real(E, X, K))
+    rep = vf.check_fully_K_normalized_transfer(L_s4, F_s4, N_s4, X, gp.aut_group(X), "t")
+    assert rep.to_json_obj() == {
+        "statement": "Lemma-3.1", "instance": "t", "outcome": "fail", "stats": {},
+        "witness": {"EX_base_order": 4, "conjugates": ["{(0 1)(2 3)}", "{(0 2)(1 3)}", "{(0 3)(1 2)}"]},
+    }
 
 
 def test_lemma31_nontrivial_K(L_s4, F_s4, N_s4, klein):

@@ -50,9 +50,9 @@ def seen_cpus(n, plant=None):
     entry name to a function that prepare_entry calls first for it."""
     real = vf.prepare_entry
 
-    def prepare(entry, word_len=3):
+    def prepare(entry):
         (plant or {}).get(entry.name, lambda: None)()
-        return real(entry, word_len=word_len)
+        return real(entry)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
