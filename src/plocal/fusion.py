@@ -1,21 +1,24 @@
 """Fusion systems over finite p-groups as explicit finite categories.
 
-A fusion system is stored extensionally: for every subgroup P of S we keep
-the set of "germs" with source P. A germ is an injective homomorphism
-from P into S, held as a tuple t indexed by S's sorted elements: t[i] is
-the position of the image of the i-th element, -1 outside P; its target
-is its image. A subgroup of S is a mask (``S.mask``: bit i for the i-th
-element), so restriction sets the other entries to -1, "g then h" is
-h[g[i]] and the inverse is one scatter. A germ from S onto S is the tuple
-of the same map in an AutGroup on S. :func:`conjugation_germs` builds the
-germs c_g from rows of ``groups.conj_positions`` over S: those of F_S(G),
-of the inner system of :func:`close_generated` and of a locality's partial
-subgroup (``locality.fusion_of_partial``). Aut_F(P), N_F^K(X) and the
-checks of a subsystem over T re-express germs in a subgroup's positions
-(``_local``) and lift them back (``_lift``). Hom_F(P, Q) is the germs from
-P whose image lies in Q. This normal form keeps closure computations small
-while every predicate in sight can still quantify over all morphisms
-exactly.
+A fusion system over its base S keeps, for every subgroup P of S, the set
+of "germs" with source P, written over its *frame*, a p-group holding S:
+a germ is an injective homomorphism from P into S, held as a tuple t over
+the frame's sorted elements, t[i] the position of the image of the i-th
+element, -1 outside P; its target is its image. A subgroup is a mask over
+the frame (``frame.mask``), so restriction sets entries to -1, "g then h"
+is h[g[i]] and the inverse is one scatter. Every system of a corpus entry
+is in the frame of the entry's S: F_S(G) and ``close_generated(S, ...)``
+in their own base's, E = ``fusion_of_group(H, S, p)`` over S cap H in S's,
+N_F^K(X) in F's, and ``locality.fusion_of_partial`` (E_0, E X,
+F_S(bN_L^K(X))) in its caller's. So a germ of N_F^K(X) is F's restricted,
+E <= F is a containment of germ sets, and the map from S's positions into
+the frame's keeps their order, so sorted germs and conjugates are ordered
+as over S. A germ meets an AutGroup, on P's own positions, only in
+Aut_F(P) and in the K test of N_F^K(X) (:func:`_local`). Two systems in
+different frames are never equal, and :func:`subsystem_le`,
+:func:`is_normal_subsystem` and :func:`has_p_power_index` raise
+ValueError on them. :func:`conjugation_germs` writes the germs c_g read
+off rows of ``groups.conj_positions`` in a frame.
 
 A system keeps what it derives (Aut_F(P) per P, by its mask over S's
 home, saturation witness, core, centric and subcentric sets, K cap
@@ -24,25 +27,18 @@ per K cap Aut_F(X), each K being the one AutGroup of its content, the
 pulled-back actions of :func:`_pulled_back` per germ, and the verdicts of
 normality and p-power index of a smaller system E in it, per E) in its
 ``_cache``, through ``groups.memo``, the one way a result is kept. All of
-it depends only on the content (S, p, germs) of the system and of the key
-(the proofs for K are in the docstrings), and systems compare by content,
-so a hit is exact. The lattice of S, and of every subgroup of S, is read
-off S's home (``groups.lattice``).
+it depends only on the content (frame, S, p, germs) of the system and of
+the key (the proofs for K are in the docstrings), so a hit is exact.
 
 Equal content is also one object, and so one cache: as ``AutGroup`` does,
-``FusionSystem(S, p, germs)`` returns the system kept for its content in
-the *table of systems* on S's home, a dict from (S's home mask, p, germs)
-to the system. It looks the content up first, and only a miss groups
-the germs by source, checks that each lives inside S and enters the new
-system: a hit's germs are those of a system already checked. So F_S(G),
-the closures of :func:`close_generated`, among them those of
-``locality.fusion_of_partial``, and the K-normalizer subsystems are that
-member, and Aut_F(P) is built on S's lattice member, so F keeps one
-AutGroup per content whatever home P was asked from. Every system of a
-corpus entry lives over a subgroup of the entry's group, so the entry has
-one table, and saturation, the core, the subcentric set, N_F^K(X), the
-fully K-normalized verdicts, normality and p-power index are decided once
-per content within an entry, whichever construction reached it.
+``FusionSystem(S, p, germs, frame)`` returns the system kept for its
+content in the *table of systems* on the frame's home, a dict from (the
+frame's home mask, S's mask over it, p, germs) to the system. Only a miss
+groups the germs by source, checks that each lives inside S and enters
+the new system. Aut_F(P) is built on the frame's lattice member, so F
+keeps one AutGroup per content whatever home P was asked from. An entry
+has one frame and so one table, and every verdict about a system is
+decided once per content within it, whichever construction reached it.
 
 External definitions used here and pinned in one place:
 
@@ -63,7 +59,7 @@ External definitions used here and pinned in one place:
 
 from __future__ import annotations
 
-from typing import Collection, Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import CapExceeded, NotSaturated, NotSylow
 from .groups import (
@@ -76,7 +72,6 @@ from .groups import (
     conj_positions,
     generated,
     group_K_normalizer,
-    join,
     lattice,
     memo,
     normalizer,
@@ -90,32 +85,37 @@ GERM_CAP = 100_000
 
 
 class FusionSystem:
-    """Category over the p-group S, germs grouped by source mask. A germ
-    is a tuple of positions over S's sorted elements (see the module
-    docstring). ``FusionSystem(S, p, germs)`` is the one object of its
-    content on S's home."""
+    """Category over the p-group S, germs grouped by source mask, both
+    over the frame (see the module docstring), S by default.
+    ``FusionSystem(S, p, germs, frame)`` is the one object of its content
+    on the frame's home."""
 
-    __slots__ = ("S", "p", "germs_by_src", "_all", "_hash", "_cache")
+    __slots__ = ("S", "frame", "p", "germs_by_src", "_all", "_hash", "_cache")
 
-    def __new__(cls, S: Subgroup, p: int, germs: Iterable[tuple]):
-        allg = frozenset(germs)
+    def __new__(cls, S: Subgroup, p: int, germs: Iterable[tuple], frame: Optional[Subgroup] = None):
+        frame = S if frame is None else frame
+        allg, base, n = frozenset(germs), frame.mask(S), frame.order
+        if base < 0:
+            raise ValueError("S is not inside the frame")
 
         def checked():  # on a miss alone: a hit's germs are a checked system's
             by_src: Dict[int, set] = {}
             for g in allg:
-                if len(g) != S.order or not -1 <= min(g) <= max(g) < S.order:
+                src = _src(g)
+                if len(g) != n or not -1 <= min(g) <= max(g) < n or (src | _img(g)) & ~base:
                     raise ValueError("germ does not live inside S")
-                by_src.setdefault(_src(g), set()).add(g)
+                by_src.setdefault(src, set()).add(g)
             out = object.__new__(cls)
             object.__setattr__(out, "S", S)
+            object.__setattr__(out, "frame", frame)
             object.__setattr__(out, "p", p)
             object.__setattr__(out, "germs_by_src", {k: frozenset(v) for k, v in by_src.items()})
             object.__setattr__(out, "_all", allg)
-            # S by its order: hashing S itself would build its Perm view
-            object.__setattr__(out, "_hash", hash((S.order, p, allg)))
+            # groups by their orders: hashing one would build its Perm view
+            object.__setattr__(out, "_hash", hash((n, S.order, p, allg)))
             object.__setattr__(out, "_cache", {})
             return out
-        return memo(memo(S.home._kept, "systems", dict), (S.home_mask, p, allg), checked)
+        return memo(memo(frame.home._kept, "systems", dict), (frame.home_mask, base, p, allg), checked)
 
     def __setattr__(self, name, value):
         raise AttributeError("FusionSystem is immutable")
@@ -130,11 +130,11 @@ class FusionSystem:
         return self._all
 
     def germs_from(self, P: Subgroup) -> FrozenSet[tuple]:
-        return self.germs_by_src.get(self.S.mask(P), frozenset())
+        return self.germs_by_src.get(self.frame.mask(P), frozenset())
 
     def aut(self, P: Subgroup) -> AutGroup:
-        """Aut_F(P): the germs from P onto P in P's positions, on S's
-        lattice member P, kept per P."""
+        """Aut_F(P): the germs from P onto P in P's positions, on the
+        frame's lattice member P, kept per P."""
         return memo(self._cache, ("aut", self.S.home_mask_of(P)), _automized, self, P)
 
     def aut_S(self, P: Subgroup) -> AutGroup:
@@ -143,16 +143,13 @@ class FusionSystem:
 
     def conjugates(self, P: Subgroup) -> Tuple[Subgroup, ...]:
         """The F-conjugacy class of P, canonically ordered."""
-        p = self.S.mask(P)
+        p = self.frame.mask(P)
         images = {_img(g) for g in self.germs_by_src.get(p, ())} | {p}
-        return tuple(map(lattice(self.S).__getitem__, sorted(images, key=bits)))
+        return tuple(map(lattice(self.frame).__getitem__, sorted(images, key=bits)))
 
     def __eq__(self, other):
-        return (
-            isinstance(other, FusionSystem)
-            and self.S == other.S
-            and self.p == other.p
-            and self._all == other._all
+        return isinstance(other, FusionSystem) and (
+            (self.frame, self.S, self.p, self._all) == (other.frame, other.S, other.p, other._all)
         )
 
     def __hash__(self):
@@ -167,13 +164,17 @@ class FusionSystem:
 
 
 def _automized(F: FusionSystem, P: Subgroup) -> AutGroup:
-    p, pos = F.S.mask(P), positions(F.S, P)
-    onto = (g for g in F.germs_by_src.get(p, ()) if _img(g) == p)
-    return AutGroup(lattice(F.S)[p], {_local(g, pos) for g in onto})
+    p, pos = F.frame.mask(P), positions(F.frame, P)
+    return AutGroup(lattice(F.frame)[p], {_local(g, pos) for g in _onto(F, p)})
+
+
+def _onto(F: FusionSystem, m: int) -> List[tuple]:
+    """F's germs from the subgroup at the frame mask m onto it."""
+    return [g for g in F.germs_by_src.get(m, ()) if _img(g) == m]
 
 
 # ---------------------------------------------------------------------------
-# germs: tuples of positions over the sorted elements of S
+# germs: tuples of positions over the sorted elements of the frame
 
 
 def _src(g: tuple) -> int:
@@ -185,7 +186,10 @@ def _img(g: tuple) -> int:
 
 
 def _restrict(g: tuple, mask: int) -> tuple:
-    return tuple(j if mask >> i & 1 else -1 for i, j in enumerate(g))
+    out = [-1] * len(g)
+    for i in bits(mask):
+        out[i] = g[i]
+    return tuple(out)
 
 
 def _then(g: tuple, h: tuple) -> tuple:
@@ -203,29 +207,23 @@ def _inverse(g: tuple) -> tuple:
 
 
 def _local(g: tuple, pos: Dict[int, int]) -> tuple:
-    """g re-expressed in the positions of a subgroup P, pos being
-    positions(S, P): its entries on P, each image by its place in P, -1
-    for an image outside P."""
+    """g in the positions of a subgroup P, as an AutGroup on P holds its
+    maps, pos being positions(frame, P): its entries on P, each image by
+    its place in P, -1 for an image outside P."""
     return tuple(pos.get(g[i], -1) for i in pos)
 
 
-def _lift(t: tuple, pos: Dict[int, int], n: int) -> tuple:
-    """The inverse of :func:`_local`: t, in the positions of a subgroup P,
-    as a germ of length n."""
-    out, where = [-1] * n, list(pos)
-    for k, j in enumerate(t):
-        if j >= 0:
-            out[where[k]] = where[j]
-    return tuple(out)
+def _one_frame(E: FusionSystem, F: FusionSystem) -> None:
+    """Two systems are compared only in one frame."""
+    if E.frame != F.frame:
+        raise ValueError("the two systems are in different frames")
 
 
 def subsystem_le(E: FusionSystem, F: FusionSystem) -> bool:
-    """Extensional containment: E's base inside F's and every germ of E,
-    lifted to F's base, one of F's."""
-    if not E.S <= F.S:
-        return False
-    pos = positions(F.S, E.S)
-    return all(_lift(g, pos, F.S.order) in F.all_germs() for g in E.all_germs())
+    """Extensional containment: E's base inside F's and every germ of E
+    one of F's, in their one frame."""
+    _one_frame(E, F)
+    return E.S <= F.S and E.all_germs() <= F.all_germs()
 
 
 # ---------------------------------------------------------------------------
@@ -233,37 +231,55 @@ def subsystem_le(E: FusionSystem, F: FusionSystem) -> bool:
 
 
 def fusion_of_group(G: Subgroup, S: Subgroup, p: int) -> FusionSystem:
-    """F_S(G): morphisms are the conjugations c_g between subgroups of S."""
-    if not S <= G:
-        raise NotSylow("S is not a subgroup of G")
-    if S.order != p_part(G.order, p):
-        raise NotSylow(
-            "order %d is not the %d-part of %d" % (S.order, p, G.order)
-        )
-    return FusionSystem(S, p, conjugation_germs(conj_positions(G, S), lattice(S)))
+    """F_T(G) in S's frame, T = S cap G: morphisms are the conjugations
+    c_g between subgroups of T. T must be a Sylow p-subgroup of G, as it
+    is when S is one of an overgroup in which G is normal; for S <= G this
+    is F_S(G)."""
+    if S.order != p_part(S.order, p):
+        raise NotSylow("S is not a %d-group" % p)
+    t = S.home_mask & G.home_mask if S.home is G.home else S.home_mask_of(S.elems & G.elems)
+    T = S if t == S.home_mask else S.from_home_mask(t)
+    if T.order != p_part(G.order, p):
+        raise NotSylow("order %d of S cap G is not the %d-part of %d" % (T.order, p, G.order))
+    return FusionSystem(T, p, conjugation_germs(conj_positions(G, T), bits(S.mask(T)), S), S)
 
 
-def conjugation_germs(rows: Iterable[tuple], sources: Collection[int]) -> set:
-    """The germs c_g on P read off rows of conj_positions over S: for each
-    distinct row and each source mask all of whose positions the row takes
-    into S, the row restricted to that source."""
+def conjugation_germs(rows: Iterable[tuple], into: Sequence[int], frame: Subgroup) -> set:
+    """The germs c_g over the frame read off rows of conj_positions over a
+    group A, into[k] the frame position of A's k-th element when it lies
+    in the base R, else -1: each distinct row, written once over the frame
+    on the elements of R that it keeps in R, restricted to each subgroup
+    of R all of whose elements it keeps there."""
+    r = sum(1 << i for i in into if i >= 0)
+    sources = [m for m in lattice(frame) if not m & ~r]
     germs = set()
     for row in set(rows):
-        inside = _src(row)
-        germs.update(_restrict(row, m) for m in sources if not m & ~inside)
+        framed = [-1] * frame.order
+        for i, j in enumerate(row):
+            if j >= 0 and into[i] >= 0 and into[j] >= 0:
+                framed[into[i]] = into[j]
+        framed = tuple(framed)
+        inside = _src(framed)
+        germs.update(_restrict(framed, m) for m in sources if not m & ~inside)
     return germs
 
 
 def close_generated(
-    S: Subgroup, p: int, generators: Iterable[tuple] = (), cap: int = GERM_CAP
+    S: Subgroup, p: int, generators: Iterable[tuple] = (), cap: int = GERM_CAP,
+    frame: Optional[Subgroup] = None,
 ) -> FusionSystem:
     """Smallest fusion system over S containing the generators, germs over
-    S that are checked to be injective homomorphisms.
+    the frame (S by default) that are checked to be injective
+    homomorphisms inside S.
 
     Fixed-point closure of the inner system and the generators under
     restriction, inversion of isomorphisms-onto-image, and composition.
     """
-    masks = lattice(S)
+    frame = S if frame is None else frame
+    n, base = frame.order, frame.mask(S)
+    if base < 0:
+        raise ValueError("S is not inside the frame")
+    masks = [m for m in lattice(frame) if not m & ~base]
     germs: set = set()
     by_src: Dict[int, set] = {}
     by_img: Dict[int, set] = {}
@@ -279,16 +295,16 @@ def close_generated(
         by_img.setdefault(_img(g), set()).add(g)
         queue.append(g)
 
-    for g in conjugation_germs(conj_positions(S, S), masks):  # the inner system
+    for g in conjugation_germs(conj_positions(S, S), bits(base), frame):  # the inner system
         push(g)
-    home = bits(S.home_mask)
+    home = bits(frame.home_mask)
     for g in map(tuple, generators):
-        if len(g) != S.order or not -1 <= min(g) <= max(g) < S.order:
+        if len(g) != n or not -1 <= min(g) <= max(g) < n or (_src(g) | _img(g)) & ~base:
             raise ValueError("generator does not live inside S")
         pairs = [(home[i], home[j]) for i, j in enumerate(g) if j >= 0]
         if len(set(g) - {-1}) != len(pairs):
             raise ValueError("generator is not injective")
-        table, mul = dict(pairs), S.home.mul_table
+        table, mul = dict(pairs), frame.home.mul_table
         if any(table.get(mul[x][y]) != mul[a][b] for x, a in pairs for y, b in pairs):
             raise ValueError("generator is not a homomorphism")
         push(g)
@@ -304,7 +320,7 @@ def close_generated(
             push(_then(g, h))
         for h in tuple(by_img.get(src, ())):
             push(_then(h, g))
-    return FusionSystem(S, p, germs)
+    return FusionSystem(S, p, germs, frame)
 
 
 # ---------------------------------------------------------------------------
@@ -363,10 +379,9 @@ def K_normalizer_subsystem(F: FusionSystem, X: Subgroup, K: AutGroup) -> FusionS
     Kept in F's cache per K cap Aut_F(X), built on that: each germ
     mapping X onto X, and each c_s with s in N_S(X), is on X in Aut_F(X).
 
-    An (X, K) whose subsystem equals a system already built over a
-    subgroup of S's home, F or any other, gets that object and so its
-    cache (see the module docstring). Its germs are F's re-expressed in
-    the positions of its base.
+    An (X, K) whose subsystem equals a system already built in F's frame,
+    F or any other, gets that object and so its cache (see the module
+    docstring). It is in F's frame, so its germs are F's germs restricted.
 
     F is closed under restriction, so a germ from m extends to such an
     F-morphism iff it extends to one from <m, X>: the germs from m are the
@@ -378,21 +393,19 @@ def K_normalizer_subsystem(F: FusionSystem, X: Subgroup, K: AutGroup) -> FusionS
 
 
 def _K_normalizer(F: FusionSystem, X: Subgroup, K: AutGroup) -> FusionSystem:
+    fr = F.frame
     S0 = group_K_normalizer(F.S, X, K)
-    x, s0 = F.S.mask(X), F.S.mask(S0)
-    xpos, s0pos = positions(F.S, X), positions(F.S, S0)
+    x, s0, xpos = fr.mask(X), fr.mask(S0), positions(fr, X)
+    inside = [m for m in lattice(fr) if not m & ~s0]
+    over_x = [J for J in lattice(fr) if not x & ~J]  # <m, X> is the first holding m
     germs, good = set(), {}
-    for m in lattice(F.S):
-        if m & ~s0:
-            continue
-        J = join(F.S, m | x)
+    for m in inside:
+        J = next(J for J in over_x if not m & ~J)
         if J not in good:  # the germs from J fixing X and acting on it in K
             good[J] = [psi for psi in F.germs_by_src.get(J, ()) if _local(psi, xpos) in K.maps]
-        for psi in good[J]:
-            r = _restrict(psi, m)
-            if not _img(r) & ~s0:
-                germs.add(_local(r, s0pos))
-    return FusionSystem(S0, F.p, germs)
+        keep = bits(m)
+        germs.update(_restrict(psi, m) for psi in good[J] if all(s0 >> psi[i] & 1 for i in keep))
+    return FusionSystem(S0, F.p, germs, fr)
 
 
 def normalizer_subsystem(F: FusionSystem, X: Subgroup) -> FusionSystem:
@@ -426,39 +439,25 @@ def saturation_failure(F: FusionSystem) -> Optional[dict]:
 
 
 def _saturation_witness(F: FusionSystem) -> Optional[dict]:
-    witness = None
     for P in F.subgroups():
         cls = F.conjugates(P)
         if P not in _full_normalized_members(F, cls):
             continue
-        autF = F.aut(P)
-        autS = F.aut_S(P)
+        autF, autS = F.aut(P), F.aut_S(P)
         if autS.order != p_part(autF.order, F.p):
-            witness = {
-                "axiom": "fully-automized",
-                "P": P.label(),
-                "aut_S": autS.order,
-                "aut_F": autF.order,
-            }
-            break
+            return {"axiom": "fully-automized", "P": P.label(), "aut_S": autS.order, "aut_F": autF.order}
         # receptivity, phi in sorted order so that the witness depends on
         # content alone
-        pm = F.S.mask(P)
+        pm = F.frame.mask(P)
         onto_P = ((Q, phi) for Q in cls for phi in sorted(F.germs_from(Q)) if _img(phi) == pm)
         for Q, phi in onto_P:
             Nphi = _extension_control_group(F, phi, autS)
             if not _extends_over(F, phi, Nphi):
-                witness = {
-                    "axiom": "receptive",
-                    "P": P.label(),
-                    "Q": Q.label(),
-                    "phi": _map_label(F, phi),
-                    "N_phi": Nphi.label(),
+                return {
+                    "axiom": "receptive", "P": P.label(), "Q": Q.label(),
+                    "phi": _map_label(F, phi), "N_phi": Nphi.label(),
                 }
-                break
-        if witness is not None:
-            break
-    return witness
+    return None
 
 
 def _pulled_back(F: FusionSystem, psi: tuple) -> Dict[int, Tuple[int, ...]]:
@@ -473,7 +472,7 @@ def _pulling_back(F: FusionSystem, psi: tuple) -> Dict[int, Tuple[int, ...]]:
     images = [j for j in psi if j >= 0]  # of Y's elements in order
     fro = sorted(range(len(images)), key=images.__getitem__)
     to = sorted(range(len(images)), key=fro.__getitem__)  # Y's places to Z's
-    action = normalizer_action(F.S, lattice(F.S)[_src(psi)])
+    action = normalizer_action(F.S, lattice(F.frame)[_src(psi)])
     return {g: tuple(to[image[j]] for j in fro) for g, image in action.items()}
 
 
@@ -486,7 +485,7 @@ def _extension_control_group(F: FusionSystem, phi: tuple, autS_P: AutGroup) -> S
 
 def _extends_over(F: FusionSystem, phi: tuple, N: Subgroup) -> bool:
     src = _src(phi)
-    return F.S.mask(N) == src or any(_restrict(psi, src) == phi for psi in F.germs_from(N))
+    return F.frame.mask(N) == src or any(_restrict(psi, src) == phi for psi in F.germs_from(N))
 
 
 def is_saturated(F: FusionSystem) -> bool:
@@ -501,7 +500,7 @@ def is_strongly_closed(F: FusionSystem, T: Subgroup) -> bool:
     """No F-morphism moves a subgroup of T outside T."""
     if not T <= F.S:
         raise ValueError("T is not a subgroup of S")
-    t = F.S.mask(T)
+    t = F.frame.mask(T)
     inside = (germs for src, germs in F.germs_by_src.items() if not src & ~t)
     return not any(_img(g) & ~t for germs in inside for g in germs)
 
@@ -605,7 +604,9 @@ def hyperfocal_subgroup(F: FusionSystem) -> Subgroup:
 
 def has_p_power_index(D: FusionSystem, F: FusionSystem) -> bool:
     """D over R has p-power index in F: hyp(F) <= R and O^p(Aut_F(P)) <=
-    Aut_D(P) for every P <= R. Kept in F's cache per D."""
+    Aut_D(P) for every P <= R, D and F in one frame. Kept in F's cache
+    per D."""
+    _one_frame(D, F)
     return memo(F._cache, ("p_power_index", D), lambda: (
         subsystem_le(D, F)
         and hyperfocal_subgroup(F) <= D.S
@@ -615,9 +616,10 @@ def has_p_power_index(D: FusionSystem, F: FusionSystem) -> bool:
 
 def is_weakly_normal(E: FusionSystem, F: FusionSystem) -> bool:
     """Saturated + strongly closed base + Aut_F(T)-invariance + Frattini
-    factorization of F-morphisms between subgroups of T. Invariance is
-    alpha^-1 g alpha in E for each germ g of E and alpha in Aut_F(T), which
-    is E^alpha = E as g |-> alpha^-1 g alpha is one-to-one."""
+    factorization of F-morphisms between subgroups of T, Aut_F(T) read as
+    F's germs from T onto T. Invariance is alpha^-1 g alpha in E for each
+    germ g of E and alpha in Aut_F(T), which is E^alpha = E as
+    g |-> alpha^-1 g alpha is one-to-one."""
     if not subsystem_le(E, F):
         return False
     T = E.S
@@ -625,36 +627,29 @@ def is_weakly_normal(E: FusionSystem, F: FusionSystem) -> bool:
         return False
     if saturation_failure(E) is not None:
         return False
-    autFT, germs = F.aut(T), E.all_germs()
-    for alpha in autFT.maps:
+    t, germs = F.frame.mask(T), E.all_germs()
+    autFT = _onto(F, t)
+    for alpha in autFT:
         inv = _inverse(alpha)
         if any(_then(_then(inv, g), alpha) not in germs for g in germs):
             return False
-    # Frattini: phi = (E-germ) then (restriction of some alpha in Aut_F(T)),
-    # phi taken in T's positions
-    t, pos = F.S.mask(T), positions(F.S, T)
-    for src, germs in F.germs_by_src.items():
-        if src & ~t:
-            continue
-        for phi in germs:
-            if _img(phi) & ~t:
-                continue
-            if not _frattini_factors(E, autFT, _local(phi, pos)):
-                return False
+    # Frattini: phi = (E-germ) then (restriction of some alpha in Aut_F(T))
+    inside = (phi for src, phis in F.germs_by_src.items() if not src & ~t for phi in phis)
+    for phi in inside:
+        if not _img(phi) & ~t and not _frattini_factors(E, autFT, phi):
+            return False
     return True
 
 
-def _frattini_factors(E: FusionSystem, autFT: AutGroup, phi: tuple) -> bool:
-    for psi in E.germs_by_src.get(_src(phi), ()):
-        for alpha in autFT.maps:
-            if _then(psi, alpha) == phi:
-                return True
-    return False
+def _frattini_factors(E: FusionSystem, autFT: Iterable[tuple], phi: tuple) -> bool:
+    return any(_then(psi, alpha) == phi for psi in E.germs_by_src.get(_src(phi), ()) for alpha in autFT)
 
 
 def is_normal_subsystem(E: FusionSystem, F: FusionSystem) -> bool:
     """Weakly normal + extension property: each alpha in Aut_E(T) extends
-    to T*C_S(T) moving C_S(T) only within Z(T). Kept in F's cache per E."""
+    to T*C_S(T) moving C_S(T) only within Z(T). E and F are in one frame.
+    Kept in F's cache per E."""
+    _one_frame(E, F)
     key = ("normal", E)
     return memo(F._cache, key, lambda: is_weakly_normal(E, F) and _has_extension_property(E, F))
 
@@ -663,26 +658,19 @@ def _has_extension_property(E: FusionSystem, F: FusionSystem) -> bool:
     T = E.S
     C = centralizer(F.S, T)
     P0 = generated(F.S, F.S.home_mask_of(T) | C.home_mask)
-    mul, inv, Z = F.S.home.mul_table, F.S.home.inv_table, set(bits(F.S.home_mask_of(center(T))))
-    home, pos, cm = bits(F.S.home_mask), positions(F.S, T), F.S.mask(C)
-    for alpha in E.aut(T).maps:
-        found = False
-        for psi in F.germs_from(P0):
-            if _local(psi, pos) != alpha:  # in T's positions
-                continue
-            moved = ((home[i], home[j]) for i, j in enumerate(psi) if cm >> i & 1)
-            if all(mul[inv[c]][m] in Z for c, m in moved):
-                found = True
-                break
-        if not found:
-            return False
-    return True
+    fr = F.frame
+    mul, inv, Z = fr.home.mul_table, fr.home.inv_table, set(bits(fr.home_mask_of(center(T))))
+    home, t, cm = bits(fr.home_mask), fr.mask(T), fr.mask(C)
+    extensions = [psi for psi in F.germs_from(P0) if all(
+        mul[inv[home[i]]][home[j]] in Z for i, j in enumerate(psi) if cm >> i & 1
+    )]  # the germs from T*C_S(T) moving C_S(T) only within Z(T)
+    return all(any(_restrict(psi, t) == alpha for psi in extensions) for alpha in _onto(E, t))
 
 
 def _map_label(F: FusionSystem, g: tuple) -> str:
     """The germ's (element, image) pairs in element order, leaving out 1->1
     (the identity sorts first)."""
-    elems = tuple(F.S)
+    elems = tuple(F.frame)
     return ";".join(
         "%s->%s" % (elems[i], elems[j]) for i, j in enumerate(g) if j >= 0 and (i, j) != (0, 0)
     ) or "id"

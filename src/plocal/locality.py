@@ -99,7 +99,6 @@ from .groups import (
     p_part,
     pack,
     peek,
-    positions,
     times_cyclic,
     trivial_aut_group,
 )
@@ -478,39 +477,49 @@ def is_partial_normal(L: Locality, N: int) -> bool:
     return partial_normal_violation(L, N) is None
 
 
-def fusion_of_partial(L: Locality, N: int, base: Optional[Subgroup] = None) -> FusionSystem:
+def fusion_of_partial(
+    L: Locality, N: int, base: Optional[Subgroup] = None, frame: Optional[Subgroup] = None
+) -> FusionSystem:
     """F_R(N), R = N cap S (or the given base): the fusion system on R
-    generated by the conjugation maps c_f, f in N.
+    generated by the conjugation maps c_f, f in N, in the given frame (L's
+    S by default; a restriction of an entry's locality names the entry's).
 
-    Kept on L's ambient home under two keys: the content (L, N, R) of the
-    call, and the closure's input (R, generating germs), so that calls
-    that differ in (L, N), from any locality over that home, but generate
-    the same system close it once. The base must lie in N cap S.
+    Kept on L's ambient home under two keys: the content (L, N, R, frame)
+    of the call, and the closure's input (frame, R, generating germs), so
+    that calls that differ in (L, N), from any locality over that home,
+    but generate the same system close it once. The base must lie in
+    N cap S and in the frame.
     """
     T = _inside(L, N) & L.S_elems
     R = base if base is not None else L.ambient.from_home_mask(T)
-    r = L.ambient.home_mask_of(R)
+    frame = L.S if frame is None else frame
+    r, f = L.ambient.home_mask_of(R), L.ambient.home_mask_of(frame)
     if r & ~T:
         raise ValueError("base is not inside the partial subgroup and S")
-    return memo(L.ambient._kept, ("fusion_of_partial", L, N, r), _generated, L, N, R, r)
+    if r & ~f:
+        raise ValueError("base is not inside the frame")
+    return memo(L.ambient._kept, ("fusion_of_partial", L, N, r, f), _generated, L, N, R, frame)
 
 
-def _generated(L: Locality, N: int, R: Subgroup, r: int) -> FusionSystem:
-    germs = _partial_germs(L, N, R)
-    return memo(L.ambient._kept, ("closure", r, frozenset(germs)), close_generated, R, L.p, germs)
+def _generated(L: Locality, N: int, R: Subgroup, frame: Subgroup) -> FusionSystem:
+    germs = _partial_germs(L, N, R, frame)
+    key = ("closure", L.ambient.home_mask_of(frame), L.ambient.home_mask_of(R), frozenset(germs))
+    return memo(L.ambient._kept, key, lambda: close_generated(R, L.p, germs, frame=frame))
 
 
-def _partial_germs(L: Locality, N: int, R: Subgroup) -> set:
+def _partial_germs(L: Locality, N: int, R: Subgroup, frame: Subgroup) -> set:
     """The c_f on P for f in N and P <= R with P <= S_f and P^f <= R, for R
-    inside S, each a germ over R (see fusion): f's row of the rule's
-    conj_pos read in R's positions, restricted to P.
+    inside S, each a germ over the frame (see fusion): f's row of the
+    rule's conj_pos written once in the frame's positions on R, restricted
+    to P.
 
     The row needs no cut to S_f, for S_f = S cap S^(f^-1), the positions
     that the row keeps in S. For f in L, (f) and (f^-1) lie in D, so P =
     S cap S^(f^-1) = R_(f) and P^f = R_(f^-1) are objects; for x in P the
     object chain P^f, P, P, P^f along (f^-1, x, f) puts that word in D."""
-    at, rows = positions(L.rule.S, R), {L.rule.conj_pos[a] for a in bits(N)}
-    return conjugation_germs({tuple(at.get(row[i], -1) for i in at) for row in rows}, lattice(R))
+    r, f = L.ambient.home_mask_of(R), L.ambient.home_mask_of(frame)
+    into = [(f & ((1 << a) - 1)).bit_count() if r >> a & 1 else -1 for a in bits(L.S_elems)]
+    return conjugation_germs({L.rule.conj_pos[a] for a in bits(N)}, into, frame)
 
 
 # ---------------------------------------------------------------------------
@@ -833,7 +842,9 @@ def _axiom_walk(P: Locality, word_len: int) -> Tuple[VerificationReport, Optiona
 
 def verify_locality(L: Locality) -> VerificationReport:
     """Locality axioms: partial group, Delta-closure, L inside D,
-    objectivity, maximal p-subgroup, S_f an object for every element.
+    objectivity, maximal p-subgroup. That S_f is an object for every f in
+    L needs no clause: once `S-maximal` puts S inside L, (1) below gives
+    S_f = S cap S^(f^-1) = R_(f), an object by `length-one-domain`.
 
     Theorem. Let L be a Locality whose rule is ChainDomain(ambient, S,
     Delta), as its constructor makes it, that passes every clause here,
@@ -909,7 +920,7 @@ def verify_locality(L: Locality) -> VerificationReport:
     for f in letters:
         if not L.rule.word_ok((f,)):
             return fail({"axiom": "length-one-domain", "w": [_name(L, f)]})
-    rule, sf = L.rule, _S_f_masks(L)
+    rule = L.rule
     for d in objects:
         for f in letters:
             img = _conj_mask(L, d, f)
@@ -922,11 +933,6 @@ def verify_locality(L: Locality) -> VerificationReport:
     if w is not None:
         return fail({"axiom": "objectivity", "w": w})
     stats["objectivity_words"] = pg.stats["words_checked"]
-
-    # S_f contains an object (hence is one) for every f
-    for f in letters:
-        if sf[f] not in rule.masks:
-            return fail({"axiom": "S_f-object", "f": _name(L, f)})
 
     # maximality of S among p-subgroups of L
     if not _is_max_p_subgroup(L):
@@ -962,7 +968,7 @@ def verify_subcentric_locality(L: Locality, F: FusionSystem) -> VerificationRepo
         return fail({"axiom": "same-S"})
     if frozenset(L.S.mask(P) for P in subcentric_set(F)) != L.Delta:
         return fail({"axiom": "Delta-is-subcentric-set"})
-    FL = fusion_of_partial(L, L.elems, base=L.S)
+    FL = fusion_of_partial(L, L.elems, base=L.S, frame=F.frame)
     if FL != F:
         return fail({"axiom": "F_S(L)-is-F"})
     for P in map(L.S.from_mask, sorted(L.Delta, key=bits)):  # in sorted element order

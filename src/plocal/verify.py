@@ -287,7 +287,7 @@ def _decide_conclusions(
     stats["ii_M_cap_S"] = int(cond_ii)
 
     # E_0 = F_{T_0}(M)
-    E0 = lo.fusion_of_partial(bn, M, base=T0)
+    E0 = lo.fusion_of_partial(bn, M, base=T0, frame=F.frame)
     stats["E0_germs"] = len(E0.all_germs())
 
     # (iii) E_0 normal in N_F^K(X)
@@ -410,10 +410,9 @@ def prepare_entry(entry):
     rep = _verified_subcentric(L, L, F)
     if not rep.passed:
         return None, failed_report("Axioms", inst, {"subcentric-locality": rep.witness})
-    # H is built in G's home when the corpus is read, so T = S cap H is an AND
+    # F_T(H) over T = S cap H, in S's frame; T is Sylow in H as H is normal in G
     H = entry.H
-    T = G.from_home_mask(S.home_mask & H.home_mask)
-    E = fu.fusion_of_group(H, T, p)
+    E = fu.fusion_of_group(H, S, p)
     if not fu.is_normal_subsystem(E, F):
         return None, failed_report("Axioms", inst, {"subsystem": "F_T(H) not normal in F"})
     # H is normal in G, so H cap L is closed under inverses, defined products
@@ -427,7 +426,7 @@ def prepare_entry(entry):
     pe = PreparedEntry(name, p, G, F, L, E, N, entry.X_subgroups(G, S), entry.K_descriptors())
     axioms = passed_report(
         "Axioms", inst, L_size=L.elems.bit_count(), objects=len(L.Delta),
-        subgroups_of_S=len(F.subgroups()), T_order=T.order, N_size=N.bit_count(),
+        subgroups_of_S=len(F.subgroups()), T_order=E.S.order, N_size=N.bit_count(),
     )
     return pe, axioms
 

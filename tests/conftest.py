@@ -21,6 +21,12 @@ def default_and_a4xc2_entries():
     return cli.parse_corpus(cli.default_corpus_text()) + cli.parse_corpus(text)
 
 
+def extended_corpus_text():
+    """The extended corpus shipped beside the default one: PSL(2,7) at
+    p = 2 (``l27``)."""
+    return (Path(cli.__file__).parent / "data" / "extended_corpus.txt").read_text()
+
+
 def one_cpu(mp):
     """Let a run see one usable CPU, so that run_suite checks every entry
     in this process: a spy records only the calls of its own process."""
@@ -89,10 +95,9 @@ def L_s4(s4, F_s4):
 
 
 @pytest.fixture(scope="session")
-def E_s4(s4, a4):
-    S = gp.sylow_subgroup(s4, 2)
-    T = gp.Subgroup(S.elems & a4.elems)
-    return fu.fusion_of_group(a4, T, 2)
+def E_s4(F_s4, a4):
+    """F_T(A4) over T = S cap A4, in the frame of F_s4's S."""
+    return fu.fusion_of_group(a4, F_s4.S, 2)
 
 
 @pytest.fixture(scope="session")

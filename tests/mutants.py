@@ -9,7 +9,8 @@ A mutant deletes one clause of a verdict: one exact text of one file under
 ``src/plocal`` replaced by another. The list holds the clauses of
 ``verify_locality`` and ``verify_subcentric_locality`` that a test makes
 fail first, the (Q2) check of ``restrict``, and the clauses of saturation,
-full K-normalization, p-power index and weak normality in ``fusion``; and
+full K-normalization, p-power index and weak normality in ``fusion`` and
+its refusal to compare two systems in different frames; and
 the two reads of Aut(X)'s search in the K sweep of ``verify.k_options``,
 each cut one map short; and the verdicts of two statement checkers that
 only a wrong helper can make fail, Lemma-2.2b's product identity and
@@ -54,7 +55,6 @@ CLAUSE = "tests/test_locality.py::test_each_locality_clause_fails_first_on_its_w
 
 MUTANTS = (
     Mutant("S-p-group", LOC, "if not is_p_group(L.S, L.p):", "if False:", CLAUSE % "S-p-group"),
-    Mutant("S_f-object", LOC, "if sf[f] not in rule.masks:", "if False:", CLAUSE % "S_f-object"),
     Mutant("S-maximal", LOC, "if not _is_max_p_subgroup(L):", "if False:", CLAUSE % "S-maximal"),
     Mutant("Delta-in-S", LOC, "if d not in whole:", "if False:", CLAUSE % "Delta-in-S"),
     Mutant(
@@ -111,8 +111,12 @@ MUTANTS = (
     ),
     Mutant(
         "weakly-normal-Frattini", FUS,
-        "if not _frattini_factors(E, autFT, _local(phi, pos)):", "if False:",
+        "if not _img(phi) & ~t and not _frattini_factors(E, autFT, phi):", "if False:",
         "tests/test_fusion.py::test_inner_sylow_subsystem_not_normal_in_s4_system",
+    ),
+    Mutant(
+        "frame-mismatch", FUS, 'raise ValueError("the two systems are in different frames")', "pass",
+        "tests/test_fusion.py::test_systems_in_two_frames_are_never_compared",
     ),
     Mutant(
         "k-sweep-cap-read", VER, "A.order_at_least(AUT_CAP + 1)", "A.order_at_least(AUT_CAP)",

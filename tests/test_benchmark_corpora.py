@@ -29,7 +29,7 @@ import pytest
 from plocal import cli
 from plocal import locality as lo
 from plocal import verify as vf
-from .conftest import one_cpu
+from .conftest import extended_corpus_text, one_cpu
 
 CORPORA = Path(__file__).resolve().parents[1] / "perfbench" / "corpora"
 
@@ -105,14 +105,24 @@ def _per_entry(text):
     return out
 
 
-@pytest.mark.parametrize("corpus", [None, "order36_axioms.txt"])
+# corpus: its number of entries; None is the default corpus, and the
+# extended one (l27) is read from the package
+RELABELLED = {None: 4, "order36_axioms.txt": 2, "extended_corpus.txt": 1}
+
+
+@pytest.mark.parametrize("corpus", list(RELABELLED))
 def test_reports_are_invariant_under_relabelling(corpus):
     """Relabelling each entry's points by a seeded permutation gives an
     isomorphic entry, so each entry's reports are the same up to the
     labels in instances and witnesses, at seeds 1, 2 and 3."""
-    text = cli.default_corpus_text() if corpus is None else (CORPORA / corpus).read_text()
+    if corpus is None:
+        text = cli.default_corpus_text()
+    elif corpus == "extended_corpus.txt":
+        text = extended_corpus_text()
+    else:
+        text = (CORPORA / corpus).read_text()
     relabel, expected = _relabel(), _per_entry(text)
-    assert len(expected) == (4 if corpus is None else 2)
+    assert len(expected) == RELABELLED[corpus]
     for seed in (1, 2, 3):
         relabelled = relabel(text, seed)
         assert relabelled != text

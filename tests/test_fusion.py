@@ -58,11 +58,14 @@ def _s4_or_l27(case, F_s4):
 @pytest.mark.parametrize("case", ["s4", "l27"])
 def test_germ_operations_match_pair_maps(case, F_s4):
     """Restriction, composition, inversion and the move to a subgroup's
-    positions and back, done on position tuples, agree with the same
-    operations on (element, image) pairs, over every germ of F_s4 and of
-    PSL(2,7) at p = 2 (and every restriction, and every composable pair)."""
+    positions, done on position tuples, agree with the same operations on
+    (element, image) pairs, over every germ of F_s4 and of PSL(2,7) at
+    p = 2 (and every restriction, and every composable pair). Each germ of
+    N_F(X) and of C_F(X) is a germ of F, unconverted: they are in F's
+    frame."""
     F = _s4_or_l27(case, F_s4)
     S, lattice = F.S, gp.lattice(F.S)
+    assert F.frame == S
     pairs = {g: next(iter(oracles.as_pairs(S, [g]))) for g in F.all_germs()}
     composed = 0
     for g, a in pairs.items():
@@ -74,11 +77,13 @@ def test_germ_operations_match_pair_maps(case, F_s4):
                 pos = gp.positions(S, P)
                 local = fu._local(g, pos)
                 assert oracles.as_pairs(P, [local]) == {a}
-                assert fu._lift(local, pos, S.order) == g
         for h in F.germs_by_src[fu._img(g)]:
             assert pairs[fu._then(g, h)] == oracles.compose(a, pairs[h])
             composed += 1
     assert composed > len(pairs)
+    for X in F.subgroups():
+        for sub in (fu.normalizer_subsystem(F, X), fu.centralizer_subsystem(F, X)):
+            assert sub.frame == S and sub.all_germs() <= F.all_germs()
 
 
 @pytest.mark.parametrize("case", ["s4", "l27"])
@@ -364,6 +369,40 @@ def test_a_kept_system_is_found_before_its_germs_are_read(monkeypatch):
     assert E.all_germs() == autS and E is not F
 
 
+def test_systems_in_two_frames_are_never_compared(F_s4, E_s4):
+    """The inner system of T = S cap A4 in T's own frame and in S's are
+    two contents: containment, weak normality, normality and p-power index
+    of the first in F_s4 raise ValueError, and the second is compared: it is
+    normal in F_s4, as T is normal in S4."""
+    T = E_s4.S
+    apart, inside = fu.fusion_of_group(T, T, 2), fu.close_generated(T, 2, frame=F_s4.S)
+    assert (apart.frame, inside.frame) == (T, F_s4.S) and apart.S == inside.S
+    assert apart != inside and len(apart.all_germs()) == len(inside.all_germs())
+    for verdict in (fu.subsystem_le, fu.is_weakly_normal, fu.is_normal_subsystem, fu.has_p_power_index):
+        with pytest.raises(ValueError, match="different frames"):
+            verdict(apart, F_s4)
+    assert fu.subsystem_le(inside, F_s4) and fu.is_normal_subsystem(inside, F_s4)
+
+
+@pytest.mark.parametrize("name", [e.name for e in cli.parse_corpus(cli.default_corpus_text())])
+def test_every_system_of_an_entry_is_in_the_frame_of_its_S(monkeypatch, name):
+    """Every system that a default entry's checks construct, F, E, each
+    N_F^K(X), E_0, E X and F_S(bN_L^K(X)), is made in the frame of the
+    entry's S, so they meet with no conversion of germs."""
+    (entry,) = [e for e in cli.parse_corpus(cli.default_corpus_text()) if e.name == name]
+    made, real = [], fu.FusionSystem.__new__
+
+    def spy(cls, *args, **kwargs):
+        made.append(real(cls, *args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(fu.FusionSystem, "__new__", spy)
+    pe, axioms = vf.prepare_entry(entry)
+    assert axioms.passed and not any(r.failed for r in vf.entry_reports(pe))
+    assert pe.F in made and pe.E in made
+    assert all(F.frame == pe.F.S for F in made)
+
+
 # -- K-normalizer subsystems --------------------------------------------------
 
 
@@ -414,8 +453,8 @@ def test_K_normalizer_on_a_new_base_leaves_its_Perm_view_unbuilt():
     entering N_F^K(X) over a base built for it in the table of systems on
     the home builds no Perm view of that base."""
     _, _, F = _entry_fusion("s4_a4")
-    table, new = gp.peek(F.S.home._kept, "systems"), []
-    assert table[F.S.home_mask, F.p, F.all_germs()] is F
+    table, new = gp.peek(F.frame.home._kept, "systems"), []
+    assert table[F.frame.home_mask, F.frame.mask(F.S), F.p, F.all_germs()] is F
     for X in F.subgroups():
         for _, K in vf.k_options(X):
             before = len(table)
@@ -455,7 +494,8 @@ def test_K_normalizers_match_group_oracle(entry):
             NG = oracles.K_normalizer_from_group(G, X, K)
             NS = gp.Subgroup(NG.elems & S.elems)
             assert NFK.S == NS
-            assert oracles.as_pairs(NS, NFK.all_germs()) == oracles.conjugation_germs(NG, NS)
+            assert NFK.frame == S
+            assert oracles.as_pairs(S, NFK.all_germs()) == oracles.conjugation_germs(NG, NS)
             if NG.elems not in oracle:  # the oracle's answers for the group NG
                 oracle[NG.elems] = (
                     oracles.fusion_core_from_group(NG, NS), oracles.subcentric_from_group(NG, NS)
@@ -545,7 +585,7 @@ def test_p_power_index_needs_the_hyperfocal_subgroup_inside(a4):
     O^2(Aut_F(1)) = 1, but hyp(F) = V4 is not inside its base, so it has
     no 2-power index: the hyperfocal clause alone refuses it."""
     F = fu.fusion_of_group(a4, gp.sylow_subgroup(a4, 2), 2)
-    D = fu.close_generated(F.S.trivial_subgroup(), 2)
+    D = fu.close_generated(F.S.trivial_subgroup(), 2, frame=F.S)
     assert fu.subsystem_le(D, F) and fu.hyperfocal_subgroup(F) == F.S
     assert not fu.has_p_power_index(D, F)
 
@@ -561,7 +601,7 @@ def test_normal_subsystem_cases(F_s4, E_s4):
 
 def test_non_strongly_closed_base_is_not_normal(F_s4):
     T = sub(F_s4, "(0 1)")
-    E = fu.fusion_of_group(T, T, 2)
+    E = fu.fusion_of_group(T, F_s4.S, 2)
     assert not fu.is_weakly_normal(E, F_s4)
     assert not fu.is_normal_subsystem(E, F_s4)
 
@@ -583,7 +623,8 @@ def test_aut_invariance_alone_fails_in_s3_wreath_c2():
     assert (G.order, H.order, S.order) == (72, 18, 9) and S <= H
     F, E = fu.fusion_of_group(G, S, 3), fu.fusion_of_group(H, S, 3)
     assert fu.subsystem_le(E, F) and fu.is_strongly_closed(F, S) and fu.is_saturated(E)
-    assert all(fu._frattini_factors(E, F.aut(S), phi) for phi in F.all_germs())
+    autFS = fu._onto(F, F.frame.mask(S))
+    assert all(fu._frattini_factors(E, autFS, phi) for phi in F.all_germs())
     assert fu._has_extension_property(E, F)
     assert not fu.is_weakly_normal(E, F)
     assert not fu.is_normal_subsystem(E, F)
@@ -602,8 +643,8 @@ def test_verdicts_kept_per_subsystem(s4, E_s4):
     generated by one involution of Aut_F(V4) is neither."""
     F = fu.fusion_of_group(s4, gp.sylow_subgroup(s4, 2), 2)
     T = E_s4.S
-    swap = germ(T, oracles.conj_map(T.elems, perms(4, "(0 1)")[0]))
-    bad = fu.close_generated(T, 2, [swap])
+    swap = germ(F.S, oracles.conj_map(T.elems, perms(4, "(0 1)")[0]))
+    bad = fu.close_generated(T, 2, [swap], frame=F.S)
     assert bad.S == T and fu.subsystem_le(bad, F)
     for _ in range(2):
         for verdict in (fu.is_normal_subsystem, fu.has_p_power_index):

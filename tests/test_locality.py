@@ -318,9 +318,9 @@ def _restrict_outcome(restrict, L, H, Gamma, X):
     return out.ambient, out.elems, out.Delta, out.S_elems
 
 
-def _assert_germs_match(L, N, R):
-    got = lo._partial_germs(L, N, R)
-    assert oracles.as_pairs(R, got) == oracles.fusion_germs_by_perms(L, N, R)
+def _assert_germs_match(L, N, R, frame):
+    got = lo._partial_germs(L, N, R, frame)
+    assert oracles.as_pairs(frame, got) == oracles.fusion_germs_by_perms(L, N, R)
     return got
 
 
@@ -344,10 +344,10 @@ def test_restrict_matches_perm_oracle_on_K_normalizers(name, request):
             got = _restrict_outcome(lo.restrict, L, H, Gamma, X)
             assert got == _restrict_outcome(oracles.restrict_by_perms, L, H, Gamma, X)
             outcomes[isinstance(got[0], gp.Subgroup)] += 1
-            _assert_germs_match(L, H, L.ambient.from_home_mask(H & L.S_elems))
+            _assert_germs_match(L, H, L.ambient.from_home_mask(H & L.S_elems), L.S)
             if isinstance(got[0], gp.Subgroup):
                 out = lo.restrict(L, H, Gamma, X)
-                assert _assert_germs_match(out, out.elems, out.S)
+                assert _assert_germs_match(out, out.elems, out.S, L.S)
     assert outcomes[True] > 0
 
 
@@ -637,7 +637,7 @@ def _clause_case(name, s3, s4, d8):
     C2 = {e, t}
     if name == "S-p-group":  # S = <(1 2)> at p = 3
         return _locality(s3, {e}, [C2], C2, p=3)
-    if name == "S_f-object":  # S not inside L: S_() = 1 is no object
+    if name == "S-outside-L":  # S_() = 1 is no object, and S is not in L
         return _locality(s3, {e}, [C2], C2)
     if name == "S-maximal":  # S = 1 at p = 3 in L = S3, which holds A3
         return _locality(s3, s3.elems, [{e}], {e}, p=3)
@@ -657,7 +657,7 @@ def _clause_case(name, s3, s4, d8):
 
 CLAUSE_WITNESSES = {
     "S-p-group": {"axiom": "S-p-group"},
-    "S_f-object": {"axiom": "S_f-object", "f": "()"},
+    "S-outside-L": {"axiom": "S-maximal"},
     "S-maximal": {"axiom": "S-maximal"},
     "Delta-in-S": {"axiom": "Delta-in-S", "object_order": 3},
     "Delta-conjugation": {"axiom": "Delta-conjugation", "f": "(1 3)"},
@@ -672,7 +672,9 @@ CLAUSE_WITNESSES = {
 def test_each_locality_clause_fails_first_on_its_witness(name, s3, s4, d8):
     """Each clause of verify_locality, and inversion closure in the axiom
     walk, is the first to fail on one small structure, so deleting that
-    clause alone changes the verdict or its witness."""
+    clause alone changes the verdict or its witness. S outside L, where S_f
+    is no object, fails first at `S-maximal`, which no S_f clause
+    precedes."""
     rep = lo.verify_locality(_clause_case(name, s3, s4, d8))
     assert rep.failed and rep.witness == CLAUSE_WITNESSES[name]
 
@@ -1219,9 +1221,9 @@ def default_run():
         checked.setdefault(P, P)
         return real_check(P)
 
-    def germs(L, N, R):
+    def germs(L, N, R, frame):
         germ_sources.setdefault(L, L)
-        return real_germs(L, N, R)
+        return real_germs(L, N, R, frame)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(lo, "verify_partial_group", check)

@@ -14,7 +14,7 @@ from plocal import verify as vf
 from plocal.errors import CorpusParseError, KDescriptorNotForX, NotFullyKNormalized
 from plocal.report import VerificationReport
 from . import oracles
-from .conftest import default_and_a4xc2_entries, perms
+from .conftest import default_and_a4xc2_entries, extended_corpus_text, perms
 
 PERFBENCH_CORPORA = Path(__file__).resolve().parents[1] / "perfbench" / "corpora"
 
@@ -236,7 +236,9 @@ def test_bN_K_is_one_object_per_realized_K():
     assert merged > 0
 
 
-@pytest.mark.parametrize("entry", default_and_a4xc2_entries(), ids=lambda e: e.name)
+@pytest.mark.parametrize(
+    "entry", default_and_a4xc2_entries() + cli.parse_corpus(extended_corpus_text()), ids=lambda e: e.name
+)
 def test_E0_matches_group_oracle(entry):
     """For every (X, K) of the entry's sweep whose theorem hypotheses hold,
     E_0 = F_{T_0}(N cap bN_L^K(X)), with bN_L^K(X) asked for the raw K and
@@ -253,8 +255,9 @@ def test_E0_matches_group_oracle(entry):
         assert T0.order == gp.p_part(NH.order, pe.p)
         t0 = pe.N & pe.L.S_elems & bn.S_elems
         assert set(gp.elements(pe.L.ambient, t0)) == T0.elems
-        E0 = lo.fusion_of_partial(bn, pe.N & bn.elems, base=pe.L.ambient.from_home_mask(t0))
-        assert oracles.as_pairs(E0.S, E0.all_germs()) == want
+        T0_home = pe.L.ambient.from_home_mask(t0)
+        E0 = lo.fusion_of_partial(bn, pe.N & bn.elems, base=T0_home, frame=pe.F.frame)
+        assert oracles.as_pairs(pe.F.frame, E0.all_germs()) == want
         reason, _, rec = vf._theorem(pe.L, pe.F, pe.E, pe.N, X, K)
         assert reason is None and rec.stats["E0_germs"] == len(want)
         checked += 1
@@ -522,9 +525,9 @@ def test_main_theorem_decided_once_per_instance(monkeypatch, own_L_s4, F_s4, E_s
     calls = []
     real = lo.fusion_of_partial
 
-    def spy(L, N, base=None):
+    def spy(L, N, base=None, frame=None):
         calls.append(base)
-        return real(L, N, base=base)
+        return real(L, N, base=base, frame=frame)
 
     monkeypatch.setattr(lo, "fusion_of_partial", spy)
     Z = gp.Subgroup(gp.center(S_of(s4)).elems)
@@ -717,7 +720,7 @@ def test_one_closure_per_input_of_an_entry(default_corpus_recorded):
 
 
 def _cache_free(E):
-    return fu.FusionSystem(gp.Subgroup(E.S.elems), E.p, E.all_germs())
+    return fu.FusionSystem(gp.Subgroup(E.S.elems), E.p, E.all_germs(), gp.Subgroup(E.frame.elems))
 
 
 def test_kept_verdicts_match_fresh_ones(default_corpus_recorded):
@@ -803,12 +806,12 @@ def _not_partial_normal(monkeypatch):
 def _not_realizing_E(monkeypatch):
     real = lo.fusion_of_partial
 
-    def inner_system(L, N, base=None):
+    def inner_system(L, N, base=None, frame=None):
         # the Sylow subgroup's own fusion system, not F_T(A4); calls with
         # a base come from the locality check and stay real
         if base is not None:
-            return real(L, N, base)
-        return fu.close_generated(L.ambient.from_home_mask(N & L.S_elems), L.p)
+            return real(L, N, base, frame)
+        return fu.close_generated(L.ambient.from_home_mask(N & L.S_elems), L.p, frame=L.S)
 
     monkeypatch.setattr(lo, "fusion_of_partial", inner_system)
     return {"partial-normal": "F_T(H cap L) != F_T(H)"}
