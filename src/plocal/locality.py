@@ -24,8 +24,9 @@ over the prefix products. Every question about the domain or about
 conjugates of base elements reads them, the germs of
 ``fusion_of_partial`` (built by ``fusion.conjugation_germs``) too.
 Elements are Perms only at the edges: ``sorted_elements``, the words of
-``in_domain`` and ``prod``, witnesses, and the objectivity oracle, which
-conjugates Perms so that it stays apart from the rule it checks.
+``in_domain`` and ``prod``, and witnesses. A Locality and its rule refuse
+attribute assignment, so the rule is the one the constructor built, the
+hypothesis of ``verify_locality``'s theorem.
 
 A whole group G with Sylow p-subgroup S is ``group_locality``: its objects
 are all subgroups of S, so every word is defined. L_Delta(G) is its
@@ -38,16 +39,13 @@ the splicing/inversion patterns those words generate; by the theorem in
 ``verify_locality``'s docstring, a locality that passes every clause there
 satisfies the axioms at every length. One depth-first walk per locality
 visits the words by length and then lexicographically, one prefix at a
-time: a prefix carries its products and four states, and its extensions
+time: a prefix carries its products and three states, and its extensions
 by the n letters are checked at once, each check a set of letters (an int
 with one byte per letter) read in C off the prefix's rows; the domain
 sets of shorter words are kept, so subwords and spliced words are looked
-up, not walked again. The states
-are R_w, the product and R_wbar of the inverse word wbar, which decide
-wbar w, and the objectivity oracle's objects ending an object chain along
-w, stepped through a table the walk fills once by conjugating each
-object's elements; the walk holds the rows it steps until it ends. The
-first word where rule and oracle disagree is the objectivity witness.
+up, not walked again. The states are R_w, and the product and R_wbar of
+the inverse word wbar, which decide wbar w; the walk holds the rows it
+steps until it ends.
 
 The statement checkers in ``verify`` run the subcentric verification once
 per distinct structure of a corpus entry, keyed on its content in the memo
@@ -92,13 +90,11 @@ from .groups import (
     is_characteristic_p,
     is_p_group,
     join,
-    keep,
     lattice,
     memo,
     normalizer,
     p_part,
     pack,
-    peek,
     times_cyclic,
     trivial_aut_group,
 )
@@ -130,9 +126,14 @@ class ChainDomain:
     """
 
     def __init__(self, ambient: Subgroup, S: Subgroup, masks: Iterable[int]):
-        self.ambient, self.S, self.masks = ambient, S, frozenset(masks)
+        object.__setattr__(self, "ambient", ambient)
+        object.__setattr__(self, "S", S)
+        object.__setattr__(self, "masks", frozenset(masks))
         if (1 << S.order) - 1 not in self.masks:
             raise ValueError("the base itself must be an object")
+
+    def __setattr__(self, name, value):
+        raise AttributeError("ChainDomain is immutable")
 
     @cached_property
     def conj_pos(self) -> Tuple[Tuple[int, ...], ...]:
@@ -165,8 +166,8 @@ class Locality:
     inside S. elems and S_elems are masks over the ambient group, a home,
     and Delta a set of masks over S. Its product is the ambient product and
     its words are decided by ChainDomain(ambient, S, Delta). What is
-    decided about it is kept in its ``_memo`` through ``groups.memo`` and
-    ``groups.keep``, the one way to keep a result."""
+    decided about it is kept in its ``_memo`` through ``groups.memo``, the
+    one way to keep a result. It refuses attribute assignment."""
 
     __slots__ = ("ambient", "elems", "Delta", "S_elems", "p", "rule", "S", "_memo")
 
@@ -175,12 +176,20 @@ class Locality:
             raise ValueError("the ambient group must be a home")
         if (elems | S_elems) >> ambient.order:  # -1 for a negative mask
             raise ValueError("elements not inside the ambient group")
-        self.ambient, self.elems, self.S_elems, self.p = ambient, elems, S_elems, p
-        self.S, self.Delta = ambient.from_home_mask(S_elems), frozenset(Delta)
-        if any(d >> self.S.order for d in self.Delta):
+        S, Delta = ambient.from_home_mask(S_elems), frozenset(Delta)
+        if any(d >> S.order for d in Delta):
             raise ValueError("objects not inside S")
-        self.rule = ChainDomain(ambient, self.S, self.Delta)
-        self._memo = {}
+        object.__setattr__(self, "ambient", ambient)
+        object.__setattr__(self, "elems", elems)
+        object.__setattr__(self, "Delta", Delta)
+        object.__setattr__(self, "S_elems", S_elems)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "rule", ChainDomain(ambient, S, Delta))
+        object.__setattr__(self, "S", S)
+        object.__setattr__(self, "_memo", {})
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Locality is immutable")
 
     def sorted_elements(self) -> Tuple[Perm, ...]:
         """The elements as Perms, in sorted order: the letters of words."""
@@ -560,20 +569,6 @@ def _moved(images: Iterable[Tuple[int, ...]], live: int) -> Tuple[int, ...]:
     return tuple(sum(1 << img[o] for o in ends if img[o] >= 0) for img in images)
 
 
-def _chain_images(P: Locality) -> Tuple[Tuple[int, ...], ...]:
-    """The objectivity oracle's images: images[i][o] is the number of P's
-    o-th object, in sorted order, conjugated by letter i, -1 if that is no
-    object. They are found by conjugating the objects' elements as Perms,
-    never read from the rule's tables, so the oracle stays independent of
-    the rule it checks."""
-    listed = [frozenset(elements(P.S, d)) for d in sorted(P.Delta, key=bits)]
-    number = {d: o for o, d in enumerate(listed)}
-    return tuple(
-        tuple(number.get(frozenset(x.conj(g) for x in d), -1) for d in listed)
-        for g in P.sorted_elements()
-    )
-
-
 def _letter_tables(P: Locality):
     """(letters, times, lefts): letters[i] is the ambient index of P's i-th
     sorted element, times[a][i] that of (ambient element a) * (letter i),
@@ -612,44 +607,38 @@ def _walk(P: Locality, word_len: int, tables):
     P.sorted_elements(), its code is sum_l i_l n^(m-l) with n = |P|, and
     its prefix products Pi(g_1...g_l), l = 0..m, are indexes into the
     sorted elements of the ambient group. A prefix is (word, code, R_w,
-    live chain ends, prefix products, Pi(wbar), R_wbar), for wbar the
-    inverse word g_m^-1...g_1^-1: the rule's survivor mask R_w, the ends
-    of w's object chains as a mask over P's sorted objects (all for the
-    empty word; w has a chain iff it is not 0) and R_wbar, a mask over S.
-    Its rows are (times[Pi(w)], the ends' step by the oracle's images of
-    _chain_images, lefts[Pi(wbar)], R_wbar's step by the letters' conj_pos
-    rows), read once, the steps by _moved and kept for the walk: letter i
-    extends it by product row[i], R_w & survivors[row[i]] and the i-th
-    entry of each other row. R_wbar(w g) = S cap (R_wbar(w))^g: x lies in
-    it iff x and y = x^(g^-1) lie in S and y^Pi(v) does for each prefix v
-    of wbar(w).
+    prefix products, Pi(wbar), R_wbar), for wbar the inverse word
+    g_m^-1...g_1^-1: R_w and R_wbar are the rule's survivor masks over S.
+    Its rows are (times[Pi(w)], lefts[Pi(wbar)], R_wbar's step by the
+    letters' conj_pos rows), read once, the step by _moved and kept for
+    the walk: letter i extends it by product row[i], R_w &
+    survivors[row[i]] and the i-th entry of each other row. R_wbar(w g) =
+    S cap (R_wbar(w))^g: x lies in it iff x and y = x^(g^-1) lie in S and
+    y^Pi(v) does for each prefix v of wbar(w).
     """
     n = P.elems.bit_count()
     survivors = P.rule.survivors
     amb, times, lefts = tables  # P's _letter_tables
-    chain, wbar_step = _chain_images(P), tuple(map(P.rule.conj_pos.__getitem__, amb))
-    chain_rows, wbar_rows = {}, {}
+    wbar_step, wbar_rows = tuple(map(P.rule.conj_pos.__getitem__, amb)), {}
     letters = range(n)
 
     def extend(prefix, left):
-        _, _, _, live, prods, wbar, wbar_mask = prefix
-        rows = (times[prods[-1]], memo(chain_rows, live, _moved, chain, live),
-                lefts[wbar], memo(wbar_rows, wbar_mask, _moved, wbar_step, wbar_mask))
+        _, _, _, prods, wbar, wbar_mask = prefix
+        rows = (times[prods[-1]], lefts[wbar], memo(wbar_rows, wbar_mask, _moved, wbar_step, wbar_mask))
         if not left:
             yield prefix, rows
             return
         word, code, mask = prefix[:3]
-        row, ends, wbars, wbar_masks = rows
+        row, wbars, wbar_masks = rows
         for i in letters:
             a = row[i]
             yield from extend(
-                (word + (i,), code * n + i, mask & survivors[a], ends[i], prods + (a,),
-                 wbars[i], wbar_masks[i]),
+                (word + (i,), code * n + i, mask & survivors[a], prods + (a,), wbars[i], wbar_masks[i]),
                 left - 1,
             )
 
     # the identity sorts first, so its ambient index is 0
-    empty = ((), 0, survivors[0], (1 << len(P.Delta)) - 1, (0,), 0, survivors[0])
+    empty = ((), 0, survivors[0], (0,), 0, survivors[0])
     for k in range(1, word_len + 1):
         for prefix, rows in extend(empty, k - 1):
             yield k, prefix, rows
@@ -666,20 +655,14 @@ def verify_partial_group(P: Locality) -> VerificationReport:
 
     On its own it decides only the words inside the domain, so it can pass
     a structure with an element outside D; verify_locality completes it,
-    and its docstring proves that the two together decide every length.
-    The walk's first objectivity disagreement is kept for verify_locality
-    in P's memo under "objectivity", None when there is none.
+    and its docstring proves that the two together decide every length,
+    objectivity among them.
     """
-    report, objectivity = _axiom_walk(P, WORD_LEN)
-    keep(P._memo, "objectivity", objectivity)
-    return report
+    return _axiom_walk(P, WORD_LEN)
 
 
-def _axiom_walk(P: Locality, word_len: int) -> Tuple[VerificationReport, Optional[list]]:
-    """The partial-group axioms on every word of length at most word_len,
-    and the first word where the rule and the objectivity oracle disagree:
-    (report, that word's letters as strings, or None when there is none or
-    the report fails).
+def _axiom_walk(P: Locality, word_len: int) -> VerificationReport:
+    """The partial-group axioms on every word of length at most word_len.
 
     The words come from _walk, one prefix w at a time, as letter indexes
     with products in the ambient group's product table; elements appear
@@ -707,7 +690,6 @@ def _axiom_walk(P: Locality, word_len: int) -> Tuple[VerificationReport, Optiona
     the objects are not closed under overgroups. There is no unit check:
     the empty word's product is the ambient's first element, the identity.
 
-    The rule and the objectivity oracle are both carried by the walk.
     Words outside the domain are skipped, so P inside the domain is left
     to verify_locality: checked here, a one-letter word would fail first
     and hide the subword, inverse-word and Delta-closure witnesses of
@@ -718,7 +700,7 @@ def _axiom_walk(P: Locality, word_len: int) -> Tuple[VerificationReport, Optiona
 
     def fail(witness):
         stats = {"words_checked": checked, "domain_words": domain}
-        return VerificationReport("partial-group-axioms", inst, "fail", witness=witness, stats=stats), None
+        return VerificationReport("partial-group-axioms", inst, "fail", witness=witness, stats=stats)
 
     elems, tables = P.sorted_elements(), _letter_tables(P)
     amb, times, _ = tables
@@ -751,27 +733,23 @@ def _axiom_walk(P: Locality, word_len: int) -> Tuple[VerificationReport, Optiona
     dom = [None] + [[0] * pw[m - 1] for m in range(1, word_len)]
     # byte tables and letter sets kept for the call, by what they depend on
     flags_of, states, ends_in, heads = {}, {}, {}, {}
-    objectivity = None
-    for k, prefix, (row, ends, wbars, wbar_masks) in _walk(P, word_len, tables):
-        w, code, mask, live, prods, wbar, wbar_mask = prefix
+    for k, prefix, (row, wbars, wbar_masks) in _walk(P, word_len, tables):
+        w, code, mask, prods, wbar, wbar_mask = prefix
         pi = prods[-1]
-        # what the prefix's state and rows alone decide: D, the live chain ends
-        # and the inversion checks, R_{wbar w} being R_wbar: past wbar, wbar w's
-        # prefix products are Pi(wbar) Pi(w_1...w_j) = Pi(wbar_1...wbar_{k-j})
-        state = states.get((mask, pi, live, wbar, wbar_mask))
+        # what the prefix's state and rows alone decide: D and the inversion
+        # checks, R_{wbar w} being R_wbar: past wbar, wbar w's prefix products
+        # are Pi(wbar) Pi(w_1...w_j) = Pi(wbar_1...wbar_{k-j})
+        state = states.get((mask, pi, wbar, wbar_mask))
         if state is None:
             flags = flags_of.get(mask)  # by ambient a: R_w & survivors[a] is an object
             if flags is None:
                 flags = flags_of[mask] = bytes(map(masks.__contains__, map(mask.__and__, survivors)))
-            state = states[mask, pi, live, wbar, wbar_mask] = (
+            state = states[mask, pi, wbar, wbar_mask] = (
                 letters(map(flags.__getitem__, row)),
-                letters(map(bool, ends)),
                 letters(map(masks.__contains__, wbar_masks)),
                 letters(map(unit.__ne__, map(getitem, map(mul.__getitem__, wbars), row))),
             )
-        D, chain, inverse_in, inverse_wrong = state
-        if objectivity is None and D != chain:
-            objectivity = w + (lowest(D ^ chain),)
+        D, inverse_in, inverse_wrong = state
         if not D:
             checked += n
             continue
@@ -836,20 +814,25 @@ def _axiom_walk(P: Locality, word_len: int) -> Tuple[VerificationReport, Optiona
         if k < word_len:
             dom[k][code] = D
     stats = {"words_checked": checked, "domain_words": domain}
-    report = VerificationReport("partial-group-axioms", inst, "pass", stats=stats)
-    return report, None if objectivity is None else _strs(P, objectivity)
+    return VerificationReport("partial-group-axioms", inst, "pass", stats=stats)
 
 
 def verify_locality(L: Locality) -> VerificationReport:
-    """Locality axioms: partial group, Delta-closure, L inside D,
-    objectivity, maximal p-subgroup. That S_f is an object for every f in
-    L needs no clause: once `S-maximal` puts S inside L, (1) below gives
-    S_f = S cap S^(f^-1) = R_(f), an object by `length-one-domain`.
+    """Locality axioms: partial group, Delta-closure, L inside D, maximal
+    p-subgroup. Two axioms need no clause, by the theorem below. That S_f
+    is an object for every f in L: once `S-maximal` puts S inside L, (1)
+    gives S_f = S cap S^(f^-1) = R_(f), an object by `length-one-domain`.
+    Objectivity, D being the words over L with an object chain: once the
+    clauses before `S-maximal` pass, (1) and (2) make the rule the
+    object-chain criterion when S lies in L, and `S-maximal` fails when
+    it does not. So a walk comparing the rule with the chains along each
+    word could change no verdict, only the witness of a structure with S
+    outside L.
 
-    Theorem. Let L be a Locality whose rule is ChainDomain(ambient, S,
-    Delta), as its constructor makes it, that passes every clause here,
-    the walk of verify_partial_group over the words of length at most
-    WORD_LEN among them. Then L, with the ambient product and inverse, is
+    Theorem. Let L be a Locality, whose rule is ChainDomain(ambient, S,
+    Delta) as its constructor built it (it refuses rebinding), that passes
+    every clause here, the walk of verify_partial_group over the words of
+    length at most WORD_LEN among them. Then L, with the ambient product and inverse, is
     a partial group, and (L, Delta) is objective, at every word length: D
     is the set of words over L with an object chain, Delta is closed under
     overgroups in S and under conjugation by L, and S is a maximal
@@ -920,19 +903,11 @@ def verify_locality(L: Locality) -> VerificationReport:
     for f in letters:
         if not L.rule.word_ok((f,)):
             return fail({"axiom": "length-one-domain", "w": [_name(L, f)]})
-    rule = L.rule
     for d in objects:
         for f in letters:
             img = _conj_mask(L, d, f)
-            if img is not None and img not in rule.masks:
+            if img is not None and img not in L.Delta:
                 return fail({"axiom": "Delta-conjugation", "f": _name(L, f)})
-
-    # objectivity: domain words are exactly those with an object chain, as
-    # compared along verify_partial_group's walk
-    w = peek(L._memo, "objectivity")
-    if w is not None:
-        return fail({"axiom": "objectivity", "w": w})
-    stats["objectivity_words"] = pg.stats["words_checked"]
 
     # maximality of S among p-subgroups of L
     if not _is_max_p_subgroup(L):

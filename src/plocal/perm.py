@@ -16,9 +16,9 @@ the argument, which is what the rest of the package does for group maps.
 
 A Perm is a plain value: its product and conjugation compute and keep
 nothing. The package multiplies and conjugates Perms only to parse groups
-given by generators, to check maps handed in from outside, and in the
-oracles that stand apart from the rules they check; every other product or
-conjugate is read off a group's integer tables (``groups.Subgroup``).
+given by generators and to check maps handed in from outside; every other
+product or conjugate is read off a group's integer tables
+(``groups.Subgroup``).
 """
 
 from __future__ import annotations

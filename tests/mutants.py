@@ -8,7 +8,8 @@ defined, so the list cannot rot silently.
 A mutant deletes one clause of a verdict: one exact text of one file under
 ``src/plocal`` replaced by another. The list holds the clauses of
 ``verify_locality`` and ``verify_subcentric_locality`` that a test makes
-fail first, the (Q2) check of ``restrict``, and the clauses of saturation,
+fail first, the refusal of a ``Locality`` to rebind an attribute, the
+(Q2) check of ``restrict``, and the clauses of saturation,
 full K-normalization, p-power index and weak normality in ``fusion`` and
 its refusal to compare two systems in different frames; and
 the two reads of Aut(X)'s search in the K sweep of ``verify.k_options``,
@@ -58,12 +59,21 @@ MUTANTS = (
     Mutant("S-maximal", LOC, "if not _is_max_p_subgroup(L):", "if False:", CLAUSE % "S-maximal"),
     Mutant("Delta-in-S", LOC, "if d not in whole:", "if False:", CLAUSE % "Delta-in-S"),
     Mutant(
-        "Delta-conjugation", LOC, "if img is not None and img not in rule.masks:", "if False:",
+        "Delta-conjugation", LOC, "if img is not None and img not in L.Delta:", "if False:",
         CLAUSE % "Delta-conjugation",
     ),
     Mutant(
         "Delta-overgroups", LOC, "if not d & ~H and H not in L.Delta:", "if False:",
         CLAUSE % "Delta-overgroups",
+    ),
+    Mutant(
+        "length-one-domain", LOC, "if not L.rule.word_ok((f,)):", "if False:",
+        CLAUSE % "length-one-domain",
+    ),
+    Mutant(
+        "locality-immutable", LOC,
+        '    def __setattr__(self, name, value):\n        raise AttributeError("Locality is immutable")\n',
+        "", "tests/test_locality.py::test_a_locality_and_its_rule_refuse_assignment",
     ),
     Mutant(
         "inversion-closure", LOC, "if letter_of[inv[a]] < 0:", "if False:",

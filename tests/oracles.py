@@ -14,8 +14,8 @@ fusion system: a morphism is a conjugation c_g, and N_F(Q) for a fully
 normalized Q is F_{N_S(Q)}(N_G(Q)).
 
 The objectivity oracle searches for an object chain along one word at a
-time, conjugating object elements, apart from the package's word rule and
-the chain-end table its axiom walk steps through.
+time, conjugating object elements, apart from the package's word rule,
+which it checks.
 
 The restriction oracles keep the element-set form of H|_Gamma and of the
 germ search of a partial subgroup's fusion system: every P^f is

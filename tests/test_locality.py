@@ -130,15 +130,16 @@ def test_s3xs3_locality_is_partial(L_s3xs3):
 
 
 def test_s3xs3_undefined_word_has_no_chain(L_s3xs3):
-    """The first pair outside the domain has no object chain, by the chain
-    search and by the live chain ends the axiom walk carries for it."""
+    """The first pair outside the domain has no object chain by the chain
+    search, and the survivor mask the axiom walk carries for it is no
+    object."""
     els = L_s3xs3.sorted_elements()
     bad = next(
         (a, b) for a in els for b in els if not L_s3xs3.in_domain((a, b))
     )
     assert not oracles.delta_chain_exists(L_s3xs3, bad)
-    ends = {w: live for w, _, _, live, *_ in _walked_words(L_s3xs3, 2)}
-    assert ends[tuple(map(els.index, bad))] == 0
+    masks = {w: mask for w, _, mask, *_ in _walked_words(L_s3xs3, 2)}
+    assert masks[tuple(map(els.index, bad))] not in L_s3xs3.Delta
 
 
 def test_prod_raises_outside_domain(L_s3xs3):
@@ -641,6 +642,8 @@ def _clause_case(name, s3, s4, d8):
         return _locality(s3, {e}, [C2], C2)
     if name == "S-maximal":  # S = 1 at p = 3 in L = S3, which holds A3
         return _locality(s3, s3.elems, [{e}], {e}, p=3)
+    if name == "length-one-domain":  # S = <(1 2)>, the one object, in L = S3
+        return _locality(s3, s3.elems, [C2], C2)
     if name == "inversion-closure":  # (0 1 2) in L, its inverse not
         return _locality(s3, {e, c3, t}, [C2], C2)
     if name == "Delta-in-S":  # a 3-element mask that is no subgroup of S
@@ -662,6 +665,7 @@ CLAUSE_WITNESSES = {
     "Delta-in-S": {"axiom": "Delta-in-S", "object_order": 3},
     "Delta-conjugation": {"axiom": "Delta-conjugation", "f": "(1 3)"},
     "Delta-overgroups": {"axiom": "Delta-overgroups", "object_order": 1},
+    "length-one-domain": {"axiom": "length-one-domain", "w": ["(0 1)"]},
     "inversion-closure": {
         "axiom": "partial-group", "inner": {"axiom": "inversion-closure", "x": "(0 1 2)"}
     },
@@ -748,25 +752,11 @@ def _splice_before_subword(s4, *elems):
     return _locality(s4, perms(4, "()", *elems), [base, C], base)
 
 
-def _objectivity_fault(s3xs3):
-    S = gp.sylow_subgroup(s3xs3, 2)
-    nt = frozenset(H.elems for H in gp.all_subgroups(S) if H.order > 1)
-    L = _locality(s3xs3, s3xs3.elems, nt, S.elems)
-    L.rule = lo.ChainDomain(L.ambient, s3xs3.trivial_subgroup(), [1])
-    return L
-
-
-def _l27_whole_group(L_l27):
-    G = L_l27.ambient
-    L = lo.Locality(G, G.home_mask, L_l27.Delta, L_l27.S_elems, 2)
-    L.rule = lo.ChainDomain(L.ambient, G.trivial_subgroup(), [1])
-    return L
-
-
-def _l27_dropped_class(L_l27):
-    L = lo.Locality(L_l27.ambient, L_l27.elems, L_l27.Delta, L_l27.S_elems, 2)
-    L.rule = lo.ChainDomain(L.ambient, L.S, [d for d in L.Delta if d.bit_count() > 2])
-    return L
+def _trivial_base(G):
+    """All of G over the base 1, its one object: every word is in the
+    domain."""
+    one = {G.identity}
+    return _locality(G, G.elems, [one], one)
 
 
 def _l27_missing_conjugate(L_l27):
@@ -893,7 +883,7 @@ def test_walk_matches_whole_word_definitions(L_s3xs3, unclosed):
     for P in (L_s3xs3, unclosed):
         rule, els, ambient = P.rule, P.sorted_elements(), tuple(P.ambient)
         walked = [prefix for _, prefix, _ in lo._walk(P, 4, lo._letter_tables(P))]
-        for iw, code, survivors, _, iprods, iwbar, wbar_survivors in walked:
+        for iw, code, survivors, iprods, iwbar, wbar_survivors in walked:
             # the walk names letters and products by index; read them back
             w = tuple(els[i] for i in iw)
             prods = tuple(ambient[a] for a in iprods)
@@ -917,57 +907,45 @@ def test_walk_matches_whole_word_definitions(L_s3xs3, unclosed):
         assert len(walked) == sum(len(els) ** k for k in (0, 1, 2, 3))
 
 
-@pytest.mark.parametrize(
-    "name, word_len",
-    [("L_s3xs3", 3), ("unclosed", 3), ("L_l27", 2), ("L_s4", 2)],
-)
-def test_live_chain_ends_match_chain_search(name, word_len, request):
-    """A walked word's live chain ends are not empty exactly when the chain
-    search finds an object chain along it. L_s4 has the trivial subgroup
-    as an object, so there every word has a chain."""
-    P = request.getfixturevalue(name)
-    els = P.sorted_elements()
-    verdicts = Counter()
-    for w, _, _, live, *_ in _walked_words(P, word_len):
+def _domain_against_chains(P, word_len) -> Counter:
+    """Asserts, for every word over P of length 1..word_len, that the
+    survivor mask the axiom walk carries for it is an object exactly when
+    the chain search finds an object chain along it; counts the verdicts."""
+    els, verdicts = P.sorted_elements(), Counter()
+    for w, _, mask, *_ in _walked_words(P, word_len):
         has_chain = oracles.delta_chain_exists(P, tuple(els[i] for i in w))
-        assert (live != 0) == has_chain
+        assert (mask in P.Delta) == has_chain
         verdicts[has_chain] += 1
+    return verdicts
+
+
+@pytest.mark.parametrize("name, word_len", [("L_s3xs3", 3), ("L_l27", 2), ("L_s4", 2)])
+def test_walked_domain_matches_chain_search(name, word_len, request):
+    """Objectivity, checked by the independent chain search: a walked
+    word's R_w is an object exactly when the word has an object chain.
+    L_s4 has the trivial subgroup as an object, so there every word has a
+    chain."""
+    P = request.getfixturevalue(name)
+    verdicts = _domain_against_chains(P, word_len)
     assert verdicts[True] > 0
     assert (verdicts[False] > 0) == (1 not in P.Delta)  # 1: the trivial subgroup's mask
 
 
-def test_planted_fault_objectivity(s3xs3):
-    """A rule accepting every word over S3 x S3 disagrees with the object
-    chains of the nontrivial subgroups of S: (0 1)(3 4) has none."""
-    rep = lo.verify_locality(_objectivity_fault(s3xs3))
-    assert rep.failed
-    assert rep.witness == {"axiom": "objectivity", "w": ["(0 1)(3 4)"]}
-    assert rep.stats["pg_words_checked"] == rep.stats["pg_domain_words"] == 36 + 36**2 + 36**3
-
-
-def test_planted_fault_l27_whole_group(L_l27):
-    """PSL(2,7) with the objects of its subcentric locality but a rule
-    accepting every word: (0 2)(3 4) conjugates no object into an object."""
-    rep = lo.verify_locality(_l27_whole_group(L_l27))
-    assert rep.witness == {"axiom": "objectivity", "w": ["(0 2)(3 4)"]}
-
-
-def test_planted_fault_l27_dropped_class(L_l27):
-    """A rule over l27's L that drops the class of the five objects of order
-    2 leaves elements of L outside the domain. The partial-group walk skips
-    the words outside the domain and passes, so L inside D is checked on its
-    own."""
-    L = _l27_dropped_class(L_l27)
-    assert len(L.Delta) - len(L.rule.masks) == 5
-    rep = lo.verify_locality(L)
-    assert rep.witness == {"axiom": "length-one-domain", "w": ["(0 1 2)(3 4 6)"]}
+def test_walked_domain_matches_chain_search_on_random_structures(random_structures):
+    """The same on every random structure that verify_locality passes, at
+    length 2: each is objective, as its docstring's theorem says. Every
+    word of these draws has a chain, so the words outside the domain are
+    the named localities' above."""
+    passed = [L for L, rep in random_structures if rep.passed]
+    verdicts = sum((_domain_against_chains(L, 2) for L in passed), Counter())
+    assert len(passed) >= 50 and verdicts[True] > 0
 
 
 def test_planted_fault_l27_missing_conjugate(L_l27):
     """l27's L with one object of order 2 left out of Delta: the word rule
-    and the oracle both follow the smaller Delta, and the inversion axiom
-    catches it at w = (g), whose R_w = <(1 3)(4 5)> is still an object
-    while R_{wbar w} = R_w^g is the one left out."""
+    follows the smaller Delta, and the inversion axiom catches it at w =
+    (g), whose R_w = <(1 3)(4 5)> is still an object while R_{wbar w} =
+    R_w^g is the one left out."""
     assert L_l27.S.mask(perms(7, "()", "(2 4)(5 6)")) in L_l27.Delta
     rep = lo.verify_locality(_l27_missing_conjugate(L_l27))
     assert rep.witness == {
@@ -1025,17 +1003,12 @@ def test_planted_fault_splice_at_word_end(s3xs3, L_s3xs3, z, axiom, stats):
 
 
 def test_axiom_walk_makes_no_perm_products(monkeypatch, L_s3xs3):
-    """Past the oracle's image function, the one place the walk conjugates
-    Perms, the partial-group check is integer work only: with the ambient
-    tables built and _chain_images answered from a table made before the
-    spy, it makes no Perm product or conjugate, and asks for the images
-    once. The word rule of a fresh locality of L_s3xs3's content builds its
-    survivor table under the spy, so the rule makes no Perm products
-    either."""
+    """The partial-group check is integer work only: with the ambient
+    tables built, it makes no Perm product or conjugate. The word rule of a
+    fresh locality of L_s3xs3's content builds its survivor table under the
+    spy, so the rule makes no Perm products either."""
     L = lo.Locality(L_s3xs3.ambient, L_s3xs3.elems, L_s3xs3.Delta, L_s3xs3.S_elems, 2)
     L.ambient.mul_table, L.ambient.inv_table
-    images, asked = lo._chain_images(L), []
-    monkeypatch.setattr(lo, "_chain_images", lambda P: asked.append(P) or images)
     assert "survivors" not in vars(L.rule)
     calls = []
     for name in ("__mul__", "conj"):
@@ -1047,34 +1020,8 @@ def test_axiom_walk_makes_no_perm_products(monkeypatch, L_s3xs3):
 
         monkeypatch.setattr(Perm, name, spy)
     assert lo.verify_partial_group(L).passed
-    assert calls == [] and asked == [L]
+    assert calls == []
     assert len(L.rule.survivors) == L.ambient.order
-
-
-def test_objectivity_oracle_images_are_conjugates(L_s3xs3):
-    """The oracle's (letter, object) image table holds the conjugate of the
-    object by the letter, looked up among the objects, -1 if it is none, and
-    the chain-end row the walk steps each prefix's live objects by holds,
-    for each letter, the images of those objects."""
-    objects = [frozenset(gp.elements(L_s3xs3.S, d)) for d in sorted(L_s3xs3.Delta, key=gp.bits)]
-    images = lo._chain_images(L_s3xs3)
-    rows = {prefix[3]: ends for _, prefix, (_, ends, _, _) in lo._walk(L_s3xs3, 3, lo._letter_tables(L_s3xs3))}
-    Delta = oracles.objects_of(L_s3xs3)
-    assert len(objects) == len(set(objects)) and set(objects) == Delta
-    filled = outside = 0
-    for g, row in zip(L_s3xs3.sorted_elements(), images):
-        for o, img in enumerate(row):
-            conj = frozenset(x.conj(g) for x in objects[o])
-            assert img == (objects.index(conj) if conj in Delta else -1)
-            filled += 1
-            outside += img < 0
-    assert filled > outside > 0
-    assert len(rows) > 1
-    for live, row in rows.items():
-        live_objects = [d for o, d in enumerate(objects) if live >> o & 1]
-        for g, after in zip(L_s3xs3.sorted_elements(), row):
-            ends = {frozenset(x.conj(g) for x in d) for d in live_objects}
-            assert after == sum(1 << objects.index(e) for e in ends & Delta)
 
 
 @pytest.mark.parametrize(
@@ -1086,7 +1033,7 @@ def test_word_fragment_counts(s3, L_s3xs3, word_len, group_stats, locality_stats
     the ones in the domain (all of them for a group)."""
     group = lo.group_locality(s3, gp.sylow_subgroup(s3, 2), 2)
     for P, expected in ((group, group_stats), (L_s3xs3, locality_stats)):
-        rep, _ = lo._axiom_walk(P, word_len)
+        rep = lo._axiom_walk(P, word_len)
         assert rep.passed
         assert (rep.stats["words_checked"], rep.stats["domain_words"]) == expected
 
@@ -1107,11 +1054,13 @@ STRUCTURES = {
     "splice-before-subword": lambda request: _splice_before_subword(
         request.getfixturevalue("s4"), "(1 2)", "(1 3)", "(0 2)"
     ),
-    "objectivity": lambda request: _objectivity_fault(request.getfixturevalue("s3xs3")),
+    "trivial-base": lambda request: _trivial_base(request.getfixturevalue("s3xs3")),
     "missing-overgroup": lambda request: _missing_overgroup(request.getfixturevalue("s4")),
     "trivial-object-only": lambda request: _trivial_object_only(request.getfixturevalue("s3xs3")),
-    "l27-whole-group": lambda request: _l27_whole_group(request.getfixturevalue("L_l27")),
-    "l27-dropped-class": lambda request: _l27_dropped_class(request.getfixturevalue("L_l27")),
+    "l27-trivial-base": lambda request: _trivial_base(request.getfixturevalue("L_l27").ambient),
+    "length-one-domain": lambda request: _clause_case(
+        "length-one-domain", *map(request.getfixturevalue, ("s3", "s4", "d8"))
+    ),
     "l27-missing-conjugate": lambda request: _l27_missing_conjugate(
         request.getfixturevalue("L_l27")
     ),
@@ -1126,7 +1075,7 @@ STRUCTURES = {
     + [
         (name, 3)
         for name in STRUCTURES
-        if name not in ("L_l27", "l27-whole-group", "l27-dropped-class", "objectivity")
+        if name not in ("L_l27", "l27-trivial-base", "trivial-base")
     ],
 )
 def test_axiom_walk_matches_whole_word_oracle(name, word_len, request):
@@ -1136,7 +1085,7 @@ def test_axiom_walk_matches_whole_word_oracle(name, word_len, request):
     planted in the product table is not among them: the whole-word check
     never reads the table."""
     P = STRUCTURES[name](request)
-    rep, _ = lo._axiom_walk(P, word_len)
+    rep = lo._axiom_walk(P, word_len)
     assert (rep.outcome, rep.witness, rep.stats) == oracles.partial_group_by_words(P, word_len)
 
 
@@ -1179,27 +1128,31 @@ def _random_locality_args(rng, groups):
     return G, G.mask(elems), frozenset(Delta), G.home_mask_of(S), p
 
 
-def test_length_three_decides_length_four_on_random_structures(monkeypatch, s3, a4, d8):
-    """verify_locality gives the same outcome with the walk at length 4 as
-    at WORD_LEN = 3, on 200 seeded random structures over S3, A4, D8, D12
-    and S3 x C2, as its docstring's theorem says: a pass at length 3 makes
-    every word length hold. Each run has its own Locality, as the walk
-    keeps its objectivity word in the locality's memo. On each passing one
-    N_L(P), for every object P, is a subgroup with every pair in D: the
-    conditions verify_subcentric_locality no longer checks."""
+@pytest.fixture(scope="module")
+def random_structures(s3, a4, d8):
+    """200 seeded random Localities over S3, A4, D8, D12 and S3 x C2 (see
+    _random_locality_args), each with its verify_locality report."""
     groups = {
         "S3": s3, "A4": a4, "D8": d8,
         "D12": gp.generate_group(perms(6, "(0 1 2 3 4 5)", "(0 5)(1 4)(2 3)")),
         "S3xC2": gp.generate_group(perms(5, "(0 1 2)", "(0 1)", "(3 4)")),
     }
-    rng, outcomes = random.Random(2107), Counter()
-    for _ in range(200):
-        args = _random_locality_args(rng, groups)
-        L = lo.Locality(*args)
-        rep = lo.verify_locality(L)
+    rng = random.Random(2107)
+    localities = [lo.Locality(*_random_locality_args(rng, groups)) for _ in range(200)]
+    return [(L, lo.verify_locality(L)) for L in localities]
+
+
+def test_length_three_decides_length_four_on_random_structures(monkeypatch, random_structures):
+    """verify_locality gives the same outcome with the walk at length 4 as
+    at WORD_LEN = 3, on the 200 random structures, as its docstring's
+    theorem says: a pass at length 3 makes every word length hold. On each
+    passing one N_L(P), for every object P, is a subgroup with every pair
+    in D: the conditions verify_subcentric_locality no longer checks."""
+    outcomes = Counter()
+    for L, rep in random_structures:
         with monkeypatch.context() as mp:
             mp.setattr(lo, "WORD_LEN", 4)
-            assert lo.verify_locality(lo.Locality(*args)).outcome == rep.outcome
+            assert lo.verify_locality(L).outcome == rep.outcome
         outcomes[rep.outcome] += 1
         for P in map(L.S.from_mask, L.Delta) if rep.passed else ():
             NP = lo.normalizer_partial(L, P)
@@ -1317,6 +1270,24 @@ def test_locality_refuses_sets_outside_its_groups(L_s4, case, message):
         lo.Locality(*args, 2)
 
 
+def test_a_locality_and_its_rule_refuse_assignment(L_s4):
+    """A Locality's rule is the one its constructor built, the hypothesis
+    of verify_locality's theorem: assigning rule, Delta or elems on a
+    Locality, or masks on its rule, raises AttributeError and changes
+    nothing."""
+    L = lo.Locality(L_s4.ambient, L_s4.elems, L_s4.Delta, L_s4.S_elems, 2)
+    rule = L.rule
+    for target, name, value in (
+        (L, "rule", lo.ChainDomain(L.ambient, L.ambient.trivial_subgroup(), [1])),
+        (L, "Delta", frozenset([1])),
+        (L, "elems", 1),
+        (rule, "masks", frozenset([1])),
+    ):
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(target, name, value)
+    assert L == L_s4 and L.rule is rule and rule.masks == L_s4.Delta
+
+
 def test_axiom_walk_matches_whole_word_oracle_on_default_structures(default_structures):
     """On each distinct structure the default corpus verifies, 20 by
     Locality equality (19 by element sets, objects and base: two share
@@ -1352,12 +1323,12 @@ def test_domain_pairs_match_in_domain(name, request):
     assert list(lo._domain_pairs(P, P.ambient.home_mask, P.ambient.home_mask)) == expected
 
 
-@pytest.mark.parametrize("name", ["L_s3xs3", "L_l27", "unclosed", "objectivity"])
+@pytest.mark.parametrize("name", ["L_s3xs3", "L_l27", "unclosed", "trivial-base"])
 def test_survivor_table_matches_conjugation(name, request):
     """The rule's survivor table, read off the ambient product and inverse
     tables, holds for the a-th ambient element the mask of the base elements
-    whose Perm conjugate by it lies in the base. The objectivity structure's
-    rule has the base 1."""
+    whose Perm conjugate by it lies in the base. The trivial-base
+    structure's rule has the base 1."""
     rule = STRUCTURES[name](request).rule
     ambient = tuple(rule.ambient)
     assert len(rule.survivors) == len(ambient)
@@ -1365,7 +1336,7 @@ def test_survivor_table_matches_conjugation(name, request):
         assert rule.survivors[a] == _mask(rule, [x for x in rule.S if x.conj(g) in rule.S])
 
 
-@pytest.mark.parametrize("name", ["L_s3xs3", "L_l27", "unclosed", "objectivity"])
+@pytest.mark.parametrize("name", ["L_s3xs3", "L_l27", "unclosed", "trivial-base"])
 def test_conj_pos_matches_conjugation(name, request):
     """conj_pos[a][i], read off the ambient tables, is the base position of
     the Perm conjugate of the i-th base element by the a-th ambient element,
