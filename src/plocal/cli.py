@@ -9,7 +9,9 @@ Corpus format (line oriented, ``#`` comments, 0-based cycle notation):
 
 Every ``group`` line starts an entry, under a name no other entry has; the
 following ``normal``/``X``/``K`` lines attach to it, with at most one
-``normal`` line. The declared normal subgroup is validated at load time.
+``normal`` line. The declared normal subgroup is validated at load time,
+and so is the notation of every line: what depends on X waits for the
+sweep.
 
 The JSON report is a canonical document: reports sorted by (entry,
 statement, instance), keys sorted, no timestamps, so identical runs are
@@ -61,17 +63,15 @@ class CorpusEntry:
             raise NormalityError("entry %s: declared subgroup is not inside the group" % self.name)
         return self.G.generated_subgroup(gens) if gens else self.G
 
-    def X_subgroups(self, G, S):
+    def X_subgroups(self, S):
         """Explicitly requested X subgroups (must lie inside S), or None.
-        Lines naming the same subgroup give it once, at its first line."""
+        Lines naming the same subgroup give it once, at its first line.
+        parse_corpus checks that each line is cycle notation."""
         if not self.X_strings:
             return None
         out = []
         for spec in self.X_strings:
-            try:
-                gens = [perm_from_cycles(s, self.degree) for s in _split_cycles(spec)]
-            except ValueError as exc:
-                raise CorpusParseError("entry %s: X=%s: %s" % (self.name, spec, exc))
+            gens = [perm_from_cycles(s, self.degree) for s in vf.cycle_specs(spec, "X=" + spec)]
             if not all(g in S for g in gens):
                 raise CorpusParseError(
                     "entry %s: X=%s is not inside the Sylow subgroup" % (self.name, spec)
@@ -94,10 +94,6 @@ class RunConfig:
             if unknown:
                 raise ValueError("unknown statement ids: %s" % sorted(unknown))
         self.corpus_path, self.statements, self.report_path = corpus_path, statements, report_path
-
-
-def _split_cycles(text: str) -> List[str]:
-    return [part.strip() for part in text.split(";") if part.strip()]
 
 
 def parse_corpus(text: str) -> List[CorpusEntry]:
@@ -128,7 +124,7 @@ def parse_corpus(text: str) -> List[CorpusEntry]:
             cur = {
                 "name": name,
                 "p": p,
-                "gens": _split_cycles(m.group(3)),
+                "gens": vf.cycle_specs(m.group(3), "gens=" + m.group(3), lineno),
                 "normal": [],
                 "X": [],
                 "K": [],
@@ -144,26 +140,26 @@ def parse_corpus(text: str) -> List[CorpusEntry]:
                 raise CorpusParseError("normal line needs gens=", lineno)
             if cur["normal"]:
                 raise CorpusParseError("second normal line in one entry", lineno)
-            cur["normal"] = _split_cycles(stripped.split("gens=", 1)[1])
-        elif stripped.startswith("X="):
+            cur["normal"] = vf.cycle_specs(stripped.split("gens=", 1)[1], stripped, lineno)
+            if not cur["normal"]:
+                raise CorpusParseError("empty normal generator list", lineno)
+        elif stripped[:2] in ("X=", "K="):
+            kind, spec = stripped[0], stripped[2:].strip()
             if cur is None:
-                raise CorpusParseError("X line before any group line", lineno)
-            cur["X"].append(stripped[2:].strip())
-        elif stripped.startswith("K="):
-            if cur is None:
-                raise CorpusParseError("K line before any group line", lineno)
-            cur["K"].append(stripped[2:].strip())
+                raise CorpusParseError("%s line before any group line" % kind, lineno)
+            if kind == "X":
+                vf.cycle_specs(spec, "X=" + spec, lineno)
+            else:
+                vf.k_generator_specs(spec, lineno)
+            cur[kind].append(spec)
         else:
             raise CorpusParseError("unrecognized line: %r" % stripped, lineno)
 
     for r in raw:
         all_strings = list(r["gens"]) + list(r["normal"]) + [
-            s for spec in r["X"] for s in _split_cycles(spec)
+            s for spec in r["X"] for s in vf.cycle_specs(spec, "X=" + spec)
         ]
-        try:
-            degree = max(max_point(s) for s in all_strings) + 1
-        except ValueError as exc:
-            raise CorpusParseError("entry %s: %s" % (r["name"], exc), r["line"])
+        degree = max(max_point(s) for s in all_strings) + 1  # the lines are cycle notation
         entry = CorpusEntry(
             name=r["name"],
             p=r["p"],

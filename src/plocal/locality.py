@@ -17,15 +17,15 @@ are masks over the ambient group, a home (see ``groups``), so a subgroup
 found by the group layer meets them as its ``home_mask``; an object of
 Delta or Gamma, S_f and R_w are masks over the base S. The rule is
 integer tables over the ambient's sorted elements (``mul_table``,
-``inv_table``): ``ChainDomain.conj_pos``, read off the group layer as
-``groups.conj_positions(ambient, S)``, maps each position of S through
-each element's conjugation, and R_w is the AND of its ``survivors`` masks
-over the prefix products. Every question about the domain or about
-conjugates of base elements reads them, the germs of
+``inv_table``) and the Locality's own: ``Locality.conj_pos``, read off
+the group layer as ``groups.conj_positions(ambient, S)``, maps each
+position of S through each element's conjugation, and R_w is the AND of
+its ``survivors`` masks over the prefix products. Every question about
+the domain or about conjugates of base elements reads them, the germs of
 ``fusion_of_partial`` (built by ``fusion.conjugation_germs``) too.
 Elements are Perms only at the edges: ``sorted_elements``, the words of
-``in_domain`` and ``prod``, and witnesses. A Locality and its rule refuse
-attribute assignment, so the rule is the one the constructor built, the
+``in_domain`` and ``prod``, and witnesses. A Locality refuses attribute
+assignment, so its tables are the ones its constructor built, the
 hypothesis of ``verify_locality``'s theorem.
 
 A whole group G with Sylow p-subgroup S is ``group_locality``: its objects
@@ -59,7 +59,6 @@ read off the home too (``groups.lattice``).
 
 from __future__ import annotations
 
-from functools import cached_property
 from operator import getitem, ne
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
@@ -110,66 +109,28 @@ WORD_LEN = 3
 
 
 # ---------------------------------------------------------------------------
-# the word domain
-
-
-class ChainDomain:
-    """Words admitting an object chain inside the base p-group S, the
-    objects given as masks over S, a word being the ambient indexes of its
-    letters.
-
-    x survives w when each prefix product of w conjugates it into S, so
-    R_{w g} = R_w & survivors[Pi(w g)], one AND per letter for a walk that
-    carries its prefix products as ambient indexes. conj_pos, and survivors
-    from it, are read on first use off the group layer, so the rule makes no
-    Perm products.
-    """
-
-    def __init__(self, ambient: Subgroup, S: Subgroup, masks: Iterable[int]):
-        object.__setattr__(self, "ambient", ambient)
-        object.__setattr__(self, "S", S)
-        object.__setattr__(self, "masks", frozenset(masks))
-        if (1 << S.order) - 1 not in self.masks:
-            raise ValueError("the base itself must be an object")
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ChainDomain is immutable")
-
-    @cached_property
-    def conj_pos(self) -> Tuple[Tuple[int, ...], ...]:
-        """conj_pos[a][i]: the position in S of x_i^a, -1 when that
-        conjugate leaves S, for x_i the i-th sorted element of S and a the
-        a-th sorted element of the ambient group (conj_positions)."""
-        return conj_positions(self.ambient, self.S)
-
-    @cached_property
-    def survivors(self) -> Tuple[int, ...]:
-        """survivors[a]: the mask of the base elements x with x^a in the
-        base, for the a-th sorted element a of the ambient group."""
-        return tuple(sum(1 << i for i, j in enumerate(row) if j >= 0) for row in self.conj_pos)
-
-    def word_ok(self, word: Sequence[int]) -> bool:
-        mul, survivors = self.ambient.mul_table, self.survivors
-        u, mask = 0, survivors[0]  # the identity sorts first; R of the empty word
-        for a in word:
-            u = mul[u][a]
-            mask &= survivors[u]
-        return mask in self.masks
-
-
-# ---------------------------------------------------------------------------
 # localities
 
 
 class Locality:
     """(L, Delta, S): a group-backed partial group with object set Delta
     inside S. elems and S_elems are masks over the ambient group, a home,
-    and Delta a set of masks over S. Its product is the ambient product and
-    its words are decided by ChainDomain(ambient, S, Delta). What is
-    decided about it is kept in its ``_memo`` through ``groups.memo``, the
-    one way to keep a result. It refuses attribute assignment."""
+    and Delta a set of masks over S, S itself among them. Its product is
+    the ambient product, and its words, the ambient indexes of their
+    letters, are decided by the chain criterion (word_ok). What is decided
+    about it is kept in its ``_memo`` through ``groups.memo``, the one way
+    to keep a result. It refuses attribute assignment.
 
-    __slots__ = ("ambient", "elems", "Delta", "S_elems", "p", "rule", "S", "_memo")
+    conj_pos[a][i] is the position in S of x_i^a, -1 when that conjugate
+    leaves S, for x_i the i-th sorted element of S and a the a-th sorted
+    element of the ambient group (``groups.conj_positions``), and
+    survivors[a] the mask of the x in S with x^a in S. x survives w when
+    each prefix product of w conjugates it into S, so R_{w g} = R_w &
+    survivors[Pi(w g)], one AND per letter for a walk that carries its
+    prefix products as ambient indexes. Both are read at construction off
+    the group layer, so the rule makes no Perm products."""
+
+    __slots__ = ("ambient", "elems", "Delta", "S_elems", "p", "S", "conj_pos", "survivors", "_memo")
 
     def __init__(self, ambient: Subgroup, elems: int, Delta: Iterable[int], S_elems: int, p: int):
         if ambient.home is not ambient:
@@ -179,17 +140,31 @@ class Locality:
         S, Delta = ambient.from_home_mask(S_elems), frozenset(Delta)
         if any(d >> S.order for d in Delta):
             raise ValueError("objects not inside S")
+        if (1 << S.order) - 1 not in Delta:
+            raise ValueError("the base itself must be an object")
+        conj_pos = conj_positions(ambient, S)
+        survivors = tuple(sum(1 << i for i, j in enumerate(row) if j >= 0) for row in conj_pos)
         object.__setattr__(self, "ambient", ambient)
         object.__setattr__(self, "elems", elems)
         object.__setattr__(self, "Delta", Delta)
         object.__setattr__(self, "S_elems", S_elems)
         object.__setattr__(self, "p", p)
-        object.__setattr__(self, "rule", ChainDomain(ambient, S, Delta))
         object.__setattr__(self, "S", S)
+        object.__setattr__(self, "conj_pos", conj_pos)
+        object.__setattr__(self, "survivors", survivors)
         object.__setattr__(self, "_memo", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("Locality is immutable")
+
+    def word_ok(self, word: Sequence[int]) -> bool:
+        """R_w is an object, for w a word of ambient indexes."""
+        mul, survivors = self.ambient.mul_table, self.survivors
+        u, mask = 0, survivors[0]  # the identity sorts first; R of the empty word
+        for a in word:
+            u = mul[u][a]
+            mask &= survivors[u]
+        return mask in self.Delta
 
     def sorted_elements(self) -> Tuple[Perm, ...]:
         """The elements as Perms, in sorted order: the letters of words."""
@@ -200,7 +175,7 @@ class Locality:
             word = self.ambient.indexes(word)
         except ValueError:
             return False
-        return all(self.elems >> a & 1 for a in word) and self.rule.word_ok(word)
+        return all(self.elems >> a & 1 for a in word) and self.word_ok(word)
 
     def prod(self, word: Sequence[Perm]) -> Perm:
         if not self.in_domain(word):
@@ -211,7 +186,7 @@ class Locality:
         return elements(self.ambient, 1 << out)[0]
 
     def _content(self) -> tuple:
-        # the rule is a function of (S_elems, Delta); caches are excluded
+        # the tables are a function of (ambient, S_elems); caches are excluded
         return self.ambient, self.elems, self.S_elems, self.Delta
 
     def __eq__(self, other):
@@ -284,7 +259,7 @@ def build_group_locality(G: Subgroup, S: Subgroup, Delta: Iterable[int], p: int)
 
 
 def _S_f_masks(L: Locality) -> Tuple[int, ...]:
-    """S_f as a mask over S, the rule's base, by the ambient index of f,
+    """S_f as a mask over S, L's base, by the ambient index of f,
     kept in L's memo: bit i is set iff x_i^f lies in S, f, f^-1 and x_i lie
     in L and R of (f^-1, x_i, f), with prefix products 1, f^-1, f^-1 x_i and
     x_i^f, is an object."""
@@ -292,8 +267,8 @@ def _S_f_masks(L: Locality) -> Tuple[int, ...]:
 
 
 def _S_f_of(L: Locality) -> Tuple[int, ...]:
-    mul, inv, inside, rule = L.ambient.mul_table, L.ambient.inv_table, L.elems, L.rule
-    sv, base = rule.survivors, bits(rule.S.home_mask)
+    mul, inv, inside = L.ambient.mul_table, L.ambient.inv_table, L.elems
+    sv, base = L.survivors, bits(L.S_elems)
 
     def mask(f, row):
         fi = inv[f]
@@ -301,16 +276,16 @@ def _S_f_of(L: Locality) -> Tuple[int, ...]:
             return 0
         return sum(
             1 << i for i, x in enumerate(base) if inside >> x & 1 and row[i] >= 0
-            and (sv[fi] & sv[mul[fi][x]] & sv[base[row[i]]]) in rule.masks
+            and (sv[fi] & sv[mul[fi][x]] & sv[base[row[i]]]) in L.Delta
         )
 
-    return tuple(map(mask, range(len(mul)), rule.conj_pos))
+    return tuple(map(mask, range(len(mul)), L.conj_pos))
 
 
 def S_f(L: Locality, f: Perm) -> Subgroup:
     """S_f = {x in S : (f^-1, x, f) in D and x^f in S}, from its mask."""
     [a] = L.ambient.indexes([f])
-    return L.rule.S.from_mask(_S_f_masks(L)[a] if L.elems >> a & 1 else 0)
+    return L.S.from_mask(_S_f_masks(L)[a] if L.elems >> a & 1 else 0)
 
 
 def _conj_mask(L: Locality, mask: int, a: int) -> Optional[int]:
@@ -318,7 +293,7 @@ def _conj_mask(L: Locality, mask: int, a: int) -> Optional[int]:
     else P's bits mapped through conj_pos[a]."""
     if mask & ~_S_f_masks(L)[a]:
         return None
-    row, out = L.rule.conj_pos[a], 0
+    row, out = L.conj_pos[a], 0
     while mask:
         low = mask & -mask
         out |= 1 << row[low.bit_length() - 1]
@@ -343,7 +318,7 @@ def K_normalizer_partial(L: Locality, X: Subgroup, K: AutGroup) -> int:
 
 def _defined_on(L: Locality, X: Subgroup, N: Subgroup) -> int:
     """The f in N cap L for which X^f is defined in L: X <= S_f."""
-    x, sf = L.rule.S.mask(X), _S_f_masks(L)
+    x, sf = L.S.mask(X), _S_f_masks(L)
     return sum(1 << f for f in bits(N.home_mask & L.elems) if not x & ~sf[f])
 
 
@@ -381,10 +356,10 @@ def restrict(L: Locality, H: int, Gamma: Iterable[int], X: Subgroup) -> Locality
                 raise GammaNotClosed("not closed under H-conjugation")
     # (Q1): <P, X> must be an object of L for every P in Gamma (no join for
     # X outside S)
-    x, joined_of = L.rule.S.mask(X), {}
+    x, joined_of = L.S.mask(X), {}
     for P in objects:
         joined = joined_of[P] = join(L.S, P | x)
-        if joined not in L.rule.masks:
+        if joined not in L.Delta:
             raise Q1Violated("<P, X> is not an object for P with |P|=%d" % P.bit_count())
     # (Q2): N_H(P1, P2) <= N_L(<P1,X>, <P2,X>); P2 = P1^f is the one object
     # that f can move P1 onto, and <P1,X> is often P1 itself
@@ -403,7 +378,7 @@ def restrict(L: Locality, H: int, Gamma: Iterable[int], X: Subgroup) -> Locality
 
 
 def _is_max_p_subgroup(P0: Locality) -> bool:
-    """S, the base of P0's rule, is a p-subgroup of the partial group P0 (a
+    """S, the base of P0, is a p-subgroup of the partial group P0 (a
     subgroup inside P0 with all its words defined), maximal among such.
 
     A p-subgroup H > S has N_H(S) > S, so S is maximal iff no x in N_G(S)
@@ -411,7 +386,7 @@ def _is_max_p_subgroup(P0: Locality) -> bool:
     product table by times_cyclic. Words need no test: every element of
     S<x> normalizes S, so its survivor mask, and so the AND of them along
     any word over S<x> or over S, is the whole base, which is an object
-    (ChainDomain requires it)."""
+    (the Locality's constructor requires it)."""
     S, G, p = P0.S_elems, P0.ambient, P0.p
     if S & ~P0.elems or not is_p_group(P0.S, p):
         return False
@@ -472,7 +447,7 @@ def partial_normal_violation(L: Locality, N: int) -> Optional[dict]:
     # n^f is defined iff f^-1 lies in L and R of (f^-1, n, f), with prefix
     # products 1, f^-1, f^-1 n and n^f, is an object
     mul, inv, inside = L.ambient.mul_table, L.ambient.inv_table, L.elems
-    sv, masks, members = L.rule.survivors, L.rule.masks, bits(N)
+    sv, masks, members = L.survivors, L.Delta, bits(N)
     for f in bits(inside):
         fi = inv[f]
         for n in members if inside >> fi & 1 else ():
@@ -518,8 +493,8 @@ def _generated(L: Locality, N: int, R: Subgroup, frame: Subgroup) -> FusionSyste
 
 def _partial_germs(L: Locality, N: int, R: Subgroup, frame: Subgroup) -> set:
     """The c_f on P for f in N and P <= R with P <= S_f and P^f <= R, for R
-    inside S, each a germ over the frame (see fusion): f's row of the
-    rule's conj_pos written once in the frame's positions on R, restricted
+    inside S, each a germ over the frame (see fusion): f's row of
+    L's conj_pos written once in the frame's positions on R, restricted
     to P.
 
     The row needs no cut to S_f, for S_f = S cap S^(f^-1), the positions
@@ -528,7 +503,7 @@ def _partial_germs(L: Locality, N: int, R: Subgroup, frame: Subgroup) -> set:
     object chain P^f, P, P, P^f along (f^-1, x, f) puts that word in D."""
     r, f = L.ambient.home_mask_of(R), L.ambient.home_mask_of(frame)
     into = [(f & ((1 << a) - 1)).bit_count() if r >> a & 1 else -1 for a in bits(L.S_elems)]
-    return conjugation_germs({L.rule.conj_pos[a] for a in bits(N)}, into, frame)
+    return conjugation_germs({L.conj_pos[a] for a in bits(N)}, into, frame)
 
 
 # ---------------------------------------------------------------------------
@@ -587,7 +562,7 @@ def _domain_pairs(L: Locality, A: int, B: int):
     and then b. The prefix products of (a, b) are 1, a and ab, so R_(a,b) =
     survivors[a] & survivors[ab], R of the empty word being the whole
     base."""
-    mul, survivors, masks = L.ambient.mul_table, L.rule.survivors, L.rule.masks
+    mul, survivors, masks = L.ambient.mul_table, L.survivors, L.Delta
     right = bits(B & L.elems)
     for a in bits(A & L.elems):
         row, mask = mul[a], survivors[a]
@@ -608,7 +583,7 @@ def _walk(P: Locality, word_len: int, tables):
     its prefix products Pi(g_1...g_l), l = 0..m, are indexes into the
     sorted elements of the ambient group. A prefix is (word, code, R_w,
     prefix products, Pi(wbar), R_wbar), for wbar the inverse word
-    g_m^-1...g_1^-1: R_w and R_wbar are the rule's survivor masks over S.
+    g_m^-1...g_1^-1: R_w and R_wbar are survivor masks over S.
     Its rows are (times[Pi(w)], lefts[Pi(wbar)], R_wbar's step by the
     letters' conj_pos rows), read once, the step by _moved and kept for
     the walk: letter i extends it by product row[i], R_w &
@@ -617,9 +592,9 @@ def _walk(P: Locality, word_len: int, tables):
     y^Pi(v) does for each prefix v of wbar(w).
     """
     n = P.elems.bit_count()
-    survivors = P.rule.survivors
+    survivors = P.survivors
     amb, times, lefts = tables  # P's _letter_tables
-    wbar_step, wbar_rows = tuple(map(P.rule.conj_pos.__getitem__, amb)), {}
+    wbar_step, wbar_rows = tuple(map(P.conj_pos.__getitem__, amb)), {}
     letters = range(n)
 
     def extend(prefix, left):
@@ -717,7 +692,7 @@ def _axiom_walk(P: Locality, word_len: int) -> VerificationReport:
     if not P.in_domain(()):
         return fail({"axiom": "empty-word"})
     unit, n = 0, len(elems)  # the identity sorts first
-    masks, survivors = P.rule.masks, P.rule.survivors
+    masks, survivors = P.Delta, P.survivors
     pw = [n**m for m in range(word_len + 1)]
 
     def letters(flags) -> int:
@@ -829,16 +804,16 @@ def verify_locality(L: Locality) -> VerificationReport:
     word could change no verdict, only the witness of a structure with S
     outside L.
 
-    Theorem. Let L be a Locality, whose rule is ChainDomain(ambient, S,
-    Delta) as its constructor built it (it refuses rebinding), that passes
-    every clause here, the walk of verify_partial_group over the words of
-    length at most WORD_LEN among them. Then L, with the ambient product and inverse, is
-    a partial group, and (L, Delta) is objective, at every word length: D
-    is the set of words over L with an object chain, Delta is closed under
-    overgroups in S and under conjugation by L, and S is a maximal
-    p-subgroup of L. So a walk over longer words cannot fail. The route
-    is the object-chain criterion for objective partial groups (Chermak,
-    "Fusion systems and localities", Acta Math. 211 (2013), section 2).
+    Theorem. Let L be a Locality, whose tables its constructor built (it
+    refuses assignment), that passes every clause here, the walk of
+    verify_partial_group over the words of length at most WORD_LEN among
+    them. Then L, with the ambient product and inverse, is a partial group,
+    and (L, Delta) is objective, at every word length: D is the set of
+    words over L with an object chain, Delta is closed under overgroups in
+    S and under conjugation by L, and S is a maximal p-subgroup of L. So a
+    walk over longer words cannot fail. The route is the object-chain
+    criterion for objective partial groups (Chermak, "Fusion systems and
+    localities", Acta Math. 211 (2013), section 2).
 
     Proof. Write x^g = g^-1 x g, and R_w for the rule's subgroup of a word
     w: the x in S whose conjugates by every prefix product of w lie in S.
@@ -901,7 +876,7 @@ def verify_locality(L: Locality) -> VerificationReport:
             if not d & ~H and H not in L.Delta:
                 return fail({"axiom": "Delta-overgroups", "object_order": d.bit_count()})
     for f in letters:
-        if not L.rule.word_ok((f,)):
+        if not L.word_ok((f,)):
             return fail({"axiom": "length-one-domain", "w": [_name(L, f)]})
     for d in objects:
         for f in letters:

@@ -423,7 +423,7 @@ def prepare_entry(entry):
         return None, failed_report("Axioms", inst, {"partial-normal": bad})
     if lo.fusion_of_partial(L, N) != E:
         return None, failed_report("Axioms", inst, {"partial-normal": "F_T(H cap L) != F_T(H)"})
-    pe = PreparedEntry(name, p, G, F, L, E, N, entry.X_subgroups(G, S), entry.K_descriptors())
+    pe = PreparedEntry(name, p, G, F, L, E, N, entry.X_subgroups(S), entry.K_descriptors())
     axioms = passed_report(
         "Axioms", inst, L_size=L.elems.bit_count(), objects=len(L.Delta),
         subgroups_of_S=len(F.subgroups()), T_order=E.S.order, N_size=N.bit_count(),
@@ -469,39 +469,61 @@ def k_options(
     for desc in ("aut", "id", "inn") if descriptors is None else descriptors:
         if desc in ("aut", "id", "inn"):
             push(desc, A if desc == "aut" else gp.trivial_aut_group(X) if desc == "id" else gp.inn_group(X))
-        elif desc.startswith("gens:"):
+        else:
             try:
-                push(desc, _k_from_gens(X, desc[5:]))
+                push(desc, _k_from_gens(X, desc))
             except KDescriptorNotForX:
                 if not skip_unfit:
                     raise
                 push(desc, None)
-        else:
-            raise CorpusParseError("unknown K descriptor %r" % desc)
     if descriptors is None and not A.order_at_least(AUT_CAP + 1):
         for idx, K in enumerate(A.sub_autgroups()):
             push("K%02d[o=%d]" % (idx, K.order), K)
     return out
 
 
-def _k_from_gens(X: Subgroup, spec: str) -> AutGroup:
+def cycle_specs(text: str, label: str, line: Optional[int] = None) -> List[str]:
+    """The ';'-separated generators of text, each checked to be cycle
+    notation: CorpusParseError naming label, on the corpus line when one
+    is given, for one that is not."""
+    specs = [s.strip() for s in text.split(";") if s.strip()]
+    try:
+        for s in specs:
+            parse_cycles(s)
+    except ValueError as exc:
+        raise CorpusParseError("%s: %s" % (label, exc), line)
+    return specs
+
+
+def k_generator_specs(desc: str, line: Optional[int] = None) -> List[str]:
+    """The generators of a K descriptor, none for "aut", "id" and "inn".
+    Any other descriptor, or a ``gens:`` list that is empty or not cycle
+    notation, raises CorpusParseError, on the corpus line when one is
+    given, whatever X is."""
+    if desc in ("aut", "id", "inn"):
+        return []
+    if not desc.startswith("gens:"):
+        raise CorpusParseError("unknown K descriptor %r" % desc, line)
+    specs = cycle_specs(desc[5:], "K=" + desc, line)
+    if not specs:
+        raise CorpusParseError("empty K generator list", line)
+    return specs
+
+
+def _k_from_gens(X: Subgroup, desc: str) -> AutGroup:
     """Explicit K: permutation generators on the sorted element index of X.
 
-    A malformed spec raises CorpusParseError whatever X is; a well-formed
-    one with a generator outside Aut(X), such as one naming a point past
-    |X|, raises KDescriptorNotForX, checked as any AutGroup's maps are, with
-    no search of Aut(X). Else the closure lies in Aut(X).
+    A malformed descriptor raises CorpusParseError whatever X is
+    (k_generator_specs); a well-formed one with a generator outside
+    Aut(X), such as one naming a point past |X|, raises
+    KDescriptorNotForX, checked as any AutGroup's maps are, with no search
+    of Aut(X). Else the closure lies in Aut(X).
     """
-    specs = [s for s in spec.split(";") if s.strip()]
-    if not specs:
-        raise CorpusParseError("empty K generator list")
-    try:
-        top = max((pt for s in specs for cyc in parse_cycles(s) for pt in cyc), default=-1)
-    except ValueError as exc:
-        raise CorpusParseError("K=gens:%s: %s" % (spec, exc))
+    specs = k_generator_specs(desc)
+    top = max((pt for s in specs for cyc in parse_cycles(s) for pt in cyc), default=-1)
     perms = frozenset(perm_from_cycles(s, max(top + 1, X.order)) for s in specs)
     if not gp.are_automorphisms(X, perms):
-        raise KDescriptorNotForX("K=gens:%s: a generator is not an automorphism of X" % spec)
+        raise KDescriptorNotForX("K=%s: a generator is not an automorphism of X" % desc)
     return AutGroup(X, gp.mulclose(perms))
 
 

@@ -67,7 +67,7 @@ MUTANTS = (
         CLAUSE % "Delta-overgroups",
     ),
     Mutant(
-        "length-one-domain", LOC, "if not L.rule.word_ok((f,)):", "if False:",
+        "length-one-domain", LOC, "if not L.word_ok((f,)):", "if False:",
         CLAUSE % "length-one-domain",
     ),
     Mutant(

@@ -48,11 +48,6 @@ def objects_of(L) -> frozenset:
     return frozenset(frozenset(elements(L.S, d)) for d in L.Delta)
 
 
-def rule_objects(rule) -> frozenset:
-    """A word rule's objects, masks over its base S, as element sets."""
-    return frozenset(frozenset(elements(rule.S, d)) for d in rule.masks)
-
-
 def as_pairs(base: Subgroup, maps) -> frozenset:
     """Package maps as this module's values: each tuple of positions over
     base's sorted elements (a germ of a fusion system over base, or a map
@@ -418,7 +413,7 @@ def partial_group_by_words(P, word_len):
 
     Every product is a product of ``Perm``s and a word is in the domain
     when R_w, the base elements whose conjugates by all prefix products of
-    w stay in the base, is one of the rule's objects. No package table is
+    w stay in the base, is one of P's objects. No package table is
     read: each letter's inverse and its conjugates of the base elements
     are computed once per call by ``Perm`` arithmetic, and each product of
     an element by a letter the first time it is met; no verdict is kept
@@ -428,22 +423,22 @@ def partial_group_by_words(P, word_len):
     one, subwords w[i:j], the splices of Pi(w[i:j]) for j - i >= 2, and the
     inverse word wbar w.
     """
-    rule, els, unit = P.rule, P.sorted_elements(), P.ambient.identity
-    elems, objects = frozenset(els), rule_objects(rule)
+    S, els, unit = P.S, P.sorted_elements(), P.ambient.identity
+    elems, objects = frozenset(els), objects_of(P)
     checked = domain = 0
     # every letter of a word below lies in P: the words' own, a spliced
     # product once it is found in P, and an inverse once inversion holds
     inverse = {g: g.inv() for g in els}
-    conj = {g: {x: x.conj(g) for x in rule.S} for g in els}
+    conj = {g: {x: x.conj(g) for x in S} for g in els}
     times = {}
 
     def in_domain(word):
         R = []
-        for x in rule.S:
+        for x in S:
             y = x
             for g in word:
                 y = conj[g][y]
-                if y not in rule.S:
+                if y not in S:
                     break
             else:
                 R.append(x)

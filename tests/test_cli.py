@@ -3,6 +3,7 @@ files a run writes, and exit codes."""
 
 import hashlib
 import json
+import re
 import time
 from pathlib import Path
 
@@ -10,7 +11,7 @@ import pytest
 
 from plocal import cli
 from plocal import groups as gp
-from plocal.errors import CorpusParseError, NormalityError
+from plocal.errors import CorpusParseError, KDescriptorNotForX, NormalityError
 
 GOOD = """
 # comment line
@@ -51,7 +52,7 @@ def test_parse_x_and_k_lines():
     (e,) = cli.parse_corpus(WITH_XK)
     G = e.G
     S = gp.sylow_subgroup(G, 2)
-    xs = e.X_subgroups(G, S)
+    xs = e.X_subgroups(S)
     assert len(xs) == 1 and xs[0].order == 2
     assert e.K_descriptors() == ("aut", "id")
 
@@ -94,7 +95,7 @@ def test_x_outside_sylow_rejected():
     G = e.G
     S = gp.sylow_subgroup(G, 3)
     with pytest.raises(CorpusParseError):
-        e.X_subgroups(G, S)
+        e.X_subgroups(S)
 
 
 def test_run_config_validation():
@@ -266,7 +267,7 @@ def test_x_lines_naming_one_subgroup_give_it_once(tmp_path):
     twice = one_line.replace("X=(0 2)\n", "X=(0 2)\nX=(0 2);()\n")
     (entry,) = cli.parse_corpus(twice)
     G = entry.G
-    assert len(entry.X_subgroups(G, gp.sylow_subgroup(G, 2))) == 1
+    assert len(entry.X_subgroups(gp.sylow_subgroup(G, 2))) == 1
     out_one, out_twice = tmp_path / "one.json", tmp_path / "twice.json"
     assert _main_on(tmp_path, one_line, "--report", str(out_one)) == 0
     assert _main_on(tmp_path, twice, "--report", str(out_twice)) == 0
@@ -313,6 +314,48 @@ def test_second_normal_line_is_corpus_error(tmp_path, capsys):
     assert ei.value.line == 5
     assert _main_on(tmp_path, GOOD + "normal gens=(0 1)\n") == 2
     assert "second normal line" in capsys.readouterr().err
+
+
+def test_empty_normal_generator_list_is_corpus_error(tmp_path, capsys):
+    """An empty ``normal gens=`` list is refused on its line, so a second
+    normal line cannot follow it and win; ``normal gens=()`` is the
+    trivial group."""
+    empty = "group a p=2 gens=(0 1)\nnormal gens=\n"
+    for corpus in (empty, empty + "normal gens=(0 1)\n"):
+        with pytest.raises(CorpusParseError, match="empty normal generator list") as ei:
+            cli.parse_corpus(corpus)
+        assert ei.value.line == 2
+    assert _main_on(tmp_path, empty + "normal gens=(0 1)\n") == 2
+    assert "line 2: empty normal generator list" in capsys.readouterr().err
+    (entry,) = cli.parse_corpus("group a p=2 gens=(0 1)\nnormal gens=()\n")
+    assert entry.G.order == 2 and entry.H.order == 1
+
+
+A5 = "group a5 p=2 gens=(0 1 2 3 4);(0 1 2)\n"
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("K=bogus", "unknown K descriptor 'bogus'"),
+        ("K=gens:", "empty K generator list"),
+        ("K=gens:(0 q)", "bad point 'q'"),
+        ("X=(0 1", "bad cycle notation"),
+        ("X=(0 1 2)(0 2 1)", "point 0 repeated"),
+        ("normal gens=(0 1 q)", "bad point 'q'"),
+    ],
+)
+def test_line_notation_is_checked_at_load(tmp_path, capsys, line, message):
+    """The notation of K=, X= and normal lines is checked at load, on
+    their line, so the lines of A5 at p = 2, an entry the suite rejects
+    before any sweep, are checked too; a later bad line waits for the
+    first."""
+    corpus = A5 + line + "\nX=(0 1\n"
+    with pytest.raises(CorpusParseError, match=re.escape(message)) as ei:
+        cli.parse_corpus(corpus)
+    assert ei.value.line == 2 and not isinstance(ei.value, KDescriptorNotForX)
+    assert _main_on(tmp_path, corpus) == 2
+    assert "corpus error: line 2: " in capsys.readouterr().err
 
 
 def test_repeated_group_name_is_corpus_error(tmp_path, capsys):

@@ -858,9 +858,9 @@ def _survivors(base, word):
     return frozenset(out)
 
 
-def _mask(rule, xs):
-    """The rule's bitmask of the base elements xs."""
-    return sum(1 << tuple(rule.S).index(x) for x in xs)
+def _mask(P, xs):
+    """P's bitmask of the base elements xs."""
+    return sum(1 << tuple(P.S).index(x) for x in xs)
 
 
 @pytest.fixture(scope="module")
@@ -881,7 +881,7 @@ def test_walk_matches_whole_word_definitions(L_s3xs3, unclosed):
     R_wbar for its inverse word wbar, and the domain answer for wbar w read
     off R_wbar: the axiom check takes R_{wbar w} to be the walk's R_wbar."""
     for P in (L_s3xs3, unclosed):
-        rule, els, ambient = P.rule, P.sorted_elements(), tuple(P.ambient)
+        els, ambient = P.sorted_elements(), tuple(P.ambient)
         walked = [prefix for _, prefix, _ in lo._walk(P, 4, lo._letter_tables(P))]
         for iw, code, survivors, iprods, iwbar, wbar_survivors in walked:
             # the walk names letters and products by index; read them back
@@ -892,18 +892,18 @@ def test_walk_matches_whole_word_definitions(L_s3xs3, unclosed):
             for g in w:
                 expected.append(expected[-1] * g)
             assert prods == tuple(expected)
-            R_w = _survivors(rule.S, w)
-            assert survivors == _mask(rule, R_w)
-            assert (survivors in rule.masks) == (R_w in oracles.rule_objects(rule))
+            R_w = _survivors(P.S, w)
+            assert survivors == _mask(P, R_w)
+            assert (survivors in P.Delta) == (R_w in oracles.objects_of(P))
             wbar = tuple(g.inv() for g in reversed(w))
             product = P.ambient.identity
             for g in wbar:
                 product = product * g
             assert ambient[iwbar] == product
-            assert wbar_survivors == _mask(rule, _survivors(rule.S, wbar))
-            R_wbar_w = _survivors(rule.S, wbar + w)
-            assert wbar_survivors == _mask(rule, R_wbar_w)
-            assert (wbar_survivors in rule.masks) == (R_wbar_w in oracles.rule_objects(rule))
+            assert wbar_survivors == _mask(P, _survivors(P.S, wbar))
+            R_wbar_w = _survivors(P.S, wbar + w)
+            assert wbar_survivors == _mask(P, R_wbar_w)
+            assert (wbar_survivors in P.Delta) == (R_wbar_w in oracles.objects_of(P))
         assert len(walked) == sum(len(els) ** k for k in (0, 1, 2, 3))
 
 
@@ -933,9 +933,8 @@ def test_walked_domain_matches_chain_search(name, word_len, request):
 
 def test_walked_domain_matches_chain_search_on_random_structures(random_structures):
     """The same on every random structure that verify_locality passes, at
-    length 2: each is objective, as its docstring's theorem says. Every
-    word of these draws has a chain, so the words outside the domain are
-    the named localities' above."""
+    length 2: each is objective, as its docstring's theorem says, the
+    genuinely partial ones among them too."""
     passed = [L for L, rep in random_structures if rep.passed]
     verdicts = sum((_domain_against_chains(L, 2) for L in passed), Counter())
     assert len(passed) >= 50 and verdicts[True] > 0
@@ -1004,12 +1003,10 @@ def test_planted_fault_splice_at_word_end(s3xs3, L_s3xs3, z, axiom, stats):
 
 def test_axiom_walk_makes_no_perm_products(monkeypatch, L_s3xs3):
     """The partial-group check is integer work only: with the ambient
-    tables built, it makes no Perm product or conjugate. The word rule of a
-    fresh locality of L_s3xs3's content builds its survivor table under the
-    spy, so the rule makes no Perm products either."""
-    L = lo.Locality(L_s3xs3.ambient, L_s3xs3.elems, L_s3xs3.Delta, L_s3xs3.S_elems, 2)
-    L.ambient.mul_table, L.ambient.inv_table
-    assert "survivors" not in vars(L.rule)
+    tables built, it makes no Perm product or conjugate. A fresh locality
+    of L_s3xs3's content builds its conj_pos and survivor tables under the
+    spy, so the word rule makes no Perm products either."""
+    L_s3xs3.ambient.mul_table, L_s3xs3.ambient.inv_table
     calls = []
     for name in ("__mul__", "conj"):
         real = getattr(Perm, name)
@@ -1019,9 +1016,10 @@ def test_axiom_walk_makes_no_perm_products(monkeypatch, L_s3xs3):
             return real(self, other)
 
         monkeypatch.setattr(Perm, name, spy)
+    L = lo.Locality(L_s3xs3.ambient, L_s3xs3.elems, L_s3xs3.Delta, L_s3xs3.S_elems, 2)
     assert lo.verify_partial_group(L).passed
     assert calls == []
-    assert len(L.rule.survivors) == L.ambient.order
+    assert len(L.survivors) == L.ambient.order
 
 
 @pytest.mark.parametrize(
@@ -1118,8 +1116,7 @@ def _random_locality_args(rng, groups):
     Delta = {(1 << S.order) - 1} | set(rng.sample(lattice, rng.randrange(len(lattice) + 1)))
     if rng.random() < 0.5:
         Delta = _closed_objects(G, S, Delta)
-    base = frozenset(S)
-    elems = {f for f in G if S.mask(x for x in base if x.conj(f) in base) in Delta}
+    elems, base = _objective_elems(G, S, Delta), frozenset(S)
     r = rng.random()
     if r < 0.3:
         elems ^= {rng.choice(list(G))}
@@ -1128,10 +1125,28 @@ def _random_locality_args(rng, groups):
     return G, G.mask(elems), frozenset(Delta), G.home_mask_of(S), p
 
 
+def _objective_elems(G, S, Delta):
+    """The f in G with S cap S^(f^-1) in Delta, masks over S."""
+    base = frozenset(S)
+    return {f for f in G if S.mask(x for x in base if x.conj(f) in base) in Delta}
+
+
+def _partial_locality_args(rng, G):
+    """Locality arguments over G at p = 2, S its Sylow 2-subgroup: objects
+    the closure (see _closed_objects) of a random nonempty set of
+    nontrivial subgroups of S, and the f with S cap S^(f^-1) an object.
+    Over S3 x S3 such a locality passes, and is often genuinely partial."""
+    S = gp.sylow_subgroup(G, 2)
+    nontrivial = sorted(m for m in gp.lattice(S) if m != 1)  # 1: the trivial subgroup's mask
+    Delta = _closed_objects(G, S, rng.sample(nontrivial, rng.randrange(1, len(nontrivial) + 1)))
+    return G, G.mask(_objective_elems(G, S, Delta)), frozenset(Delta), G.home_mask_of(S), 2
+
+
 @pytest.fixture(scope="module")
-def random_structures(s3, a4, d8):
-    """200 seeded random Localities over S3, A4, D8, D12 and S3 x C2 (see
-    _random_locality_args), each with its verify_locality report."""
+def random_structures(s3, a4, d8, s3xs3):
+    """230 seeded random Localities, each with its verify_locality report:
+    200 over S3, A4, D8, D12 and S3 x C2 (see _random_locality_args), then
+    30 over S3 x S3 (see _partial_locality_args)."""
     groups = {
         "S3": s3, "A4": a4, "D8": d8,
         "D12": gp.generate_group(perms(6, "(0 1 2 3 4 5)", "(0 5)(1 4)(2 3)")),
@@ -1139,12 +1154,24 @@ def random_structures(s3, a4, d8):
     }
     rng = random.Random(2107)
     localities = [lo.Locality(*_random_locality_args(rng, groups)) for _ in range(200)]
+    localities += [lo.Locality(*_partial_locality_args(rng, s3xs3)) for _ in range(30)]
     return [(L, lo.verify_locality(L)) for L in localities]
+
+
+def test_random_structures_include_genuinely_partial_localities(random_structures):
+    """At least 10 of the passing random structures have a word of two
+    letters of L outside the domain, so the tests over them see
+    localities that are not groups."""
+    partial = 0
+    for L, rep in random_structures:
+        letters = gp.bits(L.elems)
+        partial += rep.passed and not all(L.word_ok((a, b)) for a in letters for b in letters)
+    assert partial >= 10
 
 
 def test_length_three_decides_length_four_on_random_structures(monkeypatch, random_structures):
     """verify_locality gives the same outcome with the walk at length 4 as
-    at WORD_LEN = 3, on the 200 random structures, as its docstring's
+    at WORD_LEN = 3, on the 230 random structures, as its docstring's
     theorem says: a pass at length 3 makes every word length hold. On each
     passing one N_L(P), for every object P, is a subgroup with every pair
     in D: the conditions verify_subcentric_locality no longer checks."""
@@ -1252,11 +1279,12 @@ def test_localities_over_equal_homes_are_one_content():
         ("object-beyond-S", "objects not inside S"),
         ("negative-object", "objects not inside S"),
         ("ambient-not-a-home", "must be a home"),
+        ("base-not-an-object", "the base itself must be an object"),
     ],
 )
 def test_locality_refuses_sets_outside_its_groups(L_s4, case, message):
     """The constructor checks its masks: elements and S inside the ambient
-    group, a home, and each object inside S."""
+    group, a home, each object inside S, and S among the objects."""
     G, S, top = L_s4.ambient, L_s4.S_elems, (1 << L_s4.S.order) - 1
     args = {
         "element-beyond-ambient": (G, L_s4.elems | 1 << G.order, [top], S),
@@ -1265,27 +1293,25 @@ def test_locality_refuses_sets_outside_its_groups(L_s4, case, message):
         "object-beyond-S": (G, L_s4.elems, [top, 1 << L_s4.S.order], S),
         "negative-object": (G, L_s4.elems, [top, -1], S),
         "ambient-not-a-home": (L_s4.S, 1, [top], 1),
+        "base-not-an-object": (G, L_s4.elems, [1], S),
     }[case]
     with pytest.raises(ValueError, match=message):
         lo.Locality(*args, 2)
 
 
 def test_a_locality_and_its_rule_refuse_assignment(L_s4):
-    """A Locality's rule is the one its constructor built, the hypothesis
-    of verify_locality's theorem: assigning rule, Delta or elems on a
-    Locality, or masks on its rule, raises AttributeError and changes
-    nothing."""
+    """A Locality's word rule, its conj_pos and survivors tables, is the
+    one its constructor built, the hypothesis of verify_locality's
+    theorem: assigning any field of a Locality, those two included, or a
+    new one such as a rule, raises AttributeError and changes nothing."""
     L = lo.Locality(L_s4.ambient, L_s4.elems, L_s4.Delta, L_s4.S_elems, 2)
-    rule = L.rule
-    for target, name, value in (
-        (L, "rule", lo.ChainDomain(L.ambient, L.ambient.trivial_subgroup(), [1])),
-        (L, "Delta", frozenset([1])),
-        (L, "elems", 1),
-        (rule, "masks", frozenset([1])),
-    ):
+    fields = {name: getattr(L, name) for name in lo.Locality.__slots__}
+    assert {"conj_pos", "survivors"} <= set(fields)
+    for name in (*fields, "rule"):
         with pytest.raises(AttributeError, match="immutable"):
-            setattr(target, name, value)
-    assert L == L_s4 and L.rule is rule and rule.masks == L_s4.Delta
+            setattr(L, name, None)
+    assert L == L_s4 and all(getattr(L, name) is value for name, value in fields.items())
+    assert not hasattr(L, "rule")
 
 
 def test_axiom_walk_matches_whole_word_oracle_on_default_structures(default_structures):
@@ -1325,15 +1351,15 @@ def test_domain_pairs_match_in_domain(name, request):
 
 @pytest.mark.parametrize("name", ["L_s3xs3", "L_l27", "unclosed", "trivial-base"])
 def test_survivor_table_matches_conjugation(name, request):
-    """The rule's survivor table, read off the ambient product and inverse
+    """The survivor table, read off the ambient product and inverse
     tables, holds for the a-th ambient element the mask of the base elements
     whose Perm conjugate by it lies in the base. The trivial-base
-    structure's rule has the base 1."""
-    rule = STRUCTURES[name](request).rule
-    ambient = tuple(rule.ambient)
-    assert len(rule.survivors) == len(ambient)
+    structure has the base 1."""
+    P = STRUCTURES[name](request)
+    ambient = tuple(P.ambient)
+    assert len(P.survivors) == len(ambient)
     for a, g in enumerate(ambient):
-        assert rule.survivors[a] == _mask(rule, [x for x in rule.S if x.conj(g) in rule.S])
+        assert P.survivors[a] == _mask(P, [x for x in P.S if x.conj(g) in P.S])
 
 
 @pytest.mark.parametrize("name", ["L_s3xs3", "L_l27", "unclosed", "trivial-base"])
@@ -1341,15 +1367,15 @@ def test_conj_pos_matches_conjugation(name, request):
     """conj_pos[a][i], read off the ambient tables, is the base position of
     the Perm conjugate of the i-th base element by the a-th ambient element,
     -1 when it leaves the base; survivors[a] holds the positions that stay."""
-    rule = STRUCTURES[name](request).rule
-    ambient, base = tuple(rule.ambient), tuple(rule.S)
-    assert len(rule.conj_pos) == len(ambient)
+    P = STRUCTURES[name](request)
+    ambient, base = tuple(P.ambient), tuple(P.S)
+    assert len(P.conj_pos) == len(ambient)
     for a, g in enumerate(ambient):
         expected = tuple(
-            base.index(x.conj(g)) if x.conj(g) in rule.S else -1 for x in base
+            base.index(x.conj(g)) if x.conj(g) in P.S else -1 for x in base
         )
-        assert rule.conj_pos[a] == expected
-        assert rule.survivors[a] == sum(1 << i for i, j in enumerate(expected) if j >= 0)
+        assert P.conj_pos[a] == expected
+        assert P.survivors[a] == sum(1 << i for i, j in enumerate(expected) if j >= 0)
 
 
 @pytest.mark.parametrize("name", ["L_l27", "unclosed"])
@@ -1363,7 +1389,7 @@ def test_S_f_mask_matches_definition(name, request):
     for a, f in enumerate(P.ambient):
         fi = f.inv()
         expected = frozenset(x for x in S if P.in_domain((fi, x, f)) and x.conj(f) in S)
-        assert masks[a] == P.rule.S.mask(expected)
+        assert masks[a] == P.S.mask(expected)
         verdicts[bool(expected)] += 1
         if expected:
             assert lo.S_f(P, f).elems == expected
@@ -1400,7 +1426,7 @@ def test_in_domain_matches_survivor_definition(name, request):
     verdicts = Counter()
     for w in [()] + [(a,) for a in ambient] + [(a, b) for a in ambient for b in ambient]:
         expected = all(g in oracles.elems_of(P, P.elems) for g in w) and (
-            _survivors(P.rule.S, w) in oracles.rule_objects(P.rule)
+            _survivors(P.S, w) in oracles.objects_of(P)
         )
         assert P.in_domain(w) == expected
         verdicts[expected] += 1

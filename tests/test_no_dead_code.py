@@ -5,9 +5,10 @@ A class or non-dunder function or method whose name occurs nowhere in
 name exported from ``plocal/__init__.py`` occurs there, so it counts as
 used.
 
-Every parameter of a module-level function is read in that function's
-body. Methods are exempt: protocol methods such as
-``FusionSystem.__setattr__`` take arguments they ignore by design.
+Every parameter of a module-level function or of a non-dunder method,
+``self`` and ``cls`` apart, is read in that function's body. Dunder
+methods are exempt: protocol methods such as ``FusionSystem.__setattr__``
+take arguments they ignore by design.
 
 Every name a module imports is read in that module. ``__init__.py`` is
 exempt, because its imports are the package's re-exports.
@@ -57,15 +58,28 @@ def test_every_function_is_referenced():
     assert not unused, "defined but never referenced: %s" % ", ".join(unused)
 
 
-def _unread_parameters():
+def _functions(tree):
+    """(name, def) for each module-level function, and for each non-dunder
+    method as Class.method."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef):
+            for fn in node.body:
+                if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and not (
+                    fn.name.startswith("__") and fn.name.endswith("__")
+                ):
+                    yield "%s.%s" % (node.name, fn.name), fn
+
+
+def _unread_parameters(package=PACKAGE):
     """``module.function(param)`` for each parameter of a module-level
-    function that the function's body never reads."""
+    function or a non-dunder method, ``self`` and ``cls`` apart, that the
+    function's body never reads."""
     out = []
-    for path in sorted(PACKAGE.glob("*.py")):
+    for path in sorted(package.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
-        for fn in tree.body:
-            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
+        for name, fn in _functions(tree):
             a = fn.args
             params = [x.arg for x in a.posonlyargs + a.args + a.kwonlyargs]
             params += [x.arg for x in (a.vararg, a.kwarg) if x is not None]
@@ -75,13 +89,29 @@ def _unread_parameters():
                 for node in ast.walk(stmt)
                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
             }
-            out += ["%s.%s(%s)" % (path.stem, fn.name, p) for p in params if p not in read]
+            out += [
+                "%s.%s(%s)" % (path.stem, name, p)
+                for p in params
+                if p not in read and p not in ("self", "cls")
+            ]
     return out
 
 
 def test_every_parameter_is_read():
     unread = _unread_parameters()
     assert not unread, "parameters never read: %s" % ", ".join(unread)
+
+
+def test_a_planted_unread_method_parameter_is_flagged(tmp_path):
+    """A method's unread parameter is flagged, its self is not."""
+    copy = tmp_path / "plocal"
+    shutil.copytree(PACKAGE, copy, ignore=shutil.ignore_patterns("__pycache__"))
+    cli = copy / "cli.py"
+    text = cli.read_text()
+    anchor = "    def K_descriptors(self)"
+    assert text.count(anchor) == 1
+    cli.write_text(text.replace(anchor, "    def K_descriptors(self, never_read)"))
+    assert _unread_parameters(copy) == ["cli.CorpusEntry.K_descriptors(never_read)"]
 
 
 def _unused_imports():
