@@ -34,18 +34,12 @@ restriction to Delta, built by ``restrict`` like bN_L^K(X). A partial
 subgroup of L is its mask, passed together with L; each function that
 takes one raises ValueError when it is not inside L.
 
-Axiom verification walks every word of length at most ``WORD_LEN`` plus
-the splicing/inversion patterns those words generate; by the theorem in
-``verify_locality``'s docstring, a locality that passes every clause there
-satisfies the axioms at every length. One depth-first walk per locality
-visits the words by length and then lexicographically, one prefix at a
-time: a prefix carries its products and three states, and its extensions
-by the n letters are checked at once, each check a set of letters (an int
-with one byte per letter) read in C off the prefix's rows; the domain
-sets of shorter words are kept, so subwords and spliced words are looked
-up, not walked again. The states are R_w, and the product and R_wbar of
-the inverse word wbar, which decide wbar w; the walk holds the rows it
-steps until it ends.
+Axiom verification reads two clauses of the partial-group axioms, the
+two that the proof in ``verify_locality``'s docstring needs: L is closed
+under inversion, and ab lies in L for each pair (a, b) in the domain, so
+that ``verify_partial_group`` is ``partial_subgroup_violation`` of L
+itself. By the theorem there, a locality that passes every clause of
+``verify_locality`` satisfies the axioms at every word length.
 
 The statement checkers in ``verify`` run the subcentric verification once
 per distinct structure of a corpus entry, keyed on its content in the memo
@@ -59,7 +53,6 @@ read off the home too (``groups.lattice``).
 
 from __future__ import annotations
 
-from operator import getitem, ne
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from .errors import (
@@ -100,13 +93,6 @@ from .groups import (
 from .perm import Perm
 from .report import VerificationReport
 
-# The length of the longest words the axiom walk checks. Length 2 would
-# decide every length for a group-backed locality (verify_locality's
-# docstring); 3 is the shortest at which a splice compares (ab)c with
-# a(bc), so a product table that is not associative, as in the tests'
-# planted faults, still fails the walk.
-WORD_LEN = 3
-
 
 # ---------------------------------------------------------------------------
 # localities
@@ -126,7 +112,7 @@ class Locality:
     element of the ambient group (``groups.conj_positions``), and
     survivors[a] the mask of the x in S with x^a in S. x survives w when
     each prefix product of w conjugates it into S, so R_{w g} = R_w &
-    survivors[Pi(w g)], one AND per letter for a walk that carries its
+    survivors[Pi(w g)]: word_ok makes one AND per letter, carrying the
     prefix products as ambient indexes. Both are read at construction off
     the group layer, so the rule makes no Perm products."""
 
@@ -535,27 +521,6 @@ def product_fusion(L: Locality, N: int, X: Subgroup) -> FusionSystem:
 # axiom verification
 
 
-def _moved(images: Iterable[Tuple[int, ...]], live: int) -> Tuple[int, ...]:
-    """The step of a set of things, live a mask over their numbers, by
-    each letter: per letter's images, images[t] the number of thing t moved
-    by it or -1 when that is no thing, the mask of the live things' images.
-    A letter moves distinct things to distinct things, so they add as bits."""
-    ends = bits(live)
-    return tuple(sum(1 << img[o] for o in ends if img[o] >= 0) for img in images)
-
-
-def _letter_tables(P: Locality):
-    """(letters, times, lefts): letters[i] is the ambient index of P's i-th
-    sorted element, times[a][i] that of (ambient element a) * (letter i),
-    and lefts[a][i] that of (letter i)^-1 * (ambient element a), all read
-    from the ambient product and inverse tables."""
-    mul, inv = P.ambient.mul_table, P.ambient.inv_table
-    letters = tuple(bits(P.elems))
-    times = tuple(tuple(row[b] for b in letters) for row in mul)
-    lefts = tuple(tuple(mul[inv[b]][a] for b in letters) for a in range(len(mul)))
-    return letters, times, lefts
-
-
 def _domain_pairs(L: Locality, A: int, B: int):
     """The pairs (a, b) in D, a in A and b in B, masks over the ambient
     group, by ambient index, each with the index of ab, in the order of a
@@ -571,225 +536,30 @@ def _domain_pairs(L: Locality, A: int, B: int):
                 yield a, b, row[b]
 
 
-def _walk(P: Locality, word_len: int, tables):
-    """For k = 1..word_len, every word of length k - 1 over P's sorted
-    elements, lexicographically, as (k, prefix, rows); its extensions by
-    each letter in turn are the words of length k, so these are met by
-    length and then lexicographically. Only the prefixes of the word at hand
-    are held.
-
-    A word g_1...g_m is the tuple of its letters' indexes i_l into
-    P.sorted_elements(), its code is sum_l i_l n^(m-l) with n = |P|, and
-    its prefix products Pi(g_1...g_l), l = 0..m, are indexes into the
-    sorted elements of the ambient group. A prefix is (word, code, R_w,
-    prefix products, Pi(wbar), R_wbar), for wbar the inverse word
-    g_m^-1...g_1^-1: R_w and R_wbar are survivor masks over S.
-    Its rows are (times[Pi(w)], lefts[Pi(wbar)], R_wbar's step by the
-    letters' conj_pos rows), read once, the step by _moved and kept for
-    the walk: letter i extends it by product row[i], R_w &
-    survivors[row[i]] and the i-th entry of each other row. R_wbar(w g) =
-    S cap (R_wbar(w))^g: x lies in it iff x and y = x^(g^-1) lie in S and
-    y^Pi(v) does for each prefix v of wbar(w).
-    """
-    n = P.elems.bit_count()
-    survivors = P.survivors
-    amb, times, lefts = tables  # P's _letter_tables
-    wbar_step, wbar_rows = tuple(map(P.conj_pos.__getitem__, amb)), {}
-    letters = range(n)
-
-    def extend(prefix, left):
-        _, _, _, prods, wbar, wbar_mask = prefix
-        rows = (times[prods[-1]], lefts[wbar], memo(wbar_rows, wbar_mask, _moved, wbar_step, wbar_mask))
-        if not left:
-            yield prefix, rows
-            return
-        word, code, mask = prefix[:3]
-        row, wbars, wbar_masks = rows
-        for i in letters:
-            a = row[i]
-            yield from extend(
-                (word + (i,), code * n + i, mask & survivors[a], prods + (a,), wbars[i], wbar_masks[i]),
-                left - 1,
-            )
-
-    # the identity sorts first, so its ambient index is 0
-    empty = ((), 0, survivors[0], (0,), 0, survivors[0])
-    for k in range(1, word_len + 1):
-        for prefix, rows in extend(empty, k - 1):
-            yield k, prefix, rows
-
-
-def _strs(P: Locality, word: Sequence[int]) -> list:
-    elems = P.sorted_elements()
-    return [str(elems[i]) for i in word]
-
-
 def verify_partial_group(P: Locality) -> VerificationReport:
-    """The fragment check: the partial-group axioms on the words of length
-    at most WORD_LEN, as _axiom_walk checks them.
+    """The partial-group clauses that verify_locality's proof reads: P is
+    closed under inversion (`inversion-closure`), and ab lies in P for
+    every (a, b) in D (`splice-domain` at (i, j) = (0, 2)). That is
+    partial_subgroup_violation of P's own elements, its witness renamed.
+    The stats count the words of length 1 and 2 over P and those in D.
 
-    On its own it decides only the words inside the domain, so it can pass
-    a structure with an element outside D; verify_locality completes it,
+    On its own it decides only the pairs in the domain, so it can pass a
+    structure with an element outside D; verify_locality completes it,
     and its docstring proves that the two together decide every length,
     objectivity among them.
     """
-    return _axiom_walk(P, WORD_LEN)
-
-
-def _axiom_walk(P: Locality, word_len: int) -> VerificationReport:
-    """The partial-group axioms on every word of length at most word_len.
-
-    The words come from _walk, one prefix w at a time, as letter indexes
-    with products in the ambient group's product table; elements appear
-    only in witnesses. The n words w g, g a letter, are checked at once:
-    each check is a letter set, an int whose byte g is 1 when w g fails
-    it, read in C off a row over the letters, so unions, differences and
-    counts are int operations. D, the letters with w g in the domain, comes
-    first and cuts every other set; sets are kept for the call under what
-    they depend on, and the D of each word shorter than word_len by its
-    code, so subwords and spliced words are looked up, not walked again.
-
-    Every check of a walk over whole words is evaluated on every word but
-    one, proved below, so a faulty product table fails as it would word by
-    word: a product check compares rows of that table, and equal row
-    indexes give one row whatever its entries, while unequal ones are
-    compared letter by letter. The failing word is the lowest letter in
-    any failing set, the first in walk order, and its witness the first
-    check, in the order of a walk over whole words, that fails on it.
-
-    The one left out is the product of a splice (i, j) of w g with j < k,
-    its length: by length order and subword closure w[:j] passed first,
-    with its own splice (i, j) at its end, so Pi(w[:i]) Pi(w[i:j]) =
-    Pi(w[:j]) on the same table, and the spliced product is Pi(w) g
-    whatever the table. Its domain half is checked: it can fail first when
-    the objects are not closed under overgroups. There is no unit check:
-    the empty word's product is the ambient's first element, the identity.
-
-    Words outside the domain are skipped, so P inside the domain is left
-    to verify_locality: checked here, a one-letter word would fail first
-    and hide the subword, inverse-word and Delta-closure witnesses of
-    structures whose objects are not closed.
-    """
     inst = "partial-group(|L|=%d)" % P.elems.bit_count()
-    checked = domain = 0
-
-    def fail(witness):
-        stats = {"words_checked": checked, "domain_words": domain}
-        return VerificationReport("partial-group-axioms", inst, "fail", witness=witness, stats=stats)
-
-    elems, tables = P.sorted_elements(), _letter_tables(P)
-    amb, times, _ = tables
-    inv, mul = P.ambient.inv_table, P.ambient.mul_table
-    # letter_of[a]: the letter index of ambient element a, -1 outside P
-    letter_of = [-1] * len(inv)
-    for i, a in enumerate(amb):
-        letter_of[a] = i
-    for i, a in enumerate(amb):
-        if letter_of[inv[a]] < 0:
-            return fail({"axiom": "inversion-closure", "x": str(elems[i])})
-        if inv[inv[a]] != a:
-            return fail({"axiom": "inversion-involutory", "x": str(elems[i])})
-    if not P.in_domain(()):
-        return fail({"axiom": "empty-word"})
-    unit, n = 0, len(elems)  # the identity sorts first
-    masks, survivors = P.Delta, P.survivors
-    pw = [n**m for m in range(word_len + 1)]
-
-    def letters(flags) -> int:
-        return int.from_bytes(bytes(flags), "little")
-
-    def lowest(letter_set) -> int:
-        return (letter_set & -letter_set).bit_length() - 1 >> 3
-
-    def in_dom(m, c):  # the word of length m and code c is in the domain
-        return dom[m][c // n] >> 8 * (c % n) & 1
-
-    # dom[m][c]: D of the word of length m - 1 and code c
-    dom = [None] + [[0] * pw[m - 1] for m in range(1, word_len)]
-    # byte tables and letter sets kept for the call, by what they depend on
-    flags_of, states, ends_in, heads = {}, {}, {}, {}
-    for k, prefix, (row, wbars, wbar_masks) in _walk(P, word_len, tables):
-        w, code, mask, prods, wbar, wbar_mask = prefix
-        pi = prods[-1]
-        # what the prefix's state and rows alone decide: D and the inversion
-        # checks, R_{wbar w} being R_wbar: past wbar, wbar w's prefix products
-        # are Pi(wbar) Pi(w_1...w_j) = Pi(wbar_1...wbar_{k-j})
-        state = states.get((mask, pi, wbar, wbar_mask))
-        if state is None:
-            flags = flags_of.get(mask)  # by ambient a: R_w & survivors[a] is an object
-            if flags is None:
-                flags = flags_of[mask] = bytes(map(masks.__contains__, map(mask.__and__, survivors)))
-            state = states[mask, pi, wbar, wbar_mask] = (
-                letters(map(flags.__getitem__, row)),
-                letters(map(masks.__contains__, wbar_masks)),
-                letters(map(unit.__ne__, map(getitem, map(mul.__getitem__, wbars), row))),
-            )
-        D, inverse_in, inverse_wrong = state
-        if not D:
-            checked += n
-            continue
-        # (letters failing it, axiom, where) for each check failing on some
-        # w g, in the order of a walk over whole words
-        failing = []
-        if k == 1 and row != amb:
-            failing.append((D & letters(map(ne, row, amb)), "length-one", ()))
-        # subword closure: every shorter domain word passed it, so the
-        # subwords of w g are in the domain iff w and w[1:] g are
-        if k > 1:
-            bad = D & ~dom[k - 1][code % pw[k - 2]] if in_dom(k - 1, code) else D
-            if bad:
-                failing.append((bad, "subword", None))
-        # splicing: u o v o t in D  =>  u o (Pi v) o t in D, same product
-        for i in range(k - 1):
-            for j in range(i + 2, k + 1):
-                v = unit
-                for x in w[i:j]:
-                    v = times[v][x]
-                if j < k:
-                    # v in w: the spliced word is s g, s = w[:i] (Pi v) w[j:],
-                    # whose product is Pi(w) g (see the docstring)
-                    vi, head, tail = letter_of[v], pw[k - 1 - i], pw[k - 1 - j]
-                    at = (code // head * n + vi) * tail + code % tail
-                    ok, wrong = dom[k - j + i + 1][at] if vi >= 0 else 0, 0
-                else:
-                    # v = w[i:] g, whose product times[v][g] must be a letter
-                    # in D of w[:i]; -1, no letter, reads the padding byte 0
-                    start = dom[i + 1][code // pw[k - 1 - i]]
-                    ok = ends_in.get((v, start))
-                    if ok is None:
-                        flags = start.to_bytes(n + 1, "little")
-                        ok = letters(map(flags.__getitem__, map(letter_of.__getitem__, times[v])))
-                        ends_in[v, start] = ok
-                    # the spliced products Pi(w[:i]) Pi(v) against row
-                    wrong = heads.get((prods[i], v, pi))
-                    if wrong is None:
-                        spliced = tuple(map(mul[prods[i]].__getitem__, times[v]))
-                        wrong = 0 if spliced == row else letters(map(ne, spliced, row))
-                        heads[prods[i], v, pi] = wrong
-                if D & ~ok or D & wrong:
-                    failing += [(D & ~ok, "splice-domain", (i, j))]
-                    failing += [(D & wrong, "splice-product", (i, j))]
-        if D & ~inverse_in or D & inverse_wrong:
-            failing += [(D & ~inverse_in, "inverse-word-domain", ())]
-            failing += [(D & inverse_wrong, "inverse-word-product", ())]
-        if failing:
-            g = min(lowest(bad) for bad, _, _ in failing if bad)
-            checked += g + 1
-            domain += (D & (1 << 8 * g + 8) - 1).bit_count()
-            axiom, where = next((axiom, where) for bad, axiom, where in failing if bad >> 8 * g & 1)
-            if where is None:  # the first subword outside the domain
-                c = code * n + g
-                where = next(
-                    (i, j) for i in range(k) for j in range(i + 1, k + 1)
-                    if j - i < k and not in_dom(j - i, c // pw[k - j] % pw[j - i])
-                )
-            return fail({"axiom": axiom, "w": _strs(P, w + (g,)), **dict(zip("ij", where))})
-        checked += n
-        domain += D.bit_count()
-        if k < word_len:
-            dom[k][code] = D
-    stats = {"words_checked": checked, "domain_words": domain}
-    return VerificationReport("partial-group-axioms", inst, "pass", stats=stats)
+    letters = bits(P.elems)
+    domain = sum(P.word_ok((f,)) for f in letters) + sum(1 for _ in _domain_pairs(P, P.elems, P.elems))
+    stats = {"words_checked": len(letters) * (len(letters) + 1), "domain_words": domain}
+    bad = partial_subgroup_violation(P, P.elems)
+    if bad is None:
+        return VerificationReport("partial-group-axioms", inst, "pass", stats=stats)
+    if bad["kind"] == "inverse":
+        witness = {"axiom": "inversion-closure", "x": bad["x"]}
+    else:
+        witness = {"axiom": "splice-domain", "w": [bad["a"], bad["b"]], "i": 0, "j": 2}
+    return VerificationReport("partial-group-axioms", inst, "fail", witness=witness, stats=stats)
 
 
 def verify_locality(L: Locality) -> VerificationReport:
@@ -800,25 +570,25 @@ def verify_locality(L: Locality) -> VerificationReport:
     Objectivity, D being the words over L with an object chain: once the
     clauses before `S-maximal` pass, (1) and (2) make the rule the
     object-chain criterion when S lies in L, and `S-maximal` fails when
-    it does not. So a walk comparing the rule with the chains along each
+    it does not. So a check comparing the rule with the chains along each
     word could change no verdict, only the witness of a structure with S
     outside L.
 
     Theorem. Let L be a Locality, whose tables its constructor built (it
-    refuses assignment), that passes every clause here, the walk of
-    verify_partial_group over the words of length at most WORD_LEN among
-    them. Then L, with the ambient product and inverse, is a partial group,
-    and (L, Delta) is objective, at every word length: D is the set of
-    words over L with an object chain, Delta is closed under overgroups in
-    S and under conjugation by L, and S is a maximal p-subgroup of L. So a
-    walk over longer words cannot fail. The route is the object-chain
+    refuses assignment), that passes every clause here, the two of
+    verify_partial_group among them. Then L, with the ambient product and
+    inverse, is a partial group, and (L, Delta) is objective, at every word
+    length: D is the set of words over L with an object chain, Delta is
+    closed under overgroups in S and under conjugation by L, and S is a
+    maximal p-subgroup of L. So a check of any longer words cannot fail,
+    and none is made. The route is the object-chain
     criterion for objective partial groups (Chermak, "Fusion systems and
     localities", Acta Math. 211 (2013), section 2).
 
     Proof. Write x^g = g^-1 x g, and R_w for the rule's subgroup of a word
     w: the x in S whose conjugates by every prefix product of w lie in S.
-    (1) `S-maximal` puts S inside L, and the walk's `inversion-closure`
-    f^-1 in L for each f in L. Let f be in L and x in S with x^f in S, so
+    (1) `S-maximal` puts S inside L, and verify_partial_group's
+    `inversion-closure` f^-1 in L for each f in L. Let f be in L and x in S with x^f in S, so
     x lies in the subgroup S cap S^(f^-1), which conjugation by x keeps.
     For y in S cap S^f, y^(f^-1) lies in S cap S^(f^-1), so y^(f^-1 x)
     does too and y^(f^-1 x f) lies in S: R(f^-1, x, f) contains
@@ -837,17 +607,19 @@ def verify_locality(L: Locality) -> VerificationReport:
     the reversed chain and then the chain.
     (3) Pi(v) lies in L for every v = (h_1, ..., h_m) in D, by induction
     on m. For m <= 1 it is 1, in S, or h_1. Else (h_1, h_2) is a subword
-    of v, so the walk's `splice-domain` check of the words of length 2, at
-    (i, j) = (0, 2), puts h_1 h_2 in L; the shorter word (h_1 h_2, h_3,
+    of v, in D by (2), so verify_partial_group's pair check, `splice-domain`
+    at (i, j) = (0, 2), puts h_1 h_2 in L; the shorter word (h_1 h_2, h_3,
     ..., h_m) has v's product and v's chain with P_1 dropped. So
     u o (Pi v) o t lies in D when u o v o t does: its letters are in L,
     and the chain of u o v o t with the objects inside v dropped is one
     for it.
     (4) Every product is the ambient group's, so Pi((g)) = g,
     Pi(u o v o t) = Pi(u o (Pi v) o t) and Pi(wbar w) = 1 at every length,
-    and the inverse is the group's, an involutory bijection of L by
-    `inversion-closure`. `length-one-domain` is L inside D, and the empty
-    word lies in D as S is an object. Together with (1) to (3) these are
+    and no product table is checked. The inverse is the group's: a home's
+    inverse table is a group's, so it is involutory, and a bijection of L
+    by `inversion-closure`. `length-one-domain` is L inside D, and the
+    empty word lies in D as R_() = S is an object, which the constructor
+    requires. So neither needs a clause. Together with (1) to (3) these are
     the partial-group axioms, objectivity and the closure of Delta; S is
     a maximal p-subgroup by `S-maximal`.
     """
@@ -898,7 +670,8 @@ def verify_subcentric_locality(L: Locality, F: FusionSystem) -> VerificationRepo
     N_L(P) is a subgroup of the ambient group with every pair in D once
     verify_locality has passed, so only its characteristic p is checked.
     For f, g in N_L(P), (f, g) has the chain (P, P, P), so it lies in D by
-    (2) of verify_locality's proof and fg lies in L by (3); fg normalizes
+    (2) of verify_locality's proof, and fg lies in L by the pair check of
+    verify_partial_group; fg normalizes
     P and P^(fg) = P lies in S, so fg lies in N_L(P) by (1). f^-1 lies in
     L by `inversion-closure`, and in N_L(P) likewise.
     """

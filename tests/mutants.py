@@ -8,8 +8,9 @@ defined, so the list cannot rot silently.
 A mutant deletes one clause of a verdict: one exact text of one file under
 ``src/plocal`` replaced by another. The list holds the clauses of
 ``verify_locality`` and ``verify_subcentric_locality`` that a test makes
-fail first, the refusal of a ``Locality`` to rebind an attribute, the
-(Q2) check of ``restrict``, and the clauses of saturation,
+fail first, the two of ``partial_subgroup_violation`` that
+``verify_partial_group`` reads, the refusal of a ``Locality`` to rebind
+an attribute, the (Q2) check of ``restrict``, and the clauses of saturation,
 full K-normalization, p-power index and weak normality in ``fusion`` and
 its refusal to compare two systems in different frames; and
 the two reads of Aut(X)'s search in the K sweep of ``verify.k_options``,
@@ -76,9 +77,10 @@ MUTANTS = (
         "", "tests/test_locality.py::test_a_locality_and_its_rule_refuse_assignment",
     ),
     Mutant(
-        "inversion-closure", LOC, "if letter_of[inv[a]] < 0:", "if False:",
+        "inversion-closure", LOC, "if not elems >> inv[x] & 1:", "if False:",
         CLAUSE % "inversion-closure",
     ),
+    Mutant("pair-product", LOC, "if not elems >> ab & 1:", "if False:", CLAUSE % "splice-domain"),
     Mutant(
         "same-S", LOC, "if L.S != F.S:", "if False:",
         "tests/test_locality.py::test_subcentric_rejects_another_base",

@@ -395,7 +395,7 @@ def delta_chain_exists(L, word) -> bool:
     """Whether the word has an object chain P_0, ..., P_n in L, with
     P_{i-1}^{g_i} = P_i: each object in turn is conjugated along the word,
     element by element, and the search stops at the first chain. It reads
-    L's objects only, never its word rule or the axiom walk's tables."""
+    L's objects only, never its word rule or its tables."""
     objects = objects_of(L)
     for P in sorted(objects, key=len):
         for g in word:
@@ -409,7 +409,9 @@ def delta_chain_exists(L, word) -> bool:
 
 def partial_group_by_words(P, word_len):
     """The partial-group axioms of P checked one whole word at a time, as
-    (outcome, witness, stats) in the form of ``verify_partial_group``.
+    (outcome, witness, stats): the witness names the failing axiom and
+    word, and the stats count the words checked and those in the domain,
+    up to the first failure.
 
     Every product is a product of ``Perm``s and a word is in the domain
     when R_w, the base elements whose conjugates by all prefix products of

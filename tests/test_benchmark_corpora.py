@@ -1,5 +1,5 @@
 """The benchmark's corpora, pinned: report bytes, exit status and the
-axiom walk's exact counters.
+partial-group check's exact counters.
 
 Each workload of ``perfbench/run.py`` is run once here through
 ``cli.run``, its corpus read from ``perfbench/corpora`` (the default one
@@ -7,8 +7,9 @@ from the package), with the statement set the workload names. A spy on
 ``locality.verify_partial_group`` sums ``words_checked`` and
 ``domain_words`` over its calls, as the benchmark's tracer does, and
 counts the calls and the distinct structures checked; the run sees one
-usable CPU, so the spy sees every call. Every walk word is in the domain
-on these corpora, so the two counters agree.
+usable CPU, so the spy sees every call. The check counts the words of
+length 1 and 2 over each structure, and every one of them is in the
+domain on these corpora, so the two counters agree.
 
 order36 holds ``d12_c6``, rejected because N_L(1) = G is not of
 characteristic 2, so its run exits 1 with that witness.
@@ -38,23 +39,23 @@ CORPORA = Path(__file__).resolve().parents[1] / "perfbench" / "corpora"
 WORKLOADS = {
     "default_corpus": (
         None, None, 0,
-        "febe93c13e55c8fa746b2c7b05d9041d47a5f2b9e1df5e9b2a07282aa855ab1d", 20, 33579,
+        "febe93c13e55c8fa746b2c7b05d9041d47a5f2b9e1df5e9b2a07282aa855ab1d", 20, 1824,
     ),
     "order36_axioms": (
         "order36_axioms.txt", None, 1,
-        "13b2e35463f9066f645b4d89eaba1e4cfedd7876bd7816f9ea287272aeeb1d81", 6, 69213,
+        "13b2e35463f9066f645b4d89eaba1e4cfedd7876bd7816f9ea287272aeeb1d81", 6, 2604,
     ),
     "a4xc2_theorem": (
         # every statement but Lemma-2.1, as the workload runs it
         "a4xc2_theorem.txt", tuple(s for s in vf.STATEMENTS if s != "Lemma-2.1"), 0,
-        "151f54001ee233487529040ff64be9f77b0018aa645282d6c7c78a6b2430ffa8", 1, 14424,
+        "151f54001ee233487529040ff64be9f77b0018aa645282d6c7c78a6b2430ffa8", 1, 600,
     ),
 }
 
 
 def _run(tmp_path, corpus, statements):
-    """Exit status, report bytes, the walk's summed counters, its call count
-    and the number of distinct structures it checked."""
+    """Exit status, report bytes, the check's summed counters, its call
+    count and the number of distinct structures it checked."""
     text = cli.default_corpus_text() if corpus is None else (CORPORA / corpus).read_text()
     real, calls, totals = lo.verify_partial_group, [], {"words_checked": 0, "domain_words": 0}
 
