@@ -15,7 +15,10 @@ sweep.
 
 The JSON report is a canonical document: reports sorted by (entry,
 statement, instance), keys sorted, no timestamps, so identical runs are
-byte-identical. Timing goes to stdout only.
+byte-identical. :func:`render_report_doc` writes it, as
+``json.dumps(doc, sort_keys=True, indent=2)`` would but without json's
+pure-Python encoder, and ``run`` calls it only for a run given a report
+path. Timing goes to stdout only.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ import re
 import sys
 import time
 from functools import cached_property
+from json.encoder import encode_basestring_ascii as _string
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
@@ -189,9 +193,50 @@ def default_corpus_text() -> str:
 
 def render_report_doc(reports: Sequence[VerificationReport]) -> str:
     """Canonical JSON body: a top-level array of report objects, sorted
-    keys, stable ordering, no timestamps, trailing newline."""
-    doc = [r.to_json_obj() for r in reports]
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    keys, stable ordering, no timestamps, trailing newline.
+
+    The text is ``json.dumps(doc, sort_keys=True, indent=2) + "\\n"`` for
+    doc the reports' ``to_json_obj()``, written without json's pure-Python
+    encoder, which indent selects: each report's keys in sorted order, a
+    string through json's C string encoder, an int through its ``repr``,
+    and any other value through ``json.dumps`` on its own, each line after
+    its first indented to the value's depth. That is exact, for JSON text
+    holds no raw newline inside a string."""
+    if not reports:
+        return "[]\n"
+    return "[\n" + ",\n".join(map(_report_text, reports)) + "\n]\n"
+
+
+def _report_text(r: VerificationReport) -> str:
+    """One report's object, at depth 1 of the document."""
+    parts = ['  {\n    "instance": ', _json(r.instance, "    "), ',\n    "outcome": ', _json(r.outcome, "    ")]
+    if r.reason is not None:
+        parts += [',\n    "reason": ', _json(r.reason, "    ")]
+    parts += [',\n    "statement": ', _json(r.statement, "    "), ',\n    "stats": ']
+    stats = r.stats
+    if not stats:
+        parts.append("{}")
+    elif all(type(k) is str for k in stats):
+        parts.append("{\n" + ",\n".join([
+            "      %s: %s" % (_string(k), repr(v) if type(v) is int else _json(v, "      "))
+            for k, v in sorted(stats.items())
+        ]) + "\n    }")
+    else:
+        parts.append(_json(dict(sorted(stats.items())), "    "))
+    if r.witness is not None:
+        parts += [',\n    "witness": ', _json(r.witness, "    ")]
+    parts.append("\n  }")
+    return "".join(parts)
+
+
+def _json(value, pad: str) -> str:
+    """value as json.dumps(..., sort_keys=True, indent=2) writes it where
+    its lines after the first start with pad."""
+    if type(value) is str:
+        return _string(value)
+    if type(value) is int:
+        return repr(value)
+    return json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n" + pad)
 
 
 def summarize(reports: Sequence[VerificationReport], coverage, stream=None) -> None:
@@ -233,10 +278,9 @@ def run(config: RunConfig, corpus_text: Optional[str] = None) -> int:
         return 2
     elapsed = time.time() - t0
 
-    doc = render_report_doc(reports)
     if config.report_path is not None:
         try:
-            Path(config.report_path).write_text(doc)
+            Path(config.report_path).write_text(render_report_doc(reports))
         except OSError as exc:
             print("report error: %s" % exc, file=sys.stderr)
             return 2

@@ -337,9 +337,10 @@ def all_subgroups(G: Subgroup, cap: int = SUBGROUP_CAP) -> Tuple[Subgroup, ...]:
     """Every subgroup of G, canonically ordered (order, then element list).
 
     Works bottom-up on the home's product table: all cyclic subgroups, then
-    closure of the lattice under joins with cyclic subgroups. Exhaustive
-    because every subgroup is a join of cyclic ones. Not kept here:
-    :func:`lattice` keeps it.
+    closure of the lattice under joins with cyclic subgroups, each join
+    <H, c> grown from H's elements one coset at a time (_coset_join).
+    Exhaustive because every subgroup is a join of cyclic ones. Not kept
+    here: :func:`lattice` keeps it.
     """
     if G.order > cap:
         raise CapExceeded("group order %d exceeds subgroup cap %d" % (G.order, cap))
@@ -349,11 +350,33 @@ def all_subgroups(G: Subgroup, cap: int = SUBGROUP_CAP) -> Tuple[Subgroup, ...]:
         found.setdefault(_close(mul, (a,)), (a,))
     cyclics, queue = list(found.items()), list(found)
     for H in queue:
+        hs = bits(H)
         for C, c in cyclics:
-            if C & ~H and (J := _close(mul, found[H] + c)) not in found:
+            if C & ~H and (J := _coset_join(mul, H, hs, found[H] + c)) not in found:
                 found[J] = found[H] + c
                 queue.append(J)
     return _canonical(G, found)
+
+
+def _coset_join(mul: Sequence[Sequence[int]], H: int, hs: List[int], gens: Tuple[int, ...]) -> int:
+    """The home mask of <gens>, for gens holding generators of the subgroup
+    H, a home mask with elements hs, built from H one left coset at a time
+    (Dimino's algorithm: Butler, Fundamental Algorithms for Permutation
+    Groups, 1991). The mask is a union of cosets xH, the identity's first;
+    for a coset rep x and a generator s, sx either lies in it, and then so
+    does sxH, or its coset sxH is added whole. Once every rep has met every
+    generator the mask is closed under left products by gens: it is the
+    group they generate."""
+    out, reps = H, [0]
+    for x in reps:
+        for s in gens:
+            y = mul[s][x]
+            if not out >> y & 1:
+                row = mul[y]
+                for h in hs:
+                    out |= 1 << row[h]
+                reps.append(y)
+    return out
 
 
 def lattice(R: Subgroup) -> Dict[int, Subgroup]:

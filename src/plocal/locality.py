@@ -53,6 +53,9 @@ read off the home too (``groups.lattice``).
 
 from __future__ import annotations
 
+import itertools
+from collections import deque
+from operator import itemgetter
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from .errors import (
@@ -198,18 +201,20 @@ def _inside(L: Locality, elems: int) -> int:
     return elems
 
 
-def partial_subgroup_violation(parent: Locality, elems: int) -> Optional[dict]:
+def partial_subgroup_violation(parent: Locality, elems: int, pairs=None) -> Optional[dict]:
     """None if elems is a partial subgroup of parent, else a witness.
 
     Pair products suffice for group-backed structures: splicing turns any
     longer domain word over the subset into nested pairs, so closure under
-    pairs plus inversion is full closure.
+    pairs plus inversion is full closure. pairs is the walk of the pairs in
+    D over elems (_domain_pairs(parent, elems, elems), the default), read
+    up to its first product outside elems.
     """
     elems, inv = _inside(parent, elems), parent.ambient.inv_table
     for x in bits(elems):
         if not elems >> inv[x] & 1:
             return {"kind": "inverse", "x": _name(parent, x)}
-    for a, b, ab in _domain_pairs(parent, elems, elems):
+    for a, b, ab in _domain_pairs(parent, elems, elems) if pairs is None else pairs:
         if not elems >> ab & 1:
             return {"kind": "product", "a": _name(parent, a), "b": _name(parent, b)}
     return None
@@ -287,6 +292,23 @@ def _conj_mask(L: Locality, mask: int, a: int) -> Optional[int]:
     return out
 
 
+def _actions(L: Locality) -> Tuple[Tuple[int, int], ...]:
+    """L's elements grouped by how they act on objects, kept in L's memo:
+    per class of the f in L with one (S_f mask, conj_pos row), the index
+    of its first member and the mask of its members, in the order of first
+    members. _conj_mask reads f only through that pair, so P^f is one mask
+    per class."""
+    return memo(L._memo, "actions", _actions_of, L)
+
+
+def _actions_of(L: Locality) -> Tuple[Tuple[int, int], ...]:
+    sf, classes = _S_f_masks(L), {}
+    for f in bits(L.elems):
+        key = sf[f], L.conj_pos[f]
+        classes[key] = classes.get(key, 0) | 1 << f
+    return tuple(((members & -members).bit_length() - 1, members) for members in classes.values())
+
+
 def normalizer_partial(L: Locality, X: Subgroup) -> int:
     """N_L(X) = {f in N_G(X) cap L : X <= S_f}, G the ambient group."""
     return _defined_on(L, X, normalizer(L.ambient, X))
@@ -320,8 +342,9 @@ def restrict(L: Locality, H: int, Gamma: Iterable[int], X: Subgroup) -> Locality
 
     Checks the closure of Gamma and the hypotheses (Q1), (Q2) eagerly, in
     the order of Gamma's masks, and raises NotSylow unless R is a maximal
-    p-subgroup of the result. P^f is _conj_mask, once per object P and f
-    in H.
+    p-subgroup of the result. P^f is _conj_mask, once per object P and
+    action class of L meeting H (_actions): f acts on objects only through
+    its class, so both checks read one f per class.
     """
     H, Gamma = _inside(L, H), frozenset(Gamma)
     objects, R = sorted(Gamma), L.S_elems & H
@@ -330,13 +353,14 @@ def restrict(L: Locality, H: int, Gamma: Iterable[int], X: Subgroup) -> Locality
     for P in objects:
         if P not in r_lattice:
             raise GammaNotClosed("object is not a subgroup of R")
-    # P^f for each object P and f in H, None where it is not defined
-    images = {}
+    # P^f for each object P and one f per action class meeting H, None
+    # where it is not defined
+    reps, images = [a for a, members in _actions(L) if members & H], {}
     for P in objects:
         for Q in r_lattice:
             if not P & ~Q and Q not in Gamma:
                 raise GammaNotClosed("not closed under overgroups in R")
-        for a in bits(H):
+        for a in reps:
             img = images[P, a] = _conj_mask(L, P, a)
             if img is not None and not img & ~r and img not in Gamma:
                 raise GammaNotClosed("not closed under H-conjugation")
@@ -550,9 +574,14 @@ def verify_partial_group(P: Locality) -> VerificationReport:
     """
     inst = "partial-group(|L|=%d)" % P.elems.bit_count()
     letters = bits(P.elems)
-    domain = sum(P.word_ok((f,)) for f in letters) + sum(1 for _ in _domain_pairs(P, P.elems, P.elems))
+    # one walk of the pairs in D: the check reads it up to its first pair
+    # outside P and the rest is drained, ticks counting every pair it yields
+    ticks = itertools.count()
+    walk = map(itemgetter(0), zip(_domain_pairs(P, P.elems, P.elems), ticks))
+    bad = partial_subgroup_violation(P, P.elems, walk)
+    deque(walk, maxlen=0)
+    domain = sum(P.word_ok((f,)) for f in letters) + next(ticks)
     stats = {"words_checked": len(letters) * (len(letters) + 1), "domain_words": domain}
-    bad = partial_subgroup_violation(P, P.elems)
     if bad is None:
         return VerificationReport("partial-group-axioms", inst, "pass", stats=stats)
     if bad["kind"] == "inverse":

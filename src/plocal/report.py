@@ -23,6 +23,10 @@ class VerificationReport:
     def failed(self) -> bool:
         return self.outcome == "fail"
 
+    def fields(self) -> tuple:
+        """The constructor's arguments, in its order: what a worker sends."""
+        return self.statement, self.instance, self.outcome, self.witness, self.reason, self.stats
+
     def to_json_obj(self) -> dict:
         out = {
             "statement": self.statement,

@@ -27,6 +27,7 @@ Statement ids:
 
 from __future__ import annotations
 
+import marshal
 import os
 from typing import Dict, List, NoReturn, Optional, Sequence, Tuple
 
@@ -620,9 +621,12 @@ def run_suite(
     (``os.sched_getaffinity``) but at most one per entry, and 1 where the
     platform cannot fork or tell: entry i to worker i mod n, worker 0 being
     this process and the others forked from it (:func:`_dealt`). The deal
-    is fixed, so each process checks the same entries on every run. An
-    exception raised by an entry, here or in a worker, is raised here: that
-    of the first entry in corpus order that raised, as a serial run would.
+    is fixed, so each process checks the same entries on every run. Every
+    entry's reports cross ``marshal`` (:func:`_share`), in this process as
+    in a worker, so a report value marshal cannot carry fails every run the
+    same way. An exception raised by an entry, here or in a worker, is
+    raised here: that of the first entry in corpus order that raised, as a
+    serial run would.
     """
     entries = list(entries)
     n = max(1, min(_usable_cpus(), len(entries)))
@@ -632,7 +636,7 @@ def run_suite(
         outcome = shares[i % n][i // n]
         if isinstance(outcome, Exception):
             raise outcome
-        results.extend(outcome)
+        results.extend(VerificationReport(*fields) for fields in marshal.loads(outcome))
 
     # by (entry name, statement, instance)
     results.sort(key=lambda r: (r.instance.split("|", 1)[0], r.statement, r.instance))
@@ -662,13 +666,15 @@ def _entry_results(entry, statements) -> List[VerificationReport]:
 
 
 def _share(entries, statements) -> list:
-    """Each entry's reports, in order, up to the first entry that raises:
+    """Each entry's reports, in order, as the marshal bytes of their
+    fields (VerificationReport.fields), up to the first entry that raises:
     its exception stands in its place, and the entries after it are not
-    run. run_suite raises it once it knows no earlier entry raised."""
+    run. run_suite raises it once it knows no earlier entry raised. A
+    report value marshal cannot carry raises ValueError here."""
     out = []
     for entry in entries:
         try:
-            out.append(_entry_results(entry, statements))
+            out.append(marshal.dumps([r.fields() for r in _entry_results(entry, statements)]))
         except Exception as exc:
             out.append(exc)
             break
@@ -678,14 +684,12 @@ def _share(entries, statements) -> list:
 def _dealt(entries, n: int, statements) -> list:
     """The shares (see _share) of the n workers, entry i dealt to worker
     i mod n. Worker 0's runs here; each other one in a process forked from
-    this one (which starts no thread), whose share comes back pickled
-    through a pipe. This process runs its own share, then reads each
-    worker's whole answer before it reaps the worker. A worker that ends
-    without answering raises RuntimeError naming its entries; on any raise
-    here the workers not yet reaped are killed and reaped, so no process
-    outlives the call."""
-    if n > 1:  # only a run that forks imports it
-        import pickle
+    this one (which starts no thread), whose share comes back through a
+    pipe, marshalled (see _worker). This process runs its own share, then
+    reads each worker's whole answer before it reaps the worker. A worker
+    that ends without answering raises RuntimeError naming its entries; on
+    any raise here the workers not yet reaped are killed and reaped, so no
+    process outlives the call."""
     shares, pipes = [None] * n, {}  # pipes: pid of each unreaped worker -> (number, read end)
     try:
         for w in range(1, n):
@@ -706,7 +710,11 @@ def _dealt(entries, n: int, statements) -> list:
             if status != 0:
                 names = ", ".join(entry.name for entry in entries[w::n])
                 raise RuntimeError("worker for entries %s ended without an answer (exit code %d)" % (names, status))
-            shares[w] = pickle.loads(answer)
+            shares[w], raised = marshal.loads(answer)
+            if raised is not None:
+                import pickle
+
+                shares[w].append(pickle.loads(raised))
     finally:
         if pipes:  # raising: stop the workers still running
             import signal
@@ -719,15 +727,21 @@ def _dealt(entries, n: int, statements) -> list:
 
 
 def _worker(write: int, entries, statements) -> NoReturn:
-    """A forked worker's whole life: its share, pickled, written to the
+    """A forked worker's whole life: its share, marshalled, written to the
     pipe's write end, then os._exit, so that none of the parent's exit
-    handlers run and none of its buffers are flushed. The exit code is 0
+    handlers run and none of its buffers are flushed. The answer is the
+    pair (the marshal bytes of the entries run, the pickled exception or
+    None): pickle is imported only for a share that holds a raised
+    exception, which only the last entry run can be. The exit code is 0
     once the whole share is written, 1 otherwise."""
     status = 1
     try:
-        import pickle
+        share, raised = _share(entries, statements), None
+        if isinstance(share[-1], Exception):
+            import pickle
 
-        answer = pickle.dumps(_share(entries, statements))
+            raised = pickle.dumps(share.pop())
+        answer = marshal.dumps((share, raised))
         with os.fdopen(write, "wb") as pipe:
             pipe.write(answer)
         status = 0

@@ -1,3 +1,4 @@
+import json
 import os
 from pathlib import Path
 
@@ -31,6 +32,25 @@ def one_cpu(mp):
     """Let a run see one usable CPU, so that run_suite checks every entry
     in this process: a spy records only the calls of its own process."""
     mp.setattr(os, "sched_getaffinity", lambda pid: {0})
+
+
+def json_oracle(reports):
+    """The canonical report document as json.dumps writes it: the report
+    writer's oracle."""
+    return json.dumps([r.to_json_obj() for r in reports], sort_keys=True, indent=2) + "\n"
+
+
+def oracle_checked_writer(mp):
+    """Let cli.run's report writer assert, on each document it writes,
+    that its text is json_oracle's."""
+    real = cli.render_report_doc
+
+    def checked(reports):
+        body = real(reports)
+        assert body == json_oracle(reports)
+        return body
+
+    mp.setattr(cli, "render_report_doc", checked)
 
 
 def germ(base, pairs):

@@ -10,7 +10,8 @@ A mutant deletes one clause of a verdict: one exact text of one file under
 ``verify_locality`` and ``verify_subcentric_locality`` that a test makes
 fail first, the two of ``partial_subgroup_violation`` that
 ``verify_partial_group`` reads, the refusal of a ``Locality`` to rebind
-an attribute, the (Q2) check of ``restrict``, and the clauses of saturation,
+an attribute, the (Q2) check of ``restrict`` and the key of the action
+classes it conjugates objects by, and the clauses of saturation,
 full K-normalization, p-power index and weak normality in ``fusion`` and
 its refusal to compare two systems in different frames; and
 the two reads of Aut(X)'s search in the K sweep of ``verify.k_options``,
@@ -93,6 +94,10 @@ MUTANTS = (
         "restrict-Q2", LOC,
         'raise Q2Violated("transporter element does not move <P1,X> onto <P2,X>")', "pass",
         "tests/test_locality.py::test_restrict_q2_error",
+    ),
+    Mutant(
+        "restrict-action-key", LOC, "key = sf[f], L.conj_pos[f]", "key = sf[f]",
+        "tests/test_locality.py::test_delta_closure_rejected[missing-conjugate]",
     ),
     Mutant(
         "p-power-index-hyperfocal", FUS, "        and hyperfocal_subgroup(F) <= D.S\n", "",

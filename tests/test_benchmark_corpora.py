@@ -7,9 +7,10 @@ from the package), with the statement set the workload names. A spy on
 ``locality.verify_partial_group`` sums ``words_checked`` and
 ``domain_words`` over its calls, as the benchmark's tracer does, and
 counts the calls and the distinct structures checked; the run sees one
-usable CPU, so the spy sees every call. The check counts the words of
-length 1 and 2 over each structure, and every one of them is in the
-domain on these corpora, so the two counters agree.
+usable CPU, so the spy sees every call. The report writer's text is
+checked against json.dumps of the whole document. The check counts the
+words of length 1 and 2 over each structure, and every one of them is in
+the domain on these corpora, so the two counters agree.
 
 order36 holds ``d12_c6``, rejected because N_L(1) = G is not of
 characteristic 2, so its run exits 1 with that witness.
@@ -30,7 +31,7 @@ import pytest
 from plocal import cli
 from plocal import locality as lo
 from plocal import verify as vf
-from .conftest import extended_corpus_text, one_cpu
+from .conftest import extended_corpus_text, one_cpu, oracle_checked_writer
 
 CORPORA = Path(__file__).resolve().parents[1] / "perfbench" / "corpora"
 
@@ -70,6 +71,7 @@ def _run(tmp_path, corpus, statements):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(lo, "verify_partial_group", spy)
         one_cpu(mp)
+        oracle_checked_writer(mp)
         status = cli.run(cli.RunConfig(report_path=report, statements=statements), corpus_text=text)
     return status, report.read_bytes(), totals, len(calls), len(set(calls))
 

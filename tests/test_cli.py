@@ -12,6 +12,8 @@ import pytest
 from plocal import cli
 from plocal import groups as gp
 from plocal.errors import CorpusParseError, KDescriptorNotForX, NormalityError
+from plocal.report import VerificationReport
+from .conftest import json_oracle, oracle_checked_writer
 
 GOOD = """
 # comment line
@@ -149,15 +151,62 @@ def test_a_group_past_the_element_cap_is_corpus_error(tmp_path, capsys):
 
 
 @pytest.mark.slow
-def test_c3_wreath_c3_without_k_lines_is_pinned(tmp_path):
+def test_c3_wreath_c3_without_k_lines_is_pinned(tmp_path, monkeypatch):
     """C3 wr C3 at p = 3 with no K lines: S = G has order 81, past the
     automorphism base cap, yet the default K sweep reads Aut(X) only as far
     as a verdict needs (a prefix for its cap, Aut(X) itself through
-    Aut_F(X) and N_G(X)), so the entry is checked in full."""
+    Aut_F(X) and N_G(X)), so the entry is checked in full. The report
+    writer's text is checked against json.dumps."""
+    oracle_checked_writer(monkeypatch)
     code, doc = _reports_of(tmp_path, "group c3wrc3 p=3 gens=(0 1 2);(0 3 6)(1 4 7)(2 5 8)\n")
     assert code == 0 and len(doc) == 909 and not any(r["outcome"] == "fail" for r in doc)
     body = (tmp_path / "report.json").read_bytes()
     assert hashlib.sha256(body).hexdigest() == C3WRC3_SHA256
+
+
+# reports planted to reach every branch of the report writer
+PLANTED = (
+    VerificationReport("Axioms", "caf\u00e9|\u03a3 \"q\" \\ /\t\n\x01\U0001f600", "pass"),
+    VerificationReport(
+        "Lemma-2.1", "e|X=<(0 1)>", "fail",
+        witness={"w": [["(0 1)", {"b": [], "a": {}}], [True, None, 1.5, -7]], "k": "\u2208", "": 2 ** 70},
+        stats={"calls": 3, "nested": {"z": [1, [2]], "a": {}}, "flag": False, "ratio": 0.25, "none": None,
+               "s": "\u00e9\n", "big": -(2 ** 64)},
+    ),
+    VerificationReport("Lemma-2.2a", "e|entry", "skipped", reason="hypothesis \"C_G(X) \u2264 H\" fails", stats={}),
+    VerificationReport("Lemma-2.2b", "e|1", "fail", witness="plain", reason="r", stats={"x": float("inf")}),
+    VerificationReport("Lemma-3.1", "e|2", "fail", witness=[], stats={3: 1, 1: [2]}),
+    VerificationReport("Theorem-3.2a", "e|3", "fail", witness=0, stats={"t": (1, "two")}),
+    VerificationReport("Theorem-3.2b", "e|4", "fail", witness=False, reason=1.0),
+    VerificationReport("Corollary-3.3a", "e|5", "fail", witness={"nested": [[[]], [{}]], "n": None}),
+)
+
+
+@pytest.mark.parametrize(
+    "reports",
+    [(), PLANTED, *((r,) for r in PLANTED)],
+    ids=["empty", "all", *("planted-%d" % i for i in range(len(PLANTED)))],
+)
+def test_report_writer_matches_json_dumps(reports):
+    """The writer's text is json.dumps of the whole document, with sorted
+    keys and an indent of 2, on planted reports: non-ASCII and escaped
+    strings, ints past 64 bits, bools, floats, None, empty and nested
+    stats, stats with keys that are not strings, a reason, nested witness
+    lists and dicts, witnesses that are a string, a number, a bool or an
+    empty list, and no report at all."""
+    assert cli.render_report_doc(list(reports)) == json_oracle(reports)
+
+
+def test_a_run_without_report_renders_nothing(monkeypatch, capsys):
+    """cli.run writes the document only when a report path is given, so a
+    run without one does not render it."""
+
+    def refuse(reports):
+        raise AssertionError("rendered without a report path")
+
+    monkeypatch.setattr(cli, "render_report_doc", refuse)
+    assert cli.run(cli.RunConfig(), corpus_text=GOOD) == 0
+    assert "reports in" in capsys.readouterr().out
 
 
 def test_statement_filter(tmp_path):

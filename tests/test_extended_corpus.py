@@ -31,7 +31,7 @@ from plocal import groups as gp
 from plocal import verify as vf
 from plocal.perm import Perm
 from . import oracles
-from .conftest import one_cpu
+from .conftest import one_cpu, oracle_checked_writer
 
 L27_SHA256 = "d8c7946c67aeb2d1884b519abe05008206d233053cb93be3a6396f35ced67a42"
 
@@ -149,11 +149,13 @@ def test_default_corpus_tables_and_perm_arithmetic():
 
 @pytest.fixture(scope="module")
 def l27_run(tmp_path_factory):
-    """The extended corpus through cli.run, under the lattice spy: the exit
-    status, the report bytes and the spy's record."""
+    """The extended corpus through cli.run, under the lattice spy and with
+    the report writer checked against json.dumps: the exit status, the
+    report bytes and the spy's record."""
     text = files("plocal").joinpath("data/extended_corpus.txt").read_text()
     report = tmp_path_factory.mktemp("extended") / "report.json"
-    with _lattice_spy() as (calls, homes):
+    with _lattice_spy() as (calls, homes), pytest.MonkeyPatch.context() as mp:
+        oracle_checked_writer(mp)
         status = cli.run(cli.RunConfig(report_path=report), corpus_text=text)
     return status, report.read_bytes(), calls, homes
 

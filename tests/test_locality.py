@@ -287,8 +287,23 @@ def test_maximality_by_normalizer_growth_matches_definition(name, request):
 
 
 def test_restrict_conjugates_each_object_once(monkeypatch, L_l27):
-    """The closure check and (Q2) share one P^f per object P and element f,
-    each conjugated as a mask over the base by the element's index."""
+    """The closure check and (Q2) share one P^f per object P and action
+    class of the element f (lo._actions): _conj_mask runs once per object
+    and class representative, on the index of the class's first member.
+    Z(S) != 1 acts trivially on S, so PSL(2,7)'s group locality, and
+    L_l27 inside it, have fewer classes than elements; the classes
+    partition the elements, and members of one class conjugate every
+    object alike."""
+    G = L_l27.ambient
+    whole = lo.group_locality(G, L_l27.S, 2)
+    for L in (whole, L_l27):
+        classes = lo._actions(L)
+        assert len(classes) < L.elems.bit_count()
+        assert sum(members for _, members in classes) == L.elems
+        for a, members in classes:
+            assert members >> a & 1 and not members & ((1 << a) - 1)
+            for P in L.Delta:
+                assert {lo._conj_mask(L, P, f) for f in gp.bits(members)} == {lo._conj_mask(L, P, a)}
     calls = []
     real = lo._conj_mask
 
@@ -297,9 +312,8 @@ def test_restrict_conjugates_each_object_once(monkeypatch, L_l27):
         return real(L, mask, a)
 
     monkeypatch.setattr(lo, "_conj_mask", spy)
-    G = L_l27.ambient
-    lo.build_group_locality(G, L_l27.S, L_l27.Delta, 2)
-    expected = Counter((P, a) for P in L_l27.Delta for a in range(G.order))
+    lo.restrict(whole, whole.elems, L_l27.Delta, G.trivial_subgroup())
+    expected = Counter((P, a) for P in L_l27.Delta for a, _ in lo._actions(whole))
     assert Counter(calls) == expected
 
 

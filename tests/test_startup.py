@@ -6,12 +6,15 @@ the default corpus is read as a file beside ``cli.py``, so importing
 ``plocal.cli`` and reading the default corpus load neither ``dataclasses``
 (which brings ``inspect``, ``dis``, ``ast`` and ``tokenize``) nor
 ``importlib.resources`` (which brings ``zipfile``, ``tempfile`` and
-``shutil``). ``pickle`` is imported only by a run that forks workers
-(``verify.run_suite``), after parsing, and no run uses
-``multiprocessing`` or ``concurrent.futures``, whose import and pool
-start-up would cost more than the workers save. The child runs under
-``python -S``: a ``.pth`` file in site-packages may import modules at
-start-up, which would hide a module the package loads itself.
+``shutil``). A run's workers send their reports back through
+``marshal``, which every interpreter has loaded, so ``pickle`` is
+imported only for a worker's share that holds a raised exception: a run
+on two CPUs in which no entry raises, forked worker included, loads no
+``pickle``. No run uses ``multiprocessing`` or ``concurrent.futures``,
+whose import and pool start-up would cost more than the workers save.
+The child runs under ``python -S``: a ``.pth`` file in site-packages may
+import modules at start-up, which would hide a module the package loads
+itself.
 """
 
 import shutil
@@ -74,3 +77,54 @@ def test_a_planted_import_is_flagged(tmp_path, module, line, unwanted):
     path = copy / (module + ".py")
     path.write_text(path.read_text() + "\n" + line + "\n")
     assert unwanted in _loaded(tmp_path)
+
+
+# a run of two entries on two usable CPUs, the second in a forked worker;
+# with a planted name, that entry raises. Prints the exit status, the
+# number of forks and whether pickle was loaded; the worker writes to
+# stderr, as it ends, whether it loaded pickle
+RUN_CHILD = """
+import os, sys
+sys.path.insert(0, sys.argv[1])
+os.sched_getaffinity = lambda pid: {0, 1}
+forks, real_fork, real_exit = [], os.fork, os._exit
+def fork():
+    forks.append(1)
+    return real_fork()
+def exit_(status):
+    os.write(2, b"worker %s\\n" % str("pickle" in sys.modules).encode())
+    real_exit(status)
+os.fork, os._exit = fork, exit_
+import plocal.cli, plocal.verify
+prepare = plocal.verify.prepare_entry
+def planted(entry):
+    if entry.name == sys.argv[2]:
+        raise plocal.errors.PLocalError("planted")
+    return prepare(entry)
+plocal.verify.prepare_entry = planted
+status = plocal.cli.run(plocal.cli.RunConfig(), corpus_text=sys.argv[3])
+print(status, len(forks), "pickle" in sys.modules)
+"""
+
+TWO_ENTRIES = """
+group s3_a3 p=3 gens=(0 1 2);(0 1)
+normal gens=(0 1 2)
+group c2xc2 p=2 gens=(0 1);(2 3)
+"""
+
+
+@pytest.mark.parametrize("raising, loaded", [("none", False), ("c2xc2", True)])
+def test_a_run_on_two_cpus_loads_pickle_only_for_a_raise(raising, loaded):
+    """A two-CPU run (affinity set in the child) forks one worker for its
+    second entry. When no entry raises, neither process loads pickle: the
+    worker's answer is marshalled. When the worker's entry raises, both
+    load it, for the exception comes back pickled, and the run exits 2."""
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", RUN_CHILD, str(ROOT / "src"), raising, TWO_ENTRIES],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+    assert out.stdout.splitlines()[-1] == "%d 1 %s" % (2 if loaded else 0, loaded)
+    assert out.stderr.splitlines() == ["worker %s" % loaded] + ["suite error: planted"] * loaded

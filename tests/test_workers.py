@@ -1,7 +1,8 @@
 """run_suite's workers: entries dealt round-robin to one process per
 usable CPU give the report bytes of a serial run, an entry's error is
-raised as a serial run raises it, a worker that dies is named, and no
-process outlives a run.
+raised as a serial run raises it, a report marshal cannot carry fails
+every run alike, a worker that dies is named, and no process outlives a
+run.
 
 Each test sets the CPUs a run sees through ``os.sched_getaffinity``, so
 the deal does not depend on the machine. Faults are planted in
@@ -20,6 +21,7 @@ import pytest
 from plocal import cli
 from plocal import verify as vf
 from plocal.errors import PLocalError
+from plocal.perm import Perm
 from .test_cli import CAPPED
 
 CORPORA = Path(__file__).resolve().parents[1] / "perfbench" / "corpora"
@@ -126,6 +128,30 @@ def test_an_error_is_reported_as_a_serial_run_reports_it(capsys, failing):
             status = cli.run(cli.RunConfig(), corpus_text=None)
         outs.append((status, capsys.readouterr().err))
     assert outs[0] == outs[1] == (2, "suite error: planted in %s\n" % failing[0])
+
+
+@pytest.mark.parametrize("name", ["s4_a4", "d8_d8"])
+def test_a_report_marshal_cannot_carry_fails_every_run_alike(name):
+    """A report whose witness holds a Perm, a tuple subclass that marshal
+    cannot carry, fails the run with the same ValueError with one usable
+    CPU and with two, whether this process or the worker checks its
+    entry: every entry's reports cross marshal in verify._share."""
+    real = vf._entry_results
+
+    def planted(entry, statements):
+        out = real(entry, statements)
+        if entry.name == name:
+            out[0].witness = {"x": Perm((1, 0))}
+        return out
+
+    raised = []
+    for cpus in (1, 2):
+        with seen_cpus(cpus), deadline(120), pytest.MonkeyPatch.context() as mp:
+            mp.setattr(vf, "_entry_results", planted)
+            with pytest.raises(ValueError) as info:
+                cli.run(cli.RunConfig(), corpus_text=None)
+        raised.append((type(info.value), str(info.value)))
+    assert raised[0] == raised[1] == (ValueError, "unmarshallable object")
 
 
 @pytest.mark.parametrize("death, code", [("exit", 3), ("kill", -signal.SIGKILL)])
