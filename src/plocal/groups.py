@@ -3,15 +3,21 @@
 Everything here is exact and exhaustive: groups are small (corpus scale is
 |G| <= 72) and every operation enumerates elements. There is one group
 type, :class:`Subgroup`, for an ambient group and its subgroups alike,
-immutable. A group built from Perms alone is its own *home* and holds its
-sorted elements; any other is found in a home (a corpus group, the
-permutation image of an automorphism group) and is that home and its
-:attr:`Subgroup.home_mask`, an int whose bit a stands for the home's a-th
-sorted element. Its Perms (``elems``, iteration, ``label``) are a view
-built on first use, for labels, witnesses, tests and generators.
+immutable. ``Subgroup(elems)`` builds only a *home*, a group of its own
+holding its sorted elements (a corpus group, the permutation image of an
+automorphism group); any other group is built by the constructions here
+inside a home, and is that home and its :attr:`Subgroup.home_mask`, an
+int whose bit a stands for the home's a-th sorted element. Its Perms
+(``elems``, iteration, ``label``) are a view built on first use, for
+labels, witnesses, tests and generators.
 
 Products and conjugates are read off integer tables over the home's sorted
 elements, so every construction here builds a home mask, never a Perm set.
+Every closure of a mask on a product table is one routine,
+:func:`coset_join`, which joins a subgroup to elements one coset at a
+time: the subgroups a set generates, the lattice's joins, the growth of a
+Sylow subgroup, the generators of a position table and the maximality of
+a locality's S all read it.
 Where conjugation sends the elements of X is read in one place,
 :func:`conj_positions`; a group from another home is carried into a home
 in one place, :meth:`Subgroup.home_mask_of`, and a group inside S is a
@@ -28,9 +34,8 @@ lattice of R, per R (:func:`lattice`); the table of fusion systems over
 its subgroups (``fusion.FusionSystem``); and the closures of
 ``locality.fusion_of_partial``.
 
-:func:`memo` and :func:`keep` are the one way the package keeps a result,
-there, in a fusion system's ``_cache`` and a locality's ``_memo``;
-:func:`peek` reads one without deciding it.
+:func:`memo` is the one way the package keeps a result, there, in a
+fusion system's ``_cache`` and a locality's ``_memo``.
 
 Subgroup lattices are asked for only on p-groups and on permutation images
 of automorphism groups, and read only through :func:`lattice`, R's
@@ -63,18 +68,6 @@ def memo(place: dict, key, decide, *args):
     if out is place:
         out = place[key] = decide(*args)
     return out
-
-
-def keep(place: dict, key, value):
-    """What place keeps under key, else value, kept there: for a value the
-    caller already holds, such as a new fusion system."""
-    return place.setdefault(key, value)
-
-
-def peek(place: dict, key):
-    """What place keeps under key, None if nothing: decides and keeps
-    nothing."""
-    return place.get(key)
 
 
 def mulclose(gens: Iterable[Perm], cap: int = ELEMENT_CAP) -> FrozenSet[Perm]:
@@ -116,15 +109,25 @@ def pack(mask: int, within: int) -> int:
     return out
 
 
-def _close(mul: Sequence[Sequence[int]], gens: Iterable[int]) -> int:
-    """The home mask of the subgroup generated by the elements with indexes
-    gens, closed on a product table (the identity has index 0)."""
-    gens, out = tuple(set(gens)), frozenset([0])
-    frontier = out
-    while frontier:
-        frontier = {mul[a][g] for a in frontier for g in gens} - out
-        out |= frontier
-    return sum(1 << a for a in out)
+def coset_join(mul: Sequence[Sequence[int]], H: int, gens: Iterable[int]) -> int:
+    """<gens>H on a product table whose identity has index 0, for H the mask
+    of a subgroup and gens indexes: the union of the left cosets of H that
+    left products by gens reach from H, built one coset at a time (Dimino's
+    algorithm: Butler, Fundamental Algorithms for Permutation Groups, 1991). For a coset rep x and a generator s, sx
+    either lies in the mask, and then so does sxH, or its coset sxH is added
+    whole; once every rep has met every generator the mask is closed under
+    left products by gens. It is the subgroup <H, gens> when gens hold
+    generators of H or normalize H; otherwise it may be no group."""
+    hs, out, reps = bits(H), H, [0]
+    for x in reps:
+        for s in gens:
+            y = mul[s][x]
+            if not out >> y & 1:
+                row = mul[y]
+                for h in hs:
+                    out |= 1 << row[h]
+                reps.append(y)
+    return out
 
 
 class Subgroup:
@@ -132,27 +135,23 @@ class Subgroup:
     tables it reads, and its home mask, immutable.
 
     ``Subgroup(elems)`` is a home of its own, holding its sorted elements;
-    ``Subgroup(elems, ambient)`` is found in the ambient's home, and an
-    element outside that home raises ValueError. Two are equal exactly
-    when their elements are, whatever home they were found in: the home
-    takes no part in equality, and the hash is that of the Perm view.
+    a group inside a home comes from the constructions on its tables, such
+    as ``home.generated_subgroup(elems)`` and ``from_home_mask``. Two are
+    equal exactly when their elements are, whatever home they were found
+    in: the home takes no part in equality, and the hash is that of the
+    Perm view.
     """
 
-    def __init__(self, elems: Iterable[Perm], ambient: Optional["Subgroup"] = None):
+    def __init__(self, elems: Iterable[Perm]):
         elems = frozenset(elems)
         if not elems:
             raise ValueError("empty element set")
         # a Perm's length is its degree; one set of lengths keeps this cheap
         if len(set(map(len, elems))) != 1:
             raise DegreeMismatch("mixed degrees in element set")
-        if ambient is None:
-            home, mask = self, (1 << len(elems)) - 1
-            object.__setattr__(self, "_sorted", sorted_elems(elems))
-        else:
-            home = ambient.home
-            mask = home.home_mask_of(elems)
-        object.__setattr__(self, "home", home)
-        object.__setattr__(self, "home_mask", mask)
+        object.__setattr__(self, "_sorted", sorted_elems(elems))
+        object.__setattr__(self, "home", self)
+        object.__setattr__(self, "home_mask", (1 << len(elems)) - 1)
 
     def __setattr__(self, name, value):
         raise AttributeError("Subgroup is immutable")
@@ -323,7 +322,7 @@ def generate_group(gens: Iterable[Perm], cap: int = ELEMENT_CAP) -> Subgroup:
 def generated(G: Subgroup, mask: int) -> Subgroup:
     """The subgroup generated by the elements at mask's bits, a mask over
     G's home, closed on the home's product table."""
-    return G.from_home_mask(_close(G.home.mul_table, bits(mask)))
+    return G.from_home_mask(coset_join(G.home.mul_table, 1, bits(mask)))
 
 
 def _canonical(G: Subgroup, masks: Iterable[int]) -> Tuple[Subgroup, ...]:
@@ -338,7 +337,8 @@ def all_subgroups(G: Subgroup, cap: int = SUBGROUP_CAP) -> Tuple[Subgroup, ...]:
 
     Works bottom-up on the home's product table: all cyclic subgroups, then
     closure of the lattice under joins with cyclic subgroups, each join
-    <H, c> grown from H's elements one coset at a time (_coset_join).
+    <H, c> grown from H one coset at a time (coset_join) by H's generating
+    tuple and c's generator, so it is the subgroup they generate.
     Exhaustive because every subgroup is a join of cyclic ones. Not kept
     here: :func:`lattice` keeps it.
     """
@@ -347,36 +347,14 @@ def all_subgroups(G: Subgroup, cap: int = SUBGROUP_CAP) -> Tuple[Subgroup, ...]:
     # each subgroup found, with a generating tuple; the queue grows as it is read
     mul, found = G.home.mul_table, {}
     for a in bits(G.home_mask):
-        found.setdefault(_close(mul, (a,)), (a,))
+        found.setdefault(coset_join(mul, 1, (a,)), (a,))
     cyclics, queue = list(found.items()), list(found)
     for H in queue:
-        hs = bits(H)
         for C, c in cyclics:
-            if C & ~H and (J := _coset_join(mul, H, hs, found[H] + c)) not in found:
+            if C & ~H and (J := coset_join(mul, H, found[H] + c)) not in found:
                 found[J] = found[H] + c
                 queue.append(J)
     return _canonical(G, found)
-
-
-def _coset_join(mul: Sequence[Sequence[int]], H: int, hs: List[int], gens: Tuple[int, ...]) -> int:
-    """The home mask of <gens>, for gens holding generators of the subgroup
-    H, a home mask with elements hs, built from H one left coset at a time
-    (Dimino's algorithm: Butler, Fundamental Algorithms for Permutation
-    Groups, 1991). The mask is a union of cosets xH, the identity's first;
-    for a coset rep x and a generator s, sx either lies in it, and then so
-    does sxH, or its coset sxH is added whole. Once every rep has met every
-    generator the mask is closed under left products by gens: it is the
-    group they generate."""
-    out, reps = H, [0]
-    for x in reps:
-        for s in gens:
-            y = mul[s][x]
-            if not out >> y & 1:
-                row = mul[y]
-                for h in hs:
-                    out |= 1 << row[h]
-                reps.append(y)
-    return out
 
 
 def lattice(R: Subgroup) -> Dict[int, Subgroup]:
@@ -482,30 +460,19 @@ def is_p_group(X: Subgroup, p: int) -> bool:
     return X.order == p_part(X.order, p)
 
 
-def times_cyclic(G: Subgroup, R: int, a: int) -> int:
-    """R<x> for x, the a-th element of G's home, normalizing R, both home
-    masks: the union of the cosets R x^k for k < m, m the least k > 0 with
-    x^k in R."""
-    mul, rs = G.home.mul_table, bits(R)
-    out, xk = R, a
-    while not R >> xk & 1:
-        out |= sum(1 << mul[y][xk] for y in rs)
-        xk = mul[xk][a]
-    return out
-
-
 def sylow_subgroup(G: Subgroup, p: int) -> Subgroup:
     """One Sylow p-subgroup, grown through normalizers on the home's tables.
 
     While |P| is short of the full p-part, N_G(P)/P has order divisible by p,
-    so there is x in N_G(P) \\ P with x^p in P, and <P, x> is the union of
-    the p cosets P x^k, k < p; x is the first such in element order.
+    so there is x in N_G(P) \\ P with x^p in P, and <P, x> = <x>P is the
+    union of the p cosets x^k P, k < p, grown by coset_join as x normalizes
+    P; x is the first such in element order.
     """
     P = G.trivial_subgroup()
     while P.order < p_part(G.order, p):
         inside = P.home_mask
         for x in bits(normalizer(G, P).home_mask & ~inside):
-            grown = times_cyclic(G, inside, x)
+            grown = coset_join(G.home.mul_table, inside, (x,))
             if grown.bit_count() == p * P.order:
                 P = G.from_home_mask(grown)
                 break
@@ -616,7 +583,7 @@ class AutGroup:
             raise CapExceeded("automorphism base %d exceeds cap %d" % (X.order, AUT_BASE_CAP))
         self._found.extend(self._search)
         maps = frozenset(self._found)
-        keep(memo(X.home._kept, "autgroups", dict), (X.home_mask, maps), self)
+        memo(memo(X.home._kept, "autgroups", dict), (X.home_mask, maps), lambda: self)
         return maps
 
     def order_at_least(self, n: int) -> bool:
@@ -656,7 +623,7 @@ class AutGroup:
 
 
 def _subnormal_in(K: AutGroup, A: AutGroup) -> bool:
-    return is_subnormal(Subgroup(K.maps, A.image), A.image)
+    return is_subnormal(A.image.from_home_mask(A.image.home_mask_of(K.maps)), A.image)
 
 
 def _sub_autgroups(A: AutGroup) -> Tuple[AutGroup, ...]:
@@ -697,10 +664,11 @@ def _position_table(X: Subgroup) -> Tuple[List[int], Tuple[Tuple[int, ...], ...]
 def _table_and_gens(X: Subgroup) -> Tuple[List[int], Tuple[Tuple[int, ...], ...]]:
     xs, mul = bits(X.home_mask), X.home.mul_table
     position = {x: k for k, x in enumerate(xs)}
-    rows, gens = tuple(tuple(position[mul[a][b]] for b in xs) for a in xs), []
+    rows, gens, inside = tuple(tuple(position[mul[a][b]] for b in xs) for a in xs), [], 1
     for k in range(len(xs)):
-        if not _close(rows, gens) >> k & 1:
+        if not inside >> k & 1:
             gens.append(k)
+            inside = coset_join(rows, inside, gens)
     return gens, rows
 
 

@@ -80,6 +80,7 @@ from .groups import (
     Subgroup,
     bits,
     conj_positions,
+    coset_join,
     elements,
     group_K_normalizer,
     is_characteristic_p,
@@ -90,7 +91,6 @@ from .groups import (
     normalizer,
     p_part,
     pack,
-    times_cyclic,
     trivial_aut_group,
 )
 from .perm import Perm
@@ -392,16 +392,16 @@ def _is_max_p_subgroup(P0: Locality) -> bool:
     subgroup inside P0 with all its words defined), maximal among such.
 
     A p-subgroup H > S has N_H(S) > S, so S is maximal iff no x in N_G(S)
-    cap P0 outside S gives a p-group S<x> inside P0, read off the ambient
-    product table by times_cyclic. Words need no test: every element of
-    S<x> normalizes S, so its survivor mask, and so the AND of them along
-    any word over S<x> or over S, is the whole base, which is an object
-    (the Locality's constructor requires it)."""
+    cap P0 outside S gives a p-group S<x> = <x>S inside P0, joined on the
+    ambient product table by coset_join as x normalizes S. Words need no
+    test: every element of S<x> normalizes S, so its survivor mask, and so
+    the AND of them along any word over S<x> or over S, is the whole base,
+    which is an object (the Locality's constructor requires it)."""
     S, G, p = P0.S_elems, P0.ambient, P0.p
     if S & ~P0.elems or not is_p_group(P0.S, p):
         return False
     for x in bits(normalizer(G, P0.S).home_mask & P0.elems & ~S):
-        H = times_cyclic(G, S, x)
+        H = coset_join(G.mul_table, S, (x,))
         if H.bit_count() == p_part(H.bit_count(), p) and not H & ~P0.elems:
             return False
     return True

@@ -8,15 +8,18 @@ defined, so the list cannot rot silently.
 A mutant deletes one clause of a verdict: one exact text of one file under
 ``src/plocal`` replaced by another. The list holds the clauses of
 ``verify_locality`` and ``verify_subcentric_locality`` that a test makes
-fail first, the two of ``partial_subgroup_violation`` that
-``verify_partial_group`` reads, the refusal of a ``Locality`` to rebind
-an attribute, the (Q2) check of ``restrict`` and the key of the action
-classes it conjugates objects by, and the clauses of saturation,
-full K-normalization, p-power index and weak normality in ``fusion`` and
-its refusal to compare two systems in different frames; and
-the two reads of Aut(X)'s search in the K sweep of ``verify.k_options``,
-each cut one map short; and the verdicts of two statement checkers that
-only a wrong helper can make fail, Lemma-2.2b's product identity and
+fail first, Delta-is-subcentric-set among them; the two of
+``partial_subgroup_violation`` that ``verify_partial_group`` reads; the
+refusal of a ``Locality`` to rebind an attribute; the (Q2) check of
+``restrict`` and the key of the action classes it conjugates objects by;
+the clauses of saturation, full K-normalization, p-power index and weak
+normality in ``fusion`` and its refusal to compare two systems in
+different frames; the two reads of Aut(X)'s search in the K sweep of
+``verify.k_options``, each cut one map short, and the cap's read made to
+depend on X's degree, which only a second action of the entry's group
+shows; the step of ``groups.coset_join``, the group layer's one closure,
+that queues a new coset's rep; and the verdicts of two statement checkers
+that only a wrong helper can make fail, Lemma-2.2b's product identity and
 Lemma-3.1's conclusion, killed by wiring controls that monkeypatch the
 helper. Run from the root of a checkout:
 
@@ -54,6 +57,7 @@ class Mutant(NamedTuple):
 
 
 LOC, FUS, VER = "src/plocal/locality.py", "src/plocal/fusion.py", "src/plocal/verify.py"
+GRP = "src/plocal/groups.py"
 CLAUSE = "tests/test_locality.py::test_each_locality_clause_fails_first_on_its_witness[%s]"
 
 MUTANTS = (
@@ -85,6 +89,11 @@ MUTANTS = (
     Mutant(
         "same-S", LOC, "if L.S != F.S:", "if False:",
         "tests/test_locality.py::test_subcentric_rejects_another_base",
+    ),
+    Mutant(
+        "Delta-is-subcentric-set", LOC,
+        "if frozenset(L.S.mask(P) for P in subcentric_set(F)) != L.Delta:", "if False:",
+        "tests/test_locality.py::test_subcentric_rejects_wrong_delta",
     ),
     Mutant(
         "F_S(L)-is-F", LOC, "if FL != F:", "if False:",
@@ -138,6 +147,15 @@ MUTANTS = (
     Mutant(
         "k-sweep-cap-read", VER, "A.order_at_least(AUT_CAP + 1)", "A.order_at_least(AUT_CAP)",
         "tests/test_verify.py::test_k_sweep_holds_every_subgroup_of_aut_q8",
+    ),
+    Mutant(
+        "k-sweep-degree-read", VER, "A.order_at_least(AUT_CAP + 1)",
+        "A.order_at_least(AUT_CAP + 1 - X.degree)",
+        "tests/test_benchmark_corpora.py::test_reports_are_invariant_under_a_second_action",
+    ),
+    Mutant(
+        "coset-join-reps", GRP, "reps.append(y)", "pass",
+        "tests/test_locality.py::test_coset_join_matches_mulclose",
     ),
     Mutant(
         "k-sweep-dedup-read", VER, "A.order_at_least(K.order + 1)", "A.order_at_least(K.order)",

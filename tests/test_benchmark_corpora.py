@@ -17,9 +17,11 @@ characteristic 2, so its run exits 1 with that witness.
 
 The benchmark's relabelling of points, ``perfbench/run.py::relabel``, is
 imported as it is and must leave each entry's reports the same up to
-labels.
+labels. So must a second faithful action of each entry's group, which
+changes the degree too.
 """
 
+import functools
 import hashlib
 import importlib.util
 import json
@@ -31,6 +33,7 @@ import pytest
 from plocal import cli
 from plocal import locality as lo
 from plocal import verify as vf
+from plocal.perm import Perm, perm_from_cycles
 from .conftest import extended_corpus_text, one_cpu, oracle_checked_writer
 
 CORPORA = Path(__file__).resolve().parents[1] / "perfbench" / "corpora"
@@ -113,20 +116,67 @@ def _per_entry(text):
 RELABELLED = {None: 4, "order36_axioms.txt": 2, "extended_corpus.txt": 1}
 
 
+def _corpus_text(corpus):
+    if corpus is None:
+        return cli.default_corpus_text()
+    if corpus == "extended_corpus.txt":
+        return extended_corpus_text()
+    return (CORPORA / corpus).read_text()
+
+
+@functools.cache
+def _expected(corpus):
+    """_per_entry of the corpus as it is, read once for both tests."""
+    return _per_entry(_corpus_text(corpus))
+
+
 @pytest.mark.parametrize("corpus", list(RELABELLED))
 def test_reports_are_invariant_under_relabelling(corpus):
     """Relabelling each entry's points by a seeded permutation gives an
     isomorphic entry, so each entry's reports are the same up to the
     labels in instances and witnesses, at seeds 1, 2 and 3."""
-    if corpus is None:
-        text = cli.default_corpus_text()
-    elif corpus == "extended_corpus.txt":
-        text = extended_corpus_text()
-    else:
-        text = (CORPORA / corpus).read_text()
-    relabel, expected = _relabel(), _per_entry(text)
+    text = _corpus_text(corpus)
+    relabel, expected = _relabel(), _expected(corpus)
     assert len(expected) == RELABELLED[corpus]
     for seed in (1, 2, 3):
         relabelled = relabel(text, seed)
         assert relabelled != text
         assert _per_entry(relabelled) == expected
+
+
+def _regular(text):
+    """Each entry rewritten in its right regular action: a generator g, of
+    G or of the normal subgroup, sends the i-th sorted element x of G to
+    the index of x*g."""
+    out = []
+    for e in cli.parse_corpus(text):
+        assert not (e.X_strings or e.K_strings)
+        els = tuple(e.G)
+
+        def regular(specs):
+            gens = (perm_from_cycles(s, e.degree) for s in specs)
+            return ";".join(str(Perm(e.G.indexes(x * g for x in els))) for g in gens)
+
+        out += ["group %s p=%d gens=%s" % (e.name, e.p, regular(e.gen_strings)),
+                "normal gens=" + regular(e.normal_gen_strings)]
+    return "\n".join(out) + "\n"
+
+
+# PSL(2,7), l27's group, on the 8 points of the projective line over F_7
+L27_ON_P1 = "(0 1 2 3 4 5 6);(1 2 4)(3 6 5);(0 7)(1 6)(2 3)(4 5)"
+
+
+@pytest.mark.parametrize("corpus", list(RELABELLED))
+def test_reports_are_invariant_under_a_second_action(corpus):
+    """An entry rewritten in a second faithful action of its group has
+    another degree, another sorted element order, another Sylow subgroup
+    and other masks, and the same reports up to labels: the default and
+    order36 entries in their right regular actions, and l27, PSL(2,7) on
+    7 points, on the 8 points of P^1(F_7)."""
+    if corpus == "extended_corpus.txt":
+        second = "group l27 p=2 gens=%s\nnormal gens=%s\n" % (L27_ON_P1, L27_ON_P1)
+    else:
+        second = _regular(_corpus_text(corpus))
+    pairs = zip(cli.parse_corpus(_corpus_text(corpus)), cli.parse_corpus(second))
+    assert all(a.degree != b.degree and a.G.order == b.G.order for a, b in pairs)
+    assert _per_entry(second) == _expected(corpus)

@@ -23,18 +23,18 @@ def test_generate_group_orders():
 
 
 def test_group_value_checks_its_elements():
-    """A group is a nonempty set of one degree, and one found in an ambient
-    group lies in the ambient's home: S3 on 4 points refuses X = {1, (2 3)}
-    when X is built, where it once failed later, in normalizer or
-    from_home_mask."""
+    """A group is a nonempty set of one degree, and one generated in an
+    ambient group lies in the ambient's home: S3 on 4 points refuses
+    X = {1, (2 3)} when X is built, where it once failed later, in
+    normalizer or from_home_mask."""
     with pytest.raises(ValueError):
         gp.Subgroup(frozenset())
     with pytest.raises(DegreeMismatch):
         gp.Subgroup(frozenset([identity(2), identity(3)]))
     s3 = gp.generate_group(perms(4, "(0 1 2)", "(0 1)"))
     with pytest.raises(ValueError, match="outside the group's home"):
-        gp.Subgroup(perms(4, "()", "(2 3)"), s3)
-    X = gp.Subgroup(perms(4, "()", "(0 1)"), s3)
+        s3.generated_subgroup(perms(4, "()", "(2 3)"))
+    X = s3.generated_subgroup(perms(4, "()", "(0 1)"))
     assert X.ambient is s3 and gp.normalizer(s3, X) == X
 
 
@@ -52,7 +52,7 @@ def test_subgroup_and_autgroup_are_immutable_values(s4, klein):
     to assignment, while cached properties still fill. An AutGroup hashes
     its base by order, so hashing it builds no Perm view of the base; one
     on another home with equal content is another object, but equal."""
-    V = gp.Subgroup(klein.elems, s4)
+    V = s4.generated_subgroup(klein.elems)
     alone = gp.Subgroup(klein.elems)
     assert V == alone and V.ambient is s4 and alone.ambient is None
     assert hash(V) == hash((klein.elems,)) == hash(alone)
@@ -170,6 +170,37 @@ def test_join_is_the_generated_subgroup():
                 assert joined.elems == gp.mulclose(P.elems | Q.elems, cap=S.order)
         for g in sorted(G.elems - S.elems)[:1]:  # none where G = S
             assert gp.join(S, S.mask([g])) is None
+
+
+def test_coset_join_of_a_non_normalizing_element_is_a_set_product(s3):
+    """Where gens neither hold generators of H nor normalize it, the coset
+    join is the set <gens>H and no group: H = <(0 1)> and gens = ((0 2),)
+    in S3 give the 4 products c h, c in <(0 2)>, h in H."""
+    H, C = (s3.generated_subgroup(perms(3, spec)) for spec in ("(0 1)", "(0 2)"))
+    got = gp.coset_join(s3.mul_table, H.home_mask, s3.indexes(perms(3, "(0 2)")))
+    assert set(gp.elements(s3, got)) == {c * h for c in C for h in H}
+    assert got.bit_count() == 4
+
+
+def _greedy_positions(X):
+    """X's greedy generating sequence of sorted positions, closed from
+    scratch by mulclose: k is taken when the k-th element lies outside the
+    group generated by the elements taken before it."""
+    els, taken, inside = tuple(X), [], {X.identity}
+    for k, x in enumerate(els):
+        if x not in inside:
+            taken.append(k)
+            inside = gp.mulclose([els[i] for i in taken])
+    return taken
+
+
+def test_position_table_generators_are_the_greedy_sequence():
+    """_table_and_gens grows its generators one coset join at a time and
+    takes the sequence that a closure from scratch at every position takes:
+    on every subgroup of the default corpus's four groups and of PSL(2,7)."""
+    for G, _ in _corpus_sylows():
+        for X in gp.all_subgroups(G):
+            assert gp._table_and_gens(X)[0] == _greedy_positions(X)
 
 
 # -- Sylow / O_p / characteristic p ----------------------------------------
@@ -321,7 +352,7 @@ def test_aut_cap_holds_on_a_cache_hit(s4):
     base within the cap lists its maps once."""
     big = gp.generate_group([Perm(tuple(list(range(1, 65)) + [0]))])
     A = gp.aut_group(big)
-    assert A.order_at_least(2) and gp.aut_group(gp.Subgroup(big.elems, big)) is A
+    assert A.order_at_least(2) and gp.aut_group(big.generated_subgroup(big.elems)) is A
     for _ in range(2):
         with pytest.raises(CapExceeded):
             A.maps
@@ -479,11 +510,11 @@ def test_conjugation_tables_match_perm_definitions(case):
     from plocal import verify as vf
 
     G, S = _corpus_sylows()[case]
-    N = gp.Subgroup(_corpus_normals()[case], G)
+    N = G.generated_subgroup(_corpus_normals()[case])
     p = min(q for q in range(2, S.order + 1) if S.order % q == 0)
     F = fu.fusion_of_group(G, S, p)
     assert oracles.as_pairs(S, F.all_germs()) == oracles.conjugation_germs(G, S)
-    T = gp.Subgroup(S.elems & N.elems, G)
+    T = G.generated_subgroup(S.elems & N.elems)
     E = fu.fusion_of_group(N, T, p)
     assert oracles.as_pairs(T, E.all_germs()) == oracles.conjugation_germs(N, T)
     for X in F.subgroups():
@@ -551,12 +582,12 @@ def test_sub_autgroups_kept_on_the_home(monkeypatch, s4, klein):
     """The lattice of an automorphism group is computed once per (base,
     maps) on the base's home: an equal group asked through a fresh value
     gets the same tuple, and all_subgroups is not called again."""
-    X = gp.Subgroup(klein.elems, s4)
+    X = s4.generated_subgroup(klein.elems)
     A = gp.AutGroup(X, gp.aut_group(klein).maps)
     first = A.sub_autgroups()
     calls = []
     monkeypatch.setattr(gp, "all_subgroups", lambda G: calls.append(G))
-    assert gp.AutGroup(gp.Subgroup(klein.elems, s4), A.maps).sub_autgroups() is first
+    assert gp.AutGroup(s4.generated_subgroup(klein.elems), A.maps).sub_autgroups() is first
     assert calls == [] and [K.order for K in first] == [1, 2, 2, 2, 3, 6]
 
 

@@ -30,7 +30,7 @@ from .conftest import one_cpu, perms
 def _locality(G, elems, objects, base, p=2):
     """A Locality from element sets: elems and base inside G, each object
     inside base."""
-    S = gp.Subgroup(base, G)
+    S = G.generated_subgroup(base)
     return lo.Locality(G, G.mask(elems), [S.mask(o) for o in objects], G.mask(base), p)
 
 
@@ -207,7 +207,7 @@ def test_restrict_q2_error(s4):
     <(0 1)>, an element that moves an object P1 onto P2 inside S does not
     move <P1, X> onto <P2, X>: (Q2) fails."""
     S = gp.sylow_subgroup(s4, 2)
-    X = gp.Subgroup(gp.mulclose(perms(4, "(0 1)")), s4)
+    X = s4.generated_subgroup(perms(4, "(0 1)"))
     with pytest.raises(Q2Violated, match="transporter"):
         lo.restrict(lo.group_locality(s4, S, 2), s4.home_mask, gp.lattice(S), X)
 
@@ -699,8 +699,8 @@ def test_each_locality_clause_fails_first_on_its_witness(name, s3, s4, d8):
 
 def test_subcentric_rejects_another_base(s3):
     """L over <(0 2)> against F_{<(1 2)>}(S3): the bases differ."""
-    L = lo.build_group_locality(s3, gp.Subgroup(perms(3, "()", "(0 2)"), s3), [1, 3], 2)
-    F = fu.fusion_of_group(s3, gp.Subgroup(perms(3, "()", "(1 2)"), s3), 2)
+    L = lo.build_group_locality(s3, s3.generated_subgroup(perms(3, "()", "(0 2)")), [1, 3], 2)
+    F = fu.fusion_of_group(s3, s3.generated_subgroup(perms(3, "()", "(1 2)")), 2)
     assert lo.verify_subcentric_locality(L, F).witness == {"axiom": "same-S"}
 
 
@@ -965,12 +965,13 @@ def test_walked_domain_matches_chain_search(name, word_len, request):
 
 
 def test_walked_domain_matches_chain_search_on_random_structures(random_structures):
-    """The same on every random structure that verify_locality passes, at
-    length 2: each is objective, as its docstring's theorem says, the
-    genuinely partial ones among them too."""
-    passed = [L for L, rep in random_structures if rep.passed]
+    """The same at length 2 once per distinct structure, by Locality
+    equality, of the random ones that verify_locality passes: each is
+    objective, as its docstring's theorem says, the genuinely partial ones
+    among them too. The 119 that pass at seed 2107 hold 36 contents."""
+    passed = {L for L, rep in random_structures if rep.passed}
     verdicts = sum((_domain_against_chains(L, 2) for L in passed), Counter())
-    assert len(passed) >= 50 and verdicts[True] > 0 and verdicts[False] > 0
+    assert len(passed) >= 36 and verdicts[True] > 0 and verdicts[False] > 0
 
 
 def test_planted_fault_l27_missing_conjugate(L_l27):
@@ -1255,7 +1256,7 @@ def test_localities_over_equal_homes_are_one_content():
     kept = [set(L.ambient._kept) for L in (L1, L2)]
     assert kept[0] == kept[1]
     assert {"fusion_of_partial", "closure"} <= {key[0] for key in kept[0]}
-    tables = [gp.peek(L.ambient._kept, "systems") for L in (L1, L2)]
+    tables = [L.ambient._kept.get("systems") for L in (L1, L2)]
     assert len(tables[0]) > 3 and set(tables[0]) == set(tables[1])
 
 
@@ -1388,20 +1389,30 @@ def test_S_f_mask_matches_definition(name, request):
 
 
 @pytest.mark.parametrize("name", ["L_l27", "L_s3xs3", "L_s4", "L_sl23"])
-def test_times_cyclic_matches_mulclose(name, request):
-    """R<x> from the cosets R x^k is the closure of R and x, for every
-    p-subgroup R of the ambient group and every x normalizing it."""
+def test_coset_join_matches_mulclose(name, request):
+    """The coset join <gens>H is the closure of H and gens wherever gens
+    normalize H or hold generators of H: for every p-subgroup R of the
+    ambient group with each x normalizing it, as Sylow growth and the
+    maximality of S join them; from H = 1 by the elements of each member H
+    of S's lattice; and from each member H by a greedy generating tuple of
+    H and one element of S, as the lattice's joins grow."""
     L = request.getfixturevalue(name)
     G = L.ambient
-    index = {g: a for a, g in enumerate(G)}
+    mul = G.mul_table
     pool = {frozenset(x.conj(g) for x in P.elems) for P in gp.all_subgroups(L.S) for g in G.elems}
     grown = 0
     for R in pool:
-        for x in gp.normalizer(G, gp.Subgroup(R)).elems:
-            got = frozenset(gp.elements(G, gp.times_cyclic(G, G.mask(R), index[x])))
+        for x in gp.normalizer(G, G.generated_subgroup(R)).elems:
+            got = frozenset(gp.elements(G, gp.coset_join(mul, G.mask(R), G.indexes([x]))))
             assert got == gp.mulclose(list(R) + [x], cap=G.order)
             grown += len(got) > len(R)
     assert grown > 0
+    for H in gp.lattice(L.S).values():
+        assert gp.elements(G, gp.coset_join(mul, 1, G.indexes(H))) == tuple(sorted(gp.mulclose(H)))
+        gens = [G.indexes(H)[k] for k in gp._table_and_gens(H)[0]]
+        for x in L.S:
+            got = frozenset(gp.elements(G, gp.coset_join(mul, H.home_mask, gens + G.indexes([x]))))
+            assert got == gp.mulclose(list(H) + [x], cap=G.order)
 
 
 @pytest.mark.parametrize("name", ["L_s3xs3", "unclosed", "L_l27"])

@@ -1,18 +1,16 @@
-"""Only the memo helpers read or write a place where results are kept.
+"""Only the memo helper reads or writes a place where results are kept.
 
 A result is kept in one of three places: a fusion system's ``_cache``, a
 locality's ``_memo`` and a home's ``_kept``, which holds the lattices and
-the table of systems too. ``groups.memo`` decides a result on a miss
-and keeps it, ``groups.keep`` keeps a value its caller already holds, and
-``groups.peek`` reads one without deciding. Outside those three functions
-no module of the package subscripts a place, calls a method on it, tests
-membership in it or binds it to a local name; it may only hand a place to
-the helpers or create it empty. So a fourth memo idiom cannot slip in
-unnoticed, and counting what the places keep needs one wrapper around the
-helpers.
+the table of systems too. ``groups.memo`` decides a result on a miss and
+keeps it. Outside that function no module of the package subscripts a
+place, calls a method on it, tests membership in it or binds it to a
+local name; it may only hand a place to the helper or create it empty. So
+a second memo idiom cannot slip in unnoticed, and counting what the places
+keep needs one wrapper around the helper.
 
-The helpers keep a result of None or False, so a kept "saturated" or "not
-subnormal" is decided once, and keep no raise (the ``bN_K`` test of
+The helper keeps a result of None or False, so a kept "saturated" or "not
+subnormal" is decided once, and keeps no raise (the ``bN_K`` test of
 ``test_verify`` holds that a failed hypothesis raises on every call).
 """
 
@@ -30,7 +28,7 @@ from .conftest import perms
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "plocal"
 PLACES = {"_cache", "_memo", "_kept"}
-HELPERS = {"memo", "keep", "peek"}
+HELPERS = {"memo"}
 
 
 def _is_place(node):
@@ -60,7 +58,7 @@ def _is_reader(node):
 
 
 def _readers(package):
-    """(module, line) of each reader outside the helpers of ``groups``."""
+    """(module, line) of each reader outside the helper of ``groups``."""
     out = set()
     for path in sorted(package.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
@@ -124,7 +122,6 @@ def test_memo_keeps_none_and_false_but_no_raise():
         with pytest.raises(ValueError):
             gp.memo(place, "raise", decide, ValueError("kept?"))
     assert calls[:2] == [None, False] and len(calls) == 4 and "raise" not in place
-    assert gp.keep(place, None, "other") is None and gp.peek(place, "raise") is None
 
 
 def test_a_kept_saturated_verdict_is_decided_once(monkeypatch):

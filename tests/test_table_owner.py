@@ -97,8 +97,8 @@ def test_only_the_group_layer_builds_a_subgroup_from_perms():
 @pytest.mark.parametrize(
     "module, builder",
     [
-        ("verify", "def _T(S, H, G):\n    return Subgroup(S.elems & H.elems, G)\n"),
-        ("locality", "def _T(S, H, G):\n    return gp.Subgroup(S.elems & H.elems, G)\n"),
+        ("verify", "def _T(S, H, G):\n    return Subgroup(S.elems & H.elems)\n"),
+        ("locality", "def _T(S, H, G):\n    return gp.Subgroup(S.elems & H.elems)\n"),
     ],
     ids=["name", "attribute"],
 )
